@@ -3,9 +3,13 @@
 The composite operator inverts -(a^2 h')' + (b^2 - (ab)') h = mu h with
 h(0) = 0 and a(1) h'(1) + b(1) h(1) = 0.  A Liouville change of variables
 t(x) = int_0^x 1/a reduces this to -u'' + Q u = mu u on [0, T], which we
-solve by shooting (vectorized RK4) with oscillation-count verification, so
-no mode can be silently skipped.  A weighted SVD of the dense discretization
-serves as an independent cross-check.
+solve by shooting (vectorized RK4).  A scan in mu brackets each eigenvalue
+by a sign change of the boundary function B(mu) = c1 u'(T) + c2 u(T); the
+Illinois method (regula falsi with halving of the retained endpoint's B)
+then refines every bracket at once, each iterate staying inside its own
+bracket.  The oscillation count of the final eigenfunctions is verified,
+so no mode can be silently skipped.  A weighted SVD of the dense
+discretization serves as an independent cross-check.
 """
 from __future__ import annotations
 
@@ -89,41 +93,65 @@ def _rk4_shoot(Qh: np.ndarray, T: float, mu: np.ndarray, keep_path: bool = False
     """Integrate u'' = (Q - mu) u, u(0)=0, u'(0)=1 on the uniform t grid.
 
     Qh holds Q on the half-step grid (2N+1 points).  Vectorized over the mu
-    axis.  Returns (u_T, up_T, interior zero counts[, path]).
+    axis.  Returns (u_T, up_T); with keep_path, (u_T, up_T, interior zero
+    counts, path, dpath).
+
+    A classical RK4 step of this linear system is the 2x2 transfer matrix
+    [[A, B], [C, D]] acting on (u, u').  Its entries are polynomials in mu
+    of degree <= 2; only the coefficients that depend on Q are per-step
+    (O(N) scalars), and the matrix itself is formed one step at a time for
+    the columns being shot, so memory stays O(columns).
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     N = (Qh.size - 1) // 2
     h = T / N
+    h2, h3, h4 = h * h, h ** 3, h ** 4
+    q0, qm, q1 = Qh[0:-1:2], Qh[1::2], Qh[2::2]
+    # With w = Q - mu at the step's start (w0), midpoint (wm) and end (w1):
+    #   A = 1 + h^2/6 (w0 + 2 wm) + h^4/24 wm w0     B = h + h^3/6 wm
+    #   C = h/6 (w0 + 4 wm + w1) + h^3/12 wm (w0 + w1)
+    #   D = 1 + h^2/6 (2 wm + w1) + h^4/24 wm w1
+    # expanded in powers of mu: A = a0 + a1 mu + (h^4/24) mu^2, and so on.
+    a0 =1.0 + h2 / 6.0 * (q0 + 2.0 * qm) + h4 / 24.0 * qm * q0
+    a1 = -0.5 * h2 - h4 / 24.0 * (q0 + qm)
+    b0 = h + h3 / 6.0 * qm
+    c0 = h / 6.0 * (q0 + 4.0 * qm + q1) + h3 / 12.0 * qm * (q0 + q1)
+    c1 = -h - h3 / 12.0 * (q0 + 2.0 * qm + q1)
+    d0 = 1.0 + h2 / 6.0 * (2.0 * qm + q1) + h4 / 24.0 * qm * q1
+    d1 = -0.5 * h2 - h4 / 24.0 * (qm + q1)
+    quad_ad = h4 / 24.0 * mu * mu      # mu^2 terms of A and D
+    quad_c = h3 / 6.0 * mu * mu
+    lin_b = -h3 / 6.0 * mu
     u = np.zeros_like(mu)
     up = np.ones_like(mu)
-    zeros = np.zeros(mu.shape, dtype=int)
-    prev_sign = np.zeros_like(mu)
     path = np.empty((N + 1,) + mu.shape) if keep_path else None
     dpath = np.empty((N + 1,) + mu.shape) if keep_path else None
     if keep_path:
         path[0], dpath[0] = u, up
-    for i in range(N):
-        w0 = Qh[2 * i] - mu
-        wm = Qh[2 * i + 1] - mu
-        w1 = Qh[2 * i + 2] - mu
-        k1u, k1v = up, w0 * u
-        k2u = up + 0.5 * h * k1v
-        k2v = wm * (u + 0.5 * h * k1u)
-        k3u = up + 0.5 * h * k2v
-        k3v = wm * (u + 0.5 * h * k2u)
-        k4u = up + h * k3v
-        k4v = w1 * (u + h * k3u)
-        u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        up = up + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+    # memoryviews yield Python floats (cheap to multiply an array by) one step
+    # at a time; lists of all of them would add ~1 MB to the peak RSS
+    steps = zip(*map(memoryview, (a0, a1, b0, c0, c1, d0, d1)))
+    for i, (a0i, a1i, b0i, c0i, c1i, d0i, d1i) in enumerate(steps, 1):
+        A = a1i * mu + quad_ad + a0i
+        B = lin_b + b0i
+        C = c1i * mu + quad_c + c0i
+        D = d1i * mu + quad_ad + d0i
+        u, up = A * u + B * up, C * u + D * up
         if keep_path:
-            path[i + 1], dpath[i + 1] = u, up
-        s = np.sign(u)
-        if i > 0:
-            zeros += (s * prev_sign < 0) & (s != 0)
-        prev_sign = np.where(s != 0, s, prev_sign)
+            path[i], dpath[i] = u, up
     if keep_path:
-        return u, up, zeros, path, dpath
-    return u, up, zeros
+        return u, up, _interior_zeros(path), path, dpath
+    return u, up
+
+
+def _interior_zeros(path: np.ndarray) -> np.ndarray:
+    """Sign changes down each column of path[1:], with exact zeros skipped."""
+    s = np.sign(path[1:])
+    # carry the last non-zero sign over exact zeros
+    last = np.where(s != 0, np.arange(s.shape[0])[:, None], 0)
+    np.maximum.accumulate(last, axis=0, out=last)
+    s = np.take_along_axis(s, last, axis=0)
+    return np.count_nonzero(s[1:] * s[:-1] < 0, axis=0)
 
 
 def _half_step_Q(spec: CoefficientPair, form: LiouvilleForm) -> np.ndarray:
@@ -135,7 +163,7 @@ def _half_step_Q(spec: CoefficientPair, form: LiouvilleForm) -> np.ndarray:
 
 def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int, N: int | None = None,
                rel_tol: float = 1e-10) -> EigenSystem:
-    """First K eigenpairs by boundary shooting, bracketed by a mu scan."""
+    """First K eigenpairs by boundary shooting: mu scan brackets, Illinois refinement."""
     if K < 1:
         raise ValueError("K >= 1")
     if N is None:
@@ -147,10 +175,9 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int, N: int | None
     Qh = _half_step_Q(spec, form)
     T, c1, c2 = form.T, form.c1, form.c2
 
-    def boundary(mu, keep_path=False):
-        out = _rk4_shoot(Qh, T, mu, keep_path=keep_path)
-        B = c1 * out[1] + c2 * out[0]
-        return (B,) + out[2:] if not keep_path else (B,) + out[2:]
+    def boundary(mu):
+        u, up = _rk4_shoot(Qh, T, mu)
+        return c1 * up + c2 * u
 
     unit = (np.pi / T) ** 2
     mu_hi = ((K + 2.0) ** 2) * unit + max(0.0, float(form.Q.max()))
@@ -159,25 +186,39 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int, N: int | None
         unit * np.geomspace(1e-6, 0.25, 24),
         np.arange(0.25 * unit, mu_hi, 0.5 * unit),
     ])
-    B, _ = boundary(scan)
+    B = boundary(scan)
     sgn = np.sign(B)
     flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
     if flips.size < K:
         raise BracketError("found %d brackets, need %d (index %d missing)"
                            % (flips.size, K, flips.size + 1))
-    lo = scan[flips[:K]].copy()
-    hi = scan[flips[:K] + 1].copy()
-    Blo = B[flips[:K]].copy()
-    # vectorized bisection across all K brackets
+    lo, hi = scan[flips[:K]], scan[flips[:K] + 1]
+    Blo, Bhi = B[flips[:K]], B[flips[:K] + 1]
+    # Illinois iteration, vectorized over the brackets not yet converged.
+    # side: +1 if the last iterate replaced hi, -1 if it replaced lo.
+    side = np.zeros(K, dtype=int)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        Bm, _ = boundary(mid)
-        take_lo = Blo * Bm <= 0
-        hi = np.where(take_lo, mid, hi)
-        lo = np.where(take_lo, lo, mid)
-        Blo = np.where(take_lo, Blo, Bm)
-        if np.all((hi - lo) <= rel_tol * hi):
+        act = np.nonzero(hi - lo > rel_tol * hi)[0]
+        if act.size == 0:
             break
+        x0, x1, B0, B1 = lo[act], hi[act], Blo[act], Bhi[act]
+        x = x1 - B1 * (x1 - x0) / (B1 - B0)
+        # Stay half a tolerance inside the bracket: once the iterates reach a
+        # root from one side, the next one lands past it and closes the bracket.
+        gap = 0.5 * rel_tol * x0
+        x = np.clip(x, x0 + gap, x1 - gap)
+        Bx = boundary(x)
+        new_hi = Bx * B1 > 0
+        new_lo = Bx * B0 > 0
+        root = ~(new_hi | new_lo)          # B(x) == 0 exactly
+        hi[act] = np.where(new_hi | root, x, x1)
+        lo[act] = np.where(new_lo | root, x, x0)
+        # an endpoint retained twice in a row has its B halved
+        Bhi[act] = np.where(new_hi, Bx, np.where(new_lo & (side[act] < 0), 0.5 * B1, B1))
+        Blo[act] = np.where(new_lo, Bx, np.where(new_hi & (side[act] > 0), 0.5 * B0, B0))
+        side[act] = new_hi.astype(int) - new_lo.astype(int)
+    if np.any(hi - lo > rel_tol * hi):
+        raise EigenSolverError("root finding did not converge in 200 iterations")
     mu = 0.5 * (lo + hi)
 
     _, _, zeros, upath, dupath = _rk4_shoot(Qh, T, mu, keep_path=True)
@@ -270,31 +311,57 @@ def eig_diagnostics(eig: EigenSystem) -> dict:
     return report
 
 
-# --- cache: lambdas.csv + psi.csv keyed by (a, b, N, K) hash ---
+# --- cache: lambdas.csv + psi.csv keyed by (a, b, N, K, solver version) hash ---
+
+# Bump whenever a solver change can alter the stored eigenpairs, so caches
+# written by an older solver are never served.  1: bisection; 2: Illinois.
+SOLVER_VERSION = 2
+
 
 def _cache_key(spec: CoefficientPair, N: int, K: int) -> str:
-    payload = {"spec": spec.to_dict(), "N": N, "K": K}
+    payload = {"spec": spec.to_dict(), "N": N, "K": K, "solver_version": SOLVER_VERSION}
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _write_atomic(path: str, write) -> None:
+    """Call write(tmp_path), then move the finished file into place."""
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def save_eigensystem(eig: EigenSystem, spec: CoefficientPair, cache_dir: str) -> str:
     key = _cache_key(spec, eig.x.size - 1, eig.lambdas.size)
     base = os.path.join(cache_dir, "eig_" + key)
     os.makedirs(cache_dir, exist_ok=True)
-    with open(base + "_lambdas.csv", "w", newline="") as fh:
-        wtr = csv.writer(fh)
-        wtr.writerow(["k", "lambda", "sup_norm", "deriv_sup_norm",
-                      "vk_inf", "dvk_inf", "vk_l2"])
-        for k in range(eig.lambdas.size):
-            wtr.writerow([k + 1, repr(float(eig.lambdas[k])), repr(float(eig.sup_norms[k])),
-                          repr(float(eig.deriv_sup_norms[k])), repr(float(eig.vk_inf[k])),
-                          repr(float(eig.dvk_inf[k])), repr(float(eig.vk_l2[k]))])
-    np.savetxt(base + "_psi.csv",
-               np.column_stack([eig.x, eig.psi.T, eig.dpsi.T]), delimiter=",")
-    with open(base + "_meta.json", "w") as fh:
-        json.dump({"spec": spec.to_dict(), "N": eig.x.size - 1,
-                   "K": int(eig.lambdas.size), "T": eig.T, "Q_sup": eig.Q_sup,
-                   "method": eig.method}, fh, indent=1)
+
+    def write_lambdas(path):
+        with open(path, "w", newline="") as fh:
+            wtr = csv.writer(fh)
+            wtr.writerow(["k", "lambda", "sup_norm", "deriv_sup_norm",
+                          "vk_inf", "dvk_inf", "vk_l2"])
+            for k in range(eig.lambdas.size):
+                wtr.writerow([k + 1, repr(float(eig.lambdas[k])), repr(float(eig.sup_norms[k])),
+                              repr(float(eig.deriv_sup_norms[k])), repr(float(eig.vk_inf[k])),
+                              repr(float(eig.dvk_inf[k])), repr(float(eig.vk_l2[k]))])
+
+    def write_psi(path):
+        np.savetxt(path, np.column_stack([eig.x, eig.psi.T, eig.dpsi.T]), delimiter=",")
+
+    def write_meta(path):
+        with open(path, "w") as fh:
+            json.dump({"spec": spec.to_dict(), "N": eig.x.size - 1,
+                       "K": int(eig.lambdas.size), "T": eig.T, "Q_sup": eig.Q_sup,
+                       "method": eig.method, "solver_version": SOLVER_VERSION}, fh, indent=1)
+
+    # the meta file goes last: a reader treats its presence as "entry complete"
+    _write_atomic(base + "_lambdas.csv", write_lambdas)
+    _write_atomic(base + "_psi.csv", write_psi)
+    _write_atomic(base + "_meta.json", write_meta)
     return base
 
 

@@ -4,9 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from lapcert.eigensolver import (cached_solve, eig_diagnostics,
-                                 liouville_transform, load_eigensystem,
-                                 save_eigensystem, solve_eigs, svd_oracle)
+import lapcert.eigensolver as eigensolver
+from lapcert.eigensolver import (_half_step_Q, _rk4_shoot, cached_solve,
+                                 eig_diagnostics, liouville_transform,
+                                 load_eigensystem, save_eigensystem,
+                                 solve_eigs, svd_oracle)
 from lapcert.operators import VOLTERRA, CoefficientPair, l2_inner
 
 from conftest import CACHE, SPEC_CORPUS
@@ -117,7 +119,7 @@ def test_diagnostics_bounds(volterra_eig):
     assert np.all(d["psi_sup"] < 3.0)
 
 
-def test_cache_roundtrip(tmp_path):
+def test_cache_roundtrip(tmp_path, monkeypatch):
     spec = CoefficientPair((1.0, 0.5), (0.1,))
     eig = cached_solve(spec, 1024, 5, None)
     save_eigensystem(eig, spec, str(tmp_path))
@@ -128,3 +130,83 @@ def test_cache_roundtrip(tmp_path):
     assert back.T == pytest.approx(eig.T)
     # key depends on the coefficients
     assert load_eigensystem(VOLTERRA, 1024, 5, str(tmp_path)) is None
+    # files are moved into place; no temporaries are left behind
+    assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+    # and on the solver version: another solver's cache is a miss
+    monkeypatch.setattr(eigensolver, "SOLVER_VERSION", eigensolver.SOLVER_VERSION + 1)
+    assert load_eigensystem(spec, 1024, 5, str(tmp_path)) is None
+
+
+def _rk4_stage_form(Qh, T, mu):
+    """Textbook RK4 stages for u'' = (Q - mu) u with a per-step sign-change count."""
+    N = (Qh.size - 1) // 2
+    h = T / N
+    u, up = np.zeros_like(mu), np.ones_like(mu)
+    zeros, prev_sign = np.zeros(mu.shape, dtype=int), np.zeros_like(mu)
+    path = [u]
+    for i in range(N):
+        w0, wm, w1 = Qh[2 * i] - mu, Qh[2 * i + 1] - mu, Qh[2 * i + 2] - mu
+        k1u, k1v = up, w0 * u
+        k2u, k2v = up + 0.5 * h * k1v, wm * (u + 0.5 * h * k1u)
+        k3u, k3v = up + 0.5 * h * k2v, wm * (u + 0.5 * h * k2u)
+        k4u, k4v = up + h * k3v, w1 * (u + h * k3u)
+        u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
+        up = up + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        path.append(u)
+        s = np.sign(u)
+        zeros += (s * prev_sign < 0) & (s != 0)
+        prev_sign = np.where(s != 0, s, prev_sign)
+    return u, up, zeros, np.array(path)
+
+
+def test_rk4_shoot_matches_stage_form():
+    """The transfer-matrix step is RK4 regrouped: equal up to rounding."""
+    spec = CoefficientPair((1.0, 0.0, 0.25), (0.2, 0.1))
+    form = liouville_transform(spec, 1024)
+    Qh = _half_step_Q(spec, form)
+    mu = np.array([1e-3, 3.0, 40.0, 900.0, 5e3])
+    u, up, zeros, path, dpath = _rk4_shoot(Qh, form.T, mu, keep_path=True)
+    _, ref_up, ref_zeros, ref_path = _rk4_stage_form(Qh, form.T, mu)
+    scale = np.abs(ref_path).max(axis=0)
+    assert np.max(np.abs(path - ref_path) / scale) < 1e-11
+    assert np.max(np.abs(up - ref_up) / np.abs(dpath).max(axis=0)) < 1e-11
+    assert np.array_equal(u, path[-1]) and np.array_equal(up, dpath[-1])
+    assert np.array_equal(zeros, ref_zeros) and ref_zeros[-1] > 10
+    # exact zeros on the grid are skipped, as in the step-by-step count
+    flat = np.array([[0.0], [1.0], [0.0], [0.0], [-2.0], [0.0], [3.0]])
+    assert eigensolver._interior_zeros(flat).tolist() == [2]
+
+
+def test_root_certificate():
+    """Each returned mu_k = 1/lambda_k has a sign change of B within 2 rel_tol."""
+    rel_tol = 1e-10
+    for spec in SPEC_CORPUS:
+        eig = cached_solve(spec, 2048, 20, CACHE)
+        form = liouville_transform(spec, 2048)
+        Qh = _half_step_Q(spec, form)
+        mu = 1.0 / eig.lambdas
+        u, up = _rk4_shoot(Qh, form.T, np.concatenate([mu * (1 - 2 * rel_tol),
+                                                       mu * (1 + 2 * rel_tol)]))
+        B = form.c1 * up + form.c2 * u
+        assert np.all(B[:20] * B[20:] < 0)
+
+
+def test_unreachable_tolerance_raises():
+    spec = CoefficientPair((1.0, 0.5), (0.1,))
+    with pytest.raises(eigensolver.EigenSolverError, match="did not converge"):
+        solve_eigs(liouville_transform(spec, 1024), spec, 2, rel_tol=0.0)
+
+
+def test_shoot_budget(monkeypatch):
+    """Illinois refinement converges superlinearly: <= 14 shoots, scan and path included."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _rk4_shoot(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "_rk4_shoot", counted)
+    for spec in SPEC_CORPUS:
+        calls.clear()
+        solve_eigs(liouville_transform(spec, 2048), spec, 20)
+        assert len(calls) <= 14, (spec, len(calls))
