@@ -32,6 +32,7 @@ import mpmath
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, eigh, solve_triangular
 
+from .model import sample_basis
 from .posterior import LaplaceFit, Problem, f_value, hessian
 
 
@@ -261,10 +262,7 @@ def sweep_synthetic(n: float, p_values, beta: float, gamma: float) -> list:
 
 def ortho_constant(eig, n: int, p: int, lambda_exp: float = 3.5) -> float:
     """Smallest C with |u'(Psi - n I)u| <= C u' diag(k^lam) u for the sampled basis."""
-    xj = np.arange(1, n + 1) / n
-    P = np.empty((n, p))
-    for k in range(p):
-        P[:, k] = np.interp(xj, eig.x, eig.psi[k])
+    P = sample_basis(eig, n, p)
     Psi = P.T @ P
     scale = np.arange(1, p + 1, dtype=float) ** (-lambda_exp / 2.0)
     M = scale[:, None] * (Psi - n * np.eye(p)) * scale[None, :]

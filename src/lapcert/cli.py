@@ -1,9 +1,9 @@
 """Command-line experiment driver.
 
-Subcommands wire the pipeline stages together and write deterministic CSV
-and JSON artifacts plus a run manifest (config echo, git hash, wall times).
-The process exits nonzero iff an asserted invariant fails, never for an
-infeasible certificate (infeasibility is data).
+Subcommands write deterministic CSV and JSON artifacts plus a run manifest
+(config echo, git hash, wall times) from one `Run`, which computes each
+pipeline stage once.  The process exits nonzero iff an asserted invariant
+fails, never for an infeasible certificate (infeasibility is data).
 """
 from __future__ import annotations
 
@@ -14,10 +14,12 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import asdict
+from functools import cached_property
 
 from . import certification as cert
 from . import validation as val
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, config_from_dict, load_config
 from .eigensolver import cached_solve, eig_diagnostics
 from .model import TruthSpec, exp_family, generate, save_dataset
 from .operators import CoefficientPair, assemble_design
@@ -58,24 +60,50 @@ def _manifest(cfg: ExperimentConfig, out_dir: str, times: dict) -> None:
         fh.write("\n")
 
 
-def _pipeline_objects(cfg: ExperimentConfig, stage: str):
-    spec = CoefficientPair(tuple(cfg.operator.a), tuple(cfg.operator.b))
-    cache = cfg.eigensolver.cache_dir or os.path.join(cfg.out_dir, "eigcache")
-    eig = cached_solve(spec, cfg.eigensolver.N, cfg.eigensolver.K, cache)
-    if stage == "eigen":
-        return spec, eig, None, None, None
-    fam = exp_family(cfg.family)
-    truth = (TruthSpec(p_star=cfg.truth.p_star, amplitude=cfg.truth.amplitude,
-                       decay=cfg.truth.decay)
-             if cfg.truth.theta is None else
-             TruthSpec(p_star=len(cfg.truth.theta), explicit=tuple(cfg.truth.theta)))
-    ds = generate(eig, fam, truth, n=cfg.n, seed=cfg.seed)
-    if stage == "simulate":
-        return spec, eig, ds, None, None
-    des = assemble_design(eig, cfg.n, cfg.p)
-    prob = Problem(design=des, data=ds, family=fam, gamma=cfg.gamma, eig=eig)
-    fit = map_solve(prob)
-    return spec, eig, ds, prob, fit
+class Run:
+    """One pass of the pipeline for a config.
+
+    Each stage (eig, data, prob, fit, comparison) is computed on first use
+    and kept, so every subcommand of `all` reads the same objects.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, eig=None):
+        self.cfg = cfg
+        self.times: dict = {}
+        if eig is not None:
+            self.eig = eig       # an instance value takes the cached_property's place
+
+    def path(self, name: str) -> str:
+        return os.path.join(self.cfg.out_dir, name)
+
+    @cached_property
+    def eig(self):
+        cfg = self.cfg
+        spec = CoefficientPair(tuple(cfg.operator.a), tuple(cfg.operator.b))
+        cache = cfg.eigensolver.cache_dir or os.path.join(cfg.out_dir, "eigcache")
+        return cached_solve(spec, cfg.eigensolver.N, cfg.eigensolver.K, cache)
+
+    @cached_property
+    def data(self):
+        cfg, t = self.cfg, self.cfg.truth
+        truth = (TruthSpec(p_star=t.p_star, amplitude=t.amplitude, decay=t.decay)
+                 if t.theta is None else
+                 TruthSpec(p_star=len(t.theta), explicit=tuple(t.theta)))
+        return generate(self.eig, exp_family(cfg.family), truth, n=cfg.n, seed=cfg.seed)
+
+    @cached_property
+    def prob(self):
+        cfg = self.cfg
+        return Problem(design=assemble_design(self.eig, cfg.n, cfg.p), data=self.data,
+                       family=exp_family(cfg.family), gamma=cfg.gamma, eig=self.eig)
+
+    @cached_property
+    def fit(self):
+        return map_solve(self.prob)
+
+    @cached_property
+    def comparison(self):
+        return cert.compare_choices(self.fit, self.prob, beta=self.cfg.beta)
 
 
 def _cert_row(label: str, c: cert.Certificate) -> dict:
@@ -89,59 +117,57 @@ def _cert_row(label: str, c: cert.Certificate) -> dict:
             "S_tau": d.get("S_tau"), "m": d.get("m"), "m0star": d.get("m0star")}
 
 
-def cmd_eigen(cfg, out_dir, times):
+def cmd_eigen(run):
     t0 = time.time()
-    spec, eig, *_ = _pipeline_objects(cfg, "eigen")
-    times["eigen"] = time.time() - t0
+    eig = run.eig
+    run.times["eigen"] = time.time() - t0
     diag = eig_diagnostics(eig)
+    diag.update({"lambda": eig.lambdas, "active": diag["active"].astype(int)})
     cols = ["k", "lambda", "psi_sup", "dpsi_sup_over_k", "vk_inf", "dvk_inf",
             "vk_l2", "active"]
-    rows = [{"k": int(diag["k"][i]), "lambda": float(eig.lambdas[i]),
-             "psi_sup": float(diag["psi_sup"][i]),
-             "dpsi_sup_over_k": float(diag["dpsi_sup_over_k"][i]),
-             "vk_inf": float(diag["vk_inf"][i]), "dvk_inf": float(diag["dvk_inf"][i]),
-             "vk_l2": float(diag["vk_l2"][i]), "active": int(diag["active"][i])}
-            for i in range(eig.lambdas.size)]
-    _write_csv(os.path.join(out_dir, "eigen.csv"), cols, rows)
+    _write_csv(run.path("eigen.csv"), cols,
+               [{c: diag[c][i] for c in cols} for i in range(eig.lambdas.size)])
     print("eigen: K=%d, gap report: sup-field gap estimates attached per certificate"
           % eig.lambdas.size)
     return 0
 
 
-def cmd_simulate(cfg, out_dir, times):
+def cmd_simulate(run):
     t0 = time.time()
-    _, _, ds, *_ = _pipeline_objects(cfg, "simulate")
-    times["simulate"] = time.time() - t0
-    save_dataset(ds, os.path.join(out_dir, "dataset.csv"))
-    print("simulate: n=%d, family=%s, seed=%d" % (ds.n, cfg.family, cfg.seed))
+    ds = run.data
+    run.times["simulate"] = time.time() - t0
+    save_dataset(ds, run.path("dataset.csv"))
+    print("simulate: n=%d, family=%s, seed=%d" % (ds.n, run.cfg.family, run.cfg.seed))
     return 0
 
 
-def cmd_fit(cfg, out_dir, times):
+def cmd_fit(run):
     t0 = time.time()
-    *_, fit = _pipeline_objects(cfg, "fit")
-    times["fit"] = time.time() - t0
-    with open(os.path.join(out_dir, "fit.json"), "w") as fh:
+    fit = run.fit
+    run.times["fit"] = time.time() - t0
+    with open(run.path("fit.json"), "w") as fh:
         json.dump(fit_to_dict(fit), fh, indent=2, sort_keys=True)
         fh.write("\n")
     print("fit: grad_norm=%.3e iters=%d" % (fit.grad_norm, fit.newton_iters))
     return 0
 
 
-def cmd_certify(cfg, out_dir, times):
+def _choice_rows(run) -> list:
+    certs = run.comparison["certs"]
+    return [_cert_row(label, certs[label]) for label in ("DG", "identity", "gamma0_star")]
+
+
+def cmd_certify(run):
     t0 = time.time()
-    *_, prob, fit = _pipeline_objects(cfg, "certify")
-    beta = cfg.beta
-    rows = []
-    res = cert.compare_choices(fit, prob, beta=beta)
-    for label in ("DG", "identity", "gamma0_star"):
-        rows.append(_cert_row(label, res["certs"][label]))
+    cfg, res = run.cfg, run.comparison
+    rows = _choice_rows(run)
     for g0 in (cfg.certification.gamma0 or []):
-        c = cert.certify(fit, prob, cert.choice_gamma0(fit, g0, cfg.gamma), beta=beta)
+        c = cert.certify(run.fit, run.prob, cert.choice_gamma0(run.fit, g0, cfg.gamma),
+                         beta=cfg.beta)
         rows.append(_cert_row("gamma0=%g" % g0, c))
-    times["certify"] = time.time() - t0
-    _write_csv(os.path.join(out_dir, "certificates.csv"), CERT_COLUMNS, rows)
-    with open(os.path.join(out_dir, "comparison.json"), "w") as fh:
+    run.times["certify"] = time.time() - t0
+    _write_csv(run.path("certificates.csv"), CERT_COLUMNS, rows)
+    with open(run.path("comparison.json"), "w") as fh:
         json.dump({"m": res["m"], "m0_star": res["m0_star"],
                    "gamma0_star": res["gamma0_star"],
                    "ratio_DG": res["ratio_DG"],
@@ -154,31 +180,28 @@ def cmd_certify(cfg, out_dir, times):
     return 0
 
 
-def cmd_validate(cfg, out_dir, times):
+def cmd_validate(run):
     t0 = time.time()
-    *_, prob, fit = _pipeline_objects(cfg, "validate")
-    res = cert.compare_choices(fit, prob, beta=cfg.beta)
-    rows = []
-    ok = True
+    cfg, prob, fit = run.cfg, run.prob, run.fit
+    tvs = []
     if cfg.validation.method in ("importance", "both"):
-        tv = val.tv_importance(fit, prob, n_samples=max(10000, cfg.validation.M),
-                               seed=cfg.seed)
-        rows.append({"method": tv.method, "value": tv.value, "ci_low": tv.ci_low,
-                     "ci_high": tv.ci_high, "n_points": tv.n_points,
-                     "ess": tv.ess, "low_ess": int(tv.low_ess)})
+        tvs.append(val.tv_importance(fit, prob, n_samples=max(10000, cfg.validation.M),
+                                     seed=cfg.seed))
     if cfg.validation.method in ("quadrature", "both"):
-        tv = val.tv_quadrature(fit, prob, per_axis=cfg.validation.per_axis)
-        rows.append({"method": tv.method, "value": tv.value, "ci_low": tv.ci_low,
-                     "ci_high": tv.ci_high, "n_points": tv.n_points,
-                     "ess": "", "low_ess": 0})
-    times["validate"] = time.time() - t0
-    _write_csv(os.path.join(out_dir, "tv_estimates.csv"),
+        tvs.append(val.tv_quadrature(fit, prob, per_axis=cfg.validation.per_axis))
+    run.times["validate"] = time.time() - t0
+    rows = [dict(asdict(tv), low_ess=int(tv.low_ess)) for tv in tvs]
+    _write_csv(run.path("tv_estimates.csv"),
                ["method", "value", "ci_low", "ci_high", "n_points", "ess", "low_ess"],
                rows)
-    best = res["certs"]["gamma0_star"]
+    best = run.comparison["certs"]["gamma0_star"]
+    skipped = ("gamma0_star infeasible" if not best.feasible else
+               "bound >= 1" if best.tv_bound >= 1.0 else None)
+    ok = True
     for row in rows:
-        dom = ""
-        if best.feasible and best.tv_bound < 1.0:
+        if skipped:
+            dom = " dominance=SKIPPED (%s)" % skipped
+        else:
             # 1e-12 absolute floor: below it both the estimators and the
             # underflowed tail term are numerically zero
             holds = row["ci_high"] <= max(best.tv_bound, 1e-12)
@@ -190,37 +213,31 @@ def cmd_validate(cfg, out_dir, times):
     return 0 if ok else 1
 
 
-def cmd_sweep(cfg, out_dir, times):
+def cmd_sweep(run):
     t0 = time.time()
-    beta = cfg.beta
+    cfg = run.cfg
     rows = []
     if cfg.sweep.synthetic:
         if cfg.sweep.axis == "p":
-            rows = cert.sweep_synthetic(cfg.sweep.n, cfg.sweep.values, beta, cfg.gamma)
+            rows = cert.sweep_synthetic(cfg.sweep.n, cfg.sweep.values, cfg.beta, cfg.gamma)
         else:
             for n in cfg.sweep.values:
-                rows += cert.sweep_synthetic(n, [cfg.p], beta, cfg.gamma)
+                rows += cert.sweep_synthetic(n, [cfg.p], cfg.beta, cfg.gamma)
         cols = ["n", "p", "beta", "gamma", "gamma0_star", "m", "m0_star",
                 "bound_DG", "bound_identity", "bound_gamma0_star"]
     else:
         cols = ["n", "p"] + CERT_COLUMNS
         for v in cfg.sweep.values:
-            sub = load_point(cfg, v)
-            *_, prob, fit = _pipeline_objects(sub, "certify")
-            res = cert.compare_choices(fit, prob, beta=beta)
-            for label in ("DG", "identity", "gamma0_star"):
-                r = _cert_row(label, res["certs"][label])
-                r.update(n=sub.n, p=sub.p)
-                rows.append(r)
-    times["sweep"] = time.time() - t0
-    _write_csv(os.path.join(out_dir, "sweep.csv"), cols, rows)
+            point = Run(load_point(cfg, v), eig=run.eig)   # one eigensystem for the grid
+            rows += [dict(r, n=point.cfg.n, p=point.cfg.p) for r in _choice_rows(point)]
+    run.times["sweep"] = time.time() - t0
+    _write_csv(run.path("sweep.csv"), cols, rows)
     print("sweep: %d rows over %s grid (%s mode)"
           % (len(rows), cfg.sweep.axis, "synthetic" if cfg.sweep.synthetic else "real"))
     return 0
 
 
 def load_point(cfg: ExperimentConfig, v) -> ExperimentConfig:
-    from .config import config_from_dict
     d = cfg.to_dict()
     if cfg.sweep.axis == "p":
         d["p"] = int(v)
@@ -229,11 +246,9 @@ def load_point(cfg: ExperimentConfig, v) -> ExperimentConfig:
     return config_from_dict(d)
 
 
-def cmd_all(cfg, out_dir, times):
-    rc = 0
-    for fn in (cmd_eigen, cmd_simulate, cmd_fit, cmd_certify, cmd_validate):
-        rc = max(rc, fn(cfg, out_dir, times))
-    return rc
+def cmd_all(run):
+    return max([fn(run) for fn in (cmd_eigen, cmd_simulate, cmd_fit, cmd_certify,
+                                   cmd_validate)])
 
 
 COMMANDS = {"eigen": cmd_eigen, "simulate": cmd_simulate, "fit": cmd_fit,
@@ -268,15 +283,15 @@ def main(argv=None) -> int:
         cfg.out_dir = args.out
     os.makedirs(cfg.out_dir, exist_ok=True)
 
-    times: dict = {}
+    run = Run(cfg)
     t0 = time.time()
     try:
-        rc = COMMANDS[args.command](cfg, cfg.out_dir, times)
+        rc = COMMANDS[args.command](run)
     except Exception as exc:  # surfaced module errors keep their class name
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 3
-    times["total"] = time.time() - t0
-    _manifest(cfg, cfg.out_dir, times)
+    run.times["total"] = time.time() - t0
+    _manifest(cfg, cfg.out_dir, run.times)
     return rc
 
 

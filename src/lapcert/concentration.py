@@ -11,9 +11,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import solve_triangular
 
-from .posterior import LaplaceFit, Problem, f_value
+from .posterior import LaplaceFit, Problem
+from .validation import bootstrap_ci, laplace_draws, log_ratio
 
 
 class ConcentrationError(RuntimeError):
@@ -75,32 +76,20 @@ def empirical_outside_mass(fit: LaplaceFit, prob: Problem, D0_sq: np.ndarray,
     """
     if n_samples < 1000:
         raise ValueError("n_samples >= 1000 required")
-    L = cholesky(fit.DG2, lower=True)
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 11], dtype=np.uint64)))
-    p = fit.theta_hat.size
-    Z = rng.standard_normal((n_samples, p))
-    U = solve_triangular(L, Z.T, lower=True, trans="T").T
-    dg_sq = np.sum(Z ** 2, axis=1)           # ||D_G u||^2 = ||z||^2 by construction
+    rng, U = laplace_draws(fit, n_samples, seed, stream=11)
     d0_sq = np.sum(U * (U @ D0_sq), axis=1)
     outside = np.sqrt(d0_sq) > r
 
     g_frac = float(np.mean(outside))
     g_lo, g_hi = wilson_interval(float(np.sum(outside)), n_samples)
 
-    logw = np.empty(n_samples)
-    for i in range(n_samples):
-        logw[i] = -f_value(prob, fit.theta_hat + U[i]) + fit.f_hat + 0.5 * dg_sq[i]
+    logw = log_ratio(fit, prob, U)
     w = np.exp(logw - np.max(logw))
     w /= np.sum(w)
     post_frac = float(np.sum(w[outside]))
     ess = 1.0 / float(np.sum(w ** 2))
-
-    idx = rng.integers(0, n_samples, size=(n_boot, n_samples))
-    boots = np.empty(n_boot)
-    for b in range(n_boot):
-        wb = w[idx[b]]
-        boots[b] = np.sum(wb[outside[idx[b]]]) / np.sum(wb)
-    lo, hi = np.percentile(boots, [2.5, 97.5])
+    lo, hi = bootstrap_ci(rng, n_samples, n_boot,
+                          lambda i: np.sum(w[i][outside[i]]) / np.sum(w[i]))
     # widen by the Wilson interval at the effective sample size so an
     # exactly-zero estimate still carries finite uncertainty
     w_lo, w_hi = wilson_interval(post_frac * ess, ess)
@@ -116,6 +105,6 @@ def empirical_outside_mass(fit: LaplaceFit, prob: Problem, D0_sq: np.ndarray,
         posterior_bound=posterior_tail_bound(dim, r),
         gaussian_frac=g_frac, gaussian_ci_low=g_lo, gaussian_ci_high=g_hi,
         posterior_frac=post_frac,
-        posterior_ci_low=min(float(lo), w_lo),
-        posterior_ci_high=max(float(hi), w_hi),
+        posterior_ci_low=min(lo, w_lo),
+        posterior_ci_high=max(hi, w_hi),
         ess=ess, n_samples=n_samples, low_ess=ess < 50.0)

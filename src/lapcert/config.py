@@ -37,10 +37,7 @@ class EigenCfg:
 
 @dataclass
 class CertCfg:
-    gamma0: list | None = None     # explicit list, else auto gamma0*
-    auto_star: bool = True
-    n_r: int = 60
-    lambda_exp: float = 3.5
+    gamma0: list | None = None     # extra gamma0 rows besides the auto gamma0*
     beta: float = 1.0
 
 
@@ -66,7 +63,6 @@ class ExperimentConfig:
     n: int = 2000
     p: int = 6
     gamma: float = 2.0
-    beta_override: float | None = None
     truth: TruthCfg = field(default_factory=TruthCfg)
     eigensolver: EigenCfg = field(default_factory=EigenCfg)
     certification: CertCfg = field(default_factory=CertCfg)
@@ -80,7 +76,7 @@ class ExperimentConfig:
 
     @property
     def beta(self) -> float:
-        return self.certification.beta if self.beta_override is None else self.beta_override
+        return self.certification.beta
 
 
 _SECTIONS = {
@@ -94,6 +90,7 @@ _SECTIONS = {
 
 
 def _build(cls, data: dict, path: str):
+    """cls(**data) with its sections built in turn; unknown keys are rejected."""
     if not isinstance(data, dict):
         raise ConfigError("%s: expected an object" % path)
     allowed = set(cls.__dataclass_fields__)
@@ -101,7 +98,8 @@ def _build(cls, data: dict, path: str):
         if key not in allowed:
             raise ConfigError("%s.%s: unknown key (allowed: %s)"
                               % (path, key, ", ".join(sorted(allowed))))
-    return cls(**data)
+    return cls(**{key: (_build(_SECTIONS[key], val, path + "." + key)
+                        if key in _SECTIONS else val) for key, val in data.items()})
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -114,20 +112,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def config_from_dict(raw: dict, where: str = "<dict>") -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("%s: top level must be an object" % where)
-    allowed = set(ExperimentConfig.__dataclass_fields__)
-    for key in raw:
-        if key not in allowed:
-            raise ConfigError("%s.%s: unknown key (allowed: %s)"
-                              % (where, key, ", ".join(sorted(allowed))))
-    kwargs = {}
-    for key, val in raw.items():
-        if key in _SECTIONS:
-            kwargs[key] = _build(_SECTIONS[key], val, where + "." + key)
-        else:
-            kwargs[key] = val
-    cfg = ExperimentConfig(**kwargs)
+    cfg = _build(ExperimentConfig, raw, where)
     _validate(cfg, where)
     return cfg
 

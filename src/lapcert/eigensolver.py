@@ -13,11 +13,10 @@ discretization serves as an independent cross-check.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -236,8 +235,11 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int, N: int | None
     x = grid(N)
     a = spec.a(x)
     a1 = spec.a1(x)
-    psi = np.empty((K, N + 1))
-    dpsi = np.empty((K, N + 1))
+    # Column-major, so the K values at each grid point are adjacent.  Products
+    # over k (e.g. theta @ psi[:p]) round differently in the other layout, and
+    # every artifact is pinned to this one; the .npz cache keeps it.
+    psi = np.empty((K, N + 1), order="F")
+    dpsi = np.empty((K, N + 1), order="F")
     for k in range(K):
         uk = np.interp(form.t_of_x, tgrid, upath[:, k])
         duk = np.interp(form.t_of_x, tgrid, dupath[:, k])
@@ -311,7 +313,7 @@ def eig_diagnostics(eig: EigenSystem) -> dict:
     return report
 
 
-# --- cache: lambdas.csv + psi.csv keyed by (a, b, N, K, solver version) hash ---
+# --- cache: one eig_<key>.npz per (a, b, N, K, solver version) ---
 
 # Bump whenever a solver change can alter the stored eigenpairs, so caches
 # written by an older solver are never served.  1: bisection; 2: Illinois.
@@ -334,55 +336,33 @@ def _write_atomic(path: str, write) -> None:
             os.remove(tmp)
 
 
+def _cache_path(spec: CoefficientPair, N: int, K: int, cache_dir: str) -> str:
+    return os.path.join(cache_dir, "eig_%s.npz" % _cache_key(spec, N, K))
+
+
 def save_eigensystem(eig: EigenSystem, spec: CoefficientPair, cache_dir: str) -> str:
-    key = _cache_key(spec, eig.x.size - 1, eig.lambdas.size)
-    base = os.path.join(cache_dir, "eig_" + key)
+    """Write every EigenSystem field plus the solver version to one .npz; returns its path."""
+    path = _cache_path(spec, eig.x.size - 1, eig.lambdas.size, cache_dir)
     os.makedirs(cache_dir, exist_ok=True)
 
-    def write_lambdas(path):
-        with open(path, "w", newline="") as fh:
-            wtr = csv.writer(fh)
-            wtr.writerow(["k", "lambda", "sup_norm", "deriv_sup_norm",
-                          "vk_inf", "dvk_inf", "vk_l2"])
-            for k in range(eig.lambdas.size):
-                wtr.writerow([k + 1, repr(float(eig.lambdas[k])), repr(float(eig.sup_norms[k])),
-                              repr(float(eig.deriv_sup_norms[k])), repr(float(eig.vk_inf[k])),
-                              repr(float(eig.dvk_inf[k])), repr(float(eig.vk_l2[k]))])
+    def write(tmp):
+        # an open handle: given a name, np.savez would append ".npz" to it
+        with open(tmp, "wb") as fh:
+            np.savez(fh, solver_version=SOLVER_VERSION,
+                     **{f.name: getattr(eig, f.name) for f in fields(EigenSystem)})
 
-    def write_psi(path):
-        np.savetxt(path, np.column_stack([eig.x, eig.psi.T, eig.dpsi.T]), delimiter=",")
-
-    def write_meta(path):
-        with open(path, "w") as fh:
-            json.dump({"spec": spec.to_dict(), "N": eig.x.size - 1,
-                       "K": int(eig.lambdas.size), "T": eig.T, "Q_sup": eig.Q_sup,
-                       "method": eig.method, "solver_version": SOLVER_VERSION}, fh, indent=1)
-
-    # the meta file goes last: a reader treats its presence as "entry complete"
-    _write_atomic(base + "_lambdas.csv", write_lambdas)
-    _write_atomic(base + "_psi.csv", write_psi)
-    _write_atomic(base + "_meta.json", write_meta)
-    return base
+    _write_atomic(path, write)
+    return path
 
 
 def load_eigensystem(spec: CoefficientPair, N: int, K: int, cache_dir: str) -> EigenSystem | None:
-    base = os.path.join(cache_dir, "eig_" + _cache_key(spec, N, K))
-    if not os.path.exists(base + "_meta.json"):
+    path = _cache_path(spec, N, K, cache_dir)
+    if not os.path.exists(path):
         return None
-    with open(base + "_meta.json") as fh:
-        meta = json.load(fh)
-    tab = np.loadtxt(base + "_lambdas.csv", delimiter=",", skiprows=1)
-    tab = np.atleast_2d(tab)
-    dat = np.loadtxt(base + "_psi.csv", delimiter=",")
-    x = dat[:, 0]
-    psi = dat[:, 1:K + 1].T
-    dpsi = dat[:, K + 1:2 * K + 1].T
-    return EigenSystem(
-        lambdas=tab[:, 1], x=x, psi=psi, dpsi=dpsi,
-        sup_norms=tab[:, 2], deriv_sup_norms=tab[:, 3],
-        vk_inf=tab[:, 4], dvk_inf=tab[:, 5], vk_l2=tab[:, 6],
-        T=meta["T"], Q_sup=meta["Q_sup"], method=meta["method"],
-    )
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {f.name: npz[f.name] for f in fields(EigenSystem)}
+    return EigenSystem(**dict(arrays, T=float(arrays["T"]), Q_sup=float(arrays["Q_sup"]),
+                              method=str(arrays["method"])))
 
 
 def cached_solve(spec: CoefficientPair, N: int, K: int, cache_dir: str | None = None) -> EigenSystem:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -178,15 +178,24 @@ def signal_sup_norm(eig, theta: np.ndarray) -> float:
     return float(np.abs(field).max())
 
 
+def sample_basis(eig, n: int, p: int) -> np.ndarray:
+    """(n, p) matrix of psi_k(j/n), j = 1..n, interpolated on the eigenfunction grid."""
+    xj = np.arange(1, n + 1) / n
+    P = np.empty((n, p))
+    for k in range(p):
+        P[:, k] = np.interp(xj, eig.x, eig.psi[k])
+    return P
+
+
 def generate(eig, fam: ExpFamily, truth: TruthSpec, n: int, seed: int) -> Dataset:
     """Draw Y_j ~ rho(.|s_j) with s_j = sum_k theta*_k sqrt(lambda_k) psi_k(j/n)."""
     theta = truth.theta()
     if theta.size > eig.lambdas.size:
         raise ModelError("truth dimension exceeds computed eigenpairs")
-    xj = np.arange(1, n + 1) / n
+    P = sample_basis(eig, n, theta.size)
     s_true = np.zeros(n)
-    for k in range(theta.size):
-        s_true += theta[k] * np.sqrt(eig.lambdas[k]) * np.interp(xj, eig.x, eig.psi[k])
+    for k in range(theta.size):   # one mode at a time: pins the summation order
+        s_true += theta[k] * np.sqrt(eig.lambdas[k]) * P[:, k]
     y = np.empty(n)
     for j in range(n):
         y[j] = fam.sampler(float(s_true[j]), _substream(seed, j))

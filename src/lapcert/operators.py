@@ -13,6 +13,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import cumulative_trapezoid
 
+from .model import sample_basis
+
 MAX_POLY_DEGREE = 16
 
 
@@ -175,11 +177,8 @@ def assemble_design(eig, n: int, p: int) -> DesignMatrix:
     """Sample the weighted eigenbasis at j/n, j = 1..n."""
     if p > eig.lambdas.size:
         raise CapacityError("p = %d exceeds %d computed eigenpairs" % (p, eig.lambdas.size))
-    xj = np.arange(1, n + 1) / n
-    rows = np.empty((n, p))
     root_lam = np.sqrt(eig.lambdas[:p])
-    for k in range(p):
-        rows[:, k] = root_lam[k] * np.interp(xj, eig.x, eig.psi[k])
+    rows = sample_basis(eig, n, p) * root_lam
     basis_rows = root_lam[:, None] * eig.psi[:p]
     basis_drows = root_lam[:, None] * eig.dpsi[:p]
     return DesignMatrix(rows=rows, n=n, p=p, basis_x=eig.x,

@@ -76,16 +76,14 @@ def grad(prob: Problem, theta: np.ndarray) -> np.ndarray:
     return prob.design.rows.T @ (prob.family.h1(s) - prob.data.y) + prob.g2 * theta
 
 
-def hessian(prob: Problem, theta: np.ndarray) -> np.ndarray:
-    s = _signals(prob, theta)
-    R = prob.design.rows
-    return (R * prob.family.h2(s)[:, None]).T @ R + np.diag(prob.g2)
-
-
 def hessian_L(prob: Problem, theta: np.ndarray) -> np.ndarray:
     s = _signals(prob, theta)
     R = prob.design.rows
     return (R * prob.family.h2(s)[:, None]).T @ R
+
+
+def hessian(prob: Problem, theta: np.ndarray) -> np.ndarray:
+    return hessian_L(prob, theta) + np.diag(prob.g2)
 
 
 def third_directional(prob: Problem, theta: np.ndarray, v: np.ndarray) -> float:
@@ -111,6 +109,10 @@ def map_solve(prob: Problem, theta0: np.ndarray | None = None,
         gnorm = float(np.linalg.norm(g))
         if decrement2 <= 1e-18 or gnorm <= grad_tol * (1.0 + abs(fv)):
             break
+        # a predicted decrease below the rounding of f cannot pass the Armijo
+        # test; there the full Newton step is taken unless f visibly grows
+        noise = 16.0 * np.finfo(float).eps * (1.0 + abs(fv))
+        resolved = 0.25 * decrement2 > noise
         t = 1.0
         accepted = False
         for _ in range(60):
@@ -119,7 +121,7 @@ def map_solve(prob: Problem, theta0: np.ndarray | None = None,
             except EvaluationError:
                 t *= 0.5
                 continue
-            if f_new <= fv - 0.25 * t * decrement2:
+            if f_new <= fv - 0.25 * t * decrement2 or (not resolved and f_new <= fv + noise):
                 theta = theta - t * step
                 fv = f_new
                 accepted = True

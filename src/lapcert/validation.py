@@ -13,7 +13,6 @@ Two estimators with non-overlapping ranges of applicability:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,19 @@ class TVEstimate:
     low_ess: bool = False
 
 
-def _log_ratio(fit: LaplaceFit, prob: Problem, U: np.ndarray) -> np.ndarray:
+def laplace_draws(fit: LaplaceFit, n_samples: int, seed: int, stream: int) -> tuple:
+    """(rng, U): offsets U ~ N(0, D_G^{-2}) drawn from the Philox stream (seed, stream).
+
+    The returned generator continues the same stream, for the caller's
+    bootstrap draw.
+    """
+    L = cholesky(fit.DG2, lower=True)
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    Z = rng.standard_normal((n_samples, fit.theta_hat.size))
+    return rng, solve_triangular(L, Z.T, lower=True, trans="T").T
+
+
+def log_ratio(fit: LaplaceFit, prob: Problem, U: np.ndarray) -> np.ndarray:
     """log(pi_unnorm / phi_unnorm) at theta_hat + u for rows u of U."""
     out = np.empty(U.shape[0])
     for i, u in enumerate(U):
@@ -46,16 +57,19 @@ def _log_ratio(fit: LaplaceFit, prob: Problem, U: np.ndarray) -> np.ndarray:
     return out
 
 
+def bootstrap_ci(rng: np.random.Generator, n_samples: int, n_boot: int, stat) -> tuple:
+    """2.5% and 97.5% percentiles of stat(idx) over n_boot resamples idx, drawn at once."""
+    idx = rng.integers(0, n_samples, size=(n_boot, n_samples))
+    lo, hi = np.percentile([stat(i) for i in idx], [2.5, 97.5])
+    return float(lo), float(hi)
+
+
 def _tv_on_grid(fit: LaplaceFit, prob: Problem, per_axis: int, half_width: float) -> float:
     p = fit.theta_hat.size
     L = cholesky(fit.DG2, lower=True)
     zs = np.linspace(-half_width, half_width, per_axis)
-    dz = zs[1] - zs[0]
     # integrate in the whitened variable z = L^T u; the Jacobian cancels in
     # both densities so TV can be computed entirely in z space
-    vals = 0.0
-    norm_pi = 0.0
-    norm_phi = 0.0
     cells = []
     for ztup in itertools.product(zs, repeat=p):
         z = np.array(ztup)
@@ -63,14 +77,10 @@ def _tv_on_grid(fit: LaplaceFit, prob: Problem, per_axis: int, half_width: float
         lp = -f_value(prob, fit.theta_hat + u) + fit.f_hat
         lq = -0.5 * float(z @ z)
         cells.append((lp, lq))
-    lp = np.array([c[0] for c in cells])
-    lq = np.array([c[1] for c in cells])
+    lp, lq = np.array(cells).T
     wp = np.exp(lp - np.max(lp))
     wq = np.exp(lq)
-    norm_pi = np.sum(wp)
-    norm_phi = np.sum(wq)
-    vals = 0.5 * float(np.sum(np.abs(wp / norm_pi - wq / norm_phi)))
-    return vals
+    return 0.5 * float(np.sum(np.abs(wp / np.sum(wp) - wq / np.sum(wq))))
 
 
 def tv_quadrature(fit: LaplaceFit, prob: Problem, per_axis: int = 64,
@@ -101,23 +111,17 @@ def tv_importance(fit: LaplaceFit, prob: Problem, n_samples: int = 20000,
             "no longer trustworthy" % p)
     if n_samples < 10000:
         raise ValueError("n_samples >= 10000 required")
-    L = cholesky(fit.DG2, lower=True)
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 13], dtype=np.uint64)))
-    Z = rng.standard_normal((n_samples, p))
-    U = solve_triangular(L, Z.T, lower=True, trans="T").T
-    logw = _log_ratio(fit, prob, U)
+    rng, U = laplace_draws(fit, n_samples, seed, stream=13)
+    logw = log_ratio(fit, prob, U)
     w = np.exp(logw - np.max(logw))
-    wbar = np.mean(w)
-    tv = 0.5 * float(np.mean(np.abs(w / wbar - 1.0)))
-    ess = float(np.sum(w) ** 2 / np.sum(w ** 2))
 
-    idx = rng.integers(0, n_samples, size=(n_boot, n_samples))
-    boots = np.empty(n_boot)
-    for b in range(n_boot):
-        wb = w[idx[b]]
-        boots[b] = 0.5 * np.mean(np.abs(wb / np.mean(wb) - 1.0))
-    lo, hi = np.percentile(boots, [2.5, 97.5])
+    def tv_of(wb):
+        return 0.5 * np.mean(np.abs(wb / np.mean(wb) - 1.0))
+
+    tv = float(tv_of(w))
+    ess = float(np.sum(w) ** 2 / np.sum(w ** 2))
+    lo, hi = bootstrap_ci(rng, n_samples, n_boot, lambda i: tv_of(w[i]))
     return TVEstimate(method="importance", value=tv,
-                      ci_low=max(0.0, min(float(lo), tv)),
-                      ci_high=min(1.0, max(float(hi), tv)),
+                      ci_low=max(0.0, min(lo, tv)),
+                      ci_high=min(1.0, max(hi, tv)),
                       n_points=n_samples, ess=ess, low_ess=ess < 100.0)

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -7,8 +5,6 @@ from lapcert.eigensolver import cached_solve
 from lapcert.model import TruthSpec, exp_family, generate
 from lapcert.operators import VOLTERRA, CoefficientPair, assemble_design
 from lapcert.posterior import Problem, map_solve
-
-CACHE = os.environ.get("LAPCERT_TEST_CACHE", "/tmp/lapcert_test_eigcache")
 
 # the three coefficient pairs exercised throughout the suite
 SPEC_CORPUS = (
@@ -19,18 +15,24 @@ SPEC_CORPUS = (
 
 
 @pytest.fixture(scope="session")
-def volterra_eig():
-    return cached_solve(VOLTERRA, 4096, 50, CACHE)
+def eig_cache(tmp_path_factory):
+    """Eigen cache of this test session: every entry is solved by the code under test."""
+    return str(tmp_path_factory.mktemp("eigcache"))
 
 
 @pytest.fixture(scope="session")
-def volterra_eig_small():
-    return cached_solve(VOLTERRA, 2048, 30, CACHE)
+def volterra_eig(eig_cache):
+    return cached_solve(VOLTERRA, 4096, 50, eig_cache)
 
 
 @pytest.fixture(scope="session")
-def corpus_eigs():
-    return [cached_solve(s, 4096, 50, CACHE) for s in SPEC_CORPUS]
+def volterra_eig_small(eig_cache):
+    return cached_solve(VOLTERRA, 2048, 30, eig_cache)
+
+
+@pytest.fixture(scope="session")
+def corpus_eigs(eig_cache):
+    return [cached_solve(s, 4096, 50, eig_cache) for s in SPEC_CORPUS]
 
 
 def make_problem(eig, family="poisson", n=500, p=4, gamma=2.0, seed=1,

@@ -23,7 +23,7 @@ from lapcert.operators import CoefficientPair, VOLTERRA, assemble_design, l2_inn
 from lapcert.posterior import (Problem, f_value, grad, hessian, map_solve,
                                third_directional)
 
-from conftest import CACHE, SPEC_CORPUS, make_problem
+from conftest import SPEC_CORPUS, make_problem
 
 
 def _report(num, name, ok, detail=""):
@@ -58,10 +58,10 @@ def test_criterion_01_closed_form(volterra_eig):
     "the 2% tolerance against the k->inf limit is unattainable for k<=50: "
     "the finite-index correction (k/(k-1/2))^2 alone is 2.0-2.6% there, and "
     "the exact constant-coefficient closed form violates the same check"))
-def test_criterion_02_asymptote():
+def test_criterion_02_asymptote(eig_cache):
     t0 = time.time()
     spec = CoefficientPair((1.0, 0.5), (0.1,))
-    eig = cached_solve(spec, 4096, 50, CACHE)
+    eig = cached_solve(spec, 4096, 50, eig_cache)
     k = np.arange(40, 51)
     limit = (2 * math.log(1.5)) ** 2 / math.pi ** 2
     dev = float(np.max(np.abs(k ** 2 * eig.lambdas[39:50] / limit - 1.0)))
@@ -72,10 +72,10 @@ def test_criterion_02_asymptote():
     assert ok
 
 
-def test_criterion_02b_asymptote_with_index_correction():
+def test_criterion_02b_asymptote_with_index_correction(eig_cache):
     """Companion check: the solver does approach the limit at the expected rate."""
     spec = CoefficientPair((1.0, 0.5), (0.1,))
-    eig = cached_solve(spec, 4096, 50, CACHE)
+    eig = cached_solve(spec, 4096, 50, eig_cache)
     k = np.arange(40, 51)
     limit = (2 * math.log(1.5)) ** 2 / math.pi ** 2
     corrected = k ** 2 * eig.lambdas[39:50] / limit / (k / (k - 0.5)) ** 2
@@ -101,10 +101,10 @@ def test_criterion_03_regularity(corpus_eigs):
 
 # --- 4: cross-method agreement ---
 
-def test_criterion_04_cross_method():
+def test_criterion_04_cross_method(eig_cache):
     worst_lam, worst_align = 0.0, 1.0
     for spec in SPEC_CORPUS:
-        sh = cached_solve(spec, 2048, 20, CACHE)
+        sh = cached_solve(spec, 2048, 20, eig_cache)
         sv = svd_oracle(spec, 2048, 20)
         worst_lam = max(worst_lam, float(np.max(np.abs(sh.lambdas - sv.lambdas) / sh.lambdas)))
         for k in range(20):

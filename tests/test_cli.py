@@ -3,10 +3,11 @@ import os
 
 import pytest
 
+import lapcert.certification
+import lapcert.cli
+import lapcert.eigensolver
 from lapcert.cli import main
 from lapcert.config import ConfigError, config_from_dict, load_config
-
-from conftest import CACHE
 
 BASE = {
     "operator": {"a": [1.0], "b": [0.0]},
@@ -14,37 +15,58 @@ BASE = {
     "n": 200,
     "p": 2,
     "gamma": 2.0,
-    "eigensolver": {"K": 30, "N": 2048, "cache_dir": CACHE},
+    "eigensolver": {"K": 30, "N": 2048},
     "validation": {"method": "importance", "M": 10000},
     "seed": 3,
 }
 
 
-def _write_cfg(tmp_path, overrides=None, name="cfg.json"):
-    doc = json.loads(json.dumps(BASE))
-    for key, val in (overrides or {}).items():
-        if isinstance(val, dict):
-            doc.setdefault(key, {}).update(val)
-        else:
-            doc[key] = val
-    path = tmp_path / name
-    path.write_text(json.dumps(doc))
-    return str(path)
+@pytest.fixture
+def write_cfg(tmp_path, eig_cache, volterra_eig_small):
+    """Writes BASE plus overrides, reading the (already warm) session eigen cache."""
+    def write(overrides=None, name="cfg.json"):
+        doc = json.loads(json.dumps(BASE))
+        doc["eigensolver"]["cache_dir"] = eig_cache
+        for key, val in (overrides or {}).items():
+            if isinstance(val, dict):
+                doc.setdefault(key, {}).update(val)
+            else:
+                doc[key] = val
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+    return write
 
 
-def test_unknown_key_rejected_with_path(tmp_path):
-    path = _write_cfg(tmp_path, {"familly": "poisson"})
+def _count_calls(monkeypatch, targets) -> dict:
+    """Wrap each (module, name) with a call counter; returns name -> count."""
+    counts = {}
+    for mod, name in targets:
+        def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+def test_unknown_key_rejected_with_path(write_cfg):
+    path = write_cfg({"familly": "poisson"})
     with pytest.raises(ConfigError, match="familly"):
         load_config(path)
     with pytest.raises(ConfigError, match="eigensolver.wat"):
         config_from_dict({**BASE, "eigensolver": {"K": 30, "wat": 1}})
+    # removed knobs are unknown keys like any other
+    with pytest.raises(ConfigError, match="certification.n_r"):
+        config_from_dict({**BASE, "certification": {"n_r": 60}})
+    with pytest.raises(ConfigError, match="beta_override"):
+        config_from_dict({**BASE, "beta_override": 1.0})
 
 
 def test_defaults_materialized():
     cfg = config_from_dict(BASE)
     d = cfg.to_dict()
-    assert d["certification"]["n_r"] == 60
-    assert d["certification"]["lambda_exp"] == 3.5
+    assert d["certification"] == {"gamma0": None, "beta": 1.0}
+    assert cfg.beta == 1.0
     assert d["truth"]["p_star"] == 8
     assert d["sweep"]["axis"] == "p"
 
@@ -65,8 +87,8 @@ def test_malformed_json_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_all_pipeline_gaussian(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path)
+def test_all_pipeline_gaussian(tmp_path, capsys, write_cfg):
+    cfg = write_cfg()
     out = str(tmp_path / "out")
     rc = main(["all", "--config", cfg, "--out", out])
     text = capsys.readouterr().out
@@ -83,8 +105,28 @@ def test_all_pipeline_gaussian(tmp_path, capsys):
     assert "total" in manifest["wall_times_s"]
 
 
-def test_csv_outputs_deterministic(tmp_path):
-    cfg = _write_cfg(tmp_path, {"family": "poisson"})
+def test_all_computes_each_stage_once(tmp_path, monkeypatch, write_cfg):
+    cfg = write_cfg({"family": "poisson"})
+    counts = _count_calls(monkeypatch, [
+        (lapcert.eigensolver, "load_eigensystem"), (lapcert.cli, "generate"),
+        (lapcert.cli, "map_solve"), (lapcert.certification, "compare_choices")])
+    assert main(["all", "--config", cfg, "--out", str(tmp_path / "once")]) == 0
+    assert counts == {"load_eigensystem": 1, "generate": 1, "map_solve": 1,
+                      "compare_choices": 1}
+
+
+def test_dominance_skip_is_reported(tmp_path, capsys, write_cfg):
+    # Poisson, n=200, p=6: no certificate is feasible, so nothing is checked
+    cfg = write_cfg({"family": "poisson", "p": 6})
+    assert main(["all", "--config", cfg, "--out", str(tmp_path / "skip")]) == 0
+    text = capsys.readouterr().out
+    assert "feasible=0" in text and "feasible=1" not in text
+    assert "dominance=SKIPPED (gamma0_star infeasible)" in text
+    assert "dominance=OK" not in text
+
+
+def test_csv_outputs_deterministic(tmp_path, write_cfg):
+    cfg = write_cfg({"family": "poisson"})
     out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
     assert main(["certify", "--config", cfg, "--out", out1]) == 0
     assert main(["certify", "--config", cfg, "--out", out2]) == 0
@@ -93,8 +135,8 @@ def test_csv_outputs_deterministic(tmp_path):
     assert a == b
 
 
-def test_seed_override(tmp_path):
-    cfg = _write_cfg(tmp_path, {"family": "poisson"})
+def test_seed_override(tmp_path, write_cfg):
+    cfg = write_cfg({"family": "poisson"})
     out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")
     assert main(["simulate", "--config", cfg, "--out", out1, "--seed", "9"]) == 0
     assert main(["simulate", "--config", cfg, "--out", out2]) == 0
@@ -104,8 +146,8 @@ def test_seed_override(tmp_path):
     assert json.load(open(os.path.join(out1, "manifest.json")))["config"]["seed"] == 9
 
 
-def test_sweep_synthetic(tmp_path):
-    cfg = _write_cfg(tmp_path, {
+def test_sweep_synthetic(tmp_path, write_cfg):
+    cfg = write_cfg({
         "family": "poisson",
         "sweep": {"axis": "p", "values": [2, 8, 32, 128], "synthetic": True,
                   "n": 100000.0}})
@@ -116,11 +158,13 @@ def test_sweep_synthetic(tmp_path):
     assert len(rows) == 5
 
 
-def test_sweep_real_mode(tmp_path):
-    cfg = _write_cfg(tmp_path, {
+def test_sweep_real_mode(tmp_path, monkeypatch, write_cfg):
+    cfg = write_cfg({
         "family": "poisson", "n": 400,
         "sweep": {"axis": "p", "values": [2, 4], "synthetic": False}})
     out = str(tmp_path / "swr")
+    counts = _count_calls(monkeypatch, [(lapcert.eigensolver, "load_eigensystem")])
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
     rows = open(os.path.join(out, "sweep.csv")).read().splitlines()
     assert len(rows) == 1 + 2 * 3  # three weighting choices per p value
+    assert counts == {"load_eigensystem": 1}  # one eigensystem for the whole grid

@@ -11,7 +11,7 @@ from lapcert.eigensolver import (_half_step_Q, _rk4_shoot, cached_solve,
                                  solve_eigs, svd_oracle)
 from lapcert.operators import VOLTERRA, CoefficientPair, l2_inner
 
-from conftest import CACHE, SPEC_CORPUS
+from conftest import SPEC_CORPUS
 
 
 def test_volterra_closed_form(volterra_eig):
@@ -41,10 +41,10 @@ def test_eigenvalues_decreasing(corpus_eigs):
         assert eig.lambdas[-1] > 0
 
 
-def test_asymptote_rate():
+def test_asymptote_rate(eig_cache):
     """k^2 lambda_k approaches pi^{-2} (int 1/a)^2 from above as k grows."""
     spec = CoefficientPair((1.0, 0.5), (0.1,))
-    eig = cached_solve(spec, 4096, 50, CACHE)
+    eig = cached_solve(spec, 4096, 50, eig_cache)
     k = np.arange(1, 51)
     limit = (2 * math.log(1.5)) ** 2 / math.pi ** 2
     ratio = k ** 2 * eig.lambdas / limit
@@ -54,9 +54,9 @@ def test_asymptote_rate():
     assert np.all(np.diff(np.abs(ratio - 1.0)[9:]) < 0)
 
 
-def test_cross_method_agreement():
+def test_cross_method_agreement(eig_cache):
     for spec in SPEC_CORPUS:
-        sh = cached_solve(spec, 2048, 20, CACHE)
+        sh = cached_solve(spec, 2048, 20, eig_cache)
         sv = svd_oracle(spec, 2048, 20)
         rel = np.abs(sh.lambdas - sv.lambdas) / sh.lambdas
         assert np.max(rel) < 1e-3
@@ -94,10 +94,10 @@ def test_liouville_transform_fields():
     assert form.c2 == pytest.approx(float(spec.b(1.0) - 0.5 * spec.a1(1.0)))
 
 
-def test_sturm_liouville_residual(volterra_eig_small):
+def test_sturm_liouville_residual(eig_cache):
     """-(a^2 h')' + (b^2 - (ab)') h = lambda^{-1} h away from the endpoints."""
     spec = CoefficientPair((1.0, 0.0, 0.25), (0.2, 0.1))
-    eig = cached_solve(spec, 4096, 20, CACHE)
+    eig = cached_solve(spec, 4096, 20, eig_cache)
     x = eig.x
     a2 = spec.a(x) ** 2
     q = spec.b(x) ** 2 - (spec.a1(x) * spec.b(x) + spec.a(x) * spec.b1(x))
@@ -122,16 +122,17 @@ def test_diagnostics_bounds(volterra_eig):
 def test_cache_roundtrip(tmp_path, monkeypatch):
     spec = CoefficientPair((1.0, 0.5), (0.1,))
     eig = cached_solve(spec, 1024, 5, None)
-    save_eigensystem(eig, spec, str(tmp_path))
+    path = save_eigensystem(eig, spec, str(tmp_path))
+    # one .npz per entry, moved into place: no temporaries are left behind
+    assert os.listdir(tmp_path) == [os.path.basename(path)] and path.endswith(".npz")
     back = load_eigensystem(spec, 1024, 5, str(tmp_path))
     assert back is not None
-    assert np.array_equal(back.lambdas, eig.lambdas)
-    assert np.allclose(back.psi, eig.psi)
-    assert back.T == pytest.approx(eig.T)
+    for name in ("lambdas", "psi", "dpsi", "x", "sup_norms", "vk_l2"):
+        assert np.array_equal(getattr(back, name), getattr(eig, name)), name
+    assert back.psi.flags.f_contiguous     # the layout the artifacts are pinned to
+    assert (back.T, back.Q_sup, back.method) == (eig.T, eig.Q_sup, eig.method)
     # key depends on the coefficients
     assert load_eigensystem(VOLTERRA, 1024, 5, str(tmp_path)) is None
-    # files are moved into place; no temporaries are left behind
-    assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
     # and on the solver version: another solver's cache is a miss
     monkeypatch.setattr(eigensolver, "SOLVER_VERSION", eigensolver.SOLVER_VERSION + 1)
     assert load_eigensystem(spec, 1024, 5, str(tmp_path)) is None
@@ -177,11 +178,11 @@ def test_rk4_shoot_matches_stage_form():
     assert eigensolver._interior_zeros(flat).tolist() == [2]
 
 
-def test_root_certificate():
+def test_root_certificate(eig_cache):
     """Each returned mu_k = 1/lambda_k has a sign change of B within 2 rel_tol."""
     rel_tol = 1e-10
     for spec in SPEC_CORPUS:
-        eig = cached_solve(spec, 2048, 20, CACHE)
+        eig = cached_solve(spec, 2048, 20, eig_cache)
         form = liouville_transform(spec, 2048)
         Qh = _half_step_Q(spec, form)
         mu = 1.0 / eig.lambdas

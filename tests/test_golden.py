@@ -1,0 +1,65 @@
+"""Behaviour contract: the bundled configs reproduce the stored artifacts byte for byte.
+
+Each case runs the CLI in a subprocess, with BLAS pinned to one thread
+through its environment and the eigen cache pointed at the test session's
+cache, and compares every artifact under tests/golden/<config>/ with the
+fresh output.  A change that alters numerics on purpose regenerates them:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(ROOT, "tests", "golden")
+PIPELINE = ("eigen.csv", "dataset.csv", "fit.json", "certificates.csv",
+            "comparison.json", "tv_estimates.csv")
+CASES = {  # config name -> (subcommand, artifacts compared)
+    "poisson_desk": ("all", PIPELINE),
+    "gaussian_exactness": ("all", PIPELINE),
+    "poisson_sweep": ("sweep", ("sweep.csv",)),
+}
+LAPCERT = "import sys; from lapcert.cli import main; sys.exit(main())"
+
+
+def run_config(name: str, out_dir: str, cache_dir: str) -> None:
+    """Run the config's subcommand into out_dir with the given eigen cache."""
+    with open(os.path.join(ROOT, "configs", name + ".json")) as fh:
+        doc = json.load(fh)
+    doc.setdefault("eigensolver", {})["cache_dir"] = cache_dir
+    os.makedirs(out_dir, exist_ok=True)
+    cfg = os.path.join(out_dir, "config.json")
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                   p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
+    subprocess.run([sys.executable, "-c", LAPCERT, CASES[name][0], "--config", cfg,
+                    "--out", out_dir], env=env, check=True, timeout=600)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_artifacts(name, tmp_path, eig_cache, volterra_eig, volterra_eig_small):
+    out = str(tmp_path / name)
+    run_config(name, out, eig_cache)
+    for artifact in CASES[name][1]:
+        with open(os.path.join(GOLDEN, name, artifact), "rb") as fh:
+            want = fh.read()
+        with open(os.path.join(out, artifact), "rb") as fh:
+            assert fh.read() == want, "%s/%s differs from the golden copy" % (name, artifact)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            run_config(case, os.path.join(tmp, case), os.path.join(tmp, "eigcache"))
+            os.makedirs(os.path.join(GOLDEN, case), exist_ok=True)
+            for artifact in CASES[case][1]:
+                os.replace(os.path.join(tmp, case, artifact),
+                           os.path.join(GOLDEN, case, artifact))
+            print("wrote %s" % os.path.join(GOLDEN, case))

@@ -86,14 +86,21 @@ def test_rq_sup_matches_signal(poisson_fit):
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
-def test_map_deterministic(seed):
+def test_map_deterministic(volterra_eig_small, seed):
     # pure function of the dataset: same inputs, same fit
-    import conftest
-    eig = conftest.cached_solve(conftest.VOLTERRA, 2048, 30, conftest.CACHE)
-    prob = make_problem(eig, "poisson", n=40, p=3, seed=seed)
+    prob = make_problem(volterra_eig_small, "poisson", n=40, p=3, seed=seed)
     f1 = map_solve(prob)
     f2 = map_solve(prob)
     assert np.array_equal(f1.theta_hat, f2.theta_hat)
+
+
+def test_map_converges_when_decrease_is_below_rounding(volterra_eig_small):
+    # near the optimum the Newton decrease falls below the rounding of f; the
+    # line search must still take the full step instead of creeping to the cap
+    prob = make_problem(volterra_eig_small, "poisson", n=40, p=3, seed=1263)
+    fit = map_solve(prob)
+    assert fit.newton_iters < 20
+    assert fit.grad_norm < 1e-9 * (1.0 + abs(fit.f_hat))
 
 
 def test_bernoulli_fit_runs(volterra_eig_small):
