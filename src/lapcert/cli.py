@@ -63,7 +63,7 @@ def _manifest(cfg: ExperimentConfig, out_dir: str, times: dict) -> None:
 class Run:
     """One pass of the pipeline for a config.
 
-    Each stage (eig, data, prob, fit, comparison) is computed on first use
+    Each stage (eig, truth, data, prob, fit, comparison) is computed on first use
     and kept, so every subcommand of `all` reads the same objects.
     """
 
@@ -84,12 +84,16 @@ class Run:
         return cached_solve(spec, cfg.eigensolver.N, cfg.eigensolver.K, cache)
 
     @cached_property
+    def truth(self) -> TruthSpec:
+        t = self.cfg.truth
+        if t.theta is None:
+            return TruthSpec(p_star=t.p_star, amplitude=t.amplitude, decay=t.decay)
+        return TruthSpec(p_star=len(t.theta), explicit=tuple(t.theta))
+
+    @cached_property
     def data(self):
-        cfg, t = self.cfg, self.cfg.truth
-        truth = (TruthSpec(p_star=t.p_star, amplitude=t.amplitude, decay=t.decay)
-                 if t.theta is None else
-                 TruthSpec(p_star=len(t.theta), explicit=tuple(t.theta)))
-        return generate(self.eig, exp_family(cfg.family), truth, n=cfg.n, seed=cfg.seed)
+        cfg = self.cfg
+        return generate(self.eig, exp_family(cfg.family), self.truth, n=cfg.n, seed=cfg.seed)
 
     @cached_property
     def prob(self):
@@ -136,7 +140,7 @@ def cmd_simulate(run):
     t0 = time.time()
     ds = run.data
     run.times["simulate"] = time.time() - t0
-    save_dataset(ds, run.path("dataset.csv"))
+    save_dataset(ds, run.path("dataset.csv"), run.truth)
     print("simulate: n=%d, family=%s, seed=%d" % (ds.n, run.cfg.family, run.cfg.seed))
     return 0
 

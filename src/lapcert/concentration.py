@@ -88,8 +88,12 @@ def empirical_outside_mass(fit: LaplaceFit, prob: Problem, D0_sq: np.ndarray,
     w /= np.sum(w)
     post_frac = float(np.sum(w[outside]))
     ess = 1.0 / float(np.sum(w ** 2))
-    lo, hi = bootstrap_ci(rng, n_samples, n_boot,
-                          lambda i: np.sum(w[i][outside[i]]) / np.sum(w[i]))
+
+    def outside_frac(idx):
+        wb = w[idx]
+        return np.sum(np.where(outside[idx], wb, 0.0), axis=1) / np.sum(wb, axis=1)
+
+    lo, hi = bootstrap_ci(rng, n_samples, n_boot, outside_frac)
     # widen by the Wilson interval at the effective sample size so an
     # exactly-zero estimate still carries finite uncertainty
     w_lo, w_hi = wilson_interval(post_frac * ess, ess)

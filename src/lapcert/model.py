@@ -108,7 +108,9 @@ def exp_family(kind: str) -> ExpFamily:
         )
     if kind == "bernoulli":
         def h(s):
-            return np.logaddexp(0.0, s)
+            # the log(1 + e^s) split logaddexp uses, in vectorized exp/log1p
+            s = np.asarray(s, dtype=float)
+            return np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))
 
         def h1(s):
             return 1.0 / (1.0 + np.exp(-np.asarray(s, dtype=float)))

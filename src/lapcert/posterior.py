@@ -71,6 +71,34 @@ def f_value(prob: Problem, theta: np.ndarray) -> float:
     return float(np.sum(hv - prob.data.y * s) + 0.5 * np.sum(prob.g2 * theta ** 2))
 
 
+# entries of S = Theta R^T formed at a time: 2^16 doubles (512 KiB) stay in L2
+_CHUNK_ENTRIES = 1 << 16
+
+
+def f_values(prob: Problem, Theta: np.ndarray) -> np.ndarray:
+    """f at every row of Theta, shape (m,): the batched form of `f_value`.
+
+    S = Theta R^T is formed a row chunk at a time, and the data term uses the
+    sufficient statistic Theta (R^T y) = sum_j y_j s_j, so only h(S) is
+    reduced per chunk.  Raises the same `EvaluationError`s as `f_value`.
+    """
+    Rt = np.ascontiguousarray(prob.design.rows.T)   # contiguous: halves the product's time
+    Rty, g2 = Rt @ prob.data.y, prob.g2
+    out = np.empty(Theta.shape[0])
+    rows = max(1, _CHUNK_ENTRIES // prob.design.n)
+    for a in range(0, Theta.shape[0], rows):
+        T = Theta[a:a + rows]
+        S = T @ Rt
+        if not np.all(np.isfinite(S)):
+            raise EvaluationError("non-finite linear predictor")
+        # a sum is finite iff every term is, unless the finite terms overflow it
+        hsum = np.sum(prob.family.h(S), axis=1)
+        if not np.all(np.isfinite(hsum)):
+            raise EvaluationError("overflow in cumulant h")
+        out[a:a + rows] = hsum - T @ Rty + 0.5 * (T * T) @ g2
+    return out
+
+
 def grad(prob: Problem, theta: np.ndarray) -> np.ndarray:
     s = _signals(prob, theta)
     return prob.design.rows.T @ (prob.family.h1(s) - prob.data.y) + prob.g2 * theta

@@ -9,16 +9,20 @@ Two estimators with non-overlapping ranges of applicability:
   w = pi_unnorm / phi_unnorm, estimated by self-normalized Monte Carlo
   under the Laplace Gaussian.  Refuses p > 30, where weight degeneracy
   makes the estimate meaningless.
+
+Both evaluate the negative log posterior at all their points with one
+call to the batched kernel `posterior.f_values` (the whole quadrature grid,
+or all M Gaussian draws through `log_ratio`), and the bootstrap evaluates
+its statistic a block of resamples at a time.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
-from .posterior import LaplaceFit, Problem, f_value
+from .posterior import LaplaceFit, Problem, f_values
 
 
 class ValidationError(RuntimeError):
@@ -50,34 +54,47 @@ def laplace_draws(fit: LaplaceFit, n_samples: int, seed: int, stream: int) -> tu
 
 def log_ratio(fit: LaplaceFit, prob: Problem, U: np.ndarray) -> np.ndarray:
     """log(pi_unnorm / phi_unnorm) at theta_hat + u for rows u of U."""
-    out = np.empty(U.shape[0])
-    for i, u in enumerate(U):
-        out[i] = (-f_value(prob, fit.theta_hat + u) + fit.f_hat
-                  + 0.5 * float(u @ (fit.DG2 @ u)))
-    return out
+    return (-f_values(prob, fit.theta_hat + U) + fit.f_hat
+            + 0.5 * np.sum((U @ fit.DG2) * U, axis=1))
+
+
+# resample indices drawn per block: 2^20 int64 (8 MiB) instead of the whole
+# (n_boot, n_samples) array
+_BOOT_BLOCK_ENTRIES = 1 << 20
 
 
 def bootstrap_ci(rng: np.random.Generator, n_samples: int, n_boot: int, stat) -> tuple:
-    """2.5% and 97.5% percentiles of stat(idx) over n_boot resamples idx, drawn at once."""
-    idx = rng.integers(0, n_samples, size=(n_boot, n_samples))
-    lo, hi = np.percentile([stat(i) for i in idx], [2.5, 97.5])
+    """2.5% and 97.5% percentiles of stat over n_boot resamples.
+
+    stat maps a (b, n_samples) block of resample indices to its b values.
+    Blocks of rows are drawn in turn from rng, which gives the same indices
+    as one (n_boot, n_samples) draw.
+    """
+    rows = max(1, _BOOT_BLOCK_ENTRIES // n_samples)
+    vals = np.concatenate([
+        stat(rng.integers(0, n_samples, size=(min(rows, n_boot - a), n_samples)))
+        for a in range(0, n_boot, rows)])
+    lo, hi = np.percentile(vals, [2.5, 97.5])
     return float(lo), float(hi)
 
 
-def _tv_on_grid(fit: LaplaceFit, prob: Problem, per_axis: int, half_width: float) -> float:
-    p = fit.theta_hat.size
-    L = cholesky(fit.DG2, lower=True)
+def _whitened_grid(p: int, per_axis: int, half_width: float) -> np.ndarray:
+    """(per_axis^p, p) tensor grid on [-half_width, half_width]^p, last axis fastest."""
     zs = np.linspace(-half_width, half_width, per_axis)
+    return np.stack(np.meshgrid(*[zs] * p, indexing="ij", copy=False), axis=-1).reshape(-1, p)
+
+
+def _tv_on_grid(fit: LaplaceFit, prob: Problem, per_axis: int, half_width: float) -> float:
+    L = cholesky(fit.DG2, lower=True)
     # integrate in the whitened variable z = L^T u; the Jacobian cancels in
     # both densities so TV can be computed entirely in z space
-    cells = []
-    for ztup in itertools.product(zs, repeat=p):
-        z = np.array(ztup)
-        u = solve_triangular(L, z, lower=True, trans="T")
-        lp = -f_value(prob, fit.theta_hat + u) + fit.f_hat
-        lq = -0.5 * float(z @ z)
-        cells.append((lp, lq))
-    lp, lq = np.array(cells).T
+    Z = _whitened_grid(fit.theta_hat.size, per_axis, half_width)
+    lq = -0.5 * np.einsum("ij,ij->i", Z, Z)
+    # theta = theta_hat + L^{-T} z, solved in the grid's own memory (p = 3,
+    # per_axis = 128 makes it 50 MB)
+    Theta = solve_triangular(L, Z.T, lower=True, trans="T", overwrite_b=True).T
+    Theta += fit.theta_hat
+    lp = -f_values(prob, Theta) + fit.f_hat
     wp = np.exp(lp - np.max(lp))
     wq = np.exp(lq)
     return 0.5 * float(np.sum(np.abs(wp / np.sum(wp) - wq / np.sum(wq))))
@@ -115,12 +132,12 @@ def tv_importance(fit: LaplaceFit, prob: Problem, n_samples: int = 20000,
     logw = log_ratio(fit, prob, U)
     w = np.exp(logw - np.max(logw))
 
-    def tv_of(wb):
-        return 0.5 * np.mean(np.abs(wb / np.mean(wb) - 1.0))
+    def tv_of(W):   # row-wise over the last axis
+        return 0.5 * np.mean(np.abs(W / np.mean(W, axis=-1, keepdims=True) - 1.0), axis=-1)
 
     tv = float(tv_of(w))
     ess = float(np.sum(w) ** 2 / np.sum(w ** 2))
-    lo, hi = bootstrap_ci(rng, n_samples, n_boot, lambda i: tv_of(w[i]))
+    lo, hi = bootstrap_ci(rng, n_samples, n_boot, lambda idx: tv_of(w[idx]))
     return TVEstimate(method="importance", value=tv,
                       ci_low=max(0.0, min(lo, tv)),
                       ci_high=min(1.0, max(hi, tv)),

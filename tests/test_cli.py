@@ -136,7 +136,7 @@ def test_csv_outputs_deterministic(tmp_path, write_cfg):
 
 
 def test_seed_override(tmp_path, write_cfg):
-    cfg = write_cfg({"family": "poisson"})
+    cfg = write_cfg({"family": "poisson", "truth": {"p_star": 5}})
     out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")
     assert main(["simulate", "--config", cfg, "--out", out1, "--seed", "9"]) == 0
     assert main(["simulate", "--config", cfg, "--out", out2]) == 0
@@ -144,6 +144,8 @@ def test_seed_override(tmp_path, write_cfg):
     y2 = open(os.path.join(out2, "dataset.csv")).read()
     assert y1 != y2
     assert json.load(open(os.path.join(out1, "manifest.json")))["config"]["seed"] == 9
+    sidecar = json.load(open(os.path.join(out1, "dataset.json")))
+    assert sidecar["seed"] == 9 and sidecar["truth"]["p_star"] == 5
 
 
 def test_sweep_synthetic(tmp_path, write_cfg):

@@ -113,6 +113,18 @@ def test_signal_sup_norm(volterra_eig_small):
     assert sup == pytest.approx(np.max(np.abs(field)))
 
 
+def test_bernoulli_h_matches_logaddexp():
+    # the split max(s, 0) + log1p(exp(-|s|)) is the formula logaddexp applies;
+    # exp(-|s|) underflows to 0 past |s| ~ 745, as it does inside logaddexp
+    edges = [0.0, 1e-300, 30.0, 700.0, 1e4]
+    s = np.concatenate([edges, np.negative(edges), np.linspace(-50.0, 50.0, 20001),
+                        np.geomspace(1e-300, 1e4, 2001), -np.geomspace(1e-300, 1e4, 2001)])
+    with np.errstate(all="raise", under="ignore"):
+        h = exp_family("bernoulli").h(s)
+        ref = np.logaddexp(0.0, s)
+    assert np.all(np.abs(h - ref) <= 4e-16 * np.abs(ref))
+
+
 def test_save_dataset_roundtrip(tmp_path, volterra_eig_small):
     fam = exp_family("poisson")
     ds = generate(volterra_eig_small, fam, TruthSpec(p_star=4), n=20, seed=1)

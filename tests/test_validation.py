@@ -1,8 +1,13 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, solve_triangular
 
+from lapcert import posterior
 from lapcert import validation as val
-from lapcert.posterior import map_solve
+from lapcert.posterior import EvaluationError, f_value, f_values, map_solve
 
 from conftest import make_problem
 
@@ -37,6 +42,109 @@ def test_cross_method_agreement(volterra_eig):
     slack = 0.1 * max(quad.value, imp.value)
     assert joint_lo <= joint_hi + slack
     assert imp.value == pytest.approx(quad.value, rel=0.15)
+
+
+def test_quadrature_p3(volterra_eig):
+    # p = 3 is the largest dimension tv_quadrature accepts: 64^3 + 128^3 points
+    prob = make_problem(volterra_eig, "poisson", n=200, p=3)
+    fit = map_solve(prob)
+    t0 = time.perf_counter()
+    quad = val.tv_quadrature(fit, prob, per_axis=64)
+    assert time.perf_counter() - t0 <= 20.0
+    imp = val.tv_importance(fit, prob, n_samples=40000, seed=0)
+    joint_lo = max(quad.ci_low, imp.ci_low)
+    joint_hi = min(quad.ci_high, imp.ci_high)
+    slack = 0.1 * max(quad.value, imp.value)
+    assert joint_lo <= joint_hi + slack
+    assert imp.value == pytest.approx(quad.value, rel=0.15)
+
+
+@pytest.mark.parametrize("family, n, p", [("gaussian", 500, 2), ("poisson", 500, 4),
+                                          ("bernoulli", 1500, 3)])
+def test_kernel_matches_per_point_reference(volterra_eig, monkeypatch, family, n, p):
+    prob = make_problem(volterra_eig, family, n=n, p=p)
+    fit = map_solve(prob)
+    _, U = val.laplace_draws(fit, 50, seed=0, stream=5)
+    U *= 3.0   # reach into the tails
+    Theta = fit.theta_hat + U
+    f_ref = np.array([f_value(prob, th) for th in Theta])
+    lr_ref = np.array([-f_value(prob, th) + fit.f_hat + 0.5 * float(u @ (fit.DG2 @ u))
+                       for th, u in zip(Theta, U)])
+    # default chunk; 7 rows per chunk, so 50 rows end in a 1-row remainder;
+    # n above the chunk size, so one row per chunk
+    for entries in (posterior._CHUNK_ENTRIES, 7 * n, n - 1):
+        monkeypatch.setattr(posterior, "_CHUNK_ENTRIES", entries)
+        assert np.all(np.abs(f_values(prob, Theta) - f_ref) <= 1e-10 * np.abs(f_ref))
+        # log_ratio is a difference of terms the size of f
+        lr = val.log_ratio(fit, prob, U)
+        assert np.all(np.abs(lr - lr_ref) <= 1e-10 * np.abs(f_ref))
+
+
+def test_kernel_raises_like_f_value(poisson_fit, monkeypatch):
+    prob, fit = poisson_fit
+    monkeypatch.setattr(posterior, "_CHUNK_ENTRIES", 7 * prob.design.n)
+    Theta = np.tile(fit.theta_hat, (30, 1))
+    Theta[17] += 1e4   # exp(R theta) overflows
+    for msg, row in (("overflow in cumulant h", Theta[17].copy()),
+                     ("non-finite linear predictor", np.full(prob.p, np.nan))):
+        Theta[17] = row
+        with np.errstate(over="ignore"), pytest.raises(EvaluationError, match=msg):
+            f_value(prob, row)
+        with np.errstate(over="ignore"), pytest.raises(EvaluationError, match=msg):
+            f_values(prob, Theta)
+
+
+def test_grid_in_product_order():
+    zs = np.linspace(-2.0, 2.0, 5)
+    for p in (1, 2, 3):
+        want = np.array(list(itertools.product(zs, repeat=p)))
+        assert np.array_equal(val._whitened_grid(p, 5, 2.0), want)
+
+
+def test_grid_tv_matches_per_point_reference(volterra_eig):
+    prob = make_problem(volterra_eig, "bernoulli", n=1000, p=2)
+    fit = map_solve(prob)
+    L = cholesky(fit.DG2, lower=True)
+    cells = []
+    for ztup in itertools.product(np.linspace(-10.0, 10.0, 64), repeat=2):
+        z = np.array(ztup)
+        u = solve_triangular(L, z, lower=True, trans="T")
+        cells.append((-f_value(prob, fit.theta_hat + u) + fit.f_hat, -0.5 * float(z @ z)))
+    lp, lq = np.array(cells).T
+    wp, wq = np.exp(lp - np.max(lp)), np.exp(lq)
+    want = 0.5 * np.sum(np.abs(wp / np.sum(wp) - wq / np.sum(wq)))
+    assert val._tv_on_grid(fit, prob, 64, 10.0) == pytest.approx(want, rel=1e-9)
+
+
+def _philox(seed, stream):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+
+
+def test_bootstrap_blocks_repeat_one_draw():
+    n_samples, n_boot = 3000, 500   # blocks of 349 rows, then 151
+    blocks = []
+
+    def stat(idx):
+        blocks.append(idx.copy())
+        return idx[:, 0].astype(float)
+
+    val.bootstrap_ci(_philox(0, 13), n_samples, n_boot, stat)
+    assert [len(b) for b in blocks] == [349, 151]
+    want = _philox(0, 13).integers(0, n_samples, size=(n_boot, n_samples))
+    assert np.array_equal(np.concatenate(blocks), want)
+
+
+def test_importance_ci_matches_per_resample_reference(poisson_fit):
+    prob, fit = poisson_fit
+    est = val.tv_importance(fit, prob, n_samples=10000, seed=5, n_boot=200)
+    rng, U = val.laplace_draws(fit, 10000, 5, stream=13)
+    logw = val.log_ratio(fit, prob, U)
+    w = np.exp(logw - np.max(logw))
+    tvs = [0.5 * np.mean(np.abs(w[i] / np.mean(w[i]) - 1.0))
+           for i in rng.integers(0, 10000, size=(200, 10000))]
+    lo, hi = np.percentile(tvs, [2.5, 97.5])
+    assert est.ci_low == pytest.approx(max(0.0, min(lo, est.value)), rel=1e-12)
+    assert est.ci_high == pytest.approx(min(1.0, max(hi, est.value)), rel=1e-12)
 
 
 def test_quadrature_grid_convergence(volterra_eig):
