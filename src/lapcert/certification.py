@@ -21,6 +21,12 @@ eigenfunctions; since the fields are piecewise linear and the norm is
 convex along segments, refining the grid cannot increase the value.  The
 knot-to-continuum gap estimate 0.5 * h * sup_x ||D^{-1} r'(x)|| is
 attached to every certificate.
+
+The diagonal sums S_dim and S_tau of the optimized choice D(gamma0*)
+(`s_sums`, double precision) are not inputs of any bound: they are
+reported as diagnostics, propose one candidate radius 1/sqrt(S_tau) that
+the tau3 chain certifies like every other radius, and give the
+diagonal-surrogate bounds of `sweep_synthetic`.
 """
 from __future__ import annotations
 
@@ -28,7 +34,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, eigh, solve_triangular
 
@@ -153,6 +158,7 @@ def certify(fit: LaplaceFit, prob: Problem, choice: WeightChoice,
         if s_tau > 0 and 1.0 / math.sqrt(s_tau) >= r_lo:
             radii.append(1.0 / math.sqrt(s_tau))  # canonical r from the theorem
 
+    alpha_scaled = alpha_of(D2, fit.DG2)
     best = None
     least_bad = None
     for r in sorted(radii):
@@ -161,7 +167,7 @@ def certify(fit: LaplaceFit, prob: Problem, choice: WeightChoice,
         tail = 2.0 * math.exp(-((r - 3.0 * math.sqrt(dim)) ** 2) / 3.0)
         bound = local + tail
         feasible = r * tau <= 0.5
-        cert = Certificate(choice=scaled, alpha=alpha_of(D2, fit.DG2), effdim=dim,
+        cert = Certificate(choice=scaled, alpha=alpha_scaled, effdim=dim,
                            tau3_sup=tau, radius=r, local_term=local,
                            tail_term=tail, tv_bound=bound, feasible=feasible,
                            diagnostics=diag)
@@ -178,21 +184,18 @@ def certify(fit: LaplaceFit, prob: Problem, choice: WeightChoice,
 def s_sums(n: int, p: int, beta: float, gamma: float, gamma0: float) -> tuple:
     """S_dim = sum (n + k^{2g0+2b})/(n + k^{2g+2b}); S_tau = sqrt(sum 1/(n + k^{2g0+2b})).
 
-    Accumulated at 50 significant digits; large-k powers overflow or lose
-    precision in double for large p and gamma.
+    Each term is formed from u_e(k) = log(1 + k^e / n) = log(n + k^e) - log n,
+    taken as logaddexp(0, e log k - log n), so k^e never overflows for large
+    p and gamma and the small-k terms that dominate both sums keep full
+    relative precision.
     """
-    with mpmath.workdps(50):
-        nn = mpmath.mpf(n)
-        e0 = mpmath.mpf(2 * beta + 2 * gamma0)
-        e1 = mpmath.mpf(2 * beta + 2 * gamma)
-        s_dim = mpmath.mpf(0)
-        s_tau2 = mpmath.mpf(0)
-        for k in range(1, p + 1):
-            k0 = mpmath.mpf(k) ** e0
-            k1 = mpmath.mpf(k) ** e1
-            s_dim += (nn + k0) / (nn + k1)
-            s_tau2 += 1 / (nn + k0)
-        return float(s_dim), float(mpmath.sqrt(s_tau2))
+    log_k = np.log(np.arange(1, p + 1, dtype=float))
+    log_n = math.log(n)
+    u0 = np.logaddexp(0.0, (2 * beta + 2 * gamma0) * log_k - log_n)
+    u1 = np.logaddexp(0.0, (2 * beta + 2 * gamma) * log_k - log_n)
+    s_dim = float(np.sum(np.exp(u0 - u1)))
+    s_tau = math.sqrt(float(np.sum(np.exp(-u0))) / n)
+    return s_dim, s_tau
 
 
 def gamma0_star(n: int, beta: float, gamma: float) -> tuple:
@@ -229,31 +232,28 @@ def sweep_synthetic(n: float, p_values, beta: float, gamma: float) -> list:
     """Diagonal-surrogate bounds over a p grid at fixed n (Table-style regimes).
 
     Uses the surrogate D_G^2 = diag(n k^{-2b} + k^{2g}) so arbitrary (n, beta)
-    can be explored; the third-derivative constants are unitized.
+    can be explored; the third-derivative constants are unitized.  The design
+    rows carry k^{-b}, so the weighted tau3 sums involve n + k^{2b+2g}: the
+    D(gamma0*) bound is S_tau * S_dim (its k = 1 ratio is 1, so S_dim is
+    already the normalized dimension) and the D_G bound is p * S_tau at
+    gamma0 = gamma.
     """
     rows = []
-    g0s = gamma - 0.5 - 0.5 / n ** (1.0 / (2 * beta + 2 * gamma))
+    g0s, m, m0s = gamma0_star(n, beta, gamma)
     for p in p_values:
         k = np.arange(1, p + 1, dtype=float)
-        # D_G^2 surrogate diag(n k^{-2b} + k^{2g}); the design rows carry
-        # k^{-b}, so the weighted tau3 sums involve n + k^{2b+2g} instead
+        s_dim, s_tau = s_sums(n, p, beta, gamma, g0s)
+        _, tau_DG = s_sums(n, p, beta, gamma, gamma)
         d = n * k ** (-2 * beta) + k ** (2 * gamma)
-        dt = n + k ** (2 * beta + 2 * gamma)
-        et = n + k ** (2 * beta + 2 * g0s)
-        dim_star = float(np.sum(et / dt) / np.max(et / dt))
-        tau_star = float(np.sqrt(np.sum(1.0 / et)))
-        dim_DG = float(p)
-        tau_DG = float(np.sqrt(np.sum(1.0 / dt)))
         alpha_I2 = float(np.max(1.0 / d))
         dim_I = float(np.sum(1.0 / d) / np.max(1.0 / d))
         tau_I = alpha_I2 ** 1.5 * n * float(np.sum(k ** (-2 * beta))) ** 1.5
         rows.append({
             "n": n, "p": p, "beta": beta, "gamma": gamma, "gamma0_star": g0s,
-            "m": n ** (1.0 / (2 * beta + 2 * gamma)),
-            "m0_star": n ** (1.0 / (2 * beta + 2 * g0s)),
-            "bound_DG": tau_DG * dim_DG,
+            "m": m, "m0_star": m0s,
+            "bound_DG": p * tau_DG,
             "bound_identity": tau_I * dim_I,
-            "bound_gamma0_star": tau_star * dim_star,
+            "bound_gamma0_star": s_tau * s_dim,
         })
     return rows
 

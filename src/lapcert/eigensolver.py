@@ -19,9 +19,9 @@ import os
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from .operators import (CoefficientPair, discretize_R, grid, trapezoid_weights)
+from .operators import (CoefficientPair, cumulative_trapezoid, discretize_R, grid,
+                        trapezoid_weights)
 
 
 class EigenSolverError(RuntimeError):
@@ -56,7 +56,7 @@ def _q_potential(spec: CoefficientPair, x: np.ndarray) -> np.ndarray:
 
 def liouville_transform(spec: CoefficientPair, N: int) -> LiouvilleForm:
     x = grid(N)
-    t_of_x = cumulative_trapezoid(1.0 / spec.a(x), dx=1.0 / N, initial=0.0)
+    t_of_x = cumulative_trapezoid(1.0 / spec.a(x), 1.0 / N)
     T = float(t_of_x[-1])
     t = np.linspace(0.0, T, N + 1)
     x_of_t = np.interp(t, t_of_x, x)

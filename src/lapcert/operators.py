@@ -5,13 +5,10 @@ quadrature is composite trapezoid on the uniform grid x_i = i/N.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import cumulative_trapezoid
 
 from .model import sample_basis
 
@@ -59,21 +56,8 @@ class CoefficientPair:
     def b1(self, x):
         return npoly.polyval(x, npoly.polyder(self.b_coeffs))
 
-    @property
-    def a0(self) -> float:
-        """Sampled lower bound of a on [0,1]."""
-        xs = np.linspace(0.0, 1.0, 2049)
-        return float(self.a(xs).min())
-
     def to_dict(self) -> dict:
         return {"a": list(self.a_coeffs), "b": list(self.b_coeffs)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CoefficientPair":
-        return cls(tuple(d["a"]), tuple(d["b"]))
-
-    def content_hash(self) -> str:
-        return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()
 
 
 VOLTERRA = CoefficientPair((1.0,), (0.0,))
@@ -93,12 +77,17 @@ def _check_grid(f: np.ndarray):
     return f
 
 
+def cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
+    """Running composite-trapezoid integral of y on a uniform grid, starting at 0."""
+    return np.concatenate(([0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)))
+
+
 def cumulative_antiderivative(spec: CoefficientPair, N: int) -> np.ndarray:
     """C(x) = int_0^x b/a on the uniform grid, C(0) = 0."""
     if N < 64:
         raise ValueError("N >= 64 required")
     x = grid(N)
-    return cumulative_trapezoid(spec.b(x) / spec.a(x), dx=1.0 / N, initial=0.0)
+    return cumulative_trapezoid(spec.b(x) / spec.a(x), 1.0 / N)
 
 
 def apply_R(spec: CoefficientPair, f: np.ndarray) -> np.ndarray:
@@ -107,7 +96,7 @@ def apply_R(spec: CoefficientPair, f: np.ndarray) -> np.ndarray:
     N = f.size - 1
     x = grid(N)
     C = cumulative_antiderivative(spec, N)
-    inner = cumulative_trapezoid(np.exp(C) * f / spec.a(x), dx=1.0 / N, initial=0.0)
+    inner = cumulative_trapezoid(np.exp(C) * f / spec.a(x), 1.0 / N)
     return np.exp(-C) * inner
 
 
@@ -122,7 +111,7 @@ def apply_RT(spec: CoefficientPair, h: np.ndarray) -> np.ndarray:
     x = grid(N)
     C = cumulative_antiderivative(spec, N)
     w = np.exp(-C) * h
-    cum = cumulative_trapezoid(w, dx=1.0 / N, initial=0.0)
+    cum = cumulative_trapezoid(w, 1.0 / N)
     tail = cum[-1] - cum
     return np.exp(C) / spec.a(x) * tail
 

@@ -159,11 +159,13 @@ def _s_sums_fraction(n, p, b2, g2, g02):
 
 
 def test_s_sums_against_rational_oracle():
-    n, p = 4096, 64
-    sd, st2 = _s_sums_fraction(n, p, 2, 4, 2)       # beta=1, gamma=2, gamma0=1
-    got_sd, got_st = C.s_sums(n, p, 1.0, 2.0, 1.0)
-    assert got_sd == pytest.approx(float(sd), rel=1e-12)
-    assert got_st == pytest.approx(math.sqrt(float(st2)), rel=1e-12)
+    # (n, p, beta, gamma, gamma0); in the second case k^162 reaches ~1e439,
+    # which overflows a naive double evaluation of the terms
+    for n, p, beta, gamma, gamma0 in ((4096, 64, 1, 2, 1), (4096, 512, 1, 80, 79)):
+        sd, st2 = _s_sums_fraction(n, p, 2 * beta, 2 * gamma, 2 * gamma0)
+        got_sd, got_st = C.s_sums(n, p, beta, gamma, gamma0)
+        assert got_sd == pytest.approx(float(sd), rel=1e-12)
+        assert got_st == pytest.approx(math.sqrt(float(st2)), rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -201,23 +203,6 @@ def test_gamma0_star_threshold_warning():
     # beta + gamma - 1 small makes the threshold astronomically large
     with pytest.warns(UserWarning):
         C.gamma0_star(10, 1.0, 0.02)
-
-
-def test_s_sum_brackets():
-    """(m^p)/2 <= S_dim <= (2 + 1/(2b+2g-1)) (m^p) and the S_tau^2 bracket."""
-    beta = 1.0
-    for gamma in (1.5, 2.0, 3.0):
-        for n in (2 ** 8, 2 ** 12, 2 ** 16, 2 ** 20):
-            if n <= (beta + gamma - 1) ** (-2 * beta - 2 * gamma):
-                continue
-            g0, m, m0 = C.gamma0_star(n, beta, gamma)
-            for p in (4, 16, 64, 256, 512):
-                sd, stau = C.s_sums(n, p, beta, gamma, g0)
-                mp = min(m, p)
-                assert mp / 2 <= sd <= (2 + 1 / (2 * beta + 2 * gamma - 1)) * mp
-                m0p = min(m0, p)
-                assert m0p / (2 * n) <= stau ** 2
-                assert stau ** 2 <= (1 + 1 / (beta + gamma - 1)) * m0p / n
 
 
 # --- scalar sum inequalities, exact rational arithmetic ---

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -170,3 +172,16 @@ def test_sweep_real_mode(tmp_path, monkeypatch, write_cfg):
     rows = open(os.path.join(out, "sweep.csv")).read().splitlines()
     assert len(rows) == 1 + 2 * 3  # three weighting choices per p value
     assert counts == {"load_eigensystem": 1}  # one eigensystem for the whole grid
+
+
+def test_cli_import_skips_unused_dependencies():
+    """`import lapcert.cli` loads neither mpmath nor scipy.integrate: the
+    pipeline uses neither, and loading them cost ~0.3 s per import."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, lapcert.cli; "
+            "print(' '.join(m for m in ('mpmath', 'scipy.integrate') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == ""

@@ -8,7 +8,7 @@ import lapcert.eigensolver as eigensolver
 from lapcert.eigensolver import (_half_step_Q, _rk4_shoot, cached_solve,
                                  eig_diagnostics, liouville_transform,
                                  load_eigensystem, save_eigensystem,
-                                 solve_eigs, svd_oracle)
+                                 solve_eigs)
 from lapcert.operators import VOLTERRA, CoefficientPair, l2_inner
 
 from conftest import SPEC_CORPUS
@@ -52,17 +52,6 @@ def test_asymptote_rate(eig_cache):
     corrected = ratio / (k / (k - 0.5)) ** 2
     assert np.max(np.abs(corrected[39:] - 1.0)) < 5e-3
     assert np.all(np.diff(np.abs(ratio - 1.0)[9:]) < 0)
-
-
-def test_cross_method_agreement(eig_cache):
-    for spec in SPEC_CORPUS:
-        sh = cached_solve(spec, 2048, 20, eig_cache)
-        sv = svd_oracle(spec, 2048, 20)
-        rel = np.abs(sh.lambdas - sv.lambdas) / sh.lambdas
-        assert np.max(rel) < 1e-3
-        for k in range(20):
-            align = abs(l2_inner(sh.psi[k], sv.psi[k]))
-            assert align > 0.999
 
 
 def test_boundary_conditions(corpus_eigs):

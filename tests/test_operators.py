@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid as cumulative_trapezoid_ref
 
 from lapcert.operators import (VOLTERRA, CapacityError, CoefficientPair,
                                OperatorSpecError, apply_R, apply_RT,
@@ -82,6 +83,9 @@ def test_antiderivative_linear_case():
     x = grid(N)
     C = cumulative_antiderivative(spec, N)
     assert np.max(np.abs(C - 0.2 * np.log1p(0.5 * x))) < 1e-8
+    # the numpy running trapezoid is scipy's expression, bit for bit
+    ref = cumulative_trapezoid_ref(spec.b(x) / spec.a(x), dx=1.0 / N, initial=0.0)
+    assert np.array_equal(C, ref)
 
 
 def test_trapezoid_weights_sum_to_one():
@@ -105,13 +109,6 @@ def test_degree_cap():
 def test_dense_capacity_cap():
     with pytest.raises(CapacityError):
         discretize_R(VOLTERRA, 8192)
-
-
-def test_content_hash_roundtrip():
-    spec = CoefficientPair((1.0, 0.5), (0.1,))
-    again = CoefficientPair.from_dict(spec.to_dict())
-    assert spec.content_hash() == again.content_hash()
-    assert spec.content_hash() != VOLTERRA.content_hash()
 
 
 def test_design_shapes_and_capacity(volterra_eig_small):
