@@ -189,8 +189,7 @@ def cmd_validate(run):
     cfg, prob, fit = run.cfg, run.prob, run.fit
     tvs = []
     if cfg.validation.method in ("importance", "both"):
-        tvs.append(val.tv_importance(fit, prob, n_samples=max(10000, cfg.validation.M),
-                                     seed=cfg.seed))
+        tvs.append(val.tv_importance(fit, prob, n_samples=cfg.validation.M, seed=cfg.seed))
     if cfg.validation.method in ("quadrature", "both"):
         tvs.append(val.tv_quadrature(fit, prob, per_axis=cfg.validation.per_axis))
     run.times["validate"] = time.time() - t0

@@ -128,6 +128,10 @@ def _validate(cfg: ExperimentConfig, where: str) -> None:
         raise ConfigError("%s.gamma: must be > 0" % where)
     if cfg.validation.method not in ("importance", "quadrature", "both"):
         raise ConfigError("%s.validation.method: unknown method" % where)
+    if cfg.validation.M < 10000:
+        raise ConfigError("%s.validation.M: must be >= 10000" % where)
+    if cfg.validation.per_axis < 64:
+        raise ConfigError("%s.validation.per_axis: must be >= 64" % where)
     if cfg.sweep.axis not in ("p", "n"):
         raise ConfigError("%s.sweep.axis: must be 'p' or 'n'" % where)
     if cfg.certification.gamma0 is not None:

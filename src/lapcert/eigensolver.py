@@ -8,8 +8,9 @@ by a sign change of the boundary function B(mu) = c1 u'(T) + c2 u(T); the
 Illinois method (regula falsi with halving of the retained endpoint's B)
 then refines every bracket at once, each iterate staying inside its own
 bracket.  The oscillation count of the final eigenfunctions is verified,
-so no mode can be silently skipped.  A weighted SVD of the dense
-discretization serves as an independent cross-check.
+so no mode can be silently skipped.  An independent cross-check,
+`svd_oracle`, takes the top of the weighted SVD of R's discretization by
+Lanczos iteration on its O(N) matrix-free apply.
 """
 from __future__ import annotations
 
@@ -20,8 +21,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .operators import (CoefficientPair, cumulative_trapezoid, discretize_R, grid,
-                        trapezoid_weights)
+from .operators import (CoefficientPair, _apply_R_transpose, apply_R, cumulative_trapezoid,
+                        grid, trapezoid_weights)
 
 
 class EigenSolverError(RuntimeError):
@@ -160,17 +161,14 @@ def _half_step_Q(spec: CoefficientPair, form: LiouvilleForm) -> np.ndarray:
     return _q_potential(spec, xh)
 
 
-def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int, N: int | None = None,
+def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int,
                rel_tol: float = 1e-10) -> EigenSystem:
     """First K eigenpairs by boundary shooting: mu scan brackets, Illinois refinement."""
     if K < 1:
         raise ValueError("K >= 1")
-    if N is None:
-        N = form.N
+    N = form.N
     if N < 1024:
         raise ValueError("N >= 1024 required for eigen work")
-    if N != form.N:
-        form = liouville_transform(spec, N)
     Qh = _half_step_Q(spec, form)
     T, c1, c2 = form.T, form.c1, form.c2
 
@@ -260,13 +258,26 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int, N: int | None
 
 
 def svd_oracle(spec: CoefficientPair, N: int, K: int) -> EigenSystem:
-    """Independent eigenpairs from a weighted SVD of the dense discretization."""
-    M = discretize_R(spec, N)
+    """Independent eigenpairs from the top of the weighted SVD of R's discretization.
+
+    With M the matrix of apply_R and w the trapezoid weights, the K largest
+    eigenpairs of B B^T, B = w^{1/2} M w^{-1/2}, come from implicitly
+    restarted Lanczos (ARPACK) on the O(N) applies of M and M^T; no dense
+    matrix is formed.  The start vector is fixed, so repeated calls agree
+    bit for bit.
+    """
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     w = trapezoid_weights(N)
     rw = np.sqrt(w)
-    B = rw[:, None] * M / rw[None, :]
-    U, s, _ = np.linalg.svd(B)
-    lam = s[:K] ** 2
+
+    def BBt(v):
+        return rw * apply_R(spec, _apply_R_transpose(spec, rw * v) / w)
+
+    op = LinearOperator((N + 1, N + 1), matvec=BBt, dtype=float)
+    s2, U = eigsh(op, k=K, which="LA", v0=np.ones(N + 1))
+    order = np.argsort(s2)[::-1]
+    lam, U = s2[order], U[:, order]
     x = grid(N)
     psi = np.empty((K, N + 1))
     for k in range(K):
@@ -371,7 +382,7 @@ def cached_solve(spec: CoefficientPair, N: int, K: int, cache_dir: str | None = 
         if eig is not None:
             return eig
     form = liouville_transform(spec, N)
-    eig = solve_eigs(form, spec, K, N)
+    eig = solve_eigs(form, spec, K)
     if cache_dir is not None:
         save_eigensystem(eig, spec, cache_dir)
     return eig

@@ -1,7 +1,9 @@
 """Smoothing operator R defined by a g' + b g = f, g(0)=0, on [0,1].
 
 Coefficients a, b are polynomials (exact symbolic derivatives); all
-quadrature is composite trapezoid on the uniform grid x_i = i/N.
+quadrature is composite trapezoid on the uniform grid x_i = i/N.  R, its
+discrete transpose and its L2 adjoint are applied matrix-free, each in O(N)
+as one running sum; no dense matrix of R is ever formed.
 """
 from __future__ import annotations
 
@@ -100,6 +102,24 @@ def apply_R(spec: CoefficientPair, f: np.ndarray) -> np.ndarray:
     return np.exp(-C) * inner
 
 
+def _apply_R_transpose(spec: CoefficientPair, v: np.ndarray) -> np.ndarray:
+    """M^T v for the matrix M with M f = apply_R(f): one reversed running sum.
+
+    With u = e^{-C} v, (M^T v)_j = (e^C/a)_j (dx sum_{i>j} u_i + dx/2 u_j),
+    and dx/2 sum_{i>=1} u_i at j = 0.  This is the exact transpose of the
+    discrete apply_R; apply_RT, the L2 adjoint, differs at both end nodes.
+    """
+    v = _check_grid(v)
+    N = v.size - 1
+    dx = 1.0 / N
+    C = cumulative_antiderivative(spec, N)
+    u = np.exp(-C) * v
+    after = np.concatenate((np.cumsum(u[:0:-1])[::-1], [0.0]))   # sum_{i>j} u_i
+    s = dx * after + 0.5 * dx * u
+    s[0] = 0.5 * dx * after[0]
+    return np.exp(C) / spec.a(grid(N)) * s
+
+
 def apply_RT(spec: CoefficientPair, h: np.ndarray) -> np.ndarray:
     """Adjoint: g(x) = (e^{C(x)}/a(x)) int_x^1 e^{-C} h; solves -(a g)' + b g = h, g(1)=0.
 
@@ -114,22 +134,6 @@ def apply_RT(spec: CoefficientPair, h: np.ndarray) -> np.ndarray:
     cum = cumulative_trapezoid(w, 1.0 / N)
     tail = cum[-1] - cum
     return np.exp(C) / spec.a(x) * tail
-
-
-def discretize_R(spec: CoefficientPair, N: int) -> np.ndarray:
-    """Dense (N+1)x(N+1) matrix M with M f_grid = apply_R(f) exactly."""
-    if N > 4096:
-        raise CapacityError("dense discretization capped at N = 4096")
-    x = grid(N)
-    dx = 1.0 / N
-    C = cumulative_antiderivative(spec, N)
-    # trapezoid weights for the running integral 0..x_i, causal (lower triangular)
-    W = np.tril(np.full((N + 1, N + 1), dx))
-    idx = np.arange(N + 1)
-    W[:, 0] = 0.5 * dx
-    W[idx, idx] = 0.5 * dx
-    W[0, :] = 0.0
-    return np.exp(-C)[:, None] * W * (np.exp(C) / spec.a(x))[None, :]
 
 
 def trapezoid_weights(N: int) -> np.ndarray:

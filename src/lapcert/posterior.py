@@ -114,13 +114,6 @@ def hessian(prob: Problem, theta: np.ndarray) -> np.ndarray:
     return hessian_L(prob, theta) + np.diag(prob.g2)
 
 
-def third_directional(prob: Problem, theta: np.ndarray, v: np.ndarray) -> float:
-    """<nabla^3 f, v^(x3)> = sum_j h'''(R_j'theta) (R_j'v)^3; prior is quadratic."""
-    s = _signals(prob, theta)
-    rv = prob.design.rows @ v
-    return float(np.sum(prob.family.h3(s) * rv ** 3))
-
-
 def map_solve(prob: Problem, theta0: np.ndarray | None = None,
               grad_tol: float = 1e-9, max_iters: int = 200) -> LaplaceFit:
     """Damped Newton with Armijo backtracking from theta0 (default 0)."""

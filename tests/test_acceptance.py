@@ -20,10 +20,10 @@ from lapcert import validation as val
 from lapcert.eigensolver import cached_solve, svd_oracle
 from lapcert.model import TruthSpec, exp_family, generate
 from lapcert.operators import CoefficientPair, VOLTERRA, assemble_design, l2_inner
-from lapcert.posterior import (Problem, f_value, grad, hessian, map_solve,
-                               third_directional)
+from lapcert.posterior import Problem, f_value, grad, hessian, map_solve
 
 from conftest import SPEC_CORPUS, make_problem
+from probes import ortho_constant, third_directional, tightness_probe
 
 
 def _report(num, name, ok, detail=""):
@@ -243,7 +243,7 @@ def test_criterion_09_concentration(volterra_eig):
 # --- 10: near-orthogonality constant stays bounded ---
 
 def test_criterion_10_ortho_constant(volterra_eig):
-    vals = [C.ortho_constant(volterra_eig, n, p, 3.5)
+    vals = [ortho_constant(volterra_eig, n, p, 3.5)
             for n in (200, 400, 800, 1600, 3200)
             for p in (8, 16, 30, 50)]
     spread = max(vals) / min(vals)
@@ -287,7 +287,7 @@ def test_criterion_11_derivatives(volterra_eig_small):
 def test_criterion_12_tightness():
     ratios = []
     for e in (10, 12, 14, 16, 18):
-        out = C.tightness_probe(2 ** e, p=32, beta=1.0, gamma0=1.25)
+        out = tightness_probe(2 ** e, p=32, beta=1.0, gamma0=1.25)
         ratios.append(out["ratio"])
     ok = all(0.05 <= r <= 1.0 for r in ratios)
     assert _report(12, "witness-to-certificate ratio", ok,

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lapcert import certification as C
-from lapcert.posterior import map_solve, third_directional
+from lapcert.posterior import map_solve
 
 from conftest import make_problem
+from probes import omega_diagnostics, ortho_constant, third_directional, tightness_probe
 
 # --- alpha / effdim ---
 
@@ -305,21 +306,21 @@ def test_sweep_synthetic_regimes():
 def test_ortho_constant_riemann_p1(volterra_eig):
     # p=1: |Psi_11 - n| is a Riemann sum error, bounded by ||(psi_1^2)'||_inf
     n = 500
-    c = C.ortho_constant(volterra_eig, n, 1, 3.5)
+    c = ortho_constant(volterra_eig, n, 1, 3.5)
     psi1, dpsi1 = volterra_eig.psi[0], volterra_eig.dpsi[0]
     bound = np.max(np.abs(2 * psi1 * dpsi1))
     assert c <= bound
 
 
 def test_ortho_constant_bounded(volterra_eig):
-    vals = [C.ortho_constant(volterra_eig, n, p, 3.5)
+    vals = [ortho_constant(volterra_eig, n, p, 3.5)
             for n in (200, 800, 3200) for p in (8, 20, 50)]
     assert max(vals) / min(vals) < 3
 
 
 def test_tightness_probe_cosine():
     for n in (2 ** 10, 2 ** 14):
-        out = C.tightness_probe(n, p=32, beta=1.0, gamma0=1.25)
+        out = tightness_probe(n, p=32, beta=1.0, gamma0=1.25)
         assert 0.0 < out["lower"] <= out["upper"] * (1 + 1e-9)
         assert out["ratio"] > 0.01
         # identity witness: cubic sum at e1 scales with n
@@ -328,14 +329,14 @@ def test_tightness_probe_cosine():
 
 def test_omega_chain(poisson_fit):
     prob, fit = poisson_fit
-    out = C.omega_diagnostics(fit, prob, C.choice_DG(fit), r=3.0, samples=50, seed=0)
+    out = omega_diagnostics(fit, prob, C.choice_DG(fit), r=3.0, samples=50, seed=0)
     assert out["chain_ok"]
     assert out["tau3_est"] <= out["tau3_cert"] + 1e-12
 
 
 def test_omega_gaussian_zero(gaussian_fit):
     prob, fit = gaussian_fit
-    out = C.omega_diagnostics(fit, prob, C.choice_DG(fit), r=3.0, samples=20, seed=0)
+    out = omega_diagnostics(fit, prob, C.choice_DG(fit), r=3.0, samples=20, seed=0)
     assert out["omega_est"] < 1e-9
     assert out["omega3_est"] < 1e-9
 
@@ -344,6 +345,6 @@ def test_omega_third_condition_at_certificate(gaussian_fit):
     prob, fit = gaussian_fit
     cert = C.certify(fit, prob, C.choice_DG(fit))
     if cert.feasible:
-        out = C.omega_diagnostics(fit, prob, cert.choice, r=cert.radius,
-                                  samples=30, seed=1)
+        out = omega_diagnostics(fit, prob, cert.choice, r=cert.radius,
+                                samples=30, seed=1)
         assert out["omega_est"] <= 1.0 / 3.0

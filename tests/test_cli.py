@@ -82,6 +82,18 @@ def test_invalid_values_rejected():
         config_from_dict({**BASE, "p": 64})
 
 
+def test_validation_sizes_rejected(tmp_path, write_cfg, capsys):
+    """validation.M below the estimator's 10,000 floor and per_axis below 64
+    fail at load time with the key path (exit 2), not at validate time."""
+    for overrides, key in (({"M": 5000}, "validation.M"),
+                           ({"per_axis": 32}, "validation.per_axis")):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({**BASE, "validation": {**BASE["validation"], **overrides}})
+        path = write_cfg({"validation": overrides})
+        assert main(["validate", "--config", path, "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+
+
 def test_malformed_json_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -175,13 +187,15 @@ def test_sweep_real_mode(tmp_path, monkeypatch, write_cfg):
 
 
 def test_cli_import_skips_unused_dependencies():
-    """`import lapcert.cli` loads neither mpmath nor scipy.integrate: the
-    pipeline uses neither, and loading them cost ~0.3 s per import."""
+    """`import lapcert.cli` loads neither mpmath, scipy.integrate nor
+    scipy.sparse: the pipeline uses none of them (only the SVD oracle needs
+    scipy.sparse.linalg), and loading each costs ~0.3-0.4 s per import."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, lapcert.cli; "
-            "print(' '.join(m for m in ('mpmath', 'scipy.integrate') if m in sys.modules))")
+            "print(' '.join(m for m in ('mpmath', 'scipy.integrate', 'scipy.sparse') "
+            "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == ""

@@ -4,11 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid as cumulative_trapezoid_ref
 
+from lapcert.eigensolver import cached_solve, svd_oracle
 from lapcert.operators import (VOLTERRA, CapacityError, CoefficientPair,
-                               OperatorSpecError, apply_R, apply_RT,
-                               assemble_design, cumulative_antiderivative,
-                               discretize_R, grid, l2_inner,
+                               OperatorSpecError, _apply_R_transpose, apply_R,
+                               apply_RT, assemble_design,
+                               cumulative_antiderivative, grid, l2_inner,
                                trapezoid_weights)
+
+from conftest import SPEC_CORPUS
 
 # a = 1 + sum c_i x^i with at most 3 terms |c_i| <= 0.33, so sum |c_i| < 1 and
 # a >= 0.01 on [0, 1]; the rejection of a <= 0 is test_nonpositive_a_rejected
@@ -18,6 +21,20 @@ b_coeff_st = st.lists(st.floats(-0.4, 0.4), min_size=0, max_size=3)
 
 def _spec(extra_a, b):
     return CoefficientPair((1.0, *extra_a), tuple(b) or (0.0,))
+
+
+def discretize_R(spec, N):
+    """Dense (N+1)x(N+1) matrix M with M f_grid = apply_R(f): the reference build."""
+    x = grid(N)
+    dx = 1.0 / N
+    C = cumulative_antiderivative(spec, N)
+    # trapezoid weights for the running integral 0..x_i, causal (lower triangular)
+    W = np.tril(np.full((N + 1, N + 1), dx))
+    idx = np.arange(N + 1)
+    W[:, 0] = 0.5 * dx
+    W[idx, idx] = 0.5 * dx
+    W[0, :] = 0.0
+    return np.exp(-C)[:, None] * W * (np.exp(C) / spec.a(x))[None, :]
 
 
 def test_volterra_is_running_integral():
@@ -76,6 +93,35 @@ def test_discretize_matches_apply(extra_a, b):
     assert np.max(np.abs(M @ f - apply_R(spec, f))) < 1e-12
 
 
+@settings(max_examples=20, deadline=None)
+@given(a_coeff_st, b_coeff_st)
+def test_transpose_matches_dense(extra_a, b):
+    """The O(N) transpose is the dense M^T, end nodes included."""
+    spec = _spec(extra_a, b)
+    N = 256
+    x = grid(N)
+    v = np.exp(-x) * np.sin(4 * x) + 0.5
+    want = discretize_R(spec, N).T @ v
+    got = _apply_R_transpose(spec, v)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("spec", SPEC_CORPUS, ids=["volterra", "linear_a", "quadratic_a"])
+def test_svd_oracle_matches_dense_svd(spec):
+    """Lanczos on the matrix-free B B^T gives the dense weighted SVD's top
+    values, and a second call repeats the first bit for bit."""
+    N, K = 512, 20
+    rw = np.sqrt(trapezoid_weights(N))
+    B = rw[:, None] * discretize_R(spec, N) / rw[None, :]
+    want = np.linalg.svd(B, compute_uv=False)[:K] ** 2
+    got = svd_oracle(spec, N, K)
+    assert got.method == "svd"
+    assert np.max(np.abs(got.lambdas - want) / want) <= 1e-12
+    again = svd_oracle(spec, N, K)
+    for name in ("lambdas", "psi", "dpsi"):
+        assert np.array_equal(getattr(got, name), getattr(again, name))
+
+
 def test_antiderivative_linear_case():
     # b/a = 0.1/(1 + x/2): C(x) = 0.2 log(1 + x/2)
     spec = CoefficientPair((1.0, 0.5), (0.1,))
@@ -106,9 +152,14 @@ def test_degree_cap():
         CoefficientPair((1.0,) + (0.0,) * 17, (0.0,))
 
 
-def test_dense_capacity_cap():
-    with pytest.raises(CapacityError):
-        discretize_R(VOLTERRA, 8192)
+def test_svd_oracle_beyond_dense_sizes():
+    """At N = 8192, where a dense (N+1)^2 matrix would take 537 MB, the oracle
+    agrees with shooting at criterion 4's thresholds."""
+    spec = SPEC_CORPUS[1]
+    sh = cached_solve(spec, 8192, 10)
+    sv = svd_oracle(spec, 8192, 10)
+    assert np.max(np.abs(sh.lambdas - sv.lambdas) / sh.lambdas) <= 1e-3
+    assert min(abs(l2_inner(sh.psi[k], sv.psi[k])) for k in range(10)) >= 0.999
 
 
 def test_design_shapes_and_capacity(volterra_eig_small):

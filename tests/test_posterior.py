@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from lapcert.model import TruthSpec, exp_family, generate
 from lapcert.operators import assemble_design
-from lapcert.posterior import (Problem, f_value, grad, hessian, map_solve,
-                               third_directional)
+from lapcert.posterior import Problem, f_value, grad, hessian, map_solve
 
 from conftest import make_problem
+from probes import third_directional
 
 
 def _rand_small_problem(eig, rng, family=None):
