@@ -3,22 +3,25 @@
 Subcommands write deterministic CSV and JSON artifacts plus a run manifest
 (config echo, git hash, wall times) from one `Run`, which computes each
 pipeline stage once.  The process exits nonzero iff an asserted invariant
-fails, never for an infeasible certificate (infeasibility is data).
+fails (a `violated` row of checks.csv), never for an infeasible certificate
+(infeasibility is data).
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from functools import cached_property
 
 from . import certification as cert
 from . import validation as val
+from .concentration import gaussian_tail, posterior_tail_bound
 from .config import ConfigError, ExperimentConfig, config_from_dict, load_config
 from .eigensolver import cached_solve, eig_diagnostics
 from .model import TruthSpec, exp_family, generate, save_dataset
@@ -28,6 +31,11 @@ from .posterior import Problem, fit_to_dict, map_solve
 CERT_COLUMNS = ["label", "kind", "gamma0", "alpha", "effdim", "radius",
                 "tau3_sup", "local_term", "tail_term", "tv_bound", "feasible",
                 "A", "B", "gap_est", "S_dim", "S_tau", "m", "m0star"]
+CHECK_COLUMNS = ["label", "check", "status", "reason", "bound", "estimate",
+                 "ci_low", "ci_high", "ratio"]
+# absolute floor of every check: below it both the estimators and an
+# underflowed tail term are numerically zero
+CHECK_FLOOR = 1e-12
 
 
 def _git_hash() -> str:
@@ -64,14 +72,17 @@ class Run:
     """One pass of the pipeline for a config.
 
     Each stage (eig, truth, data, prob, fit, comparison) is computed on first use
-    and kept, so every subcommand of `all` reads the same objects.
+    and kept, so every subcommand of `all` reads the same objects.  A sweep
+    point passes in the parent run's eig, and its data when only p varies.
     """
 
-    def __init__(self, cfg: ExperimentConfig, eig=None):
+    def __init__(self, cfg: ExperimentConfig, eig=None, data=None):
         self.cfg = cfg
         self.times: dict = {}
         if eig is not None:
             self.eig = eig       # an instance value takes the cached_property's place
+        if data is not None:
+            self.data = data
 
     def path(self, name: str) -> str:
         return os.path.join(self.cfg.out_dir, name)
@@ -184,42 +195,80 @@ def cmd_certify(run):
     return 0
 
 
-def cmd_validate(run):
-    t0 = time.time()
-    cfg, prob, fit = run.cfg, run.prob, run.fit
+def _check(label, check, bound, est=(None, None, None), tested=None, reason="") -> dict:
+    """A checks.csv row: skipped if there is a reason, else violated iff
+    `tested` (an end of est's interval) exceeds max(bound, CHECK_FLOOR)."""
+    status = ("skipped" if reason else
+              "violated" if tested > max(bound, CHECK_FLOOR) else "checked")
+    return {"label": label, "check": check, "status": status, "reason": reason,
+            "bound": bound, "estimate": est[0], "ci_low": est[1], "ci_high": est[2],
+            "ratio": bound / est[0] if est[0] else None}
+
+
+def _checks(run) -> tuple:
+    """(tvs, rows): the config's TV estimates and the checks.csv rows.
+
+    Each usable certificate (feasible, bound < 1) is checked against every TV
+    estimate (violated iff ci_high > bound) and, on the importance draws, on
+    its tail claim at its radius and scaled weighting: the posterior mass
+    outside against posterior_tail_bound, the Gaussian mass outside against
+    gaussian_tail (violated iff ci_low > bound).  Any other certificate gets
+    one skipped row with its reason.
+    """
+    cfg, certs = run.cfg, run.comparison["certs"]
+    usable = [label for label, c in certs.items() if c.feasible and c.tv_bound < 1.0]
     tvs = []
     if cfg.validation.method in ("importance", "both"):
-        tvs.append(val.tv_importance(fit, prob, n_samples=cfg.validation.M, seed=cfg.seed))
+        tvs.append(val.tv_importance(
+            run.fit, run.prob, n_samples=cfg.validation.M, seed=cfg.seed,
+            regions=[(certs[label].choice.D2, certs[label].radius) for label in usable]))
     if cfg.validation.method in ("quadrature", "both"):
-        tvs.append(val.tv_quadrature(fit, prob, per_axis=cfg.validation.per_axis))
+        tvs.append(val.tv_quadrature(run.fit, run.prob, per_axis=cfg.validation.per_axis))
+    rows = []
+    for label, c in certs.items():
+        if label not in usable:
+            rows.append(_check(label, "all", c.tv_bound,
+                               reason="infeasible" if not c.feasible else "bound >= 1"))
+            continue
+        rows += [_check(label, "tv_" + tv.method, c.tv_bound, (tv.value, tv.ci_low, tv.ci_high),
+                        tested=tv.ci_high) for tv in tvs]
+        tails = (("tail_posterior", posterior_tail_bound(c.effdim, c.radius)),
+                 ("tail_gaussian", gaussian_tail(c.effdim,
+                                                 max(0.0, c.radius - math.sqrt(c.effdim)))))
+        if tvs[0].method == "importance":
+            m = astuple(tvs[0].outside[usable.index(label)])   # posterior, then Gaussian
+            rows += [_check(label, check, bound, est, tested=est[1])
+                     for (check, bound), est in zip(tails, (m[:3], m[3:]))]
+        else:
+            rows += [_check(label, check, bound, reason="no importance draws")
+                     for check, bound in tails]
+    return tvs, rows
+
+
+def cmd_validate(run):
+    t0 = time.time()
+    tvs, checks = _checks(run)
     run.times["validate"] = time.time() - t0
     rows = [dict(asdict(tv), low_ess=int(tv.low_ess)) for tv in tvs]
     _write_csv(run.path("tv_estimates.csv"),
                ["method", "value", "ci_low", "ci_high", "n_points", "ess", "low_ess"],
                rows)
-    best = run.comparison["certs"]["gamma0_star"]
-    skipped = ("gamma0_star infeasible" if not best.feasible else
-               "bound >= 1" if best.tv_bound >= 1.0 else None)
-    ok = True
-    for row in rows:
-        if skipped:
-            dom = " dominance=SKIPPED (%s)" % skipped
-        else:
-            # 1e-12 absolute floor: below it both the estimators and the
-            # underflowed tail term are numerically zero
-            holds = row["ci_high"] <= max(best.tv_bound, 1e-12)
-            ok = ok and holds
-            dom = " dominance=%s (bound %.4g)" % ("OK" if holds else "VIOLATED",
-                                                  best.tv_bound)
-        print("validate: %s TV=%.4g ci=[%.4g, %.4g]%s"
-              % (row["method"], row["value"], row["ci_low"], row["ci_high"], dom))
-    return 0 if ok else 1
+    _write_csv(run.path("checks.csv"), CHECK_COLUMNS, checks)
+    for tv in tvs:
+        mine = [r for r in checks if r["check"] == "tv_" + tv.method]
+        bad = [r["label"] for r in mine if r["status"] == "violated"]
+        dom = ("SKIPPED (no usable certificate)" if not mine else
+               "VIOLATED (%s)" % ", ".join(bad) if bad else
+               "OK (bound %.4g)" % min(r["bound"] for r in mine))
+        print("validate: %s TV=%.4g ci=[%.4g, %.4g] dominance=%s"
+              % (tv.method, tv.value, tv.ci_low, tv.ci_high, dom))
+    return 1 if any(r["status"] == "violated" for r in checks) else 0
 
 
 def cmd_sweep(run):
     t0 = time.time()
     cfg = run.cfg
-    rows = []
+    rows, checks = [], []
     if cfg.sweep.synthetic:
         if cfg.sweep.axis == "p":
             rows = cert.sweep_synthetic(cfg.sweep.n, cfg.sweep.values, cfg.beta, cfg.gamma)
@@ -231,13 +280,18 @@ def cmd_sweep(run):
     else:
         cols = ["n", "p"] + CERT_COLUMNS
         for v in cfg.sweep.values:
-            point = Run(load_point(cfg, v), eig=run.eig)   # one eigensystem for the grid
-            rows += [dict(r, n=point.cfg.n, p=point.cfg.p) for r in _choice_rows(point)]
+            # one eigensystem for the grid; one dataset when only p varies
+            point = Run(load_point(cfg, v), eig=run.eig,
+                        data=run.data if cfg.sweep.axis == "p" else None)
+            at = {"n": point.cfg.n, "p": point.cfg.p}
+            rows += [dict(r, **at) for r in _choice_rows(point)]
+            checks += [dict(r, **at) for r in _checks(point)[1]]
+        _write_csv(run.path("checks.csv"), ["n", "p"] + CHECK_COLUMNS, checks)
     run.times["sweep"] = time.time() - t0
     _write_csv(run.path("sweep.csv"), cols, rows)
     print("sweep: %d rows over %s grid (%s mode)"
           % (len(rows), cfg.sweep.axis, "synthetic" if cfg.sweep.synthetic else "real"))
-    return 0
+    return 1 if any(r["status"] == "violated" for r in checks) else 0
 
 
 def load_point(cfg: ExperimentConfig, v) -> ExperimentConfig:

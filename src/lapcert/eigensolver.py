@@ -161,6 +161,10 @@ def _half_step_Q(spec: CoefficientPair, form: LiouvilleForm) -> np.ndarray:
     return _q_potential(spec, xh)
 
 
+# cap on Illinois iterations; reaching it raises EigenSolverError
+_MAX_ILLINOIS = 200
+
+
 def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int,
                rel_tol: float = 1e-10) -> EigenSystem:
     """First K eigenpairs by boundary shooting: mu scan brackets, Illinois refinement."""
@@ -194,7 +198,7 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int,
     # Illinois iteration, vectorized over the brackets not yet converged.
     # side: +1 if the last iterate replaced hi, -1 if it replaced lo.
     side = np.zeros(K, dtype=int)
-    for _ in range(200):
+    for _ in range(_MAX_ILLINOIS):
         act = np.nonzero(hi - lo > rel_tol * hi)[0]
         if act.size == 0:
             break
@@ -215,7 +219,8 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int,
         Blo[act] = np.where(new_lo, Bx, np.where(new_hi & (side[act] > 0), 0.5 * B0, B0))
         side[act] = new_hi.astype(int) - new_lo.astype(int)
     if np.any(hi - lo > rel_tol * hi):
-        raise EigenSolverError("root finding did not converge in 200 iterations")
+        raise EigenSolverError("root finding did not converge in %d iterations"
+                               % _MAX_ILLINOIS)
     mu = 0.5 * (lo + hi)
 
     _, _, zeros, upath, dupath = _rk4_shoot(Qh, T, mu, keep_path=True)

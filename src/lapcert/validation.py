@@ -13,10 +13,13 @@ Two estimators with non-overlapping ranges of applicability:
 Both evaluate the negative log posterior at all their points with one
 call to the batched kernel `posterior.f_values` (the whole quadrature grid,
 or all M Gaussian draws through `log_ratio`), and the bootstrap evaluates
-its statistic a block of resamples at a time.
+its statistic a block of resamples at a time.  The importance draws also
+give the mass outside ellipsoids {||D0 u|| <= r} (`OutsideMass`) on the
+same resample blocks, so tail claims need no second likelihood pass.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +33,22 @@ class ValidationError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class OutsideMass:
+    """Posterior and Gaussian mass of the draws outside {||D0 u|| <= r}.
+
+    The self-normalized posterior fraction has a bootstrap interval widened by
+    the Wilson interval at the ESS, so an exactly-zero estimate still carries
+    finite uncertainty; the Gaussian fraction has a Wilson interval.
+    """
+    posterior_frac: float
+    posterior_ci_low: float
+    posterior_ci_high: float
+    gaussian_frac: float
+    gaussian_ci_low: float
+    gaussian_ci_high: float
+
+
+@dataclass(frozen=True)
 class TVEstimate:
     method: str
     value: float
@@ -38,6 +57,17 @@ class TVEstimate:
     n_points: int
     ess: float | None = None
     low_ess: bool = False
+    outside: tuple = ()     # one OutsideMass per region given to tv_importance
+
+
+def wilson_interval(successes: float, trials: float, z: float = 1.96) -> tuple:
+    if trials <= 0:
+        raise ValueError("trials > 0")
+    ph = successes / trials
+    den = 1.0 + z * z / trials
+    centre = (ph + z * z / (2 * trials)) / den
+    hw = z / den * math.sqrt(ph * (1 - ph) / trials + z * z / (4 * trials * trials))
+    return max(0.0, centre - hw), min(1.0, centre + hw)
 
 
 def laplace_draws(fit: LaplaceFit, n_samples: int, seed: int, stream: int) -> tuple:
@@ -64,9 +94,10 @@ _BOOT_BLOCK_ENTRIES = 1 << 20
 
 
 def bootstrap_ci(rng: np.random.Generator, n_samples: int, n_boot: int, stat) -> tuple:
-    """2.5% and 97.5% percentiles of stat over n_boot resamples.
+    """(lo, hi): 2.5% and 97.5% percentiles of stat over n_boot resamples.
 
-    stat maps a (b, n_samples) block of resample indices to its b values.
+    stat maps a (b, n_samples) block of resample indices to its b values, or
+    to a (b, k) array of k statistics, whose percentiles are taken per column.
     Blocks of rows are drawn in turn from rng, which gives the same indices
     as one (n_boot, n_samples) draw.
     """
@@ -74,8 +105,8 @@ def bootstrap_ci(rng: np.random.Generator, n_samples: int, n_boot: int, stat) ->
     vals = np.concatenate([
         stat(rng.integers(0, n_samples, size=(min(rows, n_boot - a), n_samples)))
         for a in range(0, n_boot, rows)])
-    lo, hi = np.percentile(vals, [2.5, 97.5])
-    return float(lo), float(hi)
+    lo, hi = np.percentile(vals, [2.5, 97.5], axis=0)
+    return lo, hi
 
 
 def _whitened_grid(p: int, per_axis: int, half_width: float) -> np.ndarray:
@@ -117,9 +148,53 @@ def tv_quadrature(fit: LaplaceFit, prob: Problem, per_axis: int = 64,
                       n_points=(2 * per_axis) ** p)
 
 
+def _importance_pass(fit: LaplaceFit, prob: Problem, n_samples: int, seed: int,
+                     n_boot: int, regions, stream: int = 13) -> TVEstimate:
+    """TV estimate with the outside mass of each (D0_sq, r) region, one draw.
+
+    Each region's bootstrap fraction is taken from one weight vector (w
+    outside, 0 inside) in the TV statistic's index blocks, one region at a
+    time, so it holds no resample array beyond those of the TV statistic.
+    """
+    rng, U = laplace_draws(fit, n_samples, seed, stream)
+    logw = log_ratio(fit, prob, U)
+    w = np.exp(logw - np.max(logw))
+    outside = [np.sqrt(np.sum(U * (U @ D0_sq), axis=1)) > r for D0_sq, r in regions]
+    w_out = [np.where(o, w, 0.0) for o in outside]
+
+    def tv_of(W):   # row-wise over the last axis
+        return 0.5 * np.mean(np.abs(W / np.mean(W, axis=-1, keepdims=True) - 1.0), axis=-1)
+
+    def stat(idx):  # columns: TV, then the posterior fraction outside each region
+        W = w[idx]
+        cols, total = [tv_of(W)], np.sum(W, axis=1)
+        del W
+        cols += [np.sum(wo[idx], axis=1) / total for wo in w_out]
+        return np.stack(cols, axis=1)
+
+    tv = float(tv_of(w))
+    ess = float(np.sum(w) ** 2 / np.sum(w ** 2))
+    lo, hi = bootstrap_ci(rng, n_samples, n_boot, stat)
+    masses = []
+    for j, (o, wo) in enumerate(zip(outside, w_out), start=1):
+        frac = float(np.sum(wo) / np.sum(w))
+        e_lo, e_hi = wilson_interval(frac * ess, ess)
+        masses.append(OutsideMass(frac, min(float(lo[j]), e_lo), max(float(hi[j]), e_hi),
+                                  float(np.mean(o)),
+                                  *wilson_interval(float(np.sum(o)), n_samples)))
+    return TVEstimate(method="importance", value=tv,
+                      ci_low=max(0.0, min(float(lo[0]), tv)),
+                      ci_high=min(1.0, max(float(hi[0]), tv)),
+                      n_points=n_samples, ess=ess, low_ess=ess < 100.0,
+                      outside=tuple(masses))
+
+
 def tv_importance(fit: LaplaceFit, prob: Problem, n_samples: int = 20000,
-                  seed: int = 0, n_boot: int = 500) -> TVEstimate:
-    """TV = (1/2) E_phi |w / mean(w) - 1| by Monte Carlo under the Gaussian."""
+                  seed: int = 0, n_boot: int = 500, regions=()) -> TVEstimate:
+    """TV = (1/2) E_phi |w / mean(w) - 1| by Monte Carlo under the Gaussian.
+
+    `outside` holds the `OutsideMass` of each (D0_sq, r) in regions.
+    """
     p = fit.theta_hat.size
     if p > 30:
         raise ValidationError(
@@ -128,17 +203,4 @@ def tv_importance(fit: LaplaceFit, prob: Problem, n_samples: int = 20000,
             "no longer trustworthy" % p)
     if n_samples < 10000:
         raise ValueError("n_samples >= 10000 required")
-    rng, U = laplace_draws(fit, n_samples, seed, stream=13)
-    logw = log_ratio(fit, prob, U)
-    w = np.exp(logw - np.max(logw))
-
-    def tv_of(W):   # row-wise over the last axis
-        return 0.5 * np.mean(np.abs(W / np.mean(W, axis=-1, keepdims=True) - 1.0), axis=-1)
-
-    tv = float(tv_of(w))
-    ess = float(np.sum(w) ** 2 / np.sum(w ** 2))
-    lo, hi = bootstrap_ci(rng, n_samples, n_boot, lambda idx: tv_of(w[idx]))
-    return TVEstimate(method="importance", value=tv,
-                      ci_low=max(0.0, min(lo, tv)),
-                      ci_high=min(1.0, max(hi, tv)),
-                      n_points=n_samples, ess=ess, low_ess=ess < 100.0)
+    return _importance_pass(fit, prob, n_samples, seed, n_boot, regions)

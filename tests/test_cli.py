@@ -1,13 +1,16 @@
+import csv
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import lapcert.certification
 import lapcert.cli
 import lapcert.eigensolver
+import lapcert.validation
 from lapcert.cli import main
 from lapcert.config import ConfigError, config_from_dict, load_config
 
@@ -49,6 +52,11 @@ def _count_calls(monkeypatch, targets) -> dict:
             return _fn(*args, **kwargs)
         monkeypatch.setattr(mod, name, counted)
     return counts
+
+
+def _read_checks(path) -> list:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def test_unknown_key_rejected_with_path(write_cfg):
@@ -135,8 +143,48 @@ def test_dominance_skip_is_reported(tmp_path, capsys, write_cfg):
     assert main(["all", "--config", cfg, "--out", str(tmp_path / "skip")]) == 0
     text = capsys.readouterr().out
     assert "feasible=0" in text and "feasible=1" not in text
-    assert "dominance=SKIPPED (gamma0_star infeasible)" in text
+    assert "dominance=SKIPPED (no usable certificate)" in text
     assert "dominance=OK" not in text
+    rows = _read_checks(tmp_path / "skip" / "checks.csv")
+    assert [(r["label"], r["check"], r["status"], r["reason"]) for r in rows] == [
+        (label, "all", "skipped", "infeasible") for label in ("DG", "identity", "gamma0_star")]
+
+
+def test_every_usable_certificate_is_checked(tmp_path, capsys, monkeypatch, write_cfg):
+    """A DG bound below the TV estimate fails validate although gamma0_star,
+    the only certificate checked before, still dominates."""
+    cfg = write_cfg({"family": "poisson", "n": 2000, "p": 2})
+    compare = lapcert.certification.compare_choices
+
+    def low_dg(*args, **kwargs):
+        res = compare(*args, **kwargs)
+        res["certs"]["DG"] = replace(res["certs"]["DG"], tv_bound=1e-6)
+        return res
+
+    monkeypatch.setattr(lapcert.certification, "compare_choices", low_dg)
+    out = tmp_path / "viol"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 1
+    text = capsys.readouterr().out
+    assert "dominance=VIOLATED (DG)" in text and "dominance=OK" not in text
+    rows = {(r["label"], r["check"]): r for r in _read_checks(out / "checks.csv")}
+    assert rows["DG", "tv_importance"]["status"] == "violated"
+    assert rows["gamma0_star", "tv_importance"]["status"] == "checked"
+    assert float(rows["gamma0_star", "tv_importance"]["bound"]) < 1.0
+    assert all(r["status"] == "checked" for key, r in rows.items()
+               if key[0] == "gamma0_star")
+
+
+def test_validate_runs_one_likelihood_pass(tmp_path, monkeypatch, write_cfg):
+    """The tail checks reuse the importance draws: one f_values call for IS,
+    as before they existed, although two certificates are usable here."""
+    cfg = write_cfg({"family": "poisson", "n": 2000, "p": 2})
+    counts = _count_calls(monkeypatch, [(lapcert.validation, "f_values")])
+    out = tmp_path / "once"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+    assert counts == {"f_values": 1}
+    rows = _read_checks(out / "checks.csv")
+    tails = [r for r in rows if r["check"].startswith("tail_")]
+    assert len(tails) >= 4 and all(r["status"] == "checked" for r in tails)
 
 
 def test_csv_outputs_deterministic(tmp_path, write_cfg):
@@ -179,11 +227,16 @@ def test_sweep_real_mode(tmp_path, monkeypatch, write_cfg):
         "family": "poisson", "n": 400,
         "sweep": {"axis": "p", "values": [2, 4], "synthetic": False}})
     out = str(tmp_path / "swr")
-    counts = _count_calls(monkeypatch, [(lapcert.eigensolver, "load_eigensystem")])
+    counts = _count_calls(monkeypatch, [(lapcert.eigensolver, "load_eigensystem"),
+                                        (lapcert.cli, "generate")])
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
     rows = open(os.path.join(out, "sweep.csv")).read().splitlines()
     assert len(rows) == 1 + 2 * 3  # three weighting choices per p value
-    assert counts == {"load_eigensystem": 1}  # one eigensystem for the whole grid
+    # one eigensystem and one dataset for the whole grid
+    assert counts == {"load_eigensystem": 1, "generate": 1}
+    checks = _read_checks(os.path.join(out, "checks.csv"))
+    assert {(r["n"], r["p"]) for r in checks} == {("400", "2"), ("400", "4")}
+    assert all(r["status"] != "violated" for r in checks)
 
 
 def test_cli_import_skips_unused_dependencies():

@@ -181,7 +181,9 @@ def test_root_certificate(eig_cache):
         assert np.all(B[:20] * B[20:] < 0)
 
 
-def test_unreachable_tolerance_raises():
+def test_unreachable_tolerance_raises(monkeypatch):
+    # rel_tol=0 can never be met; a small cap reaches the same error quickly
+    monkeypatch.setattr(eigensolver, "_MAX_ILLINOIS", 5)
     spec = CoefficientPair((1.0, 0.5), (0.1,))
     with pytest.raises(eigensolver.EigenSolverError, match="did not converge"):
         solve_eigs(liouville_transform(spec, 1024), spec, 2, rel_tol=0.0)

@@ -7,6 +7,7 @@ fresh output.  A change that alters numerics on purpose regenerates them:
 
     PYTHONPATH=src python tests/test_golden.py
 """
+import csv
 import json
 import os
 import subprocess
@@ -18,11 +19,12 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
 PIPELINE = ("eigen.csv", "dataset.csv", "fit.json", "certificates.csv",
-            "comparison.json", "tv_estimates.csv")
+            "comparison.json", "tv_estimates.csv", "checks.csv")
 CASES = {  # config name -> (subcommand, artifacts compared)
     "poisson_desk": ("all", PIPELINE),
     "gaussian_exactness": ("all", PIPELINE),
     "poisson_sweep": ("sweep", ("sweep.csv",)),
+    "poisson_plateau": ("sweep", ("sweep.csv", "checks.csv")),
 }
 LAPCERT = "import sys; from lapcert.cli import main; sys.exit(main())"
 
@@ -52,6 +54,41 @@ def test_golden_artifacts(name, tmp_path, eig_cache, volterra_eig, volterra_eig_
             want = fh.read()
         with open(os.path.join(out, artifact), "rb") as fh:
             assert fh.read() == want, "%s/%s differs from the golden copy" % (name, artifact)
+
+
+def _golden_rows(name: str, artifact: str) -> list:
+    with open(os.path.join(GOLDEN, name, artifact), newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_checked_statuses():
+    """The desk case checks nothing (all three certificates are infeasible);
+    the Gaussian case checks every certificate."""
+    desk = _golden_rows("poisson_desk", "checks.csv")
+    assert [(r["check"], r["status"], r["reason"]) for r in desk] == \
+        [("all", "skipped", "infeasible")] * 3
+    gauss = _golden_rows("gaussian_exactness", "checks.csv")
+    assert len(gauss) == 3 * 4 and all(r["status"] == "checked" for r in gauss)
+
+
+def test_plateau_shows_the_headline():
+    """Fitted Poisson, n = 1e4: the D_G bound grows with p while the
+    D(gamma0*) bound plateaus, and every usable certificate is checked."""
+    rows = _golden_rows("poisson_plateau", "sweep.csv")
+    bound = {(r["label"], int(r["p"])): float(r["tv_bound"]) for r in rows}
+    ps = sorted({p for _, p in bound})
+    assert ps == [2, 4, 6, 8, 12]
+    assert bound["DG", 12] >= 5 * bound["DG", 2]
+    assert bound["gamma0_star", 12] < 4 * bound["gamma0_star", 2]
+    assert abs(bound["gamma0_star", 2] / bound["DG", 2] - 1) < 0.01
+    assert all(bound["gamma0_star", p] <= bound["DG", p] for p in ps if p >= 4)
+    checks = _golden_rows("poisson_plateau", "checks.csv")
+    for label, want in (("DG", {"checked"}), ("gamma0_star", {"checked"}),
+                        ("identity", {"skipped"})):
+        mine = [r for r in checks if r["label"] == label]
+        assert {r["status"] for r in mine} == want
+        assert {int(r["p"]) for r in mine} == set(ps)
+    assert {r["reason"] for r in checks if r["label"] == "identity"} == {"infeasible"}
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import itertools
 import time
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.linalg import cholesky, solve_triangular
 
 from lapcert import posterior
 from lapcert import validation as val
+from lapcert.concentration import empirical_outside_mass, wilson_interval
 from lapcert.posterior import EvaluationError, f_value, f_values, map_solve
 
 from conftest import make_problem
@@ -145,6 +147,48 @@ def test_importance_ci_matches_per_resample_reference(poisson_fit):
     lo, hi = np.percentile(tvs, [2.5, 97.5])
     assert est.ci_low == pytest.approx(max(0.0, min(lo, est.value)), rel=1e-12)
     assert est.ci_high == pytest.approx(min(1.0, max(hi, est.value)), rel=1e-12)
+
+
+def _outside_reference(fit, prob, D0_sq, r, n_samples, seed, n_boot, stream):
+    """The tail statistic as concentration.empirical_outside_mass computed it
+    with its own draw: normalized weights, one masked sum per resample."""
+    rng, U = val.laplace_draws(fit, n_samples, seed, stream=stream)
+    outside = np.sqrt(np.sum(U * (U @ D0_sq), axis=1)) > r
+    logw = val.log_ratio(fit, prob, U)
+    w = np.exp(logw - np.max(logw))
+    w /= np.sum(w)
+    frac, ess = float(np.sum(w[outside])), 1.0 / float(np.sum(w ** 2))
+    fracs = [np.sum(np.where(outside[i], w[i], 0.0)) / np.sum(w[i])
+             for i in rng.integers(0, n_samples, size=(n_boot, n_samples))]
+    lo, hi = np.percentile(fracs, [2.5, 97.5])
+    w_lo, w_hi = wilson_interval(frac * ess, ess)
+    return (frac, min(lo, w_lo), max(hi, w_hi),
+            float(np.mean(outside)), *wilson_interval(float(np.sum(outside)), n_samples))
+
+
+def test_tail_statistics_share_the_importance_pass(poisson_fit):
+    """Outside masses taken on the TV estimate's own draws and bootstrap
+    blocks equal the stand-alone tail statistic; the TV fields do not move."""
+    prob, fit = poisson_fit
+    p = prob.design.p
+    # radii where a fair share of the draws lies outside, and one beyond all
+    regions = [(fit.DG2, float(np.sqrt(p))), (np.diag(np.arange(1.0, p + 1)), 2.0),
+               (fit.DG2, 50.0)]
+    est = val.tv_importance(fit, prob, n_samples=10000, seed=5, n_boot=200, regions=regions)
+    assert replace(est, outside=()) == val.tv_importance(fit, prob, n_samples=10000,
+                                                         seed=5, n_boot=200)
+    assert len(est.outside) == len(regions)
+    for (D0_sq, r), got in zip(regions, est.outside):
+        want = _outside_reference(fit, prob, D0_sq, r, 10000, 5, 200, stream=13)
+        np.testing.assert_allclose(astuple(got), want, rtol=1e-12, atol=1e-15)
+    assert 0.2 < est.outside[0].posterior_frac < 0.8 and est.outside[2].gaussian_frac == 0.0
+    # empirical_outside_mass is its own draw plus the same statistic
+    D0_sq, r = regions[1]
+    rep = empirical_outside_mass(fit, prob, D0_sq, r, n_samples=2000, seed=5, n_boot=200)
+    got = (rep.posterior_frac, rep.posterior_ci_low, rep.posterior_ci_high,
+           rep.gaussian_frac, rep.gaussian_ci_low, rep.gaussian_ci_high)
+    np.testing.assert_allclose(got, _outside_reference(fit, prob, D0_sq, r, 2000, 5, 200,
+                                                       stream=11), rtol=1e-12, atol=1e-15)
 
 
 def test_quadrature_grid_convergence(volterra_eig):
