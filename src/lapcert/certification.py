@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
@@ -49,16 +49,15 @@ class WeightChoice:
     kind: str                 # "DG" | "identity_scaled" | "gamma0_family"
     D2: np.ndarray
     gamma0: float | None = None
-    label: str = ""
 
 
 def choice_DG(fit: LaplaceFit) -> WeightChoice:
-    return WeightChoice(kind="DG", D2=fit.DG2.copy(), label="DG")
+    return WeightChoice(kind="DG", D2=fit.DG2.copy())
 
 
 def choice_identity(fit: LaplaceFit) -> WeightChoice:
     p = fit.DG2.shape[0]
-    return WeightChoice(kind="identity_scaled", D2=np.eye(p), label="I/alpha(I)")
+    return WeightChoice(kind="identity_scaled", D2=np.eye(p))
 
 
 def choice_gamma0(fit: LaplaceFit, gamma0: float, gamma: float) -> WeightChoice:
@@ -66,8 +65,7 @@ def choice_gamma0(fit: LaplaceFit, gamma0: float, gamma: float) -> WeightChoice:
         raise ValueError("gamma0 must satisfy gamma0 <= gamma")
     p = fit.DG2.shape[0]
     g02 = np.arange(1, p + 1, dtype=float) ** (2.0 * gamma0)
-    return WeightChoice(kind="gamma0_family", D2=fit.hess_L + np.diag(g02),
-                        gamma0=gamma0, label="D(%.4g)" % gamma0)
+    return WeightChoice(kind="gamma0_family", D2=fit.hess_L + np.diag(g02), gamma0=gamma0)
 
 
 @dataclass(frozen=True)
@@ -107,14 +105,14 @@ def _sup_weighted(D2_chol, mat: np.ndarray) -> float:
 
 
 def tau3_parts(prob: Problem, choice: WeightChoice) -> dict:
-    """r-independent pieces of the certified third-derivative bound."""
+    """r-independent pieces of the certified third-derivative bound, on prob.eig's grid."""
     D2 = choice.D2
     c = cho_factor(D2)
-    des = prob.design
-    A = _sup_weighted(c, des.basis_rows)
-    gap = 0.5 * (des.basis_x[1] - des.basis_x[0]) * _sup_weighted(c, des.basis_drows)
-    RtR = des.rows.T @ des.rows
-    B = float(eigh(RtR, D2, eigvals_only=True)[-1])
+    eig, R = prob.eig, prob.design.rows
+    root_lam = np.sqrt(eig.lambdas[:prob.p])[:, None]
+    A = _sup_weighted(c, root_lam * eig.psi[:prob.p])
+    gap = 0.5 * (eig.x[1] - eig.x[0]) * _sup_weighted(c, root_lam * eig.dpsi[:prob.p])
+    B = float(eigh(R.T @ R, D2, eigvals_only=True)[-1])
     return {"A": A, "B": B, "gap_est": gap}
 
 
@@ -135,33 +133,31 @@ def tau3_certified(fit: LaplaceFit, prob: Problem, choice: WeightChoice,
 
 def certify(fit: LaplaceFit, prob: Problem, choice: WeightChoice,
             beta: float = 1.0, n_r: int = 60) -> Certificate:
-    """Best feasible certificate over the r grid (least-infeasible if none)."""
-    alpha = alpha_of(choice.D2, fit.DG2)
-    D2 = choice.D2 / alpha ** 2
-    scaled = WeightChoice(kind=choice.kind, D2=D2, gamma0=choice.gamma0,
-                          label=choice.label)
-    dim = effdim_of(D2, fit.DG2)
-    parts = tau3_parts(prob, scaled)
+    """Best feasible certificate over the r grid (least-infeasible if none).
+
+    Its diagnostics hold A, B and gap_est, plus S_dim, S_tau, m and m0star
+    for the gamma0 family.
+    """
+    scaled = replace(choice, D2=choice.D2 / alpha_of(choice.D2, fit.DG2) ** 2)
+    dim = effdim_of(scaled.D2, fit.DG2)
+    diag = tau3_parts(prob, scaled)
 
     r_lo = 3.0 * math.sqrt(dim) + 3.0
     r_hi = max(50.0 * math.sqrt(dim), 2.0 * r_lo)
     radii = list(np.geomspace(r_lo, r_hi, n_r))
-    diag = {"A": parts["A"], "B": parts["B"], "gap_est": parts["gap_est"],
-            "alpha_raw": alpha}
     if choice.kind == "gamma0_family":
-        n, p = prob.design.n, prob.design.p
+        n, p = prob.design.n, prob.p
         s_dim, s_tau = s_sums(n, p, beta, prob.gamma, choice.gamma0)
-        diag.update(S_dim=s_dim, S_tau=s_tau)
-        g0s, m, m0s = gamma0_star(n, beta, prob.gamma)
-        diag.update(gamma0star=g0s, m=m, m0star=m0s)
+        _, m, m0s = gamma0_star(n, beta, prob.gamma)
+        diag.update(S_dim=s_dim, S_tau=s_tau, m=m, m0star=m0s)
         if s_tau > 0 and 1.0 / math.sqrt(s_tau) >= r_lo:
             radii.append(1.0 / math.sqrt(s_tau))  # canonical r from the theorem
 
-    alpha_scaled = alpha_of(D2, fit.DG2)
+    alpha_scaled = alpha_of(scaled.D2, fit.DG2)
     best = None
     least_bad = None
     for r in sorted(radii):
-        tau = tau3_certified(fit, prob, scaled, r, parts)
+        tau = tau3_certified(fit, prob, scaled, r, diag)
         local = tau * dim
         tail = 2.0 * math.exp(-((r - 3.0 * math.sqrt(dim)) ** 2) / 3.0)
         bound = local + tail

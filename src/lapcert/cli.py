@@ -71,9 +71,10 @@ def _manifest(cfg: ExperimentConfig, out_dir: str, times: dict) -> None:
 class Run:
     """One pass of the pipeline for a config.
 
-    Each stage (eig, truth, data, prob, fit, comparison) is computed on first use
-    and kept, so every subcommand of `all` reads the same objects.  A sweep
-    point passes in the parent run's eig, and its data when only p varies.
+    Each stage (eig, truth, data, prob, fit, comparison, usable, tvs) is
+    computed on first use and kept, so every subcommand of `all` reads the
+    same objects.  A sweep point passes in the parent run's eig, and its data
+    when only p varies.
     """
 
     def __init__(self, cfg: ExperimentConfig, eig=None, data=None):
@@ -120,16 +121,33 @@ class Run:
     def comparison(self):
         return cert.compare_choices(self.fit, self.prob, beta=self.cfg.beta)
 
+    @cached_property
+    def usable(self) -> list:
+        """Labels of the certificates that can be checked: feasible, bound < 1."""
+        return [label for label, c in self.comparison["certs"].items()
+                if c.feasible and c.tv_bound < 1.0]
+
+    @cached_property
+    def tvs(self) -> list:
+        """The config's TV estimates.  The importance draws also give the mass
+        outside each usable certificate's ellipsoid, in `usable` order."""
+        cfg, certs = self.cfg, self.comparison["certs"]
+        tvs = []
+        if cfg.validation.method in ("importance", "both"):
+            tvs.append(val.tv_importance(
+                self.fit, self.prob, n_samples=cfg.validation.M, seed=cfg.seed,
+                regions=[(certs[label].choice.D2, certs[label].radius) for label in self.usable]))
+        if cfg.validation.method in ("quadrature", "both"):
+            tvs.append(val.tv_quadrature(self.fit, self.prob, per_axis=cfg.validation.per_axis))
+        return tvs
+
 
 def _cert_row(label: str, c: cert.Certificate) -> dict:
-    d = c.diagnostics
     return {"label": label, "kind": c.choice.kind, "gamma0": c.choice.gamma0,
             "alpha": c.alpha, "effdim": c.effdim, "radius": c.radius,
             "tau3_sup": c.tau3_sup, "local_term": c.local_term,
             "tail_term": c.tail_term, "tv_bound": c.tv_bound,
-            "feasible": int(c.feasible), "A": d.get("A"), "B": d.get("B"),
-            "gap_est": d.get("gap_est"), "S_dim": d.get("S_dim"),
-            "S_tau": d.get("S_tau"), "m": d.get("m"), "m0star": d.get("m0star")}
+            "feasible": int(c.feasible), **c.diagnostics}
 
 
 def cmd_eigen(run):
@@ -142,8 +160,10 @@ def cmd_eigen(run):
             "vk_l2", "active"]
     _write_csv(run.path("eigen.csv"), cols,
                [{c: diag[c][i] for c in cols} for i in range(eig.lambdas.size)])
-    print("eigen: K=%d, gap report: sup-field gap estimates attached per certificate"
-          % eig.lambdas.size)
+    print("eigen: K=%d active=%d vk_inf_violations=%d dvk_inf_violations=%d "
+          "vk_l2_c_estimate=%.4g" % (eig.lambdas.size, diag["active"].sum(),
+                                     diag["vk_inf_violations"], diag["dvk_inf_violations"],
+                                     diag["vk_l2_c_estimate"]))
     return 0
 
 
@@ -205,49 +225,41 @@ def _check(label, check, bound, est=(None, None, None), tested=None, reason="") 
             "ratio": bound / est[0] if est[0] else None}
 
 
-def _checks(run) -> tuple:
-    """(tvs, rows): the config's TV estimates and the checks.csv rows.
+def _checks(run) -> list:
+    """The checks.csv rows.
 
-    Each usable certificate (feasible, bound < 1) is checked against every TV
-    estimate (violated iff ci_high > bound) and, on the importance draws, on
-    its tail claim at its radius and scaled weighting: the posterior mass
-    outside against posterior_tail_bound, the Gaussian mass outside against
-    gaussian_tail (violated iff ci_low > bound).  Any other certificate gets
-    one skipped row with its reason.
+    Each usable certificate is checked against every TV estimate (violated
+    iff ci_high > bound) and, on the importance draws, on its tail claim at
+    its radius and scaled weighting: the posterior mass outside against
+    posterior_tail_bound, the Gaussian mass outside against gaussian_tail
+    (violated iff ci_low > bound).  Any other certificate gets one skipped
+    row with its reason; the TV estimates are made only if some certificate
+    is usable.
     """
-    cfg, certs = run.cfg, run.comparison["certs"]
-    usable = [label for label, c in certs.items() if c.feasible and c.tv_bound < 1.0]
-    tvs = []
-    if cfg.validation.method in ("importance", "both"):
-        tvs.append(val.tv_importance(
-            run.fit, run.prob, n_samples=cfg.validation.M, seed=cfg.seed,
-            regions=[(certs[label].choice.D2, certs[label].radius) for label in usable]))
-    if cfg.validation.method in ("quadrature", "both"):
-        tvs.append(val.tv_quadrature(run.fit, run.prob, per_axis=cfg.validation.per_axis))
     rows = []
-    for label, c in certs.items():
-        if label not in usable:
+    for label, c in run.comparison["certs"].items():
+        if label not in run.usable:
             rows.append(_check(label, "all", c.tv_bound,
                                reason="infeasible" if not c.feasible else "bound >= 1"))
             continue
         rows += [_check(label, "tv_" + tv.method, c.tv_bound, (tv.value, tv.ci_low, tv.ci_high),
-                        tested=tv.ci_high) for tv in tvs]
+                        tested=tv.ci_high) for tv in run.tvs]
         tails = (("tail_posterior", posterior_tail_bound(c.effdim, c.radius)),
                  ("tail_gaussian", gaussian_tail(c.effdim,
                                                  max(0.0, c.radius - math.sqrt(c.effdim)))))
-        if tvs[0].method == "importance":
-            m = astuple(tvs[0].outside[usable.index(label)])   # posterior, then Gaussian
+        if run.tvs[0].method == "importance":
+            m = astuple(run.tvs[0].outside[run.usable.index(label)])   # posterior, then Gaussian
             rows += [_check(label, check, bound, est, tested=est[1])
                      for (check, bound), est in zip(tails, (m[:3], m[3:]))]
         else:
             rows += [_check(label, check, bound, reason="no importance draws")
                      for check, bound in tails]
-    return tvs, rows
+    return rows
 
 
 def cmd_validate(run):
     t0 = time.time()
-    tvs, checks = _checks(run)
+    tvs, checks = run.tvs, _checks(run)
     run.times["validate"] = time.time() - t0
     rows = [dict(asdict(tv), low_ess=int(tv.low_ess)) for tv in tvs]
     _write_csv(run.path("tv_estimates.csv"),
@@ -285,7 +297,7 @@ def cmd_sweep(run):
                         data=run.data if cfg.sweep.axis == "p" else None)
             at = {"n": point.cfg.n, "p": point.cfg.p}
             rows += [dict(r, **at) for r in _choice_rows(point)]
-            checks += [dict(r, **at) for r in _checks(point)[1]]
+            checks += [dict(r, **at) for r in _checks(point)]
         _write_csv(run.path("checks.csv"), ["n", "p"] + CHECK_COLUMNS, checks)
     run.times["sweep"] = time.time() - t0
     _write_csv(run.path("sweep.csv"), cols, rows)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .certification import effdim_of
 from .posterior import LaplaceFit, Problem
-from .validation import _importance_pass, wilson_interval  # noqa: F401 (re-exported)
+from .validation import _importance_pass
 
 
 def gaussian_tail(effdim: float, t: float) -> float:
@@ -69,4 +69,4 @@ def empirical_outside_mass(fit: LaplaceFit, prob: Problem, D0_sq: np.ndarray,
         gaussian_bound=gaussian_tail(dim, max(0.0, r - math.sqrt(dim))),
         posterior_bound=posterior_tail_bound(dim, r),
         **asdict(est.outside[0]),
-        ess=est.ess, n_samples=n_samples, low_ess=est.ess < 50.0)
+        ess=est.ess, n_samples=n_samples, low_ess=est.low_ess)

@@ -4,7 +4,7 @@ The composite operator inverts -(a^2 h')' + (b^2 - (ab)') h = mu h with
 h(0) = 0 and a(1) h'(1) + b(1) h(1) = 0.  A Liouville change of variables
 t(x) = int_0^x 1/a reduces this to -u'' + Q u = mu u on [0, T], which we
 solve by shooting (vectorized RK4).  A scan in mu brackets each eigenvalue
-by a sign change of the boundary function B(mu) = c1 u'(T) + c2 u(T); the
+by a sign change of the boundary function B(mu) = u'(T) + c2 u(T); the
 Illinois method (regula falsi with halving of the retained endpoint's B)
 then refines every bracket at once, each iterate staying inside its own
 bracket.  The oscillation count of the final eigenfunctions is verified,
@@ -37,15 +37,13 @@ class BracketError(EigenSolverError):
 class LiouvilleForm:
     T: float
     t_of_x: np.ndarray   # on the uniform x grid
-    x_of_t: np.ndarray   # on the uniform t grid [0, T]
-    Q: np.ndarray        # on the uniform t grid
-    c1: float
+    Qh: np.ndarray       # on the half-step t grid (2N+1 points); Qh[::2] is the t grid
     c2: float
     N: int
 
     @property
     def Q_sup(self) -> float:
-        return float(np.abs(self.Q).max())
+        return float(np.abs(self.Qh[::2]).max())
 
 
 def _q_potential(spec: CoefficientPair, x: np.ndarray) -> np.ndarray:
@@ -59,13 +57,11 @@ def liouville_transform(spec: CoefficientPair, N: int) -> LiouvilleForm:
     x = grid(N)
     t_of_x = cumulative_trapezoid(1.0 / spec.a(x), 1.0 / N)
     T = float(t_of_x[-1])
-    t = np.linspace(0.0, T, N + 1)
-    x_of_t = np.interp(t, t_of_x, x)
-    Q = _q_potential(spec, x_of_t)
+    # linspace(0, T, 2N+1)[::2] equals linspace(0, T, N+1) exactly
+    Qh = _q_potential(spec, np.interp(np.linspace(0.0, T, 2 * N + 1), t_of_x, x))
     # right boundary of u from a(1) psi'(1) + b(1) psi(1) = 0 with psi = a^{-1/2} u(t(x))
-    c1 = 1.0
     c2 = float(spec.b(1.0) - 0.5 * spec.a1(1.0))
-    return LiouvilleForm(T=T, t_of_x=t_of_x, x_of_t=x_of_t, Q=Q, c1=c1, c2=c2, N=N)
+    return LiouvilleForm(T=T, t_of_x=t_of_x, Qh=Qh, c2=c2, N=N)
 
 
 @dataclass(frozen=True)
@@ -74,8 +70,6 @@ class EigenSystem:
     x: np.ndarray                # uniform grid on [0,1]
     psi: np.ndarray              # (K, N+1), L2[0,1]-normalized, psi_k(0)=0
     dpsi: np.ndarray             # analytic derivative via the chain rule
-    sup_norms: np.ndarray
-    deriv_sup_norms: np.ndarray
     vk_inf: np.ndarray           # ||v_k||_inf with v_k = u_k / u_k'(0)
     dvk_inf: np.ndarray
     vk_l2: np.ndarray
@@ -154,13 +148,6 @@ def _interior_zeros(path: np.ndarray) -> np.ndarray:
     return np.count_nonzero(s[1:] * s[:-1] < 0, axis=0)
 
 
-def _half_step_Q(spec: CoefficientPair, form: LiouvilleForm) -> np.ndarray:
-    N = form.N
-    t = np.linspace(0.0, form.T, 2 * N + 1)
-    xh = np.interp(t, form.t_of_x, grid(N))
-    return _q_potential(spec, xh)
-
-
 # cap on Illinois iterations; reaching it raises EigenSolverError
 _MAX_ILLINOIS = 200
 
@@ -173,15 +160,14 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int,
     N = form.N
     if N < 1024:
         raise ValueError("N >= 1024 required for eigen work")
-    Qh = _half_step_Q(spec, form)
-    T, c1, c2 = form.T, form.c1, form.c2
+    Qh, T, c2 = form.Qh, form.T, form.c2
 
     def boundary(mu):
         u, up = _rk4_shoot(Qh, T, mu)
-        return c1 * up + c2 * u
+        return up + c2 * u
 
     unit = (np.pi / T) ** 2
-    mu_hi = ((K + 2.0) ** 2) * unit + max(0.0, float(form.Q.max()))
+    mu_hi = ((K + 2.0) ** 2) * unit + max(0.0, float(Qh[::2].max()))
     # geometric seed near zero, then linear at quarter-spacing of the asymptote
     scan = np.concatenate([
         unit * np.geomspace(1e-6, 0.25, 24),
@@ -255,8 +241,6 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int,
 
     return EigenSystem(
         lambdas=1.0 / mu, x=x, psi=psi, dpsi=dpsi,
-        sup_norms=np.abs(psi).max(axis=1),
-        deriv_sup_norms=np.abs(dpsi).max(axis=1),
         vk_inf=vk_inf, dvk_inf=dvk_inf, vk_l2=vk_l2,
         T=T, Q_sup=form.Q_sup, method="shooting",
     )
@@ -294,8 +278,6 @@ def svd_oracle(spec: CoefficientPair, N: int, K: int) -> EigenSystem:
     dpsi = np.gradient(psi, 1.0 / N, axis=1)
     return EigenSystem(
         lambdas=lam, x=x, psi=psi, dpsi=dpsi,
-        sup_norms=np.abs(psi).max(axis=1),
-        deriv_sup_norms=np.abs(dpsi).max(axis=1),
         vk_inf=np.full(K, np.nan), dvk_inf=np.full(K, np.nan),
         vk_l2=np.full(K, np.nan), method="svd",
     )
@@ -316,8 +298,8 @@ def eig_diagnostics(eig: EigenSystem) -> dict:
         c_est = np.nanmin((eig.vk_l2 / root_lam)[active]) if active.any() else np.nan
     report = {
         "k": ks,
-        "psi_sup": eig.sup_norms,
-        "dpsi_sup_over_k": eig.deriv_sup_norms / ks,
+        "psi_sup": np.abs(eig.psi).max(axis=1),
+        "dpsi_sup_over_k": np.abs(eig.dpsi).max(axis=1) / ks,
         "vk_inf": eig.vk_inf,
         "dvk_inf": eig.dvk_inf,
         "vk_l2": eig.vk_l2,

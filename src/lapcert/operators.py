@@ -7,7 +7,7 @@ as one running sum; no dense matrix of R is ever formed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -151,28 +151,15 @@ def l2_inner(f: np.ndarray, g: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """n x p matrix with rows R_j, R_{jk} = sqrt(lambda_k) psi_k(j/n).
-
-    `basis_x` / `basis_rows` carry the continuum fields r(x)_k =
-    sqrt(lambda_k) psi_k(x) on the eigenfunction grid (plus derivative rows),
-    used by the certification stage for sup-over-x quantities.
-    """
+    """n x p matrix with rows R_j, R_{jk} = sqrt(lambda_k) psi_k(j/n)."""
 
     rows: np.ndarray
     n: int
     p: int
-    basis_x: np.ndarray = field(repr=False)
-    basis_rows: np.ndarray = field(repr=False)  # (p, len(basis_x))
-    basis_drows: np.ndarray = field(repr=False)
 
 
 def assemble_design(eig, n: int, p: int) -> DesignMatrix:
     """Sample the weighted eigenbasis at j/n, j = 1..n."""
     if p > eig.lambdas.size:
         raise CapacityError("p = %d exceeds %d computed eigenpairs" % (p, eig.lambdas.size))
-    root_lam = np.sqrt(eig.lambdas[:p])
-    rows = sample_basis(eig, n, p) * root_lam
-    basis_rows = root_lam[:, None] * eig.psi[:p]
-    basis_drows = root_lam[:, None] * eig.dpsi[:p]
-    return DesignMatrix(rows=rows, n=n, p=p, basis_x=eig.x,
-                        basis_rows=basis_rows, basis_drows=basis_drows)
+    return DesignMatrix(rows=sample_basis(eig, n, p) * np.sqrt(eig.lambdas[:p]), n=n, p=p)

@@ -28,7 +28,7 @@ class Problem:
     data: Dataset
     family: ExpFamily
     gamma: float
-    eig: object = None  # for sup-norm reporting; optional
+    eig: "EigenSystem"      # the basis sampled by the design rows
 
     def __post_init__(self):
         if self.design.n != self.data.n:
@@ -161,9 +161,8 @@ def map_solve(prob: Problem, theta0: np.ndarray | None = None,
     hL = hessian_L(prob, theta)
     DG2 = hL + np.diag(prob.g2)
     cholesky(DG2, lower=True)  # SPD check
-    rq = signal_sup_norm(prob.eig, theta) if prob.eig is not None else float("nan")
     return LaplaceFit(theta_hat=theta, hess_L=hL, DG2=DG2, grad_norm=gnorm,
-                      newton_iters=it, rq_sup=rq, f_hat=fv)
+                      newton_iters=it, rq_sup=signal_sup_norm(prob.eig, theta), f_hat=fv)
 
 
 def fit_to_dict(fit: LaplaceFit) -> dict:

@@ -91,8 +91,8 @@ def test_criterion_03_regularity(corpus_eigs):
     details = []
     for spec, eig in zip(SPEC_CORPUS, corpus_eigs):
         ks = np.arange(10, 51)
-        slope = np.polyfit(np.log(ks), np.log(eig.sup_norms[9:50]), 1)[0]
-        ratio = eig.deriv_sup_norms[9:50] / ks
+        slope = np.polyfit(np.log(ks), np.log(np.abs(eig.psi[9:50]).max(axis=1)), 1)[0]
+        ratio = np.abs(eig.dpsi[9:50]).max(axis=1) / ks
         ok = ok and -0.1 <= slope <= 0.1 and np.max(ratio) <= 2 * ratio[0]
         details.append("slope %.3f drift %.2f" % (slope, np.max(ratio) / ratio[0]))
     assert _report(3, "sup-norm flatness and derivative growth", ok,

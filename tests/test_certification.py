@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lapcert import certification as C
+from lapcert.cli import CERT_COLUMNS
 from lapcert.posterior import map_solve
 
 from conftest import make_problem
@@ -268,6 +269,11 @@ def test_compare_choices_structure(poisson_fit):
     assert res["certs"]["DG"].effdim == pytest.approx(prob.design.p, rel=1e-9)
     assert res["ratio_DG"] > 0 and res["ratio_identity"] > 0
     assert res["m0_star"] >= res["m"]
+    # every diagnostic is a certificates.csv column, written as is
+    for c in res["certs"].values():
+        assert set(c.diagnostics) <= set(CERT_COLUMNS)
+    assert set(res["certs"]["gamma0_star"].diagnostics) == {
+        "A", "B", "gap_est", "S_dim", "S_tau", "m", "m0star"}
 
 
 def test_effdim_tracks_s_dim(poisson_fit):

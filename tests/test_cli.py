@@ -119,6 +119,9 @@ def test_all_pipeline_gaussian(tmp_path, capsys, write_cfg):
                      "certificates.csv", "tv_estimates.csv", "manifest.json"):
         assert os.path.exists(os.path.join(out, artifact))
     assert "dominance=OK" in text
+    # Volterra has Q = 0: every mode is in the asymptotic regime, v_k = sin(rho t)/rho
+    assert ("eigen: K=30 active=30 vk_inf_violations=0 dvk_inf_violations=0 "
+            "vk_l2_c_estimate=0.7071\n") in text
     # exact-fit family: TV row is numerically zero
     rows = open(os.path.join(out, "tv_estimates.csv")).read().splitlines()
     assert float(rows[1].split(",")[1]) < 1e-8
@@ -188,13 +191,17 @@ def test_validate_runs_one_likelihood_pass(tmp_path, monkeypatch, write_cfg):
 
 
 def test_csv_outputs_deterministic(tmp_path, write_cfg):
-    cfg = write_cfg({"family": "poisson"})
+    cfg = write_cfg({"family": "poisson", "certification": {"gamma0": [1.0, 1.5]}})
     out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
     assert main(["certify", "--config", cfg, "--out", out1]) == 0
     assert main(["certify", "--config", cfg, "--out", out2]) == 0
     a = open(os.path.join(out1, "certificates.csv"), "rb").read()
     b = open(os.path.join(out2, "certificates.csv"), "rb").read()
     assert a == b
+    # certification.gamma0 adds one row per value after the three choices
+    rows = _read_checks(os.path.join(out1, "certificates.csv"))
+    assert [(r["label"], r["kind"], r["gamma0"]) for r in rows[3:]] == [
+        ("gamma0=1", "gamma0_family", "1.0"), ("gamma0=1.5", "gamma0_family", "1.5")]
 
 
 def test_seed_override(tmp_path, write_cfg):
@@ -220,6 +227,12 @@ def test_sweep_synthetic(tmp_path, write_cfg):
     rows = open(os.path.join(out, "sweep.csv")).read().splitlines()
     assert rows[0].startswith("n,p,beta,gamma,gamma0_star,m,m0_star,bound_")
     assert len(rows) == 5
+    # over n: one row per n at the config's p
+    cfg = write_cfg({"family": "poisson", "sweep": {"axis": "n", "values": [300, 600],
+                                                    "synthetic": True}}, name="n.json")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    rows = _read_checks(os.path.join(out, "sweep.csv"))
+    assert [(r["n"], r["p"]) for r in rows] == [("300", "2"), ("600", "2")]
 
 
 def test_sweep_real_mode(tmp_path, monkeypatch, write_cfg):
@@ -228,14 +241,28 @@ def test_sweep_real_mode(tmp_path, monkeypatch, write_cfg):
         "sweep": {"axis": "p", "values": [2, 4], "synthetic": False}})
     out = str(tmp_path / "swr")
     counts = _count_calls(monkeypatch, [(lapcert.eigensolver, "load_eigensystem"),
-                                        (lapcert.cli, "generate")])
+                                        (lapcert.cli, "generate"),
+                                        (lapcert.validation, "tv_importance")])
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
     rows = open(os.path.join(out, "sweep.csv")).read().splitlines()
     assert len(rows) == 1 + 2 * 3  # three weighting choices per p value
-    # one eigensystem and one dataset for the whole grid
+    # one eigensystem and one dataset for the whole grid; no certificate is
+    # usable at either point, so no importance draw is made
     assert counts == {"load_eigensystem": 1, "generate": 1}
     checks = _read_checks(os.path.join(out, "checks.csv"))
-    assert {(r["n"], r["p"]) for r in checks} == {("400", "2"), ("400", "4")}
+    assert {(r["n"], r["p"], r["status"]) for r in checks} == {("400", "2", "skipped"),
+                                                                ("400", "4", "skipped")}
+    # over n: one dataset per n, still one eigensystem
+    cfg = write_cfg({"family": "poisson",
+                     "sweep": {"axis": "n", "values": [300, 600], "synthetic": False}},
+                    name="n.json")
+    counts.clear()
+    assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    assert counts["load_eigensystem"] == 1 and counts["generate"] == 2
+    rows = _read_checks(os.path.join(out, "sweep.csv"))
+    assert [(r["n"], r["p"]) for r in rows] == [("300", "2")] * 3 + [("600", "2")] * 3
+    checks = _read_checks(os.path.join(out, "checks.csv"))
+    assert {(r["n"], r["p"]) for r in checks} == {("300", "2"), ("600", "2")}
     assert all(r["status"] != "violated" for r in checks)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lapcert import concentration as conc
+from lapcert.validation import wilson_interval
 from lapcert.posterior import map_solve
 
 from conftest import make_problem
@@ -49,9 +50,9 @@ def test_posterior_tail_bound_values():
 
 
 def test_wilson_interval_basic():
-    lo, hi = conc.wilson_interval(0, 100)
+    lo, hi = wilson_interval(0, 100)
     assert lo == 0.0 and 0.0 < hi < 0.05
-    lo, hi = conc.wilson_interval(50, 100)
+    lo, hi = wilson_interval(50, 100)
     assert lo < 0.5 < hi
 
 

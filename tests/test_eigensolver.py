@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 import lapcert.eigensolver as eigensolver
-from lapcert.eigensolver import (_half_step_Q, _rk4_shoot, cached_solve,
+from lapcert.eigensolver import (_q_potential, _rk4_shoot, cached_solve,
                                  eig_diagnostics, liouville_transform,
                                  load_eigensystem, save_eigensystem,
                                  solve_eigs)
-from lapcert.operators import VOLTERRA, CoefficientPair, l2_inner
+from lapcert.operators import VOLTERRA, CoefficientPair, grid, l2_inner
 
 from conftest import SPEC_CORPUS
 
@@ -70,17 +70,29 @@ def test_robin_condition_at_one(corpus_eigs):
 
 
 def test_liouville_transform_fields():
-    spec = CoefficientPair((1.0, 0.5), (0.1,))
+    spec = CoefficientPair((1.0, 0.5), (0.1, 0.3))
     N = 2048
     form = liouville_transform(spec, N)
     assert form.T == pytest.approx(2 * math.log(1.5), rel=1e-8)
-    # t(x) = 2 log(1 + x/2); x_of_t inverts it on the uniform t grid
+    # t(x) = 2 log(1 + x/2), inverted by x(t) = 2 (e^{t/2} - 1)
     xs = np.linspace(0, 1, N + 1)
     assert np.max(np.abs(form.t_of_x - 2 * np.log1p(xs / 2))) < 1e-8
-    ts = np.linspace(0, form.T, N + 1)
-    assert np.max(np.abs(form.x_of_t - 2 * (np.exp(ts / 2) - 1))) < 1e-7
-    assert form.c1 == 1.0
+    # Q = b^2 - (a'b + ab') + a'^2/4 + a a''/2 at x(t) on the half-step t grid
+    x = 2 * (np.exp(np.linspace(0, form.T, 2 * N + 1) / 2) - 1)
+    a, b = 1 + 0.5 * x, 0.1 + 0.3 * x
+    assert np.max(np.abs(form.Qh - (b * b - (0.5 * b + 0.3 * a) + 0.0625))) < 1e-7
     assert form.c2 == pytest.approx(float(spec.b(1.0) - 0.5 * spec.a1(1.0)))
+
+
+def test_half_step_potential_holds_the_grid_potential():
+    """Qh[::2] is the potential on the N+1 point t grid, bit for bit."""
+    for spec in SPEC_CORPUS:
+        for N in (1024, 4096):
+            form = liouville_transform(spec, N)
+            t = np.linspace(0.0, form.T, N + 1)
+            Q = _q_potential(spec, np.interp(t, form.t_of_x, grid(N)))
+            assert np.array_equal(form.Qh[::2], Q), (spec, N)
+            assert form.Q_sup == float(np.abs(Q).max())
 
 
 def test_sturm_liouville_residual(eig_cache):
@@ -116,7 +128,7 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == [os.path.basename(path)] and path.endswith(".npz")
     back = load_eigensystem(spec, 1024, 5, str(tmp_path))
     assert back is not None
-    for name in ("lambdas", "psi", "dpsi", "x", "sup_norms", "vk_l2"):
+    for name in ("lambdas", "psi", "dpsi", "x", "vk_inf", "vk_l2"):
         assert np.array_equal(getattr(back, name), getattr(eig, name)), name
     assert back.psi.flags.f_contiguous     # the layout the artifacts are pinned to
     assert (back.T, back.Q_sup, back.method) == (eig.T, eig.Q_sup, eig.method)
@@ -153,7 +165,7 @@ def test_rk4_shoot_matches_stage_form():
     """The transfer-matrix step is RK4 regrouped: equal up to rounding."""
     spec = CoefficientPair((1.0, 0.0, 0.25), (0.2, 0.1))
     form = liouville_transform(spec, 1024)
-    Qh = _half_step_Q(spec, form)
+    Qh = form.Qh
     mu = np.array([1e-3, 3.0, 40.0, 900.0, 5e3])
     u, up, zeros, path, dpath = _rk4_shoot(Qh, form.T, mu, keep_path=True)
     _, ref_up, ref_zeros, ref_path = _rk4_stage_form(Qh, form.T, mu)
@@ -173,11 +185,10 @@ def test_root_certificate(eig_cache):
     for spec in SPEC_CORPUS:
         eig = cached_solve(spec, 2048, 20, eig_cache)
         form = liouville_transform(spec, 2048)
-        Qh = _half_step_Q(spec, form)
         mu = 1.0 / eig.lambdas
-        u, up = _rk4_shoot(Qh, form.T, np.concatenate([mu * (1 - 2 * rel_tol),
+        u, up = _rk4_shoot(form.Qh, form.T, np.concatenate([mu * (1 - 2 * rel_tol),
                                                        mu * (1 + 2 * rel_tol)]))
-        B = form.c1 * up + form.c2 * u
+        B = up + form.c2 * u
         assert np.all(B[:20] * B[20:] < 0)
 
 

@@ -50,6 +50,14 @@ def test_derivatives_match_finite_differences(volterra_eig_small):
         assert t3 == pytest.approx(fd_t3, rel=1e-3, abs=1e-5)
 
 
+def test_problem_requires_eig(volterra_eig_small):
+    """The sup-over-x fields of the fit and the certificate come from the
+    eigensystem, so a Problem cannot be built without one."""
+    prob = make_problem(volterra_eig_small, n=50, p=2)
+    with pytest.raises(TypeError, match="eig"):
+        Problem(design=prob.design, data=prob.data, family=prob.family, gamma=prob.gamma)
+
+
 def test_gaussian_map_is_ridge_solution(gaussian_fit):
     prob, fit = gaussian_fit
     R, y = prob.design.rows, prob.data.y

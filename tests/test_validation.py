@@ -8,7 +8,8 @@ from scipy.linalg import cholesky, solve_triangular
 
 from lapcert import posterior
 from lapcert import validation as val
-from lapcert.concentration import empirical_outside_mass, wilson_interval
+from lapcert import concentration
+from lapcert.concentration import empirical_outside_mass
 from lapcert.posterior import EvaluationError, f_value, f_values, map_solve
 
 from conftest import make_problem
@@ -161,12 +162,12 @@ def _outside_reference(fit, prob, D0_sq, r, n_samples, seed, n_boot, stream):
     fracs = [np.sum(np.where(outside[i], w[i], 0.0)) / np.sum(w[i])
              for i in rng.integers(0, n_samples, size=(n_boot, n_samples))]
     lo, hi = np.percentile(fracs, [2.5, 97.5])
-    w_lo, w_hi = wilson_interval(frac * ess, ess)
+    w_lo, w_hi = val.wilson_interval(frac * ess, ess)
     return (frac, min(lo, w_lo), max(hi, w_hi),
-            float(np.mean(outside)), *wilson_interval(float(np.sum(outside)), n_samples))
+            float(np.mean(outside)), *val.wilson_interval(float(np.sum(outside)), n_samples))
 
 
-def test_tail_statistics_share_the_importance_pass(poisson_fit):
+def test_tail_statistics_share_the_importance_pass(poisson_fit, monkeypatch):
     """Outside masses taken on the TV estimate's own draws and bootstrap
     blocks equal the stand-alone tail statistic; the TV fields do not move."""
     prob, fit = poisson_fit
@@ -189,6 +190,12 @@ def test_tail_statistics_share_the_importance_pass(poisson_fit):
            rep.gaussian_frac, rep.gaussian_ci_low, rep.gaussian_ci_high)
     np.testing.assert_allclose(got, _outside_reference(fit, prob, D0_sq, r, 2000, 5, 200,
                                                        stream=11), rtol=1e-12, atol=1e-15)
+    # ... and reports the pass's own low-ESS flag, here at an ESS of 75
+    def low(*args, **kwargs):
+        return replace(val._importance_pass(*args, **kwargs), ess=75.0, low_ess=True)
+    monkeypatch.setattr(concentration, "_importance_pass", low)
+    rep = empirical_outside_mass(fit, prob, D0_sq, r, n_samples=2000, seed=5, n_boot=200)
+    assert (rep.ess, rep.low_ess) == (75.0, True) and not est.low_ess
 
 
 def test_quadrature_grid_convergence(volterra_eig):
