@@ -2,7 +2,7 @@
 
 Subcommands write deterministic CSV and JSON artifacts plus a run manifest
 (config echo, git hash, wall times) from one `Run`, which computes each
-pipeline stage once.  The process exits nonzero iff an asserted invariant
+pipeline stage once.  Every file goes through `_write_csv` or `_write_json`.  The process exits nonzero iff an asserted invariant
 fails (a `violated` row of checks.csv), never for an infeasible certificate
 (infeasibility is data).
 """
@@ -24,9 +24,9 @@ from . import validation as val
 from .concentration import gaussian_tail, posterior_tail_bound
 from .config import ConfigError, ExperimentConfig, config_from_dict, load_config
 from .eigensolver import cached_solve, eig_diagnostics
-from .model import TruthSpec, exp_family, generate, save_dataset
+from .model import TruthSpec, exp_family, generate
 from .operators import CoefficientPair, assemble_design
-from .posterior import Problem, fit_to_dict, map_solve
+from .posterior import Problem, map_solve
 
 CERT_COLUMNS = ["label", "kind", "gamma0", "alpha", "effdim", "radius",
                 "tau3_sup", "local_term", "tail_term", "tv_bound", "feasible",
@@ -39,20 +39,21 @@ CHECK_FLOOR = 1e-12
 
 
 def _git_hash() -> str:
+    """HEAD of the source tree this package runs from, whatever the cwd."""
     try:
-        out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
-                             text=True, timeout=10)
+        out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+                             timeout=10, cwd=os.path.dirname(os.path.abspath(__file__)))
         return out.stdout.strip() if out.returncode == 0 else "unknown"
     except OSError:
         return "unknown"
 
 
-def _write_csv(path: str, columns: list, rows: list) -> None:
+def _write_csv(path: str, columns: list, rows) -> None:
+    """One line per row dict, in `columns` order; a missing key is an empty cell."""
     with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
-        w.writeheader()
-        for row in rows:
-            w.writerow({k: _fmt(row.get(k)) for k in columns})
+        w = csv.writer(fh)
+        w.writerow(columns)
+        w.writerows([_fmt(row.get(k)) for k in columns] for row in rows)
 
 
 def _fmt(v):
@@ -61,9 +62,8 @@ def _fmt(v):
     return v
 
 
-def _manifest(cfg: ExperimentConfig, out_dir: str, times: dict) -> None:
-    doc = {"config": cfg.to_dict(), "git_hash": _git_hash(), "wall_times_s": times}
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -71,7 +71,7 @@ def _manifest(cfg: ExperimentConfig, out_dir: str, times: dict) -> None:
 class Run:
     """One pass of the pipeline for a config.
 
-    Each stage (eig, truth, data, prob, fit, comparison, usable, tvs) is
+    Each stage (eig, truth, data, prob, fit, comparison, certs, usable, tvs) is
     computed on first use and kept, so every subcommand of `all` reads the
     same objects.  A sweep point passes in the parent run's eig, and its data
     when only p varies.
@@ -122,16 +122,25 @@ class Run:
         return cert.compare_choices(self.fit, self.prob, beta=self.cfg.beta)
 
     @cached_property
+    def certs(self) -> dict:
+        """compare_choices' certificates, then one `gamma0=<v>` per configured value."""
+        cfg, fit = self.cfg, self.fit
+        certs = dict(self.comparison["certs"])
+        for g0 in cfg.certification.gamma0 or []:
+            certs["gamma0=%g" % g0] = cert.certify(
+                fit, self.prob, cert.choice_gamma0(fit, g0, cfg.gamma), beta=cfg.beta)
+        return certs
+
+    @cached_property
     def usable(self) -> list:
         """Labels of the certificates that can be checked: feasible, bound < 1."""
-        return [label for label, c in self.comparison["certs"].items()
-                if c.feasible and c.tv_bound < 1.0]
+        return [label for label, c in self.certs.items() if c.feasible and c.tv_bound < 1.0]
 
     @cached_property
     def tvs(self) -> list:
         """The config's TV estimates.  The importance draws also give the mass
         outside each usable certificate's ellipsoid, in `usable` order."""
-        cfg, certs = self.cfg, self.comparison["certs"]
+        cfg, certs = self.cfg, self.certs
         tvs = []
         if cfg.validation.method in ("importance", "both"):
             tvs.append(val.tv_importance(
@@ -171,7 +180,11 @@ def cmd_simulate(run):
     t0 = time.time()
     ds = run.data
     run.times["simulate"] = time.time() - t0
-    save_dataset(ds, run.path("dataset.csv"), run.truth)
+    _write_csv(run.path("dataset.csv"), ["j", "s_true", "y"],
+               ({"j": j, "s_true": s, "y": y}
+                for j, s, y in zip(range(1, ds.n + 1), ds.s_true, ds.y)))
+    _write_json(run.path("dataset.json"), {"seed": ds.seed, "family": ds.kind, "n": ds.n,
+                                           "truth": asdict(run.truth)})
     print("simulate: n=%d, family=%s, seed=%d" % (ds.n, run.cfg.family, run.cfg.seed))
     return 0
 
@@ -180,35 +193,20 @@ def cmd_fit(run):
     t0 = time.time()
     fit = run.fit
     run.times["fit"] = time.time() - t0
-    with open(run.path("fit.json"), "w") as fh:
-        json.dump(fit_to_dict(fit), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(run.path("fit.json"), {
+        "theta_hat": fit.theta_hat.tolist(), "rq_sup": fit.rq_sup,
+        "newton_iters": fit.newton_iters, "grad_norm": fit.grad_norm, "f_hat": fit.f_hat})
     print("fit: grad_norm=%.3e iters=%d" % (fit.grad_norm, fit.newton_iters))
     return 0
 
 
-def _choice_rows(run) -> list:
-    certs = run.comparison["certs"]
-    return [_cert_row(label, certs[label]) for label in ("DG", "identity", "gamma0_star")]
-
-
 def cmd_certify(run):
     t0 = time.time()
-    cfg, res = run.cfg, run.comparison
-    rows = _choice_rows(run)
-    for g0 in (cfg.certification.gamma0 or []):
-        c = cert.certify(run.fit, run.prob, cert.choice_gamma0(run.fit, g0, cfg.gamma),
-                         beta=cfg.beta)
-        rows.append(_cert_row("gamma0=%g" % g0, c))
+    rows = [_cert_row(label, c) for label, c in run.certs.items()]
     run.times["certify"] = time.time() - t0
     _write_csv(run.path("certificates.csv"), CERT_COLUMNS, rows)
-    with open(run.path("comparison.json"), "w") as fh:
-        json.dump({"m": res["m"], "m0_star": res["m0_star"],
-                   "gamma0_star": res["gamma0_star"],
-                   "ratio_DG": res["ratio_DG"],
-                   "ratio_identity": res["ratio_identity"]},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(run.path("comparison.json"),
+                {k: v for k, v in run.comparison.items() if k != "certs"})
     for row in rows:
         print("certify: %-12s tv_bound=%.4g feasible=%d (grid gap est %.2e)"
               % (row["label"], row["tv_bound"], row["feasible"], row["gap_est"]))
@@ -237,7 +235,7 @@ def _checks(run) -> list:
     is usable.
     """
     rows = []
-    for label, c in run.comparison["certs"].items():
+    for label, c in run.certs.items():
         if label not in run.usable:
             rows.append(_check(label, "all", c.tv_bound,
                                reason="infeasible" if not c.feasible else "bound >= 1"))
@@ -291,12 +289,12 @@ def cmd_sweep(run):
                 "bound_DG", "bound_identity", "bound_gamma0_star"]
     else:
         cols = ["n", "p"] + CERT_COLUMNS
-        for v in cfg.sweep.values:
+        # every point is validated before any stage runs
+        for point_cfg in [load_point(cfg, v) for v in cfg.sweep.values]:
             # one eigensystem for the grid; one dataset when only p varies
-            point = Run(load_point(cfg, v), eig=run.eig,
-                        data=run.data if cfg.sweep.axis == "p" else None)
-            at = {"n": point.cfg.n, "p": point.cfg.p}
-            rows += [dict(r, **at) for r in _choice_rows(point)]
+            point = Run(point_cfg, eig=run.eig, data=run.data if cfg.sweep.axis == "p" else None)
+            at = {"n": point_cfg.n, "p": point_cfg.p}
+            rows += [dict(_cert_row(label, c), **at) for label, c in point.certs.items()]
             checks += [dict(r, **at) for r in _checks(point)]
         _write_csv(run.path("checks.csv"), ["n", "p"] + CHECK_COLUMNS, checks)
     run.times["sweep"] = time.time() - t0
@@ -307,12 +305,8 @@ def cmd_sweep(run):
 
 
 def load_point(cfg: ExperimentConfig, v) -> ExperimentConfig:
-    d = cfg.to_dict()
-    if cfg.sweep.axis == "p":
-        d["p"] = int(v)
-    else:
-        d["n"] = int(v)
-    return config_from_dict(d)
+    return config_from_dict({**cfg.to_dict(), cfg.sweep.axis: v},
+                            "sweep.values (%s = %r)" % (cfg.sweep.axis, v))
 
 
 def cmd_all(run):
@@ -341,26 +335,30 @@ def main(argv=None) -> int:
     if args.threads is not None:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
+    overrides = {"seed": args.seed, "out_dir": args.out}
     try:
         cfg = load_config(args.config)
+        cfg = config_from_dict(
+            {**cfg.to_dict(), **{k: v for k, v in overrides.items() if v is not None}},
+            args.config)
     except (ConfigError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     run = Run(cfg)
     t0 = time.time()
     try:
         rc = COMMANDS[args.command](run)
+    except ConfigError as exc:  # a sweep point the config cannot run
+        print("config error: %s" % exc, file=sys.stderr)
+        return 2
     except Exception as exc:  # surfaced module errors keep their class name
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 3
     run.times["total"] = time.time() - t0
-    _manifest(cfg, cfg.out_dir, run.times)
+    _write_json(run.path("manifest.json"),
+                {"config": cfg.to_dict(), "git_hash": _git_hash(), "wall_times_s": run.times})
     return rc
 
 

@@ -89,15 +89,23 @@ _SECTIONS = {
 }
 
 
+# JSON values a field of each scalar annotation accepts (never a bool)
+_SCALARS = {"int": int, "float": (int, float), "str": str}
+
+
 def _build(cls, data: dict, path: str):
-    """cls(**data) with its sections built in turn; unknown keys are rejected."""
+    """cls(**data) with its sections built in turn; unknown keys and scalars
+    of the wrong type are rejected."""
     if not isinstance(data, dict):
         raise ConfigError("%s: expected an object" % path)
-    allowed = set(cls.__dataclass_fields__)
-    for key in data:
-        if key not in allowed:
+    fields = cls.__dataclass_fields__
+    for key, val in data.items():
+        if key not in fields:
             raise ConfigError("%s.%s: unknown key (allowed: %s)"
-                              % (path, key, ", ".join(sorted(allowed))))
+                              % (path, key, ", ".join(sorted(fields))))
+        want = _SCALARS.get(fields[key].type)
+        if want is not None and (isinstance(val, bool) or not isinstance(val, want)):
+            raise ConfigError("%s.%s: expected %s, got %r" % (path, key, fields[key].type, val))
     return cls(**{key: (_build(_SECTIONS[key], val, path + "." + key)
                         if key in _SECTIONS else val) for key, val in data.items()})
 
@@ -124,6 +132,8 @@ def _validate(cfg: ExperimentConfig, where: str) -> None:
         raise ConfigError("%s: n and p must be >= 1" % where)
     if cfg.p > cfg.eigensolver.K:
         raise ConfigError("%s: p exceeds eigensolver.K" % where)
+    if not 0 <= cfg.seed < 2 ** 64:
+        raise ConfigError("%s.seed: must be in [0, 2**64)" % where)
     if cfg.gamma <= 0:
         raise ConfigError("%s.gamma: must be > 0" % where)
     if cfg.validation.method not in ("importance", "quadrature", "both"):
@@ -134,6 +144,12 @@ def _validate(cfg: ExperimentConfig, where: str) -> None:
         raise ConfigError("%s.validation.per_axis: must be >= 64" % where)
     if cfg.sweep.axis not in ("p", "n"):
         raise ConfigError("%s.sweep.axis: must be 'p' or 'n'" % where)
+    # p is a mode count; a real-mode n is a sample size (the p <= K bound of a
+    # real-mode point is checked when `sweep` builds the point's config)
+    if cfg.sweep.axis == "p" or not cfg.sweep.synthetic:
+        if not all(type(v) is int and v >= 1 for v in cfg.sweep.values):
+            raise ConfigError("%s.sweep.values: %s values must be integers >= 1"
+                              % (where, cfg.sweep.axis))
     if cfg.certification.gamma0 is not None:
         for g0 in cfg.certification.gamma0:
             if g0 > cfg.gamma:

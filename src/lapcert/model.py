@@ -10,8 +10,6 @@ stream is pinned independent of numpy internals).
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -203,17 +201,3 @@ def generate(eig, fam: ExpFamily, truth: TruthSpec, n: int, seed: int) -> Datase
         y[j] = fam.sampler(float(s_true[j]), _substream(seed, j))
     return Dataset(y=y, s_true=s_true, seed=seed, kind=fam.kind)
 
-
-def save_dataset(ds: Dataset, csv_path: str, truth: TruthSpec | None = None):
-    with open(csv_path, "w", newline="") as fh:
-        wtr = csv.writer(fh)
-        wtr.writerow(["j", "s_true", "y"])
-        for j in range(ds.n):
-            wtr.writerow([j + 1, repr(float(ds.s_true[j])), repr(float(ds.y[j]))])
-    sidecar = {"seed": ds.seed, "family": ds.kind, "n": ds.n}
-    if truth is not None:
-        sidecar["truth"] = {"p_star": truth.p_star, "amplitude": truth.amplitude,
-                            "decay": truth.decay,
-                            "explicit": list(truth.explicit) if truth.explicit else None}
-    with open(csv_path.rsplit(".", 1)[0] + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=1)

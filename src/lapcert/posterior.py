@@ -164,8 +164,3 @@ def map_solve(prob: Problem, theta0: np.ndarray | None = None,
     return LaplaceFit(theta_hat=theta, hess_L=hL, DG2=DG2, grad_norm=gnorm,
                       newton_iters=it, rq_sup=signal_sup_norm(prob.eig, theta), f_hat=fv)
 
-
-def fit_to_dict(fit: LaplaceFit) -> dict:
-    return {"theta_hat": fit.theta_hat.tolist(), "rq_sup": fit.rq_sup,
-            "newton_iters": fit.newton_iters, "grad_norm": fit.grad_norm,
-            "f_hat": fit.f_hat}

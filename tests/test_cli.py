@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import lapcert.certification
@@ -13,6 +14,7 @@ import lapcert.eigensolver
 import lapcert.validation
 from lapcert.cli import main
 from lapcert.config import ConfigError, config_from_dict, load_config
+from lapcert.model import TruthSpec, exp_family, generate
 
 BASE = {
     "operator": {"a": [1.0], "b": [0.0]},
@@ -81,13 +83,34 @@ def test_defaults_materialized():
     assert d["sweep"]["axis"] == "p"
 
 
-def test_invalid_values_rejected():
+def test_invalid_values_rejected(tmp_path, write_cfg, capsys):
     with pytest.raises(ConfigError, match="family"):
         config_from_dict({**BASE, "family": "cauchy"})
     with pytest.raises(ConfigError, match="gamma"):
         config_from_dict({**BASE, "gamma": -1.0})
     with pytest.raises(ConfigError, match="exceeds"):
         config_from_dict({**BASE, "p": 64})
+    # scalar fields take their JSON type (never a bool); the seed keys a uint64 stream
+    for overrides, key in (({"p": 2.5}, ".p:"), ({"n": 500.5}, ".n:"), ({"n": True}, ".n:"),
+                           ({"seed": 1.5}, ".seed:"), ({"seed": -1}, ".seed:"),
+                           ({"seed": 2 ** 64}, ".seed:"), ({"gamma": "2"}, ".gamma:"),
+                           ({"validation": {"M": 1e5}}, ".validation.M:"),
+                           ({"sweep": {"values": [2, 2.5]}}, ".sweep.values:"),
+                           ({"sweep": {"axis": "n", "values": [300.5]}}, ".sweep.values:")):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({**BASE, **overrides})
+        assert main(["fit", "--config", write_cfg(overrides), "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+    # a synthetic n grid is a real-valued sample size
+    config_from_dict({**BASE, "sweep": {"axis": "n", "values": [1e5], "synthetic": True}})
+    # the overrides are validated like the file
+    assert main(["fit", "--config", write_cfg(), "--out", str(tmp_path), "--seed", "-1"]) == 2
+    assert ".seed:" in capsys.readouterr().err
+    # a real-mode p point beyond K fails before any stage runs
+    path = write_cfg({"sweep": {"values": [2, 64]}})
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "k")]) == 2
+    assert "p exceeds eigensolver.K" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "k" / "manifest.json")
 
 
 def test_validation_sizes_rejected(tmp_path, write_cfg, capsys):
@@ -191,7 +214,8 @@ def test_validate_runs_one_likelihood_pass(tmp_path, monkeypatch, write_cfg):
 
 
 def test_csv_outputs_deterministic(tmp_path, write_cfg):
-    cfg = write_cfg({"family": "poisson", "certification": {"gamma0": [1.0, 1.5]}})
+    cfg = write_cfg({"family": "poisson", "n": 2000, "certification": {"gamma0": [1.0, 1.5]},
+                     "sweep": {"values": [2]}})
     out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
     assert main(["certify", "--config", cfg, "--out", out1]) == 0
     assert main(["certify", "--config", cfg, "--out", out2]) == 0
@@ -202,9 +226,22 @@ def test_csv_outputs_deterministic(tmp_path, write_cfg):
     rows = _read_checks(os.path.join(out1, "certificates.csv"))
     assert [(r["label"], r["kind"], r["gamma0"]) for r in rows[3:]] == [
         ("gamma0=1", "gamma0_family", "1.0"), ("gamma0=1.5", "gamma0_family", "1.5")]
+    # each usable one is checked by validate and by a real-mode sweep, like the three
+    extra = [r["label"] for r in rows[3:] if r["feasible"] == "1" and float(r["tv_bound"]) < 1]
+    assert extra == ["gamma0=1", "gamma0=1.5"]
+    assert main(["validate", "--config", cfg, "--out", out1]) == 0
+    assert main(["sweep", "--config", cfg, "--out", out2]) == 0
+    swept = _read_checks(os.path.join(out2, "sweep.csv"))
+    assert [r["label"] for r in swept] == [r["label"] for r in rows]
+    for out in (out1, out2):
+        checks = _read_checks(os.path.join(out, "checks.csv"))
+        for label in extra:
+            assert [(r["check"], r["status"]) for r in checks if r["label"] == label] == [
+                ("tv_importance", "checked"), ("tail_posterior", "checked"),
+                ("tail_gaussian", "checked")]
 
 
-def test_seed_override(tmp_path, write_cfg):
+def test_seed_override(tmp_path, write_cfg, volterra_eig_small):
     cfg = write_cfg({"family": "poisson", "truth": {"p_star": 5}})
     out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")
     assert main(["simulate", "--config", cfg, "--out", out1, "--seed", "9"]) == 0
@@ -214,7 +251,29 @@ def test_seed_override(tmp_path, write_cfg):
     assert y1 != y2
     assert json.load(open(os.path.join(out1, "manifest.json")))["config"]["seed"] == 9
     sidecar = json.load(open(os.path.join(out1, "dataset.json")))
-    assert sidecar["seed"] == 9 and sidecar["truth"]["p_star"] == 5
+    assert sidecar == {"seed": 9, "family": "poisson", "n": 200, "truth": {
+        "p_star": 5, "amplitude": 0.5, "decay": 2.0, "explicit": None}}
+    # dataset.csv parses back to the generated data exactly
+    ds = generate(volterra_eig_small, exp_family("poisson"), TruthSpec(p_star=5), n=200, seed=9)
+    rows = _read_checks(os.path.join(out1, "dataset.csv"))
+    assert [int(r["j"]) for r in rows] == list(range(1, 201))
+    assert np.array_equal([float(r["y"]) for r in rows], ds.y)
+    assert np.array_equal([float(r["s_true"]) for r in rows], ds.s_true)
+
+
+def test_manifest_git_hash_from_source_tree(tmp_path, monkeypatch, write_cfg):
+    """The manifest records the HEAD of the package's source tree, not of the cwd."""
+    src = os.path.dirname(os.path.abspath(lapcert.cli.__file__))
+    try:
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=src, capture_output=True,
+                              text=True, timeout=10)
+    except OSError:
+        pytest.skip("git is not installed")
+    if head.returncode != 0:
+        pytest.skip("the source tree is not a git checkout")
+    monkeypatch.chdir(tmp_path)
+    assert main(["eigen", "--config", write_cfg(), "--out", "o"]) == 0
+    assert json.load(open(tmp_path / "o" / "manifest.json"))["git_hash"] == head.stdout.strip()
 
 
 def test_sweep_synthetic(tmp_path, write_cfg):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from lapcert.model import (ModelError, TruthSpec, exp_family, generate,
-                           sample_poisson, save_dataset, signal_sup_norm,
+                           sample_poisson, signal_sup_norm,
                            _bernoulli_h3_envelope, _substream)
 
 from conftest import make_problem
@@ -123,13 +123,3 @@ def test_bernoulli_h_matches_logaddexp():
         h = exp_family("bernoulli").h(s)
         ref = np.logaddexp(0.0, s)
     assert np.all(np.abs(h - ref) <= 4e-16 * np.abs(ref))
-
-
-def test_save_dataset_roundtrip(tmp_path, volterra_eig_small):
-    fam = exp_family("poisson")
-    ds = generate(volterra_eig_small, fam, TruthSpec(p_star=4), n=20, seed=1)
-    path = str(tmp_path / "ds.csv")
-    save_dataset(ds, path, TruthSpec(p_star=4))
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.array_equal(rows[:, 2], ds.y)
-    assert np.allclose(rows[:, 1], ds.s_true)
