@@ -5,7 +5,6 @@ import subprocess
 import sys
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 import lapcert.certification
@@ -14,7 +13,6 @@ import lapcert.eigensolver
 import lapcert.validation
 from lapcert.cli import main
 from lapcert.config import ConfigError, config_from_dict, load_config
-from lapcert.model import TruthSpec, exp_family, generate
 
 BASE = {
     "operator": {"a": [1.0], "b": [0.0]},
@@ -241,7 +239,7 @@ def test_csv_outputs_deterministic(tmp_path, write_cfg):
                 ("tail_gaussian", "checked")]
 
 
-def test_seed_override(tmp_path, write_cfg, volterra_eig_small):
+def test_seed_override(tmp_path, write_cfg):
     cfg = write_cfg({"family": "poisson", "truth": {"p_star": 5}})
     out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")
     assert main(["simulate", "--config", cfg, "--out", out1, "--seed", "9"]) == 0
@@ -253,12 +251,6 @@ def test_seed_override(tmp_path, write_cfg, volterra_eig_small):
     sidecar = json.load(open(os.path.join(out1, "dataset.json")))
     assert sidecar == {"seed": 9, "family": "poisson", "n": 200, "truth": {
         "p_star": 5, "amplitude": 0.5, "decay": 2.0, "explicit": None}}
-    # dataset.csv parses back to the generated data exactly
-    ds = generate(volterra_eig_small, exp_family("poisson"), TruthSpec(p_star=5), n=200, seed=9)
-    rows = _read_checks(os.path.join(out1, "dataset.csv"))
-    assert [int(r["j"]) for r in rows] == list(range(1, 201))
-    assert np.array_equal([float(r["y"]) for r in rows], ds.y)
-    assert np.array_equal([float(r["s_true"]) for r in rows], ds.s_true)
 
 
 def test_manifest_git_hash_from_source_tree(tmp_path, monkeypatch, write_cfg):

@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from lapcert.cli import main
 from lapcert.model import (ModelError, TruthSpec, exp_family, generate,
                            sample_poisson, signal_sup_norm,
                            _bernoulli_h3_envelope, _substream)
@@ -123,3 +126,19 @@ def test_bernoulli_h_matches_logaddexp():
         h = exp_family("bernoulli").h(s)
         ref = np.logaddexp(0.0, s)
     assert np.all(np.abs(h - ref) <= 4e-16 * np.abs(ref))
+
+
+def test_save_dataset_roundtrip(tmp_path, eig_cache, volterra_eig_small):
+    """simulate's dataset.csv parses back to generate's y and s_true exactly."""
+    cfg = {"operator": {"a": [1.0], "b": [0.0]}, "family": "poisson", "n": 20, "p": 2,
+           "eigensolver": {"K": 30, "N": 2048, "cache_dir": eig_cache}, "seed": 1,
+           "truth": {"p_star": 4}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    ds = generate(volterra_eig_small, exp_family("poisson"), TruthSpec(p_star=4), n=20, seed=1)
+    with open(tmp_path / "o" / "dataset.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["j"]) for r in rows] == list(range(1, 21))
+    assert np.array_equal([float(r["y"]) for r in rows], ds.y)
+    assert np.array_equal([float(r["s_true"]) for r in rows], ds.s_true)
