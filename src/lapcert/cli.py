@@ -332,6 +332,9 @@ def main(argv=None) -> int:
                     help="cap BLAS threads for reproducible timings")
     args = ap.parse_args(argv)
 
+    if args.threads is not None and args.threads < 1:
+        print("config error: --threads must be >= 1, got %d" % args.threads, file=sys.stderr)
+        return 2
     if args.threads is not None:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)

@@ -51,7 +51,7 @@ class ValidationCfg:
 @dataclass
 class SweepCfg:
     axis: str = "p"                # "p" | "n"
-    values: list = field(default_factory=lambda: [2, 4, 8, 16, 32, 64])
+    values: list = field(default_factory=lambda: [2, 4, 8, 16])  # p <= default K
     synthetic: bool = False        # diagonal surrogate mode for large n
     n: float = 2000
 

@@ -1,12 +1,17 @@
 """Exponential-family observation model and synthetic data generation.
 
 Observations follow rho(dy|s) = exp(s y - h(s)) mu(dy) with natural
-parameter s_j = (R q*)(j/n).  Sampling uses the counter-based Philox
-generator with one substream per observation index, keyed by (seed, j),
-so datasets are reproducible regardless of execution order or threading.
-Poisson variates are drawn by sequential inversion below rate 30 and by
-the PTRS transformed-rejection method above (documented here so the
-stream is pinned independent of numpy internals).
+parameter s_j = (R q*)(j/n).  Observation j (0-based) is drawn from its own
+stream, numpy's ``Philox(key=[seed, j])``, so datasets are reproducible
+regardless of execution order or threading.  Pinned independent of numpy
+internals: block c = 1, 2, ... of the stream is Philox4x64-10 of counter
+[c, 0, 0, 0] under key (seed, j), each of its four words w giving the uniform
+(w >> 11) 2^-53.  Bernoulli takes y = 1 iff u_1 < 1/(1 + e^-s).  Poisson at
+rate e^s < 30 inverts u_1 sequentially (the smallest k with u_1 <= the pmf
+summed term by term to k), and at rate >= 30 runs PTRS (Hormann 1993) on
+pairs (u, v) from the stream's start.  Those two draw all j in one vectorized
+Philox pass; PTRS and the Gaussian (s plus numpy's ziggurat normal) build
+each j's generator.
 """
 from __future__ import annotations
 
@@ -29,21 +34,39 @@ class ExpFamily:
     h2: Callable
     h3: Callable
     d3_envelope: Callable          # K -> sup_{|t|<=K} |h'''(t)|
-    sampler: Callable              # (s, rng) -> observation
+    sampler: Callable              # (s, seed) -> y, y_j from the stream (seed, j)
 
 
-def _poisson_inversion(lam: float, rng) -> int:
-    u = rng.random()
-    p = math.exp(-lam)
-    F = p
-    k = 0
-    while u > F:
-        k += 1
-        p *= lam / k
-        F += p
-        if k > 10_000_000:  # pragma: no cover
-            raise ModelError("poisson inversion runaway at rate %g" % lam)
-    return k
+def _exp(s: np.ndarray) -> np.ndarray:
+    # libm's exp per element (np.exp's SIMD paths can differ by an ulp by CPU),
+    # one scalar at a time: a tolist() copy of s raises the run's peak RSS
+    return np.fromiter(map(math.exp, s), float, s.size)
+
+
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)   # round multipliers
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)   # Weyl key increments
+_LO, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _mulhilo(a: int, b: np.ndarray):
+    # (high, low) words of the 128-bit products a*b, from 32-bit halves
+    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
+    lh, hl = a_lo * (b >> _32), a_hi * (b & _LO)
+    mid = ((a_lo * (b & _LO)) >> _32) + (lh & _LO) + (hl & _LO)
+    return a_hi * (b >> _32) + (lh >> _32) + (hl >> _32) + (mid >> _32), np.uint64(a) * b
+
+
+def _philox_uniforms(seed: int, j) -> np.ndarray:
+    """(len(j), 4): the first four random() draws of each stream _substream(seed, j)."""
+    j = np.asarray(j, dtype=np.uint64)
+    c = [np.ones_like(j)] + [np.zeros_like(j)] * 3
+    for r in range(10):   # ten rounds; round r uses the key (seed, j) + r * W
+        k0 = np.uint64((seed + r * _PHILOX_W[0]) % 2 ** 64)
+        k1 = j + np.uint64(r * _PHILOX_W[1] % 2 ** 64)
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c[0])
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c[2])
+        c = [hi1 ^ c[1] ^ k0, lo1, hi0 ^ c[3] ^ k1, lo0]
+    return (np.stack(c, axis=1) >> np.uint64(11)) * 2.0 ** -53
 
 
 def _poisson_ptrs(lam: float, rng) -> int:
@@ -67,13 +90,28 @@ def _poisson_ptrs(lam: float, rng) -> int:
             return int(k)
 
 
-def sample_poisson(lam: float, rng) -> int:
-    if not np.isfinite(lam) or lam > 1e15:
-        raise ModelError("poisson rate overflow (e^s too large); reduce the "
-                         "truth amplitude A")
-    if lam < 30.0:
-        return _poisson_inversion(lam, rng)
-    return _poisson_ptrs(lam, rng)
+def sample_poisson(s: np.ndarray, seed: int) -> np.ndarray:
+    """Y_j ~ Poisson(e^s_j), each drawn from the stream keyed (seed, j)."""
+    lam = _exp(np.minimum(s, 700.0))   # math.exp overflows past 709.78
+    if not np.all(lam <= 1e15):   # also rejects nan
+        raise ModelError("poisson rate overflow (e^s too large); reduce the truth amplitude A")
+    y = np.zeros(lam.size)
+    for j in np.flatnonzero(lam >= 30.0):
+        y[j] = _poisson_ptrs(float(lam[j]), _substream(seed, int(j)))
+    # below rate 30, sequential inversion: one k step at a time over the draws still searching
+    low = np.flatnonzero(lam < 30.0)
+    u, lam = _philox_uniforms(seed, low)[:, 0], lam[low]
+    p = _exp(-lam)
+    F, act, k = p.copy(), np.flatnonzero(u > p), 0
+    while act.size:
+        k += 1
+        p[act] *= lam[act] / k
+        F[act] += p[act]
+        y[low[act]] = k
+        act = act[u[act] > F[act]]
+        if k > 10_000_000:  # pragma: no cover
+            raise ModelError("poisson inversion runaway at rate %g" % lam[act].max())
+    return y
 
 
 def _bernoulli_h3_envelope(K: float) -> float:
@@ -92,7 +130,7 @@ def exp_family(kind: str) -> ExpFamily:
             kind="poisson",
             h=np.exp, h1=np.exp, h2=np.exp, h3=np.exp,
             d3_envelope=lambda K: math.exp(K),
-            sampler=lambda s, rng: sample_poisson(math.exp(s), rng),
+            sampler=sample_poisson,
         )
     if kind == "gaussian":
         return ExpFamily(
@@ -102,7 +140,8 @@ def exp_family(kind: str) -> ExpFamily:
             h2=lambda s: np.ones_like(np.asarray(s, dtype=float)),
             h3=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
             d3_envelope=lambda K: 0.0,
-            sampler=lambda s, rng: s + rng.standard_normal(),
+            sampler=lambda s, seed: s + np.fromiter(
+                (_substream(seed, j).standard_normal() for j in range(s.size)), float),
         )
     if kind == "bernoulli":
         def h(s):
@@ -124,7 +163,8 @@ def exp_family(kind: str) -> ExpFamily:
         return ExpFamily(
             kind="bernoulli", h=h, h1=h1, h2=h2, h3=h3,
             d3_envelope=_bernoulli_h3_envelope,
-            sampler=lambda s, rng: int(rng.random() < 1.0 / (1.0 + math.exp(-s))),
+            sampler=lambda s, seed: (_philox_uniforms(seed, np.arange(s.size))[:, 0]
+                                     < 1.0 / (1.0 + _exp(-s))).astype(float),
         )
     raise ModelError("unknown family kind %r" % kind)
 
@@ -196,8 +236,5 @@ def generate(eig, fam: ExpFamily, truth: TruthSpec, n: int, seed: int) -> Datase
     s_true = np.zeros(n)
     for k in range(theta.size):   # one mode at a time: pins the summation order
         s_true += theta[k] * np.sqrt(eig.lambdas[k]) * P[:, k]
-    y = np.empty(n)
-    for j in range(n):
-        y[j] = fam.sampler(float(s_true[j]), _substream(seed, j))
-    return Dataset(y=y, s_true=s_true, seed=seed, kind=fam.kind)
+    return Dataset(y=fam.sampler(s_true, seed), s_true=s_true, seed=seed, kind=fam.kind)
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -315,6 +316,29 @@ def test_sweep_real_mode(tmp_path, monkeypatch, write_cfg):
     checks = _read_checks(os.path.join(out, "checks.csv"))
     assert {(r["n"], r["p"]) for r in checks} == {("300", "2"), ("600", "2")}
     assert all(r["status"] != "violated" for r in checks)
+
+
+def test_sweep_default_grid(tmp_path, write_cfg):
+    """A config without a sweep section runs the default real-mode p grid."""
+    cfg = write_cfg({"family": "poisson"})
+    assert "sweep" not in json.load(open(cfg))
+    out = str(tmp_path / "default")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    rows = _read_checks(os.path.join(out, "sweep.csv"))
+    assert [int(r["p"]) for r in rows if r["label"] == "DG"] == [2, 4, 8, 16]
+    assert len(rows) == 4 * 3
+
+
+def test_threads_below_one_rejected(tmp_path, write_cfg, capsys, monkeypatch):
+    """--threads < 1 exits 2 before the BLAS env is set or any stage runs."""
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    threads = threading.active_count()
+    for bad in ("0", "-4"):
+        out = tmp_path / ("t" + bad)
+        assert main(["fit", "--config", write_cfg(), "--out", str(out), "--threads", bad]) == 2
+        assert "--threads must be >= 1" in capsys.readouterr().err
+        assert os.environ["OMP_NUM_THREADS"] == "1" and not out.exists()
+    assert threading.active_count() == threads
 
 
 def test_cli_import_skips_unused_dependencies():

@@ -8,18 +8,90 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import lapcert.model
 from lapcert.cli import main
 from lapcert.model import (ModelError, TruthSpec, exp_family, generate,
-                           sample_poisson, signal_sup_norm,
-                           _bernoulli_h3_envelope, _substream)
+                           sample_poisson, signal_sup_norm, _bernoulli_h3_envelope,
+                           _philox_uniforms, _poisson_ptrs, _substream)
 
 from conftest import make_problem
 
 
+def _ref_poisson(lam: float, rng) -> int:
+    """Scalar reference: sequential inversion below rate 30, PTRS from 30 on."""
+    if lam >= 30.0:
+        return _poisson_ptrs(lam, rng)
+    u = rng.random()
+    p = math.exp(-lam)
+    F = p
+    k = 0
+    while u > F:
+        k += 1
+        p *= lam / k
+        F += p
+    return k
+
+
+# the per-observation reference: y_j from its own generator _substream(seed, j)
+_REFERENCE = {
+    "poisson": lambda s, rng: _ref_poisson(math.exp(s), rng),
+    "bernoulli": lambda s, rng: int(rng.random() < 1.0 / (1.0 + math.exp(-s))),
+    "gaussian": lambda s, rng: s + rng.standard_normal(),
+}
+
+
+def _reference_y(kind: str, s: np.ndarray, seed: int) -> np.ndarray:
+    return np.array([_REFERENCE[kind](float(v), _substream(seed, j)) for j, v in enumerate(s)])
+
+
+def test_philox_block_matches_numpy():
+    js = [0, 1, 2, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 63, 2 ** 64 - 1]
+    for seed in (0, 1, 2 ** 64 - 1):
+        ref = [np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
+               .random(4) for j in js]
+        assert np.array_equal(_philox_uniforms(seed, np.array(js, dtype=np.uint64)), ref)
+
+
+def test_generate_matches_per_observation_reference(volterra_eig_small):
+    # Poisson: s in [-66, 26], so rates below and above 30 and s <= -40 in one
+    # dataset; Bernoulli: |s| up to 40
+    truths = {"poisson": (-30.0, 130.0), "bernoulli": (0.0, 133.0), "gaussian": (-30.0, 130.0)}
+    for kind, explicit in truths.items():
+        for seed in (0, 1, 2 ** 64 - 1):
+            ds = generate(volterra_eig_small, exp_family(kind),
+                          TruthSpec(p_star=2, explicit=explicit), n=1000, seed=seed)
+            assert np.array_equal(ds.y, _reference_y(kind, ds.s_true, seed)), (kind, seed)
+        if kind == "poisson":
+            assert ds.s_true.min() < -40.0 and np.sum(ds.s_true >= math.log(30.0)) > 100
+    # edge values through the samplers: s = 0 exactly, the rate-30 switch, and
+    # rates that underflow (e^-745 is the last subnormal)
+    edges = [0.0, -0.0, -40.0, -745.0, -746.0, -800.0, 3.4, math.log(30.0),
+             math.nextafter(math.log(30.0), 0.0), 34.0]
+    cases = {"poisson": edges, "gaussian": edges,
+             "bernoulli": [0.0, -0.0, 40.0, -40.0, 36.7, -36.7, 1e-3, -1e-3]}
+    for kind, vals in cases.items():
+        s = np.tile(vals, 20)
+        for seed in (0, 2 ** 64 - 1):
+            assert np.array_equal(exp_family(kind).sampler(s, seed),
+                                  _reference_y(kind, s, seed)), (kind, seed)
+
+
+def test_generate_rejects_rate_overflow_before_drawing(volterra_eig_small, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew before checking the rates")
+    monkeypatch.setattr(lapcert.model, "_philox_uniforms", no_draw)
+    monkeypatch.setattr(lapcert.model, "_substream", no_draw)
+    fam = exp_family("poisson")
+    # rates up to e^45 > 1e15; s past 709.78, where math.exp overflows; nan
+    for truth in (TruthSpec(p_star=2, explicit=(0.0, 150.0)), TruthSpec(p_star=2, amplitude=1e4),
+                  TruthSpec(p_star=2, amplitude=float("nan"))):
+        with pytest.raises(ModelError, match="poisson rate overflow"):
+            generate(volterra_eig_small, fam, truth, n=200, seed=0)
+
+
 def test_poisson_sampler_matches_pmf():
-    rng = _substream(123, 0)
     lam = 4.5
-    draws = np.array([sample_poisson(lam, rng) for _ in range(20000)])
+    draws = sample_poisson(np.full(20000, math.log(lam)), 123).astype(int)
     # chi-square against the exact pmf over a truncated support
     kmax = 15
     obs = np.bincount(np.minimum(draws, kmax), minlength=kmax + 1)
@@ -32,21 +104,21 @@ def test_poisson_sampler_matches_pmf():
 def test_poisson_sampler_large_rate_moments():
     rng = _substream(7, 3)
     lam = 250.0
-    draws = np.array([sample_poisson(lam, rng) for _ in range(20000)])
+    draws = np.array([_poisson_ptrs(lam, rng) for _ in range(20000)])
     assert draws.mean() == pytest.approx(lam, rel=0.01)
     assert draws.var() == pytest.approx(lam, rel=0.05)
 
 
 def test_poisson_rate_overflow_rejected():
     with pytest.raises(ModelError):
-        sample_poisson(1e16, _substream(0, 0))
+        sample_poisson(np.array([math.log(1e16)]), 0)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.floats(0.01, 200.0), st.integers(0, 2 ** 32 - 1))
 def test_poisson_sampler_nonnegative_int(lam, seed):
-    v = sample_poisson(lam, _substream(seed, 0))
-    assert isinstance(v, int) and v >= 0
+    v = sample_poisson(np.array([math.log(lam)]), seed)[0]
+    assert v == int(v) and v >= 0
 
 
 def test_family_derivatives_finite_difference():
@@ -97,7 +169,7 @@ def test_generate_deterministic(volterra_eig_small):
     # substream for index j depends only on (seed, j), not on draw order
     rng_direct = _substream(9, 10)
     lam = math.exp(d1.s_true[10])
-    assert sample_poisson(lam, rng_direct) == d1.y[10]
+    assert _ref_poisson(lam, rng_direct) == d1.y[10]
 
 
 def test_gaussian_generate_moments(volterra_eig_small):
