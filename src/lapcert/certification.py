@@ -6,7 +6,11 @@ For a weighting matrix D with alpha(D) = 1 the bound is
 
 valid whenever r >= 3 sqrt(dim_A) + 3 and r * tau3_cert <= 1/2, where
 tau3_cert upper-bounds the D-weighted operator norm of the third
-derivative of f over the ellipsoid of D-radius r.  The third-derivative
+derivative of f over the ellipsoid of D-radius r.  At that radius the
+certificate also claims the mass outside {||D u|| <= r}: at most
+(1/3) exp(-(r - 3 sqrt(dim_A))^2 / 3) for the posterior, and at most
+exp(-(r - sqrt(dim_A))^2 / 2) for the Laplace Gaussian
+(`Certificate.posterior_tail`, `.gaussian_tail`).  The third-derivative
 bound splits as D3(K_loc) * A * B with
 
     A = sup_x ||D^{-1} r(x)||,  r(x)_k = sqrt(lambda_k) psi_k(x)
@@ -81,6 +85,16 @@ class Certificate:
     feasible: bool
     diagnostics: dict = field(default_factory=dict)
 
+    @property
+    def posterior_tail(self) -> float:
+        """Claimed bound on the posterior mass outside {||D u|| <= radius}."""
+        return posterior_tail_bound(self.effdim, self.radius)
+
+    @property
+    def gaussian_tail(self) -> float:
+        """Claimed bound on the Laplace Gaussian's mass outside {||D u|| <= radius}."""
+        return gaussian_tail(self.effdim, max(0.0, self.radius - math.sqrt(self.effdim)))
+
 
 def alpha_of(D2: np.ndarray, DG2: np.ndarray) -> float:
     """||D_G^{-1} D|| via the generalized eigenproblem D^2 v = lam D_G^2 v."""
@@ -131,6 +145,25 @@ def tau3_certified(fit: LaplaceFit, prob: Problem, choice: WeightChoice,
     return d3 * A * B
 
 
+def _tail_exp(effdim: float, r: float) -> float:
+    """exp(-(r - 3 sqrt(dim))^2 / 3); the TV tail term is twice it, the posterior claim a third."""
+    return math.exp(-((r - 3.0 * math.sqrt(effdim)) ** 2) / 3.0)
+
+
+def gaussian_tail(effdim: float, t: float) -> float:
+    """P(||D0 u|| >= sqrt(effdim) + t) <= exp(-t^2 / 2) for the Laplace Gaussian."""
+    if t < 0:
+        raise ValueError("t >= 0 required")
+    return min(1.0, math.exp(-t * t / 2.0))
+
+
+def posterior_tail_bound(effdim: float, r: float) -> float:
+    """(1/3) exp(-(r - 3 sqrt(dim))^2 / 3); clamped to 1 when r < 3 + 3 sqrt(dim)."""
+    if r < 3.0 + 3.0 * math.sqrt(effdim):
+        return 1.0  # bound not applicable below the critical radius
+    return min(1.0, _tail_exp(effdim, r) / 3.0)
+
+
 def certify(fit: LaplaceFit, prob: Problem, choice: WeightChoice,
             beta: float = 1.0, n_r: int = 60) -> Certificate:
     """Best feasible certificate over the r grid (least-infeasible if none).
@@ -154,12 +187,11 @@ def certify(fit: LaplaceFit, prob: Problem, choice: WeightChoice,
             radii.append(1.0 / math.sqrt(s_tau))  # canonical r from the theorem
 
     alpha_scaled = alpha_of(scaled.D2, fit.DG2)
-    best = None
-    least_bad = None
+    best = least_bad = None
     for r in sorted(radii):
         tau = tau3_certified(fit, prob, scaled, r, diag)
         local = tau * dim
-        tail = 2.0 * math.exp(-((r - 3.0 * math.sqrt(dim)) ** 2) / 3.0)
+        tail = 2.0 * _tail_exp(dim, r)
         bound = local + tail
         feasible = r * tau <= 0.5
         cert = Certificate(choice=scaled, alpha=alpha_scaled, effdim=dim,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import subprocess
 import sys
@@ -21,7 +20,6 @@ from functools import cached_property
 
 from . import certification as cert
 from . import validation as val
-from .concentration import gaussian_tail, posterior_tail_bound
 from .config import ConfigError, ExperimentConfig, config_from_dict, load_config
 from .eigensolver import cached_solve, eig_diagnostics
 from .model import TruthSpec, exp_family, generate
@@ -227,9 +225,9 @@ def _checks(run) -> list:
     """The checks.csv rows.
 
     Each usable certificate is checked against every TV estimate (violated
-    iff ci_high > bound) and, on the importance draws, on its tail claim at
+    iff ci_high > bound) and, on the importance draws, on its tail claims at
     its radius and scaled weighting: the posterior mass outside against
-    posterior_tail_bound, the Gaussian mass outside against gaussian_tail
+    `posterior_tail`, the Gaussian mass outside against `gaussian_tail`
     (violated iff ci_low > bound).  Any other certificate gets one skipped
     row with its reason; the TV estimates are made only if some certificate
     is usable.
@@ -242,9 +240,7 @@ def _checks(run) -> list:
             continue
         rows += [_check(label, "tv_" + tv.method, c.tv_bound, (tv.value, tv.ci_low, tv.ci_high),
                         tested=tv.ci_high) for tv in run.tvs]
-        tails = (("tail_posterior", posterior_tail_bound(c.effdim, c.radius)),
-                 ("tail_gaussian", gaussian_tail(c.effdim,
-                                                 max(0.0, c.radius - math.sqrt(c.effdim)))))
+        tails = (("tail_posterior", c.posterior_tail), ("tail_gaussian", c.gaussian_tail))
         if run.tvs[0].method == "importance":
             m = astuple(run.tvs[0].outside[run.usable.index(label)])   # posterior, then Gaussian
             rows += [_check(label, check, bound, est, tested=est[1])

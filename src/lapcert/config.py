@@ -132,12 +132,16 @@ def _validate(cfg: ExperimentConfig, where: str) -> None:
         raise ConfigError("%s: n and p must be >= 1" % where)
     if cfg.p > cfg.eigensolver.K:
         raise ConfigError("%s: p exceeds eigensolver.K" % where)
+    if cfg.eigensolver.N < 1024:
+        raise ConfigError("%s.eigensolver.N: must be >= 1024" % where)
     if not 0 <= cfg.seed < 2 ** 64:
         raise ConfigError("%s.seed: must be in [0, 2**64)" % where)
     if cfg.gamma <= 0:
         raise ConfigError("%s.gamma: must be > 0" % where)
     if cfg.validation.method not in ("importance", "quadrature", "both"):
         raise ConfigError("%s.validation.method: unknown method" % where)
+    if cfg.validation.method != "importance" and cfg.p > 3:
+        raise ConfigError("%s.validation.method: quadrature TV needs p <= 3" % where)
     if cfg.validation.M < 10000:
         raise ConfigError("%s.validation.M: must be >= 10000" % where)
     if cfg.validation.per_axis < 64:

@@ -6,12 +6,12 @@ stream, numpy's ``Philox(key=[seed, j])``, so datasets are reproducible
 regardless of execution order or threading.  Pinned independent of numpy
 internals: block c = 1, 2, ... of the stream is Philox4x64-10 of counter
 [c, 0, 0, 0] under key (seed, j), each of its four words w giving the uniform
-(w >> 11) 2^-53.  Bernoulli takes y = 1 iff u_1 < 1/(1 + e^-s).  Poisson at
-rate e^s < 30 inverts u_1 sequentially (the smallest k with u_1 <= the pmf
-summed term by term to k), and at rate >= 30 runs PTRS (Hormann 1993) on
-pairs (u, v) from the stream's start.  Those two draw all j in one vectorized
-Philox pass; PTRS and the Gaussian (s plus numpy's ziggurat normal) build
-each j's generator.
+(w >> 11) 2^-53.  Bernoulli takes y = 1 iff u_1 < 1/(1 + e^-s), a threshold
+of exactly 0 where e^-s overflows.  Poisson at rate e^s < 30 inverts u_1
+sequentially (the smallest k with u_1 <= the pmf summed term by term to k),
+and at rate >= 30 runs PTRS (Hormann 1993) on pairs (u, v) from the
+stream's start.  Those two draw all j in one vectorized Philox pass; PTRS
+and the Gaussian (s plus numpy's ziggurat normal) build each j's generator.
 """
 from __future__ import annotations
 
@@ -39,8 +39,10 @@ class ExpFamily:
 
 def _exp(s: np.ndarray) -> np.ndarray:
     # libm's exp per element (np.exp's SIMD paths can differ by an ulp by CPU),
-    # one scalar at a time: a tolist() copy of s raises the run's peak RSS
-    return np.fromiter(map(math.exp, s), float, s.size)
+    # one scalar at a time: a tolist() copy of s raises the run's peak RSS; past
+    # log(DBL_MAX) = 709.782712893384, where math.exp raises, inf as np.exp gives
+    e = np.fromiter(map(math.exp, np.minimum(s, 709.782712893384)), float, s.size)
+    return np.where(s > 709.782712893384, np.inf, e)
 
 
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)   # round multipliers
@@ -92,7 +94,7 @@ def _poisson_ptrs(lam: float, rng) -> int:
 
 def sample_poisson(s: np.ndarray, seed: int) -> np.ndarray:
     """Y_j ~ Poisson(e^s_j), each drawn from the stream keyed (seed, j)."""
-    lam = _exp(np.minimum(s, 700.0))   # math.exp overflows past 709.78
+    lam = _exp(s)
     if not np.all(lam <= 1e15):   # also rejects nan
         raise ModelError("poisson rate overflow (e^s too large); reduce the truth amplitude A")
     y = np.zeros(lam.size)

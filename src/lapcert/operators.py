@@ -1,9 +1,9 @@
 """Smoothing operator R defined by a g' + b g = f, g(0)=0, on [0,1].
 
 Coefficients a, b are polynomials (exact symbolic derivatives); all
-quadrature is composite trapezoid on the uniform grid x_i = i/N.  R, its
-discrete transpose and its L2 adjoint are applied matrix-free, each in O(N)
-as one running sum; no dense matrix of R is ever formed.
+quadrature is composite trapezoid on the uniform grid x_i = i/N.  R and its
+discrete transpose are applied matrix-free, each in O(N) as one running
+sum; no dense matrix of R is ever formed.
 """
 from __future__ import annotations
 
@@ -107,7 +107,7 @@ def _apply_R_transpose(spec: CoefficientPair, v: np.ndarray) -> np.ndarray:
 
     With u = e^{-C} v, (M^T v)_j = (e^C/a)_j (dx sum_{i>j} u_i + dx/2 u_j),
     and dx/2 sum_{i>=1} u_i at j = 0.  This is the exact transpose of the
-    discrete apply_R; apply_RT, the L2 adjoint, differs at both end nodes.
+    discrete apply_R.
     """
     v = _check_grid(v)
     N = v.size - 1
@@ -118,22 +118,6 @@ def _apply_R_transpose(spec: CoefficientPair, v: np.ndarray) -> np.ndarray:
     s = dx * after + 0.5 * dx * u
     s[0] = 0.5 * dx * after[0]
     return np.exp(C) / spec.a(grid(N)) * s
-
-
-def apply_RT(spec: CoefficientPair, h: np.ndarray) -> np.ndarray:
-    """Adjoint: g(x) = (e^{C(x)}/a(x)) int_x^1 e^{-C} h; solves -(a g)' + b g = h, g(1)=0.
-
-    Closed form via integrating factor on the backward ODE; validated by the
-    adjointness test against apply_R.
-    """
-    h = _check_grid(h)
-    N = h.size - 1
-    x = grid(N)
-    C = cumulative_antiderivative(spec, N)
-    w = np.exp(-C) * h
-    cum = cumulative_trapezoid(w, 1.0 / N)
-    tail = cum[-1] - cum
-    return np.exp(C) / spec.a(x) * tail
 
 
 def trapezoid_weights(N: int) -> np.ndarray:

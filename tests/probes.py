@@ -3,7 +3,10 @@
 They estimate quantities the paper's assumptions and bounds are about (the
 near-orthogonality constant, sampled omega / tau3, a witness lower bound on
 the cosine surrogate, the third directional derivative) so the tests can
-check the certified pipeline against them.  No CLI path reads them.
+check the certified pipeline against them.  `weighting_claims` and
+`theorem_claims` restate the certificate theorem from its formulas alone,
+as the spec that certificates and golden rows are compared with.  No CLI
+path reads them.
 """
 import math
 
@@ -102,3 +105,36 @@ def omega_diagnostics(fit: LaplaceFit, prob: Problem, choice: WeightChoice,
             "chain_ok": (om <= (r / 3.0) * tau_cert + 1e-12
                          and om3 <= r * tau_cert + 1e-12
                          and t3 <= tau_cert + 1e-12)}
+
+
+# --- the certificate theorem, assembled without lapcert.certification ---
+
+def weighting_claims(D2: np.ndarray, DG2: np.ndarray) -> tuple:
+    """(alpha, effdim, effdim by a second route) of D^2 against D_G^2 = L L^T.
+
+    alpha^2 is the largest generalized eigenvalue of D^2 v = mu D_G^2 v, the
+    top eigenvalue of W = L^{-1} D^2 L^{-T}; effdim is Tr(D_G^{-2} D^2) / alpha^2
+    as a trace, and the eigenvalues of W summed over alpha^2 as the second route.
+    """
+    L = np.linalg.cholesky(DG2)
+    W = np.linalg.solve(L, np.linalg.solve(L, D2).T)
+    mu = np.linalg.eigvalsh(0.5 * (W + W.T))
+    return (math.sqrt(mu[-1]), float(np.trace(np.linalg.solve(DG2, D2))) / mu[-1],
+            float(np.sum(mu)) / mu[-1])
+
+
+def theorem_claims(effdim: float, radius: float, tau3: float) -> dict:
+    """Every number the theorem states for a weighting with alpha = 1 at radius r.
+
+    TV <= tau3 dim + 2 exp(-(r - 3 sqrt(dim))^2 / 3) when r >= 3 sqrt(dim) + 3
+    and r tau3 <= 1/2; outside {||D u|| <= r} the posterior mass is at most
+    (1/3) exp(-(r - 3 sqrt(dim))^2 / 3) (1 below r = 3 + 3 sqrt(dim)) and the
+    Laplace Gaussian's at most exp(-t^2 / 2), t = max(0, r - sqrt(dim)).
+    """
+    root = math.sqrt(effdim)
+    e = math.exp(-((radius - 3.0 * root) ** 2) / 3.0)
+    t = max(0.0, radius - root)
+    return {"local_term": tau3 * effdim, "tail_term": 2.0 * e, "tv_bound": tau3 * effdim + 2.0 * e,
+            "r_min": 3.0 * root + 3.0, "feasible": radius * tau3 <= 0.5,
+            "posterior_tail": min(1.0, e / 3.0) if radius >= 3.0 + 3.0 * root else 1.0,
+            "gaussian_tail": min(1.0, math.exp(-t * t / 2.0))}

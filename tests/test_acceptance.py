@@ -228,14 +228,15 @@ def test_criterion_09_concentration(volterra_eig):
     for n, p, seed in [(1000, 3, 1), (2000, 4, 2), (4000, 6, 1), (2000, 2, 3)]:
         prob = make_problem(volterra_eig, "poisson", n=n, p=p, seed=seed)
         fit = map_solve(prob)
+        dim = C.effdim_of(fit.DG2, fit.DG2)
         for r in np.linspace(math.sqrt(p), 3 + 3 * math.sqrt(p) + 3, 8):
-            rep = conc.empirical_outside_mass(fit, prob, fit.DG2, float(r),
-                                              n_samples=2000, seed=seed)
-            t = max(0.0, r - math.sqrt(rep.effdim))
-            se = math.sqrt(max(rep.gaussian_frac * (1 - rep.gaussian_frac), 1e-9) / 2000)
+            m = conc.empirical_outside_mass(fit, prob, fit.DG2, float(r),
+                                            n_samples=2000, seed=seed).outside[0]
+            t = max(0.0, r - math.sqrt(dim))
+            se = math.sqrt(max(m.gaussian_frac * (1 - m.gaussian_frac), 1e-9) / 2000)
             checks += 2
-            violations += rep.gaussian_frac - 3 * se > conc.gaussian_tail(rep.effdim, t)
-            violations += rep.posterior_ci_low > rep.posterior_bound
+            violations += m.gaussian_frac - 3 * se > C.gaussian_tail(dim, t)
+            violations += m.posterior_ci_low > C.posterior_tail_bound(dim, float(r))
     assert _report(9, "tail bounds dominate empirical mass", violations == 0,
                    "%d violations in %d checks" % (violations, checks))
 

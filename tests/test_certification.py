@@ -11,7 +11,8 @@ from lapcert.cli import CERT_COLUMNS
 from lapcert.posterior import map_solve
 
 from conftest import make_problem
-from probes import omega_diagnostics, ortho_constant, third_directional, tightness_probe
+from probes import (omega_diagnostics, ortho_constant, theorem_claims, third_directional,
+                    tightness_probe, weighting_claims)
 
 # --- alpha / effdim ---
 
@@ -143,6 +144,29 @@ def test_gap_report_present(poisson_fit):
     cert = C.certify(fit, prob, C.choice_DG(fit))
     assert cert.diagnostics["gap_est"] > 0
     assert cert.diagnostics["gap_est"] < 0.01 * cert.diagnostics["A"]
+
+
+@pytest.mark.parametrize("fixture", ["poisson_fit", "gaussian_fit"])
+def test_certificates_state_the_theorem(fixture, request):
+    """compare_choices' certificates are what the theorem states for their
+    weighting, radius and tau3, to 1e-12 relative: the weighting scaled to
+    alpha = 1, effdim by two routes, the radius in the theorem's domain, the
+    feasibility condition, the TV bound and both tail claims."""
+    prob, fit = request.getfixturevalue(fixture)
+    res = C.compare_choices(fit, prob, beta=1.0)
+    given = {"DG": C.choice_DG(fit), "identity": C.choice_identity(fit),
+             "gamma0_star": C.choice_gamma0(fit, res["gamma0_star"], prob.gamma)}
+    for label, cert in res["certs"].items():
+        alpha0 = weighting_claims(given[label].D2, fit.DG2)[0]
+        np.testing.assert_allclose(cert.choice.D2, given[label].D2 / alpha0 ** 2, rtol=1e-12)
+        alpha, dim, dim2 = weighting_claims(cert.choice.D2, fit.DG2)
+        assert alpha == pytest.approx(1.0, rel=1e-12) and cert.alpha == pytest.approx(1.0, rel=1e-12)
+        assert cert.effdim == pytest.approx(dim, rel=1e-12) == dim2
+        want = theorem_claims(dim, cert.radius, cert.tau3_sup)
+        assert cert.radius >= want["r_min"] * (1 - 1e-12), label
+        assert cert.feasible == want["feasible"], label
+        for key in ("local_term", "tail_term", "tv_bound", "posterior_tail", "gaussian_tail"):
+            assert getattr(cert, key) == pytest.approx(want[key], rel=1e-12, abs=0), (label, key)
 
 
 # --- S sums and gamma0* ---

@@ -1,4 +1,8 @@
+import ast
 import csv
+import glob
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -15,6 +19,7 @@ import lapcert.validation
 from lapcert.cli import main
 from lapcert.config import ConfigError, config_from_dict, load_config
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASE = {
     "operator": {"a": [1.0], "b": [0.0]},
     "family": "gaussian",
@@ -122,6 +127,39 @@ def test_validation_sizes_rejected(tmp_path, write_cfg, capsys):
         path = write_cfg({"validation": overrides})
         assert main(["validate", "--config", path, "--out", str(tmp_path)]) == 2
         assert key in capsys.readouterr().err
+
+
+def test_config_rejects_what_the_run_cannot_do(tmp_path, write_cfg, capsys):
+    """eigensolver.N below the solver's 1024 and a quadrature TV at p > 3 fail
+    at load time with the key path (exit 2), not when the stage runs (exit 3)."""
+    for overrides, key in (({"eigensolver": {"N": 512}}, ".eigensolver.N:"),
+                           ({"p": 4, "validation": {"method": "both"}}, ".validation.method:"),
+                           ({"p": 5, "validation": {"method": "quadrature"}},
+                            ".validation.method:")):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({**BASE, **overrides})
+        out = tmp_path / key.strip(".:")
+        assert main(["all", "--config", write_cfg(overrides), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+    # the bundled quadrature config asks for both estimators; its default
+    # sweep grid reaches p = 4, which is rejected before any point runs
+    config = os.path.join(ROOT, "configs", "gaussian_exactness.json")
+    out = tmp_path / "gauss_sweep"
+    assert main(["sweep", "--config", config, "--out", str(out)]) == 2
+    assert "sweep.values (p = 4).validation.method:" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+def test_simulate_bernoulli_far_from_zero(tmp_path, write_cfg):
+    """A Bernoulli signal with |s| > 709.78, where e^-s overflows, draws y = 0
+    below and y = 1 above (exit 0, not a bare OverflowError)."""
+    cfg = write_cfg({"family": "bernoulli", "truth": {"theta": [0, -5000]}})
+    out = tmp_path / "bern"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    rows = [(float(r["s_true"]), float(r["y"])) for r in _read_checks(out / "dataset.csv")]
+    assert min(s for s, _ in rows) < -709.79 and max(s for s, _ in rows) > 709.79
+    assert all(y == (s > 0) for s, y in rows if abs(s) > 709.79)
 
 
 def test_malformed_json_exit_code(tmp_path, capsys):
@@ -344,13 +382,34 @@ def test_threads_below_one_rejected(tmp_path, write_cfg, capsys, monkeypatch):
 def test_cli_import_skips_unused_dependencies():
     """`import lapcert.cli` loads neither mpmath, scipy.integrate nor
     scipy.sparse: the pipeline uses none of them (only the SVD oracle needs
-    scipy.sparse.linalg), and loading each costs ~0.3-0.4 s per import."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    scipy.sparse.linalg), and loading each costs ~0.3-0.4 s per import.  Nor
+    does it load lapcert.concentration, which only the benchmark probe reads."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, lapcert.cli; "
-            "print(' '.join(m for m in ('mpmath', 'scipy.integrate', 'scipy.sparse') "
-            "if m in sys.modules))")
+            "print(' '.join(m for m in ('mpmath', 'scipy.integrate', 'scipy.sparse', "
+            "'lapcert.concentration') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == ""
+
+
+def test_perfbench_imports_resolve():
+    """Every `import lapcert.X` and `from lapcert.X import Y` in perfbench/*.py
+    names a module that imports and a name it has, so no src change can break
+    `perfbench/run.py --trace 1` without failing here."""
+    wanted = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                wanted += [(alias.name, None) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                wanted += [(node.module, alias.name) for alias in node.names]
+    wanted = {(mod, name) for mod, name in wanted if mod.split(".")[0] == "lapcert"}
+    assert wanted
+    for mod, name in sorted(wanted, key=str):
+        module = importlib.import_module(mod)
+        assert (name is None or hasattr(module, name)
+                or importlib.util.find_spec(mod + "." + name)), "%s has no %s" % (mod, name)

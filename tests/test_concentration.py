@@ -1,20 +1,21 @@
+"""The certificate's tail claims, `certification.gaussian_tail` and
+`posterior_tail_bound`, and the mass outside an ellipsoid as the benchmark
+probe's entry `concentration.empirical_outside_mass` estimates it."""
 import math
 
 import numpy as np
 import pytest
 
-from lapcert import concentration as conc
+from lapcert import certification as C
+from lapcert.concentration import empirical_outside_mass
 from lapcert.validation import wilson_interval
-from lapcert.posterior import map_solve
-
-from conftest import make_problem
 
 
 def test_gaussian_tail_values():
-    assert conc.gaussian_tail(4.0, 0.0) == 1.0
-    assert conc.gaussian_tail(4.0, 3.0) == pytest.approx(math.exp(-4.5))
+    assert C.gaussian_tail(4.0, 0.0) == 1.0
+    assert C.gaussian_tail(4.0, 3.0) == pytest.approx(math.exp(-4.5))
     with pytest.raises(ValueError):
-        conc.gaussian_tail(4.0, -0.1)
+        C.gaussian_tail(4.0, -0.1)
 
 
 def test_gaussian_tail_monte_carlo():
@@ -23,7 +24,7 @@ def test_gaussian_tail_monte_carlo():
     z = np.abs(rng.standard_normal(10 ** 6))
     for t in (1.0, 2.0, 3.0):
         frac = np.mean(z > 1.0 + t)
-        assert frac <= conc.gaussian_tail(1.0, t)
+        assert frac <= C.gaussian_tail(1.0, t)
 
 
 def test_quadratic_form_deviation_bound():
@@ -41,10 +42,10 @@ def test_quadratic_form_deviation_bound():
 def test_posterior_tail_bound_values():
     dim = 4.0
     r0 = 3.0 + 3.0 * math.sqrt(dim)
-    assert conc.posterior_tail_bound(dim, r0) == pytest.approx(math.exp(-3.0) / 3.0)
-    assert conc.posterior_tail_bound(dim, r0 - 0.5) == 1.0  # below critical radius
+    assert C.posterior_tail_bound(dim, r0) == pytest.approx(math.exp(-3.0) / 3.0)
+    assert C.posterior_tail_bound(dim, r0 - 0.5) == 1.0  # below critical radius
     rs = np.linspace(r0, r0 + 10, 20)
-    vals = [conc.posterior_tail_bound(dim, r) for r in rs]
+    vals = [C.posterior_tail_bound(dim, r) for r in rs]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     assert all(0.0 <= v <= 1.0 for v in vals)
 
@@ -58,10 +59,10 @@ def test_wilson_interval_basic():
 
 def test_outside_mass_extremes(poisson_fit):
     prob, fit = poisson_fit
-    at0 = conc.empirical_outside_mass(fit, prob, fit.DG2, r=0.0, n_samples=1000, seed=0)
+    at0 = empirical_outside_mass(fit, prob, fit.DG2, r=0.0, n_samples=1000, seed=0).outside[0]
     assert at0.gaussian_frac == 1.0
     assert at0.posterior_frac == pytest.approx(1.0)
-    far = conc.empirical_outside_mass(fit, prob, fit.DG2, r=100.0, n_samples=1000, seed=0)
+    far = empirical_outside_mass(fit, prob, fit.DG2, r=100.0, n_samples=1000, seed=0).outside[0]
     assert far.gaussian_frac == 0.0
     assert far.posterior_frac == 0.0
     assert far.posterior_ci_high < 0.02
@@ -71,25 +72,27 @@ def test_gaussian_family_weights_unit(gaussian_fit):
     # exact Laplace fit: importance weights are constant, so the posterior
     # fraction equals the plain Gaussian fraction
     prob, fit = gaussian_fit
-    rep = conc.empirical_outside_mass(fit, prob, fit.DG2, r=1.5, n_samples=2000, seed=3)
-    assert rep.posterior_frac == pytest.approx(rep.gaussian_frac, abs=1e-10)
+    rep = empirical_outside_mass(fit, prob, fit.DG2, r=1.5, n_samples=2000, seed=3)
+    m = rep.outside[0]
+    assert m.posterior_frac == pytest.approx(m.gaussian_frac, abs=1e-10)
     assert rep.ess == pytest.approx(2000, rel=1e-6)
 
 
 def test_bounds_dominate_empirical(poisson_fit):
     prob, fit = poisson_fit
     p = prob.design.p
+    dim = C.effdim_of(fit.DG2, fit.DG2)
     for r in np.linspace(math.sqrt(p), 3 + 3 * math.sqrt(p) + 2, 6):
-        rep = conc.empirical_outside_mass(fit, prob, fit.DG2, r=float(r),
-                                          n_samples=2000, seed=5)
-        t = max(0.0, r - math.sqrt(rep.effdim))
+        m = empirical_outside_mass(fit, prob, fit.DG2, r=float(r),
+                                   n_samples=2000, seed=5).outside[0]
+        t = max(0.0, r - math.sqrt(dim))
         # 3 Wilson standard errors of slack on the binomial side
-        se = math.sqrt(max(rep.gaussian_frac * (1 - rep.gaussian_frac), 1e-9) / 2000)
-        assert rep.gaussian_frac - 3 * se <= conc.gaussian_tail(rep.effdim, t)
-        assert rep.posterior_ci_low <= rep.posterior_bound
+        se = math.sqrt(max(m.gaussian_frac * (1 - m.gaussian_frac), 1e-9) / 2000)
+        assert m.gaussian_frac - 3 * se <= C.gaussian_tail(dim, t)
+        assert m.posterior_ci_low <= C.posterior_tail_bound(dim, float(r))
 
 
 def test_min_samples_enforced(poisson_fit):
     prob, fit = poisson_fit
     with pytest.raises(ValueError):
-        conc.empirical_outside_mass(fit, prob, fit.DG2, r=1.0, n_samples=10)
+        empirical_outside_mass(fit, prob, fit.DG2, r=1.0, n_samples=10)

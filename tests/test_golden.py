@@ -16,6 +16,8 @@ import tempfile
 
 import pytest
 
+from probes import theorem_claims
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
 PIPELINE = ("eigen.csv", "dataset.csv", "fit.json", "certificates.csv",
@@ -59,6 +61,32 @@ def test_golden_artifacts(name, tmp_path, eig_cache, volterra_eig, volterra_eig_
 def _golden_rows(name: str, artifact: str) -> list:
     with open(os.path.join(GOLDEN, name, artifact), newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def test_goldens_state_the_theorem():
+    """Every committed certificate row (certificates.csv, real-mode sweep.csv)
+    and every bound in checks.csv is what the theorem states at the row's
+    effdim, radius and tau3_sup, to 1e-12 relative; checks.csv rows are joined
+    to their certificate by label, and by n and p in a sweep."""
+    claim_of = {"tail_posterior": "posterior_tail", "tail_gaussian": "gaussian_tail"}
+    for name, artifact in (("poisson_desk", "certificates.csv"),
+                           ("gaussian_exactness", "certificates.csv"),
+                           ("poisson_plateau", "sweep.csv")):
+        claims = {}
+        for row in _golden_rows(name, artifact):
+            want = theorem_claims(*(float(row[k]) for k in ("effdim", "radius", "tau3_sup")))
+            assert float(row["alpha"]) == pytest.approx(1.0, rel=1e-12)
+            assert float(row["radius"]) >= want["r_min"] * (1 - 1e-12)
+            assert row["feasible"] == str(int(want["feasible"]))
+            for key in ("local_term", "tail_term", "tv_bound"):
+                assert float(row[key]) == pytest.approx(want[key], rel=1e-12, abs=0), (
+                    name, row["label"], key)
+            claims[row.get("n"), row.get("p"), row["label"]] = want
+        for row in _golden_rows(name, "checks.csv"):
+            want = claims[row.get("n"), row.get("p"), row["label"]]
+            key = claim_of.get(row["check"], "tv_bound")
+            assert float(row["bound"]) == pytest.approx(want[key], rel=1e-12, abs=0), (
+                name, row["label"], row["check"])
 
 
 def test_checked_statuses():

@@ -32,10 +32,19 @@ def _ref_poisson(lam: float, rng) -> int:
     return k
 
 
+def _ref_bernoulli(s: float, rng) -> int:
+    """y = 1 iff u < 1/(1 + e^-s), a threshold of 0 where e^-s overflows."""
+    try:
+        threshold = 1.0 / (1.0 + math.exp(-s))
+    except OverflowError:
+        threshold = 0.0
+    return int(rng.random() < threshold)
+
+
 # the per-observation reference: y_j from its own generator _substream(seed, j)
 _REFERENCE = {
     "poisson": lambda s, rng: _ref_poisson(math.exp(s), rng),
-    "bernoulli": lambda s, rng: int(rng.random() < 1.0 / (1.0 + math.exp(-s))),
+    "bernoulli": _ref_bernoulli,
     "gaussian": lambda s, rng: s + rng.standard_normal(),
 }
 
@@ -64,11 +73,15 @@ def test_generate_matches_per_observation_reference(volterra_eig_small):
         if kind == "poisson":
             assert ds.s_true.min() < -40.0 and np.sum(ds.s_true >= math.log(30.0)) > 100
     # edge values through the samplers: s = 0 exactly, the rate-30 switch, and
-    # rates that underflow (e^-745 is the last subnormal)
+    # rates that underflow (e^-745 is the last subnormal); Bernoulli's e^-s
+    # overflows below -log(DBL_MAX) = -709.782712893384
     edges = [0.0, -0.0, -40.0, -745.0, -746.0, -800.0, 3.4, math.log(30.0),
              math.nextafter(math.log(30.0), 0.0), 34.0]
+    s_over = -math.log(np.finfo(float).max)
     cases = {"poisson": edges, "gaussian": edges,
-             "bernoulli": [0.0, -0.0, 40.0, -40.0, 36.7, -36.7, 1e-3, -1e-3]}
+             "bernoulli": [0.0, -0.0, 40.0, -40.0, 36.7, -36.7, 1e-3, -1e-3,
+                           -5000.0, s_over, math.nextafter(s_over, 0.0),
+                           math.nextafter(s_over, -math.inf)]}
     for kind, vals in cases.items():
         s = np.tile(vals, 20)
         for seed in (0, 2 ** 64 - 1):

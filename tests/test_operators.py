@@ -7,9 +7,8 @@ from scipy.integrate import cumulative_trapezoid as cumulative_trapezoid_ref
 from lapcert.eigensolver import cached_solve, svd_oracle
 from lapcert.operators import (VOLTERRA, CapacityError, CoefficientPair,
                                OperatorSpecError, _apply_R_transpose, apply_R,
-                               apply_RT, assemble_design,
-                               cumulative_antiderivative, grid, l2_inner,
-                               trapezoid_weights)
+                               assemble_design, cumulative_antiderivative, grid,
+                               l2_inner, trapezoid_weights)
 
 from conftest import SPEC_CORPUS
 
@@ -54,32 +53,6 @@ def test_apply_R_solves_ode():
     resid = spec.a(x[1:-1]) * np.gradient(g, x)[1:-1] + spec.b(x[1:-1]) * g[1:-1] - f[1:-1]
     assert g[0] == 0.0
     assert np.max(np.abs(resid)) < 1e-3
-
-
-def test_apply_RT_solves_backward_ode():
-    spec = CoefficientPair((1.0, 0.5), (0.1,))
-    N = 2048
-    x = grid(N)
-    h = np.cos(x) + 0.5
-    g = apply_RT(spec, h)
-    ag = spec.a(x) * g
-    resid = -np.gradient(ag, x)[1:-1] + spec.b(x[1:-1]) * g[1:-1] - h[1:-1]
-    assert abs(g[-1]) < 1e-12
-    assert np.max(np.abs(resid)) < 1e-3
-
-
-@settings(max_examples=40, deadline=None)
-@given(a_coeff_st, b_coeff_st, st.integers(0, 3), st.integers(0, 3))
-def test_adjointness(extra_a, b, i, j):
-    """<R f, h> = <f, R^T h> in L2, for polynomial coefficient pairs."""
-    spec = _spec(extra_a, b)
-    N = 512
-    x = grid(N)
-    f = np.sin((i + 1) * np.pi * x)
-    h = np.cos(j * np.pi * x)
-    lhs = l2_inner(apply_R(spec, f), h)
-    rhs = l2_inner(f, apply_RT(spec, h))
-    assert lhs == pytest.approx(rhs, abs=1e-4, rel=1e-3)
 
 
 @settings(max_examples=20, deadline=None)

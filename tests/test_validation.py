@@ -186,10 +186,9 @@ def test_tail_statistics_share_the_importance_pass(poisson_fit, monkeypatch):
     # empirical_outside_mass is its own draw plus the same statistic
     D0_sq, r = regions[1]
     rep = empirical_outside_mass(fit, prob, D0_sq, r, n_samples=2000, seed=5, n_boot=200)
-    got = (rep.posterior_frac, rep.posterior_ci_low, rep.posterior_ci_high,
-           rep.gaussian_frac, rep.gaussian_ci_low, rep.gaussian_ci_high)
-    np.testing.assert_allclose(got, _outside_reference(fit, prob, D0_sq, r, 2000, 5, 200,
-                                                       stream=11), rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(astuple(rep.outside[0]),
+                               _outside_reference(fit, prob, D0_sq, r, 2000, 5, 200, stream=11),
+                               rtol=1e-12, atol=1e-15)
     # ... and reports the pass's own low-ESS flag, here at an ESS of 75
     def low(*args, **kwargs):
         return replace(val._importance_pass(*args, **kwargs), ess=75.0, low_ess=True)
