@@ -74,16 +74,27 @@ def choice_gamma0(fit: LaplaceFit, gamma0: float, gamma: float) -> WeightChoice:
 
 @dataclass(frozen=True)
 class Certificate:
+    """The TV claim of one scaled weighting at one radius; the bound and its
+    two terms are derived from tau3_sup, effdim and radius."""
     choice: WeightChoice
     alpha: float
     effdim: float
     tau3_sup: float
     radius: float
-    local_term: float
-    tail_term: float
-    tv_bound: float
     feasible: bool
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def local_term(self) -> float:
+        return self.tau3_sup * self.effdim
+
+    @property
+    def tail_term(self) -> float:
+        return 2.0 * _tail_exp(self.effdim, self.radius)
+
+    @property
+    def tv_bound(self) -> float:
+        return self.local_term + self.tail_term
 
     @property
     def posterior_tail(self) -> float:
@@ -93,7 +104,7 @@ class Certificate:
     @property
     def gaussian_tail(self) -> float:
         """Claimed bound on the Laplace Gaussian's mass outside {||D u|| <= radius}."""
-        return gaussian_tail(self.effdim, max(0.0, self.radius - math.sqrt(self.effdim)))
+        return gaussian_tail(max(0.0, self.radius - math.sqrt(self.effdim)))
 
 
 def alpha_of(D2: np.ndarray, DG2: np.ndarray) -> float:
@@ -150,7 +161,7 @@ def _tail_exp(effdim: float, r: float) -> float:
     return math.exp(-((r - 3.0 * math.sqrt(effdim)) ** 2) / 3.0)
 
 
-def gaussian_tail(effdim: float, t: float) -> float:
+def gaussian_tail(t: float) -> float:
     """P(||D0 u|| >= sqrt(effdim) + t) <= exp(-t^2 / 2) for the Laplace Gaussian."""
     if t < 0:
         raise ValueError("t >= 0 required")
@@ -190,16 +201,11 @@ def certify(fit: LaplaceFit, prob: Problem, choice: WeightChoice,
     best = least_bad = None
     for r in sorted(radii):
         tau = tau3_certified(fit, prob, scaled, r, diag)
-        local = tau * dim
-        tail = 2.0 * _tail_exp(dim, r)
-        bound = local + tail
         feasible = r * tau <= 0.5
-        cert = Certificate(choice=scaled, alpha=alpha_scaled, effdim=dim,
-                           tau3_sup=tau, radius=r, local_term=local,
-                           tail_term=tail, tv_bound=bound, feasible=feasible,
-                           diagnostics=diag)
+        cert = Certificate(choice=scaled, alpha=alpha_scaled, effdim=dim, tau3_sup=tau,
+                           radius=r, feasible=feasible, diagnostics=diag)
         if feasible:
-            if best is None or bound < best.tv_bound:
+            if best is None or cert.tv_bound < best.tv_bound:
                 best = cert
         elif least_bad is None or r * tau < least_bad.radius * least_bad.tau3_sup:
             least_bad = cert

@@ -1,9 +1,10 @@
 """Command-line experiment driver.
 
 Subcommands write deterministic CSV and JSON artifacts plus a run manifest
-(config echo, git hash, wall times) from one `Run`, which computes each
-pipeline stage once.  Every file goes through `_write_csv` or `_write_json`.  The process exits nonzero iff an asserted invariant
-fails (a `violated` row of checks.csv), never for an infeasible certificate
+(config echo, git hash, wall times, threading) from one `Run`, which
+computes each pipeline stage once.  Every file goes through `_write_csv` or
+`_write_json`.  The process exits nonzero iff an asserted invariant fails (a
+`violated` row of checks.csv), never for an infeasible certificate
 (infeasibility is data).
 """
 from __future__ import annotations
@@ -20,11 +21,12 @@ from functools import cached_property
 
 from . import certification as cert
 from . import validation as val
+from .__main__ import BLAS_VARS, MAX_THREADS
 from .config import ConfigError, ExperimentConfig, config_from_dict, load_config
 from .eigensolver import cached_solve, eig_diagnostics
 from .model import TruthSpec, exp_family, generate
 from .operators import CoefficientPair, assemble_design
-from .posterior import Problem, map_solve
+from .posterior import Problem, map_solve, usable_cores
 
 CERT_COLUMNS = ["label", "kind", "gamma0", "alpha", "effdim", "radius",
                 "tau3_sup", "local_term", "tail_term", "tv_bound", "feasible",
@@ -34,6 +36,8 @@ CHECK_COLUMNS = ["label", "check", "status", "reason", "bound", "estimate",
 # absolute floor of every check: below it both the estimators and an
 # underflowed tail term are numerically zero
 CHECK_FLOOR = 1e-12
+# BLAS reads these once, when numpy loads, which the imports above do
+BLAS_ENV = {var: os.environ.get(var) for var in BLAS_VARS}
 
 
 def _git_hash() -> str:
@@ -72,11 +76,13 @@ class Run:
     Each stage (eig, truth, data, prob, fit, comparison, certs, usable, tvs) is
     computed on first use and kept, so every subcommand of `all` reads the
     same objects.  A sweep point passes in the parent run's eig, and its data
-    when only p varies.
+    when only p varies.  `workers` threads (default: the usable cores) run
+    the TV estimates' likelihood kernel and bootstrap.
     """
 
-    def __init__(self, cfg: ExperimentConfig, eig=None, data=None):
+    def __init__(self, cfg: ExperimentConfig, eig=None, data=None, workers=None):
         self.cfg = cfg
+        self.workers = usable_cores() if workers is None else workers
         self.times: dict = {}
         if eig is not None:
             self.eig = eig       # an instance value takes the cached_property's place
@@ -143,9 +149,11 @@ class Run:
         if cfg.validation.method in ("importance", "both"):
             tvs.append(val.tv_importance(
                 self.fit, self.prob, n_samples=cfg.validation.M, seed=cfg.seed,
-                regions=[(certs[label].choice.D2, certs[label].radius) for label in self.usable]))
+                regions=[(certs[label].choice.D2, certs[label].radius) for label in self.usable],
+                workers=self.workers))
         if cfg.validation.method in ("quadrature", "both"):
-            tvs.append(val.tv_quadrature(self.fit, self.prob, per_axis=cfg.validation.per_axis))
+            tvs.append(val.tv_quadrature(self.fit, self.prob, per_axis=cfg.validation.per_axis,
+                                         workers=self.workers))
         return tvs
 
 
@@ -288,7 +296,8 @@ def cmd_sweep(run):
         # every point is validated before any stage runs
         for point_cfg in [load_point(cfg, v) for v in cfg.sweep.values]:
             # one eigensystem for the grid; one dataset when only p varies
-            point = Run(point_cfg, eig=run.eig, data=run.data if cfg.sweep.axis == "p" else None)
+            point = Run(point_cfg, eig=run.eig, data=run.data if cfg.sweep.axis == "p" else None,
+                        workers=run.workers)
             at = {"n": point_cfg.n, "p": point_cfg.p}
             rows += [dict(_cert_row(label, c), **at) for label, c in point.certs.items()]
             checks += [dict(r, **at) for r in _checks(point)]
@@ -325,15 +334,15 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=None, help="output directory (default from config)")
     ap.add_argument("--seed", type=int, default=None, help="override config seed")
     ap.add_argument("--threads", type=int, default=None,
-                    help="cap BLAS threads for reproducible timings")
+                    help="threads for the likelihood kernel and bootstrap (default and "
+                         "cap: the usable cores); the `lapcert` command also caps BLAS "
+                         "at N (1 to %d)" % MAX_THREADS)
     args = ap.parse_args(argv)
 
-    if args.threads is not None and args.threads < 1:
-        print("config error: --threads must be >= 1, got %d" % args.threads, file=sys.stderr)
+    if args.threads is not None and not 1 <= args.threads <= MAX_THREADS:
+        print("config error: --threads must be >= 1 and <= %d, got %d"
+              % (MAX_THREADS, args.threads), file=sys.stderr)
         return 2
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     overrides = {"seed": args.seed, "out_dir": args.out}
     try:
         cfg = load_config(args.config)
@@ -345,7 +354,7 @@ def main(argv=None) -> int:
         return 2
     os.makedirs(cfg.out_dir, exist_ok=True)
 
-    run = Run(cfg)
+    run = Run(cfg, workers=None if args.threads is None else min(args.threads, usable_cores()))
     t0 = time.time()
     try:
         rc = COMMANDS[args.command](run)
@@ -356,8 +365,9 @@ def main(argv=None) -> int:
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 3
     run.times["total"] = time.time() - t0
-    _write_json(run.path("manifest.json"),
-                {"config": cfg.to_dict(), "git_hash": _git_hash(), "wall_times_s": run.times})
+    threads = {"requested": args.threads, "kernel_workers": run.workers, "blas_env": BLAS_ENV}
+    _write_json(run.path("manifest.json"), {"config": cfg.to_dict(), "git_hash": _git_hash(),
+                                            "wall_times_s": run.times, "threads": threads})
     return rc
 
 

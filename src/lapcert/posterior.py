@@ -6,6 +6,8 @@ damped Newton with Cholesky solves converges globally.
 """
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,31 +73,79 @@ def f_value(prob: Problem, theta: np.ndarray) -> float:
     return float(np.sum(hv - prob.data.y * s) + 0.5 * np.sum(prob.g2 * theta ** 2))
 
 
+def usable_cores() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def pool_map(fn, items, workers: int) -> list:
+    """[fn(x) for x in items], on `workers` threads, results in item order.
+
+    `items` is consumed on the calling thread, one item per free worker, so
+    at most `workers` items are held at a time and an iterator's side
+    effects (random draws) happen in order.  Each call runs under the
+    caller's numpy error state, which is per-thread.  Reading the results in
+    order raises the first failing item's exception.  With one worker this
+    is the plain loop.
+    """
+    if workers == 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
+    err = np.geterr()
+
+    def task(x):
+        with np.errstate(**err):
+            return fn(x)
+
+    out, pending = [], deque()
+    with ThreadPoolExecutor(workers) as pool:
+        for x in items:
+            pending.append(pool.submit(task, x))
+            if len(pending) == workers:
+                out.append(pending.popleft().result())
+        out += [f.result() for f in pending]
+    return out
+
+
 # entries of S = Theta R^T formed at a time: 2^16 doubles (512 KiB) stay in L2
 _CHUNK_ENTRIES = 1 << 16
 
 
-def f_values(prob: Problem, Theta: np.ndarray) -> np.ndarray:
+def f_values(prob: Problem, Theta: np.ndarray, workers: int | None = None) -> np.ndarray:
     """f at every row of Theta, shape (m,): the batched form of `f_value`.
 
     S = Theta R^T is formed a row chunk at a time, and the data term uses the
     sufficient statistic Theta (R^T y) = sum_j y_j s_j, so only h(S) is
-    reduced per chunk.  Raises the same `EvaluationError`s as `f_value`.
+    reduced per chunk.  The chunks are split into `workers` contiguous runs
+    (default: `usable_cores()`), one thread each; every row's arithmetic is
+    the same for any count, so the result is too.  Raises the same
+    `EvaluationError`s as `f_value`, the lowest failing chunk's.
     """
     Rt = np.ascontiguousarray(prob.design.rows.T)   # contiguous: halves the product's time
     Rty, g2 = Rt @ prob.data.y, prob.g2
     out = np.empty(Theta.shape[0])
     rows = max(1, _CHUNK_ENTRIES // prob.design.n)
-    for a in range(0, Theta.shape[0], rows):
-        T = Theta[a:a + rows]
-        S = T @ Rt
-        if not np.all(np.isfinite(S)):
-            raise EvaluationError("non-finite linear predictor")
-        # a sum is finite iff every term is, unless the finite terms overflow it
-        hsum = np.sum(prob.family.h(S), axis=1)
-        if not np.all(np.isfinite(hsum)):
-            raise EvaluationError("overflow in cumulant h")
-        out[a:a + rows] = hsum - T @ Rty + 0.5 * (T * T) @ g2
+    starts = range(0, Theta.shape[0], rows)
+
+    def run(chunk_starts):
+        for a in chunk_starts:
+            T = Theta[a:a + rows]
+            S = T @ Rt
+            if not np.all(np.isfinite(S)):
+                raise EvaluationError("non-finite linear predictor")
+            # a sum is finite iff every term is, unless the finite terms overflow it
+            hsum = np.sum(prob.family.h(S), axis=1)
+            if not np.all(np.isfinite(hsum)):
+                raise EvaluationError("overflow in cumulant h")
+            out[a:a + rows] = hsum - T @ Rty + 0.5 * (T * T) @ g2
+
+    workers = usable_cores() if workers is None else workers
+    k = max(1, min(workers, len(starts)))   # no empty run, and one for an empty Theta
+    runs = [starts[i * len(starts) // k:(i + 1) * len(starts) // k] for i in range(k)]
+    pool_map(run, runs, k)
     return out
 
 

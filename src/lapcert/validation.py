@@ -13,7 +13,9 @@ Two estimators with non-overlapping ranges of applicability:
 Both evaluate the negative log posterior at all their points with one
 call to the batched kernel `posterior.f_values` (the whole quadrature grid,
 or all M Gaussian draws through `log_ratio`), and the bootstrap evaluates
-its statistic a block of resamples at a time.  The importance draws also
+its statistic a block of resamples at a time.  The kernel's row chunks and
+the bootstrap's blocks run on `workers` threads (default: the usable
+cores); no estimate depends on the count.  The importance draws also
 give the mass outside ellipsoids {||D0 u|| <= r} (`OutsideMass`) on the
 same resample blocks, so tail claims need no second likelihood pass.
 """
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
-from .posterior import LaplaceFit, Problem, f_values
+from .posterior import LaplaceFit, Problem, f_values, pool_map, usable_cores
 
 
 class ValidationError(RuntimeError):
@@ -82,29 +84,34 @@ def laplace_draws(fit: LaplaceFit, n_samples: int, seed: int, stream: int) -> tu
     return rng, solve_triangular(L, Z.T, lower=True, trans="T").T
 
 
-def log_ratio(fit: LaplaceFit, prob: Problem, U: np.ndarray) -> np.ndarray:
+def log_ratio(fit: LaplaceFit, prob: Problem, U: np.ndarray,
+              workers: int | None = None) -> np.ndarray:
     """log(pi_unnorm / phi_unnorm) at theta_hat + u for rows u of U."""
-    return (-f_values(prob, fit.theta_hat + U) + fit.f_hat
+    return (-f_values(prob, fit.theta_hat + U, workers) + fit.f_hat
             + 0.5 * np.sum((U @ fit.DG2) * U, axis=1))
 
 
-# resample indices drawn per block: 2^20 int64 (8 MiB) instead of the whole
-# (n_boot, n_samples) array
+# resample indices held at a time, over all workers: 2^20 int64 (8 MiB)
+# instead of the whole (n_boot, n_samples) array
 _BOOT_BLOCK_ENTRIES = 1 << 20
 
 
-def bootstrap_ci(rng: np.random.Generator, n_samples: int, n_boot: int, stat) -> tuple:
+def bootstrap_ci(rng: np.random.Generator, n_samples: int, n_boot: int, stat,
+                 workers: int | None = None) -> tuple:
     """(lo, hi): 2.5% and 97.5% percentiles of stat over n_boot resamples.
 
     stat maps a (b, n_samples) block of resample indices to its b values, or
-    to a (b, k) array of k statistics, whose percentiles are taken per column.
-    Blocks of rows are drawn in turn from rng, which gives the same indices
-    as one (n_boot, n_samples) draw.
+    to a (b, k) array of k statistics, whose percentiles are taken per column;
+    it must be row-wise, so that the block size changes no value.  Blocks of
+    rows are drawn in turn from rng on the calling thread, which gives the
+    same indices as one (n_boot, n_samples) draw, and stat runs on `workers`
+    threads (default: the usable cores), one block each.
     """
-    rows = max(1, _BOOT_BLOCK_ENTRIES // n_samples)
-    vals = np.concatenate([
-        stat(rng.integers(0, n_samples, size=(min(rows, n_boot - a), n_samples)))
-        for a in range(0, n_boot, rows)])
+    workers = usable_cores() if workers is None else workers
+    rows = max(1, _BOOT_BLOCK_ENTRIES // workers // n_samples)
+    blocks = (rng.integers(0, n_samples, size=(min(rows, n_boot - a), n_samples))
+              for a in range(0, n_boot, rows))
+    vals = np.concatenate(pool_map(stat, blocks, workers))
     lo, hi = np.percentile(vals, [2.5, 97.5], axis=0)
     return lo, hi
 
@@ -115,7 +122,8 @@ def _whitened_grid(p: int, per_axis: int, half_width: float) -> np.ndarray:
     return np.stack(np.meshgrid(*[zs] * p, indexing="ij", copy=False), axis=-1).reshape(-1, p)
 
 
-def _tv_on_grid(fit: LaplaceFit, prob: Problem, per_axis: int, half_width: float) -> float:
+def _tv_on_grid(fit: LaplaceFit, prob: Problem, per_axis: int, half_width: float,
+                workers: int | None = None) -> float:
     L = cholesky(fit.DG2, lower=True)
     # integrate in the whitened variable z = L^T u; the Jacobian cancels in
     # both densities so TV can be computed entirely in z space
@@ -125,22 +133,22 @@ def _tv_on_grid(fit: LaplaceFit, prob: Problem, per_axis: int, half_width: float
     # per_axis = 128 makes it 50 MB)
     Theta = solve_triangular(L, Z.T, lower=True, trans="T", overwrite_b=True).T
     Theta += fit.theta_hat
-    lp = -f_values(prob, Theta) + fit.f_hat
+    lp = -f_values(prob, Theta, workers) + fit.f_hat
     wp = np.exp(lp - np.max(lp))
     wq = np.exp(lq)
     return 0.5 * float(np.sum(np.abs(wp / np.sum(wp) - wq / np.sum(wq))))
 
 
 def tv_quadrature(fit: LaplaceFit, prob: Problem, per_axis: int = 64,
-                  half_width: float = 10.0) -> TVEstimate:
+                  half_width: float = 10.0, workers: int | None = None) -> TVEstimate:
     """Grid quadrature of the TV integral in whitened coordinates, p <= 3."""
     p = fit.theta_hat.size
     if p > 3:
         raise ValidationError("quadrature TV supports p <= 3 only; use tv_importance")
     if per_axis < 64:
         raise ValueError("per_axis >= 64 required")
-    coarse = _tv_on_grid(fit, prob, per_axis, half_width)
-    fine = _tv_on_grid(fit, prob, 2 * per_axis, half_width)
+    coarse = _tv_on_grid(fit, prob, per_axis, half_width, workers)
+    fine = _tv_on_grid(fit, prob, 2 * per_axis, half_width, workers)
     err = abs(fine - coarse)
     return TVEstimate(method="quadrature", value=fine,
                       ci_low=max(0.0, fine - err),
@@ -149,7 +157,8 @@ def tv_quadrature(fit: LaplaceFit, prob: Problem, per_axis: int = 64,
 
 
 def _importance_pass(fit: LaplaceFit, prob: Problem, n_samples: int, seed: int,
-                     n_boot: int, regions, stream: int = 13) -> TVEstimate:
+                     n_boot: int, regions, stream: int = 13,
+                     workers: int | None = None) -> TVEstimate:
     """TV estimate with the outside mass of each (D0_sq, r) region, one draw.
 
     Each region's bootstrap fraction is taken from one weight vector (w
@@ -157,7 +166,7 @@ def _importance_pass(fit: LaplaceFit, prob: Problem, n_samples: int, seed: int,
     time, so it holds no resample array beyond those of the TV statistic.
     """
     rng, U = laplace_draws(fit, n_samples, seed, stream)
-    logw = log_ratio(fit, prob, U)
+    logw = log_ratio(fit, prob, U, workers)
     w = np.exp(logw - np.max(logw))
     outside = [np.sqrt(np.sum(U * (U @ D0_sq), axis=1)) > r for D0_sq, r in regions]
     w_out = [np.where(o, w, 0.0) for o in outside]
@@ -174,7 +183,7 @@ def _importance_pass(fit: LaplaceFit, prob: Problem, n_samples: int, seed: int,
 
     tv = float(tv_of(w))
     ess = float(np.sum(w) ** 2 / np.sum(w ** 2))
-    lo, hi = bootstrap_ci(rng, n_samples, n_boot, stat)
+    lo, hi = bootstrap_ci(rng, n_samples, n_boot, stat, workers)
     masses = []
     for j, (o, wo) in enumerate(zip(outside, w_out), start=1):
         frac = float(np.sum(wo) / np.sum(w))
@@ -190,7 +199,8 @@ def _importance_pass(fit: LaplaceFit, prob: Problem, n_samples: int, seed: int,
 
 
 def tv_importance(fit: LaplaceFit, prob: Problem, n_samples: int = 20000,
-                  seed: int = 0, n_boot: int = 500, regions=()) -> TVEstimate:
+                  seed: int = 0, n_boot: int = 500, regions=(),
+                  workers: int | None = None) -> TVEstimate:
     """TV = (1/2) E_phi |w / mean(w) - 1| by Monte Carlo under the Gaussian.
 
     `outside` holds the `OutsideMass` of each (D0_sq, r) in regions.
@@ -203,4 +213,4 @@ def tv_importance(fit: LaplaceFit, prob: Problem, n_samples: int = 20000,
             "no longer trustworthy" % p)
     if n_samples < 10000:
         raise ValueError("n_samples >= 10000 required")
-    return _importance_pass(fit, prob, n_samples, seed, n_boot, regions)
+    return _importance_pass(fit, prob, n_samples, seed, n_boot, regions, workers=workers)

@@ -235,7 +235,7 @@ def test_criterion_09_concentration(volterra_eig):
             t = max(0.0, r - math.sqrt(dim))
             se = math.sqrt(max(m.gaussian_frac * (1 - m.gaussian_frac), 1e-9) / 2000)
             checks += 2
-            violations += m.gaussian_frac - 3 * se > C.gaussian_tail(dim, t)
+            violations += m.gaussian_frac - 3 * se > C.gaussian_tail(t)
             violations += m.posterior_ci_low > C.posterior_tail_bound(dim, float(r))
     assert _report(9, "tail bounds dominate empirical mass", violations == 0,
                    "%d violations in %d checks" % (violations, checks))

@@ -14,10 +14,12 @@ import pytest
 
 import lapcert.certification
 import lapcert.cli
+import lapcert.__main__ as entry
 import lapcert.eigensolver
 import lapcert.validation
 from lapcert.cli import main
 from lapcert.config import ConfigError, config_from_dict, load_config
+from lapcert.posterior import usable_cores
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASE = {
@@ -221,7 +223,9 @@ def test_every_usable_certificate_is_checked(tmp_path, capsys, monkeypatch, writ
 
     def low_dg(*args, **kwargs):
         res = compare(*args, **kwargs)
-        res["certs"]["DG"] = replace(res["certs"]["DG"], tv_bound=1e-6)
+        dg = res["certs"]["DG"]
+        # tv_bound = tau3 * effdim + a tail term that underflows at this radius
+        res["certs"]["DG"] = replace(dg, tau3_sup=1e-6 / dg.effdim, radius=100.0)
         return res
 
     monkeypatch.setattr(lapcert.certification, "compare_choices", low_dg)
@@ -377,6 +381,69 @@ def test_threads_below_one_rejected(tmp_path, write_cfg, capsys, monkeypatch):
         assert "--threads must be >= 1" in capsys.readouterr().err
         assert os.environ["OMP_NUM_THREADS"] == "1" and not out.exists()
     assert threading.active_count() == threads
+
+
+def test_threads_above_cap_rejected(tmp_path, write_cfg, capsys):
+    """--threads > 256 exits 2 before any thread starts or any stage runs."""
+    threads = threading.active_count()
+    for bad in ("257", "100000"):
+        out = tmp_path / ("t" + bad)
+        assert main(["all", "--config", write_cfg(), "--out", str(out), "--threads", bad]) == 2
+        assert "--threads must be >= 1 and <= 256" in capsys.readouterr().err
+        assert not out.exists()
+    assert threading.active_count() == threads
+
+
+def test_threads_change_no_artifact(tmp_path, eig_cache, volterra_eig_small):
+    """`all` on the bundled gaussian_exactness config writes byte-identical
+    CSVs at --threads 1 and 2, and the manifest says how each run was threaded."""
+    with open(os.path.join(ROOT, "configs", "gaussian_exactness.json")) as fh:
+        doc = json.load(fh)
+    doc["eigensolver"]["cache_dir"] = eig_cache     # the session's warm N=2048, K=30 cache
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    csvs = {}
+    for threads in (1, 2):
+        out = tmp_path / ("t%d" % threads)
+        assert main(["all", "--config", str(cfg), "--out", str(out),
+                     "--threads", str(threads)]) == 0
+        csvs[threads] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["threads"] == {
+            "requested": threads, "kernel_workers": min(threads, usable_cores()),
+            "blas_env": {var: os.environ.get(var) for var in lapcert.cli.BLAS_VARS}}
+    assert len(csvs[1]) == 5 and csvs[1] == csvs[2]
+    # a count above the usable cores runs on the usable cores
+    out = tmp_path / "t256"
+    assert main(["fit", "--config", str(cfg), "--out", str(out), "--threads", "256"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["threads"]["kernel_workers"] == usable_cores()
+
+
+def test_console_entry_sets_blas_before_numpy(monkeypatch):
+    """The `lapcert` command imports nothing that loads numpy before it has
+    set the BLAS variables from --threads; an out-of-range count sets nothing
+    and reaches the CLI, which rejects it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, lapcert.__main__; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False"
+    seen = []
+
+    def cli_main(argv):   # records the BLAS variables the CLI would load numpy with
+        seen.append((argv, {var: os.environ.get(var) for var in entry.BLAS_VARS}))
+        return 7
+
+    monkeypatch.setattr(lapcert.cli, "main", cli_main)
+    for argv, want in ((["fit", "--threads", "3"], "3"), (["fit", "--thr=2"], "2"),
+                       (["fit", "--threads", "257"], None), (["fit", "--threads", "x"], None),
+                       (["fit"], None)):
+        for var in entry.BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        assert entry.main(argv) == 7
+        assert seen.pop() == (argv, dict.fromkeys(entry.BLAS_VARS, want))
 
 
 def test_cli_import_skips_unused_dependencies():

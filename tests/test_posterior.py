@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +9,7 @@ from hypothesis import strategies as st
 
 from lapcert.model import TruthSpec, exp_family, generate
 from lapcert.operators import assemble_design
-from lapcert.posterior import Problem, f_value, grad, hessian, map_solve
+from lapcert.posterior import Problem, f_value, grad, hessian, map_solve, pool_map
 
 from conftest import make_problem
 from probes import third_directional
@@ -116,3 +120,40 @@ def test_bernoulli_fit_runs(volterra_eig_small):
     fit = map_solve(prob)
     assert fit.grad_norm < 1e-6
     assert set(np.unique(prob.data.y)).issubset({0.0, 1.0})
+
+
+def test_pool_map_order_errors_and_items_held():
+    """More workers than cores and a short switch interval: results are in
+    item order, the error raised is the first failing item's, and at most
+    `workers` items are drawn and unfinished at any time."""
+    lock = threading.Lock()
+    state = {}
+
+    def items(k):
+        for i in range(k):
+            with lock:
+                state["drawn"] += 1
+                state["held"] = max(state["held"], state["drawn"] - state["done"])
+            yield i
+
+    def square(i):
+        time.sleep(0.0005 * (i % 3))
+        with lock:
+            state["done"] += 1
+        if state["fail"] and i in (5, 9):
+            time.sleep(0.02 if i == 5 else 0.0)   # item 9 fails first
+            raise ValueError("item %d" % i)
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3, 8):
+            state.update(drawn=0, done=0, held=0, fail=False)
+            assert pool_map(square, items(40), workers) == [i * i for i in range(40)]
+            assert state["held"] <= workers
+            state["fail"] = True
+            with pytest.raises(ValueError, match="item 5"):
+                pool_map(square, items(40), workers)
+    finally:
+        sys.setswitchinterval(interval)

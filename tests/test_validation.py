@@ -1,5 +1,6 @@
 import itertools
 import time
+import warnings
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -93,8 +94,46 @@ def test_kernel_raises_like_f_value(poisson_fit, monkeypatch):
         Theta[17] = row
         with np.errstate(over="ignore"), pytest.raises(EvaluationError, match=msg):
             f_value(prob, row)
-        with np.errstate(over="ignore"), pytest.raises(EvaluationError, match=msg):
-            f_values(prob, Theta)
+        # chunks of 7 rows: at 3 workers row 17 is in the second run; the
+        # workers keep the caller's errstate, so no RuntimeWarning escapes it
+        for workers in (1, 3):
+            with warnings.catch_warnings(), np.errstate(over="ignore"), \
+                    pytest.raises(EvaluationError, match=msg):
+                warnings.simplefilter("error")
+                f_values(prob, Theta, workers)
+    # row 3 overflows in chunk 0 and row 17 is still NaN in chunk 2, which
+    # is in another run at 3 workers: the lowest chunk's error, at any count
+    Theta[3] += 1e4
+    for workers in (1, 3):
+        with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="overflow"):
+            f_values(prob, Theta, workers)
+
+
+@pytest.mark.parametrize("family", ["poisson", "bernoulli"])
+def test_estimates_do_not_depend_on_workers(volterra_eig, poisson_fit, monkeypatch, family):
+    """The kernel, both TV estimators (quadrature at p <= 3) and the outside
+    masses are bit-identical for 1, 2 and 3 workers; the kernel also at two
+    odd chunk sizes."""
+    if family == "poisson":
+        prob, fit = poisson_fit    # p = 4
+    else:
+        prob = make_problem(volterra_eig, family, n=400, p=2)
+        fit = map_solve(prob)
+    n, p = prob.design.n, prob.p
+    _, U = val.laplace_draws(fit, 200, seed=0, stream=5)
+    for entries in (posterior._CHUNK_ENTRIES, 7 * n, n - 1):
+        monkeypatch.setattr(posterior, "_CHUNK_ENTRIES", entries)
+        ref = f_values(prob, fit.theta_hat + U, 1)
+        for workers in (2, 3):
+            assert np.array_equal(f_values(prob, fit.theta_hat + U, workers), ref)
+    monkeypatch.undo()
+    regions = [(fit.DG2, 1.5 * np.sqrt(p)), (np.eye(p), 0.5)]
+    imp = [val.tv_importance(fit, prob, n_samples=10000, seed=2, n_boot=100,
+                             regions=regions, workers=w) for w in (1, 2, 3)]
+    assert imp[0] == imp[1] == imp[2] and len(imp[0].outside) == 2
+    if p <= 3:
+        quad = [val.tv_quadrature(fit, prob, workers=w) for w in (1, 2, 3)]
+        assert quad[0] == quad[1] == quad[2]
 
 
 def test_grid_in_product_order():
@@ -123,18 +162,39 @@ def _philox(seed, stream):
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
-def test_bootstrap_blocks_repeat_one_draw():
+def test_bootstrap_blocks_repeat_one_draw(monkeypatch):
     n_samples, n_boot = 3000, 500   # blocks of 349 rows, then 151
+    want = _philox(0, 13).integers(0, n_samples, size=(n_boot, n_samples))
     blocks = []
 
     def stat(idx):
         blocks.append(idx.copy())
         return idx[:, 0].astype(float)
 
-    val.bootstrap_ci(_philox(0, 13), n_samples, n_boot, stat)
+    val.bootstrap_ci(_philox(0, 13), n_samples, n_boot, stat, workers=1)
     assert [len(b) for b in blocks] == [349, 151]
-    want = _philox(0, 13).integers(0, n_samples, size=(n_boot, n_samples))
     assert np.array_equal(np.concatenate(blocks), want)
+    # on more workers the blocks shrink, so the indices held stay at
+    # _BOOT_BLOCK_ENTRIES; the statistic is the block itself, and the values
+    # reach the percentiles in draw order
+    seen, percentile = [], np.percentile
+
+    def recording(a, *args, **kwargs):
+        seen.append(a)
+        return percentile(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "percentile", recording)
+    for workers in (2, 3):
+        rows = val._BOOT_BLOCK_ENTRIES // workers // n_samples
+        sizes = []
+
+        def stat(idx):
+            sizes.append(len(idx))
+            return idx.astype(float)
+
+        val.bootstrap_ci(_philox(0, 13), n_samples, n_boot, stat, workers=workers)
+        assert sorted(sizes, reverse=True) == [rows] * (n_boot // rows) + [n_boot % rows]
+        assert np.array_equal(seen.pop(), want)
 
 
 def test_importance_ci_matches_per_resample_reference(poisson_fit):
