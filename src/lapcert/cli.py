@@ -76,7 +76,7 @@ class Run:
     Each stage (eig, truth, data, prob, fit, comparison, certs, usable, tvs) is
     computed on first use and kept, so every subcommand of `all` reads the
     same objects.  A sweep point passes in the parent run's eig, and its data
-    when only p varies.  `workers` threads (default: the usable cores) run
+    when only p varies.  Up to `workers` threads (default: the usable cores) run
     the TV estimates' likelihood kernel and bootstrap.
     """
 
@@ -334,8 +334,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=None, help="output directory (default from config)")
     ap.add_argument("--seed", type=int, default=None, help="override config seed")
     ap.add_argument("--threads", type=int, default=None,
-                    help="threads for the likelihood kernel and bootstrap (default and "
-                         "cap: the usable cores); the `lapcert` command also caps BLAS "
+                    help="most threads for the likelihood kernel and bootstrap (default "
+                         "and cap: the usable cores); the `lapcert` command also caps BLAS "
                          "at N (1 to %d)" % MAX_THREADS)
     args = ap.parse_args(argv)
 

@@ -110,6 +110,20 @@ def pool_map(fn, items, workers: int) -> list:
     return out
 
 
+# work a pool thread must get, in entries of the array it reduces: 2^26 is
+# about 0.3 s of the kernel on one core.  On 2 cores, a second thread saved
+# nothing at desk size (4e7 kernel entries, with its bootstrap) but tripled the
+# spread of the TV step over cold runs; at 4e8 kernel entries it saved 0.7 s.
+_MIN_WORKER_ENTRIES = 1 << 26
+
+
+def pool_size(workers: int | None, entries: int) -> int:
+    """Threads for `entries` of work: one per `_MIN_WORKER_ENTRIES`, at least
+    one and at most `workers` (default: `usable_cores()`)."""
+    workers = usable_cores() if workers is None else workers
+    return max(1, min(workers, entries // _MIN_WORKER_ENTRIES))
+
+
 # entries of S = Theta R^T formed at a time: 2^16 doubles (512 KiB) stay in L2
 _CHUNK_ENTRIES = 1 << 16
 
@@ -119,9 +133,9 @@ def f_values(prob: Problem, Theta: np.ndarray, workers: int | None = None) -> np
 
     S = Theta R^T is formed a row chunk at a time, and the data term uses the
     sufficient statistic Theta (R^T y) = sum_j y_j s_j, so only h(S) is
-    reduced per chunk.  The chunks are split into `workers` contiguous runs
-    (default: `usable_cores()`), one thread each; every row's arithmetic is
-    the same for any count, so the result is too.  Raises the same
+    reduced per chunk.  The chunks are split into `pool_size(workers, m n)`
+    contiguous runs, one thread each; every row's arithmetic is the same for
+    any count, so the result is too.  Raises the same
     `EvaluationError`s as `f_value`, the lowest failing chunk's.
     """
     Rt = np.ascontiguousarray(prob.design.rows.T)   # contiguous: halves the product's time
@@ -142,8 +156,8 @@ def f_values(prob: Problem, Theta: np.ndarray, workers: int | None = None) -> np
                 raise EvaluationError("overflow in cumulant h")
             out[a:a + rows] = hsum - T @ Rty + 0.5 * (T * T) @ g2
 
-    workers = usable_cores() if workers is None else workers
-    k = max(1, min(workers, len(starts)))   # no empty run, and one for an empty Theta
+    # no empty run, and one for an empty Theta
+    k = max(1, min(pool_size(workers, Theta.shape[0] * prob.design.n), len(starts)))
     runs = [starts[i * len(starts) // k:(i + 1) * len(starts) // k] for i in range(k)]
     pool_map(run, runs, k)
     return out

@@ -14,10 +14,12 @@ Both evaluate the negative log posterior at all their points with one
 call to the batched kernel `posterior.f_values` (the whole quadrature grid,
 or all M Gaussian draws through `log_ratio`), and the bootstrap evaluates
 its statistic a block of resamples at a time.  The kernel's row chunks and
-the bootstrap's blocks run on `workers` threads (default: the usable
-cores); no estimate depends on the count.  The importance draws also
-give the mass outside ellipsoids {||D0 u|| <= r} (`OutsideMass`) on the
-same resample blocks, so tail claims need no second likelihood pass.
+the bootstrap's blocks run on up to `workers` threads (default: the usable
+cores), fewer for small work (`posterior.pool_size`: an importance pass's
+bootstrap gets as many as its kernel); no estimate depends on the count.
+The importance draws also give the mass outside ellipsoids
+{||D0 u|| <= r} (`OutsideMass`) on the same resample blocks, so tail
+claims need no second likelihood pass.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
-from .posterior import LaplaceFit, Problem, f_values, pool_map, usable_cores
+from .posterior import LaplaceFit, Problem, f_values, pool_map, pool_size, usable_cores
 
 
 class ValidationError(RuntimeError):
@@ -165,6 +167,10 @@ def _importance_pass(fit: LaplaceFit, prob: Problem, n_samples: int, seed: int,
     outside, 0 inside) in the TV statistic's index blocks, one region at a
     time, so it holds no resample array beyond those of the TV statistic.
     """
+    # one count for the kernel and the bootstrap, which is too small to
+    # split by its own size (500 x M indices) but reuses the kernel threads'
+    # freed memory when it runs on as many
+    workers = pool_size(workers, n_samples * prob.design.n)
     rng, U = laplace_draws(fit, n_samples, seed, stream)
     logw = log_ratio(fit, prob, U, workers)
     w = np.exp(logw - np.max(logw))

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from lapcert.model import TruthSpec, exp_family, generate
 from lapcert.operators import assemble_design
-from lapcert.posterior import Problem, f_value, grad, hessian, map_solve, pool_map
+from lapcert import posterior
+from lapcert.posterior import (Problem, f_value, f_values, grad, hessian, map_solve, pool_map,
+                               pool_size)
 
 from conftest import make_problem
 from probes import third_directional
@@ -157,3 +159,21 @@ def test_pool_map_order_errors_and_items_held():
                 pool_map(square, items(40), workers)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_small_work_runs_on_one_thread(poisson_fit, monkeypatch):
+    """One thread per _MIN_WORKER_ENTRIES of work, at least one and at most
+    `workers`: the kernel at test size starts no thread for any count."""
+    grain = posterior._MIN_WORKER_ENTRIES
+    assert [pool_size(4, e) for e in (0, grain - 1, 2 * grain, 9 * grain)] == [1, 1, 2, 4]
+    assert pool_size(None, 0) == 1
+    prob, fit = poisson_fit
+    sizes = []
+
+    def recording(fn, items, workers):
+        sizes.append(workers)
+        return pool_map(fn, items, workers)
+
+    monkeypatch.setattr(posterior, "pool_map", recording)
+    f_values(prob, np.tile(fit.theta_hat, (50, 1)), 8)
+    assert sizes == [1]

@@ -87,6 +87,7 @@ def test_kernel_matches_per_point_reference(volterra_eig, monkeypatch, family, n
 def test_kernel_raises_like_f_value(poisson_fit, monkeypatch):
     prob, fit = poisson_fit
     monkeypatch.setattr(posterior, "_CHUNK_ENTRIES", 7 * prob.design.n)
+    monkeypatch.setattr(posterior, "_MIN_WORKER_ENTRIES", 1)   # split small work too
     Theta = np.tile(fit.theta_hat, (30, 1))
     Theta[17] += 1e4   # exp(R theta) overflows
     for msg, row in (("overflow in cumulant h", Theta[17].copy()),
@@ -113,7 +114,7 @@ def test_kernel_raises_like_f_value(poisson_fit, monkeypatch):
 def test_estimates_do_not_depend_on_workers(volterra_eig, poisson_fit, monkeypatch, family):
     """The kernel, both TV estimators (quadrature at p <= 3) and the outside
     masses are bit-identical for 1, 2 and 3 workers; the kernel also at two
-    odd chunk sizes."""
+    odd chunk sizes.  Work of any size is split."""
     if family == "poisson":
         prob, fit = poisson_fit    # p = 4
     else:
@@ -121,12 +122,13 @@ def test_estimates_do_not_depend_on_workers(volterra_eig, poisson_fit, monkeypat
         fit = map_solve(prob)
     n, p = prob.design.n, prob.p
     _, U = val.laplace_draws(fit, 200, seed=0, stream=5)
-    for entries in (posterior._CHUNK_ENTRIES, 7 * n, n - 1):
+    monkeypatch.setattr(posterior, "_MIN_WORKER_ENTRIES", 1)
+    # the default chunk last, so the estimators below run with it
+    for entries in (7 * n, n - 1, posterior._CHUNK_ENTRIES):
         monkeypatch.setattr(posterior, "_CHUNK_ENTRIES", entries)
         ref = f_values(prob, fit.theta_hat + U, 1)
         for workers in (2, 3):
             assert np.array_equal(f_values(prob, fit.theta_hat + U, workers), ref)
-    monkeypatch.undo()
     regions = [(fit.DG2, 1.5 * np.sqrt(p)), (np.eye(p), 0.5)]
     imp = [val.tv_importance(fit, prob, n_samples=10000, seed=2, n_boot=100,
                              regions=regions, workers=w) for w in (1, 2, 3)]
