@@ -43,6 +43,8 @@ from scipy.linalg import cho_factor, cho_solve, eigh
 
 from .posterior import LaplaceFit, Problem
 
+N_RADII = 60   # geometric grid of radii from r_lo to r_hi that certify tries
+
 
 class CertificationError(RuntimeError):
     pass
@@ -74,15 +76,18 @@ def choice_gamma0(fit: LaplaceFit, gamma0: float, gamma: float) -> WeightChoice:
 
 @dataclass(frozen=True)
 class Certificate:
-    """The TV claim of one scaled weighting at one radius; the bound and its
-    two terms are derived from tau3_sup, effdim and radius."""
+    """The TV claim of one scaled weighting at one radius; feasibility, the
+    bound and its two terms are derived from tau3_sup, effdim and radius."""
     choice: WeightChoice
     alpha: float
     effdim: float
     tau3_sup: float
     radius: float
-    feasible: bool
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def feasible(self) -> bool:   # r >= 3 sqrt(effdim) + 3 holds on certify's whole grid
+        return self.radius * self.tau3_sup <= 0.5
 
     @property
     def local_term(self) -> float:
@@ -142,18 +147,15 @@ def tau3_parts(prob: Problem, choice: WeightChoice) -> dict:
 
 
 def tau3_certified(fit: LaplaceFit, prob: Problem, choice: WeightChoice,
-                   r: float, parts: dict | None = None) -> float:
-    """Certified upper bound on sup_{||Du|| <= r} ||nabla^3 f(theta_hat + u)||_D."""
+                   r: float, parts: dict) -> float:
+    """Certified bound on sup_{||Du|| <= r} ||nabla^3 f(theta_hat + u)||_D from tau3_parts."""
     if r <= 0:
         raise ValueError("r > 0 required")
-    if parts is None:
-        parts = tau3_parts(prob, choice)
-    A, B = parts["A"], parts["B"]
-    K_loc = fit.rq_sup + r * A
-    d3 = prob.family.d3_envelope(K_loc)
+    A = parts["A"]
+    d3 = prob.family.d3_envelope(fit.rq_sup + r * A)   # D3(K_loc)
     if choice.kind == "identity_scaled":
         return d3 * prob.design.n * A ** 3
-    return d3 * A * B
+    return d3 * A * parts["B"]
 
 
 def _tail_exp(effdim: float, r: float) -> float:
@@ -175,9 +177,9 @@ def posterior_tail_bound(effdim: float, r: float) -> float:
     return min(1.0, _tail_exp(effdim, r) / 3.0)
 
 
-def certify(fit: LaplaceFit, prob: Problem, choice: WeightChoice,
-            beta: float = 1.0, n_r: int = 60) -> Certificate:
-    """Best feasible certificate over the r grid (least-infeasible if none).
+def certify(fit: LaplaceFit, prob: Problem, choice: WeightChoice, beta: float = 1.0) -> Certificate:
+    """The feasible certificate of least tv_bound over the radius grid, or, if
+    none is feasible, the one of least r * tau3 (the first of equals).
 
     Its diagnostics hold A, B and gap_est, plus S_dim, S_tau, m and m0star
     for the gamma0 family.
@@ -188,28 +190,21 @@ def certify(fit: LaplaceFit, prob: Problem, choice: WeightChoice,
 
     r_lo = 3.0 * math.sqrt(dim) + 3.0
     r_hi = max(50.0 * math.sqrt(dim), 2.0 * r_lo)
-    radii = list(np.geomspace(r_lo, r_hi, n_r))
+    radii = list(np.geomspace(r_lo, r_hi, N_RADII))
     if choice.kind == "gamma0_family":
-        n, p = prob.design.n, prob.p
-        s_dim, s_tau = s_sums(n, p, beta, prob.gamma, choice.gamma0)
-        _, m, m0s = gamma0_star(n, beta, prob.gamma)
+        s_dim, s_tau = s_sums(prob.design.n, prob.p, beta, prob.gamma, choice.gamma0)
+        _, m, m0s = gamma0_star(prob.design.n, beta, prob.gamma)
         diag.update(S_dim=s_dim, S_tau=s_tau, m=m, m0star=m0s)
         if s_tau > 0 and 1.0 / math.sqrt(s_tau) >= r_lo:
             radii.append(1.0 / math.sqrt(s_tau))  # canonical r from the theorem
 
     alpha_scaled = alpha_of(scaled.D2, fit.DG2)
-    best = least_bad = None
-    for r in sorted(radii):
-        tau = tau3_certified(fit, prob, scaled, r, diag)
-        feasible = r * tau <= 0.5
-        cert = Certificate(choice=scaled, alpha=alpha_scaled, effdim=dim, tau3_sup=tau,
-                           radius=r, feasible=feasible, diagnostics=diag)
-        if feasible:
-            if best is None or cert.tv_bound < best.tv_bound:
-                best = cert
-        elif least_bad is None or r * tau < least_bad.radius * least_bad.tau3_sup:
-            least_bad = cert
-    return best if best is not None else least_bad
+    cands = [Certificate(choice=scaled, alpha=alpha_scaled, effdim=dim, radius=r,
+                         tau3_sup=tau3_certified(fit, prob, scaled, r, diag), diagnostics=diag)
+             for r in sorted(radii)]
+    feasible = [c for c in cands if c.feasible]
+    return (min(feasible, key=lambda c: c.tv_bound) if feasible
+            else min(cands, key=lambda c: c.radius * c.tau3_sup))
 
 
 # --- diagonal S sums, optimized gamma0 ---
@@ -245,20 +240,11 @@ def gamma0_star(n: int, beta: float, gamma: float) -> tuple:
 
 
 def compare_choices(fit: LaplaceFit, prob: Problem, beta: float = 1.0) -> dict:
-    """Certificates for D_G, I/alpha(I), and D(gamma0*), plus improvement ratios."""
-    g0s, m, m0s = gamma0_star(prob.design.n, beta, prob.gamma)
-    certs = {
-        "DG": certify(fit, prob, choice_DG(fit), beta=beta),
-        "identity": certify(fit, prob, choice_identity(fit), beta=beta),
-        "gamma0_star": certify(fit, prob, choice_gamma0(fit, g0s, prob.gamma), beta=beta),
-    }
-    ub = certs["gamma0_star"].tv_bound
-    return {
-        "certs": certs,
-        "m": m, "m0_star": m0s, "gamma0_star": g0s,
-        "ratio_DG": certs["DG"].tv_bound / ub if ub > 0 else math.inf,
-        "ratio_identity": certs["identity"].tv_bound / ub if ub > 0 else math.inf,
-    }
+    """Certificates for D_G, I/alpha(I) and D(gamma0*), by label."""
+    g0s = gamma0_star(prob.design.n, beta, prob.gamma)[0]
+    return {"DG": certify(fit, prob, choice_DG(fit), beta=beta),
+            "identity": certify(fit, prob, choice_identity(fit), beta=beta),
+            "gamma0_star": certify(fit, prob, choice_gamma0(fit, g0s, prob.gamma), beta=beta)}
 
 
 def sweep_synthetic(n: float, p_values, beta: float, gamma: float) -> list:

@@ -73,7 +73,7 @@ def _write_json(path: str, doc: dict) -> None:
 class Run:
     """One pass of the pipeline for a config.
 
-    Each stage (eig, truth, data, prob, fit, comparison, certs, usable, tvs) is
+    Each stage (eig, truth, data, prob, fit, certs, usable, tvs) is
     computed on first use and kept, so every subcommand of `all` reads the
     same objects.  A sweep point passes in the parent run's eig, and its data
     when only p varies.  Up to `workers` threads (default: the usable cores) run
@@ -122,14 +122,10 @@ class Run:
         return map_solve(self.prob)
 
     @cached_property
-    def comparison(self):
-        return cert.compare_choices(self.fit, self.prob, beta=self.cfg.beta)
-
-    @cached_property
     def certs(self) -> dict:
         """compare_choices' certificates, then one `gamma0=<v>` per configured value."""
         cfg, fit = self.cfg, self.fit
-        certs = dict(self.comparison["certs"])
+        certs = cert.compare_choices(fit, self.prob, beta=cfg.beta)
         for g0 in cfg.certification.gamma0 or []:
             certs["gamma0=%g" % g0] = cert.certify(
                 fit, self.prob, cert.choice_gamma0(fit, g0, cfg.gamma), beta=cfg.beta)
@@ -211,8 +207,6 @@ def cmd_certify(run):
     rows = [_cert_row(label, c) for label, c in run.certs.items()]
     run.times["certify"] = time.time() - t0
     _write_csv(run.path("certificates.csv"), CERT_COLUMNS, rows)
-    _write_json(run.path("comparison.json"),
-                {k: v for k, v in run.comparison.items() if k != "certs"})
     for row in rows:
         print("certify: %-12s tv_bound=%.4g feasible=%d (grid gap est %.2e)"
               % (row["label"], row["tv_bound"], row["feasible"], row["gap_est"]))
@@ -349,10 +343,10 @@ def main(argv=None) -> int:
         cfg = config_from_dict(
             {**cfg.to_dict(), **{k: v for k, v in overrides.items() if v is not None}},
             args.config)
+        os.makedirs(cfg.out_dir, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    os.makedirs(cfg.out_dir, exist_ok=True)
 
     run = Run(cfg, workers=None if args.threads is None else min(args.threads, usable_cores()))
     t0 = time.time()

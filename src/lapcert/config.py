@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
+from .operators import CoefficientPair, OperatorSpecError
+
 
 class ConfigError(ValueError):
     pass
@@ -89,12 +91,18 @@ _SECTIONS = {
 }
 
 
-# JSON values a field of each scalar annotation accepts (never a bool)
-_SCALARS = {"int": int, "float": (int, float), "str": str}
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# the JSON values a field of each annotation accepts; a "T | None" field also takes null
+_TYPES = {"int": lambda v: _number(v) and isinstance(v, int), "float": _number,
+          "str": lambda v: isinstance(v, str), "bool": lambda v: isinstance(v, bool),
+          "list": lambda v: isinstance(v, list) and all(map(_number, v))}
 
 
 def _build(cls, data: dict, path: str):
-    """cls(**data) with its sections built in turn; unknown keys and scalars
+    """cls(**data) with its sections built in turn; unknown keys and values
     of the wrong type are rejected."""
     if not isinstance(data, dict):
         raise ConfigError("%s: expected an object" % path)
@@ -103,9 +111,10 @@ def _build(cls, data: dict, path: str):
         if key not in fields:
             raise ConfigError("%s.%s: unknown key (allowed: %s)"
                               % (path, key, ", ".join(sorted(fields))))
-        want = _SCALARS.get(fields[key].type)
-        if want is not None and (isinstance(val, bool) or not isinstance(val, want)):
-            raise ConfigError("%s.%s: expected %s, got %r" % (path, key, fields[key].type, val))
+        typ = fields[key].type
+        accepts = _TYPES.get(typ.removesuffix(" | None"))
+        if accepts and not (accepts(val) or val is None and typ.endswith(" | None")):
+            raise ConfigError("%s.%s: expected %s, got %r" % (path, key, typ, val))
     return cls(**{key: (_build(_SECTIONS[key], val, path + "." + key)
                         if key in _SECTIONS else val) for key, val in data.items()})
 
@@ -126,6 +135,10 @@ def config_from_dict(raw: dict, where: str = "<dict>") -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig, where: str) -> None:
+    try:
+        CoefficientPair(tuple(cfg.operator.a), tuple(cfg.operator.b))
+    except OperatorSpecError as exc:
+        raise ConfigError("%s.operator: %s" % (where, exc)) from exc
     if cfg.family not in ("poisson", "gaussian", "bernoulli"):
         raise ConfigError("%s.family: unknown family %r" % (where, cfg.family))
     if cfg.n < 1 or cfg.p < 1:

@@ -35,6 +35,8 @@ class CoefficientPair:
     def __post_init__(self):
         object.__setattr__(self, "a_coeffs", tuple(float(c) for c in self.a_coeffs))
         object.__setattr__(self, "b_coeffs", tuple(float(c) for c in self.b_coeffs))
+        if not (self.a_coeffs and self.b_coeffs):
+            raise OperatorSpecError("a and b need at least one coefficient")
         if len(self.a_coeffs) - 1 > MAX_POLY_DEGREE or len(self.b_coeffs) - 1 > MAX_POLY_DEGREE:
             raise OperatorSpecError("polynomial degree > %d" % MAX_POLY_DEGREE)
         xs = np.linspace(0.0, 1.0, 2049)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 from scipy.linalg import cholesky, eigh, solve_triangular
 
-from lapcert.certification import WeightChoice, tau3_certified
+from lapcert.certification import WeightChoice, tau3_certified, tau3_parts
 from lapcert.model import sample_basis
 from lapcert.posterior import LaplaceFit, Problem, f_values, hessian
 
@@ -99,7 +99,7 @@ def omega_diagnostics(fit: LaplaceFit, prob: Problem, choice: WeightChoice,
         w = float(np.linalg.norm(W, 2))
         om3 = max(om3, w)
         t3 = max(t3, w / d)
-    tau_cert = tau3_certified(fit, prob, choice, r)
+    tau_cert = tau3_certified(fit, prob, choice, r, tau3_parts(prob, choice))
     return {"omega_est": om, "omega3_est": om3, "tau3_est": t3,
             "tau3_cert": tau_cert, "radius": r,
             "chain_ok": (om <= (r / 3.0) * tau_cert + 1e-12

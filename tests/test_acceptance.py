@@ -174,7 +174,7 @@ def test_criterion_07_certificate_dominance(desk_corpus):
     checks = ok_count = 0
     for n, p, seed, prob, fit, res in desk_corpus:
         tv = None
-        for cert in res["certs"].values():
+        for cert in res.values():
             if cert.feasible and cert.tv_bound < 1.0:
                 if tv is None:
                     tv = val.tv_importance(fit, prob, n_samples=20000, seed=seed)
@@ -188,11 +188,11 @@ def test_criterion_07_certificate_dominance(desk_corpus):
 
 
 def test_criterion_08_optimized_weighting(desk_corpus):
-    all3 = [(res["certs"]["gamma0_star"].tv_bound,
-             res["certs"]["DG"].tv_bound,
-             res["certs"]["identity"].tv_bound)
+    all3 = [(res["gamma0_star"].tv_bound,
+             res["DG"].tv_bound,
+             res["identity"].tv_bound)
             for *_, res in desk_corpus
-            if all(c.feasible for c in res["certs"].values())]
+            if all(c.feasible for c in res.values())]
     if all3:
         wins = sum(g <= d and g <= i for g, d, i in all3)
         ratio_ok = wins >= 0.9 * len(all3)

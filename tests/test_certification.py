@@ -66,7 +66,7 @@ def test_effdim_examples(poisson_fit):
 def test_tau3_gaussian_is_zero(gaussian_fit):
     prob, fit = gaussian_fit
     for ch in (C.choice_DG(fit), C.choice_identity(fit)):
-        assert C.tau3_certified(fit, prob, ch, r=5.0) == 0.0
+        assert C.tau3_certified(fit, prob, ch, 5.0, C.tau3_parts(prob, ch)) == 0.0
 
 
 def test_tau3_dominates_multistart_search(poisson_fit):
@@ -74,7 +74,7 @@ def test_tau3_dominates_multistart_search(poisson_fit):
     prob, fit = poisson_fit
     ch = C.choice_DG(fit)
     r = 4.0
-    bound = C.tau3_certified(fit, prob, ch, r)
+    bound = C.tau3_certified(fit, prob, ch, r, C.tau3_parts(prob, ch))
     L = np.linalg.cholesky(ch.D2)
     rng = np.random.default_rng(2)
     best = 0.0
@@ -97,14 +97,15 @@ def test_tau3_monotone_in_gamma0(poisson_fit):
         ch = C.choice_gamma0(fit, g0, prob.gamma)
         al = C.alpha_of(ch.D2, fit.DG2)
         sc = C.WeightChoice(kind=ch.kind, D2=ch.D2 / al ** 2, gamma0=g0)
-        vals.append(C.tau3_certified(fit, prob, sc, r=4.0))
+        vals.append(C.tau3_certified(fit, prob, sc, 4.0, C.tau3_parts(prob, sc)))
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_tau3_rejects_bad_radius(poisson_fit):
     prob, fit = poisson_fit
+    ch = C.choice_DG(fit)
     with pytest.raises(ValueError):
-        C.tau3_certified(fit, prob, C.choice_DG(fit), r=0.0)
+        C.tau3_certified(fit, prob, ch, 0.0, C.tau3_parts(prob, ch))
 
 
 # --- certify ---
@@ -124,19 +125,65 @@ def test_certify_feasible_flags_consistent(poisson_fit):
     for ch in (C.choice_DG(fit), C.choice_identity(fit)):
         cert = C.certify(fit, prob, ch)
         assert cert.tv_bound >= 0
+        assert cert.feasible == (cert.radius * cert.tau3_sup <= 0.5)
         if cert.feasible:
             assert cert.radius >= 3 * math.sqrt(cert.effdim) + 3 - 1e-9
-            assert cert.radius * cert.tau3_sup <= 0.5 + 1e-12
             assert cert.alpha == pytest.approx(1.0, abs=1e-8)
 
 
-def test_certify_infeasible_showcase(volterra_eig):
-    # tiny n, large p: reported and flagged, no exception
+@pytest.fixture(scope="module")
+def infeasible_fit(volterra_eig):
+    """Tiny n, large p: no grid radius of any weighting is feasible."""
     prob = make_problem(volterra_eig, "poisson", n=50, p=20, gamma=2.0)
-    fit = map_solve(prob)
+    return prob, map_solve(prob)
+
+
+@pytest.fixture(scope="module")
+def feasible_fit(volterra_eig):
+    """Poisson, n = 2000, p = 2: D_G and D(gamma0*) are feasible, the scaled identity is not."""
+    prob = make_problem(volterra_eig, "poisson", n=2000, p=2)
+    return prob, map_solve(prob)
+
+
+def test_certify_infeasible_showcase(infeasible_fit):
+    # reported and flagged, no exception
+    prob, fit = infeasible_fit
     cert = C.certify(fit, prob, C.choice_DG(fit))
     assert not cert.feasible
     assert np.isfinite(cert.tv_bound)
+
+
+@pytest.mark.parametrize("fixture, outcomes", [
+    ("poisson_fit", {False}), ("infeasible_fit", {False}),
+    ("feasible_fit", {True, False}), ("gaussian_fit", {True})])
+def test_certify_choice_rule(fixture, outcomes, request):
+    """certify returns, of every grid candidate recomputed here with
+    tau3_certified, the first feasible one of least TV bound, or, if none is
+    feasible, the first of least r * tau3.  The Gaussian bounds underflow to 0
+    from some radius on, so there the first of equal bounds is the one kept."""
+    prob, fit = request.getfixturevalue(fixture)
+    seen = set()
+    for label, cert in C.compare_choices(fit, prob, beta=1.0).items():
+        dim, parts = cert.effdim, C.tau3_parts(prob, cert.choice)
+        r_lo = 3 * math.sqrt(dim) + 3
+        radii = list(np.geomspace(r_lo, max(50 * math.sqrt(dim), 2 * r_lo), C.N_RADII))
+        if label == "gamma0_star" and 1 / math.sqrt(cert.diagnostics["S_tau"]) >= r_lo:
+            radii.append(1 / math.sqrt(cert.diagnostics["S_tau"]))   # the theorem's radius
+        cands = []
+        for r in sorted(radii):
+            tau = C.tau3_certified(fit, prob, cert.choice, r, parts)
+            cands.append((r, tau, theorem_claims(dim, r, tau)))
+        feasible = [c for c in cands if c[2]["feasible"]]
+        if feasible:
+            least = min(c[2]["tv_bound"] for c in feasible)
+            r, tau, _ = next(c for c in feasible if c[2]["tv_bound"] == least)
+        else:
+            least = min(c[0] * c[1] for c in cands)
+            r, tau, _ = next(c for c in cands if c[0] * c[1] == least)
+        assert (cert.radius, cert.tau3_sup) == (r, tau), label
+        assert cert.feasible == bool(feasible), label
+        seen.add(bool(feasible))
+    assert seen == outcomes
 
 
 def test_gap_report_present(poisson_fit):
@@ -153,10 +200,10 @@ def test_certificates_state_the_theorem(fixture, request):
     alpha = 1, effdim by two routes, the radius in the theorem's domain, the
     feasibility condition, the TV bound and both tail claims."""
     prob, fit = request.getfixturevalue(fixture)
-    res = C.compare_choices(fit, prob, beta=1.0)
+    g0s = C.gamma0_star(prob.design.n, 1.0, prob.gamma)[0]
     given = {"DG": C.choice_DG(fit), "identity": C.choice_identity(fit),
-             "gamma0_star": C.choice_gamma0(fit, res["gamma0_star"], prob.gamma)}
-    for label, cert in res["certs"].items():
+             "gamma0_star": C.choice_gamma0(fit, g0s, prob.gamma)}
+    for label, cert in C.compare_choices(fit, prob, beta=1.0).items():
         alpha0 = weighting_claims(given[label].D2, fit.DG2)[0]
         np.testing.assert_allclose(cert.choice.D2, given[label].D2 / alpha0 ** 2, rtol=1e-12)
         alpha, dim, dim2 = weighting_claims(cert.choice.D2, fit.DG2)
@@ -289,15 +336,17 @@ def test_tail_sum_bracket(a, extra, neg):
 def test_compare_choices_structure(poisson_fit):
     prob, fit = poisson_fit
     res = C.compare_choices(fit, prob, beta=1.0)
-    assert set(res["certs"]) == {"DG", "identity", "gamma0_star"}
-    assert res["certs"]["DG"].effdim == pytest.approx(prob.design.p, rel=1e-9)
-    assert res["ratio_DG"] > 0 and res["ratio_identity"] > 0
-    assert res["m0_star"] >= res["m"]
+    assert set(res) == {"DG", "identity", "gamma0_star"}
+    assert res["DG"].effdim == pytest.approx(prob.design.p, rel=1e-9)
+    assert all(c.tv_bound > 0 for c in res.values())
+    g0s, m, m0s = C.gamma0_star(prob.design.n, 1.0, prob.gamma)
+    star = res["gamma0_star"]
+    assert star.choice.gamma0 == g0s
+    assert (star.diagnostics["m"], star.diagnostics["m0star"]) == (m, m0s) and m0s >= m
     # every diagnostic is a certificates.csv column, written as is
-    for c in res["certs"].values():
+    for c in res.values():
         assert set(c.diagnostics) <= set(CERT_COLUMNS)
-    assert set(res["certs"]["gamma0_star"].diagnostics) == {
-        "A", "B", "gap_est", "S_dim", "S_tau", "m", "m0star"}
+    assert set(star.diagnostics) == {"A", "B", "gap_est", "S_dim", "S_tau", "m", "m0star"}
 
 
 def test_effdim_tracks_s_dim(poisson_fit):

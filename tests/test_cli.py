@@ -102,7 +102,16 @@ def test_invalid_values_rejected(tmp_path, write_cfg, capsys):
                            ({"seed": 2 ** 64}, ".seed:"), ({"gamma": "2"}, ".gamma:"),
                            ({"validation": {"M": 1e5}}, ".validation.M:"),
                            ({"sweep": {"values": [2, 2.5]}}, ".sweep.values:"),
-                           ({"sweep": {"axis": "n", "values": [300.5]}}, ".sweep.values:")):
+                           ({"sweep": {"axis": "n", "values": [300.5]}}, ".sweep.values:"),
+                           # lists hold numbers (never a bool); str | None, bool
+                           ({"certification": {"gamma0": 1.5}}, ".certification.gamma0:"),
+                           ({"certification": {"gamma0": ["x"]}}, ".certification.gamma0:"),
+                           ({"sweep": {"values": 3}}, ".sweep.values:"),
+                           ({"operator": {"a": 5}}, ".operator.a:"),
+                           ({"truth": {"theta": "ab"}}, ".truth.theta:"),
+                           ({"truth": {"theta": [1.0, True]}}, ".truth.theta:"),
+                           ({"eigensolver": {"cache_dir": 5}}, ".eigensolver.cache_dir:"),
+                           ({"sweep": {"synthetic": "no"}}, ".sweep.synthetic:")):
         with pytest.raises(ConfigError, match=key):
             config_from_dict({**BASE, **overrides})
         assert main(["fit", "--config", write_cfg(overrides), "--out", str(tmp_path)]) == 2
@@ -164,6 +173,32 @@ def test_simulate_bernoulli_far_from_zero(tmp_path, write_cfg):
     assert all(y == (s > 0) for s, y in rows if abs(s) > 709.79)
 
 
+def test_operator_spec_rejected_at_load(tmp_path, write_cfg, capsys):
+    """A non-positive a(x), a polynomial degree above 16 or an empty
+    coefficient list is a config error (exit 2) naming the operator, raised
+    before any stage runs, synthetic sweeps included."""
+    for operator in ({"a": [1.0, -2.0]}, {"a": [1.0] + [0.0] * 17}, {"b": []}):
+        with pytest.raises(ConfigError, match=".operator:"):
+            config_from_dict({**BASE, "operator": {**BASE["operator"], **operator}})
+        out = tmp_path / "op"
+        assert main(["all", "--config", write_cfg({"operator": operator}),
+                     "--out", str(out)]) == 2
+        assert "config error: " in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+    path = write_cfg({"operator": {"a": [-1.0]}, "sweep": {"synthetic": True}})
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "syn")]) == 2
+    assert ".operator: a(x) must be strictly positive" in capsys.readouterr().err
+
+
+def test_out_naming_a_file_exit_code(tmp_path, write_cfg, capsys):
+    """--out naming an existing file is a config error (exit 2), not a traceback."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["fit", "--config", write_cfg(), "--out", str(taken)]) == 2
+    assert "config error: " in capsys.readouterr().err
+    assert taken.read_text() == ""
+
+
 def test_malformed_json_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -223,9 +258,9 @@ def test_every_usable_certificate_is_checked(tmp_path, capsys, monkeypatch, writ
 
     def low_dg(*args, **kwargs):
         res = compare(*args, **kwargs)
-        dg = res["certs"]["DG"]
+        dg = res["DG"]
         # tv_bound = tau3 * effdim + a tail term that underflows at this radius
-        res["certs"]["DG"] = replace(dg, tau3_sup=1e-6 / dg.effdim, radius=100.0)
+        res["DG"] = replace(dg, tau3_sup=1e-6 / dg.effdim, radius=100.0)
         return res
 
     monkeypatch.setattr(lapcert.certification, "compare_choices", low_dg)

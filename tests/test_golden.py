@@ -21,7 +21,7 @@ from probes import theorem_claims
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
 PIPELINE = ("eigen.csv", "dataset.csv", "fit.json", "certificates.csv",
-            "comparison.json", "tv_estimates.csv", "checks.csv")
+            "tv_estimates.csv", "checks.csv")
 CASES = {  # config name -> (subcommand, artifacts compared)
     "poisson_desk": ("all", PIPELINE),
     "gaussian_exactness": ("all", PIPELINE),
