@@ -86,8 +86,8 @@ class Certificate:
     diagnostics: dict = field(default_factory=dict)
 
     @property
-    def feasible(self) -> bool:   # r >= 3 sqrt(effdim) + 3 holds on certify's whole grid
-        return self.radius * self.tau3_sup <= 0.5
+    def feasible(self) -> bool:
+        return self.radius >= _r_lo(self.effdim) and self.radius * self.tau3_sup <= 0.5
 
     @property
     def local_term(self) -> float:
@@ -158,6 +158,11 @@ def tau3_certified(fit: LaplaceFit, prob: Problem, choice: WeightChoice,
     return d3 * A * parts["B"]
 
 
+def _r_lo(effdim: float) -> float:
+    """3 sqrt(dim) + 3, the least radius at which the theorem holds."""
+    return 3.0 * math.sqrt(effdim) + 3.0
+
+
 def _tail_exp(effdim: float, r: float) -> float:
     """exp(-(r - 3 sqrt(dim))^2 / 3); the TV tail term is twice it, the posterior claim a third."""
     return math.exp(-((r - 3.0 * math.sqrt(effdim)) ** 2) / 3.0)
@@ -172,7 +177,7 @@ def gaussian_tail(t: float) -> float:
 
 def posterior_tail_bound(effdim: float, r: float) -> float:
     """(1/3) exp(-(r - 3 sqrt(dim))^2 / 3); clamped to 1 when r < 3 + 3 sqrt(dim)."""
-    if r < 3.0 + 3.0 * math.sqrt(effdim):
+    if r < _r_lo(effdim):
         return 1.0  # bound not applicable below the critical radius
     return min(1.0, _tail_exp(effdim, r) / 3.0)
 
@@ -188,7 +193,7 @@ def certify(fit: LaplaceFit, prob: Problem, choice: WeightChoice, beta: float = 
     dim = effdim_of(scaled.D2, fit.DG2)
     diag = tau3_parts(prob, scaled)
 
-    r_lo = 3.0 * math.sqrt(dim) + 3.0
+    r_lo = _r_lo(dim)
     r_hi = max(50.0 * math.sqrt(dim), 2.0 * r_lo)
     radii = list(np.geomspace(r_lo, r_hi, N_RADII))
     if choice.kind == "gamma0_family":

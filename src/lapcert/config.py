@@ -145,12 +145,18 @@ def _validate(cfg: ExperimentConfig, where: str) -> None:
         raise ConfigError("%s: n and p must be >= 1" % where)
     if cfg.p > cfg.eigensolver.K:
         raise ConfigError("%s: p exceeds eigensolver.K" % where)
+    t = cfg.truth
+    if (t.p_star if t.theta is None else len(t.theta)) > cfg.eigensolver.K:
+        raise ConfigError("%s.truth.%s: more modes than eigensolver.K"
+                          % (where, "p_star" if t.theta is None else "theta"))
     if cfg.eigensolver.N < 1024:
         raise ConfigError("%s.eigensolver.N: must be >= 1024" % where)
     if not 0 <= cfg.seed < 2 ** 64:
         raise ConfigError("%s.seed: must be in [0, 2**64)" % where)
     if cfg.gamma <= 0:
         raise ConfigError("%s.gamma: must be > 0" % where)
+    if not 2 * cfg.beta + 2 * cfg.gamma > 2:
+        raise ConfigError("%s.certification.beta: 2*beta + 2*gamma must be > 2" % where)
     if cfg.validation.method not in ("importance", "quadrature", "both"):
         raise ConfigError("%s.validation.method: unknown method" % where)
     if cfg.validation.method != "importance" and cfg.p > 3:
@@ -161,6 +167,8 @@ def _validate(cfg: ExperimentConfig, where: str) -> None:
         raise ConfigError("%s.validation.per_axis: must be >= 64" % where)
     if cfg.sweep.axis not in ("p", "n"):
         raise ConfigError("%s.sweep.axis: must be 'p' or 'n'" % where)
+    if not cfg.sweep.values:
+        raise ConfigError("%s.sweep.values: must not be empty" % where)
     # p is a mode count; a real-mode n is a sample size (the p <= K bound of a
     # real-mode point is checked when `sweep` builds the point's config)
     if cfg.sweep.axis == "p" or not cfg.sweep.synthetic:

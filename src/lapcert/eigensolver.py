@@ -150,6 +150,7 @@ def _interior_zeros(path: np.ndarray) -> np.ndarray:
 
 # cap on Illinois iterations; reaching it raises EigenSolverError
 _MAX_ILLINOIS = 200
+_MAX_SCAN = 1 << 20   # mu scan points at most; K = 50 on Volterra needs ~5.4e3
 
 
 def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int,
@@ -168,6 +169,8 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int,
 
     unit = (np.pi / T) ** 2
     mu_hi = ((K + 2.0) ** 2) * unit + max(0.0, float(Qh[::2].max()))
+    if not (mu_hi - 0.25 * unit) / (0.5 * unit) <= _MAX_SCAN:
+        raise EigenSolverError("mu scan exceeds %d points (max |Q| = %g)" % (_MAX_SCAN, form.Q_sup))
     # geometric seed near zero, then linear at quarter-spacing of the asymptote
     scan = np.concatenate([
         unit * np.geomspace(1e-6, 0.25, 24),

@@ -52,6 +52,7 @@ class LaplaceFit:
     theta_hat: np.ndarray
     hess_L: np.ndarray      # nabla^2 L(theta_hat)
     DG2: np.ndarray         # hess_L + G^2
+    L: np.ndarray           # lower Cholesky factor of DG2
     grad_norm: float
     newton_iters: int
     rq_sup: float           # ||R q_theta_hat||_inf on the refined grid
@@ -174,32 +175,25 @@ def hessian_L(prob: Problem, theta: np.ndarray) -> np.ndarray:
     return (R * prob.family.h2(s)[:, None]).T @ R
 
 
-def hessian(prob: Problem, theta: np.ndarray) -> np.ndarray:
-    return hessian_L(prob, theta) + np.diag(prob.g2)
-
-
-def map_solve(prob: Problem, theta0: np.ndarray | None = None,
-              grad_tol: float = 1e-9, max_iters: int = 200) -> LaplaceFit:
-    """Damped Newton with Armijo backtracking from theta0 (default 0)."""
-    p = prob.p
-    theta = np.zeros(p) if theta0 is None else np.asarray(theta0, dtype=float).copy()
+def map_solve(prob: Problem, theta0: np.ndarray | None = None) -> LaplaceFit:
+    """Damped Newton with Armijo backtracking from theta0 (default 0); the fit
+    keeps the derivatives of the last iterate and the Cholesky factor of its D_G^2."""
+    theta = np.zeros(prob.p) if theta0 is None else np.asarray(theta0, dtype=float).copy()
     fv = f_value(prob, theta)
-    it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, 201):
         g = grad(prob, theta)
-        H = hessian(prob, theta)
-        c, low = cho_factor(H)
-        step = cho_solve((c, low), g)
+        hL = hessian_L(prob, theta)
+        DG2 = hL + np.diag(prob.g2)
+        step = cho_solve(cho_factor(DG2), g)
         decrement2 = float(g @ step)
         gnorm = float(np.linalg.norm(g))
-        if decrement2 <= 1e-18 or gnorm <= grad_tol * (1.0 + abs(fv)):
+        if decrement2 <= 1e-18 or gnorm <= 1e-9 * (1.0 + abs(fv)):
             break
         # a predicted decrease below the rounding of f cannot pass the Armijo
         # test; there the full Newton step is taken unless f visibly grows
         noise = 16.0 * np.finfo(float).eps * (1.0 + abs(fv))
         resolved = 0.25 * decrement2 > noise
         t = 1.0
-        accepted = False
         for _ in range(60):
             try:
                 f_new = f_value(prob, theta - t * step)
@@ -209,22 +203,16 @@ def map_solve(prob: Problem, theta0: np.ndarray | None = None,
             if f_new <= fv - 0.25 * t * decrement2 or (not resolved and f_new <= fv + noise):
                 theta = theta - t * step
                 fv = f_new
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
             raise OptimizationError("line search failed at iter %d (f=%g, |g|=%g)"
                                     % (it, fv, gnorm))
     else:
-        raise OptimizationError("Newton iteration cap (%d) exceeded" % max_iters)
+        raise OptimizationError("Newton iteration cap (200) exceeded")
 
-    g = grad(prob, theta)
-    gnorm = float(np.linalg.norm(g))
     if gnorm > 1e-9 * (1.0 + abs(fv)) * 10:
         raise OptimizationError("MAP gradient norm %g did not meet tolerance" % gnorm)
-    hL = hessian_L(prob, theta)
-    DG2 = hL + np.diag(prob.g2)
-    cholesky(DG2, lower=True)  # SPD check
-    return LaplaceFit(theta_hat=theta, hess_L=hL, DG2=DG2, grad_norm=gnorm,
-                      newton_iters=it, rq_sup=signal_sup_norm(prob.eig, theta), f_hat=fv)
-
+    return LaplaceFit(theta_hat=theta, hess_L=hL, DG2=DG2, L=cholesky(DG2, lower=True),
+                      grad_norm=gnorm, newton_iters=it,
+                      rq_sup=signal_sup_norm(prob.eig, theta), f_hat=fv)

@@ -27,9 +27,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import solve_triangular
 
-from .posterior import LaplaceFit, Problem, f_values, pool_map, pool_size, usable_cores
+from .posterior import LaplaceFit, Problem, f_values, pool_map, pool_size
 
 
 class ValidationError(RuntimeError):
@@ -80,10 +80,9 @@ def laplace_draws(fit: LaplaceFit, n_samples: int, seed: int, stream: int) -> tu
     The returned generator continues the same stream, for the caller's
     bootstrap draw.
     """
-    L = cholesky(fit.DG2, lower=True)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
     Z = rng.standard_normal((n_samples, fit.theta_hat.size))
-    return rng, solve_triangular(L, Z.T, lower=True, trans="T").T
+    return rng, solve_triangular(fit.L, Z.T, lower=True, trans="T").T
 
 
 def log_ratio(fit: LaplaceFit, prob: Problem, U: np.ndarray,
@@ -99,17 +98,15 @@ _BOOT_BLOCK_ENTRIES = 1 << 20
 
 
 def bootstrap_ci(rng: np.random.Generator, n_samples: int, n_boot: int, stat,
-                 workers: int | None = None) -> tuple:
+                 workers: int) -> tuple:
     """(lo, hi): 2.5% and 97.5% percentiles of stat over n_boot resamples.
 
     stat maps a (b, n_samples) block of resample indices to its b values, or
     to a (b, k) array of k statistics, whose percentiles are taken per column;
     it must be row-wise, so that the block size changes no value.  Blocks of
     rows are drawn in turn from rng on the calling thread, which gives the
-    same indices as one (n_boot, n_samples) draw, and stat runs on `workers`
-    threads (default: the usable cores), one block each.
+    same indices as one (n_boot, n_samples) draw; `workers` threads run stat, a block each.
     """
-    workers = usable_cores() if workers is None else workers
     rows = max(1, _BOOT_BLOCK_ENTRIES // workers // n_samples)
     blocks = (rng.integers(0, n_samples, size=(min(rows, n_boot - a), n_samples))
               for a in range(0, n_boot, rows))
@@ -124,16 +121,14 @@ def _whitened_grid(p: int, per_axis: int, half_width: float) -> np.ndarray:
     return np.stack(np.meshgrid(*[zs] * p, indexing="ij", copy=False), axis=-1).reshape(-1, p)
 
 
-def _tv_on_grid(fit: LaplaceFit, prob: Problem, per_axis: int, half_width: float,
-                workers: int | None = None) -> float:
-    L = cholesky(fit.DG2, lower=True)
+def _tv_on_grid(fit: LaplaceFit, prob: Problem, per_axis: int, workers: int | None) -> float:
     # integrate in the whitened variable z = L^T u; the Jacobian cancels in
     # both densities so TV can be computed entirely in z space
-    Z = _whitened_grid(fit.theta_hat.size, per_axis, half_width)
+    Z = _whitened_grid(fit.theta_hat.size, per_axis, 10.0)
     lq = -0.5 * np.einsum("ij,ij->i", Z, Z)
     # theta = theta_hat + L^{-T} z, solved in the grid's own memory (p = 3,
     # per_axis = 128 makes it 50 MB)
-    Theta = solve_triangular(L, Z.T, lower=True, trans="T", overwrite_b=True).T
+    Theta = solve_triangular(fit.L, Z.T, lower=True, trans="T", overwrite_b=True).T
     Theta += fit.theta_hat
     lp = -f_values(prob, Theta, workers) + fit.f_hat
     wp = np.exp(lp - np.max(lp))
@@ -142,15 +137,15 @@ def _tv_on_grid(fit: LaplaceFit, prob: Problem, per_axis: int, half_width: float
 
 
 def tv_quadrature(fit: LaplaceFit, prob: Problem, per_axis: int = 64,
-                  half_width: float = 10.0, workers: int | None = None) -> TVEstimate:
+                  workers: int | None = None) -> TVEstimate:
     """Grid quadrature of the TV integral in whitened coordinates, p <= 3."""
     p = fit.theta_hat.size
     if p > 3:
         raise ValidationError("quadrature TV supports p <= 3 only; use tv_importance")
     if per_axis < 64:
         raise ValueError("per_axis >= 64 required")
-    coarse = _tv_on_grid(fit, prob, per_axis, half_width, workers)
-    fine = _tv_on_grid(fit, prob, 2 * per_axis, half_width, workers)
+    coarse = _tv_on_grid(fit, prob, per_axis, workers)
+    fine = _tv_on_grid(fit, prob, 2 * per_axis, workers)
     err = abs(fine - coarse)
     return TVEstimate(method="quadrature", value=fine,
                       ci_low=max(0.0, fine - err),

@@ -15,7 +15,7 @@ from scipy.linalg import cholesky, eigh, solve_triangular
 
 from lapcert.certification import WeightChoice, tau3_certified, tau3_parts
 from lapcert.model import sample_basis
-from lapcert.posterior import LaplaceFit, Problem, f_values, hessian
+from lapcert.posterior import LaplaceFit, Problem, f_values, hessian_L
 
 
 def third_directional(prob: Problem, theta: np.ndarray, v: np.ndarray) -> float:
@@ -94,7 +94,7 @@ def omega_diagnostics(fit: LaplaceFit, prob: Problem, choice: WeightChoice,
     om = float(np.max(num / (0.5 * du ** 2)))
     om3 = t3 = 0.0
     for u, d in zip(U, du):
-        Hd = hessian(prob, fit.theta_hat + u) - DG2
+        Hd = hessian_L(prob, fit.theta_hat + u) + np.diag(prob.g2) - DG2
         W = solve_triangular(L, solve_triangular(L, Hd, lower=True).T, lower=True)
         w = float(np.linalg.norm(W, 2))
         om3 = max(om3, w)

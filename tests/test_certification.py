@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -129,6 +130,10 @@ def test_certify_feasible_flags_consistent(poisson_fit):
         if cert.feasible:
             assert cert.radius >= 3 * math.sqrt(cert.effdim) + 3 - 1e-9
             assert cert.alpha == pytest.approx(1.0, abs=1e-8)
+    # both conditions of the theorem: a tiny tau3 is infeasible below r = 3 sqrt(dim) + 3
+    r_lo = 3 * math.sqrt(cert.effdim) + 3
+    assert replace(cert, radius=r_lo, tau3_sup=1e-12).feasible
+    assert not replace(cert, radius=0.99 * r_lo, tau3_sup=1e-12).feasible
 
 
 @pytest.fixture(scope="module")

@@ -16,6 +16,7 @@ import lapcert.certification
 import lapcert.cli
 import lapcert.__main__ as entry
 import lapcert.eigensolver
+import lapcert.posterior
 import lapcert.validation
 from lapcert.cli import main
 from lapcert.config import ConfigError, config_from_dict, load_config
@@ -107,6 +108,7 @@ def test_invalid_values_rejected(tmp_path, write_cfg, capsys):
                            ({"certification": {"gamma0": 1.5}}, ".certification.gamma0:"),
                            ({"certification": {"gamma0": ["x"]}}, ".certification.gamma0:"),
                            ({"sweep": {"values": 3}}, ".sweep.values:"),
+                           ({"sweep": {"values": []}}, ".sweep.values:"),
                            ({"operator": {"a": 5}}, ".operator.a:"),
                            ({"truth": {"theta": "ab"}}, ".truth.theta:"),
                            ({"truth": {"theta": [1.0, True]}}, ".truth.theta:"),
@@ -141,12 +143,18 @@ def test_validation_sizes_rejected(tmp_path, write_cfg, capsys):
 
 
 def test_config_rejects_what_the_run_cannot_do(tmp_path, write_cfg, capsys):
-    """eigensolver.N below the solver's 1024 and a quadrature TV at p > 3 fail
-    at load time with the key path (exit 2), not when the stage runs (exit 3)."""
+    """eigensolver.N below the solver's 1024, a quadrature TV at p > 3, a truth
+    with more modes than eigensolver.K and 2 beta + 2 gamma <= 2 fail at load
+    time with the key path (exit 2), not when the stage runs (exit 3)."""
     for overrides, key in (({"eigensolver": {"N": 512}}, ".eigensolver.N:"),
                            ({"p": 4, "validation": {"method": "both"}}, ".validation.method:"),
                            ({"p": 5, "validation": {"method": "quadrature"}},
-                            ".validation.method:")):
+                            ".validation.method:"),
+                           ({"eigensolver": {"K": 10}, "truth": {"p_star": 12}},
+                            ".truth.p_star:"),
+                           ({"truth": {"theta": [0.1] * 31}}, ".truth.theta:"),
+                           ({"gamma": 0.4, "certification": {"beta": 0.5}},
+                            ".certification.beta:")):
         with pytest.raises(ConfigError, match=key):
             config_from_dict({**BASE, **overrides})
         out = tmp_path / key.strip(".:")
@@ -235,6 +243,20 @@ def test_all_computes_each_stage_once(tmp_path, monkeypatch, write_cfg):
     assert main(["all", "--config", cfg, "--out", str(tmp_path / "once")]) == 0
     assert counts == {"load_eigensystem": 1, "generate": 1, "map_solve": 1,
                       "compare_choices": 1}
+
+
+def test_laplace_fit_is_factored_once(tmp_path, monkeypatch, eig_cache, volterra_eig_small):
+    """`all` with importance and both quadrature grids factors D_G^2 once, in
+    map_solve; every Laplace-Gaussian draw and grid whitens through fit.L."""
+    with open(os.path.join(ROOT, "configs", "gaussian_exactness.json")) as fh:
+        doc = json.load(fh)
+    doc["eigensolver"]["cache_dir"] = eig_cache     # the session's warm N=2048, K=30 cache
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    counts = _count_calls(monkeypatch, [(lapcert.posterior, "cholesky")])
+    assert main(["all", "--config", str(cfg), "--out", str(tmp_path / "once")]) == 0
+    assert counts == {"cholesky": 1}
+    assert not hasattr(lapcert.validation, "cholesky")
 
 
 def test_dominance_skip_is_reported(tmp_path, capsys, write_cfg):

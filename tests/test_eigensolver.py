@@ -200,6 +200,21 @@ def test_unreachable_tolerance_raises(monkeypatch):
         solve_eigs(liouville_transform(spec, 1024), spec, 2, rel_tol=0.0)
 
 
+def test_oversized_scan_refused(monkeypatch):
+    """b = 1e6 (max Q = 1e12) would scan ~2e11 mu points and b = 1e300 an
+    unbounded range; both are refused by name before anything is shot."""
+    def no_shoot(*args, **kwargs):
+        raise AssertionError("shot an oversized scan")
+
+    monkeypatch.setattr(eigensolver, "_rk4_shoot", no_shoot)
+    for b in (1e6, 1e300):
+        spec = CoefficientPair((1.0,), (b,))
+        with np.errstate(over="ignore"):   # b^2 overflows to inf at 1e300
+            form = liouville_transform(spec, 1024)
+        with pytest.raises(eigensolver.EigenSolverError, match=r"max \|Q\|"):
+            solve_eigs(form, spec, 10)
+
+
 def test_shoot_budget(monkeypatch):
     """Illinois refinement converges superlinearly: <= 14 shoots, scan and path included."""
     calls = []

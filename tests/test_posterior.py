@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cholesky
 
 from lapcert.model import TruthSpec, exp_family, generate
 from lapcert.operators import assemble_design
 from lapcert import posterior
-from lapcert.posterior import (Problem, f_value, f_values, grad, hessian, map_solve, pool_map,
+from lapcert.posterior import (Problem, f_value, f_values, grad, hessian_L, map_solve, pool_map,
                                pool_size)
 
 from conftest import make_problem
@@ -43,7 +44,7 @@ def test_derivatives_match_finite_differences(volterra_eig_small):
             for k in range(p)])
         assert np.max(np.abs(g - fd_g)) < 1e-5 * (1 + np.max(np.abs(fd_g)))
 
-        H = hessian(prob, theta)
+        H = hessian_L(prob, theta) + np.diag(prob.g2)
         fd_H = np.array([
             (grad(prob, theta + eps * np.eye(p)[k])
              - grad(prob, theta - eps * np.eye(p)[k])) / (2 * eps)
@@ -51,8 +52,8 @@ def test_derivatives_match_finite_differences(volterra_eig_small):
         assert np.max(np.abs(H - fd_H)) < 1e-4 * (1 + np.max(np.abs(fd_H)))
 
         t3 = third_directional(prob, theta, v)
-        fd_t3 = float(v @ ((hessian(prob, theta + eps * v)
-                            - hessian(prob, theta - eps * v)) / (2 * eps)) @ v)
+        fd_t3 = float(v @ ((hessian_L(prob, theta + eps * v)
+                            - hessian_L(prob, theta - eps * v)) / (2 * eps)) @ v)
         assert t3 == pytest.approx(fd_t3, rel=1e-3, abs=1e-5)
 
 
@@ -80,6 +81,16 @@ def test_map_stationarity_and_descent(poisson_fit):
     assert np.allclose(fit.DG2 - fit.hess_L, np.diag(prob.g2))
     lam = np.linalg.eigvalsh(fit.DG2)
     assert lam[0] > 0
+
+
+def test_fit_is_its_last_newton_iterate(poisson_fit, gaussian_fit):
+    """The fit's derivatives and Cholesky factor are those of theta_hat, bit for bit."""
+    for prob, fit in (poisson_fit, gaussian_fit):
+        hL = hessian_L(prob, fit.theta_hat)
+        assert np.array_equal(fit.hess_L, hL)
+        assert np.array_equal(fit.DG2, hL + np.diag(prob.g2))
+        assert np.array_equal(fit.L, cholesky(fit.DG2, lower=True))
+        assert fit.grad_norm == float(np.linalg.norm(grad(prob, fit.theta_hat)))
 
 
 def test_map_converges_from_far_start(poisson_fit):

@@ -157,7 +157,7 @@ def test_grid_tv_matches_per_point_reference(volterra_eig):
     lp, lq = np.array(cells).T
     wp, wq = np.exp(lp - np.max(lp)), np.exp(lq)
     want = 0.5 * np.sum(np.abs(wp / np.sum(wp) - wq / np.sum(wq)))
-    assert val._tv_on_grid(fit, prob, 64, 10.0) == pytest.approx(want, rel=1e-9)
+    assert val._tv_on_grid(fit, prob, 64, 1) == pytest.approx(want, rel=1e-9)
 
 
 def _philox(seed, stream):
