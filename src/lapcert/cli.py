@@ -2,10 +2,10 @@
 
 Subcommands write deterministic CSV and JSON artifacts plus a run manifest
 (config echo, git hash, wall times, threading) from one `Run`, which
-computes each pipeline stage once.  Every file goes through `_write_csv` or
-`_write_json`.  The process exits nonzero iff an asserted invariant fails (a
-`violated` row of checks.csv), never for an infeasible certificate
-(infeasibility is data).
+computes each pipeline stage once; `all` runs the PIPELINE subcommands in
+order.  Every file goes through `_write_csv` or `_write_json`.  The process
+exits nonzero iff an asserted invariant fails (a `violated` row of
+checks.csv), never for an infeasible certificate (infeasibility is data).
 """
 from __future__ import annotations
 
@@ -76,14 +76,13 @@ class Run:
     Each stage (eig, truth, data, prob, fit, certs, usable, tvs) is
     computed on first use and kept, so every subcommand of `all` reads the
     same objects.  A sweep point passes in the parent run's eig, and its data
-    when only p varies.  Up to `workers` threads (default: the usable cores) run
-    the TV estimates' likelihood kernel and bootstrap.
+    when only p varies.  Up to `workers` threads run the TV estimates'
+    likelihood kernel and bootstrap.
     """
 
-    def __init__(self, cfg: ExperimentConfig, eig=None, data=None, workers=None):
+    def __init__(self, cfg: ExperimentConfig, workers: int, eig=None, data=None):
         self.cfg = cfg
-        self.workers = usable_cores() if workers is None else workers
-        self.times: dict = {}
+        self.workers = workers
         if eig is not None:
             self.eig = eig       # an instance value takes the cached_property's place
         if data is not None:
@@ -162,9 +161,7 @@ def _cert_row(label: str, c: cert.Certificate) -> dict:
 
 
 def cmd_eigen(run):
-    t0 = time.time()
     eig = run.eig
-    run.times["eigen"] = time.time() - t0
     diag = eig_diagnostics(eig)
     diag.update({"lambda": eig.lambdas, "active": diag["active"].astype(int)})
     cols = ["k", "lambda", "psi_sup", "dpsi_sup_over_k", "vk_inf", "dvk_inf",
@@ -179,9 +176,7 @@ def cmd_eigen(run):
 
 
 def cmd_simulate(run):
-    t0 = time.time()
     ds = run.data
-    run.times["simulate"] = time.time() - t0
     _write_csv(run.path("dataset.csv"), ["j", "s_true", "y"],
                ({"j": j, "s_true": s, "y": y}
                 for j, s, y in zip(range(1, ds.n + 1), ds.s_true, ds.y)))
@@ -192,9 +187,7 @@ def cmd_simulate(run):
 
 
 def cmd_fit(run):
-    t0 = time.time()
     fit = run.fit
-    run.times["fit"] = time.time() - t0
     _write_json(run.path("fit.json"), {
         "theta_hat": fit.theta_hat.tolist(), "rq_sup": fit.rq_sup,
         "newton_iters": fit.newton_iters, "grad_norm": fit.grad_norm, "f_hat": fit.f_hat})
@@ -203,9 +196,7 @@ def cmd_fit(run):
 
 
 def cmd_certify(run):
-    t0 = time.time()
     rows = [_cert_row(label, c) for label, c in run.certs.items()]
-    run.times["certify"] = time.time() - t0
     _write_csv(run.path("certificates.csv"), CERT_COLUMNS, rows)
     for row in rows:
         print("certify: %-12s tv_bound=%.4g feasible=%d (grid gap est %.2e)"
@@ -254,9 +245,7 @@ def _checks(run) -> list:
 
 
 def cmd_validate(run):
-    t0 = time.time()
     tvs, checks = run.tvs, _checks(run)
-    run.times["validate"] = time.time() - t0
     rows = [dict(asdict(tv), low_ess=int(tv.low_ess)) for tv in tvs]
     _write_csv(run.path("tv_estimates.csv"),
                ["method", "value", "ci_low", "ci_high", "n_points", "ess", "low_ess"],
@@ -274,7 +263,6 @@ def cmd_validate(run):
 
 
 def cmd_sweep(run):
-    t0 = time.time()
     cfg = run.cfg
     rows, checks = [], []
     if cfg.sweep.synthetic:
@@ -290,13 +278,12 @@ def cmd_sweep(run):
         # every point is validated before any stage runs
         for point_cfg in [load_point(cfg, v) for v in cfg.sweep.values]:
             # one eigensystem for the grid; one dataset when only p varies
-            point = Run(point_cfg, eig=run.eig, data=run.data if cfg.sweep.axis == "p" else None,
-                        workers=run.workers)
+            point = Run(point_cfg, run.workers, eig=run.eig,
+                        data=run.data if cfg.sweep.axis == "p" else None)
             at = {"n": point_cfg.n, "p": point_cfg.p}
             rows += [dict(_cert_row(label, c), **at) for label, c in point.certs.items()]
             checks += [dict(r, **at) for r in _checks(point)]
         _write_csv(run.path("checks.csv"), ["n", "p"] + CHECK_COLUMNS, checks)
-    run.times["sweep"] = time.time() - t0
     _write_csv(run.path("sweep.csv"), cols, rows)
     print("sweep: %d rows over %s grid (%s mode)"
           % (len(rows), cfg.sweep.axis, "synthetic" if cfg.sweep.synthetic else "real"))
@@ -308,14 +295,9 @@ def load_point(cfg: ExperimentConfig, v) -> ExperimentConfig:
                             "sweep.values (%s = %r)" % (cfg.sweep.axis, v))
 
 
-def cmd_all(run):
-    return max([fn(run) for fn in (cmd_eigen, cmd_simulate, cmd_fit, cmd_certify,
-                                   cmd_validate)])
-
-
 COMMANDS = {"eigen": cmd_eigen, "simulate": cmd_simulate, "fit": cmd_fit,
-            "certify": cmd_certify, "validate": cmd_validate,
-            "sweep": cmd_sweep, "all": cmd_all}
+            "certify": cmd_certify, "validate": cmd_validate, "sweep": cmd_sweep}
+PIPELINE = ("eigen", "simulate", "fit", "certify", "validate")   # what `all` runs
 
 
 def main(argv=None) -> int:
@@ -323,7 +305,7 @@ def main(argv=None) -> int:
         prog="lapcert",
         description="Certified total-variation bounds for Laplace approximations "
                     "of generalized linear inverse problems")
-    ap.add_argument("command", choices=sorted(COMMANDS))
+    ap.add_argument("command", choices=sorted([*COMMANDS, "all"]))
     ap.add_argument("--config", required=True, help="JSON experiment config")
     ap.add_argument("--out", default=None, help="output directory (default from config)")
     ap.add_argument("--seed", type=int, default=None, help="override config seed")
@@ -337,31 +319,31 @@ def main(argv=None) -> int:
         print("config error: --threads must be >= 1 and <= %d, got %d"
               % (MAX_THREADS, args.threads), file=sys.stderr)
         return 2
-    overrides = {"seed": args.seed, "out_dir": args.out}
     try:
-        cfg = load_config(args.config)
-        cfg = config_from_dict(
-            {**cfg.to_dict(), **{k: v for k, v in overrides.items() if v is not None}},
-            args.config)
+        cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
         os.makedirs(cfg.out_dir, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
 
-    run = Run(cfg, workers=None if args.threads is None else min(args.threads, usable_cores()))
-    t0 = time.time()
+    run = Run(cfg, min(args.threads or usable_cores(), usable_cores()))
+    # each subcommand's time includes the stages it computes first and its artifacts
+    wall_times_s, rc, start = {}, 0, time.time()
     try:
-        rc = COMMANDS[args.command](run)
+        for name in PIPELINE if args.command == "all" else [args.command]:
+            t0 = time.time()
+            rc = max(rc, COMMANDS[name](run))
+            wall_times_s[name] = time.time() - t0
     except ConfigError as exc:  # a sweep point the config cannot run
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:  # surfaced module errors keep their class name
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 3
-    run.times["total"] = time.time() - t0
+    wall_times_s["total"] = time.time() - start
     threads = {"requested": args.threads, "kernel_workers": run.workers, "blas_env": BLAS_ENV}
     _write_json(run.path("manifest.json"), {"config": cfg.to_dict(), "git_hash": _git_hash(),
-                                            "wall_times_s": run.times, "threads": threads})
+                                            "wall_times_s": wall_times_s, "threads": threads})
     return rc
 
 

@@ -7,8 +7,12 @@ fully defaulted config for the run manifest.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
+from .eigensolver import EigenSolverError, liouville_transform, mu_scan_top
 from .operators import CoefficientPair, OperatorSpecError
 
 
@@ -91,8 +95,9 @@ _SECTIONS = {
 }
 
 
-def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _number(v) -> bool:   # never a bool, and finite: json reads NaN and Infinity
+    return (isinstance(v, int) and not isinstance(v, bool)
+            or isinstance(v, float) and math.isfinite(v))
 
 
 # the JSON values a field of each annotation accepts; a "T | None" field also takes null
@@ -119,12 +124,15 @@ def _build(cls, data: dict, path: str):
                         if key in _SECTIONS else val) for key, val in data.items()})
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, **overrides) -> ExperimentConfig:
+    """The config at `path`, each non-None override replacing its top-level key."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError("%s: invalid JSON: %s" % (path, exc)) from exc
+    if isinstance(raw, dict):
+        raw.update((key, val) for key, val in overrides.items() if val is not None)
     return config_from_dict(raw, path)
 
 
@@ -135,9 +143,13 @@ def config_from_dict(raw: dict, where: str = "<dict>") -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig, where: str) -> None:
-    try:
-        CoefficientPair(tuple(cfg.operator.a), tuple(cfg.operator.b))
-    except OperatorSpecError as exc:
+    if cfg.eigensolver.N < 1024:
+        raise ConfigError("%s.eigensolver.N: must be >= 1024" % where)
+    try:   # the eigensolver's own refusal of the potential, without numpy's overflow warnings
+        spec = CoefficientPair(tuple(cfg.operator.a), tuple(cfg.operator.b))
+        with np.errstate(all="ignore"):
+            mu_scan_top(liouville_transform(spec, cfg.eigensolver.N), cfg.eigensolver.K)
+    except (OperatorSpecError, EigenSolverError) as exc:
         raise ConfigError("%s.operator: %s" % (where, exc)) from exc
     if cfg.family not in ("poisson", "gaussian", "bernoulli"):
         raise ConfigError("%s.family: unknown family %r" % (where, cfg.family))
@@ -149,8 +161,6 @@ def _validate(cfg: ExperimentConfig, where: str) -> None:
     if (t.p_star if t.theta is None else len(t.theta)) > cfg.eigensolver.K:
         raise ConfigError("%s.truth.%s: more modes than eigensolver.K"
                           % (where, "p_star" if t.theta is None else "theta"))
-    if cfg.eigensolver.N < 1024:
-        raise ConfigError("%s.eigensolver.N: must be >= 1024" % where)
     if not 0 <= cfg.seed < 2 ** 64:
         raise ConfigError("%s.seed: must be in [0, 2**64)" % where)
     if cfg.gamma <= 0:

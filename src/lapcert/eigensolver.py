@@ -151,10 +151,21 @@ def _interior_zeros(path: np.ndarray) -> np.ndarray:
 # cap on Illinois iterations; reaching it raises EigenSolverError
 _MAX_ILLINOIS = 200
 _MAX_SCAN = 1 << 20   # mu scan points at most; K = 50 on Volterra needs ~5.4e3
+_REL_TOL = 1e-10      # relative width at which an eigenvalue's bracket is converged
 
 
-def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int,
-               rel_tol: float = 1e-10) -> EigenSystem:
+def mu_scan_top(form: LiouvilleForm, K: int) -> float:
+    """Top of the mu scan that brackets the first K eigenvalues; EigenSolverError,
+    naming max |Q|, if the scan is not finite or would exceed _MAX_SCAN points."""
+    unit = (np.pi / form.T) ** 2
+    mu_hi = ((K + 2.0) ** 2) * unit + max(0.0, float(form.Qh[::2].max()))
+    if not (mu_hi - 0.25 * unit) / (0.5 * unit) <= _MAX_SCAN:
+        raise EigenSolverError("mu scan for K = %d exceeds %d points (max |Q| = %g)"
+                               % (K, _MAX_SCAN, form.Q_sup))
+    return mu_hi
+
+
+def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int) -> EigenSystem:
     """First K eigenpairs by boundary shooting: mu scan brackets, Illinois refinement."""
     if K < 1:
         raise ValueError("K >= 1")
@@ -168,9 +179,7 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int,
         return up + c2 * u
 
     unit = (np.pi / T) ** 2
-    mu_hi = ((K + 2.0) ** 2) * unit + max(0.0, float(Qh[::2].max()))
-    if not (mu_hi - 0.25 * unit) / (0.5 * unit) <= _MAX_SCAN:
-        raise EigenSolverError("mu scan exceeds %d points (max |Q| = %g)" % (_MAX_SCAN, form.Q_sup))
+    mu_hi = mu_scan_top(form, K)
     # geometric seed near zero, then linear at quarter-spacing of the asymptote
     scan = np.concatenate([
         unit * np.geomspace(1e-6, 0.25, 24),
@@ -188,14 +197,14 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int,
     # side: +1 if the last iterate replaced hi, -1 if it replaced lo.
     side = np.zeros(K, dtype=int)
     for _ in range(_MAX_ILLINOIS):
-        act = np.nonzero(hi - lo > rel_tol * hi)[0]
+        act = np.nonzero(hi - lo > _REL_TOL * hi)[0]
         if act.size == 0:
             break
         x0, x1, B0, B1 = lo[act], hi[act], Blo[act], Bhi[act]
         x = x1 - B1 * (x1 - x0) / (B1 - B0)
         # Stay half a tolerance inside the bracket: once the iterates reach a
         # root from one side, the next one lands past it and closes the bracket.
-        gap = 0.5 * rel_tol * x0
+        gap = 0.5 * _REL_TOL * x0
         x = np.clip(x, x0 + gap, x1 - gap)
         Bx = boundary(x)
         new_hi = Bx * B1 > 0
@@ -207,7 +216,7 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int,
         Bhi[act] = np.where(new_hi, Bx, np.where(new_lo & (side[act] < 0), 0.5 * B1, B1))
         Blo[act] = np.where(new_lo, Bx, np.where(new_hi & (side[act] > 0), 0.5 * B0, B0))
         side[act] = new_hi.astype(int) - new_lo.astype(int)
-    if np.any(hi - lo > rel_tol * hi):
+    if np.any(hi - lo > _REL_TOL * hi):
         raise EigenSolverError("root finding did not converge in %d iterations"
                                % _MAX_ILLINOIS)
     mu = 0.5 * (lo + hi)
@@ -326,17 +335,6 @@ def _cache_key(spec: CoefficientPair, N: int, K: int) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _write_atomic(path: str, write) -> None:
-    """Call write(tmp_path), then move the finished file into place."""
-    tmp = "%s.%d.tmp" % (path, os.getpid())
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
 def _cache_path(spec: CoefficientPair, N: int, K: int, cache_dir: str) -> str:
     return os.path.join(cache_dir, "eig_%s.npz" % _cache_key(spec, N, K))
 
@@ -345,14 +343,16 @@ def save_eigensystem(eig: EigenSystem, spec: CoefficientPair, cache_dir: str) ->
     """Write every EigenSystem field plus the solver version to one .npz; returns its path."""
     path = _cache_path(spec, eig.x.size - 1, eig.lambdas.size, cache_dir)
     os.makedirs(cache_dir, exist_ok=True)
-
-    def write(tmp):
+    tmp = "%s.%d.tmp" % (path, os.getpid())   # moved into place once whole; a failure leaves none
+    try:
         # an open handle: given a name, np.savez would append ".npz" to it
         with open(tmp, "wb") as fh:
             np.savez(fh, solver_version=SOLVER_VERSION,
                      **{f.name: getattr(eig, f.name) for f in fields(EigenSystem)})
-
-    _write_atomic(path, write)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return path
 
 

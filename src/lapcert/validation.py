@@ -32,6 +32,9 @@ from scipy.linalg import solve_triangular
 from .posterior import LaplaceFit, Problem, f_values, pool_map, pool_size
 
 
+_WILSON_Z = 1.96   # normal quantile of the Wilson intervals' 95% coverage
+
+
 class ValidationError(RuntimeError):
     pass
 
@@ -64,9 +67,10 @@ class TVEstimate:
     outside: tuple = ()     # one OutsideMass per region given to tv_importance
 
 
-def wilson_interval(successes: float, trials: float, z: float = 1.96) -> tuple:
+def wilson_interval(successes: float, trials: float) -> tuple:
     if trials <= 0:
         raise ValueError("trials > 0")
+    z = _WILSON_Z
     ph = successes / trials
     den = 1.0 + z * z / trials
     centre = (ph + z * z / (2 * trials)) / den

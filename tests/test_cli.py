@@ -4,16 +4,19 @@ import glob
 import importlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
 import threading
+import warnings
 from dataclasses import replace
 
 import pytest
 
 import lapcert.certification
 import lapcert.cli
+import lapcert.config
 import lapcert.__main__ as entry
 import lapcert.eigensolver
 import lapcert.posterior
@@ -113,11 +116,19 @@ def test_invalid_values_rejected(tmp_path, write_cfg, capsys):
                            ({"truth": {"theta": "ab"}}, ".truth.theta:"),
                            ({"truth": {"theta": [1.0, True]}}, ".truth.theta:"),
                            ({"eigensolver": {"cache_dir": 5}}, ".eigensolver.cache_dir:"),
-                           ({"sweep": {"synthetic": "no"}}, ".sweep.synthetic:")):
+                           ({"sweep": {"synthetic": "no"}}, ".sweep.synthetic:"),
+                           # json reads NaN and Infinity; no number field takes them
+                           ({"truth": {"amplitude": math.nan}}, ".truth.amplitude:"),
+                           ({"truth": {"theta": [0.5, math.nan]}}, ".truth.theta:"),
+                           ({"gamma": math.inf}, ".gamma:"),
+                           ({"certification": {"gamma0": [math.nan]}},
+                            ".certification.gamma0:"),
+                           ({"operator": {"b": [math.nan]}}, ".operator.b:")):
         with pytest.raises(ConfigError, match=key):
             config_from_dict({**BASE, **overrides})
         assert main(["fit", "--config", write_cfg(overrides), "--out", str(tmp_path)]) == 2
         assert key in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]     # no artifact
     # a synthetic n grid is a real-valued sample size
     config_from_dict({**BASE, "sweep": {"axis": "n", "values": [1e5], "synthetic": True}})
     # the overrides are validated like the file
@@ -182,17 +193,23 @@ def test_simulate_bernoulli_far_from_zero(tmp_path, write_cfg):
 
 
 def test_operator_spec_rejected_at_load(tmp_path, write_cfg, capsys):
-    """A non-positive a(x), a polynomial degree above 16 or an empty
-    coefficient list is a config error (exit 2) naming the operator, raised
-    before any stage runs, synthetic sweeps included."""
-    for operator in ({"a": [1.0, -2.0]}, {"a": [1.0] + [0.0] * 17}, {"b": []}):
-        with pytest.raises(ConfigError, match=".operator:"):
-            config_from_dict({**BASE, "operator": {**BASE["operator"], **operator}})
-        out = tmp_path / "op"
-        assert main(["all", "--config", write_cfg({"operator": operator}),
-                     "--out", str(out)]) == 2
-        assert "config error: " in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
+    """A non-positive a(x), a polynomial degree above 16, an empty
+    coefficient list or a potential too large for the eigensolver's mu scan
+    (b = 1e6: max Q = 1e12; b = 1e300: b^2 overflows) is a config error
+    (exit 2) naming the operator, raised before any stage runs, synthetic
+    sweeps included, and without numpy's overflow warnings."""
+    for operator in ({"a": [1.0, -2.0]}, {"a": [1.0] + [0.0] * 17}, {"b": []},
+                     {"b": [1e6]}, {"b": [1e300]}):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")     # a numpy RuntimeWarning fails the test
+            with pytest.raises(ConfigError, match=".operator:"):
+                config_from_dict({**BASE, "operator": {**BASE["operator"], **operator}})
+            out = tmp_path / "op"
+            assert main(["all", "--config", write_cfg({"operator": operator}),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: " in err and "RuntimeWarning" not in err
+        assert not out.exists()
     path = write_cfg({"operator": {"a": [-1.0]}, "sweep": {"synthetic": True}})
     assert main(["sweep", "--config", path, "--out", str(tmp_path / "syn")]) == 2
     assert ".operator: a(x) must be strictly positive" in capsys.readouterr().err
@@ -233,6 +250,23 @@ def test_all_pipeline_gaussian(tmp_path, capsys, write_cfg):
     manifest = json.load(open(os.path.join(out, "manifest.json")))
     assert manifest["config"]["seed"] == 3
     assert "total" in manifest["wall_times_s"]
+
+
+def test_dispatcher_times_what_it_runs(tmp_path, monkeypatch, write_cfg):
+    """`all` times each pipeline subcommand and a lone subcommand only itself,
+    each plus `total`; the config is built once per run, and once more per
+    real-mode sweep point."""
+    counts = _count_calls(monkeypatch, [(lapcert.config, "config_from_dict"),
+                                        (lapcert.cli, "config_from_dict")])
+    cfg = write_cfg({"family": "poisson", "sweep": {"values": [2, 4]}})
+    for command, timed, builds in (
+            ("all", {"eigen", "simulate", "fit", "certify", "validate", "total"}, 1),
+            ("certify", {"certify", "total"}, 1), ("sweep", {"sweep", "total"}, 3)):
+        counts.clear()
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        assert set(json.loads((out / "manifest.json").read_text())["wall_times_s"]) == timed
+        assert counts == {"config_from_dict": builds}
 
 
 def test_all_computes_each_stage_once(tmp_path, monkeypatch, write_cfg):

@@ -139,6 +139,32 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     assert load_eigensystem(spec, 1024, 5, str(tmp_path)) is None
 
 
+def test_failed_save_leaves_nothing(tmp_path, monkeypatch):
+    """A save that fails part-way leaves neither the cache entry nor its
+    temporary file, so the next cached_solve solves again."""
+    spec = CoefficientPair((1.0, 0.5), (0.1,))
+
+    def disk_full(fh, **arrays):
+        fh.write(b"partial")
+        raise OSError("disk full")
+
+    with monkeypatch.context() as m:
+        m.setattr(eigensolver.np, "savez", disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            cached_solve(spec, 1024, 3, str(tmp_path))
+    assert os.listdir(tmp_path) == []
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return solve_eigs(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "solve_eigs", counted)
+    cached_solve(spec, 1024, 3, str(tmp_path))
+    assert len(solves) == 1
+    assert [f.endswith(".npz") for f in os.listdir(tmp_path)] == [True]
+
+
 def _rk4_stage_form(Qh, T, mu):
     """Textbook RK4 stages for u'' = (Q - mu) u with a per-step sign-change count."""
     N = (Qh.size - 1) // 2
@@ -193,11 +219,12 @@ def test_root_certificate(eig_cache):
 
 
 def test_unreachable_tolerance_raises(monkeypatch):
-    # rel_tol=0 can never be met; a small cap reaches the same error quickly
+    # a relative tolerance of 0 can never be met; a small cap reaches the same error quickly
+    monkeypatch.setattr(eigensolver, "_REL_TOL", 0.0)
     monkeypatch.setattr(eigensolver, "_MAX_ILLINOIS", 5)
     spec = CoefficientPair((1.0, 0.5), (0.1,))
     with pytest.raises(eigensolver.EigenSolverError, match="did not converge"):
-        solve_eigs(liouville_transform(spec, 1024), spec, 2, rel_tol=0.0)
+        solve_eigs(liouville_transform(spec, 1024), spec, 2)
 
 
 def test_oversized_scan_refused(monkeypatch):
