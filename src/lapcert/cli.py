@@ -33,8 +33,8 @@ CERT_COLUMNS = ["label", "kind", "gamma0", "alpha", "effdim", "radius",
                 "A", "B", "gap_est", "S_dim", "S_tau", "m", "m0star"]
 CHECK_COLUMNS = ["label", "check", "status", "reason", "bound", "estimate",
                  "ci_low", "ci_high", "ratio"]
-# absolute floor of every check: below it both the estimators and an
-# underflowed tail term are numerically zero
+# absolute floor of every sampled check: below it both the estimators and an
+# underflowed tail term are numerically zero (exact rows compare plain floats)
 CHECK_FLOOR = 1e-12
 # BLAS reads these once, when numpy loads, which the imports above do
 BLAS_ENV = {var: os.environ.get(var) for var in BLAS_VARS}
@@ -204,11 +204,11 @@ def cmd_certify(run):
     return 0
 
 
-def _check(label, check, bound, est=(None, None, None), tested=None, reason="") -> dict:
+def _check(label, check, bound, est=(None,) * 3, tested=None, reason="", floor=CHECK_FLOOR) -> dict:
     """A checks.csv row: skipped if there is a reason, else violated iff
-    `tested` (an end of est's interval) exceeds max(bound, CHECK_FLOOR)."""
+    `tested` (an end of est's interval) exceeds max(bound, floor)."""
     status = ("skipped" if reason else
-              "violated" if tested > max(bound, CHECK_FLOOR) else "checked")
+              "violated" if tested > max(bound, floor) else "checked")
     return {"label": label, "check": check, "status": status, "reason": reason,
             "bound": bound, "estimate": est[0], "ci_low": est[1], "ci_high": est[2],
             "ratio": bound / est[0] if est[0] else None}
@@ -218,12 +218,12 @@ def _checks(run) -> list:
     """The checks.csv rows.
 
     Each usable certificate is checked against every TV estimate (violated
-    iff ci_high > bound) and, on the importance draws, on its tail claims at
-    its radius and scaled weighting: the posterior mass outside against
-    `posterior_tail`, the Gaussian mass outside against `gaussian_tail`
-    (violated iff ci_low > bound).  Any other certificate gets one skipped
-    row with its reason; the TV estimates are made only if some certificate
-    is usable.
+    iff ci_high > bound) and on its tail claims at its radius and scaled
+    weighting (violated iff ci_low > bound): the posterior mass outside, on
+    the importance draws, against `posterior_tail`, and the Laplace
+    Gaussian's exact bracket [erfc, chi^2_p tail], with no floor, against
+    `gaussian_tail`.  Any other certificate gets one skipped row with its
+    reason; the TV estimates are made only if some certificate is usable.
     """
     rows = []
     for label, c in run.certs.items():
@@ -233,14 +233,12 @@ def _checks(run) -> list:
             continue
         rows += [_check(label, "tv_" + tv.method, c.tv_bound, (tv.value, tv.ci_low, tv.ci_high),
                         tested=tv.ci_high) for tv in run.tvs]
-        tails = (("tail_posterior", c.posterior_tail), ("tail_gaussian", c.gaussian_tail))
-        if run.tvs[0].method == "importance":
-            m = astuple(run.tvs[0].outside[run.usable.index(label)])   # posterior, then Gaussian
-            rows += [_check(label, check, bound, est, tested=est[1])
-                     for (check, bound), est in zip(tails, (m[:3], m[3:]))]
-        else:
-            rows += [_check(label, check, bound, reason="no importance draws")
-                     for check, bound in tails]
+        draws = run.tvs[0].method == "importance"
+        m = astuple(run.tvs[0].outside[run.usable.index(label)]) if draws else (None,) * 3
+        lo, hi = val._gaussian_tail_bracket(run.prob.p, c.radius)
+        rows += [_check(label, "tail_posterior", c.posterior_tail, m, m[1],
+                        "" if draws else "no importance draws"),
+                 _check(label, "tail_gaussian", c.gaussian_tail, (hi, lo, hi), lo, floor=0.0)]
     return rows
 
 

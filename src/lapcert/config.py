@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .eigensolver import EigenSolverError, liouville_transform, mu_scan_top
+from .eigensolver import _MAX_SCAN, EigenSolverError, liouville_transform, mu_scan_top
 from .operators import CoefficientPair, OperatorSpecError
 
 
@@ -145,12 +145,15 @@ def config_from_dict(raw: dict, where: str = "<dict>") -> ExperimentConfig:
 def _validate(cfg: ExperimentConfig, where: str) -> None:
     if cfg.eigensolver.N < 1024:
         raise ConfigError("%s.eigensolver.N: must be >= 1024" % where)
-    try:   # the eigensolver's own refusal of the potential, without numpy's overflow warnings
+    try:   # the eigensolver's own refusal of the potential or K, without numpy's overflow warnings
         spec = CoefficientPair(tuple(cfg.operator.a), tuple(cfg.operator.b))
         with np.errstate(all="ignore"):
             mu_scan_top(liouville_transform(spec, cfg.eigensolver.N), cfg.eigensolver.K)
     except (OperatorSpecError, EigenSolverError) as exc:
-        raise ConfigError("%s.operator: %s" % (where, exc)) from exc
+        # the scan's K term alone is 2 (K + 2)^2 - 1/2 points, whatever the potential
+        k_alone = 2 * (cfg.eigensolver.K + 2) ** 2 - 0.5 > _MAX_SCAN
+        key = "eigensolver.K" if isinstance(exc, EigenSolverError) and k_alone else "operator"
+        raise ConfigError("%s.%s: %s" % (where, key, exc)) from exc
     if cfg.family not in ("poisson", "gaussian", "bernoulli"):
         raise ConfigError("%s.family: unknown family %r" % (where, cfg.family))
     if cfg.n < 1 or cfg.p < 1:

@@ -17,9 +17,9 @@ its statistic a block of resamples at a time.  The kernel's row chunks and
 the bootstrap's blocks run on up to `workers` threads (default: the usable
 cores), fewer for small work (`posterior.pool_size`: an importance pass's
 bootstrap gets as many as its kernel); no estimate depends on the count.
-The importance draws also give the mass outside ellipsoids
-{||D0 u|| <= r} (`OutsideMass`) on the same resample blocks, so tail
-claims need no second likelihood pass.
+The importance draws also give the posterior mass outside ellipsoids
+{||D0 u|| <= r} (`OutsideMass`) on the same resample blocks, so tail claims
+need no second likelihood pass; the Gaussian's is `_gaussian_tail_bracket`.
 """
 from __future__ import annotations
 
@@ -41,18 +41,12 @@ class ValidationError(RuntimeError):
 
 @dataclass(frozen=True)
 class OutsideMass:
-    """Posterior and Gaussian mass of the draws outside {||D0 u|| <= r}.
-
-    The self-normalized posterior fraction has a bootstrap interval widened by
-    the Wilson interval at the ESS, so an exactly-zero estimate still carries
-    finite uncertainty; the Gaussian fraction has a Wilson interval.
-    """
+    """Posterior mass of the draws outside {||D0 u|| <= r}: the self-normalized
+    fraction, its bootstrap interval widened by the Wilson interval at the ESS,
+    so an exactly-zero estimate still carries finite uncertainty."""
     posterior_frac: float
     posterior_ci_low: float
     posterior_ci_high: float
-    gaussian_frac: float
-    gaussian_ci_low: float
-    gaussian_ci_high: float
 
 
 @dataclass(frozen=True)
@@ -87,6 +81,16 @@ def laplace_draws(fit: LaplaceFit, n_samples: int, seed: int, stream: int) -> tu
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
     Z = rng.standard_normal((n_samples, fit.theta_hat.size))
     return rng, solve_triangular(fit.L, Z.T, lower=True, trans="T").T
+
+
+def _gaussian_tail_bracket(p: int, r: float) -> tuple:
+    """(erfc(r/sqrt 2), Q(p/2, r^2/2)): exact ends of the Laplace Gaussian's mass outside
+    {||D u|| <= r}, alpha(D) = 1, as ||D u||^2 = sum mu_i xi_i^2, 0 < mu_i <= 1 (all 1 for D_G)."""
+    x, lo = r * r / 2.0, math.erfc(r / math.sqrt(2.0))
+    # Q = (p odd) erfc(sqrt x) + sum of e^-x x^a / Gamma(a + 1) over a = p/2 - 1, p/2 - 2, ... >= 0
+    return lo, min(1.0, math.fsum([(p % 2) * lo] + [
+        math.exp(a * math.log(max(x, 1e-300)) - x - math.lgamma(a + 1.0))
+        for a in (p / 2.0 - 1.0 - k for k in range(p // 2))]))
 
 
 def log_ratio(fit: LaplaceFit, prob: Problem, U: np.ndarray,
@@ -160,7 +164,7 @@ def tv_quadrature(fit: LaplaceFit, prob: Problem, per_axis: int = 64,
 def _importance_pass(fit: LaplaceFit, prob: Problem, n_samples: int, seed: int,
                      n_boot: int, regions, stream: int = 13,
                      workers: int | None = None) -> TVEstimate:
-    """TV estimate with the outside mass of each (D0_sq, r) region, one draw.
+    """TV estimate with the posterior mass outside each (D0_sq, r) region, one draw.
 
     Each region's bootstrap fraction is taken from one weight vector (w
     outside, 0 inside) in the TV statistic's index blocks, one region at a
@@ -173,8 +177,8 @@ def _importance_pass(fit: LaplaceFit, prob: Problem, n_samples: int, seed: int,
     rng, U = laplace_draws(fit, n_samples, seed, stream)
     logw = log_ratio(fit, prob, U, workers)
     w = np.exp(logw - np.max(logw))
-    outside = [np.sqrt(np.sum(U * (U @ D0_sq), axis=1)) > r for D0_sq, r in regions]
-    w_out = [np.where(o, w, 0.0) for o in outside]
+    w_out = [np.where(np.sqrt(np.sum(U * (U @ D0_sq), axis=1)) > r, w, 0.0)
+             for D0_sq, r in regions]
 
     def tv_of(W):   # row-wise over the last axis
         return 0.5 * np.mean(np.abs(W / np.mean(W, axis=-1, keepdims=True) - 1.0), axis=-1)
@@ -190,12 +194,10 @@ def _importance_pass(fit: LaplaceFit, prob: Problem, n_samples: int, seed: int,
     ess = float(np.sum(w) ** 2 / np.sum(w ** 2))
     lo, hi = bootstrap_ci(rng, n_samples, n_boot, stat, workers)
     masses = []
-    for j, (o, wo) in enumerate(zip(outside, w_out), start=1):
+    for j, wo in enumerate(w_out, start=1):
         frac = float(np.sum(wo) / np.sum(w))
         e_lo, e_hi = wilson_interval(frac * ess, ess)
-        masses.append(OutsideMass(frac, min(float(lo[j]), e_lo), max(float(hi[j]), e_hi),
-                                  float(np.mean(o)),
-                                  *wilson_interval(float(np.sum(o)), n_samples)))
+        masses.append(OutsideMass(frac, min(float(lo[j]), e_lo), max(float(hi[j]), e_hi)))
     return TVEstimate(method="importance", value=tv,
                       ci_low=max(0.0, min(float(lo[0]), tv)),
                       ci_high=min(1.0, max(float(hi[0]), tv)),

@@ -5,13 +5,15 @@ near-orthogonality constant, sampled omega / tau3, a witness lower bound on
 the cosine surrogate, the third directional derivative) so the tests can
 check the certified pipeline against them.  `weighting_claims` and
 `theorem_claims` restate the certificate theorem from its formulas alone,
-as the spec that certificates and golden rows are compared with.  No CLI
-path reads them.
+as the spec that certificates and golden rows are compared with, and
+`gaussian_mass_bracket` the Laplace Gaussian's exact tail bracket by
+scipy.special.  No CLI path reads them.
 """
 import math
 
 import numpy as np
 from scipy.linalg import cholesky, eigh, solve_triangular
+from scipy.special import erfc, gammaincc
 
 from lapcert.certification import WeightChoice, tau3_certified, tau3_parts
 from lapcert.model import sample_basis
@@ -138,3 +140,12 @@ def theorem_claims(effdim: float, radius: float, tau3: float) -> dict:
             "r_min": 3.0 * root + 3.0, "feasible": radius * tau3 <= 0.5,
             "posterior_tail": min(1.0, e / 3.0) if radius >= 3.0 + 3.0 * root else 1.0,
             "gaussian_tail": min(1.0, math.exp(-t * t / 2.0))}
+
+
+def gaussian_mass_bracket(p: int, radius: float) -> tuple:
+    """(erfc(r / sqrt 2), Q(p/2, r^2/2)): the ends of the Laplace Gaussian's
+    mass outside {||D u|| <= r} for a weighting with alpha = 1, where
+    ||D u||^2 = sum mu_i xi_i^2 with 0 < mu_i <= 1: the top direction alone
+    gives the lower end and the chi^2_p tail (exact for D_G) the upper."""
+    return (float(erfc(radius / math.sqrt(2.0))),
+            float(gammaincc(p / 2.0, radius * radius / 2.0)))

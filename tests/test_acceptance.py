@@ -233,9 +233,9 @@ def test_criterion_09_concentration(volterra_eig):
             m = conc.empirical_outside_mass(fit, prob, fit.DG2, float(r),
                                             n_samples=2000, seed=seed).outside[0]
             t = max(0.0, r - math.sqrt(dim))
-            se = math.sqrt(max(m.gaussian_frac * (1 - m.gaussian_frac), 1e-9) / 2000)
+            lo, hi = val._gaussian_tail_bracket(p, float(r))   # hi: the exact mass at D_G
             checks += 2
-            violations += m.gaussian_frac - 3 * se > C.gaussian_tail(t)
+            violations += not lo <= hi <= C.gaussian_tail(t)
             violations += m.posterior_ci_low > C.posterior_tail_bound(dim, float(r))
     assert _report(9, "tail bounds dominate empirical mass", violations == 0,
                    "%d violations in %d checks" % (violations, checks))

@@ -197,7 +197,8 @@ def test_operator_spec_rejected_at_load(tmp_path, write_cfg, capsys):
     coefficient list or a potential too large for the eigensolver's mu scan
     (b = 1e6: max Q = 1e12; b = 1e300: b^2 overflows) is a config error
     (exit 2) naming the operator, raised before any stage runs, synthetic
-    sweeps included, and without numpy's overflow warnings."""
+    sweeps included, and without numpy's overflow warnings; a K too large
+    for the scan names eigensolver.K."""
     for operator in ({"a": [1.0, -2.0]}, {"a": [1.0] + [0.0] * 17}, {"b": []},
                      {"b": [1e6]}, {"b": [1e300]}):
         with warnings.catch_warnings():
@@ -213,6 +214,14 @@ def test_operator_spec_rejected_at_load(tmp_path, write_cfg, capsys):
     path = write_cfg({"operator": {"a": [-1.0]}, "sweep": {"synthetic": True}})
     assert main(["sweep", "--config", path, "--out", str(tmp_path / "syn")]) == 2
     assert ".operator: a(x) must be strictly positive" in capsys.readouterr().err
+    # the scan's K term alone, 2 (K + 2)^2 - 1/2 points, exceeds the cap from
+    # K = 723 on: the refusal names eigensolver.K, not the operator
+    out = tmp_path / "k"
+    path = write_cfg({"eigensolver": {"K": 1000}})
+    assert main(["all", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert ".eigensolver.K: mu scan for K = 1000" in err and "Warning" not in err
+    assert not out.exists()
 
 
 def test_out_naming_a_file_exit_code(tmp_path, write_cfg, capsys):
@@ -343,6 +352,49 @@ def test_validate_runs_one_likelihood_pass(tmp_path, monkeypatch, write_cfg):
     rows = _read_checks(out / "checks.csv")
     tails = [r for r in rows if r["check"].startswith("tail_")]
     assert len(tails) >= 4 and all(r["status"] == "checked" for r in tails)
+
+
+def test_gaussian_tail_rows_refute_a_false_claim(tmp_path, monkeypatch, write_cfg):
+    """The tail_gaussian rows are exact, so a claim below the Gaussian's true
+    mass fails them: with the t^2 mutant exp(-t^2) of gaussian_tail, a
+    real-mode sweep at n = 1e4 over p in {2, 6} exits 1 with every one of
+    those rows violated, and every other row as the true claim leaves it."""
+    cfg = write_cfg({"family": "poisson", "n": 10000,
+                     "sweep": {"axis": "p", "values": [2, 6], "synthetic": False}})
+    true, mutant = tmp_path / "true", tmp_path / "mutant"
+    assert main(["sweep", "--config", cfg, "--out", str(true)]) == 0
+    monkeypatch.setattr(lapcert.certification, "gaussian_tail",
+                        lambda t: min(1.0, math.exp(-t * t)))
+    assert main(["sweep", "--config", cfg, "--out", str(mutant)]) == 1
+    want = _read_checks(true / "checks.csv")
+    got = _read_checks(mutant / "checks.csv")
+    gauss = [i for i, r in enumerate(want) if r["check"] == "tail_gaussian"]
+    assert {want[i]["p"] for i in gauss} == {"2", "6"}
+    assert all(want[i]["status"] == "checked" and got[i]["status"] == "violated"
+               for i in gauss)
+    assert [r for i, r in enumerate(got) if i not in gauss] == [
+        r for i, r in enumerate(want) if i not in gauss]
+
+
+def test_quadrature_only_checks_the_gaussian_tail(tmp_path, write_cfg):
+    """With no importance draws (validation.method = "quadrature", p <= 3) a
+    usable certificate's Gaussian tail claim is still checked, exactly; only
+    its posterior tail row is skipped."""
+    cfg = write_cfg({"family": "poisson", "n": 2000, "p": 2,
+                     "validation": {"method": "quadrature"}})
+    out = tmp_path / "quad"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+    rows = _read_checks(out / "checks.csv")
+    usable = [r["label"] for r in rows if r["check"] == "tv_quadrature"]
+    assert usable and all(r["status"] == "checked" for r in rows if r["check"] == "tv_quadrature")
+    for label in usable:
+        mine = {r["check"]: r for r in rows if r["label"] == label}
+        assert sorted(mine) == ["tail_gaussian", "tail_posterior", "tv_quadrature"]
+        assert (mine["tail_posterior"]["status"], mine["tail_posterior"]["reason"]) == (
+            "skipped", "no importance draws")
+        gauss = mine["tail_gaussian"]
+        assert gauss["status"] == "checked" and gauss["reason"] == ""
+        assert 0 < float(gauss["ci_low"]) <= float(gauss["ci_high"]) < float(gauss["bound"])
 
 
 def test_csv_outputs_deterministic(tmp_path, write_cfg):

@@ -1,6 +1,7 @@
 """The certificate's tail claims, `certification.gaussian_tail` and
-`posterior_tail_bound`, and the mass outside an ellipsoid as the benchmark
-probe's entry `concentration.empirical_outside_mass` estimates it."""
+`posterior_tail_bound`, against the Laplace Gaussian's exact mass outside an
+ellipsoid and the posterior mass as the benchmark probe's entry
+`concentration.empirical_outside_mass` estimates it."""
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from lapcert import certification as C
 from lapcert.concentration import empirical_outside_mass
-from lapcert.validation import wilson_interval
+from lapcert.validation import _gaussian_tail_bracket, laplace_draws, wilson_interval
 
 
 def test_gaussian_tail_values():
@@ -60,21 +61,26 @@ def test_wilson_interval_basic():
 def test_outside_mass_extremes(poisson_fit):
     prob, fit = poisson_fit
     at0 = empirical_outside_mass(fit, prob, fit.DG2, r=0.0, n_samples=1000, seed=0).outside[0]
-    assert at0.gaussian_frac == 1.0
+    assert _gaussian_tail_bracket(prob.design.p, 0.0) == (1.0, 1.0)
     assert at0.posterior_frac == pytest.approx(1.0)
     far = empirical_outside_mass(fit, prob, fit.DG2, r=100.0, n_samples=1000, seed=0).outside[0]
-    assert far.gaussian_frac == 0.0
+    assert _gaussian_tail_bracket(prob.design.p, 100.0) == (0.0, 0.0)
     assert far.posterior_frac == 0.0
     assert far.posterior_ci_high < 0.02
 
 
 def test_gaussian_family_weights_unit(gaussian_fit):
     # exact Laplace fit: importance weights are constant, so the posterior
-    # fraction equals the plain Gaussian fraction
+    # fraction equals the plain fraction of its draws (stream 11) outside,
+    # and its interval holds the exact Gaussian mass, the chi^2_p tail at D_G
     prob, fit = gaussian_fit
     rep = empirical_outside_mass(fit, prob, fit.DG2, r=1.5, n_samples=2000, seed=3)
     m = rep.outside[0]
-    assert m.posterior_frac == pytest.approx(m.gaussian_frac, abs=1e-10)
+    _, U = laplace_draws(fit, 2000, 3, stream=11)
+    plain = np.mean(np.sqrt(np.sum(U * (U @ fit.DG2), axis=1)) > 1.5)
+    assert m.posterior_frac == pytest.approx(plain, abs=1e-10)
+    exact = _gaussian_tail_bracket(prob.design.p, 1.5)[1]
+    assert m.posterior_ci_low <= exact <= m.posterior_ci_high
     assert rep.ess == pytest.approx(2000, rel=1e-6)
 
 
@@ -86,9 +92,9 @@ def test_bounds_dominate_empirical(poisson_fit):
         m = empirical_outside_mass(fit, prob, fit.DG2, r=float(r),
                                    n_samples=2000, seed=5).outside[0]
         t = max(0.0, r - math.sqrt(dim))
-        # 3 Wilson standard errors of slack on the binomial side
-        se = math.sqrt(max(m.gaussian_frac * (1 - m.gaussian_frac), 1e-9) / 2000)
-        assert m.gaussian_frac - 3 * se <= C.gaussian_tail(t)
+        # at D_G the upper end of the bracket is the exact Gaussian mass
+        lo, hi = _gaussian_tail_bracket(p, float(r))
+        assert lo <= hi <= C.gaussian_tail(t)
         assert m.posterior_ci_low <= C.posterior_tail_bound(dim, float(r))
 
 

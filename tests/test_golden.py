@@ -16,7 +16,7 @@ import tempfile
 
 import pytest
 
-from probes import theorem_claims
+from probes import gaussian_mass_bracket, theorem_claims
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
@@ -67,12 +67,15 @@ def test_goldens_state_the_theorem():
     """Every committed certificate row (certificates.csv, real-mode sweep.csv)
     and every bound in checks.csv is what the theorem states at the row's
     effdim, radius and tau3_sup, to 1e-12 relative; checks.csv rows are joined
-    to their certificate by label, and by n and p in a sweep."""
+    to their certificate by label, and by n and p in a sweep.  A tail_gaussian
+    row's interval is the Gaussian mass bracket at its p and radius."""
     claim_of = {"tail_posterior": "posterior_tail", "tail_gaussian": "gaussian_tail"}
     for name, artifact in (("poisson_desk", "certificates.csv"),
                            ("gaussian_exactness", "certificates.csv"),
                            ("poisson_plateau", "sweep.csv")):
-        claims = {}
+        with open(os.path.join(ROOT, "configs", name + ".json")) as fh:
+            config_p = json.load(fh).get("p")
+        claims, radius = {}, {}
         for row in _golden_rows(name, artifact):
             want = theorem_claims(*(float(row[k]) for k in ("effdim", "radius", "tau3_sup")))
             assert float(row["alpha"]) == pytest.approx(1.0, rel=1e-12)
@@ -82,11 +85,16 @@ def test_goldens_state_the_theorem():
                 assert float(row[key]) == pytest.approx(want[key], rel=1e-12, abs=0), (
                     name, row["label"], key)
             claims[row.get("n"), row.get("p"), row["label"]] = want
+            radius[row.get("n"), row.get("p"), row["label"]] = float(row["radius"])
         for row in _golden_rows(name, "checks.csv"):
-            want = claims[row.get("n"), row.get("p"), row["label"]]
+            at = row.get("n"), row.get("p"), row["label"]
             key = claim_of.get(row["check"], "tv_bound")
-            assert float(row["bound"]) == pytest.approx(want[key], rel=1e-12, abs=0), (
+            assert float(row["bound"]) == pytest.approx(claims[at][key], rel=1e-12, abs=0), (
                 name, row["label"], row["check"])
+            if row["check"] == "tail_gaussian":
+                want = gaussian_mass_bracket(int(row.get("p") or config_p), radius[at])
+                got = float(row["ci_low"]), float(row["ci_high"])
+                assert got == pytest.approx(want, rel=1e-12, abs=0), (name, row["label"])
 
 
 def test_checked_statuses():
@@ -117,6 +125,9 @@ def test_plateau_shows_the_headline():
         assert {r["status"] for r in mine} == want
         assert {int(r["p"]) for r in mine} == set(ps)
     assert {r["reason"] for r in checks if r["label"] == "identity"} == {"infeasible"}
+    # the exact Gaussian tail rows resolve every claim, by a factor 40 at least
+    gauss = [r for r in checks if r["check"] == "tail_gaussian"]
+    assert len(gauss) == 2 * len(ps) and all(float(r["ratio"]) >= 40 for r in gauss)
 
 
 if __name__ == "__main__":

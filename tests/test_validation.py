@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
 
+from lapcert import certification as C
 from lapcert import posterior
 from lapcert import validation as val
 from lapcert import concentration
@@ -14,6 +15,7 @@ from lapcert.concentration import empirical_outside_mass
 from lapcert.posterior import EvaluationError, f_value, f_values, map_solve
 
 from conftest import make_problem
+from probes import gaussian_mass_bracket
 
 
 def test_gaussian_family_tv_zero(gaussian_fit):
@@ -213,8 +215,9 @@ def test_importance_ci_matches_per_resample_reference(poisson_fit):
 
 
 def _outside_reference(fit, prob, D0_sq, r, n_samples, seed, n_boot, stream):
-    """The tail statistic as concentration.empirical_outside_mass computed it
-    with its own draw: normalized weights, one masked sum per resample."""
+    """The posterior tail statistic as concentration.empirical_outside_mass
+    computed it with its own draw: normalized weights, one masked sum per
+    resample."""
     rng, U = val.laplace_draws(fit, n_samples, seed, stream=stream)
     outside = np.sqrt(np.sum(U * (U @ D0_sq), axis=1)) > r
     logw = val.log_ratio(fit, prob, U)
@@ -225,8 +228,7 @@ def _outside_reference(fit, prob, D0_sq, r, n_samples, seed, n_boot, stream):
              for i in rng.integers(0, n_samples, size=(n_boot, n_samples))]
     lo, hi = np.percentile(fracs, [2.5, 97.5])
     w_lo, w_hi = val.wilson_interval(frac * ess, ess)
-    return (frac, min(lo, w_lo), max(hi, w_hi),
-            float(np.mean(outside)), *val.wilson_interval(float(np.sum(outside)), n_samples))
+    return frac, min(lo, w_lo), max(hi, w_hi)
 
 
 def test_tail_statistics_share_the_importance_pass(poisson_fit, monkeypatch):
@@ -244,7 +246,12 @@ def test_tail_statistics_share_the_importance_pass(poisson_fit, monkeypatch):
     for (D0_sq, r), got in zip(regions, est.outside):
         want = _outside_reference(fit, prob, D0_sq, r, 10000, 5, 200, stream=13)
         np.testing.assert_allclose(astuple(got), want, rtol=1e-12, atol=1e-15)
-    assert 0.2 < est.outside[0].posterior_frac < 0.8 and est.outside[2].gaussian_frac == 0.0
+    assert 0.2 < est.outside[0].posterior_frac < 0.8 and est.outside[2].posterior_frac == 0.0
+    # the Laplace Gaussian's side is exact, with no draws: at D_G the chi^2_p
+    # tail, which the certificate's claim bounds
+    lo, hi = val._gaussian_tail_bracket(p, regions[0][1])
+    assert lo < hi <= C.gaussian_tail(max(0.0, regions[0][1] - np.sqrt(p)))
+    assert val._gaussian_tail_bracket(p, 50.0) == (0.0, 0.0)
     # empirical_outside_mass is its own draw plus the same statistic
     D0_sq, r = regions[1]
     rep = empirical_outside_mass(fit, prob, D0_sq, r, n_samples=2000, seed=5, n_boot=200)
@@ -257,6 +264,17 @@ def test_tail_statistics_share_the_importance_pass(poisson_fit, monkeypatch):
     monkeypatch.setattr(concentration, "_importance_pass", low)
     rep = empirical_outside_mass(fit, prob, D0_sq, r, n_samples=2000, seed=5, n_boot=200)
     assert (rep.ess, rep.low_ess) == (75.0, True) and not est.low_ess
+
+
+def test_gaussian_tail_bracket_matches_scipy():
+    """The closed form (erfc, the finite sum of Q at half-integer order)
+    against scipy.special at every p <= 48, at r = 0 and over radii 0.1 to 37."""
+    for p in range(1, 49):
+        for r in [0.0, *np.geomspace(0.1, 37.0, 41)]:
+            lo, hi = val._gaussian_tail_bracket(p, float(r))
+            want = gaussian_mass_bracket(p, float(r))
+            assert (lo, hi) == pytest.approx(want, rel=1e-12, abs=0), (p, r)
+            assert 0.0 < lo <= hi <= 1.0
 
 
 def test_quadrature_grid_convergence(volterra_eig):
