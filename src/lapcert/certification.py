@@ -1,6 +1,8 @@
 """Certified total-variation bounds for the Laplace approximation.
 
-For a weighting matrix D with alpha(D) = 1 the bound is
+A weighting D is read through one `spectrum` mu of L^{-1} D^2 L^{-T}, L = fit.L
+(D_G^2 = L L^T): alpha(D)^2 = max mu and dim_A(D) = sum mu / max mu.  Scaled
+to alpha(D) = 1, D gives the bound
 
     TV <= tau3_cert * dim_A(D) + 2 exp(-(r - 3 sqrt(dim_A))^2 / 3),
 
@@ -18,19 +20,14 @@ bound splits as D3(K_loc) * A * B with
     K_loc = ||R q_theta_hat||_inf + r * A,
 
 except for the scaled-identity choice, where the coarser route
-D3(K_loc) * n * A^3 is the tight one.
-
-The sup over x is evaluated at the interpolation knots of the stored
-eigenfunctions; since the fields are piecewise linear and the norm is
-convex along segments, refining the grid cannot increase the value.  The
-knot-to-continuum gap estimate 0.5 * h * sup_x ||D^{-1} r'(x)|| is
+D3(K_loc) * n * A^3 is the tight one.  The sup over x is taken at the
+knots of the piecewise-linear eigenfunctions, where the convex norm peaks;
+the knot-to-continuum gap estimate 0.5 * h * sup_x ||D^{-1} r'(x)|| is
 attached to every certificate.
 
-The diagonal sums S_dim and S_tau of the optimized choice D(gamma0*)
-(`s_sums`, double precision) are not inputs of any bound: they are
-reported as diagnostics, propose one candidate radius 1/sqrt(S_tau) that
-the tau3 chain certifies like every other radius, and give the
-diagonal-surrogate bounds of `sweep_synthetic`.
+The diagonal sums S_dim and S_tau of D(gamma0*) (`s_sums`) enter no bound:
+they are diagnostics, propose one candidate radius 1/sqrt(S_tau), and give
+the diagonal-surrogate bounds of `sweep_synthetic`.
 """
 from __future__ import annotations
 
@@ -39,15 +36,10 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
 
-from .posterior import LaplaceFit, Problem
+from .posterior import LaplaceFit, Problem, tri_solve
 
 N_RADII = 60   # geometric grid of radii from r_lo to r_hi that certify tries
-
-
-class CertificationError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -79,11 +71,11 @@ class Certificate:
     """The TV claim of one scaled weighting at one radius; feasibility, the
     bound and its two terms are derived from tau3_sup, effdim and radius."""
     choice: WeightChoice
-    alpha: float
     effdim: float
     tau3_sup: float
     radius: float
     diagnostics: dict = field(default_factory=dict)
+    alpha = 1.0     # a class constant: certify scales every weighting to alpha(D) = 1
 
     @property
     def feasible(self) -> bool:
@@ -109,41 +101,29 @@ class Certificate:
     @property
     def gaussian_tail(self) -> float:
         """Claimed bound on the Laplace Gaussian's mass outside {||D u|| <= radius}."""
-        return gaussian_tail(max(0.0, self.radius - math.sqrt(self.effdim)))
+        return math.exp(self.log_gaussian_tail)
+
+    @property
+    def log_gaussian_tail(self) -> float:
+        """log of gaussian_tail, finite where the claim underflows to 0."""
+        return log_gaussian_tail(max(0.0, self.radius - math.sqrt(self.effdim)))
 
 
-def alpha_of(D2: np.ndarray, DG2: np.ndarray) -> float:
-    """||D_G^{-1} D|| via the generalized eigenproblem D^2 v = lam D_G^2 v."""
-    try:
-        lam = eigh(D2, DG2, eigvals_only=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise CertificationError("ill-conditioned weighting pair") from exc
-    return float(np.sqrt(lam[-1]))
-
-
-def effdim_of(D2: np.ndarray, DG2: np.ndarray) -> float:
-    """Tr(D_G^{-2} D^2) / alpha(D)^2."""
-    c, low = cho_factor(DG2)
-    tr = float(np.trace(cho_solve((c, low), D2)))
-    return tr / alpha_of(D2, DG2) ** 2
-
-
-def _sup_weighted(D2_chol, mat: np.ndarray) -> float:
-    """max over columns x of sqrt(x^T D2^{-1} x) for columns of `mat` (p, M)."""
-    Z = cho_solve(D2_chol, mat)
-    return float(np.sqrt(np.max(np.sum(mat * Z, axis=0))))
+def spectrum(S: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of L^{-1} S L^{-T}, i.e. of S v = mu L L^T v, L lower triangular."""
+    return np.linalg.eigvalsh(tri_solve(L, tri_solve(L, S.copy()).T))
 
 
 def tau3_parts(prob: Problem, choice: WeightChoice) -> dict:
-    """r-independent pieces of the certified third-derivative bound, on prob.eig's grid."""
-    D2 = choice.D2
-    c = cho_factor(D2)
-    eig, R = prob.eig, prob.design.rows
-    root_lam = np.sqrt(eig.lambdas[:prob.p])[:, None]
-    A = _sup_weighted(c, root_lam * eig.psi[:prob.p])
-    gap = 0.5 * (eig.x[1] - eig.x[0]) * _sup_weighted(c, root_lam * eig.dpsi[:prob.p])
-    B = float(eigh(R.T @ R, D2, eigvals_only=True)[-1])
-    return {"A": A, "B": B, "gap_est": gap}
+    """r-independent pieces of the certified third-derivative bound, on prob.eig's grid:
+    with D^2 = L L^T, A and gap_est are largest column norms of L^{-1} r(x) and
+    L^{-1} r'(x), and B is the top of spectrum(R^T R, L)."""
+    L, eig, p = np.linalg.cholesky(choice.D2), prob.eig, prob.p
+    root_lam = np.sqrt(eig.lambdas[:p])[:, None]
+    A, sup_d = (float(np.sqrt(np.max(np.sum(tri_solve(L, root_lam * f[:p]) ** 2, axis=0))))
+                for f in (eig.psi, eig.dpsi))
+    return {"A": A, "B": float(spectrum(prob.design.rows.T @ prob.design.rows, L)[-1]),
+            "gap_est": 0.5 * (eig.x[1] - eig.x[0]) * sup_d}
 
 
 def tau3_certified(fit: LaplaceFit, prob: Problem, choice: WeightChoice,
@@ -168,11 +148,16 @@ def _tail_exp(effdim: float, r: float) -> float:
     return math.exp(-((r - 3.0 * math.sqrt(effdim)) ** 2) / 3.0)
 
 
-def gaussian_tail(t: float) -> float:
-    """P(||D0 u|| >= sqrt(effdim) + t) <= exp(-t^2 / 2) for the Laplace Gaussian."""
+def log_gaussian_tail(t: float) -> float:
+    """-t^2 / 2, the exponent of `gaussian_tail`."""
     if t < 0:
         raise ValueError("t >= 0 required")
-    return min(1.0, math.exp(-t * t / 2.0))
+    return -t * t / 2.0
+
+
+def gaussian_tail(t: float) -> float:
+    """P(||D0 u|| >= sqrt(effdim) + t) <= exp(-t^2 / 2) for the Laplace Gaussian."""
+    return math.exp(log_gaussian_tail(t))
 
 
 def posterior_tail_bound(effdim: float, r: float) -> float:
@@ -189,8 +174,9 @@ def certify(fit: LaplaceFit, prob: Problem, choice: WeightChoice, beta: float = 
     Its diagnostics hold A, B and gap_est, plus S_dim, S_tau, m and m0star
     for the gamma0 family.
     """
-    scaled = replace(choice, D2=choice.D2 / alpha_of(choice.D2, fit.DG2) ** 2)
-    dim = effdim_of(scaled.D2, fit.DG2)
+    mu = spectrum(choice.D2, fit.L)      # alpha(D)^2 = mu[-1]
+    scaled = replace(choice, D2=choice.D2 / mu[-1])
+    dim = float(np.sum(mu)) / mu[-1]
     diag = tau3_parts(prob, scaled)
 
     r_lo = _r_lo(dim)
@@ -203,8 +189,7 @@ def certify(fit: LaplaceFit, prob: Problem, choice: WeightChoice, beta: float = 
         if s_tau > 0 and 1.0 / math.sqrt(s_tau) >= r_lo:
             radii.append(1.0 / math.sqrt(s_tau))  # canonical r from the theorem
 
-    alpha_scaled = alpha_of(scaled.D2, fit.DG2)
-    cands = [Certificate(choice=scaled, alpha=alpha_scaled, effdim=dim, radius=r,
+    cands = [Certificate(choice=scaled, effdim=dim, radius=r,
                          tau3_sup=tau3_certified(fit, prob, scaled, r, diag), diagnostics=diag)
              for r in sorted(radii)]
     feasible = [c for c in cands if c.feasible]

@@ -34,7 +34,7 @@ CERT_COLUMNS = ["label", "kind", "gamma0", "alpha", "effdim", "radius",
 CHECK_COLUMNS = ["label", "check", "status", "reason", "bound", "estimate",
                  "ci_low", "ci_high", "ratio"]
 # absolute floor of every sampled check: below it both the estimators and an
-# underflowed tail term are numerically zero (exact rows compare plain floats)
+# underflowed tail term are numerically zero (the exact Gaussian rows compare logs)
 CHECK_FLOOR = 1e-12
 # BLAS reads these once, when numpy loads, which the imports above do
 BLAS_ENV = {var: os.environ.get(var) for var in BLAS_VARS}
@@ -204,11 +204,9 @@ def cmd_certify(run):
     return 0
 
 
-def _check(label, check, bound, est=(None,) * 3, tested=None, reason="", floor=CHECK_FLOOR) -> dict:
-    """A checks.csv row: skipped if there is a reason, else violated iff
-    `tested` (an end of est's interval) exceeds max(bound, floor)."""
-    status = ("skipped" if reason else
-              "violated" if tested > max(bound, floor) else "checked")
+def _check(label, check, bound, est=(None,) * 3, violated=False, reason="") -> dict:
+    """A checks.csv row: skipped if there is a reason, else violated or checked."""
+    status = "skipped" if reason else "violated" if violated else "checked"
     return {"label": label, "check": check, "status": status, "reason": reason,
             "bound": bound, "estimate": est[0], "ci_low": est[1], "ci_high": est[2],
             "ratio": bound / est[0] if est[0] else None}
@@ -219,11 +217,11 @@ def _checks(run) -> list:
 
     Each usable certificate is checked against every TV estimate (violated
     iff ci_high > bound) and on its tail claims at its radius and scaled
-    weighting (violated iff ci_low > bound): the posterior mass outside, on
-    the importance draws, against `posterior_tail`, and the Laplace
-    Gaussian's exact bracket [erfc, chi^2_p tail], with no floor, against
-    `gaussian_tail`.  Any other certificate gets one skipped row with its
-    reason; the TV estimates are made only if some certificate is usable.
+    weighting: the importance draws' posterior mass outside against
+    `posterior_tail` (violated iff ci_low > bound; both above CHECK_FLOOR),
+    and the Gaussian's exact bracket against `gaussian_tail` in logs, so it
+    fails where both underflow.  Other certificates get one skipped row, and
+    the TV estimates are made only if some certificate is usable.
     """
     rows = []
     for label, c in run.certs.items():
@@ -232,13 +230,15 @@ def _checks(run) -> list:
                                reason="infeasible" if not c.feasible else "bound >= 1"))
             continue
         rows += [_check(label, "tv_" + tv.method, c.tv_bound, (tv.value, tv.ci_low, tv.ci_high),
-                        tested=tv.ci_high) for tv in run.tvs]
+                        tv.ci_high > max(c.tv_bound, CHECK_FLOOR)) for tv in run.tvs]
         draws = run.tvs[0].method == "importance"
         m = astuple(run.tvs[0].outside[run.usable.index(label)]) if draws else (None,) * 3
         lo, hi = val._gaussian_tail_bracket(run.prob.p, c.radius)
-        rows += [_check(label, "tail_posterior", c.posterior_tail, m, m[1],
+        rows += [_check(label, "tail_posterior", c.posterior_tail, m,
+                        draws and m[1] > max(c.posterior_tail, CHECK_FLOOR),
                         "" if draws else "no importance draws"),
-                 _check(label, "tail_gaussian", c.gaussian_tail, (hi, lo, hi), lo, floor=0.0)]
+                 _check(label, "tail_gaussian", c.gaussian_tail, (hi, lo, hi),
+                        val._log_bracket_low(c.radius) > c.log_gaussian_tail)]
     return rows
 
 

@@ -11,7 +11,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky
 
 from .model import ExpFamily, Dataset, signal_sup_norm
 
@@ -57,6 +56,16 @@ class LaplaceFit:
     newton_iters: int
     rq_sup: float           # ||R q_theta_hat||_inf on the refined grid
     f_hat: float
+
+
+def tri_solve(L: np.ndarray, B: np.ndarray, trans: bool = False) -> np.ndarray:
+    """B <- L^{-1} B, or L^{-T} B with `trans`, in B's own memory, for lower triangular
+    L (p, p) and B (p,) or (p, m) of any strides (the transpose of an (m, p) array too)."""
+    for i in (range(len(L) - 1, -1, -1) if trans else range(len(L))):
+        done = slice(i + 1, None) if trans else slice(0, i)
+        B[i] -= (L[done, i] if trans else L[i, done]) @ B[done]
+        B[i] /= L[i, i]
+    return B
 
 
 def _signals(prob: Problem, theta: np.ndarray) -> np.ndarray:
@@ -184,7 +193,8 @@ def map_solve(prob: Problem, theta0: np.ndarray | None = None) -> LaplaceFit:
         g = grad(prob, theta)
         hL = hessian_L(prob, theta)
         DG2 = hL + np.diag(prob.g2)
-        step = cho_solve(cho_factor(DG2), g)
+        L = np.linalg.cholesky(DG2)
+        step = tri_solve(L, tri_solve(L, g.copy()), trans=True)
         decrement2 = float(g @ step)
         gnorm = float(np.linalg.norm(g))
         if decrement2 <= 1e-18 or gnorm <= 1e-9 * (1.0 + abs(fv)):
@@ -213,6 +223,6 @@ def map_solve(prob: Problem, theta0: np.ndarray | None = None) -> LaplaceFit:
 
     if gnorm > 1e-9 * (1.0 + abs(fv)) * 10:
         raise OptimizationError("MAP gradient norm %g did not meet tolerance" % gnorm)
-    return LaplaceFit(theta_hat=theta, hess_L=hL, DG2=DG2, L=cholesky(DG2, lower=True),
+    return LaplaceFit(theta_hat=theta, hess_L=hL, DG2=DG2, L=L,
                       grad_norm=gnorm, newton_iters=it,
                       rq_sup=signal_sup_norm(prob.eig, theta), f_hat=fv)

@@ -27,9 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .posterior import LaplaceFit, Problem, f_values, pool_map, pool_size
+from .posterior import LaplaceFit, Problem, f_values, pool_map, pool_size, tri_solve
 
 
 _WILSON_Z = 1.96   # normal quantile of the Wilson intervals' 95% coverage
@@ -73,14 +72,11 @@ def wilson_interval(successes: float, trials: float) -> tuple:
 
 
 def laplace_draws(fit: LaplaceFit, n_samples: int, seed: int, stream: int) -> tuple:
-    """(rng, U): offsets U ~ N(0, D_G^{-2}) drawn from the Philox stream (seed, stream).
-
-    The returned generator continues the same stream, for the caller's
-    bootstrap draw.
-    """
+    """(rng, U): offsets U ~ N(0, D_G^{-2}) drawn from the Philox stream (seed, stream);
+    rng continues that stream, for the caller's bootstrap draw."""
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
     Z = rng.standard_normal((n_samples, fit.theta_hat.size))
-    return rng, solve_triangular(fit.L, Z.T, lower=True, trans="T").T
+    return rng, tri_solve(fit.L, Z.T, trans=True).T     # u = L^{-T} z, in Z's memory
 
 
 def _gaussian_tail_bracket(p: int, r: float) -> tuple:
@@ -91,6 +87,14 @@ def _gaussian_tail_bracket(p: int, r: float) -> tuple:
     return lo, min(1.0, math.fsum([(p % 2) * lo] + [
         math.exp(a * math.log(max(x, 1e-300)) - x - math.lgamma(a + 1.0))
         for a in (p / 2.0 - 1.0 - k for k in range(p // 2))]))
+
+
+def _log_bracket_low(r: float) -> float:
+    """log erfc(x), x = r/sqrt 2 (the bracket's lower end) while erfc is normal; past that the
+    Abramowitz-Stegun 7.1.13 lower bound, erfc x > 2 e^{-x^2} / (sqrt(pi) (x + sqrt(x^2 + 2)))."""
+    x = r / math.sqrt(2.0)
+    return (math.log(math.erfc(x)) if math.erfc(x) >= np.finfo(float).tiny else
+            math.log(2.0 / math.sqrt(math.pi)) - x * x - math.log(x + math.sqrt(x * x + 2.0)))
 
 
 def log_ratio(fit: LaplaceFit, prob: Problem, U: np.ndarray,
@@ -136,9 +140,9 @@ def _tv_on_grid(fit: LaplaceFit, prob: Problem, per_axis: int, workers: int | No
     lq = -0.5 * np.einsum("ij,ij->i", Z, Z)
     # theta = theta_hat + L^{-T} z, solved in the grid's own memory (p = 3,
     # per_axis = 128 makes it 50 MB)
-    Theta = solve_triangular(fit.L, Z.T, lower=True, trans="T", overwrite_b=True).T
-    Theta += fit.theta_hat
-    lp = -f_values(prob, Theta, workers) + fit.f_hat
+    tri_solve(fit.L, Z.T, trans=True)
+    Z += fit.theta_hat
+    lp = -f_values(prob, Z, workers) + fit.f_hat
     wp = np.exp(lp - np.max(lp))
     wq = np.exp(lq)
     return 0.5 * float(np.sum(np.abs(wp / np.sum(wp) - wq / np.sum(wq))))

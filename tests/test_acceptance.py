@@ -23,7 +23,7 @@ from lapcert.operators import CoefficientPair, VOLTERRA, assemble_design, l2_inn
 from lapcert.posterior import Problem, f_value, grad, hessian_L, map_solve
 
 from conftest import SPEC_CORPUS, make_problem
-from probes import ortho_constant, third_directional, tightness_probe
+from probes import ortho_constant, third_directional, tightness_probe, weighting_claims
 
 
 def _report(num, name, ok, detail=""):
@@ -228,7 +228,7 @@ def test_criterion_09_concentration(volterra_eig):
     for n, p, seed in [(1000, 3, 1), (2000, 4, 2), (4000, 6, 1), (2000, 2, 3)]:
         prob = make_problem(volterra_eig, "poisson", n=n, p=p, seed=seed)
         fit = map_solve(prob)
-        dim = C.effdim_of(fit.DG2, fit.DG2)
+        dim = weighting_claims(fit.DG2, fit.DG2)[1]
         for r in np.linspace(math.sqrt(p), 3 + 3 * math.sqrt(p) + 3, 8):
             m = conc.empirical_outside_mass(fit, prob, fit.DG2, float(r),
                                             n_samples=2000, seed=seed).outside[0]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh
 
 from lapcert import certification as C
 from lapcert.cli import CERT_COLUMNS
@@ -15,25 +16,33 @@ from conftest import make_problem
 from probes import (omega_diagnostics, ortho_constant, theorem_claims, third_directional,
                     tightness_probe, weighting_claims)
 
-# --- alpha / effdim ---
+# --- alpha / effdim, from one spectrum ---
+
+
+def _alpha_effdim(D2, DG2):
+    """(alpha, effdim) of D^2 against D_G^2 from C.spectrum, as certify forms them."""
+    mu = C.spectrum(D2, np.linalg.cholesky(DG2))
+    return math.sqrt(mu[-1]), float(np.sum(mu)) / mu[-1]
 
 
 def test_alpha_identity_and_scaling(poisson_fit):
     _, fit = poisson_fit
-    assert C.alpha_of(fit.DG2, fit.DG2) == pytest.approx(1.0, abs=1e-12)
-    assert C.alpha_of(4.0 * fit.DG2, fit.DG2) == pytest.approx(2.0, rel=1e-12)
+    assert math.sqrt(C.spectrum(fit.DG2, fit.L)[-1]) == pytest.approx(1.0, abs=1e-12)
+    assert math.sqrt(C.spectrum(4.0 * fit.DG2, fit.L)[-1]) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_alpha_gamma0_family_is_one(poisson_fit):
     prob, fit = poisson_fit
     for g0 in (0.5, 1.0, 1.5, 2.0):
         ch = C.choice_gamma0(fit, g0, prob.gamma)
-        assert C.alpha_of(ch.D2, fit.DG2) == pytest.approx(1.0, abs=1e-8)
+        assert math.sqrt(C.spectrum(ch.D2, fit.L)[-1]) == pytest.approx(1.0, abs=1e-8)
     with pytest.raises(ValueError):
         C.choice_gamma0(fit, 2.5, prob.gamma)
 
 
 def test_alpha_generalized_eig_oracle():
+    """spectrum(S, L) is the generalized spectrum of (S, L L^T), which LAPACK
+    solves by its own reduction; alpha is the root of its top."""
     rng = np.random.default_rng(1)
     for _ in range(20):
         p = int(rng.integers(2, 6))
@@ -41,24 +50,24 @@ def test_alpha_generalized_eig_oracle():
         DG2 = M @ M.T + np.eye(p)
         M2 = rng.normal(size=(p, p))
         D2 = M2 @ M2.T + 0.5 * np.eye(p)
-        # oracle: whiten explicitly
-        L = np.linalg.cholesky(DG2)
-        W = np.linalg.solve(L, np.linalg.solve(L, D2).T)
-        want = math.sqrt(np.linalg.eigvalsh(W)[-1])
-        assert C.alpha_of(D2, DG2) == pytest.approx(want, rel=1e-10)
+        want = eigh(D2, DG2, eigvals_only=True)
+        np.testing.assert_allclose(C.spectrum(D2, np.linalg.cholesky(DG2)), want, rtol=1e-10)
+        assert _alpha_effdim(D2, DG2)[0] == pytest.approx(math.sqrt(want[-1]), rel=1e-10)
+        assert weighting_claims(D2, DG2)[0] == pytest.approx(math.sqrt(want[-1]), rel=1e-10)
 
 
 def test_effdim_examples(poisson_fit):
     _, fit = poisson_fit
     p = fit.DG2.shape[0]
-    assert C.effdim_of(fit.DG2, fit.DG2) == pytest.approx(p, rel=1e-10)
-    assert C.effdim_of(3.7 * fit.DG2, fit.DG2) == pytest.approx(
-        C.effdim_of(fit.DG2, fit.DG2), rel=1e-10)
+    assert _alpha_effdim(fit.DG2, fit.DG2)[1] == pytest.approx(p, rel=1e-10)
+    assert _alpha_effdim(3.7 * fit.DG2, fit.DG2)[1] == pytest.approx(
+        _alpha_effdim(fit.DG2, fit.DG2)[1], rel=1e-10)
     # diagonal case by hand
     d = np.diag([1.0, 2.0, 4.0])
     e = np.diag([1.0, 1.0, 2.0])
     ratios = [1.0, 0.5, 0.5]
-    assert C.effdim_of(e, d) == pytest.approx(sum(ratios) / max(ratios))
+    assert _alpha_effdim(e, d)[1] == pytest.approx(sum(ratios) / max(ratios))
+    assert weighting_claims(e, d)[1] == pytest.approx(sum(ratios) / max(ratios))
 
 
 # --- certified tau3 ---
@@ -96,8 +105,7 @@ def test_tau3_monotone_in_gamma0(poisson_fit):
     vals = []
     for g0 in (0.25, 0.75, 1.25, 1.75):
         ch = C.choice_gamma0(fit, g0, prob.gamma)
-        al = C.alpha_of(ch.D2, fit.DG2)
-        sc = C.WeightChoice(kind=ch.kind, D2=ch.D2 / al ** 2, gamma0=g0)
+        sc = C.WeightChoice(kind=ch.kind, D2=ch.D2 / C.spectrum(ch.D2, fit.L)[-1], gamma0=g0)
         vals.append(C.tau3_certified(fit, prob, sc, 4.0, C.tau3_parts(prob, sc)))
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -214,7 +222,8 @@ def test_certificates_state_the_theorem(fixture, request):
         alpha, dim, dim2 = weighting_claims(cert.choice.D2, fit.DG2)
         assert alpha == pytest.approx(1.0, rel=1e-12) and cert.alpha == pytest.approx(1.0, rel=1e-12)
         assert cert.effdim == pytest.approx(dim, rel=1e-12) == dim2
-        want = theorem_claims(dim, cert.radius, cert.tau3_sup)
+        # at cert.effdim: a radius at r_min flips posterior_tail on 1 ulp of dim
+        want = theorem_claims(cert.effdim, cert.radius, cert.tau3_sup)
         assert cert.radius >= want["r_min"] * (1 - 1e-12), label
         assert cert.feasible == want["feasible"], label
         for key in ("local_term", "tail_term", "tv_bound", "posterior_tail", "gaussian_tail"):
@@ -361,8 +370,7 @@ def test_effdim_tracks_s_dim(poisson_fit):
     ratios = []
     for g0 in (0.5, 1.0, 1.5):
         ch = C.choice_gamma0(fit, g0, prob.gamma)
-        al = C.alpha_of(ch.D2, fit.DG2)
-        dim = C.effdim_of(ch.D2 / al ** 2, fit.DG2)
+        dim = _alpha_effdim(ch.D2, fit.DG2)[1]
         sd, _ = C.s_sums(n, p, 1.0, prob.gamma, g0)
         ratios.append(dim / sd)
     assert all(0.1 < r < 10 for r in ratios)

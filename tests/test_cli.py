@@ -12,6 +12,7 @@ import threading
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import lapcert.certification
@@ -289,17 +290,35 @@ def test_all_computes_each_stage_once(tmp_path, monkeypatch, write_cfg):
 
 
 def test_laplace_fit_is_factored_once(tmp_path, monkeypatch, eig_cache, volterra_eig_small):
-    """`all` with importance and both quadrature grids factors D_G^2 once, in
-    map_solve; every Laplace-Gaussian draw and grid whitens through fit.L."""
+    """`all` with importance and both quadrature grids calls np.linalg.cholesky
+    once per Newton iterate and then once per certificate, on its scaled D^2:
+    nothing factors D_G^2 after map_solve returns, as every weighting, draw
+    and grid whitens through fit.L."""
     with open(os.path.join(ROOT, "configs", "gaussian_exactness.json")) as fh:
         doc = json.load(fh)
     doc["eigensolver"]["cache_dir"] = eig_cache     # the session's warm N=2048, K=30 cache
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
-    counts = _count_calls(monkeypatch, [(lapcert.posterior, "cholesky")])
+    factored, returned = [], {}     # (map_solve returned yet, matrix) per factorization
+
+    def keep(mod, name):            # records what mod.name returns
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, **k: returned.setdefault(name, fn(*a, **k)))
+
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        factored.append(("map_solve" in returned, a.copy()))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    keep(lapcert.cli, "map_solve")
+    keep(lapcert.certification, "compare_choices")
     assert main(["all", "--config", str(cfg), "--out", str(tmp_path / "once")]) == 0
-    assert counts == {"cholesky": 1}
-    assert not hasattr(lapcert.validation, "cholesky")
+    fit, certs = returned["map_solve"], returned["compare_choices"]
+    assert [after for after, _ in factored] == [False] * fit.newton_iters + [True] * 3
+    for (_, a), c in zip(factored[fit.newton_iters:], certs.values()):
+        assert np.array_equal(a, c.choice.D2)
 
 
 def test_dominance_skip_is_reported(tmp_path, capsys, write_cfg):
@@ -354,17 +373,24 @@ def test_validate_runs_one_likelihood_pass(tmp_path, monkeypatch, write_cfg):
     assert len(tails) >= 4 and all(r["status"] == "checked" for r in tails)
 
 
-def test_gaussian_tail_rows_refute_a_false_claim(tmp_path, monkeypatch, write_cfg):
+def test_gaussian_tail_rows_refute_a_false_claim(tmp_path, monkeypatch, write_cfg, eig_cache):
     """The tail_gaussian rows are exact, so a claim below the Gaussian's true
-    mass fails them: with the t^2 mutant exp(-t^2) of gaussian_tail, a
-    real-mode sweep at n = 1e4 over p in {2, 6} exits 1 with every one of
-    those rows violated, and every other row as the true claim leaves it."""
+    mass fails them: with the t^2 mutant -t^2 of log_gaussian_tail (so
+    gaussian_tail = exp(-t^2)), a real-mode sweep at n = 1e4 over p in {2, 6}
+    exits 1 with every one of those rows violated, and every other row as the
+    true claim leaves it.  The rows compare logs, so they fail where the
+    claim and the bracket underflow too: gaussian_exactness's three, at radii
+    near 51, whose bound and bracket read 0."""
     cfg = write_cfg({"family": "poisson", "n": 10000,
                      "sweep": {"axis": "p", "values": [2, 6], "synthetic": False}})
+    with open(os.path.join(ROOT, "configs", "gaussian_exactness.json")) as fh:
+        doc = json.load(fh)
+    doc["eigensolver"]["cache_dir"] = eig_cache
+    exact = tmp_path / "exact.json"
+    exact.write_text(json.dumps(doc))
     true, mutant = tmp_path / "true", tmp_path / "mutant"
     assert main(["sweep", "--config", cfg, "--out", str(true)]) == 0
-    monkeypatch.setattr(lapcert.certification, "gaussian_tail",
-                        lambda t: min(1.0, math.exp(-t * t)))
+    monkeypatch.setattr(lapcert.certification, "log_gaussian_tail", lambda t: -t * t)
     assert main(["sweep", "--config", cfg, "--out", str(mutant)]) == 1
     want = _read_checks(true / "checks.csv")
     got = _read_checks(mutant / "checks.csv")
@@ -374,6 +400,11 @@ def test_gaussian_tail_rows_refute_a_false_claim(tmp_path, monkeypatch, write_cf
                for i in gauss)
     assert [r for i, r in enumerate(got) if i not in gauss] == [
         r for i, r in enumerate(want) if i not in gauss]
+    assert main(["validate", "--config", str(exact), "--out", str(mutant / "exact")]) == 1
+    gauss = [r for r in _read_checks(mutant / "exact" / "checks.csv")
+             if r["check"] == "tail_gaussian"]
+    assert [(r["bound"], r["ci_low"], r["status"]) for r in gauss] == [
+        ("0.0", "0.0", "violated")] * 3
 
 
 def test_quadrature_only_checks_the_gaussian_tail(tmp_path, write_cfg):
@@ -590,15 +621,15 @@ def test_console_entry_sets_blas_before_numpy(monkeypatch):
 
 
 def test_cli_import_skips_unused_dependencies():
-    """`import lapcert.cli` loads neither mpmath, scipy.integrate nor
-    scipy.sparse: the pipeline uses none of them (only the SVD oracle needs
-    scipy.sparse.linalg), and loading each costs ~0.3-0.4 s per import.  Nor
+    """`import lapcert.cli` loads neither mpmath nor any scipy module: the
+    pipeline is numpy alone (only the SVD oracle imports scipy.sparse.linalg,
+    lazily), and scipy.linalg was most of the import's time.  Nor
     does it load lapcert.concentration, which only the benchmark probe reads."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, lapcert.cli; "
-            "print(' '.join(m for m in ('mpmath', 'scipy.integrate', 'scipy.sparse', "
-            "'lapcert.concentration') if m in sys.modules))")
+            "print(' '.join(m for m in sys.modules if m in ('mpmath', 'lapcert.concentration') "
+            "or m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == ""

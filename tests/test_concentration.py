@@ -11,6 +11,8 @@ from lapcert import certification as C
 from lapcert.concentration import empirical_outside_mass
 from lapcert.validation import _gaussian_tail_bracket, laplace_draws, wilson_interval
 
+from probes import weighting_claims
+
 
 def test_gaussian_tail_values():
     assert C.gaussian_tail(0.0) == 1.0
@@ -87,7 +89,7 @@ def test_gaussian_family_weights_unit(gaussian_fit):
 def test_bounds_dominate_empirical(poisson_fit):
     prob, fit = poisson_fit
     p = prob.design.p
-    dim = C.effdim_of(fit.DG2, fit.DG2)
+    dim = weighting_claims(fit.DG2, fit.DG2)[1]
     for r in np.linspace(math.sqrt(p), 3 + 3 * math.sqrt(p) + 2, 6):
         m = empirical_outside_mass(fit, prob, fit.DG2, r=float(r),
                                    n_samples=2000, seed=5).outside[0]

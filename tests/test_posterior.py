@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cholesky
+from scipy.linalg import solve_triangular
 
 from lapcert.model import TruthSpec, exp_family, generate
 from lapcert.operators import assemble_design
 from lapcert import posterior
 from lapcert.posterior import (Problem, f_value, f_values, grad, hessian_L, map_solve, pool_map,
-                               pool_size)
+                               pool_size, tri_solve)
 
 from conftest import make_problem
 from probes import third_directional
@@ -89,8 +89,27 @@ def test_fit_is_its_last_newton_iterate(poisson_fit, gaussian_fit):
         hL = hessian_L(prob, fit.theta_hat)
         assert np.array_equal(fit.hess_L, hL)
         assert np.array_equal(fit.DG2, hL + np.diag(prob.g2))
-        assert np.array_equal(fit.L, cholesky(fit.DG2, lower=True))
+        assert np.array_equal(fit.L, np.linalg.cholesky(fit.DG2))
         assert fit.grad_norm == float(np.linalg.norm(grad(prob, fit.theta_hat)))
+
+
+@pytest.mark.parametrize("p", [1, 2, 8, 48])
+@pytest.mark.parametrize("trans", [False, True])
+def test_tri_solve_matches_lapack_in_place(p, trans):
+    """tri_solve is LAPACK's triangular solve to 1e-13 of the solution's
+    size, for 1-D and 2-D B and for the transposed view of a row-major (m, p)
+    array, and it writes into B's own memory."""
+    rng = np.random.default_rng(p)
+    M = rng.normal(size=(p, p))
+    L = np.linalg.cholesky(M @ M.T + p * np.eye(p))
+    for B in (rng.normal(size=p), rng.normal(size=(p, 5)), rng.normal(size=(7, p)).T):
+        want = solve_triangular(L, B, lower=True, trans="T" if trans else "N")
+        base = B.base if B.base is not None else B
+        before = base.copy()
+        got = tri_solve(L, B, trans)
+        assert got is B and not np.array_equal(base, before)
+        # relative to the largest entry: single entries may cancel at p = 48
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
 
 def test_map_converges_from_far_start(poisson_fit):

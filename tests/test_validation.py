@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 import warnings
 from dataclasses import astuple, replace
@@ -6,6 +7,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
+from scipy.special import log_ndtr
 
 from lapcert import certification as C
 from lapcert import posterior
@@ -275,6 +277,21 @@ def test_gaussian_tail_bracket_matches_scipy():
             want = gaussian_mass_bracket(p, float(r))
             assert (lo, hi) == pytest.approx(want, rel=1e-12, abs=0), (p, r)
             assert 0.0 < lo <= hi <= 1.0
+
+
+def test_log_bracket_low_bounds_log_erfc():
+    """The log of the bracket's lower end is log erfc(r/sqrt 2) to 1e-12
+    wherever erfc is a normal float, and past that a lower bound (to the
+    rounding of the exponent) within 1e-5 of it, at radii up to 1e3; there
+    scipy.special.log_ndtr gives log erfc(r/sqrt 2) = log 2 + log_ndtr(-r)."""
+    for r in np.linspace(0.0, 1000.0, 4001):
+        want = math.log(2.0) + float(log_ndtr(-r))
+        got = val._log_bracket_low(float(r))
+        if math.erfc(r / math.sqrt(2.0)) >= np.finfo(float).tiny:
+            assert got == pytest.approx(want, rel=1e-12), r
+        else:
+            assert want - 1e-5 < got <= want + 1e-15 * abs(want), r
+    assert val._log_bracket_low(37.0) == math.log(math.erfc(37.0 / math.sqrt(2.0)))
 
 
 def test_quadrature_grid_convergence(volterra_eig):
