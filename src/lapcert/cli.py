@@ -19,6 +19,8 @@ import time
 from dataclasses import asdict, astuple
 from functools import cached_property
 
+import numpy as np
+
 from . import certification as cert
 from . import validation as val
 from .__main__ import BLAS_VARS, MAX_THREADS
@@ -51,17 +53,17 @@ def _git_hash() -> str:
 
 
 def _write_csv(path: str, columns: list, rows) -> None:
-    """One line per row dict, in `columns` order; a missing key is an empty cell."""
+    """One line per row, in `columns` order: row dicts (a missing key is an empty
+    cell) or one dict of equal-length numpy columns.  csv writes a float by its
+    repr, so numpy floats, whose repr names their type, go as plain floats."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(columns)
-        w.writerows([_fmt(row.get(k)) for k in columns] for row in rows)
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(float(v))  # full precision, deterministic, plain float repr
-    return v
+        if isinstance(rows, dict):
+            w.writerows(zip(*(rows[k].tolist() for k in columns)))
+        else:
+            w.writerows([float(v) if isinstance(v, float) else v
+                         for v in map(row.get, columns)] for row in rows)
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -125,8 +127,8 @@ class Run:
         """compare_choices' certificates, then one `gamma0=<v>` per configured value."""
         cfg, fit = self.cfg, self.fit
         certs = cert.compare_choices(fit, self.prob, beta=cfg.beta)
-        for g0 in cfg.certification.gamma0 or []:
-            certs["gamma0=%g" % g0] = cert.certify(
+        for label, g0 in cfg.certification.gamma0_rows.items():
+            certs[label] = cert.certify(
                 fit, self.prob, cert.choice_gamma0(fit, g0, cfg.gamma), beta=cfg.beta)
         return certs
 
@@ -164,10 +166,8 @@ def cmd_eigen(run):
     eig = run.eig
     diag = eig_diagnostics(eig)
     diag.update({"lambda": eig.lambdas, "active": diag["active"].astype(int)})
-    cols = ["k", "lambda", "psi_sup", "dpsi_sup_over_k", "vk_inf", "dvk_inf",
-            "vk_l2", "active"]
-    _write_csv(run.path("eigen.csv"), cols,
-               [{c: diag[c][i] for c in cols} for i in range(eig.lambdas.size)])
+    _write_csv(run.path("eigen.csv"), ["k", "lambda", "psi_sup", "dpsi_sup_over_k", "vk_inf",
+                                       "dvk_inf", "vk_l2", "active"], diag)
     print("eigen: K=%d active=%d vk_inf_violations=%d dvk_inf_violations=%d "
           "vk_l2_c_estimate=%.4g" % (eig.lambdas.size, diag["active"].sum(),
                                      diag["vk_inf_violations"], diag["dvk_inf_violations"],
@@ -178,8 +178,7 @@ def cmd_eigen(run):
 def cmd_simulate(run):
     ds = run.data
     _write_csv(run.path("dataset.csv"), ["j", "s_true", "y"],
-               ({"j": j, "s_true": s, "y": y}
-                for j, s, y in zip(range(1, ds.n + 1), ds.s_true, ds.y)))
+               {"j": np.arange(1, ds.n + 1), "s_true": ds.s_true, "y": ds.y})
     _write_json(run.path("dataset.json"), {"seed": ds.seed, "family": ds.kind, "n": ds.n,
                                            "truth": asdict(run.truth)})
     print("simulate: n=%d, family=%s, seed=%d" % (ds.n, run.cfg.family, run.cfg.seed))

@@ -46,6 +46,11 @@ class CertCfg:
     gamma0: list | None = None     # extra gamma0 rows besides the auto gamma0*
     beta: float = 1.0
 
+    @property
+    def gamma0_rows(self) -> dict:
+        """The extra certificate rows: label -> gamma0."""
+        return {"gamma0=%g" % g0: g0 for g0 in self.gamma0 or []}
+
 
 @dataclass
 class ValidationCfg:
@@ -188,7 +193,9 @@ def _validate(cfg: ExperimentConfig, where: str) -> None:
         if not all(type(v) is int and v >= 1 for v in cfg.sweep.values):
             raise ConfigError("%s.sweep.values: %s values must be integers >= 1"
                               % (where, cfg.sweep.axis))
-    if cfg.certification.gamma0 is not None:
-        for g0 in cfg.certification.gamma0:
-            if g0 > cfg.gamma:
-                raise ConfigError("%s.certification.gamma0: entries must be <= gamma" % where)
+    gamma0 = cfg.certification.gamma0 or []
+    if any(g0 > cfg.gamma for g0 in gamma0):
+        raise ConfigError("%s.certification.gamma0: entries must be <= gamma" % where)
+    if len(cfg.certification.gamma0_rows) < len(gamma0):
+        raise ConfigError("%s.certification.gamma0: two entries share a row label "
+                          "(gamma0=%%g, 6 significant digits)" % where)

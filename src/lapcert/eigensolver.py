@@ -265,7 +265,7 @@ def svd_oracle(spec: CoefficientPair, N: int, K: int) -> EigenSystem:
     eigenpairs of B B^T, B = w^{1/2} M w^{-1/2}, come from implicitly
     restarted Lanczos (ARPACK) on the O(N) applies of M and M^T; no dense
     matrix is formed.  The start vector is fixed, so repeated calls agree
-    bit for bit.
+    bit for bit.  Needs scipy, which the install's `test` extra brings.
     """
     from scipy.sparse.linalg import LinearOperator, eigsh
 

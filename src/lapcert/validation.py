@@ -1,14 +1,15 @@
 """Empirical total-variation distance between posterior and Laplace Gaussian.
 
-Two estimators with non-overlapping ranges of applicability:
+Two estimators:
 
 * `tv_quadrature`: deterministic tensor-product trapezoid quadrature of
   (1/2) integral |pi - phi|, only for p <= 3, with a Richardson-style
   interval from coarse/fine grids.
 * `tv_importance`: the identity TV = (1/2) E_phi |w / E_phi w - 1| with
   w = pi_unnorm / phi_unnorm, estimated by self-normalized Monte Carlo
-  under the Laplace Gaussian.  Refuses p > 30, where weight degeneracy
-  makes the estimate meaningless.
+  under the Laplace Gaussian, at any p.  Its effective sample size is the
+  one degeneracy signal (`low_ess`: ESS < 100); ESS cannot see posterior
+  mass where the Gaussian draws never land.
 
 Both evaluate the negative log posterior at all their points with one
 call to the batched kernel `posterior.f_values` (the whole quadrature grid,
@@ -28,14 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _substream
 from .posterior import LaplaceFit, Problem, f_values, pool_map, pool_size, tri_solve
 
 
 _WILSON_Z = 1.96   # normal quantile of the Wilson intervals' 95% coverage
-
-
-class ValidationError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,7 @@ def wilson_interval(successes: float, trials: float) -> tuple:
 def laplace_draws(fit: LaplaceFit, n_samples: int, seed: int, stream: int) -> tuple:
     """(rng, U): offsets U ~ N(0, D_G^{-2}) drawn from the Philox stream (seed, stream);
     rng continues that stream, for the caller's bootstrap draw."""
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    rng = _substream(seed, stream)
     Z = rng.standard_normal((n_samples, fit.theta_hat.size))
     return rng, tri_solve(fit.L, Z.T, trans=True).T     # u = L^{-T} z, in Z's memory
 
@@ -153,7 +151,7 @@ def tv_quadrature(fit: LaplaceFit, prob: Problem, per_axis: int = 64,
     """Grid quadrature of the TV integral in whitened coordinates, p <= 3."""
     p = fit.theta_hat.size
     if p > 3:
-        raise ValidationError("quadrature TV supports p <= 3 only; use tv_importance")
+        raise ValueError("quadrature TV supports p <= 3 only; use tv_importance")
     if per_axis < 64:
         raise ValueError("per_axis >= 64 required")
     coarse = _tv_on_grid(fit, prob, per_axis, workers)
@@ -216,12 +214,6 @@ def tv_importance(fit: LaplaceFit, prob: Problem, n_samples: int = 20000,
 
     `outside` holds the `OutsideMass` of each (D0_sq, r) in regions.
     """
-    p = fit.theta_hat.size
-    if p > 30:
-        raise ValidationError(
-            "importance TV estimate refused for p = %d > 30: the ratio "
-            "pi/phi degenerates in high dimension and the estimator is "
-            "no longer trustworthy" % p)
     if n_samples < 10000:
         raise ValueError("n_samples >= 10000 required")
     return _importance_pass(fit, prob, n_samples, seed, n_boot, regions, workers=workers)

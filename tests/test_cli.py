@@ -156,8 +156,10 @@ def test_validation_sizes_rejected(tmp_path, write_cfg, capsys):
 
 def test_config_rejects_what_the_run_cannot_do(tmp_path, write_cfg, capsys):
     """eigensolver.N below the solver's 1024, a quadrature TV at p > 3, a truth
-    with more modes than eigensolver.K and 2 beta + 2 gamma <= 2 fail at load
-    time with the key path (exit 2), not when the stage runs (exit 3)."""
+    with more modes than eigensolver.K, 2 beta + 2 gamma <= 2 and gamma0
+    entries whose certificate rows would share a `gamma0=%g` label fail at
+    load time with the key path (exit 2, no artifact), not when the stage
+    runs (exit 3) or by dropping a row."""
     for overrides, key in (({"eigensolver": {"N": 512}}, ".eigensolver.N:"),
                            ({"p": 4, "validation": {"method": "both"}}, ".validation.method:"),
                            ({"p": 5, "validation": {"method": "quadrature"}},
@@ -166,13 +168,17 @@ def test_config_rejects_what_the_run_cannot_do(tmp_path, write_cfg, capsys):
                             ".truth.p_star:"),
                            ({"truth": {"theta": [0.1] * 31}}, ".truth.theta:"),
                            ({"gamma": 0.4, "certification": {"beta": 0.5}},
-                            ".certification.beta:")):
+                            ".certification.beta:"),
+                           ({"certification": {"gamma0": [1.0000001, 1.0000002, 1.5, 1.5]}},
+                            ".certification.gamma0:"),
+                           ({"certification": {"gamma0": [1.5, 1.5]}},
+                            ".certification.gamma0:")):
         with pytest.raises(ConfigError, match=key):
             config_from_dict({**BASE, **overrides})
         out = tmp_path / key.strip(".:")
         assert main(["all", "--config", write_cfg(overrides), "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
     # the bundled quadrature config asks for both estimators; its default
     # sweep grid reaches p = 4, which is rejected before any point runs
     config = os.path.join(ROOT, "configs", "gaussian_exactness.json")
@@ -260,6 +266,19 @@ def test_all_pipeline_gaussian(tmp_path, capsys, write_cfg):
     manifest = json.load(open(os.path.join(out, "manifest.json")))
     assert manifest["config"]["seed"] == 3
     assert "total" in manifest["wall_times_s"]
+
+
+def test_all_validates_past_p_30(tmp_path, write_cfg, volterra_eig):
+    """Every p the config admits is validated: at p = 32 the importance
+    estimate and its checks are written, and the run exits 0 (not 3)."""
+    cfg = write_cfg({"family": "poisson", "n": 2000, "p": 32,
+                     "eigensolver": {"K": 50, "N": 4096}})
+    out = tmp_path / "p32"
+    assert main(["all", "--config", cfg, "--out", str(out)]) == 0
+    for artifact in ("tv_estimates.csv", "checks.csv", "manifest.json"):
+        assert (out / artifact).exists()
+    (tv,) = _read_checks(out / "tv_estimates.csv")
+    assert tv["method"] == "importance" and tv["low_ess"] == "0"
 
 
 def test_dispatcher_times_what_it_runs(tmp_path, monkeypatch, write_cfg):
