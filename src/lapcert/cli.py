@@ -126,10 +126,11 @@ class Run:
     def certs(self) -> dict:
         """compare_choices' certificates, then one `gamma0=<v>` per configured value."""
         cfg, fit = self.cfg, self.fit
-        certs = cert.compare_choices(fit, self.prob, beta=cfg.beta)
+        beta = cfg.certification.beta
+        certs = cert.compare_choices(fit, self.prob, beta=beta)
         for label, g0 in cfg.certification.gamma0_rows.items():
             certs[label] = cert.certify(
-                fit, self.prob, cert.choice_gamma0(fit, g0, cfg.gamma), beta=cfg.beta)
+                fit, self.prob, cert.choice_gamma0(fit, g0, cfg.gamma), beta=beta)
         return certs
 
     @cached_property
@@ -263,11 +264,9 @@ def cmd_sweep(run):
     cfg = run.cfg
     rows, checks = [], []
     if cfg.sweep.synthetic:
-        if cfg.sweep.axis == "p":
-            rows = cert.sweep_synthetic(cfg.sweep.n, cfg.sweep.values, cfg.beta, cfg.gamma)
-        else:
-            for n in cfg.sweep.values:
-                rows += cert.sweep_synthetic(n, [cfg.p], cfg.beta, cfg.gamma)
+        for v in cfg.sweep.values:   # the config's (n, p) with the axis coordinate v
+            at = {"n": cfg.n, "p": cfg.p, cfg.sweep.axis: v}
+            rows += cert.sweep_synthetic(at["n"], [at["p"]], cfg.certification.beta, cfg.gamma)
         cols = ["n", "p", "beta", "gamma", "gamma0_star", "m", "m0_star",
                 "bound_DG", "bound_identity", "bound_gamma0_star"]
     else:

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 
 import numpy as np
 
-from .eigensolver import _MAX_SCAN, EigenSolverError, liouville_transform, mu_scan_top
+from .eigensolver import MIN_N, EigenSolverError, liouville_transform, mu_scan_top, scan_fits
 from .operators import CoefficientPair, OperatorSpecError
+from .validation import MAX_QUADRATURE_P, MIN_PER_AXIS, MIN_SAMPLES
 
 
 class ConfigError(ValueError):
@@ -56,7 +57,7 @@ class CertCfg:
 class ValidationCfg:
     method: str = "importance"     # "importance" | "quadrature" | "both"
     M: int = 20000
-    per_axis: int = 64
+    per_axis: int = MIN_PER_AXIS
 
 
 @dataclass
@@ -64,7 +65,6 @@ class SweepCfg:
     axis: str = "p"                # "p" | "n"
     values: list = field(default_factory=lambda: [2, 4, 8, 16])  # p <= default K
     synthetic: bool = False        # diagonal surrogate mode for large n
-    n: float = 2000
 
 
 @dataclass
@@ -85,20 +85,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @property
-    def beta(self) -> float:
-        return self.certification.beta
-
-
-_SECTIONS = {
-    "operator": OperatorCfg,
-    "truth": TruthCfg,
-    "eigensolver": EigenCfg,
-    "certification": CertCfg,
-    "validation": ValidationCfg,
-    "sweep": SweepCfg,
-}
-
 
 def _number(v) -> bool:   # never a bool, and finite: json reads NaN and Infinity
     return (isinstance(v, int) and not isinstance(v, bool)
@@ -112,8 +98,9 @@ _TYPES = {"int": lambda v: _number(v) and isinstance(v, int), "float": _number,
 
 
 def _build(cls, data: dict, path: str):
-    """cls(**data) with its sections built in turn; unknown keys and values
-    of the wrong type are rejected."""
+    """cls(**data) with its sections, the fields whose default_factory is a
+    dataclass, built in turn; unknown keys and values of the wrong type are
+    rejected."""
     if not isinstance(data, dict):
         raise ConfigError("%s: expected an object" % path)
     fields = cls.__dataclass_fields__
@@ -125,8 +112,9 @@ def _build(cls, data: dict, path: str):
         accepts = _TYPES.get(typ.removesuffix(" | None"))
         if accepts and not (accepts(val) or val is None and typ.endswith(" | None")):
             raise ConfigError("%s.%s: expected %s, got %r" % (path, key, typ, val))
-    return cls(**{key: (_build(_SECTIONS[key], val, path + "." + key)
-                        if key in _SECTIONS else val) for key, val in data.items()})
+    return cls(**{key: (_build(fields[key].default_factory, val, path + "." + key)
+                        if is_dataclass(fields[key].default_factory) else val)
+                  for key, val in data.items()})
 
 
 def load_config(path: str, **overrides) -> ExperimentConfig:
@@ -148,15 +136,15 @@ def config_from_dict(raw: dict, where: str = "<dict>") -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig, where: str) -> None:
-    if cfg.eigensolver.N < 1024:
-        raise ConfigError("%s.eigensolver.N: must be >= 1024" % where)
+    if cfg.eigensolver.N < MIN_N:
+        raise ConfigError("%s.eigensolver.N: must be >= %d" % (where, MIN_N))
     try:   # the eigensolver's own refusal of the potential or K, without numpy's overflow warnings
         spec = CoefficientPair(tuple(cfg.operator.a), tuple(cfg.operator.b))
         with np.errstate(all="ignore"):
             mu_scan_top(liouville_transform(spec, cfg.eigensolver.N), cfg.eigensolver.K)
     except (OperatorSpecError, EigenSolverError) as exc:
-        # the scan's K term alone is 2 (K + 2)^2 - 1/2 points, whatever the potential
-        k_alone = 2 * (cfg.eigensolver.K + 2) ** 2 - 0.5 > _MAX_SCAN
+        # a scan too long for K alone, whatever the potential, is K's fault
+        k_alone = not scan_fits(cfg.eigensolver.K)
         key = "eigensolver.K" if isinstance(exc, EigenSolverError) and k_alone else "operator"
         raise ConfigError("%s.%s: %s" % (where, key, exc)) from exc
     if cfg.family not in ("poisson", "gaussian", "bernoulli"):
@@ -173,16 +161,17 @@ def _validate(cfg: ExperimentConfig, where: str) -> None:
         raise ConfigError("%s.seed: must be in [0, 2**64)" % where)
     if cfg.gamma <= 0:
         raise ConfigError("%s.gamma: must be > 0" % where)
-    if not 2 * cfg.beta + 2 * cfg.gamma > 2:
+    if not 2 * cfg.certification.beta + 2 * cfg.gamma > 2:
         raise ConfigError("%s.certification.beta: 2*beta + 2*gamma must be > 2" % where)
     if cfg.validation.method not in ("importance", "quadrature", "both"):
         raise ConfigError("%s.validation.method: unknown method" % where)
-    if cfg.validation.method != "importance" and cfg.p > 3:
-        raise ConfigError("%s.validation.method: quadrature TV needs p <= 3" % where)
-    if cfg.validation.M < 10000:
-        raise ConfigError("%s.validation.M: must be >= 10000" % where)
-    if cfg.validation.per_axis < 64:
-        raise ConfigError("%s.validation.per_axis: must be >= 64" % where)
+    if cfg.validation.method != "importance" and cfg.p > MAX_QUADRATURE_P:
+        raise ConfigError("%s.validation.method: quadrature TV needs p <= %d"
+                          % (where, MAX_QUADRATURE_P))
+    if cfg.validation.M < MIN_SAMPLES:
+        raise ConfigError("%s.validation.M: must be >= %d" % (where, MIN_SAMPLES))
+    if cfg.validation.per_axis < MIN_PER_AXIS:
+        raise ConfigError("%s.validation.per_axis: must be >= %d" % (where, MIN_PER_AXIS))
     if cfg.sweep.axis not in ("p", "n"):
         raise ConfigError("%s.sweep.axis: must be 'p' or 'n'" % where)
     if not cfg.sweep.values:

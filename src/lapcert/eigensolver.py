@@ -29,10 +29,6 @@ class EigenSolverError(RuntimeError):
     pass
 
 
-class BracketError(EigenSolverError):
-    """Scan window failed to bracket an eigenvalue."""
-
-
 @dataclass(frozen=True)
 class LiouvilleForm:
     T: float
@@ -152,14 +148,23 @@ def _interior_zeros(path: np.ndarray) -> np.ndarray:
 _MAX_ILLINOIS = 200
 _MAX_SCAN = 1 << 20   # mu scan points at most; K = 50 on Volterra needs ~5.4e3
 _REL_TOL = 1e-10      # relative width at which an eigenvalue's bracket is converged
+MIN_N = 1024          # smallest grid size N for eigen work
+
+
+def scan_fits(K: int, q_top: float = 0.0) -> bool:
+    """Whether the mu scan that brackets the first K eigenvalues, over
+    [1/4, (K + 2)^2 + q_top] at spacing 1/2 in units of (pi / T)^2, stays
+    within _MAX_SCAN points; K alone (q_top = 0) takes 2 (K + 2)^2 - 1/2."""
+    return ((K + 2.0) ** 2 + q_top - 0.25) / 0.5 <= _MAX_SCAN
 
 
 def mu_scan_top(form: LiouvilleForm, K: int) -> float:
     """Top of the mu scan that brackets the first K eigenvalues; EigenSolverError,
-    naming max |Q|, if the scan is not finite or would exceed _MAX_SCAN points."""
+    naming max |Q|, if the scan is not finite or does not fit (`scan_fits`)."""
     unit = (np.pi / form.T) ** 2
-    mu_hi = ((K + 2.0) ** 2) * unit + max(0.0, float(form.Qh[::2].max()))
-    if not (mu_hi - 0.25 * unit) / (0.5 * unit) <= _MAX_SCAN:
+    q_top = max(0.0, float(form.Qh[::2].max()))
+    mu_hi = ((K + 2.0) ** 2) * unit + q_top
+    if not (np.isfinite(mu_hi) and scan_fits(K, q_top / unit)):
         raise EigenSolverError("mu scan for K = %d exceeds %d points (max |Q| = %g)"
                                % (K, _MAX_SCAN, form.Q_sup))
     return mu_hi
@@ -170,8 +175,8 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int) -> EigenSyste
     if K < 1:
         raise ValueError("K >= 1")
     N = form.N
-    if N < 1024:
-        raise ValueError("N >= 1024 required for eigen work")
+    if N < MIN_N:
+        raise ValueError("N >= %d required for eigen work" % MIN_N)
     Qh, T, c2 = form.Qh, form.T, form.c2
 
     def boundary(mu):
@@ -189,8 +194,8 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int) -> EigenSyste
     sgn = np.sign(B)
     flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
     if flips.size < K:
-        raise BracketError("found %d brackets, need %d (index %d missing)"
-                           % (flips.size, K, flips.size + 1))
+        raise EigenSolverError("found %d brackets, need %d (index %d missing)"
+                               % (flips.size, K, flips.size + 1))
     lo, hi = scan[flips[:K]], scan[flips[:K] + 1]
     Blo, Bhi = B[flips[:K]], B[flips[:K] + 1]
     # Illinois iteration, vectorized over the brackets not yet converged.

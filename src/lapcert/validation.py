@@ -34,6 +34,9 @@ from .posterior import LaplaceFit, Problem, f_values, pool_map, pool_size, tri_s
 
 
 _WILSON_Z = 1.96   # normal quantile of the Wilson intervals' 95% coverage
+MIN_SAMPLES = 10000    # fewest importance draws (`tv_importance`)
+MIN_PER_AXIS = 64      # coarsest quadrature grid per axis (`tv_quadrature`)
+MAX_QUADRATURE_P = 3   # largest p the quadrature grid covers (`tv_quadrature`)
 
 
 @dataclass(frozen=True)
@@ -146,14 +149,15 @@ def _tv_on_grid(fit: LaplaceFit, prob: Problem, per_axis: int, workers: int | No
     return 0.5 * float(np.sum(np.abs(wp / np.sum(wp) - wq / np.sum(wq))))
 
 
-def tv_quadrature(fit: LaplaceFit, prob: Problem, per_axis: int = 64,
+def tv_quadrature(fit: LaplaceFit, prob: Problem, per_axis: int = MIN_PER_AXIS,
                   workers: int | None = None) -> TVEstimate:
     """Grid quadrature of the TV integral in whitened coordinates, p <= 3."""
     p = fit.theta_hat.size
-    if p > 3:
-        raise ValueError("quadrature TV supports p <= 3 only; use tv_importance")
-    if per_axis < 64:
-        raise ValueError("per_axis >= 64 required")
+    if p > MAX_QUADRATURE_P:
+        raise ValueError("quadrature TV supports p <= %d only; use tv_importance"
+                         % MAX_QUADRATURE_P)
+    if per_axis < MIN_PER_AXIS:
+        raise ValueError("per_axis >= %d required" % MIN_PER_AXIS)
     coarse = _tv_on_grid(fit, prob, per_axis, workers)
     fine = _tv_on_grid(fit, prob, 2 * per_axis, workers)
     err = abs(fine - coarse)
@@ -214,6 +218,6 @@ def tv_importance(fit: LaplaceFit, prob: Problem, n_samples: int = 20000,
 
     `outside` holds the `OutsideMass` of each (D0_sq, r) in regions.
     """
-    if n_samples < 10000:
-        raise ValueError("n_samples >= 10000 required")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError("n_samples >= %d required" % MIN_SAMPLES)
     return _importance_pass(fit, prob, n_samples, seed, n_boot, regions, workers=workers)

@@ -89,7 +89,7 @@ def test_defaults_materialized():
     cfg = config_from_dict(BASE)
     d = cfg.to_dict()
     assert d["certification"] == {"gamma0": None, "beta": 1.0}
-    assert cfg.beta == 1.0
+    assert cfg.certification.beta == 1.0
     assert d["truth"]["p_star"] == 8
     assert d["sweep"]["axis"] == "p"
 
@@ -118,6 +118,8 @@ def test_invalid_values_rejected(tmp_path, write_cfg, capsys):
                            ({"truth": {"theta": [1.0, True]}}, ".truth.theta:"),
                            ({"eigensolver": {"cache_dir": 5}}, ".eigensolver.cache_dir:"),
                            ({"sweep": {"synthetic": "no"}}, ".sweep.synthetic:"),
+                           # a synthetic sweep takes n from the top level like every mode
+                           ({"sweep": {"n": 1000000}}, ".sweep.n:"),
                            # json reads NaN and Infinity; no number field takes them
                            ({"truth": {"amplitude": math.nan}}, ".truth.amplitude:"),
                            ({"truth": {"theta": [0.5, math.nan]}}, ".truth.theta:"),
@@ -506,14 +508,15 @@ def test_manifest_git_hash_from_source_tree(tmp_path, monkeypatch, write_cfg):
 
 def test_sweep_synthetic(tmp_path, write_cfg):
     cfg = write_cfg({
-        "family": "poisson",
-        "sweep": {"axis": "p", "values": [2, 8, 32, 128], "synthetic": True,
-                  "n": 100000.0}})
+        "family": "poisson", "n": 100000,
+        "sweep": {"axis": "p", "values": [2, 8, 32, 128], "synthetic": True}})
     out = str(tmp_path / "sw")
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
     rows = open(os.path.join(out, "sweep.csv")).read().splitlines()
     assert rows[0].startswith("n,p,beta,gamma,gamma0_star,m,m0_star,bound_")
     assert len(rows) == 5
+    # over p: every row at the config's n
+    assert [r["n"] for r in _read_checks(os.path.join(out, "sweep.csv"))] == ["100000"] * 4
     # over n: one row per n at the config's p
     cfg = write_cfg({"family": "poisson", "sweep": {"axis": "n", "values": [300, 600],
                                                     "synthetic": True}}, name="n.json")
