@@ -10,9 +10,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, is_dataclass
 
-import numpy as np
-
-from .eigensolver import MIN_N, EigenSolverError, liouville_transform, mu_scan_top, scan_fits
+from .eigensolver import MIN_N, EigenSolverError, liouville_transform, mu_scan_top
 from .operators import CoefficientPair, OperatorSpecError
 from .validation import MAX_QUADRATURE_P, MIN_PER_AXIS, MIN_SAMPLES
 
@@ -138,14 +136,11 @@ def config_from_dict(raw: dict, where: str = "<dict>") -> ExperimentConfig:
 def _validate(cfg: ExperimentConfig, where: str) -> None:
     if cfg.eigensolver.N < MIN_N:
         raise ConfigError("%s.eigensolver.N: must be >= %d" % (where, MIN_N))
-    try:   # the eigensolver's own refusal of the potential or K, without numpy's overflow warnings
+    try:   # the eigensolver's own refusals: an OperatorSpecError is the operator's, else K's
         spec = CoefficientPair(tuple(cfg.operator.a), tuple(cfg.operator.b))
-        with np.errstate(all="ignore"):
-            mu_scan_top(liouville_transform(spec, cfg.eigensolver.N), cfg.eigensolver.K)
+        mu_scan_top(liouville_transform(spec, cfg.eigensolver.N), cfg.eigensolver.K)
     except (OperatorSpecError, EigenSolverError) as exc:
-        # a scan too long for K alone, whatever the potential, is K's fault
-        k_alone = not scan_fits(cfg.eigensolver.K)
-        key = "eigensolver.K" if isinstance(exc, EigenSolverError) and k_alone else "operator"
+        key = "operator" if isinstance(exc, OperatorSpecError) else "eigensolver.K"
         raise ConfigError("%s.%s: %s" % (where, key, exc)) from exc
     if cfg.family not in ("poisson", "gaussian", "bernoulli"):
         raise ConfigError("%s.family: unknown family %r" % (where, cfg.family))

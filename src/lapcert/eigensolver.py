@@ -21,8 +21,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .operators import (CoefficientPair, _apply_R_transpose, apply_R, cumulative_trapezoid,
-                        grid, trapezoid_weights)
+from .operators import (CoefficientPair, OperatorSpecError, _apply_R_transpose, apply_R,
+                        cumulative_trapezoid, grid, trapezoid_weights)
 
 
 class EigenSolverError(RuntimeError):
@@ -50,13 +50,18 @@ def _q_potential(spec: CoefficientPair, x: np.ndarray) -> np.ndarray:
 
 
 def liouville_transform(spec: CoefficientPair, N: int) -> LiouvilleForm:
+    """Liouville form on N steps; OperatorSpecError if T = int 1/a, Q or c2 is not finite."""
     x = grid(N)
-    t_of_x = cumulative_trapezoid(1.0 / spec.a(x), 1.0 / N)
-    T = float(t_of_x[-1])
-    # linspace(0, T, 2N+1)[::2] equals linspace(0, T, N+1) exactly
-    Qh = _q_potential(spec, np.interp(np.linspace(0.0, T, 2 * N + 1), t_of_x, x))
-    # right boundary of u from a(1) psi'(1) + b(1) psi(1) = 0 with psi = a^{-1/2} u(t(x))
-    c2 = float(spec.b(1.0) - 0.5 * spec.a1(1.0))
+    with np.errstate(all="ignore"):   # a non-finite form is refused below, by name
+        t_of_x = cumulative_trapezoid(1.0 / spec.a(x), 1.0 / N)
+        T = float(t_of_x[-1])
+        # linspace(0, T, 2N+1)[::2] equals linspace(0, T, N+1) exactly
+        Qh = _q_potential(spec, np.interp(np.linspace(0.0, T, 2 * N + 1), t_of_x, x))
+        # right boundary of u from a(1) psi'(1) + b(1) psi(1) = 0 with psi = a^{-1/2} u(t(x))
+        c2 = float(spec.b(1.0) - 0.5 * spec.a1(1.0))
+    for name, value in (("T = int 1/a", T), ("max |Q|", np.abs(Qh).max()), ("c2", c2)):
+        if not np.isfinite(value):
+            raise OperatorSpecError("Liouville form not finite: %s = %g" % (name, value))
     return LiouvilleForm(T=T, t_of_x=t_of_x, Qh=Qh, c2=c2, N=N)
 
 
@@ -151,23 +156,21 @@ _REL_TOL = 1e-10      # relative width at which an eigenvalue's bracket is conve
 MIN_N = 1024          # smallest grid size N for eigen work
 
 
-def scan_fits(K: int, q_top: float = 0.0) -> bool:
-    """Whether the mu scan that brackets the first K eigenvalues, over
-    [1/4, (K + 2)^2 + q_top] at spacing 1/2 in units of (pi / T)^2, stays
-    within _MAX_SCAN points; K alone (q_top = 0) takes 2 (K + 2)^2 - 1/2."""
-    return ((K + 2.0) ** 2 + q_top - 0.25) / 0.5 <= _MAX_SCAN
-
-
 def mu_scan_top(form: LiouvilleForm, K: int) -> float:
-    """Top of the mu scan that brackets the first K eigenvalues; EigenSolverError,
-    naming max |Q|, if the scan is not finite or does not fit (`scan_fits`)."""
-    unit = (np.pi / form.T) ** 2
-    q_top = max(0.0, float(form.Qh[::2].max()))
-    mu_hi = ((K + 2.0) ** 2) * unit + q_top
-    if not (np.isfinite(mu_hi) and scan_fits(K, q_top / unit)):
-        raise EigenSolverError("mu scan for K = %d exceeds %d points (max |Q| = %g)"
-                               % (K, _MAX_SCAN, form.Q_sup))
-    return mu_hi
+    """Top of the mu scan bracketing the first K eigenvalues: [1/4, (K + 2)^2 + max Q / unit] at
+    spacing 1/2, unit = (pi / T)^2.  A scan over _MAX_SCAN points is refused: EigenSolverError if
+    K's own 2 (K + 2)^2 - 1/2 points are (K >= 723), else OperatorSpecError naming T or max |Q|."""
+    if 4 * (K + 2) ** 2 - 1 > 2 * _MAX_SCAN:   # Python ints: no K overflows
+        raise EigenSolverError("mu scan for K = %d exceeds %d points" % (K, _MAX_SCAN))
+    with np.errstate(all="ignore"):
+        unit = (np.pi / np.float64(form.T)) ** 2
+        t_fits = np.finfo(float).tiny <= unit and (K + 2) ** 2 * unit < np.inf   # else T's fault
+        mu_hi = (K + 2) ** 2 * unit + np.maximum(0.0, form.Qh[::2].max())   # a NaN Q stays NaN
+        fits = (mu_hi / unit - 0.25) / 0.5 <= _MAX_SCAN   # False on inf and NaN too
+    if not (t_fits and fits):
+        raise OperatorSpecError("mu scan for K = %d is not finite or exceeds %d points (%s)" % (
+            K, _MAX_SCAN, "max |Q| = %g" % form.Q_sup if t_fits else "T = %g" % form.T))
+    return float(mu_hi)
 
 
 def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int) -> EigenSystem:
@@ -183,8 +186,8 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int) -> EigenSyste
         u, up = _rk4_shoot(Qh, T, mu)
         return up + c2 * u
 
+    mu_hi = mu_scan_top(form, K)   # refuses first, so the float arithmetic below cannot raise
     unit = (np.pi / T) ** 2
-    mu_hi = mu_scan_top(form, K)
     # geometric seed near zero, then linear at quarter-spacing of the asymptote
     scan = np.concatenate([
         unit * np.geomspace(1e-6, 0.25, 24),

@@ -40,7 +40,8 @@ class CoefficientPair:
         if len(self.a_coeffs) - 1 > MAX_POLY_DEGREE or len(self.b_coeffs) - 1 > MAX_POLY_DEGREE:
             raise OperatorSpecError("polynomial degree > %d" % MAX_POLY_DEGREE)
         xs = np.linspace(0.0, 1.0, 2049)
-        avals = self.a(xs)
+        with np.errstate(all="ignore"):   # an overflow is refused below
+            avals = self.a(xs)
         if not np.all(np.isfinite(avals)) or avals.min() <= 0.0:
             raise OperatorSpecError("a(x) must be strictly positive on [0,1]")
 

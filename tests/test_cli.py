@@ -202,14 +202,18 @@ def test_simulate_bernoulli_far_from_zero(tmp_path, write_cfg):
 
 
 def test_operator_spec_rejected_at_load(tmp_path, write_cfg, capsys):
-    """A non-positive a(x), a polynomial degree above 16, an empty
-    coefficient list or a potential too large for the eigensolver's mu scan
-    (b = 1e6: max Q = 1e12; b = 1e300: b^2 overflows) is a config error
+    """A non-positive or overflowing a(x), a polynomial degree above 16, an
+    empty coefficient list, a Liouville form that is not finite (b = 1e300:
+    b^2 overflows; Q = inf - inf is NaN; T = int 1/a overflows at a = 1e-320)
+    or a mu scan too long or not finite (b = 1e6: max Q = 1e12; (pi / T)^2
+    overflows at a = 1e160 and underflows at a = 1e-160) is a config error
     (exit 2) naming the operator, raised before any stage runs, synthetic
     sweeps included, and without numpy's overflow warnings; a K too large
-    for the scan names eigensolver.K."""
-    for operator in ({"a": [1.0, -2.0]}, {"a": [1.0] + [0.0] * 17}, {"b": []},
-                     {"b": [1e6]}, {"b": [1e300]}):
+    for the scan, up to 10^300, names eigensolver.K."""
+    for operator in ({"a": [1.0, -2.0]}, {"a": [1e308, 1e308]}, {"a": [1.0] + [0.0] * 17},
+                     {"b": []}, {"b": [1e6]}, {"b": [1e300]},
+                     {"a": [1.0, 1e200], "b": [0.0, 1e200]}, {"a": [1e-320]},
+                     {"a": [1e160]}, {"a": [1e-160]}):
         with warnings.catch_warnings():
             warnings.simplefilter("error")     # a numpy RuntimeWarning fails the test
             with pytest.raises(ConfigError, match=".operator:"):
@@ -225,12 +229,13 @@ def test_operator_spec_rejected_at_load(tmp_path, write_cfg, capsys):
     assert ".operator: a(x) must be strictly positive" in capsys.readouterr().err
     # the scan's K term alone, 2 (K + 2)^2 - 1/2 points, exceeds the cap from
     # K = 723 on: the refusal names eigensolver.K, not the operator
-    out = tmp_path / "k"
-    path = write_cfg({"eigensolver": {"K": 1000}})
-    assert main(["all", "--config", path, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert ".eigensolver.K: mu scan for K = 1000" in err and "Warning" not in err
-    assert not out.exists()
+    for K in (1000, 10 ** 300):
+        out = tmp_path / "k"
+        path = write_cfg({"eigensolver": {"K": K}})
+        assert main(["all", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ".eigensolver.K: mu scan for K = %d " % K in err and "Warning" not in err
+        assert not out.exists()
 
 
 def test_out_naming_a_file_exit_code(tmp_path, write_cfg, capsys):

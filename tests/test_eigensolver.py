@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from lapcert.eigensolver import (_q_potential, _rk4_shoot, cached_solve,
                                  eig_diagnostics, liouville_transform,
                                  load_eigensystem, save_eigensystem,
                                  solve_eigs)
-from lapcert.operators import VOLTERRA, CoefficientPair, grid, l2_inner
+from lapcert.operators import VOLTERRA, CoefficientPair, OperatorSpecError, grid, l2_inner
 
 from conftest import SPEC_CORPUS
 
@@ -228,18 +229,25 @@ def test_unreachable_tolerance_raises(monkeypatch):
 
 
 def test_oversized_scan_refused(monkeypatch):
-    """b = 1e6 (max Q = 1e12) would scan ~2e11 mu points and b = 1e300 an
-    unbounded range; both are refused by name before anything is shot."""
+    """b = 1e6 (max Q = 1e12) would scan ~2e11 mu points, b = 1e300 has an
+    infinite potential (b^2 overflows) and a = 1 + 1e200 x, b = 1e200 x a NaN
+    one (inf - inf); a = 1e-320 makes T = int 1/a infinite, and a = 1e160
+    and a = 1e-160 make (pi / T)^2 overflow and underflow.  Each is the
+    operator's fault, refused naming its culprit, without numpy warnings,
+    before anything is shot."""
     def no_shoot(*args, **kwargs):
         raise AssertionError("shot an oversized scan")
 
     monkeypatch.setattr(eigensolver, "_rk4_shoot", no_shoot)
-    for b in (1e6, 1e300):
-        spec = CoefficientPair((1.0,), (b,))
-        with np.errstate(over="ignore"):   # b^2 overflows to inf at 1e300
-            form = liouville_transform(spec, 1024)
-        with pytest.raises(eigensolver.EigenSolverError, match=r"max \|Q\|"):
-            solve_eigs(form, spec, 10)
+    for a, b, culprit in (((1.0,), (1e6,), r"max \|Q\| = 1e\+12"),
+                          ((1.0,), (1e300,), r"max \|Q\| = inf"),
+                          ((1.0, 1e200), (0.0, 1e200), r"max \|Q\| = nan"),
+                          ((1e-320,), (0.0,), "T = int 1/a = inf"),
+                          ((1e160,), (0.0,), "T = 1e-160"), ((1e-160,), (0.0,), r"T = 1e\+160")):
+        spec = CoefficientPair(a, b)
+        with warnings.catch_warnings(), pytest.raises(OperatorSpecError, match=culprit):
+            warnings.simplefilter("error")
+            solve_eigs(liouville_transform(spec, 1024), spec, 10)
 
 
 def test_shoot_budget(monkeypatch):
