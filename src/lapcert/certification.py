@@ -19,11 +19,11 @@ bound splits as D3(K_loc) * A * B with
     B = lambda_max(D^{-1} R^T R D^{-1})
     K_loc = ||R q_theta_hat||_inf + r * A,
 
-except for the scaled-identity choice, where the coarser route
-D3(K_loc) * n * A^3 is the tight one.  The sup over x is taken at the
-knots of the piecewise-linear eigenfunctions, where the convex norm peaks;
-the knot-to-continuum gap estimate 0.5 * h * sup_x ||D^{-1} r'(x)|| is
-attached to every certificate.
+except for the scaled-identity choice, which takes D3(K_loc) * n * A^3, never
+the tighter route: B <= tr(D^{-1} R^T R D^{-1}) <= n A^2, so A B <= n A^3.
+The sup over x is taken at the knots of the piecewise-linear eigenfunctions,
+where the convex norm peaks; the knot-to-continuum gap estimate
+0.5 * h * sup_x ||D^{-1} r'(x)|| is attached to every certificate.
 
 The diagonal sums S_dim and S_tau of D(gamma0*) (`s_sums`) enter no bound:
 they are diagnostics, propose one candidate radius 1/sqrt(S_tau), and give

@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, is_dataclass
 
-from .eigensolver import MIN_N, EigenSolverError, liouville_transform, mu_scan_top
+from .eigensolver import MAX_N, MIN_N, EigenSolverError, liouville_transform, mu_scan_top
 from .operators import CoefficientPair, OperatorSpecError
 from .validation import MAX_QUADRATURE_P, MIN_PER_AXIS, MIN_SAMPLES
 
@@ -134,8 +134,8 @@ def config_from_dict(raw: dict, where: str = "<dict>") -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig, where: str) -> None:
-    if cfg.eigensolver.N < MIN_N:
-        raise ConfigError("%s.eigensolver.N: must be >= %d" % (where, MIN_N))
+    if not MIN_N <= cfg.eigensolver.N <= MAX_N:
+        raise ConfigError("%s.eigensolver.N: must be in [%d, %d]" % (where, MIN_N, MAX_N))
     try:   # the eigensolver's own refusals: an OperatorSpecError is the operator's, else K's
         spec = CoefficientPair(tuple(cfg.operator.a), tuple(cfg.operator.b))
         mu_scan_top(liouville_transform(spec, cfg.eigensolver.N), cfg.eigensolver.K)

@@ -14,10 +14,12 @@ Lanczos iteration on its O(N) matrix-free apply.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -153,7 +155,7 @@ def _interior_zeros(path: np.ndarray) -> np.ndarray:
 _MAX_ILLINOIS = 200
 _MAX_SCAN = 1 << 20   # mu scan points at most; K = 50 on Volterra needs ~5.4e3
 _REL_TOL = 1e-10      # relative width at which an eigenvalue's bracket is converged
-MIN_N = 1024          # smallest grid size N for eigen work
+MIN_N, MAX_N = 1024, 1 << 16   # grid sizes N for eigen work; psi, dpsi hold 2 (N+1) K floats
 
 
 def mu_scan_top(form: LiouvilleForm, K: int) -> float:
@@ -178,8 +180,8 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int) -> EigenSyste
     if K < 1:
         raise ValueError("K >= 1")
     N = form.N
-    if N < MIN_N:
-        raise ValueError("N >= %d required for eigen work" % MIN_N)
+    if not MIN_N <= N <= MAX_N:
+        raise ValueError("N in [%d, %d] required for eigen work" % (MIN_N, MAX_N))
     Qh, T, c2 = form.Qh, form.T, form.c2
 
     def boundary(mu):
@@ -331,15 +333,19 @@ def eig_diagnostics(eig: EigenSystem) -> dict:
     return report
 
 
-# --- cache: one eig_<key>.npz per (a, b, N, K, solver version) ---
+# --- cache: one eig_<key>.npz per (a, b, N, K, solver code) ---
 
-# Bump whenever a solver change can alter the stored eigenpairs, so caches
-# written by an older solver are never served.  1: bisection; 2: Illinois.
-SOLVER_VERSION = 2
+@functools.cache   # read once, at the first cache access
+def _solver_digest(numpy_version: str = np.__version__,
+                   sources: tuple = (__file__, Path(__file__).with_name("operators.py"))) -> str:
+    """sha256 of numpy's version and the bytes of the solver's source files: a cache
+    written by other solver code, or under another numpy, has other keys."""
+    return hashlib.sha256(b"".join(
+        [numpy_version.encode()] + [Path(path).read_bytes() for path in sources])).hexdigest()
 
 
 def _cache_key(spec: CoefficientPair, N: int, K: int) -> str:
-    payload = {"spec": spec.to_dict(), "N": N, "K": K, "solver_version": SOLVER_VERSION}
+    payload = {"spec": spec.to_dict(), "N": N, "K": K, "solver": _solver_digest()}
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
@@ -348,15 +354,14 @@ def _cache_path(spec: CoefficientPair, N: int, K: int, cache_dir: str) -> str:
 
 
 def save_eigensystem(eig: EigenSystem, spec: CoefficientPair, cache_dir: str) -> str:
-    """Write every EigenSystem field plus the solver version to one .npz; returns its path."""
+    """Write every EigenSystem field to one .npz; returns its path."""
     path = _cache_path(spec, eig.x.size - 1, eig.lambdas.size, cache_dir)
     os.makedirs(cache_dir, exist_ok=True)
     tmp = "%s.%d.tmp" % (path, os.getpid())   # moved into place once whole; a failure leaves none
     try:
         # an open handle: given a name, np.savez would append ".npz" to it
         with open(tmp, "wb") as fh:
-            np.savez(fh, solver_version=SOLVER_VERSION,
-                     **{f.name: getattr(eig, f.name) for f in fields(EigenSystem)})
+            np.savez(fh, **{f.name: getattr(eig, f.name) for f in fields(EigenSystem)})
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

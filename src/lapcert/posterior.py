@@ -76,11 +76,8 @@ def _signals(prob: Problem, theta: np.ndarray) -> np.ndarray:
 
 
 def f_value(prob: Problem, theta: np.ndarray) -> float:
-    s = _signals(prob, theta)
-    hv = prob.family.h(s)
-    if not np.all(np.isfinite(hv)):
-        raise EvaluationError("overflow in cumulant h")
-    return float(np.sum(hv - prob.data.y * s) + 0.5 * np.sum(prob.g2 * theta ** 2))
+    """f at theta: the one-row call of `f_values`, whose errors it raises."""
+    return float(f_values(prob, np.asarray(theta)[None], 1)[0])
 
 
 def usable_cores() -> int:
@@ -139,14 +136,14 @@ _CHUNK_ENTRIES = 1 << 16
 
 
 def f_values(prob: Problem, Theta: np.ndarray, workers: int | None = None) -> np.ndarray:
-    """f at every row of Theta, shape (m,): the batched form of `f_value`.
+    """f at every row of Theta, shape (m,): the one evaluation of f.
 
     S = Theta R^T is formed a row chunk at a time, and the data term uses the
     sufficient statistic Theta (R^T y) = sum_j y_j s_j, so only h(S) is
     reduced per chunk.  The chunks are split into `pool_size(workers, m n)`
     contiguous runs, one thread each; every row's arithmetic is the same for
-    any count, so the result is too.  Raises the same
-    `EvaluationError`s as `f_value`, the lowest failing chunk's.
+    any count, so the result is too.  A non-finite S or sum of h(S) raises
+    `EvaluationError`, the lowest failing chunk's.
     """
     Rt = np.ascontiguousarray(prob.design.rows.T)   # contiguous: halves the product's time
     Rty, g2 = Rt @ prob.data.y, prob.g2

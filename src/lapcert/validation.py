@@ -11,14 +11,15 @@ Two estimators:
   one degeneracy signal (`low_ess`: ESS < 100); ESS cannot see posterior
   mass where the Gaussian draws never land.
 
-Both evaluate the negative log posterior at all their points with one
-call to the batched kernel `posterior.f_values` (the whole quadrature grid,
-or all M Gaussian draws through `log_ratio`), and the bootstrap evaluates
-its statistic a block of resamples at a time.  The kernel's row chunks and
-the bootstrap's blocks run on up to `workers` threads (default: the usable
-cores), fewer for small work (`posterior.pool_size`: an importance pass's
-bootstrap gets as many as its kernel); no estimate depends on the count.
-The importance draws also give the posterior mass outside ellipsoids
+Both work in the whitened frame z = L^T (theta - theta_hat), D_G^2 = L L^T,
+where the Laplace Gaussian is N(0, I), and take both log densities at all
+their points (the quadrature grid, or all M draws) from one `log_densities`
+call, so from one call of the kernel `posterior.f_values`; the bootstrap
+evaluates its statistic a block of resamples at a time.  The kernel's row
+chunks and the bootstrap's blocks run on up to `workers` threads (default:
+the usable cores), fewer for small work (`posterior.pool_size`: an importance
+pass's bootstrap gets as many as its kernel); no estimate depends on the
+count.  The importance draws also give the posterior mass outside ellipsoids
 {||D0 u|| <= r} (`OutsideMass`) on the same resample blocks, so tail claims
 need no second likelihood pass; the Gaussian's is `_gaussian_tail_bracket`.
 """
@@ -73,11 +74,21 @@ def wilson_interval(successes: float, trials: float) -> tuple:
 
 
 def laplace_draws(fit: LaplaceFit, n_samples: int, seed: int, stream: int) -> tuple:
-    """(rng, U): offsets U ~ N(0, D_G^{-2}) drawn from the Philox stream (seed, stream);
-    rng continues that stream, for the caller's bootstrap draw."""
+    """(rng, Z): whitened draws Z ~ N(0, I), (n_samples, p), from the Philox stream
+    (seed, stream); rng continues that stream, for the caller's bootstrap draw."""
     rng = _substream(seed, stream)
-    Z = rng.standard_normal((n_samples, fit.theta_hat.size))
-    return rng, tri_solve(fit.L, Z.T, trans=True).T     # u = L^{-T} z, in Z's memory
+    return rng, rng.standard_normal((n_samples, fit.theta_hat.size))
+
+
+def log_densities(fit: LaplaceFit, prob: Problem, Z: np.ndarray,
+                  workers: int | None = None) -> tuple:
+    """(f_hat - f(theta), -||z||^2 / 2) at theta = theta_hat + L^{-T} z, z the rows of Z: the log
+    posterior and log Laplace Gaussian, up to constants and the Jacobian both share.  Z becomes
+    the thetas in its own memory (a p = 3 quadrature grid at 128 per axis is 50 MB)."""
+    lq = -0.5 * np.einsum("ij,ij->i", Z, Z)
+    tri_solve(fit.L, Z.T, trans=True)
+    Z += fit.theta_hat
+    return fit.f_hat - f_values(prob, Z, workers), lq
 
 
 def _gaussian_tail_bracket(p: int, r: float) -> tuple:
@@ -96,13 +107,6 @@ def _log_bracket_low(r: float) -> float:
     x = r / math.sqrt(2.0)
     return (math.log(math.erfc(x)) if math.erfc(x) >= np.finfo(float).tiny else
             math.log(2.0 / math.sqrt(math.pi)) - x * x - math.log(x + math.sqrt(x * x + 2.0)))
-
-
-def log_ratio(fit: LaplaceFit, prob: Problem, U: np.ndarray,
-              workers: int | None = None) -> np.ndarray:
-    """log(pi_unnorm / phi_unnorm) at theta_hat + u for rows u of U."""
-    return (-f_values(prob, fit.theta_hat + U, workers) + fit.f_hat
-            + 0.5 * np.sum((U @ fit.DG2) * U, axis=1))
 
 
 # resample indices held at a time, over all workers: 2^20 int64 (8 MiB)
@@ -135,17 +139,8 @@ def _whitened_grid(p: int, per_axis: int, half_width: float) -> np.ndarray:
 
 
 def _tv_on_grid(fit: LaplaceFit, prob: Problem, per_axis: int, workers: int | None) -> float:
-    # integrate in the whitened variable z = L^T u; the Jacobian cancels in
-    # both densities so TV can be computed entirely in z space
-    Z = _whitened_grid(fit.theta_hat.size, per_axis, 10.0)
-    lq = -0.5 * np.einsum("ij,ij->i", Z, Z)
-    # theta = theta_hat + L^{-T} z, solved in the grid's own memory (p = 3,
-    # per_axis = 128 makes it 50 MB)
-    tri_solve(fit.L, Z.T, trans=True)
-    Z += fit.theta_hat
-    lp = -f_values(prob, Z, workers) + fit.f_hat
-    wp = np.exp(lp - np.max(lp))
-    wq = np.exp(lq)
+    lp, lq = log_densities(fit, prob, _whitened_grid(fit.theta_hat.size, per_axis, 10.0), workers)
+    wp, wq = np.exp(lp - np.max(lp)), np.exp(lq)
     return 0.5 * float(np.sum(np.abs(wp / np.sum(wp) - wq / np.sum(wq))))
 
 
@@ -180,9 +175,11 @@ def _importance_pass(fit: LaplaceFit, prob: Problem, n_samples: int, seed: int,
     # split by its own size (500 x M indices) but reuses the kernel threads'
     # freed memory when it runs on as many
     workers = pool_size(workers, n_samples * prob.design.n)
-    rng, U = laplace_draws(fit, n_samples, seed, stream)
-    logw = log_ratio(fit, prob, U, workers)
+    rng, Z = laplace_draws(fit, n_samples, seed, stream)
+    lp, lq = log_densities(fit, prob, Z, workers)
+    logw = lp - lq
     w = np.exp(logw - np.max(logw))
+    U = Z - fit.theta_hat   # Z holds the thetas now
     w_out = [np.where(np.sqrt(np.sum(U * (U @ D0_sq), axis=1)) > r, w, 0.0)
              for D0_sq, r in regions]
 

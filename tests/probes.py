@@ -5,9 +5,10 @@ near-orthogonality constant, sampled omega / tau3, a witness lower bound on
 the cosine surrogate, the third directional derivative) so the tests can
 check the certified pipeline against them.  `weighting_claims` and
 `theorem_claims` restate the certificate theorem from its formulas alone,
-as the spec that certificates and golden rows are compared with, and
+as the spec that certificates and golden rows are compared with,
 `gaussian_mass_bracket` the Laplace Gaussian's exact tail bracket by
-scipy.special.  No CLI path reads them.
+scipy.special, and `f_reference` the negative log posterior f from its
+definition.  No CLI path reads them.
 """
 import math
 
@@ -18,6 +19,14 @@ from scipy.special import erfc, gammaincc
 from lapcert.certification import WeightChoice, tau3_certified, tau3_parts
 from lapcert.model import sample_basis
 from lapcert.posterior import LaplaceFit, Problem, f_values, hessian_L
+
+
+def f_reference(prob: Problem, theta: np.ndarray) -> float:
+    """f at one theta from its definition, sum_j [h(R_j theta) - y_j R_j theta]
+    + sum_k g2_k theta_k^2 / 2, as one plain per-point sum with no chunking and no
+    sufficient statistic: the tests' reference for `posterior.f_values`."""
+    s = prob.design.rows @ theta
+    return float(np.sum(prob.family.h(s) - prob.data.y * s) + 0.5 * np.sum(prob.g2 * theta ** 2))
 
 
 def third_directional(prob: Problem, theta: np.ndarray, v: np.ndarray) -> float:

@@ -20,10 +20,11 @@ from lapcert import validation as val
 from lapcert.eigensolver import cached_solve, svd_oracle
 from lapcert.model import TruthSpec, exp_family, generate
 from lapcert.operators import CoefficientPair, VOLTERRA, assemble_design, l2_inner
-from lapcert.posterior import Problem, f_value, grad, hessian_L, map_solve
+from lapcert.posterior import Problem, grad, hessian_L, map_solve
 
 from conftest import SPEC_CORPUS, make_problem
-from probes import ortho_constant, third_directional, tightness_probe, weighting_claims
+from probes import (f_reference, ortho_constant, third_directional, tightness_probe,
+                    weighting_claims)
 
 
 def _report(num, name, ok, detail=""):
@@ -267,8 +268,8 @@ def test_criterion_11_derivatives(volterra_eig_small):
         theta = rng.normal(scale=0.3, size=p)
         v = rng.normal(size=p)
         eps = 1e-5
-        fd_g = np.array([(f_value(prob, theta + eps * np.eye(p)[k])
-                          - f_value(prob, theta - eps * np.eye(p)[k])) / (2 * eps)
+        fd_g = np.array([(f_reference(prob, theta + eps * np.eye(p)[k])
+                          - f_reference(prob, theta - eps * np.eye(p)[k])) / (2 * eps)
                          for k in range(p)])
         rel_g = np.max(np.abs(grad(prob, theta) - fd_g)) / (1 + np.max(np.abs(fd_g)))
         fd_H = np.array([(grad(prob, theta + eps * np.eye(p)[k])

@@ -157,12 +157,16 @@ def test_validation_sizes_rejected(tmp_path, write_cfg, capsys):
 
 
 def test_config_rejects_what_the_run_cannot_do(tmp_path, write_cfg, capsys):
-    """eigensolver.N below the solver's 1024, a quadrature TV at p > 3, a truth
+    """eigensolver.N outside the solver's [1024, 65536] (10^21 too, which no
+    grid could hold), a quadrature TV at p > 3, a truth
     with more modes than eigensolver.K, 2 beta + 2 gamma <= 2 and gamma0
     entries whose certificate rows would share a `gamma0=%g` label fail at
     load time with the key path (exit 2, no artifact), not when the stage
     runs (exit 3) or by dropping a row."""
     for overrides, key in (({"eigensolver": {"N": 512}}, ".eigensolver.N:"),
+                           ({"eigensolver": {"N": lapcert.eigensolver.MAX_N + 1}},
+                            ".eigensolver.N:"),
+                           ({"eigensolver": {"N": 10 ** 21}}, ".eigensolver.N:"),
                            ({"p": 4, "validation": {"method": "both"}}, ".validation.method:"),
                            ({"p": 5, "validation": {"method": "quadrature"}},
                             ".validation.method:"),
@@ -179,7 +183,8 @@ def test_config_rejects_what_the_run_cannot_do(tmp_path, write_cfg, capsys):
             config_from_dict({**BASE, **overrides})
         out = tmp_path / key.strip(".:")
         assert main(["all", "--config", write_cfg(overrides), "--out", str(out)]) == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
         assert not out.exists()
     # the bundled quadrature config asks for both estimators; its default
     # sweep grid reaches p = 4, which is rejected before any point runs

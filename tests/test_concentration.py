@@ -9,6 +9,7 @@ import pytest
 
 from lapcert import certification as C
 from lapcert.concentration import empirical_outside_mass
+from lapcert.posterior import tri_solve
 from lapcert.validation import _gaussian_tail_bracket, laplace_draws, wilson_interval
 
 from probes import weighting_claims
@@ -78,7 +79,8 @@ def test_gaussian_family_weights_unit(gaussian_fit):
     prob, fit = gaussian_fit
     rep = empirical_outside_mass(fit, prob, fit.DG2, r=1.5, n_samples=2000, seed=3)
     m = rep.outside[0]
-    _, U = laplace_draws(fit, 2000, 3, stream=11)
+    _, Z = laplace_draws(fit, 2000, 3, stream=11)
+    U = tri_solve(fit.L, Z.T, trans=True).T   # u = L^{-T} z
     plain = np.mean(np.sqrt(np.sum(U * (U @ fit.DG2), axis=1)) > 1.5)
     assert m.posterior_frac == pytest.approx(plain, abs=1e-10)
     exact = _gaussian_tail_bracket(prob.design.p, 1.5)[1]

@@ -135,9 +135,22 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     assert (back.T, back.Q_sup, back.method) == (eig.T, eig.Q_sup, eig.method)
     # key depends on the coefficients
     assert load_eigensystem(VOLTERRA, 1024, 5, str(tmp_path)) is None
-    # and on the solver version: another solver's cache is a miss
-    monkeypatch.setattr(eigensolver, "SOLVER_VERSION", eigensolver.SOLVER_VERSION + 1)
-    assert load_eigensystem(spec, 1024, 5, str(tmp_path)) is None
+    # and on the solver's code and numpy's version: a cache written by other
+    # code is a miss, whichever of the two differs
+    here = eigensolver.__file__
+    sources = (here, os.path.join(os.path.dirname(here), "operators.py"))
+    assert eigensolver._solver_digest(np.__version__, sources) == eigensolver._solver_digest()
+    edited = tmp_path / "edited" / "operators.py"
+    edited.parent.mkdir()
+    with open(sources[1], "rb") as fh:
+        edited.write_bytes(fh.read() + b"\n")   # one byte more
+    for digest in (eigensolver._solver_digest(np.__version__, (here, str(edited))),
+                   eigensolver._solver_digest(np.__version__ + ".post1", sources)):
+        assert digest != eigensolver._solver_digest()
+        with monkeypatch.context() as m:
+            m.setattr(eigensolver, "_solver_digest", lambda: digest)
+            assert load_eigensystem(spec, 1024, 5, str(tmp_path)) is None
+    assert load_eigensystem(spec, 1024, 5, str(tmp_path)) is not None
 
 
 def test_failed_save_leaves_nothing(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from lapcert.posterior import (Problem, f_value, f_values, grad, hessian_L, map_
                                pool_size, tri_solve)
 
 from conftest import make_problem
-from probes import third_directional
+from probes import f_reference, third_directional
 
 
 def _rand_small_problem(eig, rng, family=None):
@@ -39,8 +39,8 @@ def test_derivatives_match_finite_differences(volterra_eig_small):
 
         g = grad(prob, theta)
         fd_g = np.array([
-            (f_value(prob, theta + eps * np.eye(p)[k])
-             - f_value(prob, theta - eps * np.eye(p)[k])) / (2 * eps)
+            (f_reference(prob, theta + eps * np.eye(p)[k])
+             - f_reference(prob, theta - eps * np.eye(p)[k])) / (2 * eps)
             for k in range(p)])
         assert np.max(np.abs(g - fd_g)) < 1e-5 * (1 + np.max(np.abs(fd_g)))
 
@@ -81,6 +81,16 @@ def test_map_stationarity_and_descent(poisson_fit):
     assert np.allclose(fit.DG2 - fit.hess_L, np.diag(prob.g2))
     lam = np.linalg.eigvalsh(fit.DG2)
     assert lam[0] > 0
+
+
+def test_f_hat_is_the_kernels_value(volterra_eig, poisson_fit, gaussian_fit):
+    """f_value is the one-row call of f_values, so the Newton fit's f_hat is
+    the kernel's value at theta_hat bit for bit, in every family."""
+    bernoulli = make_problem(volterra_eig, "bernoulli", n=1500, p=3)
+    for prob, fit in (poisson_fit, gaussian_fit, (bernoulli, map_solve(bernoulli))):
+        assert fit.f_hat == f_values(prob, fit.theta_hat[None], 1)[0]
+        assert fit.f_hat == f_value(prob, fit.theta_hat)
+        assert fit.f_hat == pytest.approx(f_reference(prob, fit.theta_hat), rel=1e-12)
 
 
 def test_fit_is_its_last_newton_iterate(poisson_fit, gaussian_fit):

@@ -17,7 +17,7 @@ from lapcert.concentration import empirical_outside_mass
 from lapcert.posterior import EvaluationError, f_value, f_values, map_solve
 
 from conftest import make_problem
-from probes import gaussian_mass_bracket
+from probes import f_reference, gaussian_mass_bracket
 
 
 def test_gaussian_family_tv_zero(gaussian_fit):
@@ -72,23 +72,26 @@ def test_quadrature_p3(volterra_eig):
 def test_kernel_matches_per_point_reference(volterra_eig, monkeypatch, family, n, p):
     prob = make_problem(volterra_eig, family, n=n, p=p)
     fit = map_solve(prob)
-    _, U = val.laplace_draws(fit, 50, seed=0, stream=5)
-    U *= 3.0   # reach into the tails
+    _, Z = val.laplace_draws(fit, 50, seed=0, stream=5)
+    Z *= 3.0   # reach into the tails
+    U = solve_triangular(fit.L, Z.T, lower=True, trans="T").T
     Theta = fit.theta_hat + U
-    f_ref = np.array([f_value(prob, th) for th in Theta])
-    lr_ref = np.array([-f_value(prob, th) + fit.f_hat + 0.5 * float(u @ (fit.DG2 @ u))
+    f_ref = np.array([f_reference(prob, th) for th in Theta])
+    lr_ref = np.array([-f_reference(prob, th) + fit.f_hat + 0.5 * float(u @ (fit.DG2 @ u))
                        for th, u in zip(Theta, U)])
     # default chunk; 7 rows per chunk, so 50 rows end in a 1-row remainder;
     # n above the chunk size, so one row per chunk
     for entries in (posterior._CHUNK_ENTRIES, 7 * n, n - 1):
         monkeypatch.setattr(posterior, "_CHUNK_ENTRIES", entries)
         assert np.all(np.abs(f_values(prob, Theta) - f_ref) <= 1e-10 * np.abs(f_ref))
-        # log_ratio is a difference of terms the size of f
-        lr = val.log_ratio(fit, prob, U)
-        assert np.all(np.abs(lr - lr_ref) <= 1e-10 * np.abs(f_ref))
+        # the log ratio is a difference of terms the size of f
+        lp, lq = val.log_densities(fit, prob, Z.copy())
+        assert np.all(np.abs((lp - lq) - lr_ref) <= 1e-10 * np.abs(f_ref))
 
 
 def test_kernel_raises_like_f_value(poisson_fit, monkeypatch):
+    """f_values raises both of its errors at 1 and 3 workers, the lowest
+    failing chunk's; f_value, its one-row call, raises what its row raises."""
     prob, fit = poisson_fit
     monkeypatch.setattr(posterior, "_CHUNK_ENTRIES", 7 * prob.design.n)
     monkeypatch.setattr(posterior, "_MIN_WORKER_ENTRIES", 1)   # split small work too
@@ -97,8 +100,6 @@ def test_kernel_raises_like_f_value(poisson_fit, monkeypatch):
     for msg, row in (("overflow in cumulant h", Theta[17].copy()),
                      ("non-finite linear predictor", np.full(prob.p, np.nan))):
         Theta[17] = row
-        with np.errstate(over="ignore"), pytest.raises(EvaluationError, match=msg):
-            f_value(prob, row)
         # chunks of 7 rows: at 3 workers row 17 is in the second run; the
         # workers keep the caller's errstate, so no RuntimeWarning escapes it
         for workers in (1, 3):
@@ -106,12 +107,52 @@ def test_kernel_raises_like_f_value(poisson_fit, monkeypatch):
                     pytest.raises(EvaluationError, match=msg):
                 warnings.simplefilter("error")
                 f_values(prob, Theta, workers)
+        with np.errstate(over="ignore"), pytest.raises(EvaluationError, match=msg):
+            f_value(prob, row)
     # row 3 overflows in chunk 0 and row 17 is still NaN in chunk 2, which
     # is in another run at 3 workers: the lowest chunk's error, at any count
     Theta[3] += 1e4
     for workers in (1, 3):
         with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="overflow"):
             f_values(prob, Theta, workers)
+
+
+def test_log_densities_whiten_in_place(poisson_fit):
+    """log_densities returns -||z||^2 / 2 and leaves theta_hat + L^{-T} z in Z's
+    own memory, as scipy's triangular solve gives it to 1e-13 of the largest entry."""
+    prob, fit = poisson_fit
+    _, Z = val.laplace_draws(fit, 500, seed=0, stream=5)
+    z0 = Z.copy()
+    lp, lq = val.log_densities(fit, prob, Z)
+    assert np.array_equal(lq, -0.5 * np.einsum("ij,ij->i", z0, z0))
+    want = fit.theta_hat + solve_triangular(fit.L, z0.T, lower=True, trans="T").T
+    assert np.max(np.abs(Z - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(lp, fit.f_hat - f_values(prob, Z, 1))
+
+
+def test_importance_weights_match_per_point_reference(poisson_fit, monkeypatch):
+    """The importance pass's log-weights, from its stream-13 draw, are
+    f_hat - f(theta_hat + L^{-T} z) + ||z||^2 / 2 with f the per-point
+    reference, to 1e-10 of the size of f, and its TV is theirs."""
+    prob, fit = poisson_fit
+    seen, log_densities = [], val.log_densities
+
+    def recording(fit_, prob_, Z, workers=None):
+        z = Z.copy()
+        out = log_densities(fit_, prob_, Z, workers)
+        seen.append((z, *out))
+        return out
+
+    monkeypatch.setattr(val, "log_densities", recording)
+    est = val.tv_importance(fit, prob, n_samples=10000, seed=5, n_boot=10)
+    [(Z, lp, lq)] = seen
+    assert np.array_equal(Z, val.laplace_draws(fit, 10000, 5, stream=13)[1])
+    U = solve_triangular(fit.L, Z.T, lower=True, trans="T").T
+    f_ref = np.array([f_reference(prob, fit.theta_hat + u) for u in U])
+    want = fit.f_hat - f_ref + 0.5 * np.sum(Z * Z, axis=1)
+    assert np.all(np.abs((lp - lq) - want) <= 1e-10 * np.abs(f_ref))
+    w = np.exp(want - np.max(want))
+    assert est.value == pytest.approx(0.5 * np.mean(np.abs(w / np.mean(w) - 1.0)), rel=1e-8)
 
 
 @pytest.mark.parametrize("family", ["poisson", "bernoulli"])
@@ -157,7 +198,7 @@ def test_grid_tv_matches_per_point_reference(volterra_eig):
     for ztup in itertools.product(np.linspace(-10.0, 10.0, 64), repeat=2):
         z = np.array(ztup)
         u = solve_triangular(L, z, lower=True, trans="T")
-        cells.append((-f_value(prob, fit.theta_hat + u) + fit.f_hat, -0.5 * float(z @ z)))
+        cells.append((-f_reference(prob, fit.theta_hat + u) + fit.f_hat, -0.5 * float(z @ z)))
     lp, lq = np.array(cells).T
     wp, wq = np.exp(lp - np.max(lp)), np.exp(lq)
     want = 0.5 * np.sum(np.abs(wp / np.sum(wp) - wq / np.sum(wq)))
@@ -206,8 +247,9 @@ def test_bootstrap_blocks_repeat_one_draw(monkeypatch):
 def test_importance_ci_matches_per_resample_reference(poisson_fit):
     prob, fit = poisson_fit
     est = val.tv_importance(fit, prob, n_samples=10000, seed=5, n_boot=200)
-    rng, U = val.laplace_draws(fit, 10000, 5, stream=13)
-    logw = val.log_ratio(fit, prob, U)
+    rng, Z = val.laplace_draws(fit, 10000, 5, stream=13)
+    lp, lq = val.log_densities(fit, prob, Z)
+    logw = lp - lq
     w = np.exp(logw - np.max(logw))
     tvs = [0.5 * np.mean(np.abs(w[i] / np.mean(w[i]) - 1.0))
            for i in rng.integers(0, 10000, size=(200, 10000))]
@@ -220,9 +262,11 @@ def _outside_reference(fit, prob, D0_sq, r, n_samples, seed, n_boot, stream):
     """The posterior tail statistic as concentration.empirical_outside_mass
     computed it with its own draw: normalized weights, one masked sum per
     resample."""
-    rng, U = val.laplace_draws(fit, n_samples, seed, stream=stream)
+    rng, Z = val.laplace_draws(fit, n_samples, seed, stream=stream)
+    U = solve_triangular(fit.L, Z.T, lower=True, trans="T").T
     outside = np.sqrt(np.sum(U * (U @ D0_sq), axis=1)) > r
-    logw = val.log_ratio(fit, prob, U)
+    lp, lq = val.log_densities(fit, prob, Z)
+    logw = lp - lq
     w = np.exp(logw - np.max(logw))
     w /= np.sum(w)
     frac, ess = float(np.sum(w[outside])), 1.0 / float(np.sum(w ** 2))
