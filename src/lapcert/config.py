@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, is_dataclass
 
-from .eigensolver import MAX_N, MIN_N, EigenSolverError, liouville_transform, mu_scan_top
+from .eigensolver import MAX_K, MAX_N, MIN_N, liouville_transform, mu_scan_top
 from .operators import CoefficientPair, OperatorSpecError
 from .validation import MAX_QUADRATURE_P, MIN_PER_AXIS, MIN_SAMPLES
 
@@ -136,12 +136,13 @@ def config_from_dict(raw: dict, where: str = "<dict>") -> ExperimentConfig:
 def _validate(cfg: ExperimentConfig, where: str) -> None:
     if not MIN_N <= cfg.eigensolver.N <= MAX_N:
         raise ConfigError("%s.eigensolver.N: must be in [%d, %d]" % (where, MIN_N, MAX_N))
-    try:   # the eigensolver's own refusals: an OperatorSpecError is the operator's, else K's
+    if not 1 <= cfg.eigensolver.K <= MAX_K:
+        raise ConfigError("%s.eigensolver.K: must be in [1, %d]" % (where, MAX_K))
+    try:   # the eigensolver's own refusal of the operator
         spec = CoefficientPair(tuple(cfg.operator.a), tuple(cfg.operator.b))
         mu_scan_top(liouville_transform(spec, cfg.eigensolver.N), cfg.eigensolver.K)
-    except (OperatorSpecError, EigenSolverError) as exc:
-        key = "operator" if isinstance(exc, OperatorSpecError) else "eigensolver.K"
-        raise ConfigError("%s.%s: %s" % (where, key, exc)) from exc
+    except OperatorSpecError as exc:
+        raise ConfigError("%s.operator: %s" % (where, exc)) from exc
     if cfg.family not in ("poisson", "gaussian", "bernoulli"):
         raise ConfigError("%s.family: unknown family %r" % (where, cfg.family))
     if cfg.n < 1 or cfg.p < 1:

@@ -3,14 +3,15 @@
 The composite operator inverts -(a^2 h')' + (b^2 - (ab)') h = mu h with
 h(0) = 0 and a(1) h'(1) + b(1) h(1) = 0.  A Liouville change of variables
 t(x) = int_0^x 1/a reduces this to -u'' + Q u = mu u on [0, T], which we
-solve by shooting (vectorized RK4).  A scan in mu brackets each eigenvalue
-by a sign change of the boundary function B(mu) = u'(T) + c2 u(T); the
-Illinois method (regula falsi with halving of the retained endpoint's B)
-then refines every bracket at once, each iterate staying inside its own
-bracket.  The oscillation count of the final eigenfunctions is verified,
-so no mode can be silently skipped.  An independent cross-check,
-`svd_oracle`, takes the top of the weighted SVD of R's discretization by
-Lanczos iteration on its O(N) matrix-free apply.
+solve by shooting (vectorized RK4).  A scan in mu, uniform in sqrt(mu - max Q)
+above a knee, where the eigenvalues are spaced evenly in it, brackets each
+eigenvalue by a sign change of the boundary function B(mu) = u'(T) + c2 u(T);
+the Illinois method (regula falsi with halving of the retained endpoint's B)
+refines every bracket at once, each iterate staying inside its own bracket.
+The oscillation count of the final eigenfunctions is verified, so no mode can
+be silently skipped.  An independent cross-check, `svd_oracle`, takes the top
+of the weighted SVD of R's discretization by Lanczos iteration on its O(N)
+matrix-free apply.
 """
 from __future__ import annotations
 
@@ -96,8 +97,10 @@ def _rk4_shoot(Qh: np.ndarray, T: float, mu: np.ndarray, keep_path: bool = False
     A classical RK4 step of this linear system is the 2x2 transfer matrix
     [[A, B], [C, D]] acting on (u, u').  Its entries are polynomials in mu
     of degree <= 2; only the coefficients that depend on Q are per-step
-    (O(N) scalars), and the matrix itself is formed one step at a time for
-    the columns being shot, so memory stays O(columns).
+    (O(N) scalars).  A path, or a shoot wider than _TREE_COLUMNS, is stepped
+    one matrix at a time; else (u_T, up_T) is (B, D) of the product of all N,
+    formed pairwise (log2 N levels) in place for _SHOOT_BLOCK columns at a
+    time, in O(N _SHOOT_BLOCK) memory.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     N = (Qh.size - 1) // 2
@@ -109,36 +112,53 @@ def _rk4_shoot(Qh: np.ndarray, T: float, mu: np.ndarray, keep_path: bool = False
     #   C = h/6 (w0 + 4 wm + w1) + h^3/12 wm (w0 + w1)
     #   D = 1 + h^2/6 (2 wm + w1) + h^4/24 wm w1
     # expanded in powers of mu: A = a0 + a1 mu + (h^4/24) mu^2, and so on.
-    a0 =1.0 + h2 / 6.0 * (q0 + 2.0 * qm) + h4 / 24.0 * qm * q0
-    a1 = -0.5 * h2 - h4 / 24.0 * (q0 + qm)
-    b0 = h + h3 / 6.0 * qm
-    c0 = h / 6.0 * (q0 + 4.0 * qm + q1) + h3 / 12.0 * qm * (q0 + q1)
-    c1 = -h - h3 / 12.0 * (q0 + 2.0 * qm + q1)
-    d0 = 1.0 + h2 / 6.0 * (2.0 * qm + q1) + h4 / 24.0 * qm * q1
-    d1 = -0.5 * h2 - h4 / 24.0 * (qm + q1)
-    quad_ad = h4 / 24.0 * mu * mu      # mu^2 terms of A and D
-    quad_c = h3 / 6.0 * mu * mu
-    lin_b = -h3 / 6.0 * mu
-    u = np.zeros_like(mu)
-    up = np.ones_like(mu)
-    path = np.empty((N + 1,) + mu.shape) if keep_path else None
-    dpath = np.empty((N + 1,) + mu.shape) if keep_path else None
-    if keep_path:
-        path[0], dpath[0] = u, up
+    coef = (1.0 + h2 / 6.0 * (q0 + 2.0 * qm) + h4 / 24.0 * qm * q0,     # a0
+            -0.5 * h2 - h4 / 24.0 * (q0 + qm),                          # a1
+            h + h3 / 6.0 * qm,                                          # b0
+            h / 6.0 * (q0 + 4.0 * qm + q1) + h3 / 12.0 * qm * (q0 + q1),  # c0
+            -h - h3 / 12.0 * (q0 + 2.0 * qm + q1),                      # c1
+            1.0 + h2 / 6.0 * (2.0 * qm + q1) + h4 / 24.0 * qm * q1,     # d0
+            -0.5 * h2 - h4 / 24.0 * (qm + q1))                          # d1
+    # the mu terms: mu, the mu^2 terms of A and D and of C, the mu term of B
+    cols = (mu, h4 / 24.0 * mu * mu, h3 / 6.0 * mu * mu, -h3 / 6.0 * mu)
+
+    def entries(m, quad_ad, quad_c, lin_b, a0, a1, b0, c0, c1, d0, d1):
+        yield a1 * m + quad_ad + a0   # A, B, C, D of one step, or of a stack, one at a
+        yield lin_b + b0              # time: a stack stores each before the next is made
+        yield c1 * m + quad_c + c0
+        yield d1 * m + quad_ad + d0
+
+    if not keep_path and mu.size <= _TREE_COLUMNS:
+        u, up = np.empty_like(mu), np.empty_like(mu)
+        store = np.empty((4, min(mu.size, _SHOOT_BLOCK), N))   # A, B, C, D of every step
+        for lo in range(0, mu.size, _SHOOT_BLOCK):
+            block = tuple(x[lo:lo + _SHOOT_BLOCK, None] for x in cols)
+            M = store[:, :block[0].size]      # reduced in place, level by level
+            for k, X in enumerate(entries(*block, *coef)):
+                M[k] = X
+            del X   # not held while the first level's products are formed
+            while M.shape[2] > 1:
+                half, odd = divmod(M.shape[2], 2)
+                A, B, C, D = M[..., 1::2]      # the later step of each pair multiplies on the left
+                a, b, c, d = M[..., 0:-1:2]
+                # pair j goes to step j: all four products are formed before any is written
+                for k, X in enumerate((A * a + B * c, A * b + B * d, C * a + D * c, C * b + D * d)):
+                    M[k, :, :half] = X
+                M[..., half] = M[..., -1]   # an odd stack's last (latest) matrix waits a level
+                M = M[..., :half + odd]
+            u[lo:lo + _SHOOT_BLOCK], up[lo:lo + _SHOOT_BLOCK] = M[1, :, 0], M[3, :, 0]
+        return u, up
+    u, up = np.zeros_like(mu), np.ones_like(mu)
+    rows = N + 1 if keep_path else 1   # a wide pathless shoot keeps only its latest point
+    path, dpath = np.empty((2, rows) + mu.shape)
+    path[0], dpath[0] = u, up
     # memoryviews yield Python floats (cheap to multiply an array by) one step
     # at a time; lists of all of them would add ~1 MB to the peak RSS
-    steps = zip(*map(memoryview, (a0, a1, b0, c0, c1, d0, d1)))
-    for i, (a0i, a1i, b0i, c0i, c1i, d0i, d1i) in enumerate(steps, 1):
-        A = a1i * mu + quad_ad + a0i
-        B = lin_b + b0i
-        C = c1i * mu + quad_c + c0i
-        D = d1i * mu + quad_ad + d0i
+    for i, step in enumerate(zip(*map(memoryview, coef)), 1):
+        A, B, C, D = entries(*cols, *step)
         u, up = A * u + B * up, C * u + D * up
-        if keep_path:
-            path[i], dpath[i] = u, up
-    if keep_path:
-        return u, up, _interior_zeros(path), path, dpath
-    return u, up
+        path[i % rows], dpath[i % rows] = u, up
+    return (u, up, _interior_zeros(path), path, dpath) if keep_path else (u, up)
 
 
 def _interior_zeros(path: np.ndarray) -> np.ndarray:
@@ -151,19 +171,21 @@ def _interior_zeros(path: np.ndarray) -> np.ndarray:
     return np.count_nonzero(s[1:] * s[:-1] < 0, axis=0)
 
 
-# cap on Illinois iterations; reaching it raises EigenSolverError
-_MAX_ILLINOIS = 200
-_MAX_SCAN = 1 << 20   # mu scan points at most; K = 50 on Volterra needs ~5.4e3
+_MAX_ILLINOIS = 200   # cap on Illinois iterations; reaching it raises EigenSolverError
+_MAX_SCAN = 1 << 20   # cap on a mu-uniform scan, which bounds ours; K = 50 on Volterra scans 232
 _REL_TOL = 1e-10      # relative width at which an eigenvalue's bracket is converged
-MIN_N, MAX_N = 1024, 1 << 16   # grid sizes N for eigen work; psi, dpsi hold 2 (N+1) K floats
+# pathless shoots of <= 384 columns take the pairwise product 16 columns (4 N 16 floats) at a time;
+# 32 added 2 MB of peak RSS, and from ~400 on the loop's shared per-step overhead costs less
+_TREE_COLUMNS, _SHOOT_BLOCK = 384, 16
+# the sizes N and K for eigen work: path, dpath, psi and dpsi hold (N+1) K floats each, and
+# K = 722 is the largest whose mu-uniform scan at Q = 0 fits in _MAX_SCAN
+MIN_N, MAX_N, MAX_K = 1024, 1 << 16, 722
 
 
 def mu_scan_top(form: LiouvilleForm, K: int) -> float:
-    """Top of the mu scan bracketing the first K eigenvalues: [1/4, (K + 2)^2 + max Q / unit] at
-    spacing 1/2, unit = (pi / T)^2.  A scan over _MAX_SCAN points is refused: EigenSolverError if
-    K's own 2 (K + 2)^2 - 1/2 points are (K >= 723), else OperatorSpecError naming T or max |Q|."""
-    if 4 * (K + 2) ** 2 - 1 > 2 * _MAX_SCAN:   # Python ints: no K overflows
-        raise EigenSolverError("mu scan for K = %d exceeds %d points" % (K, _MAX_SCAN))
+    """Top of the mu scan bracketing the first K <= MAX_K eigenvalues, (K + 2)^2 unit + max Q,
+    unit = (pi / T)^2.  OperatorSpecError naming T or max |Q| if a mu-uniform scan up to it at
+    unit / 2, which is at least as long as ours, is not finite or exceeds _MAX_SCAN points."""
     with np.errstate(all="ignore"):
         unit = (np.pi / np.float64(form.T)) ** 2
         t_fits = np.finfo(float).tiny <= unit and (K + 2) ** 2 * unit < np.inf   # else T's fault
@@ -177,12 +199,11 @@ def mu_scan_top(form: LiouvilleForm, K: int) -> float:
 
 def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int) -> EigenSystem:
     """First K eigenpairs by boundary shooting: mu scan brackets, Illinois refinement."""
-    if K < 1:
-        raise ValueError("K >= 1")
-    N = form.N
+    if not 1 <= K <= MAX_K:
+        raise ValueError("K in [1, %d] required" % MAX_K)
+    N, Qh, T, c2 = form.N, form.Qh, form.T, form.c2
     if not MIN_N <= N <= MAX_N:
         raise ValueError("N in [%d, %d] required for eigen work" % (MIN_N, MAX_N))
-    Qh, T, c2 = form.Qh, form.T, form.c2
 
     def boundary(mu):
         u, up = _rk4_shoot(Qh, T, mu)
@@ -190,10 +211,14 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int) -> EigenSyste
 
     mu_hi = mu_scan_top(form, K)   # refuses first, so the float arithmetic below cannot raise
     unit = (np.pi / T) ** 2
-    # geometric seed near zero, then linear at quarter-spacing of the asymptote
+    q = mu_hi - (K + 2) ** 2 * unit   # max(0, max Q), as mu_scan_top added it
+    # below the knee q + 4 unit, where Q can crowd them: a geometric seed, then mu-uniform at
+    # unit / 2.  Above it, s = sqrt(mu - q) at sqrt(unit) / 4: mu - Q >= s^2, so the phase
+    # int sqrt(mu - Q) grows by <= T per unit of s, and the s_k are >= sqrt(unit) apart
     scan = np.concatenate([
         unit * np.geomspace(1e-6, 0.25, 24),
-        np.arange(0.25 * unit, mu_hi, 0.5 * unit),
+        np.arange(0.25 * unit, q + 4.0 * unit, 0.5 * unit),
+        q + np.arange(2.0 * np.sqrt(unit), np.sqrt(mu_hi - q), 0.25 * np.sqrt(unit)) ** 2,
     ])
     B = boundary(scan)
     sgn = np.sign(B)
@@ -244,28 +269,22 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int) -> EigenSyste
 
     # back-transform psi_k(x) = u_k(t(x)) a(x)^{-1/2}; chain rule for psi'
     x = grid(N)
-    a = spec.a(x)
-    a1 = spec.a1(x)
+    a, a1 = spec.a(x), spec.a1(x)
     # Column-major, so the K values at each grid point are adjacent.  Products
     # over k (e.g. theta @ psi[:p]) round differently in the other layout, and
     # every artifact is pinned to this one; the .npz cache keeps it.
-    psi = np.empty((K, N + 1), order="F")
-    dpsi = np.empty((K, N + 1), order="F")
+    psi, dpsi = np.empty((K, N + 1), order="F"), np.empty((K, N + 1), order="F")
     for k in range(K):
         uk = np.interp(form.t_of_x, tgrid, upath[:, k])
         duk = np.interp(form.t_of_x, tgrid, dupath[:, k])
         psi[k] = uk / np.sqrt(a)
         dpsi[k] = (duk - 0.5 * a1 * uk) * a ** -1.5
         nrm = np.sqrt(np.trapezoid(psi[k] ** 2, dx=1.0 / N))
-        psi[k] /= nrm
-        dpsi[k] /= nrm
+        psi[k], dpsi[k] = psi[k] / nrm, dpsi[k] / nrm
     psi[:, 0] = 0.0
 
-    return EigenSystem(
-        lambdas=1.0 / mu, x=x, psi=psi, dpsi=dpsi,
-        vk_inf=vk_inf, dvk_inf=dvk_inf, vk_l2=vk_l2,
-        T=T, Q_sup=form.Q_sup, method="shooting",
-    )
+    return EigenSystem(lambdas=1.0 / mu, x=x, psi=psi, dpsi=dpsi, vk_inf=vk_inf, dvk_inf=dvk_inf,
+                       vk_l2=vk_l2, T=T, Q_sup=form.Q_sup, method="shooting")
 
 
 def svd_oracle(spec: CoefficientPair, N: int, K: int) -> EigenSystem:
@@ -298,11 +317,8 @@ def svd_oracle(spec: CoefficientPair, N: int, K: int) -> EigenSystem:
             v = -v
         psi[k] = v / np.sqrt(np.trapezoid(v ** 2, dx=1.0 / N))
     dpsi = np.gradient(psi, 1.0 / N, axis=1)
-    return EigenSystem(
-        lambdas=lam, x=x, psi=psi, dpsi=dpsi,
-        vk_inf=np.full(K, np.nan), dvk_inf=np.full(K, np.nan),
-        vk_l2=np.full(K, np.nan), method="svd",
-    )
+    return EigenSystem(lambdas=lam, x=x, psi=psi, dpsi=dpsi, vk_inf=np.full(K, np.nan),
+                       dvk_inf=np.full(K, np.nan), vk_l2=np.full(K, np.nan), method="svd")
 
 
 def eig_diagnostics(eig: EigenSystem) -> dict:
@@ -318,7 +334,7 @@ def eig_diagnostics(eig: EigenSystem) -> dict:
     root_lam = np.sqrt(eig.lambdas)
     with np.errstate(invalid="ignore", divide="ignore"):
         c_est = np.nanmin((eig.vk_l2 / root_lam)[active]) if active.any() else np.nan
-    report = {
+    return {
         "k": ks,
         "psi_sup": np.abs(eig.psi).max(axis=1),
         "dpsi_sup_over_k": np.abs(eig.dpsi).max(axis=1) / ks,
@@ -330,7 +346,6 @@ def eig_diagnostics(eig: EigenSystem) -> dict:
         "dvk_inf_violations": int(np.sum(active & (eig.dvk_inf > 2.0))),
         "vk_l2_c_estimate": float(c_est),
     }
-    return report
 
 
 # --- cache: one eig_<key>.npz per (a, b, N, K, solver code) ---
@@ -384,8 +399,7 @@ def cached_solve(spec: CoefficientPair, N: int, K: int, cache_dir: str | None = 
         eig = load_eigensystem(spec, N, K, cache_dir)
         if eig is not None:
             return eig
-    form = liouville_transform(spec, N)
-    eig = solve_eigs(form, spec, K)
+    eig = solve_eigs(liouville_transform(spec, N), spec, K)
     if cache_dir is not None:
         save_eigensystem(eig, spec, cache_dir)
     return eig

@@ -6,6 +6,7 @@ damped Newton with Cholesky solves converges globally.
 """
 from __future__ import annotations
 
+import functools
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -44,6 +45,11 @@ class Problem:
     @property
     def g2(self) -> np.ndarray:
         return np.arange(1, self.p + 1, dtype=float) ** (2.0 * self.gamma)
+
+    @functools.cached_property
+    def Rt_Rty(self) -> tuple:   # (R^T, R^T y) for f_values; R^T contiguous halves its GEMM time
+        Rt = np.ascontiguousarray(self.design.rows.T)
+        return Rt, Rt @ self.data.y
 
 
 @dataclass(frozen=True)
@@ -145,8 +151,7 @@ def f_values(prob: Problem, Theta: np.ndarray, workers: int | None = None) -> np
     any count, so the result is too.  A non-finite S or sum of h(S) raises
     `EvaluationError`, the lowest failing chunk's.
     """
-    Rt = np.ascontiguousarray(prob.design.rows.T)   # contiguous: halves the product's time
-    Rty, g2 = Rt @ prob.data.y, prob.g2
+    (Rt, Rty), g2 = prob.Rt_Rty, prob.g2
     out = np.empty(Theta.shape[0])
     rows = max(1, _CHUNK_ENTRIES // prob.design.n)
     starts = range(0, Theta.shape[0], rows)

@@ -213,8 +213,8 @@ def test_operator_spec_rejected_at_load(tmp_path, write_cfg, capsys):
     or a mu scan too long or not finite (b = 1e6: max Q = 1e12; (pi / T)^2
     overflows at a = 1e160 and underflows at a = 1e-160) is a config error
     (exit 2) naming the operator, raised before any stage runs, synthetic
-    sweeps included, and without numpy's overflow warnings; a K too large
-    for the scan, up to 10^300, names eigensolver.K."""
+    sweeps included, and without numpy's overflow warnings; a K past
+    eigensolver.MAX_K = 722, up to 10^300, names eigensolver.K."""
     for operator in ({"a": [1.0, -2.0]}, {"a": [1e308, 1e308]}, {"a": [1.0] + [0.0] * 17},
                      {"b": []}, {"b": [1e6]}, {"b": [1e300]},
                      {"a": [1.0, 1e200], "b": [0.0, 1e200]}, {"a": [1e-320]},
@@ -232,14 +232,15 @@ def test_operator_spec_rejected_at_load(tmp_path, write_cfg, capsys):
     path = write_cfg({"operator": {"a": [-1.0]}, "sweep": {"synthetic": True}})
     assert main(["sweep", "--config", path, "--out", str(tmp_path / "syn")]) == 2
     assert ".operator: a(x) must be strictly positive" in capsys.readouterr().err
-    # the scan's K term alone, 2 (K + 2)^2 - 1/2 points, exceeds the cap from
-    # K = 723 on: the refusal names eigensolver.K, not the operator
-    for K in (1000, 10 ** 300):
+    # K is capped at MAX_K = 722, which bounds the (N + 1) K arrays: the
+    # refusal names eigensolver.K, not the operator
+    assert config_from_dict({**BASE, "eigensolver": {"K": 722}}).eigensolver.K == 722
+    for K in (723, 1000, 10 ** 300):
         out = tmp_path / "k"
         path = write_cfg({"eigensolver": {"K": K}})
         assert main(["all", "--config", path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert ".eigensolver.K: mu scan for K = %d " % K in err and "Warning" not in err
+        assert ".eigensolver.K: must be in [1, 722]" in err and "Warning" not in err
         assert not out.exists()
 
 

@@ -219,6 +219,25 @@ def test_rk4_shoot_matches_stage_form():
     assert eigensolver._interior_zeros(flat).tolist() == [2]
 
 
+def test_pairwise_product_matches_step_loop():
+    """A pathless shoot's pairwise product of the step matrices ends where the
+    step-by-step path does: odd N (an unpaired matrix at some levels), more
+    than one block of columns, the last one ragged, and a varying potential,
+    whose step matrices do not commute.  A shoot wider than _TREE_COLUMNS
+    steps the path's own loop, so it ends exactly where the path does."""
+    spec = CoefficientPair((1.0, 0.0, 0.25), (0.2, 0.1))
+    form = liouville_transform(spec, 1531)
+    mu = np.geomspace(1e-3, 5e3, eigensolver._SHOOT_BLOCK + 9)
+    u, up = _rk4_shoot(form.Qh, form.T, mu)
+    _, _, _, path, dpath = _rk4_shoot(form.Qh, form.T, mu, keep_path=True)
+    assert np.max(np.abs(u - path[-1]) / np.abs(path).max(axis=0)) < 1e-12
+    assert np.max(np.abs(up - dpath[-1]) / np.abs(dpath).max(axis=0)) < 1e-12
+    mu = np.geomspace(1e-3, 5e3, eigensolver._TREE_COLUMNS + 1)
+    u, up = _rk4_shoot(form.Qh, form.T, mu)
+    _, _, _, path, dpath = _rk4_shoot(form.Qh, form.T, mu, keep_path=True)
+    assert np.array_equal(u, path[-1]) and np.array_equal(up, dpath[-1])
+
+
 def test_root_certificate(eig_cache):
     """Each returned mu_k = 1/lambda_k has a sign change of B within 2 rel_tol."""
     rel_tol = 1e-10
@@ -264,15 +283,29 @@ def test_oversized_scan_refused(monkeypatch):
 
 
 def test_shoot_budget(monkeypatch):
-    """Illinois refinement converges superlinearly: <= 14 shoots, scan and path included."""
-    calls = []
+    """Illinois refinement converges superlinearly: <= 14 shoots, scan and path
+    included.  The scan is uniform in sqrt(mu - max Q) above its knee: <= 800
+    mu columns over all shoots at K = 50, where a mu-uniform scan shoots
+    ~5.6e3, also when max Q = 900 (b = 30) crowds the eigenvalues below the
+    knee.  At b = 100 and 300 (max Q = 1e4, 9e4) the first eigenvalues above
+    the knee are closer in sqrt(mu) than its step, but still >= sqrt(unit)
+    apart in sqrt(mu - max Q), so every one is bracketed; the mu-uniform
+    columns below such a knee grow with max Q, so only the shoots are bounded."""
+    columns = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return _rk4_shoot(*args, **kwargs)
+    def counted(Qh, T, mu, keep_path=False):
+        columns.append(np.atleast_1d(mu).size)
+        return _rk4_shoot(Qh, T, mu, keep_path)
 
     monkeypatch.setattr(eigensolver, "_rk4_shoot", counted)
-    for spec in SPEC_CORPUS:
-        calls.clear()
-        solve_eigs(liouville_transform(spec, 2048), spec, 20)
-        assert len(calls) <= 14, (spec, len(calls))
+    for spec in SPEC_CORPUS + (CoefficientPair((1.0,), (30.0,)),):
+        columns.clear()
+        solve_eigs(liouville_transform(spec, 2048), spec, 50)   # oscillation counts checked
+        assert len(columns) <= 14 and sum(columns) <= 800, (spec, columns)
+    for b in (100.0, 300.0):
+        columns.clear()
+        spec = CoefficientPair((1.0,), (b,))
+        assert solve_eigs(liouville_transform(spec, 2048), spec, 50).lambdas.size == 50
+        assert len(columns) <= 14, (spec, columns)
+    with pytest.raises(ValueError, match="K in"):
+        solve_eigs(liouville_transform(VOLTERRA, 1024), VOLTERRA, eigensolver.MAX_K + 1)
