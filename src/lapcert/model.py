@@ -29,7 +29,7 @@ class ModelError(ValueError):
 @dataclass(frozen=True)
 class ExpFamily:
     kind: str
-    h: Callable
+    h: Callable                    # (s, out=None) -> h(s), into out where given
     h1: Callable
     h2: Callable
     h3: Callable
@@ -137,7 +137,7 @@ def exp_family(kind: str) -> ExpFamily:
     if kind == "gaussian":
         return ExpFamily(
             kind="gaussian",
-            h=lambda s: 0.5 * np.asarray(s, dtype=float) ** 2,
+            h=lambda s, out=None: np.multiply(np.square(s, out=out, dtype=float), 0.5, out=out),
             h1=lambda s: np.asarray(s, dtype=float),
             h2=lambda s: np.ones_like(np.asarray(s, dtype=float)),
             h3=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
@@ -146,10 +146,11 @@ def exp_family(kind: str) -> ExpFamily:
                 (_substream(seed, j).standard_normal() for j in range(s.size)), float),
         )
     if kind == "bernoulli":
-        def h(s):
-            # the log(1 + e^s) split logaddexp uses, in vectorized exp/log1p
+        def h(s, out=None):
+            # the log(1 + e^s) split logaddexp uses, log1p(e^-|s|) + max(s, 0), in out
             s = np.asarray(s, dtype=float)
-            return np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))
+            e = np.exp(np.negative(np.abs(s, out=out), out=out), out=out)
+            return np.add(np.log1p(e, out=out), np.maximum(s, 0.0), out=out)
 
         def h1(s):
             return 1.0 / (1.0 + np.exp(-np.asarray(s, dtype=float)))

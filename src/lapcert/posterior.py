@@ -47,9 +47,10 @@ class Problem:
         return np.arange(1, self.p + 1, dtype=float) ** (2.0 * self.gamma)
 
     @functools.cached_property
-    def Rt_Rty(self) -> tuple:   # (R^T, R^T y) for f_values; R^T contiguous halves its GEMM time
+    def kernel_terms(self) -> tuple:
+        """(R^T, R^T y, max|R|) for f_values; a contiguous R^T halves its GEMM time."""
         Rt = np.ascontiguousarray(self.design.rows.T)
-        return Rt, Rt @ self.data.y
+        return Rt, Rt @ self.data.y, float(np.max(np.abs(Rt), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -123,20 +124,6 @@ def pool_map(fn, items, workers: int) -> list:
     return out
 
 
-# work a pool thread must get, in entries of the array it reduces: 2^26 is
-# about 0.3 s of the kernel on one core.  On 2 cores, a second thread saved
-# nothing at desk size (4e7 kernel entries, with its bootstrap) but tripled the
-# spread of the TV step over cold runs; at 4e8 kernel entries it saved 0.7 s.
-_MIN_WORKER_ENTRIES = 1 << 26
-
-
-def pool_size(workers: int | None, entries: int) -> int:
-    """Threads for `entries` of work: one per `_MIN_WORKER_ENTRIES`, at least
-    one and at most `workers` (default: `usable_cores()`)."""
-    workers = usable_cores() if workers is None else workers
-    return max(1, min(workers, entries // _MIN_WORKER_ENTRIES))
-
-
 # entries of S = Theta R^T formed at a time: 2^16 doubles (512 KiB) stay in L2
 _CHUNK_ENTRIES = 1 << 16
 
@@ -146,30 +133,37 @@ def f_values(prob: Problem, Theta: np.ndarray, workers: int | None = None) -> np
 
     S = Theta R^T is formed a row chunk at a time, and the data term uses the
     sufficient statistic Theta (R^T y) = sum_j y_j s_j, so only h(S) is
-    reduced per chunk.  The chunks are split into `pool_size(workers, m n)`
-    contiguous runs, one thread each; every row's arithmetic is the same for
-    any count, so the result is too.  A non-finite S or sum of h(S) raises
-    `EvaluationError`, the lowest failing chunk's.
+    reduced per chunk.  The chunks are split into contiguous runs, one per
+    thread, on min(workers (default: `usable_cores()`), chunks) threads; each
+    thread forms S and h(S) in one pair of buffers it reuses for its chunks.
+    Every row's arithmetic is the same for any count, so the result is too.
+    A non-finite S or sum of h(S) raises `EvaluationError`, the lowest
+    failing chunk's.
     """
-    (Rt, Rty), g2 = prob.Rt_Rty, prob.g2
+    (Rt, Rty, r_max), g2, n = prob.kernel_terms, prob.g2, prob.design.n
     out = np.empty(Theta.shape[0])
-    rows = max(1, _CHUNK_ENTRIES // prob.design.n)
+    rows = max(1, _CHUNK_ENTRIES // n)
     starts = range(0, Theta.shape[0], rows)
 
     def run(chunk_starts):
+        buf = np.empty((2, min(rows, Theta.shape[0]), n))   # S and h(S), for every chunk
         for a in chunk_starts:
             T = Theta[a:a + rows]
-            S = T @ Rt
-            if not np.all(np.isfinite(S)):
+            S, H = buf[:, :len(T)]
+            np.matmul(T, Rt, out=S)
+            # |S_ij| <= ||T_i||_1 max|R|, so only a chunk whose bound reaches half the
+            # largest double (or is NaN) can hold a non-finite S, and only it is scanned
+            bound = float(np.abs(T).sum(axis=1).max()) * r_max
+            if not bound < np.finfo(float).max / 2 and not np.all(np.isfinite(S)):
                 raise EvaluationError("non-finite linear predictor")
             # a sum is finite iff every term is, unless the finite terms overflow it
-            hsum = np.sum(prob.family.h(S), axis=1)
+            hsum = np.sum(prob.family.h(S, out=H), axis=1)
             if not np.all(np.isfinite(hsum)):
                 raise EvaluationError("overflow in cumulant h")
             out[a:a + rows] = hsum - T @ Rty + 0.5 * (T * T) @ g2
 
     # no empty run, and one for an empty Theta
-    k = max(1, min(pool_size(workers, Theta.shape[0] * prob.design.n), len(starts)))
+    k = max(1, min(usable_cores() if workers is None else workers, len(starts)))
     runs = [starts[i * len(starts) // k:(i + 1) * len(starts) // k] for i in range(k)]
     pool_map(run, runs, k)
     return out

@@ -15,13 +15,13 @@ Both work in the whitened frame z = L^T (theta - theta_hat), D_G^2 = L L^T,
 where the Laplace Gaussian is N(0, I), and take both log densities at all
 their points (the quadrature grid, or all M draws) from one `log_densities`
 call, so from one call of the kernel `posterior.f_values`; the bootstrap
-evaluates its statistic a block of resamples at a time.  The kernel's row
-chunks and the bootstrap's blocks run on up to `workers` threads (default:
-the usable cores), fewer for small work (`posterior.pool_size`: an importance
-pass's bootstrap gets as many as its kernel); no estimate depends on the
-count.  The importance draws also give the posterior mass outside ellipsoids
-{||D0 u|| <= r} (`OutsideMass`) on the same resample blocks, so tail claims
-need no second likelihood pass; the Gaussian's is `_gaussian_tail_bracket`.
+evaluates its statistic a block of resamples at a time, in the block's own
+memory.  The kernel's row chunks and the bootstrap's blocks run on `workers`
+threads (default: the usable cores), at most one per chunk or block, at any
+size of work; no estimate depends on the count.  The importance draws also
+give the posterior mass outside ellipsoids {||D0 u|| <= r} (`OutsideMass`)
+on the same resample blocks, so tail claims need no second likelihood pass;
+the Gaussian's is `_gaussian_tail_bracket`.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import _substream
-from .posterior import LaplaceFit, Problem, f_values, pool_map, pool_size, tri_solve
+from .posterior import LaplaceFit, Problem, f_values, pool_map, tri_solve, usable_cores
 
 
 _WILSON_Z = 1.96   # normal quantile of the Wilson intervals' 95% coverage
@@ -171,10 +171,7 @@ def _importance_pass(fit: LaplaceFit, prob: Problem, n_samples: int, seed: int,
     outside, 0 inside) in the TV statistic's index blocks, one region at a
     time, so it holds no resample array beyond those of the TV statistic.
     """
-    # one count for the kernel and the bootstrap, which is too small to
-    # split by its own size (500 x M indices) but reuses the kernel threads'
-    # freed memory when it runs on as many
-    workers = pool_size(workers, n_samples * prob.design.n)
+    workers = usable_cores() if workers is None else workers
     rng, Z = laplace_draws(fit, n_samples, seed, stream)
     lp, lq = log_densities(fit, prob, Z, workers)
     logw = lp - lq
@@ -183,17 +180,18 @@ def _importance_pass(fit: LaplaceFit, prob: Problem, n_samples: int, seed: int,
     w_out = [np.where(np.sqrt(np.sum(U * (U @ D0_sq), axis=1)) > r, w, 0.0)
              for D0_sq, r in regions]
 
-    def tv_of(W):   # row-wise over the last axis
-        return 0.5 * np.mean(np.abs(W / np.mean(W, axis=-1, keepdims=True) - 1.0), axis=-1)
+    def tv_of(W, total):   # row-wise over the last axis, in W's own memory
+        W /= np.divide(total, W.shape[-1])[..., None]
+        W -= 1.0
+        return 0.5 * np.mean(np.abs(W, out=W), axis=-1)
 
     def stat(idx):  # columns: TV, then the posterior fraction outside each region
         W = w[idx]
-        cols, total = [tv_of(W)], np.sum(W, axis=1)
-        del W
-        cols += [np.sum(wo[idx], axis=1) / total for wo in w_out]
+        total = np.sum(W, axis=1)
+        cols = [tv_of(W, total)] + [np.sum(wo[idx], axis=1) / total for wo in w_out]
         return np.stack(cols, axis=1)
 
-    tv = float(tv_of(w))
+    tv = float(tv_of(w.copy(), np.sum(w)))
     ess = float(np.sum(w) ** 2 / np.sum(w ** 2))
     lo, hi = bootstrap_ci(rng, n_samples, n_boot, stat, workers)
     masses = []

@@ -7,8 +7,9 @@ check the certified pipeline against them.  `weighting_claims` and
 `theorem_claims` restate the certificate theorem from its formulas alone,
 as the spec that certificates and golden rows are compared with,
 `gaussian_mass_bracket` the Laplace Gaussian's exact tail bracket by
-scipy.special, and `f_reference` the negative log posterior f from its
-definition.  No CLI path reads them.
+scipy.special, `f_reference` the negative log posterior f from its
+definition, and `f_values_allocating` the likelihood kernel in its allocating
+form, which `posterior.f_values` matches bit for bit.  No CLI path reads them.
 """
 import math
 
@@ -27,6 +28,26 @@ def f_reference(prob: Problem, theta: np.ndarray) -> float:
     sufficient statistic: the tests' reference for `posterior.f_values`."""
     s = prob.design.rows @ theta
     return float(np.sum(prob.family.h(s) - prob.data.y * s) + 0.5 * np.sum(prob.g2 * theta ** 2))
+
+
+# each family's cumulant h as a fresh array, the form the in-place h(s, out) must match
+ALLOCATING_H = {"poisson": np.exp,
+                "gaussian": lambda s: 0.5 * np.asarray(s, dtype=float) ** 2,
+                "bernoulli": lambda s: np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))}
+
+
+def f_values_allocating(prob: Problem, Theta: np.ndarray, chunk_entries: int) -> np.ndarray:
+    """f at every row of Theta, as `posterior.f_values` computes it on one
+    thread with chunks of `chunk_entries`, but with S = T R^T and h(S) formed
+    as fresh arrays per chunk, and no finiteness checks."""
+    Rt = np.ascontiguousarray(prob.design.rows.T)
+    Rty, h = Rt @ prob.data.y, ALLOCATING_H[prob.family.kind]
+    rows = max(1, chunk_entries // prob.design.n)
+    out = np.empty(Theta.shape[0])
+    for a in range(0, Theta.shape[0], rows):
+        T = Theta[a:a + rows]
+        out[a:a + rows] = np.sum(h(T @ Rt), axis=1) - T @ Rty + 0.5 * (T * T) @ prob.g2
+    return out
 
 
 def third_directional(prob: Problem, theta: np.ndarray, v: np.ndarray) -> float:

@@ -3,9 +3,10 @@
 Each case runs the CLI in a subprocess, with BLAS pinned to one thread
 through its environment and the eigen cache pointed at the test session's
 cache, and compares every artifact under tests/golden/<config>/ with the
-fresh output.  The one exception is gaussian_exactness's TV: its posterior
-is Gaussian, so the true TV is 0 and the estimates (~5e-15) are rounding
-noise that any last-bit change moves; those cells (`NOISE_CELLS`) compare
+fresh output.  The exceptions are in gaussian_exactness: its posterior is
+Gaussian, so the true TV is 0 and the TV estimates (~5e-15) are rounding
+noise that any last-bit change moves, as is the Newton fit's final gradient
+norm (~4e-14, `grad_norm` in fit.json); those cells (`NOISE_CELLS`) compare
 at absolute `NOISE_ATOL`, and every other cell byte for byte.  A change that
 alters numerics on purpose regenerates them:
 
@@ -14,6 +15,7 @@ alters numerics on purpose regenerates them:
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -33,32 +35,44 @@ CASES = {  # config name -> (subcommand, artifacts compared)
     "poisson_plateau": ("sweep", ("sweep.csv", "checks.csv")),
 }
 LAPCERT = "import sys; from lapcert.cli import main; sys.exit(main())"
-# (case, artifact) -> columns compared at NOISE_ATOL, in checks.csv on the tv_* rows only
+# (case, artifact) -> columns (keys of a JSON) compared at NOISE_ATOL, in checks.csv
+# on the tv_* rows only
 NOISE_CELLS = {("gaussian_exactness", "tv_estimates.csv"): ("value", "ci_low", "ci_high"),
-               ("gaussian_exactness", "checks.csv"): ("estimate", "ci_low", "ci_high")}
+               ("gaussian_exactness", "checks.csv"): ("estimate", "ci_low", "ci_high"),
+               ("gaussian_exactness", "fit.json"): ("grad_norm",)}
 NOISE_ATOL = 1e-13
 
 
 def same_artifact(got: bytes, want: bytes, noise: tuple = ()) -> bool:
-    """got is want byte for byte, except that the numbers in the `noise` columns
-    (of a checks.csv, on its tv_* rows) need only agree to NOISE_ATOL."""
+    """got is want byte for byte, except that the numbers in the `noise` fields
+    need only agree to NOISE_ATOL: columns of a CSV (of a checks.csv, on its
+    tv_* rows only), or keys of a JSON document written one key per line."""
     if got == want or not noise:
         return got == want
     got_lines, want_lines = got.split(b"\n"), want.split(b"\n")
     if len(got_lines) != len(want_lines) or got_lines[0] != want_lines[0]:
         return False
-    head = want_lines[0].rstrip(b"\r").split(b",")
-    cols = {head.index(c.encode()) for c in noise}
-    check = head.index(b"check") if b"check" in head else None
+    if want.startswith(b"{"):
+        def cells(line):   # '  "key": value,' -> ['  "key": ', 'value', ','], value noisy
+            key, sep, value = line.partition(b": ")
+            comma = value.endswith(b",")
+            noisy = {1} if key.strip().strip(b'"').decode() in noise else set()
+            return [key + sep, value[:len(value) - comma], b"," * comma], noisy
+    else:
+        head = want_lines[0].rstrip(b"\r").split(b",")
+        cols = {head.index(c.encode()) for c in noise}
+        check = head.index(b"check") if b"check" in head else None
+
+        def cells(line):
+            row = line.split(b",")
+            return row, cols if check is None or row[check].startswith(b"tv_") else set()
     for g, w in zip(got_lines[1:], want_lines[1:]):
         if g == w:
             continue
-        g, w = g.split(b","), w.split(b",")
-        if not len(g) == len(w) == len(head):
-            return False
-        noisy = cols if check is None or w[check].startswith(b"tv_") else set()
-        if any(a != b and not (i in noisy and abs(float(a) - float(b)) <= NOISE_ATOL)
-               for i, (a, b) in enumerate(zip(g, w))):
+        (g, _), (w, noisy) = cells(g), cells(w)
+        if len(g) != len(w) or any(
+                a != b and not (i in noisy and abs(float(a) - float(b)) <= NOISE_ATOL)
+                for i, (a, b) in enumerate(zip(g, w))):
             return False
     return True
 
@@ -92,9 +106,10 @@ def test_golden_artifacts(name, tmp_path, eig_cache, volterra_eig, volterra_eig_
 
 
 def test_noise_cells_keep_their_teeth():
-    """A TV cell of gaussian_exactness that moves by rounding noise matches; one
-    at 1e-12 does not, nor does any other cell changed (status, bound, ratio,
-    ess), nor a tail row's interval moved by the same noise."""
+    """A TV cell of gaussian_exactness, or its fit's grad_norm, that moves by
+    rounding noise matches; one at 1e-12 does not, nor does any other cell
+    changed (status, bound, ratio, ess, f_hat), nor a tail row's interval
+    moved by the same noise."""
     for artifact in ("tv_estimates.csv", "checks.csv"):
         cols = NOISE_CELLS["gaussian_exactness", artifact]
         with open(os.path.join(GOLDEN, "gaussian_exactness", artifact), "rb") as fh:
@@ -120,6 +135,19 @@ def test_noise_cells_keep_their_teeth():
         if artifact == "checks.csv":   # a tail_posterior row compares byte for byte
             assert b",tail_posterior," in lines[3]
             assert not same_artifact(edited(3, "ci_high", noise), want, cols)
+    # fit.json: grad_norm compares at NOISE_ATOL, every other key byte for byte
+    cols = NOISE_CELLS["gaussian_exactness", "fit.json"]
+    with open(os.path.join(GOLDEN, "gaussian_exactness", "fit.json"), "rb") as fh:
+        want = fh.read()
+
+    def fit_with(key, change):
+        return re.sub(rb'(?<="%s": )[^,\n]+' % key, lambda m: change(m.group()), want, count=1)
+
+    assert same_artifact(fit_with(b"grad_norm", noise), want, cols)
+    assert not same_artifact(fit_with(b"grad_norm", noise), want)
+    assert not same_artifact(fit_with(b"grad_norm", lambda cell: b"1e-12"), want, cols)
+    for key in (b"f_hat", b"newton_iters", b"rq_sup"):
+        assert not same_artifact(fit_with(key, lambda cell: cell + b"0"), want, cols), key
 
 
 def _golden_rows(name: str, artifact: str) -> list:

@@ -15,6 +15,7 @@ from lapcert.model import (ModelError, TruthSpec, exp_family, generate,
                            _philox_uniforms, _poisson_ptrs, _substream)
 
 from conftest import make_problem
+from probes import ALLOCATING_H
 
 
 def _ref_poisson(lam: float, rng) -> int:
@@ -211,6 +212,21 @@ def test_bernoulli_h_matches_logaddexp():
         h = exp_family("bernoulli").h(s)
         ref = np.logaddexp(0.0, s)
     assert np.all(np.abs(h - ref) <= 4e-16 * np.abs(ref))
+
+
+def test_cumulants_in_place_match_allocating():
+    """Each family's h(s, out=buf) writes into buf and is h(s), and the
+    allocating form of h, bit for bit: at signed zeros, subnormals, the edges
+    of exp's range (709.8 overflows it, 745 underflows it) and a normal draw."""
+    edges = [0.0, 1e-310, 709.8, 745.0, 800.0]
+    s = np.concatenate([edges, np.negative(edges),
+                        np.random.default_rng(0).standard_normal(1000)])
+    for kind, allocating in ALLOCATING_H.items():
+        h, buf = exp_family(kind).h, np.full_like(s, np.nan)
+        with np.errstate(over="ignore"):
+            want = allocating(s).view(np.int64)
+            assert np.array_equal(h(s).view(np.int64), want), kind
+            assert h(s, out=buf) is buf and np.array_equal(buf.view(np.int64), want), kind
 
 
 def test_save_dataset_roundtrip(tmp_path, eig_cache, volterra_eig_small):

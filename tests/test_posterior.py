@@ -12,7 +12,7 @@ from lapcert.model import TruthSpec, exp_family, generate
 from lapcert.operators import assemble_design
 from lapcert import posterior
 from lapcert.posterior import (Problem, f_value, f_values, grad, hessian_L, map_solve, pool_map,
-                               pool_size, tri_solve)
+                               tri_solve)
 
 from conftest import make_problem
 from probes import f_reference, third_directional
@@ -201,19 +201,21 @@ def test_pool_map_order_errors_and_items_held():
         sys.setswitchinterval(interval)
 
 
-def test_small_work_runs_on_one_thread(poisson_fit, monkeypatch):
-    """One thread per _MIN_WORKER_ENTRIES of work, at least one and at most
-    `workers`: the kernel at test size starts no thread for any count."""
-    grain = posterior._MIN_WORKER_ENTRIES
-    assert [pool_size(4, e) for e in (0, grain - 1, 2 * grain, 9 * grain)] == [1, 1, 2, 4]
-    assert pool_size(None, 0) == 1
+def test_one_row_starts_no_pool(poisson_fit, monkeypatch):
+    """A one-row call runs on the calling thread at any worker count: the
+    Newton fit, whose line search evaluates f a row at a time, converges to
+    the same fit with every thread pool refused; two chunks on two workers
+    start one."""
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
     prob, fit = poisson_fit
-    sizes = []
-
-    def recording(fn, items, workers):
-        sizes.append(workers)
-        return pool_map(fn, items, workers)
-
-    monkeypatch.setattr(posterior, "pool_map", recording)
-    f_values(prob, np.tile(fit.theta_hat, (50, 1)), 8)
-    assert sizes == [1]
+    again = map_solve(prob)
+    assert np.array_equal(again.theta_hat, fit.theta_hat) and again.f_hat == fit.f_hat
+    assert f_values(prob, fit.theta_hat[None], 8)[0] == fit.f_hat
+    two_chunks = np.tile(fit.theta_hat, (posterior._CHUNK_ENTRIES // prob.design.n + 1, 1))
+    with pytest.raises(AssertionError, match="thread pool"):
+        f_values(prob, two_chunks, 2)

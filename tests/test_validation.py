@@ -17,7 +17,7 @@ from lapcert.concentration import empirical_outside_mass
 from lapcert.posterior import EvaluationError, f_value, f_values, map_solve
 
 from conftest import make_problem
-from probes import f_reference, gaussian_mass_bracket
+from probes import f_reference, f_values_allocating, gaussian_mass_bracket
 
 
 def test_gaussian_family_tv_zero(gaussian_fit):
@@ -80,10 +80,14 @@ def test_kernel_matches_per_point_reference(volterra_eig, monkeypatch, family, n
     lr_ref = np.array([-f_reference(prob, th) + fit.f_hat + 0.5 * float(u @ (fit.DG2 @ u))
                        for th, u in zip(Theta, U)])
     # default chunk; 7 rows per chunk, so 50 rows end in a 1-row remainder;
-    # n above the chunk size, so one row per chunk
+    # n above the chunk size, so one row per chunk.  At each, on 1, 2 and 3
+    # workers, the in-place kernel is its allocating form bit for bit
     for entries in (posterior._CHUNK_ENTRIES, 7 * n, n - 1):
         monkeypatch.setattr(posterior, "_CHUNK_ENTRIES", entries)
         assert np.all(np.abs(f_values(prob, Theta) - f_ref) <= 1e-10 * np.abs(f_ref))
+        want = f_values_allocating(prob, Theta, entries)
+        for workers in (1, 2, 3):
+            assert np.array_equal(f_values(prob, Theta, workers), want), (entries, workers)
         # the log ratio is a difference of terms the size of f
         lp, lq = val.log_densities(fit, prob, Z.copy())
         assert np.all(np.abs((lp - lq) - lr_ref) <= 1e-10 * np.abs(f_ref))
@@ -94,7 +98,6 @@ def test_kernel_raises_like_f_value(poisson_fit, monkeypatch):
     failing chunk's; f_value, its one-row call, raises what its row raises."""
     prob, fit = poisson_fit
     monkeypatch.setattr(posterior, "_CHUNK_ENTRIES", 7 * prob.design.n)
-    monkeypatch.setattr(posterior, "_MIN_WORKER_ENTRIES", 1)   # split small work too
     Theta = np.tile(fit.theta_hat, (30, 1))
     Theta[17] += 1e4   # exp(R theta) overflows
     for msg, row in (("overflow in cumulant h", Theta[17].copy()),
@@ -115,6 +118,36 @@ def test_kernel_raises_like_f_value(poisson_fit, monkeypatch):
     for workers in (1, 3):
         with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="overflow"):
             f_values(prob, Theta, workers)
+
+
+def test_kernel_finiteness_without_the_pass(volterra_eig, monkeypatch):
+    """f_values scans S for non-finite entries only in a chunk whose bound
+    ||T_i||_1 max|R| on |S_ij| reaches half the largest double, yet raises as
+    a scan of every chunk would, at 1 and 3 workers: an inf or NaN row, and a
+    finite row whose S overflows, raise `non-finite linear predictor`; a row
+    past the bound whose S is finite returns f.  A design entry of 1e308 in
+    an observation with y = 0 puts every row past the bound."""
+    prob = make_problem(volterra_eig, "bernoulli", n=500, p=3)
+    fit = map_solve(prob)
+    monkeypatch.setattr(posterior, "_CHUNK_ENTRIES", 7 * prob.design.n)
+    Theta = np.tile(fit.theta_hat, (30, 1))
+    Theta[:, 1] += np.linspace(-0.2, 0.2, 30)
+    rows = prob.design.rows.copy()
+    rows[np.flatnonzero(prob.data.y == 0)[0], 0] = 1e308
+    huge = replace(prob, design=replace(prob.design, rows=rows))
+    overflow = -2.0 * np.eye(prob.p)[0]   # s_j = -2e308 + ... on the huge design
+    for problem, row in ((prob, np.inf), (prob, np.nan), (huge, np.nan), (huge, overflow)):
+        bad = Theta.copy()
+        bad[17] = row
+        for workers in (1, 3):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(EvaluationError, match="non-finite linear predictor"):
+                f_values(problem, bad, workers)
+    Theta[:, 0] = -1.0   # s_j = -1e308 + ...: finite, and h(s_j) = 0
+    for workers in (1, 3):
+        got = f_values(huge, Theta, workers)
+        want = [f_reference(huge, th) for th in Theta]
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_log_densities_whiten_in_place(poisson_fit):
@@ -167,7 +200,6 @@ def test_estimates_do_not_depend_on_workers(volterra_eig, poisson_fit, monkeypat
         fit = map_solve(prob)
     n, p = prob.design.n, prob.p
     _, U = val.laplace_draws(fit, 200, seed=0, stream=5)
-    monkeypatch.setattr(posterior, "_MIN_WORKER_ENTRIES", 1)
     # the default chunk last, so the estimators below run with it
     for entries in (7 * n, n - 1, posterior._CHUNK_ENTRIES):
         monkeypatch.setattr(posterior, "_CHUNK_ENTRIES", entries)
