@@ -2,22 +2,24 @@
 
 The composite operator inverts -(a^2 h')' + (b^2 - (ab)') h = mu h with
 h(0) = 0 and a(1) h'(1) + b(1) h(1) = 0.  A Liouville change of variables
-t(x) = int_0^x 1/a reduces this to -u'' + Q u = mu u on [0, T], which we
-solve by shooting (vectorized RK4).  A scan in mu, uniform in sqrt(mu - max Q)
-above a knee, where the eigenvalues are spaced evenly in it, brackets each
-eigenvalue by a sign change of the boundary function B(mu) = u'(T) + c2 u(T);
-the Illinois method (regula falsi with halving of the retained endpoint's B)
-refines every bracket at once, each iterate staying inside its own bracket.
-The oscillation count of the final eigenfunctions is verified, so no mode can
-be silently skipped.  An independent cross-check, `svd_oracle`, takes the top
-of the weighted SVD of R's discretization by Lanczos iteration on its O(N)
-matrix-free apply.
+t(x) = int_0^x 1/a reduces this to -u'' + Q u = mu u on [0, T], which we solve
+by shooting: RK4 steps, cut into ~sqrt(N) groups of ~sqrt(N), multiplied as 2x2
+transfer matrices, vectorized over groups and mu.  A scan in mu from a floor
+below which no eigenvalue lies, uniform in sqrt(mu - max Q) above a knee, where
+the eigenvalues are spaced evenly in it, brackets each eigenvalue by a sign
+change of the boundary function B(mu) = u'(T) + c2 u(T); the Illinois method
+(regula falsi with halving of the retained endpoint's B) refines every bracket
+at once, each iterate staying inside its own bracket.  The oscillation count of
+the final eigenfunctions is verified, so no mode can be silently skipped.  An
+independent cross-check, `svd_oracle`, takes the top of the weighted SVD of R's
+discretization by Lanczos iteration on its O(N) matrix-free apply.
 """
 from __future__ import annotations
 
 import functools
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -95,77 +97,72 @@ def _rk4_shoot(Qh: np.ndarray, T: float, mu: np.ndarray, keep_path: bool = False
     counts, path, dpath).
 
     A classical RK4 step of this linear system is the 2x2 transfer matrix
-    [[A, B], [C, D]] acting on (u, u').  Its entries are polynomials in mu
-    of degree <= 2; only the coefficients that depend on Q are per-step
-    (O(N) scalars).  A path, or a shoot wider than _TREE_COLUMNS, is stepped
-    one matrix at a time; else (u_T, up_T) is (B, D) of the product of all N,
-    formed pairwise (log2 N levels) in place for _SHOOT_BLOCK columns at a
-    time, in O(N _SHOOT_BLOCK) memory.
+    [[A, B], [C, D]] acting on (u, u'), whose entries are polynomials in mu of
+    degree <= 2 with per-step coefficients.  The N steps are cut into G groups
+    of g ~ sqrt(N), the last one padded with identity steps, and three passes,
+    each vectorized over (groups, columns), step in Python g or G times: (1)
+    every group's product of its g matrices; (2) the groups applied in turn to
+    (0, 1), which ends at (u_T, up_T); (3) with keep_path only, every group
+    stepped from its start state at once, into the path.  _SHOOT_COLUMNS
+    columns at a time bound the memory.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     N = (Qh.size - 1) // 2
     h = T / N
     h2, h3, h4 = h * h, h ** 3, h ** 4
     q0, qm, q1 = Qh[0:-1:2], Qh[1::2], Qh[2::2]
+    g = math.isqrt(N - 1) + 1   # ceil(sqrt(N)) steps per group
+    G = -(-N // g)
     # With w = Q - mu at the step's start (w0), midpoint (wm) and end (w1):
     #   A = 1 + h^2/6 (w0 + 2 wm) + h^4/24 wm w0     B = h + h^3/6 wm
     #   C = h/6 (w0 + 4 wm + w1) + h^3/12 wm (w0 + w1)
     #   D = 1 + h^2/6 (2 wm + w1) + h^4/24 wm w1
-    # expanded in powers of mu: A = a0 + a1 mu + (h^4/24) mu^2, and so on.
-    coef = (1.0 + h2 / 6.0 * (q0 + 2.0 * qm) + h4 / 24.0 * qm * q0,     # a0
-            -0.5 * h2 - h4 / 24.0 * (q0 + qm),                          # a1
-            h + h3 / 6.0 * qm,                                          # b0
-            h / 6.0 * (q0 + 4.0 * qm + q1) + h3 / 12.0 * qm * (q0 + q1),  # c0
-            -h - h3 / 12.0 * (q0 + 2.0 * qm + q1),                      # c1
-            1.0 + h2 / 6.0 * (2.0 * qm + q1) + h4 / 24.0 * qm * q1,     # d0
-            -0.5 * h2 - h4 / 24.0 * (qm + q1))                          # d1
-    # the mu terms: mu, the mu^2 terms of A and D and of C, the mu term of B
-    cols = (mu, h4 / 24.0 * mu * mu, h3 / 6.0 * mu * mu, -h3 / 6.0 * mu)
+    coef = np.zeros((3, 2, 2, G * g))   # coef[p, i, j]: the mu^p coefficients of entry (i, j),
+    coef[..., :N] = np.reshape(np.broadcast_arrays(   # step by step: A = (a2 mu + a1) mu + a0
+        1.0 + h2 / 6.0 * (q0 + 2.0 * qm) + h4 / 24.0 * qm * q0, h + h3 / 6.0 * qm,   # a0, b0
+        h / 6.0 * (q0 + 4.0 * qm + q1) + h3 / 12.0 * qm * (q0 + q1),                  # c0
+        1.0 + h2 / 6.0 * (2.0 * qm + q1) + h4 / 24.0 * qm * q1,                       # d0
+        -0.5 * h2 - h4 / 24.0 * (q0 + qm), -h3 / 6.0,                                 # a1, b1
+        -h - h3 / 12.0 * (q0 + 2.0 * qm + q1), -0.5 * h2 - h4 / 24.0 * (qm + q1),     # c1, d1
+        h4 / 24.0, 0.0, h3 / 6.0, h4 / 24.0), (3, 2, 2, N))                           # a2 .. d2
+    coef[0, 0, 0, N:] = coef[0, 1, 1, N:] = 1.0   # a pad step is the identity
+    coef = coef.reshape(3, 2, 2, G, g)
 
-    def entries(m, quad_ad, quad_c, lin_b, a0, a1, b0, c0, c1, d0, d1):
-        yield a1 * m + quad_ad + a0   # A, B, C, D of one step, or of a stack, one at a
-        yield lin_b + b0              # time: a stack stores each before the next is made
-        yield c1 * m + quad_c + c0
-        yield d1 * m + quad_ad + d0
+    def step(j, m, X):   # step j of each group, at mu = m, on X of shape (2, 1 or 2, G, m.size)
+        c = coef[..., j, None]
+        E = (c[2] * m + c[1]) * m + c[0]
+        return E[:, :1] * X[0] + E[:, 1:] * X[1]
 
-    if not keep_path and mu.size <= _TREE_COLUMNS:
-        u, up = np.empty_like(mu), np.empty_like(mu)
-        store = np.empty((4, min(mu.size, _SHOOT_BLOCK), N))   # A, B, C, D of every step
-        for lo in range(0, mu.size, _SHOOT_BLOCK):
-            block = tuple(x[lo:lo + _SHOOT_BLOCK, None] for x in cols)
-            M = store[:, :block[0].size]      # reduced in place, level by level
-            for k, X in enumerate(entries(*block, *coef)):
-                M[k] = X
-            del X   # not held while the first level's products are formed
-            while M.shape[2] > 1:
-                half, odd = divmod(M.shape[2], 2)
-                A, B, C, D = M[..., 1::2]      # the later step of each pair multiplies on the left
-                a, b, c, d = M[..., 0:-1:2]
-                # pair j goes to step j: all four products are formed before any is written
-                for k, X in enumerate((A * a + B * c, A * b + B * d, C * a + D * c, C * b + D * d)):
-                    M[k, :, :half] = X
-                M[..., half] = M[..., -1]   # an odd stack's last (latest) matrix waits a level
-                M = M[..., :half + odd]
-            u[lo:lo + _SHOOT_BLOCK], up[lo:lo + _SHOOT_BLOCK] = M[1, :, 0], M[3, :, 0]
+    # a path's row 1 + k g + j: the state after step j of group k; pad steps copy row N exactly
+    out = np.empty((2, G * g + 1 if keep_path else 1, mu.size))
+    out[:, 0] = ((0.0,), (1.0,))
+    for lo in range(0, mu.size, _SHOOT_COLUMNS):
+        m = mu[lo:lo + _SHOOT_COLUMNS]
+        P = np.eye(2)[:, :, None, None]   # broadcast over groups and columns by the first step
+        for j in range(g):
+            P = step(j, m, P)
+        S = np.empty((2, G + 1, m.size))   # the state at each group's start, and at T
+        S[:, 0] = ((0.0,), (1.0,))
+        for k in range(G):
+            S[:, k + 1] = P[:, 0, k] * S[0, k] + P[:, 1, k] * S[1, k]
+        out[:, -1, lo:lo + m.size] = S[:, G]
+        if keep_path:
+            X = S[:, None, :G]
+            for j in range(g):
+                X = step(j, m, X)
+                out[:, 1 + j::g, lo:lo + m.size] = X[:, 0]
+    u, up = out[:, -1]
+    if not keep_path:
         return u, up
-    u, up = np.zeros_like(mu), np.ones_like(mu)
-    rows = N + 1 if keep_path else 1   # a wide pathless shoot keeps only its latest point
-    path, dpath = np.empty((2, rows) + mu.shape)
-    path[0], dpath[0] = u, up
-    # memoryviews yield Python floats (cheap to multiply an array by) one step
-    # at a time; lists of all of them would add ~1 MB to the peak RSS
-    for i, step in enumerate(zip(*map(memoryview, coef)), 1):
-        A, B, C, D = entries(*cols, *step)
-        u, up = A * u + B * up, C * u + D * up
-        path[i % rows], dpath[i % rows] = u, up
-    return (u, up, _interior_zeros(path), path, dpath) if keep_path else (u, up)
+    path, dpath = out[:, :N + 1]
+    return u, up, _interior_zeros(path), path, dpath
 
 
 def _interior_zeros(path: np.ndarray) -> np.ndarray:
     """Sign changes down each column of path[1:], with exact zeros skipped."""
-    s = np.sign(path[1:])
+    s = np.sign(path[1:]).astype(np.int8)   # s and `last`: narrow N K temporaries beside the path
     # carry the last non-zero sign over exact zeros
-    last = np.where(s != 0, np.arange(s.shape[0])[:, None], 0)
+    last = np.where(s != 0, np.arange(s.shape[0], dtype=np.int32)[:, None], 0)
     np.maximum.accumulate(last, axis=0, out=last)
     s = np.take_along_axis(s, last, axis=0)
     return np.count_nonzero(s[1:] * s[:-1] < 0, axis=0)
@@ -174,9 +171,7 @@ def _interior_zeros(path: np.ndarray) -> np.ndarray:
 _MAX_ILLINOIS = 200   # cap on Illinois iterations; reaching it raises EigenSolverError
 _MAX_SCAN = 1 << 20   # cap on a mu-uniform scan, which bounds ours; K = 50 on Volterra scans 232
 _REL_TOL = 1e-10      # relative width at which an eigenvalue's bracket is converged
-# pathless shoots of <= 384 columns take the pairwise product 16 columns (4 N 16 floats) at a time;
-# 32 added 2 MB of peak RSS, and from ~400 on the loop's shared per-step overhead costs less
-_TREE_COLUMNS, _SHOOT_BLOCK = 384, 16
+_SHOOT_COLUMNS = 64   # mu columns a shoot steps at a time: it bounds the (2, 2, G, 64) temporaries
 # the sizes N and K for eigen work: path, dpath, psi and dpsi hold (N+1) K floats each, and
 # K = 722 is the largest whose mu-uniform scan at Q = 0 fits in _MAX_SCAN
 MIN_N, MAX_N, MAX_K = 1024, 1 << 16, 722
@@ -212,12 +207,15 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int) -> EigenSyste
     mu_hi = mu_scan_top(form, K)   # refuses first, so the float arithmetic below cannot raise
     unit = (np.pi / T) ** 2
     q = mu_hi - (K + 2) ** 2 * unit   # max(0, max Q), as mu_scan_top added it
-    # below the knee q + 4 unit, where Q can crowd them: a geometric seed, then mu-uniform at
-    # unit / 2.  Above it, s = sqrt(mu - q) at sqrt(unit) / 4: mu - Q >= s^2, so the phase
-    # int sqrt(mu - Q) grows by <= T per unit of s, and the s_k are >= sqrt(unit) apart
+    # mu |u|^2 = |u'|^2 + c2 u(T)^2 + int Q u^2 and u(T)^2 <= e |u'|^2 + |u|^2 / e, e = 1 / |c2|,
+    # so mu_1 >= min Q - max(0, -c2)^2; one unit less covers RK4 error and Q between grid points
+    floor = max(0.0, float(Qh.min()) - max(0.0, -c2) ** 2 - unit)
+    # from it to the knee q + 4 unit, where Q can crowd the eigenvalues: a geometric seed, then
+    # mu-uniform at unit / 2.  Above it, s = sqrt(mu - q) at sqrt(unit) / 4: mu - Q >= s^2, so
+    # the phase int sqrt(mu - Q) grows by <= T per unit of s, and the s_k are >= sqrt(unit) apart
     scan = np.concatenate([
-        unit * np.geomspace(1e-6, 0.25, 24),
-        np.arange(0.25 * unit, q + 4.0 * unit, 0.5 * unit),
+        floor + unit * np.geomspace(1e-6, 0.25, 24),
+        np.arange(floor + 0.25 * unit, q + 4.0 * unit, 0.5 * unit),
         q + np.arange(2.0 * np.sqrt(unit), np.sqrt(mu_hi - q), 0.25 * np.sqrt(unit)) ** 2,
     ])
     B = boundary(scan)

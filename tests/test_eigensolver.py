@@ -219,23 +219,23 @@ def test_rk4_shoot_matches_stage_form():
     assert eigensolver._interior_zeros(flat).tolist() == [2]
 
 
-def test_pairwise_product_matches_step_loop():
-    """A pathless shoot's pairwise product of the step matrices ends where the
-    step-by-step path does: odd N (an unpaired matrix at some levels), more
-    than one block of columns, the last one ragged, and a varying potential,
-    whose step matrices do not commute.  A shoot wider than _TREE_COLUMNS
-    steps the path's own loop, so it ends exactly where the path does."""
+def test_grouped_shoot_ends_where_its_path_does():
+    """A pathless shoot, the product of its groups of steps applied in turn, ends
+    where the path, stepped from the groups' start states, does; and that path is
+    RK4's.  N = 1531 is prime, so the last group is padded with identity steps;
+    two blocks of columns, the last one ragged; a varying potential, whose step
+    matrices do not commute."""
     spec = CoefficientPair((1.0, 0.0, 0.25), (0.2, 0.1))
     form = liouville_transform(spec, 1531)
-    mu = np.geomspace(1e-3, 5e3, eigensolver._SHOOT_BLOCK + 9)
+    mu = np.geomspace(1e-3, 5e3, eigensolver._SHOOT_COLUMNS + 9)
     u, up = _rk4_shoot(form.Qh, form.T, mu)
-    _, _, _, path, dpath = _rk4_shoot(form.Qh, form.T, mu, keep_path=True)
+    _, _, zeros, path, dpath = _rk4_shoot(form.Qh, form.T, mu, keep_path=True)
+    assert path.shape == dpath.shape == (1532, mu.size)
     assert np.max(np.abs(u - path[-1]) / np.abs(path).max(axis=0)) < 1e-12
     assert np.max(np.abs(up - dpath[-1]) / np.abs(dpath).max(axis=0)) < 1e-12
-    mu = np.geomspace(1e-3, 5e3, eigensolver._TREE_COLUMNS + 1)
-    u, up = _rk4_shoot(form.Qh, form.T, mu)
-    _, _, _, path, dpath = _rk4_shoot(form.Qh, form.T, mu, keep_path=True)
-    assert np.array_equal(u, path[-1]) and np.array_equal(up, dpath[-1])
+    _, _, ref_zeros, ref_path = _rk4_stage_form(form.Qh, form.T, mu)
+    assert np.max(np.abs(path - ref_path) / np.abs(ref_path).max(axis=0)) < 1e-11
+    assert np.array_equal(zeros, ref_zeros)
 
 
 def test_root_certificate(eig_cache):
@@ -289,8 +289,11 @@ def test_shoot_budget(monkeypatch):
     ~5.6e3, also when max Q = 900 (b = 30) crowds the eigenvalues below the
     knee.  At b = 100 and 300 (max Q = 1e4, 9e4) the first eigenvalues above
     the knee are closer in sqrt(mu) than its step, but still >= sqrt(unit)
-    apart in sqrt(mu - max Q), so every one is bracketed; the mu-uniform
-    columns below such a knee grow with max Q, so only the shoots are bounded."""
+    apart in sqrt(mu - max Q), so every one is bracketed; below the knee the
+    scan starts at min Q - max(0, -c2)^2 - unit, under which no eigenvalue
+    lies, so its columns do not grow with Q.  a = 1, b = -4 (Q = 16, c2 = -4,
+    mu_1 ~ 0.0216) has its first eigenvalue far below min Q: without the c2
+    term that floor would pass it, and the oscillation count would refuse."""
     columns = []
 
     def counted(Qh, T, mu, keep_path=False):
@@ -298,14 +301,12 @@ def test_shoot_budget(monkeypatch):
         return _rk4_shoot(Qh, T, mu, keep_path)
 
     monkeypatch.setattr(eigensolver, "_rk4_shoot", counted)
-    for spec in SPEC_CORPUS + (CoefficientPair((1.0,), (30.0,)),):
+    for spec in SPEC_CORPUS + tuple(CoefficientPair((1.0,), (b,))
+                                    for b in (30.0, 100.0, 300.0, -4.0)):
         columns.clear()
-        solve_eigs(liouville_transform(spec, 2048), spec, 50)   # oscillation counts checked
+        eig = solve_eigs(liouville_transform(spec, 2048), spec, 50)   # oscillation counts checked
+        assert eig.lambdas.size == 50
         assert len(columns) <= 14 and sum(columns) <= 800, (spec, columns)
-    for b in (100.0, 300.0):
-        columns.clear()
-        spec = CoefficientPair((1.0,), (b,))
-        assert solve_eigs(liouville_transform(spec, 2048), spec, 50).lambdas.size == 50
-        assert len(columns) <= 14, (spec, columns)
+    assert 1.0 / eig.lambdas[0] == pytest.approx(0.0216, rel=0.01)   # b = -4
     with pytest.raises(ValueError, match="K in"):
         solve_eigs(liouville_transform(VOLTERRA, 1024), VOLTERRA, eigensolver.MAX_K + 1)
