@@ -54,13 +54,14 @@ def _git_hash() -> str:
 
 def _write_csv(path: str, columns: list, rows) -> None:
     """One line per row, in `columns` order: row dicts (a missing key is an empty
-    cell) or one dict of equal-length numpy columns.  csv writes a float by its
-    repr, so numpy floats, whose repr names their type, go as plain floats."""
+    cell) or one dict of equal-length numpy columns, by a repr template per row.
+    csv writes a float by its repr, so numpy floats go as plain floats."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(columns)
         if isinstance(rows, dict):
-            w.writerows(zip(*(rows[k].tolist() for k in columns)))
+            line = ",".join(["%r"] * len(columns)) + "\r\n"
+            fh.writelines(line % r for r in zip(*(rows[k].tolist() for k in columns)))
         else:
             w.writerows([float(v) if isinstance(v, float) else v
                          for v in map(row.get, columns)] for row in rows)

@@ -263,7 +263,10 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int) -> EigenSyste
     tgrid = np.linspace(0.0, T, N + 1)
     vk_inf = np.abs(upath).max(axis=0)
     dvk_inf = np.abs(dupath).max(axis=0)
-    vk_l2 = np.sqrt(np.trapezoid(upath ** 2, tgrid, axis=0))
+    # ~8 columns at a time, no (N+1, K) temporaries; never 1 (it sums pairwise: other bits)
+    nb = -(-K // 8)
+    vk_l2 = np.concatenate([np.sqrt(np.trapezoid(upath[:, i * K // nb:(i + 1) * K // nb] ** 2,
+                                                 tgrid, axis=0)) for i in range(nb)])
 
     # back-transform psi_k(x) = u_k(t(x)) a(x)^{-1/2}; chain rule for psi'
     x = grid(N)

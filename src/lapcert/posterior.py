@@ -124,40 +124,43 @@ def pool_map(fn, items, workers: int) -> list:
     return out
 
 
-# entries of S = Theta R^T formed at a time: 2^16 doubles (512 KiB) stay in L2
-_CHUNK_ENTRIES = 1 << 16
+# entries of S = Theta R^T formed at a time (512 KiB, in L2), and the widest tile of a row
+_CHUNK_ENTRIES, _TILE_COLUMNS = 1 << 16, 4096
 
 
 def f_values(prob: Problem, Theta: np.ndarray, workers: int | None = None) -> np.ndarray:
     """f at every row of Theta, shape (m,): the one evaluation of f.
 
-    S = Theta R^T is formed a row chunk at a time, and the data term uses the
-    sufficient statistic Theta (R^T y) = sum_j y_j s_j, so only h(S) is
-    reduced per chunk.  The chunks are split into contiguous runs, one per
-    thread, on min(workers (default: `usable_cores()`), chunks) threads; each
-    thread forms S and h(S) in one pair of buffers it reuses for its chunks.
-    Every row's arithmetic is the same for any count, so the result is too.
-    A non-finite S or sum of h(S) raises `EvaluationError`, the lowest
-    failing chunk's.
+    S = Theta R^T is formed a block of rows and one of ceil(n / _TILE_COLUMNS)
+    balanced column tiles at a time, the row sums of h(S) added up over the
+    tiles in column order; the data term uses Theta (R^T y) = sum_j y_j s_j.
+    The blocks are split into contiguous runs, one per thread, on min(workers
+    (default: `usable_cores()`), blocks) threads; each thread forms S and h(S)
+    in one pair of buffers it reuses.  Every row's arithmetic is the same for
+    any count, so the result is too.  A non-finite S or sum of h(S) raises
+    `EvaluationError`, the lowest failing block's.
     """
     (Rt, Rty, r_max), g2, n = prob.kernel_terms, prob.g2, prob.design.n
     out = np.empty(Theta.shape[0])
-    rows = max(1, _CHUNK_ENTRIES // n)
+    cols = -(-n // -(-n // _TILE_COLUMNS))   # ceil(n / tiles), tiles = ceil(n / _TILE_COLUMNS)
+    rows = max(1, _CHUNK_ENTRIES // cols)
     starts = range(0, Theta.shape[0], rows)
 
-    def run(chunk_starts):
-        buf = np.empty((2, min(rows, Theta.shape[0]), n))   # S and h(S), for every chunk
-        for a in chunk_starts:
+    def run(block_starts):
+        buf = np.empty((2, min(rows, Theta.shape[0]), cols))   # S and h(S), for every tile
+        for a in block_starts:
             T = Theta[a:a + rows]
-            S, H = buf[:, :len(T)]
-            np.matmul(T, Rt, out=S)
-            # |S_ij| <= ||T_i||_1 max|R|, so only a chunk whose bound reaches half the
+            # |S_ij| <= ||T_i||_1 max|R|, so only a block whose bound reaches half the
             # largest double (or is NaN) can hold a non-finite S, and only it is scanned
             bound = float(np.abs(T).sum(axis=1).max()) * r_max
-            if not bound < np.finfo(float).max / 2 and not np.all(np.isfinite(S)):
-                raise EvaluationError("non-finite linear predictor")
+            hsum = 0.0
+            for c in range(0, n, cols):
+                S, H = buf[:, :len(T), :min(cols, n - c)]
+                np.matmul(T, Rt[:, c:c + cols], out=S)
+                if not bound < np.finfo(float).max / 2 and not np.all(np.isfinite(S)):
+                    raise EvaluationError("non-finite linear predictor")
+                hsum = hsum + np.sum(prob.family.h(S, out=H), axis=1)
             # a sum is finite iff every term is, unless the finite terms overflow it
-            hsum = np.sum(prob.family.h(S, out=H), axis=1)
             if not np.all(np.isfinite(hsum)):
                 raise EvaluationError("overflow in cumulant h")
             out[a:a + rows] = hsum - T @ Rty + 0.5 * (T * T) @ g2

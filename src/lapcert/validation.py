@@ -16,12 +16,13 @@ where the Laplace Gaussian is N(0, I), and take both log densities at all
 their points (the quadrature grid, or all M draws) from one `log_densities`
 call, so from one call of the kernel `posterior.f_values`; the bootstrap
 evaluates its statistic a block of resamples at a time, in the block's own
-memory.  The kernel's row chunks and the bootstrap's blocks run on `workers`
-threads (default: the usable cores), at most one per chunk or block, at any
-size of work; no estimate depends on the count.  The importance draws also
-give the posterior mass outside ellipsoids {||D0 u|| <= r} (`OutsideMass`)
-on the same resample blocks, so tail claims need no second likelihood pass;
-the Gaussian's is `_gaussian_tail_bracket`.
+memory.  The kernel's row blocks (each row cut into column tiles of at most
+4096) and the bootstrap's blocks run on `workers` threads (default: the
+usable cores), at most one per block, at any size of work; no estimate
+depends on the count.  The importance draws also give the posterior mass
+outside ellipsoids {||D0 u|| <= r} (`OutsideMass`) on the same resample
+blocks, so tail claims need no second likelihood pass; the Gaussian's is
+`_gaussian_tail_bracket`.
 """
 from __future__ import annotations
 

@@ -36,17 +36,24 @@ ALLOCATING_H = {"poisson": np.exp,
                 "bernoulli": lambda s: np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))}
 
 
-def f_values_allocating(prob: Problem, Theta: np.ndarray, chunk_entries: int) -> np.ndarray:
+def f_values_allocating(prob: Problem, Theta: np.ndarray, chunk_entries: int,
+                        tile_columns: int) -> np.ndarray:
     """f at every row of Theta, as `posterior.f_values` computes it on one
-    thread with chunks of `chunk_entries`, but with S = T R^T and h(S) formed
-    as fresh arrays per chunk, and no finiteness checks."""
+    thread with chunks of `chunk_entries` and tiles of at most `tile_columns`,
+    in its summation order, but with S = T R^T and h(S) formed as fresh
+    arrays per tile, and no finiteness checks."""
     Rt = np.ascontiguousarray(prob.design.rows.T)
-    Rty, h = Rt @ prob.data.y, ALLOCATING_H[prob.family.kind]
-    rows = max(1, chunk_entries // prob.design.n)
+    Rty, h, n = Rt @ prob.data.y, ALLOCATING_H[prob.family.kind], prob.design.n
+    tiles = math.ceil(n / tile_columns)
+    cols = math.ceil(n / tiles)
+    rows = max(1, chunk_entries // cols)
     out = np.empty(Theta.shape[0])
     for a in range(0, Theta.shape[0], rows):
         T = Theta[a:a + rows]
-        out[a:a + rows] = np.sum(h(T @ Rt), axis=1) - T @ Rty + 0.5 * (T * T) @ prob.g2
+        hsum = 0.0
+        for c in range(0, n, cols):
+            hsum = hsum + np.sum(h(T @ Rt[:, c:c + cols]), axis=1)
+        out[a:a + rows] = hsum - T @ Rty + 0.5 * (T * T) @ prob.g2
     return out
 
 

@@ -488,6 +488,21 @@ def test_csv_outputs_deterministic(tmp_path, write_cfg):
                 ("tail_gaussian", "checked")]
 
 
+def test_column_csv_is_csv_writers(tmp_path):
+    """A dict of numpy columns is written as csv.writer writes its rows, byte
+    for byte: ints, floats by repr, signed zero, subnormals, inf and NaN."""
+    cols = {"j": np.arange(1, 8),
+            "s": np.array([0.1, -0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan]),
+            "y": np.array([3.0, 0.0, 1.0, 2.5, 7.0, 1e-7, -2.0])}
+    path = str(tmp_path / "cols.csv")
+    lapcert.cli._write_csv(path, ["j", "s", "y"], cols)
+    with open(str(tmp_path / "want.csv"), "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["j", "s", "y"])
+        w.writerows(zip(*(cols[k].tolist() for k in ("j", "s", "y"))))
+    assert open(path, "rb").read() == open(str(tmp_path / "want.csv"), "rb").read()
+
+
 def test_seed_override(tmp_path, write_cfg):
     cfg = write_cfg({"family": "poisson", "truth": {"p_star": 5}})
     out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")

@@ -204,7 +204,7 @@ def test_pool_map_order_errors_and_items_held():
 def test_one_row_starts_no_pool(poisson_fit, monkeypatch):
     """A one-row call runs on the calling thread at any worker count: the
     Newton fit, whose line search evaluates f a row at a time, converges to
-    the same fit with every thread pool refused; two chunks on two workers
+    the same fit with every thread pool refused; two row blocks on two workers
     start one."""
     import concurrent.futures
 
@@ -216,6 +216,6 @@ def test_one_row_starts_no_pool(poisson_fit, monkeypatch):
     again = map_solve(prob)
     assert np.array_equal(again.theta_hat, fit.theta_hat) and again.f_hat == fit.f_hat
     assert f_values(prob, fit.theta_hat[None], 8)[0] == fit.f_hat
-    two_chunks = np.tile(fit.theta_hat, (posterior._CHUNK_ENTRIES // prob.design.n + 1, 1))
+    two_blocks = np.tile(fit.theta_hat, (posterior._CHUNK_ENTRIES // prob.design.n + 1, 1))
     with pytest.raises(AssertionError, match="thread pool"):
-        f_values(prob, two_chunks, 2)
+        f_values(prob, two_blocks, 2)

@@ -80,14 +80,18 @@ def test_kernel_matches_per_point_reference(volterra_eig, monkeypatch, family, n
     lr_ref = np.array([-f_reference(prob, th) + fit.f_hat + 0.5 * float(u @ (fit.DG2 @ u))
                        for th, u in zip(Theta, U)])
     # default chunk; 7 rows per chunk, so 50 rows end in a 1-row remainder;
-    # n above the chunk size, so one row per chunk.  At each, on 1, 2 and 3
-    # workers, the in-place kernel is its allocating form bit for bit
-    for entries in (posterior._CHUNK_ENTRIES, 7 * n, n - 1):
+    # n above the chunk size, so one row per chunk.  Each with one tile, with
+    # 3 tiles of n // 3 + 1 columns (the last one shorter unless 3 divides n)
+    # and with 2 tiles.  At each, on 1, 2 and 3 workers, the in-place kernel
+    # is its allocating form bit for bit
+    for entries, tile in itertools.product((posterior._CHUNK_ENTRIES, 7 * n, n - 1),
+                                           (posterior._TILE_COLUMNS, n // 3 + 1, n - 1)):
         monkeypatch.setattr(posterior, "_CHUNK_ENTRIES", entries)
+        monkeypatch.setattr(posterior, "_TILE_COLUMNS", tile)
         assert np.all(np.abs(f_values(prob, Theta) - f_ref) <= 1e-10 * np.abs(f_ref))
-        want = f_values_allocating(prob, Theta, entries)
+        want = f_values_allocating(prob, Theta, entries, tile)
         for workers in (1, 2, 3):
-            assert np.array_equal(f_values(prob, Theta, workers), want), (entries, workers)
+            assert np.array_equal(f_values(prob, Theta, workers), want), (entries, tile, workers)
         # the log ratio is a difference of terms the size of f
         lp, lq = val.log_densities(fit, prob, Z.copy())
         assert np.all(np.abs((lp - lq) - lr_ref) <= 1e-10 * np.abs(f_ref))
@@ -95,7 +99,7 @@ def test_kernel_matches_per_point_reference(volterra_eig, monkeypatch, family, n
 
 def test_kernel_raises_like_f_value(poisson_fit, monkeypatch):
     """f_values raises both of its errors at 1 and 3 workers, the lowest
-    failing chunk's; f_value, its one-row call, raises what its row raises."""
+    failing block's; f_value, its one-row call, raises what its row raises."""
     prob, fit = poisson_fit
     monkeypatch.setattr(posterior, "_CHUNK_ENTRIES", 7 * prob.design.n)
     Theta = np.tile(fit.theta_hat, (30, 1))
@@ -103,7 +107,7 @@ def test_kernel_raises_like_f_value(poisson_fit, monkeypatch):
     for msg, row in (("overflow in cumulant h", Theta[17].copy()),
                      ("non-finite linear predictor", np.full(prob.p, np.nan))):
         Theta[17] = row
-        # chunks of 7 rows: at 3 workers row 17 is in the second run; the
+        # blocks of 7 rows: at 3 workers row 17 is in the second run; the
         # workers keep the caller's errstate, so no RuntimeWarning escapes it
         for workers in (1, 3):
             with warnings.catch_warnings(), np.errstate(over="ignore"), \
@@ -112,18 +116,57 @@ def test_kernel_raises_like_f_value(poisson_fit, monkeypatch):
                 f_values(prob, Theta, workers)
         with np.errstate(over="ignore"), pytest.raises(EvaluationError, match=msg):
             f_value(prob, row)
-    # row 3 overflows in chunk 0 and row 17 is still NaN in chunk 2, which
-    # is in another run at 3 workers: the lowest chunk's error, at any count
+    # row 3 overflows in block 0 and row 17 is still NaN in block 2, which
+    # is in another run at 3 workers: the lowest block's error, at any count
     Theta[3] += 1e4
     for workers in (1, 3):
         with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="overflow"):
             f_values(prob, Theta, workers)
 
 
+def test_kernel_raises_from_later_tiles(poisson_fit, monkeypatch):
+    """With rows cut into 3 column tiles, an S that is non-finite only in the
+    last tile raises `non-finite linear predictor` and an h(S) that overflows
+    only in the second raises `overflow in cumulant h`, at 1 and 3 workers;
+    with both, the lowest failing block's error.  Two design entries in
+    observations with y = 0 put them there: 1e3 (exp(1e3) overflows) and
+    1e308 (2e308 does), each read by one bad row alone."""
+    prob, fit = poisson_fit
+    n = prob.design.n
+    cols = n // 3 + 1   # tiles [0, cols), [cols, 2 cols), [2 cols, n)
+    monkeypatch.setattr(posterior, "_TILE_COLUMNS", cols)
+    monkeypatch.setattr(posterior, "_CHUNK_ENTRIES", 7 * cols)   # blocks of 7 rows
+    zeros = np.flatnonzero(prob.data.y == 0)
+    j_h, j_s = zeros[(zeros >= cols) & (zeros < 2 * cols)][0], zeros[-1]
+    assert j_s >= 2 * cols
+    rows = prob.design.rows.copy()
+    rows[j_h, 0], rows[j_s, 1] = 1e3, 1e308
+    odd = replace(prob, design=replace(prob.design, rows=rows))
+    Theta = np.tile(fit.theta_hat, (30, 1))
+    Theta[:, :2] = 0.0
+    assert np.all(np.isfinite(f_values(odd, Theta, 1)))
+    overflow, nonfinite = Theta[0].copy(), Theta[0].copy()
+    overflow[0], nonfinite[1] = 1.0, 2.0
+    # blocks of 7 rows: row 3 is in block 0 and row 17 in block 2, which is
+    # in another run at 3 workers
+    for first, second, msg in ((overflow, None, "overflow in cumulant h"),
+                               (None, nonfinite, "non-finite linear predictor"),
+                               (overflow, nonfinite, "overflow in cumulant h"),
+                               (nonfinite, overflow, "non-finite linear predictor")):
+        bad = Theta.copy()
+        for i, row in ((3, first), (17, second)):
+            if row is not None:
+                bad[i] = row
+        for workers in (1, 3):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(EvaluationError, match=msg):
+                f_values(odd, bad, workers)
+
+
 def test_kernel_finiteness_without_the_pass(volterra_eig, monkeypatch):
-    """f_values scans S for non-finite entries only in a chunk whose bound
+    """f_values scans S for non-finite entries only in a block whose bound
     ||T_i||_1 max|R| on |S_ij| reaches half the largest double, yet raises as
-    a scan of every chunk would, at 1 and 3 workers: an inf or NaN row, and a
+    a scan of every block would, at 1 and 3 workers: an inf or NaN row, and a
     finite row whose S overflows, raise `non-finite linear predictor`; a row
     past the bound whose S is finite returns f.  A design entry of 1e308 in
     an observation with y = 0 puts every row past the bound."""
@@ -192,7 +235,7 @@ def test_importance_weights_match_per_point_reference(poisson_fit, monkeypatch):
 def test_estimates_do_not_depend_on_workers(volterra_eig, poisson_fit, monkeypatch, family):
     """The kernel, both TV estimators (quadrature at p <= 3) and the outside
     masses are bit-identical for 1, 2 and 3 workers; the kernel also at two
-    odd chunk sizes.  Work of any size is split."""
+    odd chunk sizes and two tile widths.  Work of any size is split."""
     if family == "poisson":
         prob, fit = poisson_fit    # p = 4
     else:
@@ -200,9 +243,11 @@ def test_estimates_do_not_depend_on_workers(volterra_eig, poisson_fit, monkeypat
         fit = map_solve(prob)
     n, p = prob.design.n, prob.p
     _, U = val.laplace_draws(fit, 200, seed=0, stream=5)
-    # the default chunk last, so the estimators below run with it
-    for entries in (7 * n, n - 1, posterior._CHUNK_ENTRIES):
+    # the default chunk and tile last, so the estimators below run with them
+    for entries, tile in itertools.product((7 * n, n - 1, posterior._CHUNK_ENTRIES),
+                                           (n // 3 + 1, n - 1, posterior._TILE_COLUMNS)):
         monkeypatch.setattr(posterior, "_CHUNK_ENTRIES", entries)
+        monkeypatch.setattr(posterior, "_TILE_COLUMNS", tile)
         ref = f_values(prob, fit.theta_hat + U, 1)
         for workers in (2, 3):
             assert np.array_equal(f_values(prob, fit.theta_hat + U, workers), ref)
