@@ -172,7 +172,7 @@ _MAX_ILLINOIS = 200   # cap on Illinois iterations; reaching it raises EigenSolv
 _MAX_SCAN = 1 << 20   # cap on a mu-uniform scan, which bounds ours; K = 50 on Volterra scans 232
 _REL_TOL = 1e-10      # relative width at which an eigenvalue's bracket is converged
 _SHOOT_COLUMNS = 64   # mu columns a shoot steps at a time: it bounds the (2, 2, G, 64) temporaries
-# the sizes N and K for eigen work: path, dpath, psi and dpsi hold (N+1) K floats each, and
+# the sizes N and K for eigen work: path and dpath (then psi and dpsi) hold (N+1) K floats, and
 # K = 722 is the largest whose mu-uniform scan at Q = 0 fits in _MAX_SCAN
 MIN_N, MAX_N, MAX_K = 1024, 1 << 16, 722
 
@@ -273,8 +273,9 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int) -> EigenSyste
     a, a1 = spec.a(x), spec.a1(x)
     # Column-major, so the K values at each grid point are adjacent.  Products
     # over k (e.g. theta @ psi[:p]) round differently in the other layout, and
-    # every artifact is pinned to this one; the .npz cache keeps it.
-    psi, dpsi = np.empty((K, N + 1), order="F"), np.empty((K, N + 1), order="F")
+    # every artifact is pinned to this one; the .npz cache keeps it.  The path's
+    # own memory: its column k is read before row k of psi is written over it.
+    psi, dpsi = upath.T, dupath.T
     for k in range(K):
         uk = np.interp(form.t_of_x, tgrid, upath[:, k])
         duk = np.interp(form.t_of_x, tgrid, dupath[:, k])

@@ -132,13 +132,13 @@ def f_values(prob: Problem, Theta: np.ndarray, workers: int | None = None) -> np
     """f at every row of Theta, shape (m,): the one evaluation of f.
 
     S = Theta R^T is formed a block of rows and one of ceil(n / _TILE_COLUMNS)
-    balanced column tiles at a time, the row sums of h(S) added up over the
-    tiles in column order; the data term uses Theta (R^T y) = sum_j y_j s_j.
-    The blocks are split into contiguous runs, one per thread, on min(workers
-    (default: `usable_cores()`), blocks) threads; each thread forms S and h(S)
-    in one pair of buffers it reuses.  Every row's arithmetic is the same for
-    any count, so the result is too.  A non-finite S or sum of h(S) raises
-    `EvaluationError`, the lowest failing block's.
+    balanced column tiles at a time, the family's `hsum` (einsum row sums of
+    h(S)) added up over the tiles in column order; the data term uses
+    Theta (R^T y) = sum_j y_j s_j.  The blocks are split into contiguous runs,
+    one per thread, on min(workers (default: `usable_cores()`), blocks)
+    threads; each thread forms S and h(S) in one pair of buffers it reuses.
+    Every row's arithmetic is the same for any count, so the result is too.
+    A non-finite S or sum of h(S) raises the lowest failing block's `EvaluationError`.
     """
     (Rt, Rty, r_max), g2, n = prob.kernel_terms, prob.g2, prob.design.n
     out = np.empty(Theta.shape[0])
@@ -153,17 +153,17 @@ def f_values(prob: Problem, Theta: np.ndarray, workers: int | None = None) -> np
             # |S_ij| <= ||T_i||_1 max|R|, so only a block whose bound reaches half the
             # largest double (or is NaN) can hold a non-finite S, and only it is scanned
             bound = float(np.abs(T).sum(axis=1).max()) * r_max
-            hsum = 0.0
+            total = 0.0
             for c in range(0, n, cols):
                 S, H = buf[:, :len(T), :min(cols, n - c)]
                 np.matmul(T, Rt[:, c:c + cols], out=S)
                 if not bound < np.finfo(float).max / 2 and not np.all(np.isfinite(S)):
                     raise EvaluationError("non-finite linear predictor")
-                hsum = hsum + np.sum(prob.family.h(S, out=H), axis=1)
+                total = total + prob.family.hsum(S, H)
             # a sum is finite iff every term is, unless the finite terms overflow it
-            if not np.all(np.isfinite(hsum)):
+            if not np.all(np.isfinite(total)):
                 raise EvaluationError("overflow in cumulant h")
-            out[a:a + rows] = hsum - T @ Rty + 0.5 * (T * T) @ g2
+            out[a:a + rows] = total - T @ Rty + 0.5 * (T * T) @ g2
 
     # no empty run, and one for an empty Theta
     k = max(1, min(usable_cores() if workers is None else workers, len(starts)))

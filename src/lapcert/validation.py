@@ -15,14 +15,14 @@ Both work in the whitened frame z = L^T (theta - theta_hat), D_G^2 = L L^T,
 where the Laplace Gaussian is N(0, I), and take both log densities at all
 their points (the quadrature grid, or all M draws) from one `log_densities`
 call, so from one call of the kernel `posterior.f_values`; the bootstrap
-evaluates its statistic a block of resamples at a time, in the block's own
-memory.  The kernel's row blocks (each row cut into column tiles of at most
-4096) and the bootstrap's blocks run on `workers` threads (default: the
-usable cores), at most one per block, at any size of work; no estimate
-depends on the count.  The importance draws also give the posterior mass
-outside ellipsoids {||D0 u|| <= r} (`OutsideMass`) on the same resample
-blocks, so tail claims need no second likelihood pass; the Gaussian's is
-`_gaussian_tail_bracket`.
+evaluates its statistic a block of 2^18 resample indices at a time, in the
+block's own memory; both sum rows by einsum (`model._rowsum`).  The kernel's
+row blocks (each row cut into column tiles of at most 4096) and the
+bootstrap's blocks run on `workers` threads (default: the usable cores), at
+most one per block, at any size of work; no estimate depends on the count.
+The importance draws also give the posterior mass outside ellipsoids
+{||D0 u|| <= r} (`OutsideMass`) on the same resample blocks, so tail claims
+need no second likelihood pass; the Gaussian's is `_gaussian_tail_bracket`.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _substream
+from .model import _rowsum, _substream
 from .posterior import LaplaceFit, Problem, f_values, pool_map, tri_solve, usable_cores
 
 
@@ -110,9 +110,9 @@ def _log_bracket_low(r: float) -> float:
             math.log(2.0 / math.sqrt(math.pi)) - x * x - math.log(x + math.sqrt(x * x + 2.0)))
 
 
-# resample indices held at a time, over all workers: 2^20 int64 (8 MiB)
-# instead of the whole (n_boot, n_samples) array
-_BOOT_BLOCK_ENTRIES = 1 << 20
+# resample indices held at a time, over all workers: 2^18 int64 (2 MiB, plus float
+# gathers as large) instead of the whole (n_boot, n_samples) array
+_BOOT_BLOCK_ENTRIES = 1 << 18
 
 
 def bootstrap_ci(rng: np.random.Generator, n_samples: int, n_boot: int, stat,
@@ -170,7 +170,8 @@ def _importance_pass(fit: LaplaceFit, prob: Problem, n_samples: int, seed: int,
 
     Each region's bootstrap fraction is taken from one weight vector (w
     outside, 0 inside) in the TV statistic's index blocks, one region at a
-    time, so it holds no resample array beyond those of the TV statistic.
+    time, so it holds no resample array beyond those of the TV statistic; a
+    region with no draw outside gives exact zeros, with no gather.
     """
     workers = usable_cores() if workers is None else workers
     rng, Z = laplace_draws(fit, n_samples, seed, stream)
@@ -184,15 +185,16 @@ def _importance_pass(fit: LaplaceFit, prob: Problem, n_samples: int, seed: int,
     def tv_of(W, total):   # row-wise over the last axis, in W's own memory
         W /= np.divide(total, W.shape[-1])[..., None]
         W -= 1.0
-        return 0.5 * np.mean(np.abs(W, out=W), axis=-1)
+        return 0.5 * _rowsum(np.abs(W, out=W)) / W.shape[-1]
 
     def stat(idx):  # columns: TV, then the posterior fraction outside each region
         W = w[idx]
-        total = np.sum(W, axis=1)
-        cols = [tv_of(W, total)] + [np.sum(wo[idx], axis=1) / total for wo in w_out]
+        total = _rowsum(W)
+        cols = [tv_of(W, total)] + [_rowsum(wo[idx]) / total if wo.any() else np.zeros(len(idx))
+                                    for wo in w_out]
         return np.stack(cols, axis=1)
 
-    tv = float(tv_of(w.copy(), np.sum(w)))
+    tv = float(tv_of(w.copy(), _rowsum(w)))
     ess = float(np.sum(w) ** 2 / np.sum(w ** 2))
     lo, hi = bootstrap_ci(rng, n_samples, n_boot, stat, workers)
     masses = []

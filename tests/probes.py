@@ -9,7 +9,8 @@ as the spec that certificates and golden rows are compared with,
 `gaussian_mass_bracket` the Laplace Gaussian's exact tail bracket by
 scipy.special, `f_reference` the negative log posterior f from its
 definition, and `f_values_allocating` the likelihood kernel in its allocating
-form, which `posterior.f_values` matches bit for bit.  No CLI path reads them.
+form (`ALLOCATING_HSUM`), which `posterior.f_values` matches bit for bit.  No
+CLI path reads them.
 """
 import math
 
@@ -18,7 +19,7 @@ from scipy.linalg import cholesky, eigh, solve_triangular
 from scipy.special import erfc, gammaincc
 
 from lapcert.certification import WeightChoice, tau3_certified, tau3_parts
-from lapcert.model import sample_basis
+from lapcert.model import _rowsum, sample_basis
 from lapcert.posterior import LaplaceFit, Problem, f_values, hessian_L
 
 
@@ -30,10 +31,15 @@ def f_reference(prob: Problem, theta: np.ndarray) -> float:
     return float(np.sum(prob.family.h(s) - prob.data.y * s) + 0.5 * np.sum(prob.g2 * theta ** 2))
 
 
-# each family's cumulant h as a fresh array, the form the in-place h(s, out) must match
+# each family's cumulant h, and the row sums of h(S) its in-place hsum(S, H) must
+# match bit for bit, as fresh arrays
 ALLOCATING_H = {"poisson": np.exp,
                 "gaussian": lambda s: 0.5 * np.asarray(s, dtype=float) ** 2,
                 "bernoulli": lambda s: np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))}
+ALLOCATING_HSUM = {"poisson": lambda S: _rowsum(np.exp(S)),
+                   "gaussian": lambda S: 0.5 * np.einsum("ij,ij->i", S, S),
+                   "bernoulli": lambda S: (_rowsum(np.log1p(np.exp(-np.abs(S))))
+                                           + _rowsum(np.maximum(S, 0.0)))}
 
 
 def f_values_allocating(prob: Problem, Theta: np.ndarray, chunk_entries: int,
@@ -43,17 +49,17 @@ def f_values_allocating(prob: Problem, Theta: np.ndarray, chunk_entries: int,
     in its summation order, but with S = T R^T and h(S) formed as fresh
     arrays per tile, and no finiteness checks."""
     Rt = np.ascontiguousarray(prob.design.rows.T)
-    Rty, h, n = Rt @ prob.data.y, ALLOCATING_H[prob.family.kind], prob.design.n
+    Rty, hsum, n = Rt @ prob.data.y, ALLOCATING_HSUM[prob.family.kind], prob.design.n
     tiles = math.ceil(n / tile_columns)
     cols = math.ceil(n / tiles)
     rows = max(1, chunk_entries // cols)
     out = np.empty(Theta.shape[0])
     for a in range(0, Theta.shape[0], rows):
         T = Theta[a:a + rows]
-        hsum = 0.0
+        total = 0.0
         for c in range(0, n, cols):
-            hsum = hsum + np.sum(h(T @ Rt[:, c:c + cols]), axis=1)
-        out[a:a + rows] = hsum - T @ Rty + 0.5 * (T * T) @ prob.g2
+            total = total + hsum(T @ Rt[:, c:c + cols])
+        out[a:a + rows] = total - T @ Rty + 0.5 * (T * T) @ prob.g2
     return out
 
 

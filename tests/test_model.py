@@ -15,7 +15,7 @@ from lapcert.model import (ModelError, TruthSpec, exp_family, generate,
                            _philox_uniforms, _poisson_ptrs, _substream)
 
 from conftest import make_problem
-from probes import ALLOCATING_H
+from probes import ALLOCATING_H, ALLOCATING_HSUM
 
 
 def _ref_poisson(lam: float, rng) -> int:
@@ -215,18 +215,50 @@ def test_bernoulli_h_matches_logaddexp():
 
 
 def test_cumulants_in_place_match_allocating():
-    """Each family's h(s, out=buf) writes into buf and is h(s), and the
-    allocating form of h, bit for bit: at signed zeros, subnormals, the edges
-    of exp's range (709.8 overflows it, 745 underflows it) and a normal draw."""
+    """Each family's h is its allocating form, and its hsum(S, H), which may
+    overwrite both buffers (here views of a wider pair, as in the kernel), the
+    allocating row sums of h(S), bit for bit: at signed zeros, subnormals, the
+    edges of exp's range (709.8 overflows it, 745 underflows it) and a normal draw."""
     edges = [0.0, 1e-310, 709.8, 745.0, 800.0]
     s = np.concatenate([edges, np.negative(edges),
                         np.random.default_rng(0).standard_normal(1000)])
     for kind, allocating in ALLOCATING_H.items():
-        h, buf = exp_family(kind).h, np.full_like(s, np.nan)
+        fam, buf = exp_family(kind), np.full((2, 12, 128), np.nan)
+        S, H = buf[:, :10, :101]
+        S[...] = s.reshape(10, 101)
         with np.errstate(over="ignore"):
-            want = allocating(s).view(np.int64)
-            assert np.array_equal(h(s).view(np.int64), want), kind
-            assert h(s, out=buf) is buf and np.array_equal(buf.view(np.int64), want), kind
+            assert np.array_equal(fam.h(s).view(np.int64), allocating(s).view(np.int64)), kind
+            want = ALLOCATING_HSUM[kind](s.reshape(10, 101)).view(np.int64)
+            assert np.array_equal(fam.hsum(S, H).view(np.int64), want), kind
+
+
+@pytest.mark.parametrize("kind, scale", [("poisson", 3.0), ("gaussian", 100.0),
+                                         ("bernoulli", 800.0)])
+def test_hsum_is_the_row_sums_of_h(kind, scale):
+    """hsum(S, H) is the row sums of h(S) within 1e-15 n relative, n the row
+    length; Bernoulli at |s| up to 800, on both signs and on each alone, past
+    where e^-|s| underflows."""
+    n = 4096
+    S = np.random.default_rng(1).uniform(-scale, scale, (6, n))
+    S[2:4] = np.abs(S[2:4])
+    S[4:] = -np.abs(S[4:])
+    fam = exp_family(kind)
+    want = np.array([math.fsum(row) for row in fam.h(S)])
+    got = fam.hsum(S.copy(), np.empty_like(S))
+    assert np.all(np.abs(got - want) <= 1e-15 * n * np.abs(want)), kind
+
+
+def test_rowsum_of_a_lone_row_is_its_row_in_a_block():
+    """_rowsum gives a row the same bits alone (1-d or one row) as in a block of
+    any size or offset, at widths past numpy's 8192-entry iterator buffer."""
+    rng = np.random.default_rng(2)
+    for width in (100, 4097, 10000, 20000):
+        W = rng.random((7, width))
+        full = lapcert.model._rowsum(W)
+        for i in range(7):
+            assert lapcert.model._rowsum(W[i]) == full[i]
+            assert np.array_equal(lapcert.model._rowsum(W[i:i + 1]), full[i:i + 1])
+            assert np.array_equal(lapcert.model._rowsum(W[i:]), full[i:])
 
 
 def test_save_dataset_roundtrip(tmp_path, eig_cache, volterra_eig_small):

@@ -287,7 +287,9 @@ def _philox(seed, stream):
 
 
 def test_bootstrap_blocks_repeat_one_draw(monkeypatch):
-    n_samples, n_boot = 3000, 500   # blocks of 349 rows, then 151
+    n_samples, n_boot = 3000, 500
+    rows = val._BOOT_BLOCK_ENTRIES // n_samples   # full blocks of this many rows, then the rest
+    assert n_boot > rows and n_boot % rows
     want = _philox(0, 13).integers(0, n_samples, size=(n_boot, n_samples))
     blocks = []
 
@@ -296,7 +298,7 @@ def test_bootstrap_blocks_repeat_one_draw(monkeypatch):
         return idx[:, 0].astype(float)
 
     val.bootstrap_ci(_philox(0, 13), n_samples, n_boot, stat, workers=1)
-    assert [len(b) for b in blocks] == [349, 151]
+    assert [len(b) for b in blocks] == [rows] * (n_boot // rows) + [n_boot % rows]
     assert np.array_equal(np.concatenate(blocks), want)
     # on more workers the blocks shrink, so the indices held stay at
     # _BOOT_BLOCK_ENTRIES; the statistic is the block itself, and the values
@@ -319,6 +321,23 @@ def test_bootstrap_blocks_repeat_one_draw(monkeypatch):
         val.bootstrap_ci(_philox(0, 13), n_samples, n_boot, stat, workers=workers)
         assert sorted(sizes, reverse=True) == [rows] * (n_boot // rows) + [n_boot % rows]
         assert np.array_equal(seen.pop(), want)
+
+
+def test_bootstrap_block_size_moves_no_bit(poisson_fit, monkeypatch):
+    """The importance pass (TV and outside masses) is bit-identical at 2^20 and
+    2^18 resample indices per block and at one row per block, on 1, 2 and 3
+    workers, with a region that has draws outside (gathered per block) and
+    one that has none (exact zeros)."""
+    prob, fit = poisson_fit
+    n_samples, regions = 10000, [(fit.DG2, float(np.sqrt(prob.p))), (fit.DG2, 50.0)]
+    runs = []
+    for entries in (1 << 20, 1 << 18, n_samples):
+        monkeypatch.setattr(val, "_BOOT_BLOCK_ENTRIES", entries)
+        runs += [val.tv_importance(fit, prob, n_samples=n_samples, seed=3, n_boot=100,
+                                   regions=regions, workers=w) for w in (1, 2, 3)]
+    assert all(r == runs[0] for r in runs)
+    some, empty = runs[0].outside
+    assert 0.0 < some.posterior_ci_low < some.posterior_ci_high and empty.posterior_frac == 0.0
 
 
 def test_importance_ci_matches_per_resample_reference(poisson_fit):
