@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .posterior import LaplaceFit, Problem, tri_solve
+from .posterior import LaplaceFit, Problem, tri_solve, whiten
 
 N_RADII = 60   # geometric grid of radii from r_lo to r_hi that certify tries
 
@@ -111,7 +111,7 @@ class Certificate:
 
 def spectrum(S: np.ndarray, L: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of L^{-1} S L^{-T}, i.e. of S v = mu L L^T v, L lower triangular."""
-    return np.linalg.eigvalsh(tri_solve(L, tri_solve(L, S.copy()).T))
+    return np.linalg.eigvalsh(whiten(L, S))
 
 
 def tau3_parts(prob: Problem, choice: WeightChoice) -> dict:

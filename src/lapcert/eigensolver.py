@@ -12,17 +12,18 @@ change of the boundary function B(mu) = u'(T) + c2 u(T); the Illinois method
 at once, each iterate staying inside its own bracket.  The oscillation count of
 the final eigenfunctions is verified, so no mode can be silently skipped.  An
 independent cross-check, `svd_oracle`, takes the top of the weighted SVD of R's
-discretization by Lanczos iteration on its O(N) matrix-free apply.
+discretization by Lanczos iteration on its O(N) matrix-free apply.  `cached_solve` keeps
+solves in .npz entries named by their key's crc32, each serving only its own stored key.
 """
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
+from zlib import crc32
 
 import numpy as np
 
@@ -350,35 +351,36 @@ def eig_diagnostics(eig: EigenSystem) -> dict:
     }
 
 
-# --- cache: one eig_<key>.npz per (a, b, N, K, solver code) ---
+# --- cache: one eig_<crc32 of key>.npz per (a, b, N, K, solver code), holding its key ---
 
 @functools.cache   # read once, at the first cache access
-def _solver_digest(numpy_version: str = np.__version__,
-                   sources: tuple = (__file__, Path(__file__).with_name("operators.py"))) -> str:
-    """sha256 of numpy's version and the bytes of the solver's source files: a cache
-    written by other solver code, or under another numpy, has other keys."""
-    return hashlib.sha256(b"".join(
-        [numpy_version.encode()] + [Path(path).read_bytes() for path in sources])).hexdigest()
+def _solver_source() -> bytes:
+    return b"".join(Path(path).read_bytes()
+                    for path in (__file__, Path(__file__).with_name("operators.py")))
 
 
-def _cache_key(spec: CoefficientPair, N: int, K: int) -> str:
-    payload = {"spec": spec.to_dict(), "N": N, "K": K, "solver": _solver_digest()}
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+def _cache_key(spec: CoefficientPair, N: int, K: int) -> bytes:
+    # another operator, solver code or numpy gives another key, which the entry stores
+    payload = {"spec": spec.to_dict(), "N": N, "K": K, "numpy": np.__version__}
+    return json.dumps(payload, sort_keys=True).encode() + _solver_source()
 
 
-def _cache_path(spec: CoefficientPair, N: int, K: int, cache_dir: str) -> str:
-    return os.path.join(cache_dir, "eig_%s.npz" % _cache_key(spec, N, K))
+def _cache_path(key: bytes, cache_dir: str) -> str:
+    # a checksum, not a hash: two keys may share a name, and the stored key tells them apart
+    return os.path.join(cache_dir, "eig_%08x.npz" % crc32(key))
 
 
 def save_eigensystem(eig: EigenSystem, spec: CoefficientPair, cache_dir: str) -> str:
-    """Write every EigenSystem field to one .npz; returns its path."""
-    path = _cache_path(spec, eig.x.size - 1, eig.lambdas.size, cache_dir)
+    """Write every EigenSystem field and the key to one .npz, over any entry of its name."""
+    key = _cache_key(spec, eig.x.size - 1, eig.lambdas.size)
+    path = _cache_path(key, cache_dir)
     os.makedirs(cache_dir, exist_ok=True)
     tmp = "%s.%d.tmp" % (path, os.getpid())   # moved into place once whole; a failure leaves none
     try:
         # an open handle: given a name, np.savez would append ".npz" to it
         with open(tmp, "wb") as fh:
-            np.savez(fh, **{f.name: getattr(eig, f.name) for f in fields(EigenSystem)})
+            np.savez(fh, key=np.frombuffer(key, dtype=np.uint8),
+                     **{f.name: getattr(eig, f.name) for f in fields(EigenSystem)})
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -387,10 +389,13 @@ def save_eigensystem(eig: EigenSystem, spec: CoefficientPair, cache_dir: str) ->
 
 
 def load_eigensystem(spec: CoefficientPair, N: int, K: int, cache_dir: str) -> EigenSystem | None:
-    path = _cache_path(spec, N, K, cache_dir)
+    key = _cache_key(spec, N, K)
+    path = _cache_path(key, cache_dir)
     if not os.path.exists(path):
         return None
     with np.load(path, allow_pickle=False) as npz:
+        if "key" not in npz or npz["key"].tobytes() != key:
+            return None
         arrays = {f.name: npz[f.name] for f in fields(EigenSystem)}
     return EigenSystem(**dict(arrays, T=float(arrays["T"]), Q_sup=float(arrays["Q_sup"]),
                               method=str(arrays["method"])))

@@ -233,9 +233,9 @@ def signal_sup_norm(eig, theta: np.ndarray) -> float:
 
 
 def sample_basis(eig, n: int, p: int) -> np.ndarray:
-    """(n, p) matrix of psi_k(j/n), j = 1..n, interpolated on the eigenfunction grid."""
+    """Column-major (n, p) matrix of psi_k(j/n), j = 1..n, interpolated on the eigen grid."""
     xj = np.arange(1, n + 1) / n
-    P = np.empty((n, p))
+    P = np.empty((n, p), order="F")
     for k in range(p):
         P[:, k] = np.interp(xj, eig.x, eig.psi[k])
     return P

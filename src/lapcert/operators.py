@@ -1,16 +1,16 @@
 """Smoothing operator R defined by a g' + b g = f, g(0)=0, on [0,1].
 
-Coefficients a, b are polynomials (exact symbolic derivatives); all
-quadrature is composite trapezoid on the uniform grid x_i = i/N.  R and its
-discrete transpose are applied matrix-free, each in O(N) as one running
-sum; no dense matrix of R is ever formed.
+Coefficients a, b are polynomials (exact symbolic derivatives), evaluated by
+Horner's rule to the bits of numpy's polyval and polyder; all quadrature is
+composite trapezoid on the uniform grid x_i = i/N.  R and its discrete
+transpose are applied matrix-free, each in O(N) as one running sum; no dense
+matrix of R is ever formed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .model import sample_basis
 
@@ -23,6 +23,19 @@ class OperatorSpecError(ValueError):
 
 class CapacityError(ValueError):
     """Requested more than the computed/allowed capacity."""
+
+
+def _polyval(c: tuple, x, m: int = 0):
+    """numpy's polyval(x, polyder(c, m)) to the bit: polyder's coefficients j c_j (c_0 * 0
+    past the degree), then Horner's rule from the top one."""
+    d = c
+    for _ in range(m):
+        d = tuple(j * d[j] for j in range(1, len(d)))
+    d = d or (c[0] * 0.0,)
+    y = d[-1] + x * 0.0
+    for dk in d[-2::-1]:
+        y = dk + y * x
+    return y
 
 
 @dataclass(frozen=True)
@@ -47,19 +60,19 @@ class CoefficientPair:
 
     # exact polynomial evaluations; derivatives are symbolic
     def a(self, x):
-        return npoly.polyval(x, self.a_coeffs)
+        return _polyval(self.a_coeffs, x)
 
     def b(self, x):
-        return npoly.polyval(x, self.b_coeffs)
+        return _polyval(self.b_coeffs, x)
 
     def a1(self, x):
-        return npoly.polyval(x, npoly.polyder(self.a_coeffs))
+        return _polyval(self.a_coeffs, x, 1)
 
     def a2(self, x):
-        return npoly.polyval(x, npoly.polyder(self.a_coeffs, 2))
+        return _polyval(self.a_coeffs, x, 2)
 
     def b1(self, x):
-        return npoly.polyval(x, npoly.polyder(self.b_coeffs))
+        return _polyval(self.b_coeffs, x, 1)
 
     def to_dict(self) -> dict:
         return {"a": list(self.a_coeffs), "b": list(self.b_coeffs)}
@@ -146,7 +159,8 @@ class DesignMatrix:
 
 
 def assemble_design(eig, n: int, p: int) -> DesignMatrix:
-    """Sample the weighted eigenbasis at j/n, j = 1..n."""
+    """Sample the weighted eigenbasis at j/n, j = 1..n, into one column-major array."""
     if p > eig.lambdas.size:
         raise CapacityError("p = %d exceeds %d computed eigenpairs" % (p, eig.lambdas.size))
-    return DesignMatrix(rows=sample_basis(eig, n, p) * np.sqrt(eig.lambdas[:p]), n=n, p=p)
+    rows = sample_basis(eig, n, p)
+    return DesignMatrix(rows=np.multiply(rows, np.sqrt(eig.lambdas[:p]), out=rows), n=n, p=p)

@@ -48,7 +48,8 @@ class Problem:
 
     @functools.cached_property
     def kernel_terms(self) -> tuple:
-        """(R^T, R^T y, max|R|) for f_values; a contiguous R^T halves its GEMM time."""
+        """(R^T, R^T y, max|R|) for f_values; a contiguous R^T halves its GEMM time.  For a
+        column-major design (`assemble_design`'s) R^T is a view of its rows, not a copy."""
         Rt = np.ascontiguousarray(self.design.rows.T)
         return Rt, Rt @ self.data.y, float(np.max(np.abs(Rt), initial=0.0))
 
@@ -73,6 +74,11 @@ def tri_solve(L: np.ndarray, B: np.ndarray, trans: bool = False) -> np.ndarray:
         B[i] -= (L[done, i] if trans else L[i, done]) @ B[done]
         B[i] /= L[i, i]
     return B
+
+
+def whiten(L: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """L^{-1} S L^{-T} for symmetric S (p, p): the form u^T S u in z = L^T u, as z^T W z."""
+    return tri_solve(L, tri_solve(L, S.copy()).T)
 
 
 def _signals(prob: Problem, theta: np.ndarray) -> np.ndarray:

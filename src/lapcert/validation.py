@@ -23,6 +23,8 @@ most one per block, at any size of work; no estimate depends on the count.
 The importance draws also give the posterior mass outside ellipsoids
 {||D0 u|| <= r} (`OutsideMass`) on the same resample blocks, so tail claims
 need no second likelihood pass; the Gaussian's is `_gaussian_tail_bracket`.
+Each draw's ||D0 u||^2 is z^T W z, W = `whiten(L, D0^2)`, on the whitened
+draws, so no array of thetas or of u = theta - theta_hat outlives the kernel.
 """
 from __future__ import annotations
 
@@ -32,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import _rowsum, _substream
-from .posterior import LaplaceFit, Problem, f_values, pool_map, tri_solve, usable_cores
+from .posterior import (LaplaceFit, Problem, f_values, pool_map, tri_solve, usable_cores,
+                        whiten)
 
 
 _WILSON_Z = 1.96   # normal quantile of the Wilson intervals' 95% coverage
@@ -175,12 +178,14 @@ def _importance_pass(fit: LaplaceFit, prob: Problem, n_samples: int, seed: int,
     """
     workers = usable_cores() if workers is None else workers
     rng, Z = laplace_draws(fit, n_samples, seed, stream)
+    # ||D0 u||^2 = z^T W z with W = whiten(L, D0^2), as u = theta - theta_hat = L^{-T} z
+    outside = [np.sqrt(np.einsum("ij,ij->i", Z @ whiten(fit.L, D0_sq), Z)) > r
+               for D0_sq, r in regions]
     lp, lq = log_densities(fit, prob, Z, workers)
+    del Z   # the thetas now, which the weights replace
     logw = lp - lq
     w = np.exp(logw - np.max(logw))
-    U = Z - fit.theta_hat   # Z holds the thetas now
-    w_out = [np.where(np.sqrt(np.sum(U * (U @ D0_sq), axis=1)) > r, w, 0.0)
-             for D0_sq, r in regions]
+    w_out = [np.where(out, w, 0.0) for out in outside]
 
     def tv_of(W, total):   # row-wise over the last axis, in W's own memory
         W /= np.divide(total, W.shape[-1])[..., None]

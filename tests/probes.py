@@ -9,8 +9,9 @@ as the spec that certificates and golden rows are compared with,
 `gaussian_mass_bracket` the Laplace Gaussian's exact tail bracket by
 scipy.special, `f_reference` the negative log posterior f from its
 definition, and `f_values_allocating` the likelihood kernel in its allocating
-form (`ALLOCATING_HSUM`), which `posterior.f_values` matches bit for bit.  No
-CLI path reads them.
+form (`ALLOCATING_HSUM`), which `posterior.f_values` matches bit for bit, and
+`outside_mass_reference` the posterior mass outside an ellipsoid in theta
+space.  No CLI path reads them.
 """
 import math
 
@@ -21,6 +22,7 @@ from scipy.special import erfc, gammaincc
 from lapcert.certification import WeightChoice, tau3_certified, tau3_parts
 from lapcert.model import _rowsum, sample_basis
 from lapcert.posterior import LaplaceFit, Problem, f_values, hessian_L
+from lapcert.validation import laplace_draws, log_densities, wilson_interval
 
 
 def f_reference(prob: Problem, theta: np.ndarray) -> float:
@@ -192,3 +194,24 @@ def gaussian_mass_bracket(p: int, radius: float) -> tuple:
     gives the lower end and the chi^2_p tail (exact for D_G) the upper."""
     return (float(erfc(radius / math.sqrt(2.0))),
             float(gammaincc(p / 2.0, radius * radius / 2.0)))
+
+
+def outside_mass_reference(fit: LaplaceFit, prob: Problem, D0_sq: np.ndarray, r: float,
+                           n_samples: int, seed: int, n_boot: int, stream: int) -> tuple:
+    """(fraction, ci_low, ci_high) of the posterior mass outside {||D0 u|| <= r} in
+    theta space, u = theta - theta_hat = L^{-T} z for each whitened draw z, from the
+    importance pass's own draws: normalized weights, one masked sum per resample,
+    widened by the Wilson interval at the ESS."""
+    rng, Z = laplace_draws(fit, n_samples, seed, stream=stream)
+    U = solve_triangular(fit.L, Z.T, lower=True, trans="T").T
+    outside = np.sqrt(np.sum(U * (U @ D0_sq), axis=1)) > r
+    lp, lq = log_densities(fit, prob, Z)
+    logw = lp - lq
+    w = np.exp(logw - np.max(logw))
+    w /= np.sum(w)
+    frac, ess = float(np.sum(w[outside])), 1.0 / float(np.sum(w ** 2))
+    fracs = [np.sum(np.where(outside[i], w[i], 0.0)) / np.sum(w[i])
+             for i in rng.integers(0, n_samples, size=(n_boot, n_samples))]
+    lo, hi = np.percentile(fracs, [2.5, 97.5])
+    w_lo, w_hi = wilson_interval(frac * ess, ess)
+    return frac, min(lo, w_lo), max(hi, w_hi)

@@ -683,6 +683,30 @@ def test_cli_import_skips_unused_dependencies():
     assert out.strip() == ""
 
 
+def test_cold_eigen_run_loads_neither_openssl_nor_numpy_polynomial(tmp_path):
+    """Neither `import lapcert.cli` nor a cold `eigen` run after it loads `hashlib`
+    (whose `_hashlib` maps OpenSSL) or `numpy.polynomial`: the eigen cache names its
+    entries by zlib's crc32, and `operators._polyval` evaluates the coefficients."""
+    cache = tmp_path / "cache"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"operator": {"a": [1.0, 0.5], "b": [0.5]},
+                               "p": 2, "truth": {"p_star": 2},
+                               "eigensolver": {"K": 5, "N": 1024, "cache_dir": str(cache)}}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, lapcert.cli\n"
+            "def loaded():\n"
+            "    return [m for m in sys.modules if m.lstrip('_') == 'hashlib'\n"
+            "            or m.startswith('numpy.polynomial')]\n"
+            "before = loaded()\n"
+            "rc = lapcert.cli.main(['eigen', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(rc, before, loaded())\n")
+    out = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "out")], env=env,
+                         check=True, capture_output=True, text=True, timeout=120).stdout
+    assert out.splitlines()[-1] == "0 [] []"
+    assert [name.startswith("eig_") for name in os.listdir(cache)] == [True]   # it solved
+
+
 def test_perfbench_imports_resolve():
     """Every `import lapcert.X` and `from lapcert.X import Y` in perfbench/*.py
     names a module that imports and a name it has, so no src change can break

@@ -1,12 +1,13 @@
 import math
 import os
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import lapcert.eigensolver as eigensolver
-from lapcert.eigensolver import (_q_potential, _rk4_shoot, cached_solve,
+from lapcert.eigensolver import (EigenSystem, _q_potential, _rk4_shoot, cached_solve,
                                  eig_diagnostics, liouville_transform,
                                  load_eigensystem, save_eigensystem,
                                  solve_eigs)
@@ -135,22 +136,55 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     assert (back.T, back.Q_sup, back.method) == (eig.T, eig.Q_sup, eig.method)
     # key depends on the coefficients
     assert load_eigensystem(VOLTERRA, 1024, 5, str(tmp_path)) is None
-    # and on the solver's code and numpy's version: a cache written by other
-    # code is a miss, whichever of the two differs
-    here = eigensolver.__file__
-    sources = (here, os.path.join(os.path.dirname(here), "operators.py"))
-    assert eigensolver._solver_digest(np.__version__, sources) == eigensolver._solver_digest()
-    edited = tmp_path / "edited" / "operators.py"
-    edited.parent.mkdir()
-    with open(sources[1], "rb") as fh:
-        edited.write_bytes(fh.read() + b"\n")   # one byte more
-    for digest in (eigensolver._solver_digest(np.__version__, (here, str(edited))),
-                   eigensolver._solver_digest(np.__version__ + ".post1", sources)):
-        assert digest != eigensolver._solver_digest()
+    # the entry holds its key, which holds the solver's code and numpy's version: an
+    # entry written by other code, or under another numpy, is a miss
+    other = str(tmp_path / "other")
+    source = eigensolver._solver_source()
+    for obj, name, value in ((eigensolver, "_solver_source", lambda: source + b"\n"),  # a byte more
+                             (np, "__version__", np.__version__ + ".post1")):
         with monkeypatch.context() as m:
-            m.setattr(eigensolver, "_solver_digest", lambda: digest)
-            assert load_eigensystem(spec, 1024, 5, str(tmp_path)) is None
+            m.setattr(obj, name, value)
+            save_eigensystem(eig, spec, other)
+            assert load_eigensystem(spec, 1024, 5, other) is not None
+        assert load_eigensystem(spec, 1024, 5, other) is None
     assert load_eigensystem(spec, 1024, 5, str(tmp_path)) is not None
+
+
+def test_cache_name_collision_is_a_miss(tmp_path, monkeypatch):
+    """With every key's checksum equal, two operators share one file name, yet neither
+    loads the other's eigensystem: each re-solves and overwrites the entry."""
+    specs = (CoefficientPair((1.0, 0.5), (0.1,)), VOLTERRA)
+    direct = [cached_solve(spec, 1024, 3, None) for spec in specs]
+    monkeypatch.setattr(eigensolver, "crc32", lambda key: 0)
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return solve_eigs(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "solve_eigs", counted)
+    for spec, want in zip(specs * 2, direct * 2):
+        eig = cached_solve(spec, 1024, 3, str(tmp_path))
+        for name in ("lambdas", "psi", "dpsi"):
+            assert np.array_equal(getattr(eig, name), getattr(want, name)), name
+        assert os.listdir(tmp_path) == ["eig_00000000.npz"]
+    assert len(solves) == 4
+    assert cached_solve(VOLTERRA, 1024, 3, str(tmp_path)) is not None and len(solves) == 4
+
+
+def test_cache_entry_without_key_is_a_miss(tmp_path):
+    """An entry in the earlier format, every EigenSystem array and no stored key, is a
+    miss and not an error: the next cached_solve re-solves once and overwrites it."""
+    spec = CoefficientPair((1.0, 0.5), (0.1,))
+    eig = cached_solve(spec, 1024, 3, None)
+    path = eigensolver._cache_path(eigensolver._cache_key(spec, 1024, 3), str(tmp_path))
+    with open(path, "wb") as fh:
+        np.savez(fh, **{f.name: getattr(eig, f.name) for f in fields(EigenSystem)})
+    assert load_eigensystem(spec, 1024, 3, str(tmp_path)) is None
+    assert cached_solve(spec, 1024, 3, str(tmp_path)) is not None
+    assert os.listdir(tmp_path) == [os.path.basename(path)]
+    back = load_eigensystem(spec, 1024, 3, str(tmp_path))
+    assert back is not None and np.array_equal(back.psi, eig.psi)
 
 
 def test_failed_save_leaves_nothing(tmp_path, monkeypatch):

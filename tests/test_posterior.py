@@ -65,6 +65,15 @@ def test_problem_requires_eig(volterra_eig_small):
         Problem(design=prob.design, data=prob.data, family=prob.family, gamma=prob.gamma)
 
 
+def test_kernel_terms_hold_no_second_design(volterra_eig_small):
+    """The kernel's contiguous R^T is a view of the assembled design's rows, so a run
+    holds the n x p design once."""
+    prob = make_problem(volterra_eig_small, n=300, p=5)
+    Rt = prob.kernel_terms[0]
+    assert Rt.flags.c_contiguous and np.shares_memory(Rt, prob.design.rows)
+    assert np.array_equal(Rt, prob.design.rows.T)
+
+
 def test_gaussian_map_is_ridge_solution(gaussian_fit):
     prob, fit = gaussian_fit
     R, y = prob.design.rows, prob.data.y

@@ -17,7 +17,8 @@ from lapcert.concentration import empirical_outside_mass
 from lapcert.posterior import EvaluationError, f_value, f_values, map_solve
 
 from conftest import make_problem
-from probes import f_reference, f_values_allocating, gaussian_mass_bracket
+from probes import (f_reference, f_values_allocating, gaussian_mass_bracket,
+                    outside_mass_reference)
 
 
 def test_gaussian_family_tv_zero(gaussian_fit):
@@ -354,25 +355,6 @@ def test_importance_ci_matches_per_resample_reference(poisson_fit):
     assert est.ci_high == pytest.approx(min(1.0, max(hi, est.value)), rel=1e-12)
 
 
-def _outside_reference(fit, prob, D0_sq, r, n_samples, seed, n_boot, stream):
-    """The posterior tail statistic as concentration.empirical_outside_mass
-    computed it with its own draw: normalized weights, one masked sum per
-    resample."""
-    rng, Z = val.laplace_draws(fit, n_samples, seed, stream=stream)
-    U = solve_triangular(fit.L, Z.T, lower=True, trans="T").T
-    outside = np.sqrt(np.sum(U * (U @ D0_sq), axis=1)) > r
-    lp, lq = val.log_densities(fit, prob, Z)
-    logw = lp - lq
-    w = np.exp(logw - np.max(logw))
-    w /= np.sum(w)
-    frac, ess = float(np.sum(w[outside])), 1.0 / float(np.sum(w ** 2))
-    fracs = [np.sum(np.where(outside[i], w[i], 0.0)) / np.sum(w[i])
-             for i in rng.integers(0, n_samples, size=(n_boot, n_samples))]
-    lo, hi = np.percentile(fracs, [2.5, 97.5])
-    w_lo, w_hi = val.wilson_interval(frac * ess, ess)
-    return frac, min(lo, w_lo), max(hi, w_hi)
-
-
 def test_tail_statistics_share_the_importance_pass(poisson_fit, monkeypatch):
     """Outside masses taken on the TV estimate's own draws and bootstrap
     blocks equal the stand-alone tail statistic; the TV fields do not move."""
@@ -386,7 +368,7 @@ def test_tail_statistics_share_the_importance_pass(poisson_fit, monkeypatch):
                                                          seed=5, n_boot=200)
     assert len(est.outside) == len(regions)
     for (D0_sq, r), got in zip(regions, est.outside):
-        want = _outside_reference(fit, prob, D0_sq, r, 10000, 5, 200, stream=13)
+        want = outside_mass_reference(fit, prob, D0_sq, r, 10000, 5, 200, stream=13)
         np.testing.assert_allclose(astuple(got), want, rtol=1e-12, atol=1e-15)
     assert 0.2 < est.outside[0].posterior_frac < 0.8 and est.outside[2].posterior_frac == 0.0
     # the Laplace Gaussian's side is exact, with no draws: at D_G the chi^2_p
@@ -398,7 +380,7 @@ def test_tail_statistics_share_the_importance_pass(poisson_fit, monkeypatch):
     D0_sq, r = regions[1]
     rep = empirical_outside_mass(fit, prob, D0_sq, r, n_samples=2000, seed=5, n_boot=200)
     np.testing.assert_allclose(astuple(rep.outside[0]),
-                               _outside_reference(fit, prob, D0_sq, r, 2000, 5, 200, stream=11),
+                               outside_mass_reference(fit, prob, D0_sq, r, 2000, 5, 200, stream=11),
                                rtol=1e-12, atol=1e-15)
     # ... and reports the pass's own low-ESS flag, here at an ESS of 75
     def low(*args, **kwargs):
@@ -406,6 +388,24 @@ def test_tail_statistics_share_the_importance_pass(poisson_fit, monkeypatch):
     monkeypatch.setattr(concentration, "_importance_pass", low)
     rep = empirical_outside_mass(fit, prob, D0_sq, r, n_samples=2000, seed=5, n_boot=200)
     assert (rep.ess, rep.low_ess) == (75.0, True) and not est.low_ess
+
+
+def test_outside_masses_match_the_theta_space_formula(poisson_fit):
+    """With draws outside every region, each outside fraction and its interval, taken as
+    z^T W z on the whitened draws, equal the reference's ||D0 u|| on u = theta - theta_hat,
+    on 1 and on 2 workers."""
+    prob, fit = poisson_fit
+    p = prob.design.p
+    regions = [(fit.DG2, float(np.sqrt(p))), (np.diag(np.arange(1.0, p + 1) ** 2), 1.0),
+               (4.0 * fit.DG2, 0.5)]
+    want = [outside_mass_reference(fit, prob, D0_sq, r, 10000, 2, 100, stream=13)
+            for D0_sq, r in regions]
+    assert all(0.0 < frac < 1.0 for frac, _, _ in want)
+    for workers in (1, 2):
+        est = val.tv_importance(fit, prob, n_samples=10000, seed=2, n_boot=100,
+                                regions=regions, workers=workers)
+        for got, ref in zip(est.outside, want):
+            np.testing.assert_allclose(astuple(got), ref, rtol=1e-12, atol=1e-15)
 
 
 def test_gaussian_tail_bracket_matches_scipy():
