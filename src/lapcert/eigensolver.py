@@ -6,11 +6,12 @@ t(x) = int_0^x 1/a reduces this to -u'' + Q u = mu u on [0, T], which we solve
 by shooting: RK4 steps, cut into ~sqrt(N) groups of ~sqrt(N), multiplied as 2x2
 transfer matrices, vectorized over groups and mu.  A scan in mu from a floor
 below which no eigenvalue lies, uniform in sqrt(mu - max Q) above a knee, where
-the eigenvalues are spaced evenly in it, brackets each eigenvalue by a sign
-change of the boundary function B(mu) = u'(T) + c2 u(T); the Illinois method
-(regula falsi with halving of the retained endpoint's B) refines every bracket
-at once, each iterate staying inside its own bracket.  The oscillation count of
-the final eigenfunctions is verified, so no mode can be silently skipped.  An
+the eigenvalues are spaced evenly in it, brackets each eigenvalue by a sign change
+of the boundary function B(mu) = u'(T) + c2 u(T); the Illinois method (regula falsi
+with halving of the retained endpoint's B) refines every bracket at once, each
+iterate staying inside its own bracket.  The oscillation count of the final
+eigenfunctions is verified, so no mode can be silently skipped.  Scan, Illinois and count
+take one sign rule, `_sign_flips`: two values differ in sign iff their sign bits do.  An
 independent cross-check, `svd_oracle`, takes the top of the weighted SVD of R's
 discretization by Lanczos iteration on its O(N) matrix-free apply.  `cached_solve` keeps
 solves in .npz entries named by their key's crc32, each serving only its own stored key.
@@ -82,7 +83,6 @@ class EigenSystem:
     vk_l2: np.ndarray
     T: float = 1.0
     Q_sup: float = 0.0
-    method: str = "shooting"
 
     def __post_init__(self):
         lam = self.lambdas
@@ -94,8 +94,8 @@ def _rk4_shoot(Qh: np.ndarray, T: float, mu: np.ndarray, keep_path: bool = False
     """Integrate u'' = (Q - mu) u, u(0)=0, u'(0)=1 on the uniform t grid.
 
     Qh holds Q on the half-step grid (2N+1 points).  Vectorized over the mu
-    axis.  Returns (u_T, up_T); with keep_path, (u_T, up_T, interior zero
-    counts, path, dpath).
+    axis.  Returns (u_T, up_T); with keep_path, (path, dpath) instead, whose
+    last rows are u_T and up_T.
 
     A classical RK4 step of this linear system is the 2x2 transfer matrix
     [[A, B], [C, D]] acting on (u, u'), whose entries are polynomials in mu of
@@ -152,21 +152,12 @@ def _rk4_shoot(Qh: np.ndarray, T: float, mu: np.ndarray, keep_path: bool = False
             for j in range(g):
                 X = step(j, m, X)
                 out[:, 1 + j::g, lo:lo + m.size] = X[:, 0]
-    u, up = out[:, -1]
-    if not keep_path:
-        return u, up
-    path, dpath = out[:, :N + 1]
-    return u, up, _interior_zeros(path), path, dpath
+    return out[:, :N + 1] if keep_path else out[:, -1]
 
 
-def _interior_zeros(path: np.ndarray) -> np.ndarray:
-    """Sign changes down each column of path[1:], with exact zeros skipped."""
-    s = np.sign(path[1:]).astype(np.int8)   # s and `last`: narrow N K temporaries beside the path
-    # carry the last non-zero sign over exact zeros
-    last = np.where(s != 0, np.arange(s.shape[0], dtype=np.int32)[:, None], 0)
-    np.maximum.accumulate(last, axis=0, out=last)
-    s = np.take_along_axis(s, last, axis=0)
-    return np.count_nonzero(s[1:] * s[:-1] < 0, axis=0)
+def _sign_flips(v: np.ndarray) -> np.ndarray:
+    """Where v[i + 1] and v[i] differ in sign bit, down axis 0 (+0.0 positive, -0.0 negative)."""
+    return np.diff(np.signbit(v), axis=0)
 
 
 _MAX_ILLINOIS = 200   # cap on Illinois iterations; reaching it raises EigenSolverError
@@ -220,16 +211,14 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int) -> EigenSyste
         q + np.arange(2.0 * np.sqrt(unit), np.sqrt(mu_hi - q), 0.25 * np.sqrt(unit)) ** 2,
     ])
     B = boundary(scan)
-    sgn = np.sign(B)
-    flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
+    flips = np.flatnonzero(_sign_flips(B))
     if flips.size < K:
         raise EigenSolverError("found %d brackets, need %d (index %d missing)"
                                % (flips.size, K, flips.size + 1))
-    lo, hi = scan[flips[:K]], scan[flips[:K] + 1]
-    Blo, Bhi = B[flips[:K]], B[flips[:K] + 1]
+    lo, hi, Blo, Bhi = scan[flips[:K]], scan[flips[:K] + 1], B[flips[:K]], B[flips[:K] + 1]
     # Illinois iteration, vectorized over the brackets not yet converged.
-    # side: +1 if the last iterate replaced hi, -1 if it replaced lo.
-    side = np.zeros(K, dtype=int)
+    # side: 1 if the last iterate replaced hi, 0 if it replaced lo, -1 before the first.
+    side = np.full(K, -1)
     for _ in range(_MAX_ILLINOIS):
         act = np.nonzero(hi - lo > _REL_TOL * hi)[0]
         if act.size == 0:
@@ -241,33 +230,33 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int) -> EigenSyste
         gap = 0.5 * _REL_TOL * x0
         x = np.clip(x, x0 + gap, x1 - gap)
         Bx = boundary(x)
-        new_hi = Bx * B1 > 0
-        new_lo = Bx * B0 > 0
-        root = ~(new_hi | new_lo)          # B(x) == 0 exactly
-        hi[act] = np.where(new_hi | root, x, x1)
-        lo[act] = np.where(new_lo | root, x, x0)
-        # an endpoint retained twice in a row has its B halved
-        Bhi[act] = np.where(new_hi, Bx, np.where(new_lo & (side[act] < 0), 0.5 * B1, B1))
-        Blo[act] = np.where(new_lo, Bx, np.where(new_hi & (side[act] > 0), 0.5 * B0, B0))
-        side[act] = new_hi.astype(int) - new_lo.astype(int)
+        new_hi = np.signbit(Bx) == np.signbit(B1)   # _sign_flips' rule: x replaces hi
+        half = np.where(side[act] == new_hi, 0.5, 1.0)   # an end kept twice in a row: B halved
+        hi[act] = np.where(new_hi, x, x1)
+        lo[act] = np.where(new_hi, x0, x)
+        Bhi[act] = np.where(new_hi, Bx, half * B1)
+        Blo[act] = np.where(new_hi, half * B0, Bx)
+        side[act] = new_hi
     if np.any(hi - lo > _REL_TOL * hi):
         raise EigenSolverError("root finding did not converge in %d iterations"
                                % _MAX_ILLINOIS)
     mu = 0.5 * (lo + hi)
 
-    _, _, zeros, upath, dupath = _rk4_shoot(Qh, T, mu, keep_path=True)
+    upath, dupath = _rk4_shoot(Qh, T, mu, keep_path=True)
+    # v_k = u_k / u_k'(0) is the raw trajectory (u'(0) = 1).  The path is read once, ~8 columns
+    # at a time, with no (N+1, K) temporary; never 1 column (trapezoid sums it pairwise: other bits)
+    tgrid = np.linspace(0.0, T, N + 1)
+    zeros, (vk_inf, dvk_inf, vk_l2) = np.empty(K, dtype=int), np.empty((3, K))
+    nb = -(-K // 8)
+    for i in range(nb):
+        c = slice(i * K // nb, (i + 1) * K // nb)
+        zeros[c] = np.count_nonzero(_sign_flips(upath[1:, c]), axis=0)
+        vk_inf[c] = np.abs(upath[:, c]).max(axis=0)
+        dvk_inf[c] = np.abs(dupath[:, c]).max(axis=0)
+        vk_l2[c] = np.sqrt(np.trapezoid(upath[:, c] ** 2, tgrid, axis=0))
     if not np.array_equal(zeros, np.arange(K)):
         raise EigenSolverError("oscillation counts %s inconsistent with indices 1..%d"
                                % (zeros.tolist(), K))
-
-    # v_k = u_k / u_k'(0) is the raw trajectory (u'(0) = 1 by construction)
-    tgrid = np.linspace(0.0, T, N + 1)
-    vk_inf = np.abs(upath).max(axis=0)
-    dvk_inf = np.abs(dupath).max(axis=0)
-    # ~8 columns at a time, no (N+1, K) temporaries; never 1 (it sums pairwise: other bits)
-    nb = -(-K // 8)
-    vk_l2 = np.concatenate([np.sqrt(np.trapezoid(upath[:, i * K // nb:(i + 1) * K // nb] ** 2,
-                                                 tgrid, axis=0)) for i in range(nb)])
 
     # back-transform psi_k(x) = u_k(t(x)) a(x)^{-1/2}; chain rule for psi'
     x = grid(N)
@@ -287,7 +276,7 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int) -> EigenSyste
     psi[:, 0] = 0.0
 
     return EigenSystem(lambdas=1.0 / mu, x=x, psi=psi, dpsi=dpsi, vk_inf=vk_inf, dvk_inf=dvk_inf,
-                       vk_l2=vk_l2, T=T, Q_sup=form.Q_sup, method="shooting")
+                       vk_l2=vk_l2, T=T, Q_sup=form.Q_sup)
 
 
 def svd_oracle(spec: CoefficientPair, N: int, K: int) -> EigenSystem:
@@ -321,7 +310,7 @@ def svd_oracle(spec: CoefficientPair, N: int, K: int) -> EigenSystem:
         psi[k] = v / np.sqrt(np.trapezoid(v ** 2, dx=1.0 / N))
     dpsi = np.gradient(psi, 1.0 / N, axis=1)
     return EigenSystem(lambdas=lam, x=x, psi=psi, dpsi=dpsi, vk_inf=np.full(K, np.nan),
-                       dvk_inf=np.full(K, np.nan), vk_l2=np.full(K, np.nan), method="svd")
+                       dvk_inf=np.full(K, np.nan), vk_l2=np.full(K, np.nan))
 
 
 def eig_diagnostics(eig: EigenSystem) -> dict:
@@ -397,8 +386,7 @@ def load_eigensystem(spec: CoefficientPair, N: int, K: int, cache_dir: str) -> E
         if "key" not in npz or npz["key"].tobytes() != key:
             return None
         arrays = {f.name: npz[f.name] for f in fields(EigenSystem)}
-    return EigenSystem(**dict(arrays, T=float(arrays["T"]), Q_sup=float(arrays["Q_sup"]),
-                              method=str(arrays["method"])))
+    return EigenSystem(**dict(arrays, T=float(arrays["T"]), Q_sup=float(arrays["Q_sup"])))
 
 
 def cached_solve(spec: CoefficientPair, N: int, K: int, cache_dir: str | None = None) -> EigenSystem:

@@ -10,7 +10,7 @@ internals: block c = 1, 2, ... of the stream is Philox4x64-10 of counter
 of exactly 0 where e^-s overflows.  Poisson at rate e^s < 30 inverts u_1
 sequentially (the smallest k with u_1 <= the pmf summed term by term to k),
 and at rate >= 30 runs PTRS (Hormann 1993) on pairs (u, v) from the
-stream's start.  Those two draw all j in one vectorized Philox pass; PTRS
+stream's start.  Those two draw u_1 of all j in one vectorized Philox pass; PTRS
 and the Gaussian (s plus numpy's ziggurat normal) build each j's generator.
 """
 from __future__ import annotations
@@ -66,7 +66,7 @@ def _mulhilo(a: int, b: np.ndarray):
 
 
 def _philox_uniforms(seed: int, j) -> np.ndarray:
-    """(len(j), 4): the first four random() draws of each stream _substream(seed, j)."""
+    """The first random() draw of each stream _substream(seed, j): word 0 of its first block."""
     j = np.asarray(j, dtype=np.uint64)
     c = [np.ones_like(j)] + [np.zeros_like(j)] * 3
     for r in range(10):   # ten rounds; round r uses the key (seed, j) + r * W
@@ -75,7 +75,7 @@ def _philox_uniforms(seed: int, j) -> np.ndarray:
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c[0])
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c[2])
         c = [hi1 ^ c[1] ^ k0, lo1, hi0 ^ c[3] ^ k1, lo0]
-    return (np.stack(c, axis=1) >> np.uint64(11)) * 2.0 ** -53
+    return (c[0] >> np.uint64(11)) * 2.0 ** -53
 
 
 def _poisson_ptrs(lam: float, rng) -> int:
@@ -109,7 +109,7 @@ def sample_poisson(s: np.ndarray, seed: int) -> np.ndarray:
         y[j] = _poisson_ptrs(float(lam[j]), _substream(seed, int(j)))
     # below rate 30, sequential inversion: one k step at a time over the draws still searching
     low = np.flatnonzero(lam < 30.0)
-    u, lam = _philox_uniforms(seed, low)[:, 0], lam[low]
+    u, lam = _philox_uniforms(seed, low), lam[low]
     p = _exp(-lam)
     F, act, k = p.copy(), np.flatnonzero(u > p), 0
     while act.size:
@@ -177,7 +177,7 @@ def exp_family(kind: str) -> ExpFamily:
         return ExpFamily(
             kind="bernoulli", h=h, hsum=hsum, h1=h1, h2=h2, h3=h3,
             d3_envelope=_bernoulli_h3_envelope,
-            sampler=lambda s, seed: (_philox_uniforms(seed, np.arange(s.size))[:, 0]
+            sampler=lambda s, seed: (_philox_uniforms(seed, np.arange(s.size))
                                      < 1.0 / (1.0 + _exp(-s))).astype(float),
         )
     raise ModelError("unknown family kind %r" % kind)

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -133,7 +134,7 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     for name in ("lambdas", "psi", "dpsi", "x", "vk_inf", "vk_l2"):
         assert np.array_equal(getattr(back, name), getattr(eig, name)), name
     assert back.psi.flags.f_contiguous     # the layout the artifacts are pinned to
-    assert (back.T, back.Q_sup, back.method) == (eig.T, eig.Q_sup, eig.method)
+    assert (back.T, back.Q_sup) == (eig.T, eig.Q_sup)
     # key depends on the coefficients
     assert load_eigensystem(VOLTERRA, 1024, 5, str(tmp_path)) is None
     # the entry holds its key, which holds the solver's code and numpy's version: an
@@ -241,16 +242,16 @@ def test_rk4_shoot_matches_stage_form():
     form = liouville_transform(spec, 1024)
     Qh = form.Qh
     mu = np.array([1e-3, 3.0, 40.0, 900.0, 5e3])
-    u, up, zeros, path, dpath = _rk4_shoot(Qh, form.T, mu, keep_path=True)
+    path, dpath = _rk4_shoot(Qh, form.T, mu, keep_path=True)
     _, ref_up, ref_zeros, ref_path = _rk4_stage_form(Qh, form.T, mu)
     scale = np.abs(ref_path).max(axis=0)
     assert np.max(np.abs(path - ref_path) / scale) < 1e-11
-    assert np.max(np.abs(up - ref_up) / np.abs(dpath).max(axis=0)) < 1e-11
-    assert np.array_equal(u, path[-1]) and np.array_equal(up, dpath[-1])
+    assert np.max(np.abs(dpath[-1] - ref_up) / np.abs(dpath).max(axis=0)) < 1e-11
+    zeros = np.count_nonzero(eigensolver._sign_flips(path[1:]), axis=0)
     assert np.array_equal(zeros, ref_zeros) and ref_zeros[-1] > 10
-    # exact zeros on the grid are skipped, as in the step-by-step count
+    # +0.0 counts as positive: 1, 0, 0 | -2 | 0, 3 changes sign twice
     flat = np.array([[0.0], [1.0], [0.0], [0.0], [-2.0], [0.0], [3.0]])
-    assert eigensolver._interior_zeros(flat).tolist() == [2]
+    assert np.count_nonzero(eigensolver._sign_flips(flat[1:]), axis=0).tolist() == [2]
 
 
 def test_grouped_shoot_ends_where_its_path_does():
@@ -263,13 +264,29 @@ def test_grouped_shoot_ends_where_its_path_does():
     form = liouville_transform(spec, 1531)
     mu = np.geomspace(1e-3, 5e3, eigensolver._SHOOT_COLUMNS + 9)
     u, up = _rk4_shoot(form.Qh, form.T, mu)
-    _, _, zeros, path, dpath = _rk4_shoot(form.Qh, form.T, mu, keep_path=True)
+    path, dpath = _rk4_shoot(form.Qh, form.T, mu, keep_path=True)
     assert path.shape == dpath.shape == (1532, mu.size)
     assert np.max(np.abs(u - path[-1]) / np.abs(path).max(axis=0)) < 1e-12
     assert np.max(np.abs(up - dpath[-1]) / np.abs(dpath).max(axis=0)) < 1e-12
     _, _, ref_zeros, ref_path = _rk4_stage_form(form.Qh, form.T, mu)
     assert np.max(np.abs(path - ref_path) / np.abs(ref_path).max(axis=0)) < 1e-11
-    assert np.array_equal(zeros, ref_zeros)
+    assert np.array_equal(np.count_nonzero(eigensolver._sign_flips(path[1:]), axis=0), ref_zeros)
+
+
+def test_sign_rule():
+    """Two values differ in sign iff their sign bits do: +0.0 is positive and -0.0
+    negative, so a path that touches +0.0 from above and turns back has no sign
+    change, one that crosses through it has one, and a scan whose B is exactly 0
+    at a scan point gets one bracket there."""
+    flips = eigensolver._sign_flips
+    assert flips(np.array([0.0, 1.0, -0.0, -1.0])).tolist() == [False, True, False]
+    assert np.count_nonzero(flips(np.array([2.0, 0.0, 1.0]))) == 0   # a touch
+    assert np.count_nonzero(flips(np.array([2.0, 0.0, -1.0]))) == 1  # a crossing
+    assert flips(np.array([[1.0, -1.0], [-0.0, 0.0]])).tolist() == [[True, True]]
+    # B = mu - 2 is +0.0 at the scan point mu = 2: a sign product (0 * -1) loses the bracket
+    B = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    assert np.flatnonzero(np.sign(B[:-1]) * np.sign(B[1:]) < 0).size == 0
+    assert np.flatnonzero(flips(B)).tolist() == [1]
 
 
 def test_root_certificate(eig_cache):
@@ -314,6 +331,22 @@ def test_oversized_scan_refused(monkeypatch):
         with warnings.catch_warnings(), pytest.raises(OperatorSpecError, match=culprit):
             warnings.simplefilter("error")
             solve_eigs(liouville_transform(spec, 1024), spec, 10)
+
+
+def test_cold_solve_memory():
+    """A cold solve at N = 4096, K = 50 allocates at most 1 MiB above its live result
+    (tracemalloc): the path is read once in column blocks, with no (N+1) x K temporary
+    beside it (the sign and index arrays of a whole-path zero count added ~1.5 MiB)."""
+    spec = CoefficientPair((1.0, 0.5), (0.5,))
+    form = liouville_transform(spec, 4096)
+    tracemalloc.start()
+    try:
+        eig = solve_eigs(form, spec, 50)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert live >= eig.psi.nbytes + eig.dpsi.nbytes
+    assert peak - live <= 1 << 20, (live, peak)
 
 
 def test_shoot_budget(monkeypatch):

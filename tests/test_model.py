@@ -58,7 +58,7 @@ def test_philox_block_matches_numpy():
     js = [0, 1, 2, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 63, 2 ** 64 - 1]
     for seed in (0, 1, 2 ** 64 - 1):
         ref = [np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
-               .random(4) for j in js]
+               .random() for j in js]
         assert np.array_equal(_philox_uniforms(seed, np.array(js, dtype=np.uint64)), ref)
 
 

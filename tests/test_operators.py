@@ -89,7 +89,6 @@ def test_svd_oracle_matches_dense_svd(spec):
     B = rw[:, None] * discretize_R(spec, N) / rw[None, :]
     want = np.linalg.svd(B, compute_uv=False)[:K] ** 2
     got = svd_oracle(spec, N, K)
-    assert got.method == "svd"
     assert np.max(np.abs(got.lambdas - want) / want) <= 1e-12
     again = svd_oracle(spec, N, K)
     for name in ("lambdas", "psi", "dpsi"):
