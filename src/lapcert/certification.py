@@ -12,8 +12,8 @@ derivative of f over the ellipsoid of D-radius r.  At that radius the
 certificate also claims the mass outside {||D u|| <= r}: at most
 (1/3) exp(-(r - 3 sqrt(dim_A))^2 / 3) for the posterior, and at most
 exp(-(r - sqrt(dim_A))^2 / 2) for the Laplace Gaussian
-(`Certificate.posterior_tail`, `.gaussian_tail`).  The third-derivative
-bound splits as D3(K_loc) * A * B with
+(`Certificate.posterior_tail`, `.gaussian_tail`, checked exactly by `.gaussian_mass`).
+The third-derivative bound splits as D3(K_loc) * A * B with
 
     A = sup_x ||D^{-1} r(x)||,  r(x)_k = sqrt(lambda_k) psi_k(x)
     B = lambda_max(D^{-1} R^T R D^{-1})
@@ -95,8 +95,10 @@ class Certificate:
 
     @property
     def posterior_tail(self) -> float:
-        """Claimed bound on the posterior mass outside {||D u|| <= radius}."""
-        return posterior_tail_bound(self.effdim, self.radius)
+        """Claimed bound on the posterior mass outside {||D u|| <= radius}; 1 below r_lo."""
+        if self.radius < _r_lo(self.effdim):
+            return 1.0
+        return min(1.0, _tail_exp(self.effdim, self.radius) / 3.0)
 
     @property
     def gaussian_tail(self) -> float:
@@ -105,8 +107,15 @@ class Certificate:
 
     @property
     def log_gaussian_tail(self) -> float:
-        """log of gaussian_tail, finite where the claim underflows to 0."""
-        return log_gaussian_tail(max(0.0, self.radius - math.sqrt(self.effdim)))
+        """log of gaussian_tail, -t^2 / 2 at t = max(0, r - sqrt(dim)), finite where it is 0."""
+        t = max(0.0, self.radius - math.sqrt(self.effdim))
+        return -t * t / 2.0
+
+    def gaussian_mass(self) -> tuple:
+        """(lo, hi, refuted): the exact bracket of the Laplace Gaussian's mass outside {||D u||
+        <= radius}, and whether lo exceeds gaussian_tail, in logs (so also where both are 0)."""
+        lo, hi = _gaussian_tail_bracket(self.choice.D2.shape[0], self.radius)
+        return lo, hi, _log_bracket_low(self.radius) > self.log_gaussian_tail
 
 
 def spectrum(S: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -148,23 +157,22 @@ def _tail_exp(effdim: float, r: float) -> float:
     return math.exp(-((r - 3.0 * math.sqrt(effdim)) ** 2) / 3.0)
 
 
-def log_gaussian_tail(t: float) -> float:
-    """-t^2 / 2, the exponent of `gaussian_tail`."""
-    if t < 0:
-        raise ValueError("t >= 0 required")
-    return -t * t / 2.0
+def _gaussian_tail_bracket(p: int, r: float) -> tuple:
+    """(erfc(r/sqrt 2), Q(p/2, r^2/2)): exact ends of the Laplace Gaussian's mass outside
+    {||D u|| <= r}, alpha(D) = 1, as ||D u||^2 = sum mu_i xi_i^2, 0 < mu_i <= 1 (all 1 for D_G)."""
+    x, lo = r * r / 2.0, math.erfc(r / math.sqrt(2.0))
+    # Q = (p odd) erfc(sqrt x) + sum of e^-x x^a / Gamma(a + 1) over a = p/2 - 1, p/2 - 2, ... >= 0
+    return lo, min(1.0, math.fsum([(p % 2) * lo] + [
+        math.exp(a * math.log(max(x, 1e-300)) - x - math.lgamma(a + 1.0))
+        for a in (p / 2.0 - 1.0 - k for k in range(p // 2))]))
 
 
-def gaussian_tail(t: float) -> float:
-    """P(||D0 u|| >= sqrt(effdim) + t) <= exp(-t^2 / 2) for the Laplace Gaussian."""
-    return math.exp(log_gaussian_tail(t))
-
-
-def posterior_tail_bound(effdim: float, r: float) -> float:
-    """(1/3) exp(-(r - 3 sqrt(dim))^2 / 3); clamped to 1 when r < 3 + 3 sqrt(dim)."""
-    if r < _r_lo(effdim):
-        return 1.0  # bound not applicable below the critical radius
-    return min(1.0, _tail_exp(effdim, r) / 3.0)
+def _log_bracket_low(r: float) -> float:
+    """log erfc(x), x = r/sqrt 2 (the bracket's lower end) while erfc is normal; past that the
+    Abramowitz-Stegun 7.1.13 lower bound, erfc x > 2 e^{-x^2} / (sqrt(pi) (x + sqrt(x^2 + 2)))."""
+    x = r / math.sqrt(2.0)
+    return (math.log(math.erfc(x)) if math.erfc(x) >= np.finfo(float).tiny else
+            math.log(2.0 / math.sqrt(math.pi)) - x * x - math.log(x + math.sqrt(x * x + 2.0)))
 
 
 def certify(fit: LaplaceFit, prob: Problem, choice: WeightChoice, beta: float = 1.0) -> Certificate:

@@ -220,8 +220,8 @@ def _checks(run) -> list:
     iff ci_high > bound) and on its tail claims at its radius and scaled
     weighting: the importance draws' posterior mass outside against
     `posterior_tail` (violated iff ci_low > bound; both above CHECK_FLOOR),
-    and the Gaussian's exact bracket against `gaussian_tail` in logs, so it
-    fails where both underflow.  Other certificates get one skipped row, and
+    and the certificate's own `gaussian_mass`, the Gaussian's exact bracket
+    against `gaussian_tail`.  Other certificates get one skipped row, and
     the TV estimates are made only if some certificate is usable.
     """
     rows = []
@@ -234,12 +234,11 @@ def _checks(run) -> list:
                         tv.ci_high > max(c.tv_bound, CHECK_FLOOR)) for tv in run.tvs]
         draws = run.tvs[0].method == "importance"
         m = astuple(run.tvs[0].outside[run.usable.index(label)]) if draws else (None,) * 3
-        lo, hi = val._gaussian_tail_bracket(run.prob.p, c.radius)
+        lo, hi, refuted = c.gaussian_mass()
         rows += [_check(label, "tail_posterior", c.posterior_tail, m,
                         draws and m[1] > max(c.posterior_tail, CHECK_FLOOR),
                         "" if draws else "no importance draws"),
-                 _check(label, "tail_gaussian", c.gaussian_tail, (hi, lo, hi),
-                        val._log_bracket_low(c.radius) > c.log_gaussian_tail)]
+                 _check(label, "tail_gaussian", c.gaussian_tail, (hi, lo, hi), refuted)]
     return rows
 
 

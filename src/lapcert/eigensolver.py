@@ -24,6 +24,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
+from zipfile import BadZipFile
 from zlib import crc32
 
 import numpy as np
@@ -378,14 +379,18 @@ def save_eigensystem(eig: EigenSystem, spec: CoefficientPair, cache_dir: str) ->
 
 
 def load_eigensystem(spec: CoefficientPair, N: int, K: int, cache_dir: str) -> EigenSystem | None:
+    """The entry of this key, or None: no entry, another key's, or one that cannot be read."""
     key = _cache_key(spec, N, K)
     path = _cache_path(key, cache_dir)
     if not os.path.exists(path):
         return None
-    with np.load(path, allow_pickle=False) as npz:
-        if "key" not in npz or npz["key"].tobytes() != key:
-            return None
-        arrays = {f.name: npz[f.name] for f in fields(EigenSystem)}
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            if "key" not in npz or npz["key"].tobytes() != key:
+                return None
+            arrays = {f.name: npz[f.name] for f in fields(EigenSystem)}
+    except (BadZipFile, EOFError, ValueError):   # a damaged entry, which cached_solve rewrites
+        return None
     return EigenSystem(**dict(arrays, T=float(arrays["T"]), Q_sup=float(arrays["Q_sup"])))
 
 

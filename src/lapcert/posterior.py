@@ -81,13 +81,6 @@ def whiten(L: np.ndarray, S: np.ndarray) -> np.ndarray:
     return tri_solve(L, tri_solve(L, S.copy()).T)
 
 
-def _signals(prob: Problem, theta: np.ndarray) -> np.ndarray:
-    s = prob.design.rows @ theta
-    if not np.all(np.isfinite(s)):
-        raise EvaluationError("non-finite linear predictor")
-    return s
-
-
 def f_value(prob: Problem, theta: np.ndarray) -> float:
     """f at theta: the one-row call of `f_values`, whose errors it raises."""
     return float(f_values(prob, np.asarray(theta)[None], 1)[0])
@@ -178,15 +171,14 @@ def f_values(prob: Problem, Theta: np.ndarray, workers: int | None = None) -> np
     return out
 
 
-def grad(prob: Problem, theta: np.ndarray) -> np.ndarray:
-    s = _signals(prob, theta)
-    return prob.design.rows.T @ (prob.family.h1(s) - prob.data.y) + prob.g2 * theta
-
-
-def hessian_L(prob: Problem, theta: np.ndarray) -> np.ndarray:
-    s = _signals(prob, theta)
+def derivatives(prob: Problem, theta: np.ndarray) -> tuple:
+    """(nabla f, nabla^2 L) at theta, both from one linear predictor s = R theta."""
     R = prob.design.rows
-    return (R * prob.family.h2(s)[:, None]).T @ R
+    s = R @ theta
+    if not np.all(np.isfinite(s)):
+        raise EvaluationError("non-finite linear predictor")
+    return (R.T @ (prob.family.h1(s) - prob.data.y) + prob.g2 * theta,
+            (R * prob.family.h2(s)[:, None]).T @ R)
 
 
 def map_solve(prob: Problem, theta0: np.ndarray | None = None) -> LaplaceFit:
@@ -195,8 +187,7 @@ def map_solve(prob: Problem, theta0: np.ndarray | None = None) -> LaplaceFit:
     theta = np.zeros(prob.p) if theta0 is None else np.asarray(theta0, dtype=float).copy()
     fv = f_value(prob, theta)
     for it in range(1, 201):
-        g = grad(prob, theta)
-        hL = hessian_L(prob, theta)
+        g, hL = derivatives(prob, theta)
         DG2 = hL + np.diag(prob.g2)
         L = np.linalg.cholesky(DG2)
         step = tri_solve(L, tri_solve(L, g.copy()), trans=True)

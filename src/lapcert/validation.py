@@ -22,7 +22,7 @@ bootstrap's blocks run on `workers` threads (default: the usable cores), at
 most one per block, at any size of work; no estimate depends on the count.
 The importance draws also give the posterior mass outside ellipsoids
 {||D0 u|| <= r} (`OutsideMass`) on the same resample blocks, so tail claims
-need no second likelihood pass; the Gaussian's is `_gaussian_tail_bracket`.
+need no second likelihood pass.
 Each draw's ||D0 u||^2 is z^T W z, W = `whiten(L, D0^2)`, on the whitened
 draws, so no array of thetas or of u = theta - theta_hat outlives the kernel.
 """
@@ -95,24 +95,6 @@ def log_densities(fit: LaplaceFit, prob: Problem, Z: np.ndarray,
     return fit.f_hat - f_values(prob, Z, workers), lq
 
 
-def _gaussian_tail_bracket(p: int, r: float) -> tuple:
-    """(erfc(r/sqrt 2), Q(p/2, r^2/2)): exact ends of the Laplace Gaussian's mass outside
-    {||D u|| <= r}, alpha(D) = 1, as ||D u||^2 = sum mu_i xi_i^2, 0 < mu_i <= 1 (all 1 for D_G)."""
-    x, lo = r * r / 2.0, math.erfc(r / math.sqrt(2.0))
-    # Q = (p odd) erfc(sqrt x) + sum of e^-x x^a / Gamma(a + 1) over a = p/2 - 1, p/2 - 2, ... >= 0
-    return lo, min(1.0, math.fsum([(p % 2) * lo] + [
-        math.exp(a * math.log(max(x, 1e-300)) - x - math.lgamma(a + 1.0))
-        for a in (p / 2.0 - 1.0 - k for k in range(p // 2))]))
-
-
-def _log_bracket_low(r: float) -> float:
-    """log erfc(x), x = r/sqrt 2 (the bracket's lower end) while erfc is normal; past that the
-    Abramowitz-Stegun 7.1.13 lower bound, erfc x > 2 e^{-x^2} / (sqrt(pi) (x + sqrt(x^2 + 2)))."""
-    x = r / math.sqrt(2.0)
-    return (math.log(math.erfc(x)) if math.erfc(x) >= np.finfo(float).tiny else
-            math.log(2.0 / math.sqrt(math.pi)) - x * x - math.log(x + math.sqrt(x * x + 2.0)))
-
-
 # resample indices held at a time, over all workers: 2^18 int64 (2 MiB, plus float
 # gathers as large) instead of the whole (n_boot, n_samples) array
 _BOOT_BLOCK_ENTRIES = 1 << 18
@@ -162,7 +144,7 @@ def tv_quadrature(fit: LaplaceFit, prob: Problem, per_axis: int = MIN_PER_AXIS,
     err = abs(fine - coarse)
     return TVEstimate(method="quadrature", value=fine,
                       ci_low=max(0.0, fine - err),
-                      ci_high=min(1.0, max(fine, fine + err)),
+                      ci_high=min(1.0, fine + err),
                       n_points=(2 * per_axis) ** p)
 
 

@@ -21,7 +21,7 @@ from scipy.special import erfc, gammaincc
 
 from lapcert.certification import WeightChoice, tau3_certified, tau3_parts
 from lapcert.model import _rowsum, sample_basis
-from lapcert.posterior import LaplaceFit, Problem, f_values, hessian_L
+from lapcert.posterior import LaplaceFit, Problem, derivatives, f_values
 from lapcert.validation import laplace_draws, log_densities, wilson_interval
 
 
@@ -141,7 +141,7 @@ def omega_diagnostics(fit: LaplaceFit, prob: Problem, choice: WeightChoice,
     om = float(np.max(num / (0.5 * du ** 2)))
     om3 = t3 = 0.0
     for u, d in zip(U, du):
-        Hd = hessian_L(prob, fit.theta_hat + u) + np.diag(prob.g2) - DG2
+        Hd = derivatives(prob, fit.theta_hat + u)[1] + np.diag(prob.g2) - DG2
         W = solve_triangular(L, solve_triangular(L, Hd, lower=True).T, lower=True)
         w = float(np.linalg.norm(W, 2))
         om3 = max(om3, w)

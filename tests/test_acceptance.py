@@ -20,7 +20,7 @@ from lapcert import validation as val
 from lapcert.eigensolver import cached_solve, svd_oracle
 from lapcert.model import TruthSpec, exp_family, generate
 from lapcert.operators import CoefficientPair, VOLTERRA, assemble_design, l2_inner
-from lapcert.posterior import Problem, grad, hessian_L, map_solve
+from lapcert.posterior import Problem, derivatives, map_solve
 
 from conftest import SPEC_CORPUS, make_problem
 from probes import (f_reference, ortho_constant, third_directional, tightness_probe,
@@ -233,11 +233,11 @@ def test_criterion_09_concentration(volterra_eig):
         for r in np.linspace(math.sqrt(p), 3 + 3 * math.sqrt(p) + 3, 8):
             m = conc.empirical_outside_mass(fit, prob, fit.DG2, float(r),
                                             n_samples=2000, seed=seed).outside[0]
-            t = max(0.0, r - math.sqrt(dim))
-            lo, hi = val._gaussian_tail_bracket(p, float(r))   # hi: the exact mass at D_G
+            c = C.Certificate(choice=C.choice_DG(fit), effdim=dim, tau3_sup=0.0, radius=float(r))
+            lo, hi, refuted = c.gaussian_mass()   # hi: the exact mass at D_G
             checks += 2
-            violations += not lo <= hi <= C.gaussian_tail(t)
-            violations += m.posterior_ci_low > C.posterior_tail_bound(dim, float(r))
+            violations += refuted or not lo <= hi <= c.gaussian_tail
+            violations += m.posterior_ci_low > c.posterior_tail
     assert _report(9, "tail bounds dominate empirical mass", violations == 0,
                    "%d violations in %d checks" % (violations, checks))
 
@@ -271,14 +271,15 @@ def test_criterion_11_derivatives(volterra_eig_small):
         fd_g = np.array([(f_reference(prob, theta + eps * np.eye(p)[k])
                           - f_reference(prob, theta - eps * np.eye(p)[k])) / (2 * eps)
                          for k in range(p)])
-        rel_g = np.max(np.abs(grad(prob, theta) - fd_g)) / (1 + np.max(np.abs(fd_g)))
-        fd_H = np.array([(grad(prob, theta + eps * np.eye(p)[k])
-                          - grad(prob, theta - eps * np.eye(p)[k])) / (2 * eps)
+        g, hL = derivatives(prob, theta)
+        rel_g = np.max(np.abs(g - fd_g)) / (1 + np.max(np.abs(fd_g)))
+        fd_H = np.array([(derivatives(prob, theta + eps * np.eye(p)[k])[0]
+                          - derivatives(prob, theta - eps * np.eye(p)[k])[0]) / (2 * eps)
                          for k in range(p)])
-        H = hessian_L(prob, theta) + np.diag(prob.g2)
+        H = hL + np.diag(prob.g2)
         rel_H = np.max(np.abs(H - fd_H)) / (1 + np.max(np.abs(fd_H)))
-        fd_t3 = float(v @ ((hessian_L(prob, theta + eps * v)
-                            - hessian_L(prob, theta - eps * v)) / (2 * eps)) @ v)
+        fd_t3 = float(v @ ((derivatives(prob, theta + eps * v)[1]
+                            - derivatives(prob, theta - eps * v)[1]) / (2 * eps)) @ v)
         rel_3 = abs(third_directional(prob, theta, v) - fd_t3) / (1 + abs(fd_t3))
         worst = max(worst, rel_g, rel_H, rel_3)
     assert _report(11, "derivatives vs finite differences", worst < 1e-4,

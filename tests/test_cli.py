@@ -407,8 +407,8 @@ def test_validate_runs_one_likelihood_pass(tmp_path, monkeypatch, write_cfg):
 
 def test_gaussian_tail_rows_refute_a_false_claim(tmp_path, monkeypatch, write_cfg, eig_cache):
     """The tail_gaussian rows are exact, so a claim below the Gaussian's true
-    mass fails them: with the t^2 mutant -t^2 of log_gaussian_tail (so
-    gaussian_tail = exp(-t^2)), a real-mode sweep at n = 1e4 over p in {2, 6}
+    mass fails them: with the t^2 mutant -t^2 of Certificate.log_gaussian_tail
+    (so gaussian_tail = exp(-t^2)), a real-mode sweep at n = 1e4 over p in {2, 6}
     exits 1 with every one of those rows violated, and every other row as the
     true claim leaves it.  The rows compare logs, so they fail where the
     claim and the bracket underflow too: gaussian_exactness's three, at radii
@@ -422,7 +422,8 @@ def test_gaussian_tail_rows_refute_a_false_claim(tmp_path, monkeypatch, write_cf
     exact.write_text(json.dumps(doc))
     true, mutant = tmp_path / "true", tmp_path / "mutant"
     assert main(["sweep", "--config", cfg, "--out", str(true)]) == 0
-    monkeypatch.setattr(lapcert.certification, "log_gaussian_tail", lambda t: -t * t)
+    monkeypatch.setattr(lapcert.certification.Certificate, "log_gaussian_tail", property(
+        lambda c: -max(0.0, c.radius - math.sqrt(c.effdim)) ** 2))
     assert main(["sweep", "--config", cfg, "--out", str(mutant)]) == 1
     want = _read_checks(true / "checks.csv")
     got = _read_checks(mutant / "checks.csv")

@@ -1,7 +1,7 @@
-"""The certificate's tail claims, `certification.gaussian_tail` and
-`posterior_tail_bound`, against the Laplace Gaussian's exact mass outside an
-ellipsoid and the posterior mass as the benchmark probe's entry
-`concentration.empirical_outside_mass` estimates it."""
+"""The certificate's tail claims, `Certificate.gaussian_tail` and
+`.posterior_tail`, against the Laplace Gaussian's exact mass outside an
+ellipsoid (`.gaussian_mass`) and the posterior mass as the benchmark probe's
+entry `concentration.empirical_outside_mass` estimates it."""
 import math
 
 import numpy as np
@@ -10,16 +10,23 @@ import pytest
 from lapcert import certification as C
 from lapcert.concentration import empirical_outside_mass
 from lapcert.posterior import tri_solve
-from lapcert.validation import _gaussian_tail_bracket, laplace_draws, wilson_interval
+from lapcert.validation import laplace_draws, wilson_interval
 
 from probes import weighting_claims
 
 
+def _claims(effdim: float, radius: float, p: int = 1) -> C.Certificate:
+    """A certificate at (effdim, radius) for p modes; its tau3 enters no tail claim."""
+    return C.Certificate(choice=C.WeightChoice("DG", np.eye(p)), effdim=effdim, tau3_sup=0.0,
+                         radius=radius)
+
+
 def test_gaussian_tail_values():
-    assert C.gaussian_tail(0.0) == 1.0
-    assert C.gaussian_tail(3.0) == pytest.approx(math.exp(-4.5))
-    with pytest.raises(ValueError):
-        C.gaussian_tail(-0.1)
+    # exp(-t^2 / 2) at t = max(0, r - sqrt(dim)): 1 up to r = sqrt(dim), not only at it
+    assert _claims(1.0, 1.0).gaussian_tail == 1.0
+    assert _claims(1.0, 0.5).gaussian_tail == 1.0
+    assert _claims(1.0, 4.0).log_gaussian_tail == -4.5
+    assert _claims(1.0, 4.0).gaussian_tail == pytest.approx(math.exp(-4.5))
 
 
 def test_gaussian_tail_monte_carlo():
@@ -28,7 +35,7 @@ def test_gaussian_tail_monte_carlo():
     z = np.abs(rng.standard_normal(10 ** 6))
     for t in (1.0, 2.0, 3.0):
         frac = np.mean(z > 1.0 + t)
-        assert frac <= C.gaussian_tail(t)
+        assert frac <= _claims(1.0, 1.0 + t).gaussian_tail
 
 
 def test_quadratic_form_deviation_bound():
@@ -46,10 +53,10 @@ def test_quadratic_form_deviation_bound():
 def test_posterior_tail_bound_values():
     dim = 4.0
     r0 = 3.0 + 3.0 * math.sqrt(dim)
-    assert C.posterior_tail_bound(dim, r0) == pytest.approx(math.exp(-3.0) / 3.0)
-    assert C.posterior_tail_bound(dim, r0 - 0.5) == 1.0  # below critical radius
+    assert _claims(dim, r0).posterior_tail == pytest.approx(math.exp(-3.0) / 3.0)
+    assert _claims(dim, r0 - 0.5).posterior_tail == 1.0  # below critical radius
     rs = np.linspace(r0, r0 + 10, 20)
-    vals = [C.posterior_tail_bound(dim, r) for r in rs]
+    vals = [_claims(dim, r).posterior_tail for r in rs]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     assert all(0.0 <= v <= 1.0 for v in vals)
 
@@ -64,10 +71,10 @@ def test_wilson_interval_basic():
 def test_outside_mass_extremes(poisson_fit):
     prob, fit = poisson_fit
     at0 = empirical_outside_mass(fit, prob, fit.DG2, r=0.0, n_samples=1000, seed=0).outside[0]
-    assert _gaussian_tail_bracket(prob.design.p, 0.0) == (1.0, 1.0)
+    assert C._gaussian_tail_bracket(prob.design.p, 0.0) == (1.0, 1.0)
     assert at0.posterior_frac == pytest.approx(1.0)
     far = empirical_outside_mass(fit, prob, fit.DG2, r=100.0, n_samples=1000, seed=0).outside[0]
-    assert _gaussian_tail_bracket(prob.design.p, 100.0) == (0.0, 0.0)
+    assert C._gaussian_tail_bracket(prob.design.p, 100.0) == (0.0, 0.0)
     assert far.posterior_frac == 0.0
     assert far.posterior_ci_high < 0.02
 
@@ -83,7 +90,7 @@ def test_gaussian_family_weights_unit(gaussian_fit):
     U = tri_solve(fit.L, Z.T, trans=True).T   # u = L^{-T} z
     plain = np.mean(np.sqrt(np.sum(U * (U @ fit.DG2), axis=1)) > 1.5)
     assert m.posterior_frac == pytest.approx(plain, abs=1e-10)
-    exact = _gaussian_tail_bracket(prob.design.p, 1.5)[1]
+    exact = C._gaussian_tail_bracket(prob.design.p, 1.5)[1]
     assert m.posterior_ci_low <= exact <= m.posterior_ci_high
     assert rep.ess == pytest.approx(2000, rel=1e-6)
 
@@ -95,11 +102,12 @@ def test_bounds_dominate_empirical(poisson_fit):
     for r in np.linspace(math.sqrt(p), 3 + 3 * math.sqrt(p) + 2, 6):
         m = empirical_outside_mass(fit, prob, fit.DG2, r=float(r),
                                    n_samples=2000, seed=5).outside[0]
-        t = max(0.0, r - math.sqrt(dim))
+        c = _claims(dim, float(r), p)
         # at D_G the upper end of the bracket is the exact Gaussian mass
-        lo, hi = _gaussian_tail_bracket(p, float(r))
-        assert lo <= hi <= C.gaussian_tail(t)
-        assert m.posterior_ci_low <= C.posterior_tail_bound(dim, float(r))
+        lo, hi, refuted = c.gaussian_mass()
+        assert (lo, hi) == C._gaussian_tail_bracket(p, float(r))
+        assert lo <= hi <= c.gaussian_tail and not refuted
+        assert m.posterior_ci_low <= c.posterior_tail
 
 
 def test_min_samples_enforced(poisson_fit):

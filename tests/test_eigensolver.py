@@ -2,6 +2,7 @@ import math
 import os
 import tracemalloc
 import warnings
+import zipfile
 from dataclasses import fields
 
 import numpy as np
@@ -186,6 +187,38 @@ def test_cache_entry_without_key_is_a_miss(tmp_path):
     assert os.listdir(tmp_path) == [os.path.basename(path)]
     back = load_eigensystem(spec, 1024, 3, str(tmp_path))
     assert back is not None and np.array_equal(back.psi, eig.psi)
+
+
+@pytest.mark.parametrize("damage, error", [("truncated", zipfile.BadZipFile),
+                                           ("empty", EOFError), ("random", ValueError)])
+def test_damaged_cache_entry_is_a_miss(tmp_path, monkeypatch, damage, error):
+    """An entry that np.load cannot read (a truncated archive, an empty file, random
+    bytes) is a miss and not an error: the next cached_solve solves once and
+    overwrites it, and the run after that loads the first solve's arrays."""
+    spec = CoefficientPair((1.0, 0.5), (0.1,))
+    first = cached_solve(spec, 1024, 3, str(tmp_path))
+    path = eigensolver._cache_path(eigensolver._cache_key(spec, 1024, 3), str(tmp_path))
+    with open(path, "rb") as fh:
+        whole = fh.read()
+    with open(path, "wb") as fh:
+        fh.write({"truncated": whole[:len(whole) // 2], "empty": b"",
+                  "random": np.random.default_rng(0).bytes(len(whole))}[damage])
+    with pytest.raises(error):
+        np.load(path, allow_pickle=False)
+    assert load_eigensystem(spec, 1024, 3, str(tmp_path)) is None
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return solve_eigs(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "solve_eigs", counted)
+    cached_solve(spec, 1024, 3, str(tmp_path))
+    assert len(solves) == 1 and os.listdir(tmp_path) == [os.path.basename(path)]
+    back = load_eigensystem(spec, 1024, 3, str(tmp_path))
+    assert back is not None
+    for f in fields(EigenSystem):
+        assert np.array_equal(getattr(back, f.name), getattr(first, f.name)), f.name
 
 
 def test_failed_save_leaves_nothing(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from scipy.linalg import solve_triangular
 from lapcert.model import TruthSpec, exp_family, generate
 from lapcert.operators import assemble_design
 from lapcert import posterior
-from lapcert.posterior import (Problem, f_value, f_values, grad, hessian_L, map_solve, pool_map,
+from lapcert.posterior import (Problem, derivatives, f_value, f_values, map_solve, pool_map,
                                tri_solve)
 
 from conftest import make_problem
@@ -37,23 +37,23 @@ def test_derivatives_match_finite_differences(volterra_eig_small):
         v = rng.normal(size=p)
         eps = 1e-5
 
-        g = grad(prob, theta)
+        g, hL = derivatives(prob, theta)
         fd_g = np.array([
             (f_reference(prob, theta + eps * np.eye(p)[k])
              - f_reference(prob, theta - eps * np.eye(p)[k])) / (2 * eps)
             for k in range(p)])
         assert np.max(np.abs(g - fd_g)) < 1e-5 * (1 + np.max(np.abs(fd_g)))
 
-        H = hessian_L(prob, theta) + np.diag(prob.g2)
+        H = hL + np.diag(prob.g2)
         fd_H = np.array([
-            (grad(prob, theta + eps * np.eye(p)[k])
-             - grad(prob, theta - eps * np.eye(p)[k])) / (2 * eps)
+            (derivatives(prob, theta + eps * np.eye(p)[k])[0]
+             - derivatives(prob, theta - eps * np.eye(p)[k])[0]) / (2 * eps)
             for k in range(p)])
         assert np.max(np.abs(H - fd_H)) < 1e-4 * (1 + np.max(np.abs(fd_H)))
 
         t3 = third_directional(prob, theta, v)
-        fd_t3 = float(v @ ((hessian_L(prob, theta + eps * v)
-                            - hessian_L(prob, theta - eps * v)) / (2 * eps)) @ v)
+        fd_t3 = float(v @ ((derivatives(prob, theta + eps * v)[1]
+                            - derivatives(prob, theta - eps * v)[1]) / (2 * eps)) @ v)
         assert t3 == pytest.approx(fd_t3, rel=1e-3, abs=1e-5)
 
 
@@ -84,7 +84,7 @@ def test_gaussian_map_is_ridge_solution(gaussian_fit):
 
 def test_map_stationarity_and_descent(poisson_fit):
     prob, fit = poisson_fit
-    assert np.linalg.norm(grad(prob, fit.theta_hat)) < 1e-6
+    assert np.linalg.norm(derivatives(prob, fit.theta_hat)[0]) < 1e-6
     assert fit.f_hat <= f_value(prob, np.zeros(prob.design.p))
     # hess_L excludes the prior block; DG2 includes it
     assert np.allclose(fit.DG2 - fit.hess_L, np.diag(prob.g2))
@@ -105,11 +105,11 @@ def test_f_hat_is_the_kernels_value(volterra_eig, poisson_fit, gaussian_fit):
 def test_fit_is_its_last_newton_iterate(poisson_fit, gaussian_fit):
     """The fit's derivatives and Cholesky factor are those of theta_hat, bit for bit."""
     for prob, fit in (poisson_fit, gaussian_fit):
-        hL = hessian_L(prob, fit.theta_hat)
+        g, hL = derivatives(prob, fit.theta_hat)
         assert np.array_equal(fit.hess_L, hL)
         assert np.array_equal(fit.DG2, hL + np.diag(prob.g2))
         assert np.array_equal(fit.L, np.linalg.cholesky(fit.DG2))
-        assert fit.grad_norm == float(np.linalg.norm(grad(prob, fit.theta_hat)))
+        assert fit.grad_norm == float(np.linalg.norm(g))
 
 
 @pytest.mark.parametrize("p", [1, 2, 8, 48])

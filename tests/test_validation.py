@@ -373,9 +373,11 @@ def test_tail_statistics_share_the_importance_pass(poisson_fit, monkeypatch):
     assert 0.2 < est.outside[0].posterior_frac < 0.8 and est.outside[2].posterior_frac == 0.0
     # the Laplace Gaussian's side is exact, with no draws: at D_G the chi^2_p
     # tail, which the certificate's claim bounds
-    lo, hi = val._gaussian_tail_bracket(p, regions[0][1])
-    assert lo < hi <= C.gaussian_tail(max(0.0, regions[0][1] - np.sqrt(p)))
-    assert val._gaussian_tail_bracket(p, 50.0) == (0.0, 0.0)
+    claim = C.Certificate(choice=C.choice_DG(fit), effdim=float(p), tau3_sup=0.0,
+                          radius=regions[0][1])
+    lo, hi, refuted = claim.gaussian_mass()
+    assert lo < hi <= claim.gaussian_tail and not refuted
+    assert C._gaussian_tail_bracket(p, 50.0) == (0.0, 0.0)
     # empirical_outside_mass is its own draw plus the same statistic
     D0_sq, r = regions[1]
     rep = empirical_outside_mass(fit, prob, D0_sq, r, n_samples=2000, seed=5, n_boot=200)
@@ -413,7 +415,7 @@ def test_gaussian_tail_bracket_matches_scipy():
     against scipy.special at every p <= 48, at r = 0 and over radii 0.1 to 37."""
     for p in range(1, 49):
         for r in [0.0, *np.geomspace(0.1, 37.0, 41)]:
-            lo, hi = val._gaussian_tail_bracket(p, float(r))
+            lo, hi = C._gaussian_tail_bracket(p, float(r))
             want = gaussian_mass_bracket(p, float(r))
             assert (lo, hi) == pytest.approx(want, rel=1e-12, abs=0), (p, r)
             assert 0.0 < lo <= hi <= 1.0
@@ -426,12 +428,12 @@ def test_log_bracket_low_bounds_log_erfc():
     scipy.special.log_ndtr gives log erfc(r/sqrt 2) = log 2 + log_ndtr(-r)."""
     for r in np.linspace(0.0, 1000.0, 4001):
         want = math.log(2.0) + float(log_ndtr(-r))
-        got = val._log_bracket_low(float(r))
+        got = C._log_bracket_low(float(r))
         if math.erfc(r / math.sqrt(2.0)) >= np.finfo(float).tiny:
             assert got == pytest.approx(want, rel=1e-12), r
         else:
             assert want - 1e-5 < got <= want + 1e-15 * abs(want), r
-    assert val._log_bracket_low(37.0) == math.log(math.erfc(37.0 / math.sqrt(2.0)))
+    assert C._log_bracket_low(37.0) == math.log(math.erfc(37.0 / math.sqrt(2.0)))
 
 
 def test_quadrature_grid_convergence(volterra_eig):
