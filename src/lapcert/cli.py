@@ -59,9 +59,10 @@ def _write_csv(path: str, columns: list, rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(columns)
-        if isinstance(rows, dict):
-            line = ",".join(["%r"] * len(columns)) + "\r\n"
-            fh.writelines(line % r for r in zip(*(rows[k].tolist() for k in columns)))
+        if isinstance(rows, dict):   # 4096 rows at a time, so no n-long lists are held
+            line, cols = ",".join(["%r"] * len(columns)) + "\r\n", [rows[k] for k in columns]
+            for a in range(0, len(cols[0]), 4096):
+                fh.writelines(line % r for r in zip(*(c[a:a + 4096].tolist() for c in cols)))
         else:
             w.writerows([float(v) if isinstance(v, float) else v
                          for v in map(row.get, columns)] for row in rows)
@@ -78,14 +79,16 @@ class Run:
 
     Each stage (eig, truth, data, prob, fit, certs, usable, tvs) is
     computed on first use and kept, so every subcommand of `all` reads the
-    same objects.  A sweep point passes in the parent run's eig, and its data
-    when only p varies.  Up to `workers` threads run the TV estimates'
-    likelihood kernel and bootstrap.
+    same objects.  eig keeps every eigenvalue but only the eigenfunctions a stage
+    samples (p, p_star, and each point's p in a `sweep` run).  A sweep point passes in
+    the parent run's eig, and its data when only p varies.  Up to `workers` threads
+    run the TV estimates' likelihood kernel and bootstrap.
     """
 
-    def __init__(self, cfg: ExperimentConfig, workers: int, eig=None, data=None):
+    def __init__(self, cfg: ExperimentConfig, workers: int, eig=None, data=None, sweep=False):
         self.cfg = cfg
         self.workers = workers
+        self.point_ps = cfg.sweep.values if sweep and cfg.sweep.axis == "p" else ()
         if eig is not None:
             self.eig = eig       # an instance value takes the cached_property's place
         if data is not None:
@@ -99,7 +102,8 @@ class Run:
         cfg = self.cfg
         spec = CoefficientPair(tuple(cfg.operator.a), tuple(cfg.operator.b))
         cache = cfg.eigensolver.cache_dir or os.path.join(cfg.out_dir, "eigcache")
-        return cached_solve(spec, cfg.eigensolver.N, cfg.eigensolver.K, cache)
+        return cached_solve(spec, cfg.eigensolver.N, cfg.eigensolver.K, cache).leading(
+            max(cfg.p, self.truth.p_star, *self.point_ps))
 
     @cached_property
     def truth(self) -> TruthSpec:
@@ -322,7 +326,8 @@ def main(argv=None) -> int:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
 
-    run = Run(cfg, min(args.threads or usable_cores(), usable_cores()))
+    run = Run(cfg, min(args.threads or usable_cores(), usable_cores()),
+              sweep=args.command == "sweep")
     # each subcommand's time includes the stages it computes first and its artifacts
     wall_times_s, rc, start = {}, 0, time.time()
     try:

@@ -22,7 +22,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from zipfile import BadZipFile
 from zlib import crc32
@@ -75,10 +75,13 @@ def liouville_transform(spec: CoefficientPair, N: int) -> LiouvilleForm:
 
 @dataclass(frozen=True)
 class EigenSystem:
+    """The first K eigenpairs: psi and dpsi hold the leading modes, lambdas and norms all K."""
     lambdas: np.ndarray          # strictly decreasing, positive
     x: np.ndarray                # uniform grid on [0,1]
-    psi: np.ndarray              # (K, N+1), L2[0,1]-normalized, psi_k(0)=0
+    psi: np.ndarray              # (modes, N+1), L2[0,1]-normalized, psi_k(0)=0
     dpsi: np.ndarray             # analytic derivative via the chain rule
+    psi_sup: np.ndarray          # max |psi_k| on the grid
+    dpsi_sup: np.ndarray         # max |psi_k'| on the grid
     vk_inf: np.ndarray           # ||v_k||_inf with v_k = u_k / u_k'(0)
     dvk_inf: np.ndarray
     vk_l2: np.ndarray
@@ -89,6 +92,15 @@ class EigenSystem:
         lam = self.lambdas
         if np.any(lam <= 0) or np.any(np.diff(lam) >= 0):
             raise EigenSolverError("eigenvalues must be positive and strictly decreasing")
+
+    def leading(self, m: int) -> EigenSystem:
+        """This system with psi and dpsi cut to their first m rows, as column-major copies."""
+        return replace(self, psi=np.asfortranarray(self.psi[:m]),
+                       dpsi=np.asfortranarray(self.dpsi[:m]))
+
+
+def _row_sups(f: np.ndarray) -> np.ndarray:   # np.abs(f).max(axis=1) to the bit, no |f| copy
+    return np.maximum(f.max(axis=1), -f.min(axis=1))
 
 
 def _rk4_shoot(Qh: np.ndarray, T: float, mu: np.ndarray, keep_path: bool = False):
@@ -276,8 +288,9 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int) -> EigenSyste
         psi[k], dpsi[k] = psi[k] / nrm, dpsi[k] / nrm
     psi[:, 0] = 0.0
 
-    return EigenSystem(lambdas=1.0 / mu, x=x, psi=psi, dpsi=dpsi, vk_inf=vk_inf, dvk_inf=dvk_inf,
-                       vk_l2=vk_l2, T=T, Q_sup=form.Q_sup)
+    return EigenSystem(lambdas=1.0 / mu, x=x, psi=psi, dpsi=dpsi, psi_sup=_row_sups(psi),
+                       dpsi_sup=_row_sups(dpsi), vk_inf=vk_inf, dvk_inf=dvk_inf, vk_l2=vk_l2,
+                       T=T, Q_sup=form.Q_sup)
 
 
 def svd_oracle(spec: CoefficientPair, N: int, K: int) -> EigenSystem:
@@ -310,7 +323,8 @@ def svd_oracle(spec: CoefficientPair, N: int, K: int) -> EigenSystem:
             v = -v
         psi[k] = v / np.sqrt(np.trapezoid(v ** 2, dx=1.0 / N))
     dpsi = np.gradient(psi, 1.0 / N, axis=1)
-    return EigenSystem(lambdas=lam, x=x, psi=psi, dpsi=dpsi, vk_inf=np.full(K, np.nan),
+    return EigenSystem(lambdas=lam, x=x, psi=psi, dpsi=dpsi, psi_sup=_row_sups(psi),
+                       dpsi_sup=_row_sups(dpsi), vk_inf=np.full(K, np.nan),
                        dvk_inf=np.full(K, np.nan), vk_l2=np.full(K, np.nan))
 
 
@@ -320,8 +334,7 @@ def eig_diagnostics(eig: EigenSystem) -> dict:
     Flags are evaluated for indices past k*, the first k with
     rho_k = lambda_k^{-1/2} > 2 T ||Q||_inf (the asymptotic regime).
     """
-    K = eig.lambdas.size
-    ks = np.arange(1, K + 1)
+    ks = np.arange(1, eig.lambdas.size + 1)
     rho = eig.lambdas ** -0.5
     active = rho > 2.0 * eig.T * eig.Q_sup
     root_lam = np.sqrt(eig.lambdas)
@@ -329,8 +342,8 @@ def eig_diagnostics(eig: EigenSystem) -> dict:
         c_est = np.nanmin((eig.vk_l2 / root_lam)[active]) if active.any() else np.nan
     return {
         "k": ks,
-        "psi_sup": np.abs(eig.psi).max(axis=1),
-        "dpsi_sup_over_k": np.abs(eig.dpsi).max(axis=1) / ks,
+        "psi_sup": eig.psi_sup,
+        "dpsi_sup_over_k": eig.dpsi_sup / ks,
         "vk_inf": eig.vk_inf,
         "dvk_inf": eig.dvk_inf,
         "vk_l2": eig.vk_l2,

@@ -30,12 +30,13 @@ class ModelError(ValueError):
 class ExpFamily:
     kind: str
     h: Callable
-    hsum: Callable                 # (S, H) -> row sums of h(S), over S's and H's memory
+    hsum: Callable                 # (S, H) -> row sums of h(S), over S's memory and H's
     h1: Callable
     h2: Callable
     h3: Callable
     d3_envelope: Callable          # K -> sup_{|t|<=K} |h'''(t)|
     sampler: Callable              # (s, seed) -> y, y_j from the stream (seed, j)
+    hsum_buffers: int = 1          # 2 if hsum reads H, else it takes H = None
 
 
 def _rowsum(A: np.ndarray) -> np.ndarray:
@@ -137,7 +138,7 @@ def exp_family(kind: str) -> ExpFamily:
     if kind == "poisson":
         return ExpFamily(
             kind="poisson",
-            h=np.exp, hsum=lambda S, H: _rowsum(np.exp(S, out=S)),
+            h=np.exp, hsum=lambda S, H=None: _rowsum(np.exp(S, out=S)),
             h1=np.exp, h2=np.exp, h3=np.exp,
             d3_envelope=lambda K: math.exp(K),
             sampler=sample_poisson,
@@ -147,7 +148,7 @@ def exp_family(kind: str) -> ExpFamily:
             kind="gaussian",
             h=lambda s: 0.5 * np.square(s, dtype=float),
             # one einsum pass, which sums a row alike alone or in a block up to 8192 columns
-            hsum=lambda S, H: 0.5 * np.einsum("ij,ij->i", S, S),
+            hsum=lambda S, H=None: 0.5 * np.einsum("ij,ij->i", S, S),
             h1=lambda s: np.asarray(s, dtype=float),
             h2=lambda s: np.ones_like(np.asarray(s, dtype=float)),
             h3=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
@@ -179,6 +180,7 @@ def exp_family(kind: str) -> ExpFamily:
             d3_envelope=_bernoulli_h3_envelope,
             sampler=lambda s, seed: (_philox_uniforms(seed, np.arange(s.size))
                                      < 1.0 / (1.0 + _exp(-s))).astype(float),
+            hsum_buffers=2,
         )
     raise ModelError("unknown family kind %r" % kind)
 
@@ -244,8 +246,8 @@ def sample_basis(eig, n: int, p: int) -> np.ndarray:
 def generate(eig, fam: ExpFamily, truth: TruthSpec, n: int, seed: int) -> Dataset:
     """Draw Y_j ~ rho(.|s_j) with s_j = sum_k theta*_k sqrt(lambda_k) psi_k(j/n)."""
     theta = truth.theta()
-    if theta.size > eig.lambdas.size:
-        raise ModelError("truth dimension exceeds computed eigenpairs")
+    if theta.size > len(eig.psi):
+        raise ModelError("truth dimension exceeds the %d eigenfunctions held" % len(eig.psi))
     P = sample_basis(eig, n, theta.size)
     s_true = np.zeros(n)
     for k in range(theta.size):   # one mode at a time: pins the summation order

@@ -160,7 +160,7 @@ class DesignMatrix:
 
 def assemble_design(eig, n: int, p: int) -> DesignMatrix:
     """Sample the weighted eigenbasis at j/n, j = 1..n, into one column-major array."""
-    if p > eig.lambdas.size:
-        raise CapacityError("p = %d exceeds %d computed eigenpairs" % (p, eig.lambdas.size))
+    if p > len(eig.psi):
+        raise CapacityError("p = %d exceeds the %d eigenfunctions held" % (p, len(eig.psi)))
     rows = sample_basis(eig, n, p)
     return DesignMatrix(rows=np.multiply(rows, np.sqrt(eig.lambdas[:p]), out=rows), n=n, p=p)

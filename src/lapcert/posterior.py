@@ -135,7 +135,7 @@ def f_values(prob: Problem, Theta: np.ndarray, workers: int | None = None) -> np
     h(S)) added up over the tiles in column order; the data term uses
     Theta (R^T y) = sum_j y_j s_j.  The blocks are split into contiguous runs,
     one per thread, on min(workers (default: `usable_cores()`), blocks)
-    threads; each thread forms S and h(S) in one pair of buffers it reuses.
+    threads; each reuses one buffer for S, and one for h(S) if the family's hsum reads it.
     Every row's arithmetic is the same for any count, so the result is too.
     A non-finite S or sum of h(S) raises the lowest failing block's `EvaluationError`.
     """
@@ -146,7 +146,7 @@ def f_values(prob: Problem, Theta: np.ndarray, workers: int | None = None) -> np
     starts = range(0, Theta.shape[0], rows)
 
     def run(block_starts):
-        buf = np.empty((2, min(rows, Theta.shape[0]), cols))   # S and h(S), for every tile
+        bufs = np.empty((prob.family.hsum_buffers, min(rows, Theta.shape[0]), cols))
         for a in block_starts:
             T = Theta[a:a + rows]
             # |S_ij| <= ||T_i||_1 max|R|, so only a block whose bound reaches half the
@@ -154,11 +154,11 @@ def f_values(prob: Problem, Theta: np.ndarray, workers: int | None = None) -> np
             bound = float(np.abs(T).sum(axis=1).max()) * r_max
             total = 0.0
             for c in range(0, n, cols):
-                S, H = buf[:, :len(T), :min(cols, n - c)]
+                S, *H = bufs[:, :len(T), :min(cols, n - c)]   # S, and H if hsum reads it
                 np.matmul(T, Rt[:, c:c + cols], out=S)
                 if not bound < np.finfo(float).max / 2 and not np.all(np.isfinite(S)):
                     raise EvaluationError("non-finite linear predictor")
-                total = total + prob.family.hsum(S, H)
+                total = total + prob.family.hsum(S, *H)
             # a sum is finite iff every term is, unless the finite terms overflow it
             if not np.all(np.isfinite(total)):
                 raise EvaluationError("overflow in cumulant h")

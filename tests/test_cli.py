@@ -20,6 +20,8 @@ import lapcert.cli
 import lapcert.config
 import lapcert.__main__ as entry
 import lapcert.eigensolver
+import lapcert.model
+import lapcert.operators
 import lapcert.posterior
 import lapcert.validation
 from lapcert.cli import main
@@ -581,6 +583,44 @@ def test_sweep_real_mode(tmp_path, monkeypatch, write_cfg):
     checks = _read_checks(os.path.join(out, "checks.csv"))
     assert {(r["n"], r["p"]) for r in checks} == {("300", "2"), ("600", "2")}
     assert all(r["status"] != "violated" for r in checks)
+
+
+def test_run_holds_the_modes_it_samples(tmp_path, monkeypatch, eig_cache, volterra_eig):
+    """A run keeps all K eigenvalues but only the eigenfunctions of the most modes
+    a stage samples: `all` on poisson_desk (p = 6, p_star = 8) holds 8, and a
+    p-sweep max(grid, p_star), shared by its points: 12 on the plateau grid (here
+    at n = 400), 8 on a grid below p_star.  More modes than are held are refused."""
+    runs = []
+
+    class Spy(lapcert.cli.Run):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            runs.append(self)
+
+    monkeypatch.setattr(lapcert.cli, "Run", Spy)
+    fam = lapcert.model.exp_family("poisson")
+    for name, command, overrides, modes in (
+            ("poisson_desk", "all", {}, 8),
+            ("poisson_plateau", "sweep", {"n": 400}, 12),
+            ("poisson_plateau", "sweep", {"n": 400, "sweep": {"values": [2, 4]}}, 8)):
+        with open(os.path.join(ROOT, "configs", name + ".json")) as fh:
+            doc = json.load(fh)
+        doc["eigensolver"]["cache_dir"] = eig_cache     # the session's N=4096, K=50 cache
+        for key, val in overrides.items():
+            doc[key] = dict(doc[key], **val) if isinstance(val, dict) else val
+        cfg = tmp_path / (name + ".json")
+        cfg.write_text(json.dumps(doc))
+        runs.clear()
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        eig = runs[0].eig
+        assert all(run.eig is eig for run in runs)
+        assert eig.psi.shape == eig.dpsi.shape == (modes, 4097) and eig.psi.flags.f_contiguous
+        assert np.array_equal(eig.psi, volterra_eig.psi[:modes])
+        assert eig.lambdas.size == eig.psi_sup.size == eig.dpsi_sup.size == 50
+        with pytest.raises(lapcert.operators.CapacityError):
+            lapcert.operators.assemble_design(eig, 400, modes + 1)
+        with pytest.raises(lapcert.model.ModelError):
+            lapcert.model.generate(eig, fam, lapcert.model.TruthSpec(p_star=modes + 1), 400, 1)
 
 
 def test_sweep_default_grid(tmp_path, write_cfg):

@@ -12,7 +12,7 @@ import lapcert.eigensolver as eigensolver
 from lapcert.eigensolver import (EigenSystem, _q_potential, _rk4_shoot, cached_solve,
                                  eig_diagnostics, liouville_transform,
                                  load_eigensystem, save_eigensystem,
-                                 solve_eigs)
+                                 solve_eigs, svd_oracle)
 from lapcert.operators import VOLTERRA, CoefficientPair, OperatorSpecError, grid, l2_inner
 
 from conftest import SPEC_CORPUS
@@ -124,6 +124,32 @@ def test_diagnostics_bounds(volterra_eig):
     assert np.all(d["psi_sup"] < 3.0)
 
 
+def test_stored_sup_norms_are_the_grid_maxima(volterra_eig):
+    """The per-mode sup norms a solve stores, which eigen.csv reports, are
+    np.abs(psi).max(axis=1) and np.abs(dpsi).max(axis=1) bit for bit: for
+    eigen_cold's operator (a = 1 + 0.5x, b = 0.5), Volterra and b = -4 at
+    N = 4096, K = 50, and for the SVD oracle."""
+    eigs = [volterra_eig, svd_oracle(VOLTERRA, 2048, 10)] + [
+        solve_eigs(liouville_transform(spec, 4096), spec, 50)
+        for spec in (CoefficientPair((1.0, 0.5), (0.5,)), CoefficientPair((1.0,), (-4.0,)))]
+    for eig in eigs:
+        for sup, f in ((eig.psi_sup, eig.psi), (eig.dpsi_sup, eig.dpsi)):
+            assert np.array_equal(sup.view(np.int64), np.abs(f).max(axis=1).view(np.int64))
+
+
+def test_leading_keeps_every_eigenvalue(volterra_eig):
+    """leading(m) holds the first m eigenfunctions as column-major copies, equal
+    to the full system's rows, and every eigenvalue and per-mode norm of all K."""
+    lead = volterra_eig.leading(8)
+    for name in ("psi", "dpsi"):
+        got = getattr(lead, name)
+        assert got.shape == (8, 4097) and got.flags.f_contiguous, name
+        assert np.array_equal(got, getattr(volterra_eig, name)[:8]), name
+    for f in fields(EigenSystem):
+        if f.name not in ("psi", "dpsi"):
+            assert getattr(lead, f.name) is getattr(volterra_eig, f.name), f.name
+
+
 def test_cache_roundtrip(tmp_path, monkeypatch):
     spec = CoefficientPair((1.0, 0.5), (0.1,))
     eig = cached_solve(spec, 1024, 5, None)
@@ -132,7 +158,7 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == [os.path.basename(path)] and path.endswith(".npz")
     back = load_eigensystem(spec, 1024, 5, str(tmp_path))
     assert back is not None
-    for name in ("lambdas", "psi", "dpsi", "x", "vk_inf", "vk_l2"):
+    for name in ("lambdas", "psi", "dpsi", "x", "psi_sup", "dpsi_sup", "vk_inf", "vk_l2"):
         assert np.array_equal(getattr(back, name), getattr(eig, name)), name
     assert back.psi.flags.f_contiguous     # the layout the artifacts are pinned to
     assert (back.T, back.Q_sup) == (eig.T, eig.Q_sup)

@@ -29,6 +29,7 @@ GOLDEN = os.path.join(ROOT, "tests", "golden")
 PIPELINE = ("eigen.csv", "dataset.csv", "fit.json", "certificates.csv",
             "tv_estimates.csv", "checks.csv")
 CASES = {  # config name -> (subcommand, artifacts compared)
+    "bernoulli_quadrature": ("all", PIPELINE),
     "poisson_desk": ("all", PIPELINE),
     "gaussian_exactness": ("all", PIPELINE),
     "poisson_sweep": ("sweep", ("sweep.csv",)),
@@ -162,7 +163,8 @@ def test_goldens_state_the_theorem():
     to their certificate by label, and by n and p in a sweep.  A tail_gaussian
     row's interval is the Gaussian mass bracket at its p and radius."""
     claim_of = {"tail_posterior": "posterior_tail", "tail_gaussian": "gaussian_tail"}
-    for name, artifact in (("poisson_desk", "certificates.csv"),
+    for name, artifact in (("bernoulli_quadrature", "certificates.csv"),
+                           ("poisson_desk", "certificates.csv"),
                            ("gaussian_exactness", "certificates.csv"),
                            ("poisson_plateau", "sweep.csv")):
         with open(os.path.join(ROOT, "configs", name + ".json")) as fh:

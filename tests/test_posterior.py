@@ -1,6 +1,9 @@
+import concurrent.futures  # noqa: F401  (imported before a tracemalloc window opens)
 import sys
 import threading
 import time
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,6 +174,36 @@ def test_bernoulli_fit_runs(volterra_eig_small):
     fit = map_solve(prob)
     assert fit.grad_norm < 1e-6
     assert set(np.unique(prob.data.y)).issubset({0.0, 1.0})
+
+
+@pytest.mark.parametrize("family, buffers", [("poisson", 1), ("bernoulli", 2)])
+def test_kernel_holds_one_tile_buffer_per_worker(volterra_eig, family, buffers):
+    """Two workers, each holding its buffers at once (they meet at a barrier in
+    hsum): f_values allocates one (rows, cols) tile buffer per worker for
+    Poisson, whose hsum works in S alone, and two for Bernoulli, whose hsum
+    reads H (tracemalloc peak, within half a tile)."""
+    base = make_problem(volterra_eig, family, n=4096, p=2)
+    barrier, waited = threading.Barrier(2, timeout=60), threading.local()
+
+    def hsum(S, *H):   # a thread's first tile waits until the other has its buffers too
+        if not getattr(waited, "done", False):
+            waited.done = True
+            barrier.wait()
+        return base.family.hsum(S, *H)
+
+    prob = replace(base, family=replace(base.family, hsum=hsum))
+    prob.kernel_terms   # cached before the window opens
+    rows = posterior._CHUNK_ENTRIES // 4096   # the tile is one row block of 4096 columns
+    Theta = np.random.default_rng(0).uniform(-0.1, 0.1, (2 * rows, 2))   # one block a worker
+    tile = rows * 4096 * 8
+    tracemalloc.start()
+    try:
+        got = f_values(prob, Theta, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, f_values(base, Theta, 1))
+    assert 2 * buffers * tile <= peak <= (2 * buffers + 0.5) * tile, (peak, tile)
 
 
 def test_pool_map_order_errors_and_items_held():
