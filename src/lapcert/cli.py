@@ -24,7 +24,7 @@ import numpy as np
 from . import certification as cert
 from . import validation as val
 from .__main__ import BLAS_VARS, MAX_THREADS
-from .config import ConfigError, ExperimentConfig, config_from_dict, load_config
+from .config import ConfigError, ExperimentConfig, load_config, sweep_points
 from .eigensolver import cached_solve, eig_diagnostics
 from .model import TruthSpec, exp_family, generate
 from .operators import CoefficientPair, assemble_design
@@ -80,19 +80,23 @@ class Run:
     Each stage (eig, truth, data, prob, fit, certs, usable, tvs) is
     computed on first use and kept, so every subcommand of `all` reads the
     same objects.  eig keeps every eigenvalue but only the eigenfunctions a stage
-    samples (p, p_star, and each point's p in a `sweep` run).  A sweep point passes in
-    the parent run's eig, and its data when only p varies.  Up to `workers` threads
-    run the TV estimates' likelihood kernel and bootstrap.
+    samples: p, p_star, and the p of each of `points`, a sweep's point configs.
+    `at(point)` is a point's run, which shares this run's eig, and its data when
+    the point's n is the config's.  Up to `workers` threads run the TV
+    estimates' likelihood kernel and bootstrap.
     """
 
-    def __init__(self, cfg: ExperimentConfig, workers: int, eig=None, data=None, sweep=False):
+    def __init__(self, cfg: ExperimentConfig, workers: int, points=()):
         self.cfg = cfg
         self.workers = workers
-        self.point_ps = cfg.sweep.values if sweep and cfg.sweep.axis == "p" else ()
-        if eig is not None:
-            self.eig = eig       # an instance value takes the cached_property's place
-        if data is not None:
-            self.data = data
+        self.points = points
+
+    def at(self, point: ExperimentConfig) -> Run:
+        run = Run(point, self.workers)
+        run.eig = self.eig       # an instance value takes the cached_property's place
+        if point.n == self.cfg.n:
+            run.data = self.data
+        return run
 
     def path(self, name: str) -> str:
         return os.path.join(self.cfg.out_dir, name)
@@ -103,7 +107,7 @@ class Run:
         spec = CoefficientPair(tuple(cfg.operator.a), tuple(cfg.operator.b))
         cache = cfg.eigensolver.cache_dir or os.path.join(cfg.out_dir, "eigcache")
         return cached_solve(spec, cfg.eigensolver.N, cfg.eigensolver.K, cache).leading(
-            max(cfg.p, self.truth.p_star, *self.point_ps))
+            max(cfg.p, self.truth.p_star, *(point.p for point in self.points)))
 
     @cached_property
     def truth(self) -> TruthSpec:
@@ -275,12 +279,8 @@ def cmd_sweep(run):
                 "bound_DG", "bound_identity", "bound_gamma0_star"]
     else:
         cols = ["n", "p"] + CERT_COLUMNS
-        # every point is validated before any stage runs
-        for point_cfg in [load_point(cfg, v) for v in cfg.sweep.values]:
-            # one eigensystem for the grid; one dataset when only p varies
-            point = Run(point_cfg, run.workers, eig=run.eig,
-                        data=run.data if cfg.sweep.axis == "p" else None)
-            at = {"n": point_cfg.n, "p": point_cfg.p}
+        for point in map(run.at, run.points):   # one eigensystem for the grid
+            at = {"n": point.cfg.n, "p": point.cfg.p}
             rows += [dict(_cert_row(label, c), **at) for label, c in point.certs.items()]
             checks += [dict(r, **at) for r in _checks(point)]
         _write_csv(run.path("checks.csv"), ["n", "p"] + CHECK_COLUMNS, checks)
@@ -288,11 +288,6 @@ def cmd_sweep(run):
     print("sweep: %d rows over %s grid (%s mode)"
           % (len(rows), cfg.sweep.axis, "synthetic" if cfg.sweep.synthetic else "real"))
     return 1 if any(r["status"] == "violated" for r in checks) else 0
-
-
-def load_point(cfg: ExperimentConfig, v) -> ExperimentConfig:
-    return config_from_dict({**cfg.to_dict(), cfg.sweep.axis: v},
-                            "sweep.values (%s = %r)" % (cfg.sweep.axis, v))
 
 
 COMMANDS = {"eigen": cmd_eigen, "simulate": cmd_simulate, "fit": cmd_fit,
@@ -321,13 +316,13 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
+        points = sweep_points(cfg) if args.command == "sweep" else ()
         os.makedirs(cfg.out_dir, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
 
-    run = Run(cfg, min(args.threads or usable_cores(), usable_cores()),
-              sweep=args.command == "sweep")
+    run = Run(cfg, min(args.threads or usable_cores(), usable_cores()), points)
     # each subcommand's time includes the stages it computes first and its artifacts
     wall_times_s, rc, start = {}, 0, time.time()
     try:
@@ -335,15 +330,12 @@ def main(argv=None) -> int:
             t0 = time.time()
             rc = max(rc, COMMANDS[name](run))
             wall_times_s[name] = time.time() - t0
-    except ConfigError as exc:  # a sweep point the config cannot run
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
     except Exception as exc:  # surfaced module errors keep their class name
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 3
     wall_times_s["total"] = time.time() - start
     threads = {"requested": args.threads, "kernel_workers": run.workers, "blas_env": BLAS_ENV}
-    _write_json(run.path("manifest.json"), {"config": cfg.to_dict(), "git_hash": _git_hash(),
+    _write_json(run.path("manifest.json"), {"config": asdict(cfg), "git_hash": _git_hash(),
                                             "wall_times_s": wall_times_s, "threads": threads})
     return rc
 

@@ -1,14 +1,14 @@
 """Experiment configuration: strict JSON schema with materialized defaults.
 
 Unknown keys anywhere in the document are rejected with the offending path
-so typos never silently fall back to defaults.  `to_dict` re-emits the
-fully defaulted config for the run manifest.
+so typos never silently fall back to defaults.  `sweep_points` gives a
+real-mode sweep's points, each validated like the config it came from.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import dataclass, field, is_dataclass, replace
 
 from .eigensolver import MAX_K, MAX_N, MIN_N, liouville_transform, mu_scan_top
 from .operators import CoefficientPair, OperatorSpecError
@@ -80,9 +80,6 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "out"
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _number(v) -> bool:   # never a bool, and finite: json reads NaN and Infinity
     return (isinstance(v, int) and not isinstance(v, bool)
@@ -133,6 +130,16 @@ def config_from_dict(raw: dict, where: str = "<dict>") -> ExperimentConfig:
     return cfg
 
 
+def sweep_points(cfg: ExperimentConfig) -> list:
+    """A real-mode sweep's points (a synthetic one has none): the config with its
+    sweep axis at each grid value v, validated as `sweep.values (<axis> = <v>)`."""
+    axis = cfg.sweep.axis
+    points = [] if cfg.sweep.synthetic else [replace(cfg, **{axis: v}) for v in cfg.sweep.values]
+    for point, v in zip(points, cfg.sweep.values):
+        _validate(point, "sweep.values (%s = %r)" % (axis, v))
+    return points
+
+
 def _validate(cfg: ExperimentConfig, where: str) -> None:
     if not MIN_N <= cfg.eigensolver.N <= MAX_N:
         raise ConfigError("%s.eigensolver.N: must be in [%d, %d]" % (where, MIN_N, MAX_N))
@@ -173,7 +180,7 @@ def _validate(cfg: ExperimentConfig, where: str) -> None:
     if not cfg.sweep.values:
         raise ConfigError("%s.sweep.values: must not be empty" % where)
     # p is a mode count; a real-mode n is a sample size (the p <= K bound of a
-    # real-mode point is checked when `sweep` builds the point's config)
+    # real-mode point is checked by `sweep_points`)
     if cfg.sweep.axis == "p" or not cfg.sweep.synthetic:
         if not all(type(v) is int and v >= 1 for v in cfg.sweep.values):
             raise ConfigError("%s.sweep.values: %s values must be integers >= 1"

@@ -235,7 +235,10 @@ def signal_sup_norm(eig, theta: np.ndarray) -> float:
 
 
 def sample_basis(eig, n: int, p: int) -> np.ndarray:
-    """Column-major (n, p) matrix of psi_k(j/n), j = 1..n, interpolated on the eigen grid."""
+    """Column-major (n, p) matrix of psi_k(j/n), j = 1..n, interpolated on the eigen grid;
+    more modes than eig holds are refused."""
+    if p > len(eig.psi):
+        raise ModelError("%d modes exceed the %d eigenfunctions held" % (p, len(eig.psi)))
     xj = np.arange(1, n + 1) / n
     P = np.empty((n, p), order="F")
     for k in range(p):
@@ -246,8 +249,6 @@ def sample_basis(eig, n: int, p: int) -> np.ndarray:
 def generate(eig, fam: ExpFamily, truth: TruthSpec, n: int, seed: int) -> Dataset:
     """Draw Y_j ~ rho(.|s_j) with s_j = sum_k theta*_k sqrt(lambda_k) psi_k(j/n)."""
     theta = truth.theta()
-    if theta.size > len(eig.psi):
-        raise ModelError("truth dimension exceeds the %d eigenfunctions held" % len(eig.psi))
     P = sample_basis(eig, n, theta.size)
     s_true = np.zeros(n)
     for k in range(theta.size):   # one mode at a time: pins the summation order

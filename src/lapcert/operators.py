@@ -21,10 +21,6 @@ class OperatorSpecError(ValueError):
     """Invalid coefficient pair (a not positive, degree too high, ...)."""
 
 
-class CapacityError(ValueError):
-    """Requested more than the computed/allowed capacity."""
-
-
 def _polyval(c: tuple, x, m: int = 0):
     """numpy's polyval(x, polyder(c, m)) to the bit: polyder's coefficients j c_j (c_0 * 0
     past the degree), then Horner's rule from the top one."""
@@ -160,7 +156,5 @@ class DesignMatrix:
 
 def assemble_design(eig, n: int, p: int) -> DesignMatrix:
     """Sample the weighted eigenbasis at j/n, j = 1..n, into one column-major array."""
-    if p > len(eig.psi):
-        raise CapacityError("p = %d exceeds the %d eigenfunctions held" % (p, len(eig.psi)))
     rows = sample_basis(eig, n, p)
     return DesignMatrix(rows=np.multiply(rows, np.sqrt(eig.lambdas[:p]), out=rows), n=n, p=p)

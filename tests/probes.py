@@ -2,8 +2,8 @@
 
 They estimate quantities the paper's assumptions and bounds are about (the
 near-orthogonality constant, sampled omega / tau3, a witness lower bound on
-the cosine surrogate, the third directional derivative) so the tests can
-check the certified pipeline against them.  `weighting_claims` and
+the cosine surrogate, a searched lower bound on tau3, the third directional
+derivative) so the tests can check the certified pipeline against them.  `weighting_claims` and
 `theorem_claims` restate the certificate theorem from its formulas alone,
 as the spec that certificates and golden rows are compared with,
 `gaussian_mass_bracket` the Laplace Gaussian's exact tail bracket by
@@ -70,6 +70,46 @@ def third_directional(prob: Problem, theta: np.ndarray, v: np.ndarray) -> float:
     s = prob.design.rows @ theta
     rv = prob.design.rows @ v
     return float(np.sum(prob.family.h3(s) * rv ** 3))
+
+
+def tau3_witness(prob: Problem, fit: LaplaceFit, D2: np.ndarray, r: float,
+                 starts: int, iters: int, seed: int) -> float:
+    """A lower bound on sup_{||D u|| <= r, ||D v|| = 1} |nabla^3 f(theta_hat + u)[v, v, v]|,
+    the tau3 that a certificate of weighting D2 at radius r must dominate.
+
+    It is the largest |F(y, z)| = |sum_j h'''(s_j + rho_j.y) (rho_j.z)^3| evaluated
+    over ||y|| <= r, ||z|| = 1, in the whitened frame D^2 = L L^T, rho_j = L^{-1} R_j,
+    s_j = R_j theta_hat (u = L^{-T} y, v = L^{-T} z).  Each of `starts` random z, from
+    y = 0, alternates `iters` times a shifted power step in z (SS-HOPM, Kolda & Mayo
+    2011, at the sign of z where F > 0, shift |F|) with the boundary step
+    y <- r grad_y / ||grad_y|| (h'''' by a central difference of h''').  Every evaluated
+    point is a lower bound, so the witness never exceeds a true tau3 by chance.
+    """
+    L = np.linalg.cholesky(D2)
+    rho = np.linalg.solve(L, prob.design.rows.T).T
+    s = (prob.design.rows @ fit.theta_hat)[:, None]
+    h3 = prob.family.h3
+    Z = np.random.default_rng(seed).standard_normal((D2.shape[0], starts))
+    Z /= np.linalg.norm(Z, axis=0)
+    Y = np.zeros_like(Z)
+    seen = []
+
+    def value(Y, Z):   # F per start (column), S = s + rho Y and rho Z; x * x * x, as ** 3 is slow
+        S, Pz = s + rho @ Y, rho @ Z
+        F = np.einsum("ij,ij->j", h3(S), Pz * Pz * Pz)
+        seen.append(float(np.max(np.abs(F))))
+        return F, S, Pz
+
+    for _ in range(iters):
+        F, S, Pz = value(Y, Z)
+        Z = rho.T @ (h3(S) * Pz * Pz) + F * Z   # the SS-HOPM step at sign(F) z
+        Z /= np.linalg.norm(Z, axis=0)
+        F, S, Pz = value(Y, Z)
+        e = 1e-6 * (1.0 + np.abs(S))
+        grad = rho.T @ ((h3(S + e) - h3(S - e)) / (2.0 * e) * Pz * Pz * Pz)
+        Y = r * grad / np.linalg.norm(grad, axis=0) * np.where(F < 0, -1.0, 1.0)
+    value(Y, Z)
+    return max(seen)
 
 
 def ortho_constant(eig, n: int, p: int, lambda_exp: float = 3.5) -> float:

@@ -10,7 +10,7 @@ import subprocess
 import sys
 import threading
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -89,7 +89,7 @@ def test_unknown_key_rejected_with_path(write_cfg):
 
 def test_defaults_materialized():
     cfg = config_from_dict(BASE)
-    d = cfg.to_dict()
+    d = asdict(cfg)
     assert d["certification"] == {"gamma0": None, "beta": 1.0}
     assert cfg.certification.beta == 1.0
     assert d["truth"]["p_star"] == 8
@@ -139,11 +139,17 @@ def test_invalid_values_rejected(tmp_path, write_cfg, capsys):
     # the overrides are validated like the file
     assert main(["fit", "--config", write_cfg(), "--out", str(tmp_path), "--seed", "-1"]) == 2
     assert ".seed:" in capsys.readouterr().err
-    # a real-mode p point beyond K fails before any stage runs
-    path = write_cfg({"sweep": {"values": [2, 64]}})
-    assert main(["sweep", "--config", path, "--out", str(tmp_path / "k")]) == 2
-    assert "p exceeds eigensolver.K" in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "k" / "manifest.json")
+
+
+def test_bad_sweep_point_writes_nothing(tmp_path, write_cfg, capsys):
+    """A real-mode sweep point the config cannot run (p = 60 > K = 30) exits 2,
+    keyed by its grid value, before any stage runs or the --out directory is made."""
+    path = write_cfg({"sweep": {"values": [2, 60]}})
+    out = tmp_path / "k"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: sweep.values (p = 60): p exceeds eigensolver.K" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_validation_sizes_rejected(tmp_path, write_cfg, capsys):
@@ -194,7 +200,7 @@ def test_config_rejects_what_the_run_cannot_do(tmp_path, write_cfg, capsys):
     out = tmp_path / "gauss_sweep"
     assert main(["sweep", "--config", config, "--out", str(out)]) == 2
     assert "sweep.values (p = 4).validation.method:" in capsys.readouterr().err
-    assert not (out / "sweep.csv").exists()
+    assert not out.exists()
 
 
 def test_simulate_bernoulli_far_from_zero(tmp_path, write_cfg):
@@ -298,19 +304,18 @@ def test_all_validates_past_p_30(tmp_path, write_cfg, volterra_eig):
 
 def test_dispatcher_times_what_it_runs(tmp_path, monkeypatch, write_cfg):
     """`all` times each pipeline subcommand and a lone subcommand only itself,
-    each plus `total`; the config is built once per run, and once more per
-    real-mode sweep point."""
-    counts = _count_calls(monkeypatch, [(lapcert.config, "config_from_dict"),
-                                        (lapcert.cli, "config_from_dict")])
+    each plus `total`; the config is built once per run, a sweep's too: its
+    points are the config with the axis replaced."""
+    counts = _count_calls(monkeypatch, [(lapcert.config, "config_from_dict")])
     cfg = write_cfg({"family": "poisson", "sweep": {"values": [2, 4]}})
-    for command, timed, builds in (
-            ("all", {"eigen", "simulate", "fit", "certify", "validate", "total"}, 1),
-            ("certify", {"certify", "total"}, 1), ("sweep", {"sweep", "total"}, 3)):
+    for command, timed in (
+            ("all", {"eigen", "simulate", "fit", "certify", "validate", "total"}),
+            ("certify", {"certify", "total"}), ("sweep", {"sweep", "total"})):
         counts.clear()
         out = tmp_path / command
         assert main([command, "--config", cfg, "--out", str(out)]) == 0
         assert set(json.loads((out / "manifest.json").read_text())["wall_times_s"]) == timed
-        assert counts == {"config_from_dict": builds}
+        assert counts == {"config_from_dict": 1}
 
 
 def test_all_computes_each_stage_once(tmp_path, monkeypatch, write_cfg):
@@ -588,7 +593,7 @@ def test_sweep_real_mode(tmp_path, monkeypatch, write_cfg):
 def test_run_holds_the_modes_it_samples(tmp_path, monkeypatch, eig_cache, volterra_eig):
     """A run keeps all K eigenvalues but only the eigenfunctions of the most modes
     a stage samples: `all` on poisson_desk (p = 6, p_star = 8) holds 8, and a
-    p-sweep max(grid, p_star), shared by its points: 12 on the plateau grid (here
+    p-sweep max(grid, p_star), shared by its points: 48 on the plateau grid (here
     at n = 400), 8 on a grid below p_star.  More modes than are held are refused."""
     runs = []
 
@@ -601,7 +606,7 @@ def test_run_holds_the_modes_it_samples(tmp_path, monkeypatch, eig_cache, volter
     fam = lapcert.model.exp_family("poisson")
     for name, command, overrides, modes in (
             ("poisson_desk", "all", {}, 8),
-            ("poisson_plateau", "sweep", {"n": 400}, 12),
+            ("poisson_plateau", "sweep", {"n": 400}, 48),
             ("poisson_plateau", "sweep", {"n": 400, "sweep": {"values": [2, 4]}}, 8)):
         with open(os.path.join(ROOT, "configs", name + ".json")) as fh:
             doc = json.load(fh)
@@ -617,9 +622,9 @@ def test_run_holds_the_modes_it_samples(tmp_path, monkeypatch, eig_cache, volter
         assert eig.psi.shape == eig.dpsi.shape == (modes, 4097) and eig.psi.flags.f_contiguous
         assert np.array_equal(eig.psi, volterra_eig.psi[:modes])
         assert eig.lambdas.size == eig.psi_sup.size == eig.dpsi_sup.size == 50
-        with pytest.raises(lapcert.operators.CapacityError):
+        with pytest.raises(lapcert.model.ModelError, match="modes exceed"):
             lapcert.operators.assemble_design(eig, 400, modes + 1)
-        with pytest.raises(lapcert.model.ModelError):
+        with pytest.raises(lapcert.model.ModelError, match="modes exceed"):
             lapcert.model.generate(eig, fam, lapcert.model.TruthSpec(p_star=modes + 1), 400, 1)
 
 

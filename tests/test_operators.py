@@ -6,7 +6,8 @@ from numpy.polynomial import polynomial as npoly
 from scipy.integrate import cumulative_trapezoid as cumulative_trapezoid_ref
 
 from lapcert.eigensolver import cached_solve, svd_oracle
-from lapcert.operators import (VOLTERRA, CapacityError, CoefficientPair,
+from lapcert.model import ModelError, TruthSpec, exp_family, generate
+from lapcert.operators import (VOLTERRA, CoefficientPair,
                                OperatorSpecError, _apply_R_transpose, apply_R,
                                assemble_design, cumulative_antiderivative, grid,
                                l2_inner, trapezoid_weights)
@@ -161,5 +162,8 @@ def test_design_shapes_and_capacity(volterra_eig_small):
     expected = np.sqrt(volterra_eig_small.lambdas[k]) * np.interp(
         0.5, volterra_eig_small.x, volterra_eig_small.psi[k])
     assert des.rows[49, k] == pytest.approx(expected)
-    with pytest.raises(CapacityError):
+    # more modes than held: sample_basis refuses for the design as for the data
+    with pytest.raises(ModelError, match="100 modes exceed the 30 eigenfunctions held"):
         assemble_design(volterra_eig_small, n=100, p=100)
+    with pytest.raises(ModelError, match="31 modes exceed the 30 eigenfunctions held"):
+        generate(volterra_eig_small, exp_family("poisson"), TruthSpec(p_star=31), 100, 1)
