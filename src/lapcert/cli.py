@@ -23,7 +23,7 @@ import numpy as np
 
 from . import certification as cert
 from . import validation as val
-from .__main__ import BLAS_VARS, MAX_THREADS
+from .__main__ import BLAS_VARS
 from .config import ConfigError, ExperimentConfig, load_config, sweep_points
 from .eigensolver import cached_solve, eig_diagnostics
 from .model import TruthSpec, exp_family, generate
@@ -38,6 +38,7 @@ CHECK_COLUMNS = ["label", "check", "status", "reason", "bound", "estimate",
 # absolute floor of every sampled check: below it both the estimators and an
 # underflowed tail term are numerically zero (the exact Gaussian rows compare logs)
 CHECK_FLOOR = 1e-12
+MAX_THREADS = 256   # the largest --threads
 # BLAS reads these once, when numpy loads, which the imports above do
 BLAS_ENV = {var: os.environ.get(var) for var in BLAS_VARS}
 
@@ -306,8 +307,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=None, help="override config seed")
     ap.add_argument("--threads", type=int, default=None,
                     help="most threads for the likelihood kernel and bootstrap (default "
-                         "and cap: the usable cores); the `lapcert` command also caps BLAS "
-                         "at N (1 to %d)" % MAX_THREADS)
+                         "and cap: the usable cores; 1 to %d); BLAS runs on one thread under "
+                         "the `lapcert` command whatever N" % MAX_THREADS)
     args = ap.parse_args(argv)
 
     if args.threads is not None and not 1 <= args.threads <= MAX_THREADS:

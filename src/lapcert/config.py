@@ -164,6 +164,11 @@ def _validate(cfg: ExperimentConfig, where: str) -> None:
         raise ConfigError("%s.seed: must be in [0, 2**64)" % where)
     if cfg.gamma <= 0:
         raise ConfigError("%s.gamma: must be > 0" % where)
+    try:   # the largest prior precision p^(2 gamma) must be a float
+        float(cfg.p) ** (2 * cfg.gamma)
+    except OverflowError:
+        raise ConfigError("%s.gamma: p^(2*gamma) overflows a float (p = %d, gamma = %r)"
+                          % (where, cfg.p, cfg.gamma)) from None
     if not 2 * cfg.certification.beta + 2 * cfg.gamma > 2:
         raise ConfigError("%s.certification.beta: 2*beta + 2*gamma must be > 2" % where)
     if cfg.validation.method not in ("importance", "quadrature", "both"):

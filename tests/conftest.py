@@ -1,3 +1,11 @@
+import os
+
+from lapcert.__main__ import BLAS_VARS
+
+# BLAS on one thread, as the `lapcert` command runs it, before numpy loads:
+# the goldens are byte-exact and a parallel BLAS reduction moves last bits
+os.environ.update(dict.fromkeys(BLAS_VARS, "1"))
+
 import numpy as np
 import pytest
 from hypothesis import settings

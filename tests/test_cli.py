@@ -126,6 +126,8 @@ def test_invalid_values_rejected(tmp_path, write_cfg, capsys):
                            ({"truth": {"amplitude": math.nan}}, ".truth.amplitude:"),
                            ({"truth": {"theta": [0.5, math.nan]}}, ".truth.theta:"),
                            ({"gamma": math.inf}, ".gamma:"),
+                           # the prior precision p^(2 gamma) overflows a float
+                           ({"gamma": 199.0, "p": 6}, ".gamma:"),
                            ({"certification": {"gamma0": [math.nan]}},
                             ".certification.gamma0:"),
                            ({"operator": {"b": [math.nan]}}, ".operator.b:")):
@@ -640,7 +642,7 @@ def test_sweep_default_grid(tmp_path, write_cfg):
 
 
 def test_threads_below_one_rejected(tmp_path, write_cfg, capsys, monkeypatch):
-    """--threads < 1 exits 2 before the BLAS env is set or any stage runs."""
+    """--threads < 1 exits 2 before any stage runs; the CLI leaves the BLAS env as it is."""
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
     threads = threading.active_count()
     for bad in ("0", "-4"):
@@ -690,8 +692,8 @@ def test_threads_change_no_artifact(tmp_path, eig_cache, volterra_eig_small):
 
 def test_console_entry_sets_blas_before_numpy(monkeypatch):
     """The `lapcert` command imports nothing that loads numpy before it has
-    set the BLAS variables from --threads; an out-of-range count sets nothing
-    and reaches the CLI, which rejects it."""
+    set the BLAS variables to 1, whatever the environment and --threads say;
+    an out-of-range count reaches the CLI, which rejects it."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
     code = "import sys, lapcert.__main__; print('numpy' in sys.modules)"
@@ -705,13 +707,36 @@ def test_console_entry_sets_blas_before_numpy(monkeypatch):
         return 7
 
     monkeypatch.setattr(lapcert.cli, "main", cli_main)
-    for argv, want in ((["fit", "--threads", "3"], "3"), (["fit", "--thr=2"], "2"),
-                       (["fit", "--threads", "257"], None), (["fit", "--threads", "x"], None),
-                       (["fit"], None)):
-        for var in entry.BLAS_VARS:
-            monkeypatch.delenv(var, raising=False)
-        assert entry.main(argv) == 7
-        assert seen.pop() == (argv, dict.fromkeys(entry.BLAS_VARS, want))
+    for preset in (None, "8"):
+        for argv in (["fit", "--threads", "3"], ["fit", "--thr=2"], ["fit", "--threads", "257"],
+                     ["fit", "--threads", "x"], ["fit"]):
+            for var in entry.BLAS_VARS:
+                if preset is None:
+                    monkeypatch.delenv(var, raising=False)
+                else:
+                    monkeypatch.setenv(var, preset)
+            assert entry.main(argv) == 7
+            assert seen.pop() == (argv, dict.fromkeys(entry.BLAS_VARS, "1"))
+
+
+def test_console_certificates_ignore_blas_env(tmp_path, eig_cache, volterra_eig):
+    """`python -m lapcert certify` at n = 10^4, p = 32, where a multithreaded
+    BLAS reduction moves the certificate cells' last bits, writes the same
+    certificates.csv at the default pool and at --threads 1 with the BLAS
+    variables preset to 2: the command runs BLAS on one thread."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 10000, "p": 32,
+                               "eigensolver": {"cache_dir": eig_cache}}))   # warm N=4096, K=50
+    env = dict(os.environ, **dict.fromkeys(entry.BLAS_VARS, "2"), PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
+    csvs = []
+    for extra in ([], ["--threads", "1"]):
+        out = tmp_path / ("out%d" % len(csvs))
+        subprocess.run([sys.executable, "-m", "lapcert", "certify", "--config", str(cfg),
+                        "--out", str(out), *extra], env=env, check=True, capture_output=True,
+                       timeout=120)
+        csvs.append((out / "certificates.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_cli_import_skips_unused_dependencies():
