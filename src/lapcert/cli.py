@@ -341,5 +341,7 @@ def main(argv=None) -> int:
     return rc
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+if __name__ == "__main__":   # numpy, and so BLAS, has loaded at the environment's thread count
+    print("lapcert.cli is not a command: run `lapcert` or `python -m lapcert`, which run BLAS "
+          "on one thread", file=sys.stderr)
+    sys.exit(2)

@@ -131,43 +131,48 @@ def f_values(prob: Problem, Theta: np.ndarray, workers: int | None = None) -> np
     """f at every row of Theta, shape (m,): the one evaluation of f.
 
     S = Theta R^T is formed a block of rows and one of ceil(n / _TILE_COLUMNS)
-    balanced column tiles at a time, the family's `hsum` (einsum row sums of
-    h(S)) added up over the tiles in column order; the data term uses
-    Theta (R^T y) = sum_j y_j s_j.  The blocks are split into contiguous runs,
-    one per thread, on min(workers (default: `usable_cores()`), blocks)
-    threads; each reuses one buffer for S, and one for h(S) if the family's hsum reads it.
-    Every row's arithmetic is the same for any count, so the result is too.
-    A non-finite S or sum of h(S) raises the lowest failing block's `EvaluationError`.
+    balanced column tiles at a time, in one buffer per thread, and the family's
+    `hsum` (the row sums of h(S), in S's own memory) added up over the tiles in
+    column order.  The blocks are split into contiguous runs, one per thread, on
+    min(workers (default: `usable_cores()`), blocks) threads, whose tile loop is
+    the matmul, the scan of S for non-finite entries (only where the call's bound
+    max|Theta| p max|R| on |S_ij| allows one), hsum, and each block's finiteness
+    test.  The data term Theta (R^T y) = sum_j y_j s_j and the prior term are added
+    after, on the calling thread, over the same blocks.  Every row's arithmetic is
+    the same for any count, so the result is too.  A non-finite S or sum of h(S)
+    raises the lowest failing block's `EvaluationError`.
     """
     (Rt, Rty, r_max), g2, n = prob.kernel_terms, prob.g2, prob.design.n
     out = np.empty(Theta.shape[0])
     cols = -(-n // -(-n // _TILE_COLUMNS))   # ceil(n / tiles), tiles = ceil(n / _TILE_COLUMNS)
     rows = max(1, _CHUNK_ENTRIES // cols)
     starts = range(0, Theta.shape[0], rows)
+    # S can hold a non-finite entry only if this bound reaches half the largest double or is NaN
+    bound = float(max(Theta.max(initial=0.0), -Theta.min(initial=0.0))) * Theta.shape[1] * r_max
+    scan = not bound < np.finfo(float).max / 2
 
     def run(block_starts):
-        bufs = np.empty((prob.family.hsum_buffers, min(rows, Theta.shape[0]), cols))
+        buf = np.empty((min(rows, Theta.shape[0]), cols))
         for a in block_starts:
             T = Theta[a:a + rows]
-            # |S_ij| <= ||T_i||_1 max|R|, so only a block whose bound reaches half the
-            # largest double (or is NaN) can hold a non-finite S, and only it is scanned
-            bound = float(np.abs(T).sum(axis=1).max()) * r_max
             total = 0.0
             for c in range(0, n, cols):
-                S, *H = bufs[:, :len(T), :min(cols, n - c)]   # S, and H if hsum reads it
-                np.matmul(T, Rt[:, c:c + cols], out=S)
-                if not bound < np.finfo(float).max / 2 and not np.all(np.isfinite(S)):
+                S = np.matmul(T, Rt[:, c:c + cols], out=buf[:len(T), :min(cols, n - c)])
+                if scan and not np.all(np.isfinite(S)):
                     raise EvaluationError("non-finite linear predictor")
-                total = total + prob.family.hsum(S, *H)
+                total = total + prob.family.hsum(S)
             # a sum is finite iff every term is, unless the finite terms overflow it
             if not np.all(np.isfinite(total)):
                 raise EvaluationError("overflow in cumulant h")
-            out[a:a + rows] = total - T @ Rty + 0.5 * (T * T) @ g2
+            out[a:a + rows] = total
 
     # no empty run, and one for an empty Theta
     k = max(1, min(usable_cores() if workers is None else workers, len(starts)))
     runs = [starts[i * len(starts) // k:(i + 1) * len(starts) // k] for i in range(k)]
     pool_map(run, runs, k)
+    for a in starts:   # the data and prior terms, on the calling thread, over the same blocks
+        T = Theta[a:a + rows]
+        out[a:a + rows] = out[a:a + rows] - T @ Rty + 0.5 * (T * T) @ g2
     return out
 
 

@@ -33,15 +33,30 @@ def f_reference(prob: Problem, theta: np.ndarray) -> float:
     return float(np.sum(prob.family.h(s) - prob.data.y * s) + 0.5 * np.sum(prob.g2 * theta ** 2))
 
 
-# each family's cumulant h, and the row sums of h(S) its in-place hsum(S, H) must
+def _bernoulli_hsum(S: np.ndarray) -> np.ndarray:
+    """The row sums of log(1 + e^s) = max(s, 0) + log(1 + e^-|s|) as the Bernoulli hsum
+    forms them: the positive parts summed alone, and the factors 1 + e^-|s| multiplied
+    over the interleaved 128-column groups one 128-column slice at a time, in column
+    order after the last, partial slice, with one log per group."""
+    F = 1.0 + np.exp(-np.abs(S))
+    q, t = divmod(S.shape[-1], 128)
+    if q:
+        groups = F[..., :128].copy()
+        groups[..., :t] *= F[..., 128 * q:]
+        for k in range(1, q):
+            groups *= F[..., 128 * k:128 * (k + 1)]
+        F = groups
+    return np.einsum("...i,...i->...", S, S > 0.0) + _rowsum(np.log(F))
+
+
+# each family's cumulant h, and the row sums of h(S) its in-place hsum(S) must
 # match bit for bit, as fresh arrays
 ALLOCATING_H = {"poisson": np.exp,
                 "gaussian": lambda s: 0.5 * np.asarray(s, dtype=float) ** 2,
                 "bernoulli": lambda s: np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))}
 ALLOCATING_HSUM = {"poisson": lambda S: _rowsum(np.exp(S)),
                    "gaussian": lambda S: 0.5 * np.einsum("ij,ij->i", S, S),
-                   "bernoulli": lambda S: (_rowsum(np.log1p(np.exp(-np.abs(S))))
-                                           + _rowsum(np.maximum(S, 0.0)))}
+                   "bernoulli": _bernoulli_hsum}
 
 
 def f_values_allocating(prob: Problem, Theta: np.ndarray, chunk_entries: int,

@@ -739,6 +739,22 @@ def test_console_certificates_ignore_blas_env(tmp_path, eig_cache, volterra_eig)
     assert csvs[0] == csvs[1]
 
 
+def test_cli_module_run_is_refused(tmp_path):
+    """`python -m lapcert.cli`, which would load numpy before any code of its own
+    could pin BLAS, exits 2 with the BLAS variables at 2, names the two commands
+    that run BLAS on one thread, and writes nothing."""
+    env = dict(os.environ, **dict.fromkeys(entry.BLAS_VARS, "2"), PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "lapcert.cli", "all", "--config",
+                           os.path.join(ROOT, "configs", "gaussian_exactness.json"),
+                           "--out", str(out)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert "`lapcert`" in proc.stderr and "`python -m lapcert`" in proc.stderr
+    assert proc.stdout == "" and not out.exists() and os.listdir(tmp_path) == []
+
+
 def test_cli_import_skips_unused_dependencies():
     """`import lapcert.cli` loads neither mpmath nor any scipy module: the
     pipeline is numpy alone (only the SVD oracle imports scipy.sparse.linalg,

@@ -215,27 +215,31 @@ def test_bernoulli_h_matches_logaddexp():
 
 
 def test_cumulants_in_place_match_allocating():
-    """Each family's h is its allocating form, and its hsum(S, H), which may
-    overwrite both buffers (here views of a wider pair, as in the kernel), the
+    """Each family's h is its allocating form, and its hsum(S), which may
+    overwrite S (here a view of a wider buffer, as in the kernel), the
     allocating row sums of h(S), bit for bit: at signed zeros, subnormals, the
-    edges of exp's range (709.8 overflows it, 745 underflows it) and a normal draw."""
+    edges of exp's range (709.8 overflows it, 745 underflows it) and a normal
+    draw, in rows of 101 columns (one partial Bernoulli group) and of 505 (three
+    whole groups and a partial one)."""
     edges = [0.0, 1e-310, 709.8, 745.0, 800.0]
     s = np.concatenate([edges, np.negative(edges),
                         np.random.default_rng(0).standard_normal(1000)])
     for kind, allocating in ALLOCATING_H.items():
-        fam, buf = exp_family(kind), np.full((2, 12, 128), np.nan)
-        S, H = buf[:, :10, :101]
-        S[...] = s.reshape(10, 101)
+        fam = exp_family(kind)
         with np.errstate(over="ignore"):
             assert np.array_equal(fam.h(s).view(np.int64), allocating(s).view(np.int64)), kind
-            want = ALLOCATING_HSUM[kind](s.reshape(10, 101)).view(np.int64)
-            assert np.array_equal(fam.hsum(S, H).view(np.int64), want), kind
+        for shape in ((10, 101), (2, 505)):
+            S = np.full((12, 600), np.nan)[:shape[0], :shape[1]]
+            S[...] = s.reshape(shape)
+            with np.errstate(over="ignore"):
+                want = ALLOCATING_HSUM[kind](s.reshape(shape)).view(np.int64)
+                assert np.array_equal(fam.hsum(S).view(np.int64), want), (kind, shape)
 
 
 @pytest.mark.parametrize("kind, scale", [("poisson", 3.0), ("gaussian", 100.0),
                                          ("bernoulli", 800.0)])
 def test_hsum_is_the_row_sums_of_h(kind, scale):
-    """hsum(S, H) is the row sums of h(S) within 1e-15 n relative, n the row
+    """hsum(S) is the row sums of h(S) within 1e-15 n relative, n the row
     length; Bernoulli at |s| up to 800, on both signs and on each alone, past
     where e^-|s| underflows."""
     n = 4096
@@ -244,8 +248,36 @@ def test_hsum_is_the_row_sums_of_h(kind, scale):
     S[4:] = -np.abs(S[4:])
     fam = exp_family(kind)
     want = np.array([math.fsum(row) for row in fam.h(S)])
-    got = fam.hsum(S.copy(), np.empty_like(S))
+    got = fam.hsum(S.copy())
     assert np.all(np.abs(got - want) <= 1e-15 * n * np.abs(want)), kind
+
+
+def test_bernoulli_hsum_accuracy_contract():
+    """Bernoulli's hsum(S) is within 1e-15 n max(1, |sum h|) of the row sums of
+    h(S) (fsum), n the row length, at widths 1, 127, 128, 129 (one partial group),
+    2500 and 4096, on a view narrower than its buffer, as the kernel's last tile
+    is: rows of moderate s, each holding one s of +-0 (the factor is exactly 2),
+    +-745, +-800 or +-1e308; a row of only s = -40, whose every term rounds away;
+    and rows of s in [-800, -700] holding a few s in [0, 1], whose sum h is their
+    positive parts alone, which a sum of s and |s| halved would lose."""
+    rng = np.random.default_rng(4)
+    fam = exp_family("bernoulli")
+    for n in (1, 127, 128, 129, 2500, 4096):
+        rows = []
+        for v in (0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 1e308, -1e308):
+            row = rng.uniform(-3.0, 3.0, n)
+            row[rng.integers(n)] = v
+            rows.append(row)
+        rows.append(np.full(n, -40.0))
+        for k in (1, 3, 40):
+            row = rng.uniform(-800.0, -700.0, n)
+            row[rng.integers(0, n, k)] = rng.uniform(0.0, 1.0, k)
+            rows.append(row)
+        S = np.full((len(rows) + 3, n + 37), np.nan)[:len(rows), :n]
+        S[...] = rows
+        want = np.array([math.fsum(row) for row in fam.h(S)])
+        got = fam.hsum(S)
+        assert np.all(np.abs(got - want) <= 1e-15 * n * np.maximum(1.0, np.abs(want))), n
 
 
 def test_rowsum_of_a_lone_row_is_its_row_in_a_block():

@@ -165,12 +165,12 @@ def test_kernel_raises_from_later_tiles(poisson_fit, monkeypatch):
 
 
 def test_kernel_finiteness_without_the_pass(volterra_eig, monkeypatch):
-    """f_values scans S for non-finite entries only in a block whose bound
-    ||T_i||_1 max|R| on |S_ij| reaches half the largest double, yet raises as
-    a scan of every block would, at 1 and 3 workers: an inf or NaN row, and a
-    finite row whose S overflows, raise `non-finite linear predictor`; a row
-    past the bound whose S is finite returns f.  A design entry of 1e308 in
-    an observation with y = 0 puts every row past the bound."""
+    """f_values scans S for non-finite entries only in a call whose bound
+    max|Theta| p max|R| on |S_ij| reaches half the largest double (or is NaN),
+    and raises as a scan of every call would, at 1 and 3 workers: an inf or NaN
+    row, and a finite row whose S overflows, raise `non-finite linear
+    predictor`; a row past the bound whose S is finite returns f.  A design
+    entry of 1e308 in an observation with y = 0 puts every row past the bound."""
     prob = make_problem(volterra_eig, "bernoulli", n=500, p=3)
     fit = map_solve(prob)
     monkeypatch.setattr(posterior, "_CHUNK_ENTRIES", 7 * prob.design.n)
