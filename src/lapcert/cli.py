@@ -318,6 +318,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
         points = sweep_points(cfg) if args.command == "sweep" else ()
+        try:   # before --out, so that a cache_dir naming a file leaves nothing behind
+            if cfg.eigensolver.cache_dir:
+                os.makedirs(cfg.eigensolver.cache_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("%s.eigensolver.cache_dir: %s" % (args.config, exc)) from exc
         os.makedirs(cfg.out_dir, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)

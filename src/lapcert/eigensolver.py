@@ -85,8 +85,8 @@ class EigenSystem:
     vk_inf: np.ndarray           # ||v_k||_inf with v_k = u_k / u_k'(0)
     dvk_inf: np.ndarray
     vk_l2: np.ndarray
-    T: float = 1.0
-    Q_sup: float = 0.0
+    T: float                     # the Liouville interval's length, int_0^1 1/a
+    Q_sup: float                 # max |Q| on the t grid
 
     def __post_init__(self):
         lam = self.lambdas
@@ -323,9 +323,11 @@ def svd_oracle(spec: CoefficientPair, N: int, K: int) -> EigenSystem:
             v = -v
         psi[k] = v / np.sqrt(np.trapezoid(v ** 2, dx=1.0 / N))
     dpsi = np.gradient(psi, 1.0 / N, axis=1)
+    form = liouville_transform(spec, N)
     return EigenSystem(lambdas=lam, x=x, psi=psi, dpsi=dpsi, psi_sup=_row_sups(psi),
                        dpsi_sup=_row_sups(dpsi), vk_inf=np.full(K, np.nan),
-                       dvk_inf=np.full(K, np.nan), vk_l2=np.full(K, np.nan))
+                       dvk_inf=np.full(K, np.nan), vk_l2=np.full(K, np.nan),
+                       T=form.T, Q_sup=form.Q_sup)
 
 
 def eig_diagnostics(eig: EigenSystem) -> dict:
@@ -364,7 +366,8 @@ def _solver_source() -> bytes:
 
 def _cache_key(spec: CoefficientPair, N: int, K: int) -> bytes:
     # another operator, solver code or numpy gives another key, which the entry stores
-    payload = {"spec": spec.to_dict(), "N": N, "K": K, "numpy": np.__version__}
+    payload = {"spec": {"a": list(spec.a_coeffs), "b": list(spec.b_coeffs)}, "N": N, "K": K,
+               "numpy": np.__version__}
     return json.dumps(payload, sort_keys=True).encode() + _solver_source()
 
 

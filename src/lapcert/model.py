@@ -26,11 +26,11 @@ class ModelError(ValueError):
     pass
 
 
+# a family as a run evaluates it: the cumulant h's row sums, h', h'', h''' (h: tests/probes.py)
 @dataclass(frozen=True)
 class ExpFamily:
     kind: str
-    h: Callable
-    hsum: Callable                 # S -> row sums of h(S), in S's own memory
+    hsum: Callable                 # S -> row sums of the cumulant h(S), in S's own memory
     h1: Callable
     h2: Callable
     h3: Callable
@@ -137,7 +137,7 @@ def exp_family(kind: str) -> ExpFamily:
     if kind == "poisson":
         return ExpFamily(
             kind="poisson",
-            h=np.exp, hsum=lambda S: _rowsum(np.exp(S, out=S)),
+            hsum=lambda S: _rowsum(np.exp(S, out=S)),
             h1=np.exp, h2=np.exp, h3=np.exp,
             d3_envelope=lambda K: math.exp(K),
             sampler=sample_poisson,
@@ -145,7 +145,6 @@ def exp_family(kind: str) -> ExpFamily:
     if kind == "gaussian":
         return ExpFamily(
             kind="gaussian",
-            h=lambda s: 0.5 * np.square(s, dtype=float),
             # one einsum pass, which sums a row alike alone or in a block up to 8192 columns
             hsum=lambda S: 0.5 * np.einsum("ij,ij->i", S, S),
             h1=lambda s: np.asarray(s, dtype=float),
@@ -156,14 +155,11 @@ def exp_family(kind: str) -> ExpFamily:
                 (_substream(seed, j).standard_normal() for j in range(s.size)), float),
         )
     if kind == "bernoulli":
-        def h(s):   # the log(1 + e^s) split logaddexp uses, log1p(e^-|s|) + max(s, 0)
-            return np.log1p(np.exp(-np.abs(s))) + np.maximum(s, 0.0)
-
         def hsum(S):
-            # in S's own memory: the positive parts summed alone, then the factors
-            # 1 + e^-|s| in (1, 2] multiplied over the interleaved 128-column groups (32
-            # factors a group at 4096 columns) and one log a group.  A k-factor product is
-            # within ~k u of exact, so |hsum - sum h| <= 1e-15 n max(1, |sum h|), n the row
+            # h = max(s, 0) + log(1 + e^-|s|) in S's own memory: the positive parts summed alone,
+            # then the factors 1 + e^-|s| in (1, 2] multiplied over the interleaved 128-column
+            # groups (32 factors a group at 4096 columns) and one log a group.  A k-factor product
+            # is within ~k u of exact, so |hsum - sum h| <= 1e-15 n max(1, |sum h|), n the row
             # length, at any s (a factor rounds to 1 where e^-|s| < 2^-53, past |s| = 37)
             pos = np.einsum("...i,...i->...", S, S > 0.0)
             np.add(np.exp(np.negative(np.abs(S, out=S), out=S), out=S), 1.0, out=S)
@@ -185,7 +181,7 @@ def exp_family(kind: str) -> ExpFamily:
             return sg * (1.0 - sg) * (1.0 - 2.0 * sg)
 
         return ExpFamily(
-            kind="bernoulli", h=h, hsum=hsum, h1=h1, h2=h2, h3=h3,
+            kind="bernoulli", hsum=hsum, h1=h1, h2=h2, h3=h3,
             d3_envelope=_bernoulli_h3_envelope,
             sampler=lambda s, seed: (_philox_uniforms(seed, np.arange(s.size))
                                      < 1.0 / (1.0 + _exp(-s))).astype(float),
@@ -236,8 +232,6 @@ def signal_sup_norm(eig, theta: np.ndarray) -> float:
     certification stage.
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.size == 0:
-        return 0.0
     field = (theta * np.sqrt(eig.lambdas[: theta.size])) @ eig.psi[: theta.size]
     return float(np.abs(field).max())
 

@@ -1,10 +1,10 @@
 """Smoothing operator R defined by a g' + b g = f, g(0)=0, on [0,1].
 
-Coefficients a, b are polynomials (exact symbolic derivatives), evaluated by
-Horner's rule to the bits of numpy's polyval and polyder; all quadrature is
-composite trapezoid on the uniform grid x_i = i/N.  R and its discrete
-transpose are applied matrix-free, each in O(N) as one running sum; no dense
-matrix of R is ever formed.
+Coefficients a, b are polynomials, evaluated by numpy's polyval with exact
+symbolic derivatives by polyder; all quadrature is composite trapezoid on the
+uniform grid x_i = i/N.  R and its discrete transpose are applied
+matrix-free, each in O(N) as one running sum; no dense matrix of R is ever
+formed.
 """
 from __future__ import annotations
 
@@ -19,19 +19,6 @@ MAX_POLY_DEGREE = 16
 
 class OperatorSpecError(ValueError):
     """Invalid coefficient pair (a not positive, degree too high, ...)."""
-
-
-def _polyval(c: tuple, x, m: int = 0):
-    """numpy's polyval(x, polyder(c, m)) to the bit: polyder's coefficients j c_j (c_0 * 0
-    past the degree), then Horner's rule from the top one."""
-    d = c
-    for _ in range(m):
-        d = tuple(j * d[j] for j in range(1, len(d)))
-    d = d or (c[0] * 0.0,)
-    y = d[-1] + x * 0.0
-    for dk in d[-2::-1]:
-        y = dk + y * x
-    return y
 
 
 @dataclass(frozen=True)
@@ -54,24 +41,21 @@ class CoefficientPair:
         if not np.all(np.isfinite(avals)) or avals.min() <= 0.0:
             raise OperatorSpecError("a(x) must be strictly positive on [0,1]")
 
-    # exact polynomial evaluations; derivatives are symbolic
+    # numpy takes the top coefficient first; a derivative past the degree is 0
     def a(self, x):
-        return _polyval(self.a_coeffs, x)
+        return np.polyval(self.a_coeffs[::-1], x)
 
     def b(self, x):
-        return _polyval(self.b_coeffs, x)
+        return np.polyval(self.b_coeffs[::-1], x)
 
     def a1(self, x):
-        return _polyval(self.a_coeffs, x, 1)
+        return np.polyval(np.polyder(self.a_coeffs[::-1], 1), x)
 
     def a2(self, x):
-        return _polyval(self.a_coeffs, x, 2)
+        return np.polyval(np.polyder(self.a_coeffs[::-1], 2), x)
 
     def b1(self, x):
-        return _polyval(self.b_coeffs, x, 1)
-
-    def to_dict(self) -> dict:
-        return {"a": list(self.a_coeffs), "b": list(self.b_coeffs)}
+        return np.polyval(np.polyder(self.b_coeffs[::-1], 1), x)
 
 
 VOLTERRA = CoefficientPair((1.0,), (0.0,))
@@ -137,12 +121,6 @@ def trapezoid_weights(N: int) -> np.ndarray:
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
-
-
-def l2_inner(f: np.ndarray, g: np.ndarray) -> float:
-    """Trapezoid approximation of the L2[0,1] inner product."""
-    f = np.asarray(f)
-    return float(np.trapezoid(f * g, dx=1.0 / (f.size - 1)))
 
 
 @dataclass(frozen=True)

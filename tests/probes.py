@@ -11,7 +11,8 @@ scipy.special, `f_reference` the negative log posterior f from its
 definition, and `f_values_allocating` the likelihood kernel in its allocating
 form (`ALLOCATING_HSUM`), which `posterior.f_values` matches bit for bit, and
 `outside_mass_reference` the posterior mass outside an ellipsoid in theta
-space.  No CLI path reads them.
+space.  `ALLOCATING_H` holds each family's cumulant h, and `l2_inner` the
+trapezoid L2[0,1] inner product.  No CLI path reads them.
 """
 import math
 
@@ -30,7 +31,14 @@ def f_reference(prob: Problem, theta: np.ndarray) -> float:
     + sum_k g2_k theta_k^2 / 2, as one plain per-point sum with no chunking and no
     sufficient statistic: the tests' reference for `posterior.f_values`."""
     s = prob.design.rows @ theta
-    return float(np.sum(prob.family.h(s) - prob.data.y * s) + 0.5 * np.sum(prob.g2 * theta ** 2))
+    return float(np.sum(ALLOCATING_H[prob.family.kind](s) - prob.data.y * s)
+                 + 0.5 * np.sum(prob.g2 * theta ** 2))
+
+
+def l2_inner(f: np.ndarray, g: np.ndarray) -> float:
+    """Trapezoid approximation of the L2[0,1] inner product."""
+    f = np.asarray(f)
+    return float(np.trapezoid(f * g, dx=1.0 / (f.size - 1)))
 
 
 def _bernoulli_hsum(S: np.ndarray) -> np.ndarray:

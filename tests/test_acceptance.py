@@ -19,12 +19,12 @@ from lapcert import concentration as conc
 from lapcert import validation as val
 from lapcert.eigensolver import cached_solve, svd_oracle
 from lapcert.model import TruthSpec, exp_family, generate
-from lapcert.operators import CoefficientPair, VOLTERRA, assemble_design, l2_inner
+from lapcert.operators import CoefficientPair, VOLTERRA, assemble_design
 from lapcert.posterior import Problem, derivatives, map_solve
 
 from conftest import SPEC_CORPUS, make_problem
-from probes import (f_reference, ortho_constant, third_directional, tightness_probe,
-                    weighting_claims)
+from probes import (f_reference, l2_inner, ortho_constant, third_directional,
+                    tightness_probe, weighting_claims)
 
 
 def _report(num, name, ok, detail=""):

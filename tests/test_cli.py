@@ -263,6 +263,20 @@ def test_out_naming_a_file_exit_code(tmp_path, write_cfg, capsys):
     assert taken.read_text() == ""
 
 
+def test_cache_dir_naming_a_file_exit_code(tmp_path, write_cfg, capsys):
+    """An eigensolver.cache_dir naming a file, or a path below one, is a config
+    error (exit 2) that names the key and leaves no --out directory."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for cache in (taken, taken / "sub"):
+        out = tmp_path / "out"
+        path = write_cfg({"eigensolver": {"cache_dir": str(cache)}})
+        assert main(["eigen", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and ".eigensolver.cache_dir: " in err, err
+        assert not out.exists() and taken.read_text() == ""
+
+
 def test_malformed_json_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -773,7 +787,8 @@ def test_cli_import_skips_unused_dependencies():
 def test_cold_eigen_run_loads_neither_openssl_nor_numpy_polynomial(tmp_path):
     """Neither `import lapcert.cli` nor a cold `eigen` run after it loads `hashlib`
     (whose `_hashlib` maps OpenSSL) or `numpy.polynomial`: the eigen cache names its
-    entries by zlib's crc32, and `operators._polyval` evaluates the coefficients."""
+    entries by zlib's crc32, and numpy's `polyval` and `polyder`, which `numpy.lib` holds,
+    evaluate the coefficients."""
     cache = tmp_path / "cache"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"operator": {"a": [1.0, 0.5], "b": [0.5]},

@@ -13,9 +13,10 @@ from lapcert.eigensolver import (EigenSystem, _q_potential, _rk4_shoot, cached_s
                                  eig_diagnostics, liouville_transform,
                                  load_eigensystem, save_eigensystem,
                                  solve_eigs, svd_oracle)
-from lapcert.operators import VOLTERRA, CoefficientPair, OperatorSpecError, grid, l2_inner
+from lapcert.operators import VOLTERRA, CoefficientPair, OperatorSpecError, grid
 
 from conftest import SPEC_CORPUS
+from probes import l2_inner
 
 
 def test_volterra_closed_form(volterra_eig):
@@ -122,6 +123,19 @@ def test_diagnostics_bounds(volterra_eig):
     assert d["dvk_inf_violations"] == 0
     assert d["vk_l2_c_estimate"] > 0.1
     assert np.all(d["psi_sup"] < 3.0)
+
+
+def test_oracle_diagnostics_judge_its_own_operator():
+    """The SVD oracle's system carries its operator's T and max |Q|, so its
+    diagnostics flag the same modes active as the solver's: none at b = 30
+    (Q = 900), where the Volterra regime would flag all ten."""
+    spec = CoefficientPair((1.0,), (30.0,))
+    form = liouville_transform(spec, 2048)
+    sv, eig = svd_oracle(spec, 2048, 10), solve_eigs(form, spec, 10)
+    assert (sv.T, sv.Q_sup) == (eig.T, eig.Q_sup) == (form.T, form.Q_sup)
+    active = eig_diagnostics(eig)["active"]
+    assert not active.any()
+    assert np.array_equal(eig_diagnostics(sv)["active"], active)
 
 
 def test_stored_sup_norms_are_the_grid_maxima(volterra_eig):

@@ -137,11 +137,11 @@ def test_poisson_sampler_nonnegative_int(lam, seed):
 
 def test_family_derivatives_finite_difference():
     eps = 1e-5
-    for kind in ("poisson", "gaussian", "bernoulli"):
+    for kind, h in ALLOCATING_H.items():
         fam = exp_family(kind)
         for s in (-1.5, 0.0, 0.7):
             assert fam.h1(s) == pytest.approx(
-                (fam.h(s + eps) - fam.h(s - eps)) / (2 * eps), rel=1e-4, abs=1e-6)
+                (h(s + eps) - h(s - eps)) / (2 * eps), rel=1e-4, abs=1e-6)
             assert fam.h2(s) == pytest.approx(
                 (fam.h1(s + eps) - fam.h1(s - eps)) / (2 * eps), rel=1e-4, abs=1e-6)
             assert fam.h3(s) == pytest.approx(
@@ -209,25 +209,22 @@ def test_bernoulli_h_matches_logaddexp():
     s = np.concatenate([edges, np.negative(edges), np.linspace(-50.0, 50.0, 20001),
                         np.geomspace(1e-300, 1e4, 2001), -np.geomspace(1e-300, 1e4, 2001)])
     with np.errstate(all="raise", under="ignore"):
-        h = exp_family("bernoulli").h(s)
+        h = ALLOCATING_H["bernoulli"](s)
         ref = np.logaddexp(0.0, s)
     assert np.all(np.abs(h - ref) <= 4e-16 * np.abs(ref))
 
 
 def test_cumulants_in_place_match_allocating():
-    """Each family's h is its allocating form, and its hsum(S), which may
-    overwrite S (here a view of a wider buffer, as in the kernel), the
-    allocating row sums of h(S), bit for bit: at signed zeros, subnormals, the
-    edges of exp's range (709.8 overflows it, 745 underflows it) and a normal
-    draw, in rows of 101 columns (one partial Bernoulli group) and of 505 (three
-    whole groups and a partial one)."""
+    """Each family's hsum(S), which may overwrite S (here a view of a wider
+    buffer, as in the kernel), is the allocating row sums of h(S), bit for bit:
+    at signed zeros, subnormals, the edges of exp's range (709.8 overflows it,
+    745 underflows it) and a normal draw, in rows of 101 columns (one partial
+    Bernoulli group) and of 505 (three whole groups and a partial one)."""
     edges = [0.0, 1e-310, 709.8, 745.0, 800.0]
     s = np.concatenate([edges, np.negative(edges),
                         np.random.default_rng(0).standard_normal(1000)])
-    for kind, allocating in ALLOCATING_H.items():
+    for kind in ALLOCATING_HSUM:
         fam = exp_family(kind)
-        with np.errstate(over="ignore"):
-            assert np.array_equal(fam.h(s).view(np.int64), allocating(s).view(np.int64)), kind
         for shape in ((10, 101), (2, 505)):
             S = np.full((12, 600), np.nan)[:shape[0], :shape[1]]
             S[...] = s.reshape(shape)
@@ -246,9 +243,8 @@ def test_hsum_is_the_row_sums_of_h(kind, scale):
     S = np.random.default_rng(1).uniform(-scale, scale, (6, n))
     S[2:4] = np.abs(S[2:4])
     S[4:] = -np.abs(S[4:])
-    fam = exp_family(kind)
-    want = np.array([math.fsum(row) for row in fam.h(S)])
-    got = fam.hsum(S.copy())
+    want = np.array([math.fsum(row) for row in ALLOCATING_H[kind](S)])
+    got = exp_family(kind).hsum(S.copy())
     assert np.all(np.abs(got - want) <= 1e-15 * n * np.abs(want)), kind
 
 
@@ -275,7 +271,7 @@ def test_bernoulli_hsum_accuracy_contract():
             rows.append(row)
         S = np.full((len(rows) + 3, n + 37), np.nan)[:len(rows), :n]
         S[...] = rows
-        want = np.array([math.fsum(row) for row in fam.h(S)])
+        want = np.array([math.fsum(row) for row in ALLOCATING_H["bernoulli"](S)])
         got = fam.hsum(S)
         assert np.all(np.abs(got - want) <= 1e-15 * n * np.maximum(1.0, np.abs(want))), n
 

@@ -10,9 +10,10 @@ from lapcert.model import ModelError, TruthSpec, exp_family, generate
 from lapcert.operators import (VOLTERRA, CoefficientPair,
                                OperatorSpecError, _apply_R_transpose, apply_R,
                                assemble_design, cumulative_antiderivative, grid,
-                               l2_inner, trapezoid_weights)
+                               trapezoid_weights)
 
 from conftest import SPEC_CORPUS
+from probes import l2_inner
 
 # a = 1 + sum c_i x^i with at most 3 terms |c_i| <= 0.33, so sum |c_i| < 1 and
 # a >= 0.01 on [0, 1]; the rejection of a <= 0 is test_nonpositive_a_rejected
