@@ -334,14 +334,15 @@ def eig_diagnostics(eig: EigenSystem) -> dict:
     """Report the v_k and psi_k regularity quantities, with bound flags.
 
     Flags are evaluated for indices past k*, the first k with
-    rho_k = lambda_k^{-1/2} > 2 T ||Q||_inf (the asymptotic regime).
+    rho_k = lambda_k^{-1/2} > 2 T ||Q||_inf (the asymptotic regime), whose v_k
+    quantities are finite (`vk_checked` of them: the SVD oracle stores NaN).
     """
     ks = np.arange(1, eig.lambdas.size + 1)
     rho = eig.lambdas ** -0.5
     active = rho > 2.0 * eig.T * eig.Q_sup
     root_lam = np.sqrt(eig.lambdas)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        c_est = np.nanmin((eig.vk_l2 / root_lam)[active]) if active.any() else np.nan
+    checked = active & np.isfinite(eig.vk_inf) & np.isfinite(eig.dvk_inf) & np.isfinite(eig.vk_l2)
+    c_est = np.min(eig.vk_l2[checked] / root_lam[checked]) if checked.any() else np.nan
     return {
         "k": ks,
         "psi_sup": eig.psi_sup,
@@ -350,8 +351,9 @@ def eig_diagnostics(eig: EigenSystem) -> dict:
         "dvk_inf": eig.dvk_inf,
         "vk_l2": eig.vk_l2,
         "active": active,
-        "vk_inf_violations": int(np.sum(active & (eig.vk_inf > 2.0 * root_lam))),
-        "dvk_inf_violations": int(np.sum(active & (eig.dvk_inf > 2.0))),
+        "vk_checked": int(checked.sum()),
+        "vk_inf_violations": int(np.sum(checked & (eig.vk_inf > 2.0 * root_lam))),
+        "dvk_inf_violations": int(np.sum(checked & (eig.dvk_inf > 2.0))),
         "vk_l2_c_estimate": float(c_est),
     }
 

@@ -30,7 +30,8 @@ class ModelError(ValueError):
 @dataclass(frozen=True)
 class ExpFamily:
     kind: str
-    hsum: Callable                 # S -> row sums of the cumulant h(S), in S's own memory
+    hsum: Callable                 # (S, bound >= max|S|, inf or NaN if unknown; default inf) ->
+                                   # row sums of the cumulant h(S), in S's own memory
     h1: Callable
     h2: Callable
     h3: Callable
@@ -137,7 +138,7 @@ def exp_family(kind: str) -> ExpFamily:
     if kind == "poisson":
         return ExpFamily(
             kind="poisson",
-            hsum=lambda S: _rowsum(np.exp(S, out=S)),
+            hsum=lambda S, bound=math.inf: _rowsum(np.exp(S, out=S)),
             h1=np.exp, h2=np.exp, h3=np.exp,
             d3_envelope=lambda K: math.exp(K),
             sampler=sample_poisson,
@@ -146,7 +147,7 @@ def exp_family(kind: str) -> ExpFamily:
         return ExpFamily(
             kind="gaussian",
             # one einsum pass, which sums a row alike alone or in a block up to 8192 columns
-            hsum=lambda S: 0.5 * np.einsum("ij,ij->i", S, S),
+            hsum=lambda S, bound=math.inf: 0.5 * np.einsum("ij,ij->i", S, S),
             h1=lambda s: np.asarray(s, dtype=float),
             h2=lambda s: np.ones_like(np.asarray(s, dtype=float)),
             h3=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
@@ -155,19 +156,27 @@ def exp_family(kind: str) -> ExpFamily:
                 (_substream(seed, j).standard_normal() for j in range(s.size)), float),
         )
     if kind == "bernoulli":
-        def hsum(S):
-            # h = max(s, 0) + log(1 + e^-|s|) in S's own memory: the positive parts summed alone,
-            # then the factors 1 + e^-|s| in (1, 2] multiplied over the interleaved 128-column
-            # groups (32 factors a group at 4096 columns) and one log a group.  A k-factor product
-            # is within ~k u of exact, so |hsum - sum h| <= 1e-15 n max(1, |sum h|), n the row
-            # length, at any s (a factor rounds to 1 where e^-|s| < 2^-53, past |s| = 37)
-            pos = np.einsum("...i,...i->...", S, S > 0.0)
-            np.add(np.exp(np.negative(np.abs(S, out=S), out=S), out=S), 1.0, out=S)
-            q, t = divmod(S.shape[-1], 128)
+        def hsum(S, bound=math.inf):
+            # h = log(1 + e^min(s, 37)) + max(s - 37, 0) in S's own memory: the factors
+            # 1 + e^min(s, 37) multiplied over the interleaved 256-column groups and one log a
+            # group, plus the parts of s past 37, which sum no cancelling terms.  Rows of at most
+            # 4096 columns (the kernel's widest tile): a group then has at most 16 factors, each
+            # <= 1 + e^37, so its product stays <= e^592.  Where bound >= max|s| is <= 37 both
+            # 37-terms are no-ops (min gives s, the parts sum to +0.0) and are skipped, with the
+            # same bits; a NaN bound clamps.  log(1 + e^-37) < 2^-53, and a k-factor product is
+            # within ~k u of exact, so |hsum - sum h| <= 1e-15 n max(1, |sum h|), n the row
+            # length, at any s
+            past = 0.0
+            if not bound <= 37.0:
+                d = S - 37.0
+                past = _rowsum(np.maximum(d, 0.0, out=d))
+                np.minimum(S, 37.0, out=S)
+            np.add(np.exp(S, out=S), 1.0, out=S)
+            q, t = divmod(S.shape[-1], 256)
             if q and t:   # the last, partial group folds into the first t
-                np.multiply(S[..., :t], S[..., 128 * q:], out=S[..., :t])
-            G = np.multiply.reduce(S[..., :128 * q].reshape(*S.shape[:-1], q, 128), -2) if q else S
-            return pos + _rowsum(np.log(G, out=G))
+                np.multiply(S[..., :t], S[..., 256 * q:], out=S[..., :t])
+            G = np.multiply.reduce(S[..., :256 * q].reshape(*S.shape[:-1], q, 256), -2) if q else S
+            return _rowsum(np.log(G, out=G)) + past
 
         def h1(s):
             return 1.0 / (1.0 + np.exp(-np.asarray(s, dtype=float)))

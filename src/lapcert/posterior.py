@@ -136,9 +136,10 @@ def f_values(prob: Problem, Theta: np.ndarray, workers: int | None = None) -> np
     column order.  The blocks are split into contiguous runs, one per thread, on
     min(workers (default: `usable_cores()`), blocks) threads, whose tile loop is
     the matmul, the scan of S for non-finite entries (only where the call's bound
-    max|Theta| p max|R| on |S_ij| allows one), hsum, and each block's finiteness
-    test.  The data term Theta (R^T y) = sum_j y_j s_j and the prior term are added
-    after, on the calling thread, over the same blocks.  Every row's arithmetic is
+    max|Theta| p max|R| on |S_ij| allows one), hsum (handed that bound, which lets
+    Bernoulli's skip its clamp), and each block's finiteness test.  The data term
+    Theta (R^T y) = sum_j y_j s_j and the prior term are added after, on the
+    calling thread, over the same blocks.  Every row's arithmetic is
     the same for any count, so the result is too.  A non-finite S or sum of h(S)
     raises the lowest failing block's `EvaluationError`.
     """
@@ -160,7 +161,7 @@ def f_values(prob: Problem, Theta: np.ndarray, workers: int | None = None) -> np
                 S = np.matmul(T, Rt[:, c:c + cols], out=buf[:len(T), :min(cols, n - c)])
                 if scan and not np.all(np.isfinite(S)):
                     raise EvaluationError("non-finite linear predictor")
-                total = total + prob.family.hsum(S)
+                total = total + prob.family.hsum(S, bound)
             # a sum is finite iff every term is, unless the finite terms overflow it
             if not np.all(np.isfinite(total)):
                 raise EvaluationError("overflow in cumulant h")
@@ -190,6 +191,7 @@ def map_solve(prob: Problem, theta0: np.ndarray | None = None) -> LaplaceFit:
     """Damped Newton with Armijo backtracking from theta0 (default 0); the fit
     keeps the derivatives of the last iterate and the Cholesky factor of its D_G^2."""
     theta = np.zeros(prob.p) if theta0 is None else np.asarray(theta0, dtype=float).copy()
+    Rty = prob.kernel_terms[1]
     fv = f_value(prob, theta)
     for it in range(1, 201):
         g, hL = derivatives(prob, theta)
@@ -201,8 +203,10 @@ def map_solve(prob: Problem, theta0: np.ndarray | None = None) -> LaplaceFit:
         if decrement2 <= 1e-18 or gnorm <= 1e-9 * (1.0 + abs(fv)):
             break
         # a predicted decrease below the rounding of f cannot pass the Armijo
-        # test; there the full Newton step is taken unless f visibly grows
-        noise = 16.0 * np.finfo(float).eps * (1.0 + abs(fv))
+        # test; there the full Newton step is taken unless f visibly grows.  f
+        # rounds at the size of its terms, sum h and y's = theta (R^T y), which
+        # may far exceed |f| = |sum h - y's + prior| (near-separable Bernoulli data)
+        noise = 16.0 * np.finfo(float).eps * (1.0 + abs(fv) + 2.0 * abs(theta @ Rty))
         resolved = 0.25 * decrement2 > noise
         t = 1.0
         for _ in range(60):

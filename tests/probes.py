@@ -42,19 +42,20 @@ def l2_inner(f: np.ndarray, g: np.ndarray) -> float:
 
 
 def _bernoulli_hsum(S: np.ndarray) -> np.ndarray:
-    """The row sums of log(1 + e^s) = max(s, 0) + log(1 + e^-|s|) as the Bernoulli hsum
-    forms them: the positive parts summed alone, and the factors 1 + e^-|s| multiplied
-    over the interleaved 128-column groups one 128-column slice at a time, in column
-    order after the last, partial slice, with one log per group."""
-    F = 1.0 + np.exp(-np.abs(S))
-    q, t = divmod(S.shape[-1], 128)
+    """The row sums of log(1 + e^s) = log(1 + e^min(s, 37)) + max(s - 37, 0) as the
+    Bernoulli hsum forms them: the factors 1 + e^min(s, 37) multiplied over the
+    interleaved 256-column groups one 256-column slice at a time, in column order after
+    the last, partial slice, with one log per group, and the parts of s past 37 summed
+    alone."""
+    F = 1.0 + np.exp(np.minimum(S, 37.0))
+    q, t = divmod(S.shape[-1], 256)
     if q:
-        groups = F[..., :128].copy()
-        groups[..., :t] *= F[..., 128 * q:]
+        groups = F[..., :256].copy()
+        groups[..., :t] *= F[..., 256 * q:]
         for k in range(1, q):
-            groups *= F[..., 128 * k:128 * (k + 1)]
+            groups *= F[..., 256 * k:256 * (k + 1)]
         F = groups
-    return np.einsum("...i,...i->...", S, S > 0.0) + _rowsum(np.log(F))
+    return _rowsum(np.log(F)) + _rowsum(np.maximum(S - 37.0, 0.0))
 
 
 # each family's cumulant h, and the row sums of h(S) its in-place hsum(S) must

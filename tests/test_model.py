@@ -219,14 +219,15 @@ def test_cumulants_in_place_match_allocating():
     buffer, as in the kernel), is the allocating row sums of h(S), bit for bit:
     at signed zeros, subnormals, the edges of exp's range (709.8 overflows it,
     745 underflows it) and a normal draw, in rows of 101 columns (one partial
-    Bernoulli group) and of 505 (three whole groups and a partial one)."""
+    Bernoulli group), of 505 (one whole group and a partial one) and of 1010
+    (three whole groups and a partial one)."""
     edges = [0.0, 1e-310, 709.8, 745.0, 800.0]
     s = np.concatenate([edges, np.negative(edges),
                         np.random.default_rng(0).standard_normal(1000)])
     for kind in ALLOCATING_HSUM:
         fam = exp_family(kind)
-        for shape in ((10, 101), (2, 505)):
-            S = np.full((12, 600), np.nan)[:shape[0], :shape[1]]
+        for shape in ((10, 101), (2, 505), (1, 1010)):
+            S = np.full((12, 1100), np.nan)[:shape[0], :shape[1]]
             S[...] = s.reshape(shape)
             with np.errstate(over="ignore"):
                 want = ALLOCATING_HSUM[kind](s.reshape(shape)).view(np.int64)
@@ -250,21 +251,24 @@ def test_hsum_is_the_row_sums_of_h(kind, scale):
 
 def test_bernoulli_hsum_accuracy_contract():
     """Bernoulli's hsum(S) is within 1e-15 n max(1, |sum h|) of the row sums of
-    h(S) (fsum), n the row length, at widths 1, 127, 128, 129 (one partial group),
-    2500 and 4096, on a view narrower than its buffer, as the kernel's last tile
-    is: rows of moderate s, each holding one s of +-0 (the factor is exactly 2),
+    h(S) (fsum), n the row length, at widths 1, 127, 128, 129, 255, 256, 257 (one
+    partial group), 2500, 4095 and 4096, on a view narrower than its buffer, as the
+    kernel's last tile is: rows of moderate s, each holding one s of +-0 (the factor is exactly 2),
     +-745, +-800 or +-1e308; a row of only s = -40, whose every term rounds away;
-    and rows of s in [-800, -700] holding a few s in [0, 1], whose sum h is their
-    positive parts alone, which a sum of s and |s| halved would lose."""
+    a row of only s = 37, whose groups multiply the most factors that large, up to
+    16 of 1 + e^37; and rows of s in [-800, -700] holding a few s in [0, 1], whose
+    sum h is their positive parts alone, which a sum of s and |s| halved would
+    lose.  The clamp (no bound) on every row, and the unclamped sum (bound 37) on
+    the rows it may take, those with max|s| <= 37."""
     rng = np.random.default_rng(4)
     fam = exp_family("bernoulli")
-    for n in (1, 127, 128, 129, 2500, 4096):
+    for n in (1, 127, 128, 129, 255, 256, 257, 2500, 4095, 4096):
         rows = []
         for v in (0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 1e308, -1e308):
             row = rng.uniform(-3.0, 3.0, n)
             row[rng.integers(n)] = v
             rows.append(row)
-        rows.append(np.full(n, -40.0))
+        rows += [np.full(n, -40.0), np.full(n, 37.0)]
         for k in (1, 3, 40):
             row = rng.uniform(-800.0, -700.0, n)
             row[rng.integers(0, n, k)] = rng.uniform(0.0, 1.0, k)
@@ -272,8 +276,29 @@ def test_bernoulli_hsum_accuracy_contract():
         S = np.full((len(rows) + 3, n + 37), np.nan)[:len(rows), :n]
         S[...] = rows
         want = np.array([math.fsum(row) for row in ALLOCATING_H["bernoulli"](S)])
+        tol = 1e-15 * n * np.maximum(1.0, np.abs(want))
+        low = np.max(np.abs(S), axis=1) <= 37.0
+        got_low = fam.hsum(S[low], 37.0)
         got = fam.hsum(S)
-        assert np.all(np.abs(got - want) <= 1e-15 * n * np.maximum(1.0, np.abs(want))), n
+        assert np.all(np.isfinite(got)) and np.all(np.abs(got - want) <= tol), n
+        assert np.all(np.abs(got_low - want[low]) <= tol[low]), n
+
+
+def test_bernoulli_hsum_branches_agree_below_37():
+    """Where max|s| <= 37 Bernoulli's hsum(S, bound) gives the same bits with a
+    bound of 37 (its clamp skipped), inf or NaN (clamped): at widths 1, 255, 256,
+    257, 4095 and 4096, on rows of s in [-37, 37] holding +-0, a subnormal and
+    +-37, rows of only s = 37 and rows of s in [-800, -700]."""
+    rng = np.random.default_rng(5)
+    fam = exp_family("bernoulli")
+    for n in (1, 255, 256, 257, 4095, 4096):
+        S = rng.uniform(-37.0, 37.0, (6, n))
+        for i, v in enumerate((0.0, -0.0, 5e-324, 37.0, -37.0)):
+            S[i, rng.integers(n)] = v
+        S = np.vstack([S, np.full((2, n), 37.0), rng.uniform(-800.0, -700.0, (2, n))])
+        want = fam.hsum(S.copy(), 37.0).view(np.int64)
+        for bound in (math.inf, math.nan):
+            assert np.array_equal(fam.hsum(S.copy(), bound).view(np.int64), want), (n, bound)
 
 
 def test_rowsum_of_a_lone_row_is_its_row_in_a_block():

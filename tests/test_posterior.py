@@ -169,6 +169,20 @@ def test_map_converges_when_decrease_is_below_rounding(volterra_eig_small):
     assert fit.grad_norm < 1e-9 * (1.0 + abs(fit.f_hat))
 
 
+@pytest.mark.parametrize("amplitude, p", [(10.0, 2), (20.0, 6)])
+def test_map_converges_on_near_separable_bernoulli(volterra_eig, amplitude, p):
+    """Near-separable Bernoulli data (n = 5000, seed 0; amplitude 10 at p = 2 is
+    the default config at that amplitude): |f| ~ 430-730 while its terms, sum h
+    and y's = theta (R^T y), reach 2-3e4 each.  The line search's rounding floor
+    must scale with the terms: one scaled by |f| alone lets Armijo test a
+    decrease below f's rounding, and the step halves until the iteration cap."""
+    prob = make_problem(volterra_eig, "bernoulli", n=5000, p=p, seed=0,
+                        truth=TruthSpec(p_star=8, amplitude=amplitude))
+    fit = map_solve(prob)
+    assert fit.newton_iters < 20
+    assert fit.grad_norm <= 1e-9 * (1.0 + abs(fit.f_hat))
+
+
 def test_bernoulli_fit_runs(volterra_eig_small):
     prob = make_problem(volterra_eig_small, "bernoulli", n=200, p=3)
     fit = map_solve(prob)
@@ -181,16 +195,15 @@ def test_kernel_holds_one_tile_buffer_per_worker(volterra_eig, family):
     """Two workers, each holding its buffer at once (they meet at a barrier in
     hsum): f_values allocates one (rows, cols) tile buffer per worker for every
     family, each hsum working in S's own memory (tracemalloc peak, within half a
-    tile, and for Bernoulli a quarter tile more a worker: its sign mask and
-    numpy's cast buffer for it, an eighth of a tile each)."""
+    tile; Bernoulli's adds only its (rows, 256) group product)."""
     base = make_problem(volterra_eig, family, n=4096, p=2)
     barrier, waited = threading.Barrier(2, timeout=60), threading.local()
 
-    def hsum(S):   # a thread's first tile waits until the other has its buffer too
+    def hsum(S, bound):   # a thread's first tile waits until the other has its buffer too
         if not getattr(waited, "done", False):
             waited.done = True
             barrier.wait()
-        return base.family.hsum(S)
+        return base.family.hsum(S, bound)
 
     prob = replace(base, family=replace(base.family, hsum=hsum))
     prob.kernel_terms   # cached before the window opens
@@ -204,8 +217,7 @@ def test_kernel_holds_one_tile_buffer_per_worker(volterra_eig, family):
     finally:
         tracemalloc.stop()
     assert np.array_equal(got, f_values(base, Theta, 1))
-    slack = 1.0 if family == "bernoulli" else 0.5
-    assert 2 * tile <= peak <= (2 + slack) * tile, (peak, tile)
+    assert 2 * tile <= peak <= 2.5 * tile, (peak, tile)
 
 
 def test_pool_map_order_errors_and_items_held():

@@ -98,6 +98,25 @@ def test_kernel_matches_per_point_reference(volterra_eig, monkeypatch, family, n
         assert np.all(np.abs((lp - lq) - lr_ref) <= 1e-10 * np.abs(f_ref))
 
 
+def test_bernoulli_kernel_past_the_clamp(volterra_eig):
+    """A Bernoulli f_values call whose bound max|Theta| p max|R| on |s| exceeds 37
+    clamps its cumulant sum; with s reaching past +-37 (up to ~+-1e3) in many rows,
+    f is still f from its definition within 1e-12 relative, and its allocating
+    form bit for bit, on 1 and 2 workers."""
+    prob = make_problem(volterra_eig, "bernoulli", n=1500, p=3)
+    fit = map_solve(prob)
+    Theta = fit.theta_hat * np.geomspace(1.0, 3000.0, 24)[:, None]
+    Theta[::3] *= -1.0
+    s_max = np.abs(Theta @ prob.design.rows.T).max(axis=1)
+    assert s_max.min() < 37.0 < s_max.max() and np.sum(s_max > 37.0) >= 8
+    f_ref = np.array([f_reference(prob, th) for th in Theta])
+    want = f_values_allocating(prob, Theta, posterior._CHUNK_ENTRIES, posterior._TILE_COLUMNS)
+    for workers in (1, 2):
+        got = f_values(prob, Theta, workers)
+        assert np.all(np.abs(got - f_ref) <= 1e-12 * np.abs(f_ref))
+        assert np.array_equal(got, want)
+
+
 def test_kernel_raises_like_f_value(poisson_fit, monkeypatch):
     """f_values raises both of its errors at 1 and 3 workers, the lowest
     failing block's; f_value, its one-row call, raises what its row raises."""
