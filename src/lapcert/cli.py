@@ -28,7 +28,7 @@ from .config import ConfigError, ExperimentConfig, load_config, sweep_points
 from .eigensolver import cached_solve, eig_diagnostics
 from .model import TruthSpec, exp_family, generate
 from .operators import CoefficientPair, assemble_design
-from .posterior import Problem, map_solve, usable_cores
+from .posterior import Problem, f_rounding, map_solve, usable_cores
 
 CERT_COLUMNS = ["label", "kind", "gamma0", "alpha", "effdim", "radius",
                 "tau3_sup", "local_term", "tail_term", "tv_bound", "feasible",
@@ -225,22 +225,24 @@ def _check(label, check, bound, est=(None,) * 3, violated=False, reason="") -> d
 def _checks(run) -> list:
     """The checks.csv rows.
 
-    Each usable certificate is checked against every TV estimate (violated
-    iff ci_high > bound) and on its tail claims at its radius and scaled
-    weighting: the importance draws' posterior mass outside against
+    Each usable certificate is checked against every TV estimate (violated iff
+    ci_high > bound; both above CHECK_FLOOR and f's rounding at the fit, which
+    every log-weight f_hat - f(theta) carries) and on its tail claims at its radius
+    and scaled weighting: the importance draws' posterior mass outside against
     `posterior_tail` (violated iff ci_low > bound; both above CHECK_FLOOR),
     and the certificate's own `gaussian_mass`, the Gaussian's exact bracket
     against `gaussian_tail`.  Other certificates get one skipped row, and
     the TV estimates are made only if some certificate is usable.
     """
     rows = []
+    tv_floor = max(CHECK_FLOOR, f_rounding(run.prob, run.fit.theta_hat, run.fit.f_hat))
     for label, c in run.certs.items():
         if label not in run.usable:
             rows.append(_check(label, "all", c.tv_bound,
                                reason="infeasible" if not c.feasible else "bound >= 1"))
             continue
         rows += [_check(label, "tv_" + tv.method, c.tv_bound, (tv.value, tv.ci_low, tv.ci_high),
-                        tv.ci_high > max(c.tv_bound, CHECK_FLOOR)) for tv in run.tvs]
+                        tv.ci_high > max(c.tv_bound, tv_floor)) for tv in run.tvs]
         draws = run.tvs[0].method == "importance"
         m = astuple(run.tvs[0].outside[run.usable.index(label)]) if draws else (None,) * 3
         lo, hi, refuted = c.gaussian_mass()

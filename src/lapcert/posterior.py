@@ -86,6 +86,11 @@ def f_value(prob: Problem, theta: np.ndarray) -> float:
     return float(f_values(prob, np.asarray(theta)[None], 1)[0])
 
 
+def f_rounding(prob: Problem, theta: np.ndarray, fv: float) -> float:
+    """The rounding of f = fv at theta: the size of its terms, sum h and y's = theta R^T y."""
+    return 16.0 * np.finfo(float).eps * (1.0 + abs(fv) + 2.0 * abs(theta @ prob.kernel_terms[1]))
+
+
 def usable_cores() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
     try:
@@ -191,7 +196,6 @@ def map_solve(prob: Problem, theta0: np.ndarray | None = None) -> LaplaceFit:
     """Damped Newton with Armijo backtracking from theta0 (default 0); the fit
     keeps the derivatives of the last iterate and the Cholesky factor of its D_G^2."""
     theta = np.zeros(prob.p) if theta0 is None else np.asarray(theta0, dtype=float).copy()
-    Rty = prob.kernel_terms[1]
     fv = f_value(prob, theta)
     for it in range(1, 201):
         g, hL = derivatives(prob, theta)
@@ -202,11 +206,10 @@ def map_solve(prob: Problem, theta0: np.ndarray | None = None) -> LaplaceFit:
         gnorm = float(np.linalg.norm(g))
         if decrement2 <= 1e-18 or gnorm <= 1e-9 * (1.0 + abs(fv)):
             break
-        # a predicted decrease below the rounding of f cannot pass the Armijo
-        # test; there the full Newton step is taken unless f visibly grows.  f
-        # rounds at the size of its terms, sum h and y's = theta (R^T y), which
-        # may far exceed |f| = |sum h - y's + prior| (near-separable Bernoulli data)
-        noise = 16.0 * np.finfo(float).eps * (1.0 + abs(fv) + 2.0 * abs(theta @ Rty))
+        # a predicted decrease below the rounding of f cannot pass the Armijo test; there
+        # the full Newton step is taken unless f visibly grows.  That rounding may far
+        # exceed eps |f| = eps |sum h - y's + prior| (near-separable Bernoulli data)
+        noise = f_rounding(prob, theta, fv)
         resolved = 0.25 * decrement2 > noise
         t = 1.0
         for _ in range(60):

@@ -21,8 +21,9 @@ row blocks (each row cut into column tiles of at most 4096) and the
 bootstrap's blocks run on `workers` threads (default: the usable cores), at
 most one per block, at any size of work; no estimate depends on the count.
 The importance draws also give the posterior mass outside ellipsoids
-{||D0 u|| <= r} (`OutsideMass`) on the same resample blocks, so tail claims
-need no second likelihood pass.
+{||D0 u|| <= r} (`OutsideMass`), so tail claims need no second likelihood
+pass; each fraction's interval is closed form (delta method) widened by the
+Wilson interval at the ESS, and the bootstrap resamples the TV alone.
 Each draw's ||D0 u||^2 is z^T W z, W = `whiten(L, D0^2)`, on the whitened
 draws, so no array of thetas or of u = theta - theta_hat outlives the kernel.
 """
@@ -38,7 +39,7 @@ from .posterior import (LaplaceFit, Problem, f_values, pool_map, tri_solve, usab
                         whiten)
 
 
-_WILSON_Z = 1.96   # normal quantile of the Wilson intervals' 95% coverage
+_Z95 = 1.96   # normal quantile of the 95% intervals: Wilson's and the outside masses'
 MIN_SAMPLES = 10000    # fewest importance draws (`tv_importance`)
 MIN_PER_AXIS = 64      # coarsest quadrature grid per axis (`tv_quadrature`)
 MAX_QUADRATURE_P = 3   # largest p the quadrature grid covers (`tv_quadrature`)
@@ -47,7 +48,7 @@ MAX_QUADRATURE_P = 3   # largest p the quadrature grid covers (`tv_quadrature`)
 @dataclass(frozen=True)
 class OutsideMass:
     """Posterior mass of the draws outside {||D0 u|| <= r}: the self-normalized
-    fraction, its bootstrap interval widened by the Wilson interval at the ESS,
+    fraction, its delta-method interval widened by the Wilson interval at the ESS,
     so an exactly-zero estimate still carries finite uncertainty."""
     posterior_frac: float
     posterior_ci_low: float
@@ -69,7 +70,7 @@ class TVEstimate:
 def wilson_interval(successes: float, trials: float) -> tuple:
     if trials <= 0:
         raise ValueError("trials > 0")
-    z = _WILSON_Z
+    z = _Z95
     ph = successes / trials
     den = 1.0 + z * z / trials
     centre = (ph + z * z / (2 * trials)) / den
@@ -104,18 +105,16 @@ def bootstrap_ci(rng: np.random.Generator, n_samples: int, n_boot: int, stat,
                  workers: int) -> tuple:
     """(lo, hi): 2.5% and 97.5% percentiles of stat over n_boot resamples.
 
-    stat maps a (b, n_samples) block of resample indices to its b values, or
-    to a (b, k) array of k statistics, whose percentiles are taken per column;
-    it must be row-wise, so that the block size changes no value.  Blocks of
+    stat maps a (b, n_samples) block of resample indices to its b values; it
+    must be row-wise, so that the block size changes no value.  Blocks of
     rows are drawn in turn from rng on the calling thread, which gives the
     same indices as one (n_boot, n_samples) draw; `workers` threads run stat, a block each.
     """
     rows = max(1, _BOOT_BLOCK_ENTRIES // workers // n_samples)
     blocks = (rng.integers(0, n_samples, size=(min(rows, n_boot - a), n_samples))
               for a in range(0, n_boot, rows))
-    vals = np.concatenate(pool_map(stat, blocks, workers))
-    lo, hi = np.percentile(vals, [2.5, 97.5], axis=0)
-    return lo, hi
+    lo, hi = np.percentile(np.concatenate(pool_map(stat, blocks, workers)), [2.5, 97.5])
+    return float(lo), float(hi)
 
 
 def _whitened_grid(p: int, per_axis: int, half_width: float) -> np.ndarray:
@@ -149,14 +148,13 @@ def tv_quadrature(fit: LaplaceFit, prob: Problem, per_axis: int = MIN_PER_AXIS,
 
 
 def _importance_pass(fit: LaplaceFit, prob: Problem, n_samples: int, seed: int,
-                     n_boot: int, regions, stream: int = 13,
+                     regions, n_boot: int = 500, stream: int = 13,
                      workers: int | None = None) -> TVEstimate:
     """TV estimate with the posterior mass outside each (D0_sq, r) region, one draw.
 
-    Each region's bootstrap fraction is taken from one weight vector (w
-    outside, 0 inside) in the TV statistic's index blocks, one region at a
-    time, so it holds no resample array beyond those of the TV statistic; a
-    region with no draw outside gives exact zeros, with no gather.
+    A region's fraction f = sum w 1_out / sum w has the delta-method half-width
+    1.96 sd(psi) / sqrt(M), psi_i = w_i (1_out,i - f) / mean(w), so f = 0 gives
+    exactly (0, Wilson's upper end).
     """
     workers = usable_cores() if workers is None else workers
     rng, Z = laplace_draws(fit, n_samples, seed, stream)
@@ -167,31 +165,26 @@ def _importance_pass(fit: LaplaceFit, prob: Problem, n_samples: int, seed: int,
     del Z   # the thetas now, which the weights replace
     logw = lp - lq
     w = np.exp(logw - np.max(logw))
-    w_out = [np.where(out, w, 0.0) for out in outside]
 
-    def tv_of(W, total):   # row-wise over the last axis, in W's own memory
-        W /= np.divide(total, W.shape[-1])[..., None]
+    def tv_of(W):   # row-wise over the last axis, in W's own memory
+        W /= np.divide(_rowsum(W), W.shape[-1])[..., None]
         W -= 1.0
         return 0.5 * _rowsum(np.abs(W, out=W)) / W.shape[-1]
 
-    def stat(idx):  # columns: TV, then the posterior fraction outside each region
-        W = w[idx]
-        total = _rowsum(W)
-        cols = [tv_of(W, total)] + [_rowsum(wo[idx]) / total if wo.any() else np.zeros(len(idx))
-                                    for wo in w_out]
-        return np.stack(cols, axis=1)
-
-    tv = float(tv_of(w.copy(), _rowsum(w)))
-    ess = float(np.sum(w) ** 2 / np.sum(w ** 2))
-    lo, hi = bootstrap_ci(rng, n_samples, n_boot, stat, workers)
+    tv = float(tv_of(w.copy()))
+    total = np.sum(w)
+    ess = float(total ** 2 / np.sum(w ** 2))
+    lo, hi = bootstrap_ci(rng, n_samples, n_boot, lambda idx: tv_of(w[idx]), workers)
     masses = []
-    for j, wo in enumerate(w_out, start=1):
-        frac = float(np.sum(wo) / np.sum(w))
+    for out in outside:
+        wo = np.where(out, w, 0.0)
+        frac = float(np.sum(wo) / total)
+        hw = _Z95 * math.sqrt(n_samples) * float(np.std(wo - frac * w) / total)
         e_lo, e_hi = wilson_interval(frac * ess, ess)
-        masses.append(OutsideMass(frac, min(float(lo[j]), e_lo), max(float(hi[j]), e_hi)))
+        masses.append(OutsideMass(frac, max(0.0, min(frac - hw, e_lo)),
+                                  min(1.0, max(frac + hw, e_hi))))
     return TVEstimate(method="importance", value=tv,
-                      ci_low=max(0.0, min(float(lo[0]), tv)),
-                      ci_high=min(1.0, max(float(hi[0]), tv)),
+                      ci_low=max(0.0, min(lo, tv)), ci_high=min(1.0, max(hi, tv)),
                       n_points=n_samples, ess=ess, low_ess=ess < 100.0,
                       outside=tuple(masses))
 
@@ -205,4 +198,4 @@ def tv_importance(fit: LaplaceFit, prob: Problem, n_samples: int = 20000,
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError("n_samples >= %d required" % MIN_SAMPLES)
-    return _importance_pass(fit, prob, n_samples, seed, n_boot, regions, workers=workers)
+    return _importance_pass(fit, prob, n_samples, seed, regions, n_boot, workers=workers)

@@ -11,8 +11,9 @@ scipy.special, `f_reference` the negative log posterior f from its
 definition, and `f_values_allocating` the likelihood kernel in its allocating
 form (`ALLOCATING_HSUM`), which `posterior.f_values` matches bit for bit, and
 `outside_mass_reference` the posterior mass outside an ellipsoid in theta
-space.  `ALLOCATING_H` holds each family's cumulant h, and `l2_inner` the
-trapezoid L2[0,1] inner product.  No CLI path reads them.
+space, with `outside_mass_bootstrap` its percentile bootstrap.  `ALLOCATING_H`
+holds each family's cumulant h, and `l2_inner` the trapezoid L2[0,1] inner
+product.  No CLI path reads them.
 """
 import math
 
@@ -260,22 +261,39 @@ def gaussian_mass_bracket(p: int, radius: float) -> tuple:
             float(gammaincc(p / 2.0, radius * radius / 2.0)))
 
 
-def outside_mass_reference(fit: LaplaceFit, prob: Problem, D0_sq: np.ndarray, r: float,
-                           n_samples: int, seed: int, n_boot: int, stream: int) -> tuple:
-    """(fraction, ci_low, ci_high) of the posterior mass outside {||D0 u|| <= r} in
-    theta space, u = theta - theta_hat = L^{-T} z for each whitened draw z, from the
-    importance pass's own draws: normalized weights, one masked sum per resample,
-    widened by the Wilson interval at the ESS."""
+def _outside_weights(fit: LaplaceFit, prob: Problem, D0_sq: np.ndarray, r: float,
+                     n_samples: int, seed: int, stream: int) -> tuple:
+    """(rng, w, outside): the importance pass's own draws as normalized weights w and
+    the mask of ||D0 u|| > r in theta space, u = theta - theta_hat = L^{-T} z for each
+    whitened draw z; rng continues the draws' stream."""
     rng, Z = laplace_draws(fit, n_samples, seed, stream=stream)
     U = solve_triangular(fit.L, Z.T, lower=True, trans="T").T
     outside = np.sqrt(np.sum(U * (U @ D0_sq), axis=1)) > r
     lp, lq = log_densities(fit, prob, Z)
     logw = lp - lq
     w = np.exp(logw - np.max(logw))
-    w /= np.sum(w)
+    return rng, w / np.sum(w), outside
+
+
+def outside_mass_reference(fit: LaplaceFit, prob: Problem, D0_sq: np.ndarray, r: float,
+                           n_samples: int, seed: int, stream: int) -> tuple:
+    """(fraction, ci_low, ci_high) of the posterior mass outside {||D0 u|| <= r} in
+    theta space from the importance pass's own draws: the normalized weights' sum
+    outside, the delta-method interval of that ratio estimate (influence values
+    M w_i (1_out,i - fraction)), widened by the Wilson interval at the ESS."""
+    _, w, outside = _outside_weights(fit, prob, D0_sq, r, n_samples, seed, stream)
     frac, ess = float(np.sum(w[outside])), 1.0 / float(np.sum(w ** 2))
+    hw = 1.96 * float(np.std(n_samples * w * (outside - frac))) / math.sqrt(n_samples)
+    w_lo, w_hi = wilson_interval(frac * ess, ess)
+    return frac, max(0.0, min(frac - hw, w_lo)), min(1.0, max(frac + hw, w_hi))
+
+
+def outside_mass_bootstrap(fit: LaplaceFit, prob: Problem, D0_sq: np.ndarray, r: float,
+                           n_samples: int, seed: int, n_boot: int, stream: int) -> tuple:
+    """(lo, hi): 2.5% and 97.5% percentiles of the outside fraction of the importance
+    pass's own draws over n_boot resamples, one masked sum per resample."""
+    rng, w, outside = _outside_weights(fit, prob, D0_sq, r, n_samples, seed, stream)
     fracs = [np.sum(np.where(outside[i], w[i], 0.0)) / np.sum(w[i])
              for i in rng.integers(0, n_samples, size=(n_boot, n_samples))]
     lo, hi = np.percentile(fracs, [2.5, 97.5])
-    w_lo, w_hi = wilson_interval(frac * ess, ess)
-    return frac, min(lo, w_lo), max(hi, w_hi)
+    return float(lo), float(hi)

@@ -305,6 +305,25 @@ def test_all_pipeline_gaussian(tmp_path, capsys, write_cfg):
     assert "total" in manifest["wall_times_s"]
 
 
+def test_gaussian_rounding_is_no_violation(tmp_path, capsys, eig_cache, volterra_eig):
+    """At n = 2e4 and amplitude 3 (|f_hat| = 3.7e4) every certified bound is 0, as the
+    Laplace fit is exact, and both TV estimates read ~7e-12, the rounding that every
+    log-weight f_hat - f(theta) carries: the TV rows' floor is the rounding of f at the
+    fit (6.5e-10 here), not CHECK_FLOOR, so the run exits 0 with no violated row."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "gaussian", "n": 20000, "p": 2,
+                               "truth": {"amplitude": 3.0}, "validation": {"method": "both"},
+                               "eigensolver": {"cache_dir": eig_cache}}))   # warm N=4096, K=50
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "VIOLATED" not in capsys.readouterr().out
+    rows = _read_checks(out / "checks.csv")
+    assert len(rows) == 12 and all(r["status"] == "checked" for r in rows)
+    tv = [r for r in rows if r["check"] in ("tv_importance", "tv_quadrature")]
+    assert len(tv) == 6
+    assert all(float(r["bound"]) == 0.0 and 1e-12 < float(r["ci_high"]) < 1e-10 for r in tv)
+
+
 def test_all_validates_past_p_30(tmp_path, write_cfg, volterra_eig):
     """Every p the config admits is validated: at p = 32 the importance
     estimate and its checks are written, and the run exits 0 (not 3)."""

@@ -18,7 +18,7 @@ from lapcert.posterior import EvaluationError, f_value, f_values, map_solve
 
 from conftest import make_problem
 from probes import (f_reference, f_values_allocating, gaussian_mass_bracket,
-                    outside_mass_reference)
+                    outside_mass_bootstrap, outside_mass_reference)
 
 
 def test_gaussian_family_tv_zero(gaussian_fit):
@@ -321,8 +321,8 @@ def test_bootstrap_blocks_repeat_one_draw(monkeypatch):
     assert [len(b) for b in blocks] == [rows] * (n_boot // rows) + [n_boot % rows]
     assert np.array_equal(np.concatenate(blocks), want)
     # on more workers the blocks shrink, so the indices held stay at
-    # _BOOT_BLOCK_ENTRIES; the statistic is the block itself, and the values
-    # reach the percentiles in draw order
+    # _BOOT_BLOCK_ENTRIES; the statistic is each row's first index, and the
+    # values reach the percentiles in draw order
     seen, percentile = [], np.percentile
 
     def recording(a, *args, **kwargs):
@@ -336,18 +336,17 @@ def test_bootstrap_blocks_repeat_one_draw(monkeypatch):
 
         def stat(idx):
             sizes.append(len(idx))
-            return idx.astype(float)
+            return idx[:, 0].astype(float)
 
         val.bootstrap_ci(_philox(0, 13), n_samples, n_boot, stat, workers=workers)
         assert sorted(sizes, reverse=True) == [rows] * (n_boot // rows) + [n_boot % rows]
-        assert np.array_equal(seen.pop(), want)
+        assert np.array_equal(seen.pop(), want[:, 0])
 
 
 def test_bootstrap_block_size_moves_no_bit(poisson_fit, monkeypatch):
     """The importance pass (TV and outside masses) is bit-identical at 2^20 and
     2^18 resample indices per block and at one row per block, on 1, 2 and 3
-    workers, with a region that has draws outside (gathered per block) and
-    one that has none (exact zeros)."""
+    workers, with a region that has draws outside and one that has none."""
     prob, fit = poisson_fit
     n_samples, regions = 10000, [(fit.DG2, float(np.sqrt(prob.p))), (fit.DG2, 50.0)]
     runs = []
@@ -375,8 +374,8 @@ def test_importance_ci_matches_per_resample_reference(poisson_fit):
 
 
 def test_tail_statistics_share_the_importance_pass(poisson_fit, monkeypatch):
-    """Outside masses taken on the TV estimate's own draws and bootstrap
-    blocks equal the stand-alone tail statistic; the TV fields do not move."""
+    """Outside masses taken on the TV estimate's own draws equal the stand-alone
+    tail statistic; the TV fields do not move."""
     prob, fit = poisson_fit
     p = prob.design.p
     # radii where a fair share of the draws lies outside, and one beyond all
@@ -387,7 +386,7 @@ def test_tail_statistics_share_the_importance_pass(poisson_fit, monkeypatch):
                                                          seed=5, n_boot=200)
     assert len(est.outside) == len(regions)
     for (D0_sq, r), got in zip(regions, est.outside):
-        want = outside_mass_reference(fit, prob, D0_sq, r, 10000, 5, 200, stream=13)
+        want = outside_mass_reference(fit, prob, D0_sq, r, 10000, 5, stream=13)
         np.testing.assert_allclose(astuple(got), want, rtol=1e-12, atol=1e-15)
     assert 0.2 < est.outside[0].posterior_frac < 0.8 and est.outside[2].posterior_frac == 0.0
     # the Laplace Gaussian's side is exact, with no draws: at D_G the chi^2_p
@@ -399,15 +398,15 @@ def test_tail_statistics_share_the_importance_pass(poisson_fit, monkeypatch):
     assert C._gaussian_tail_bracket(p, 50.0) == (0.0, 0.0)
     # empirical_outside_mass is its own draw plus the same statistic
     D0_sq, r = regions[1]
-    rep = empirical_outside_mass(fit, prob, D0_sq, r, n_samples=2000, seed=5, n_boot=200)
+    rep = empirical_outside_mass(fit, prob, D0_sq, r, n_samples=2000, seed=5)
     np.testing.assert_allclose(astuple(rep.outside[0]),
-                               outside_mass_reference(fit, prob, D0_sq, r, 2000, 5, 200, stream=11),
+                               outside_mass_reference(fit, prob, D0_sq, r, 2000, 5, stream=11),
                                rtol=1e-12, atol=1e-15)
     # ... and reports the pass's own low-ESS flag, here at an ESS of 75
     def low(*args, **kwargs):
         return replace(val._importance_pass(*args, **kwargs), ess=75.0, low_ess=True)
     monkeypatch.setattr(concentration, "_importance_pass", low)
-    rep = empirical_outside_mass(fit, prob, D0_sq, r, n_samples=2000, seed=5, n_boot=200)
+    rep = empirical_outside_mass(fit, prob, D0_sq, r, n_samples=2000, seed=5)
     assert (rep.ess, rep.low_ess) == (75.0, True) and not est.low_ess
 
 
@@ -419,7 +418,7 @@ def test_outside_masses_match_the_theta_space_formula(poisson_fit):
     p = prob.design.p
     regions = [(fit.DG2, float(np.sqrt(p))), (np.diag(np.arange(1.0, p + 1) ** 2), 1.0),
                (4.0 * fit.DG2, 0.5)]
-    want = [outside_mass_reference(fit, prob, D0_sq, r, 10000, 2, 100, stream=13)
+    want = [outside_mass_reference(fit, prob, D0_sq, r, 10000, 2, stream=13)
             for D0_sq, r in regions]
     assert all(0.0 < frac < 1.0 for frac, _, _ in want)
     for workers in (1, 2):
@@ -427,6 +426,24 @@ def test_outside_masses_match_the_theta_space_formula(poisson_fit):
                                 regions=regions, workers=workers)
         for got, ref in zip(est.outside, want):
             np.testing.assert_allclose(astuple(got), ref, rtol=1e-12, atol=1e-15)
+
+
+def test_outside_interval_is_closed_form(poisson_fit):
+    """Where a share f ~ 0.06 of the mass lies outside, the outside fraction's interval
+    is as wide as a 500-resample percentile bootstrap's, to 10%, and its lower end is
+    the delta method's, below Wilson's; with no draw outside it is (0, Wilson's upper end)."""
+    prob, fit = poisson_fit
+    r = 1.5 * math.sqrt(prob.p)
+    est = val.tv_importance(fit, prob, n_samples=10000, seed=5, regions=[(fit.DG2, r),
+                                                                        (fit.DG2, 50.0)])
+    some, none = est.outside
+    lo, hi = outside_mass_bootstrap(fit, prob, fit.DG2, r, 10000, 5, 500, stream=13)
+    assert 0.03 < some.posterior_frac < 0.1 and lo < some.posterior_frac < hi
+    half = (some.posterior_ci_high - some.posterior_ci_low) / 2
+    assert half == pytest.approx((hi - lo) / 2, rel=0.1)
+    assert some.posterior_frac - some.posterior_ci_low == pytest.approx((hi - lo) / 2, rel=0.1)
+    assert some.posterior_ci_low < val.wilson_interval(some.posterior_frac * est.ess, est.ess)[0]
+    assert astuple(none) == (0.0, 0.0, val.wilson_interval(0.0, est.ess)[1])
 
 
 def test_gaussian_tail_bracket_matches_scipy():
