@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import os
-from collections import deque
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,31 +100,41 @@ def usable_cores() -> int:
 
 
 def pool_map(fn, items, workers: int) -> list:
-    """[fn(x) for x in items], on `workers` threads, results in item order.
+    """[fn(x) for x in items] on `workers` threads, the calling one among them.
 
-    `items` is consumed on the calling thread, one item per free worker, so
-    at most `workers` items are held at a time and an iterator's side
-    effects (random draws) happen in order.  Each call runs under the
-    caller's numpy error state, which is per-thread.  Reading the results in
-    order raises the first failing item's exception.  With one worker this
-    is the plain loop.
+    Each thread takes the next item from `items` under one lock and drops it
+    before taking another: items (and an iterator's random draws) go in order,
+    at most `workers` held at a time, results in item order.  Calls run under
+    the caller's numpy error state, which is per-thread.  No item is taken once
+    an item, the iterator or the caller (an interrupt) fails; the lowest-index
+    failure is raised.  With one worker no thread is started: the plain loop.
     """
-    if workers == 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-    err = np.geterr()
+    err, lock, items, end = np.geterr(), threading.Lock(), iter(items), object()
+    out, failed = [], {}
 
-    def task(x):
+    def work():
         with np.errstate(**err):
-            return fn(x)
+            while True:
+                try:
+                    with lock:
+                        i = len(out)
+                        if failed or (x := next(items, end)) is end:
+                            return
+                        out.append(None)
+                    out[i], x = fn(x), None   # not held while this thread draws the next
+                except BaseException as e:   # fn's, or the iterator's at index i
+                    with lock:
+                        failed[i] = e
+                    return
 
-    out, pending = [], deque()
-    with ThreadPoolExecutor(workers) as pool:
-        for x in items:
-            pending.append(pool.submit(task, x))
-            if len(pending) == workers:
-                out.append(pending.popleft().result())
-        out += [f.result() for f in pending]
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for t in threads:
+        t.start()
+    work()
+    for t in threads:
+        t.join()
+    if failed:
+        raise failed[min(failed)]
     return out
 
 
@@ -214,7 +224,8 @@ def map_solve(prob: Problem, theta0: np.ndarray | None = None) -> LaplaceFit:
         t = 1.0
         for _ in range(60):
             try:
-                f_new = f_value(prob, theta - t * step)
+                with np.errstate(over="ignore"):   # an overflowing trial step raises, and halves
+                    f_new = f_value(prob, theta - t * step)
             except EvaluationError:
                 t *= 0.5
                 continue

@@ -15,7 +15,7 @@ Both work in the whitened frame z = L^T (theta - theta_hat), D_G^2 = L L^T,
 where the Laplace Gaussian is N(0, I), and take both log densities at all
 their points (the quadrature grid, or all M draws) from one `log_densities`
 call, so from one call of the kernel `posterior.f_values`; the bootstrap
-evaluates its statistic a block of 2^18 resample indices at a time, in the
+evaluates its statistic a block of 2^17 resample indices at a time, in the
 block's own memory; both sum rows by einsum (`model._rowsum`).  The kernel's
 row blocks (each row cut into column tiles of at most 4096) and the
 bootstrap's blocks run on `workers` threads (default: the usable cores), at
@@ -96,9 +96,9 @@ def log_densities(fit: LaplaceFit, prob: Problem, Z: np.ndarray,
     return fit.f_hat - f_values(prob, Z, workers), lq
 
 
-# resample indices held at a time, over all workers: 2^18 int64 (2 MiB, plus float
+# resample indices held at a time, over all workers: 2^17 int64 (1 MiB, plus float
 # gathers as large) instead of the whole (n_boot, n_samples) array
-_BOOT_BLOCK_ENTRIES = 1 << 18
+_BOOT_BLOCK_ENTRIES = 1 << 17
 
 
 def bootstrap_ci(rng: np.random.Generator, n_samples: int, n_boot: int, stat,
@@ -107,14 +107,18 @@ def bootstrap_ci(rng: np.random.Generator, n_samples: int, n_boot: int, stat,
 
     stat maps a (b, n_samples) block of resample indices to its b values; it
     must be row-wise, so that the block size changes no value.  Blocks of
-    rows are drawn in turn from rng on the calling thread, which gives the
-    same indices as one (n_boot, n_samples) draw; `workers` threads run stat, a block each.
+    rows are drawn in turn from rng by the `workers` threads that run stat, a
+    block each, which gives the same indices as one (n_boot, n_samples) draw.
     """
     rows = max(1, _BOOT_BLOCK_ENTRIES // workers // n_samples)
     blocks = (rng.integers(0, n_samples, size=(min(rows, n_boot - a), n_samples))
               for a in range(0, n_boot, rows))
-    lo, hi = np.percentile(np.concatenate(pool_map(stat, blocks, workers)), [2.5, 97.5])
-    return float(lo), float(hi)
+    v = np.sort(np.concatenate(pool_map(stat, blocks, workers)))
+    # np.percentile's "linear" rule and bits, without its import of numpy.ma; NaN sorts last
+    i, g = np.divmod((len(v) - 1) * np.array([0.025, 0.975]), 1.0)
+    a, b = v[i.astype(int)], v[np.minimum(i + 1, len(v) - 1).astype(int)]
+    lo, hi = np.where(g < 0.5, a + (b - a) * g, b - (b - a) * (1.0 - g))
+    return (math.nan, math.nan) if np.isnan(v[-1]) else (float(lo), float(hi))
 
 
 def _whitened_grid(p: int, per_axis: int, half_width: float) -> np.ndarray:

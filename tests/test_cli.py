@@ -828,6 +828,46 @@ def test_cold_eigen_run_loads_neither_openssl_nor_numpy_polynomial(tmp_path):
     assert [name.startswith("eig_") for name in os.listdir(cache)] == [True]   # it solved
 
 
+def test_warm_all_run_loads_neither_numpy_ma_nor_concurrent_futures(tmp_path, eig_cache,
+                                                                    volterra_eig_small):
+    """A warm `all` run with importance and quadrature TV on two workers loads neither
+    `numpy.ma` (which `np.percentile` imports) nor `concurrent.futures`: the bootstrap
+    takes its percentiles from the sorted values, and the pool runs on plain threads."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "bernoulli", "n": 500, "p": 2,
+                               "validation": {"method": "both", "M": 10000},
+                               "eigensolver": {"K": 30, "N": 2048, "cache_dir": eig_cache}}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, lapcert.cli\n"
+            "rc = lapcert.cli.main(['all', '--config', sys.argv[1], '--out', sys.argv[2],\n"
+            "                       '--threads', '2'])\n"
+            "print(rc, [m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']\n"
+            "           or m.split('.')[0] == 'concurrent'])\n")
+    out = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "out")], env=env,
+                         check=True, capture_output=True, text=True, timeout=120).stdout
+    assert out.splitlines()[-1] == "0 []"
+    with open(tmp_path / "out" / "tv_estimates.csv") as fh:
+        assert [row["method"] for row in csv.DictReader(fh)] == ["importance", "quadrature"]
+
+
+def test_overflowing_newton_trial_step_warns_nothing(tmp_path, eig_cache, volterra_eig):
+    """At Poisson amplitude 8 a trial step of the Newton line search overflows exp in
+    the cumulant sum: the kernel refuses it and the step is halved, with no numpy
+    warning, so `python -W error::RuntimeWarning -m lapcert all` exits 0 and prints
+    nothing to stderr."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "poisson", "n": 1000, "p": 3,
+                               "truth": {"amplitude": 8.0}, "validation": {"method": "both"},
+                               "eigensolver": {"cache_dir": eig_cache}}))   # warm N=4096, K=50
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "lapcert", "all",
+                           "--config", str(cfg), "--out", str(tmp_path / "out")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_perfbench_imports_resolve():
     """Every `import lapcert.X` and `from lapcert.X import Y` in perfbench/*.py
     names a module that imports and a name it has, so no src change can break

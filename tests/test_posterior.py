@@ -1,4 +1,3 @@
-import concurrent.futures  # noqa: F401  (imported before a tracemalloc window opens)
 import sys
 import threading
 import time
@@ -257,21 +256,74 @@ def test_pool_map_order_errors_and_items_held():
         sys.setswitchinterval(interval)
 
 
+def test_pool_map_takes_no_item_after_a_failure():
+    """Item 5 fails at once while every other item takes 20 ms: no worker takes
+    an item once the failure is recorded, so an endless iterator is drawn only
+    to item 5 and the items the other workers took before it failed."""
+    drawn = []
+
+    def items():
+        while True:
+            drawn.append(len(drawn))
+            yield drawn[-1]
+
+    def slow(i):
+        if i == 5:
+            raise ValueError("item 5")
+        time.sleep(0.02)
+
+    for workers in (1, 2, 3):
+        drawn.clear()
+        with pytest.raises(ValueError, match="item 5"):
+            pool_map(slow, items(), workers)
+        assert 6 <= len(drawn) <= 5 + workers
+
+
+def test_pool_map_raises_the_iterators_failure():
+    """An exception raised by the iterator reaches the caller, after the items
+    drawn before it have run and with no thread left behind; an item that fails
+    before the iterator does is the one raised."""
+    done = []
+
+    def items(k):
+        yield from range(k)
+        raise KeyError("iterator")
+
+    def record(i):
+        time.sleep(0.001)
+        done.append(i)
+        return i
+
+    threads = threading.active_count()
+    for workers in (1, 2, 3):
+        done.clear()
+        with pytest.raises(KeyError, match="iterator"):
+            pool_map(record, items(7), workers)
+        assert sorted(done) == list(range(7)) and threading.active_count() == threads
+
+    def slow_fail(i):
+        time.sleep(0.02 * (i == 1))
+        if i == 1:
+            raise ValueError("item 1")
+
+    for workers in (2, 3):
+        with pytest.raises(ValueError, match="item 1"):
+            pool_map(slow_fail, items(2), workers)
+
+
 def test_one_row_starts_no_pool(poisson_fit, monkeypatch):
     """A one-row call runs on the calling thread at any worker count: the
     Newton fit, whose line search evaluates f a row at a time, converges to
-    the same fit with every thread pool refused; two row blocks on two workers
+    the same fit with every thread refused; two row blocks on two workers
     start one."""
-    import concurrent.futures
-
     def refuse(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
+        raise AssertionError("a thread was started")
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(threading, "Thread", refuse)
     prob, fit = poisson_fit
     again = map_solve(prob)
     assert np.array_equal(again.theta_hat, fit.theta_hat) and again.f_hat == fit.f_hat
     assert f_values(prob, fit.theta_hat[None], 8)[0] == fit.f_hat
     two_blocks = np.tile(fit.theta_hat, (posterior._CHUNK_ENTRIES // prob.design.n + 1, 1))
-    with pytest.raises(AssertionError, match="thread pool"):
+    with pytest.raises(AssertionError, match="thread was started"):
         f_values(prob, two_blocks, 2)

@@ -323,13 +323,13 @@ def test_bootstrap_blocks_repeat_one_draw(monkeypatch):
     # on more workers the blocks shrink, so the indices held stay at
     # _BOOT_BLOCK_ENTRIES; the statistic is each row's first index, and the
     # values reach the percentiles in draw order
-    seen, percentile = [], np.percentile
+    seen = []
 
-    def recording(a, *args, **kwargs):
-        seen.append(a)
-        return percentile(a, *args, **kwargs)
+    def recording(*args):
+        seen.append(posterior.pool_map(*args))
+        return seen[-1]
 
-    monkeypatch.setattr(np, "percentile", recording)
+    monkeypatch.setattr(val, "pool_map", recording)
     for workers in (2, 3):
         rows = val._BOOT_BLOCK_ENTRIES // workers // n_samples
         sizes = []
@@ -338,9 +338,24 @@ def test_bootstrap_blocks_repeat_one_draw(monkeypatch):
             sizes.append(len(idx))
             return idx[:, 0].astype(float)
 
-        val.bootstrap_ci(_philox(0, 13), n_samples, n_boot, stat, workers=workers)
+        lo_hi = val.bootstrap_ci(_philox(0, 13), n_samples, n_boot, stat, workers=workers)
         assert sorted(sizes, reverse=True) == [rows] * (n_boot // rows) + [n_boot % rows]
-        assert np.array_equal(seen.pop(), want[:, 0])
+        assert np.array_equal(np.concatenate(seen.pop()), want[:, 0])
+        assert lo_hi == tuple(np.percentile(want[:, 0], [2.5, 97.5]))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 41, 500, 501])
+def test_bootstrap_percentiles_are_numpys(size):
+    """bootstrap_ci's percentiles are np.percentile(v, [2.5, 97.5]) bit for bit, on
+    values with ties and negative ones, and on values with a NaN among them."""
+    rng = np.random.default_rng(size)
+    cases = [rng.standard_normal(size), rng.integers(-3, 3, size).astype(float),
+             np.round(rng.standard_normal(size), 1) * 1e-7, np.full(size, -2.5)]
+    cases.append(cases[0].copy())
+    cases[-1][size // 2] = np.nan
+    for v in cases:
+        got = val.bootstrap_ci(_philox(0, 13), 2, size, lambda idx, v=v: v[:len(idx)], 1)
+        assert np.array_equal(got, np.percentile(v, [2.5, 97.5]), equal_nan=True), v
 
 
 def test_bootstrap_block_size_moves_no_bit(poisson_fit, monkeypatch):
