@@ -24,7 +24,7 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from zipfile import BadZipFile
+from zipfile import BadZipFile, ZipFile
 from zlib import crc32
 
 import numpy as np
@@ -259,14 +259,18 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int) -> EigenSyste
     # v_k = u_k / u_k'(0) is the raw trajectory (u'(0) = 1).  The path is read once, ~8 columns
     # at a time, with no (N+1, K) temporary; never 1 column (trapezoid sums it pairwise: other bits)
     tgrid = np.linspace(0.0, T, N + 1)
+    dt = np.diff(tgrid)[:, None]
     zeros, (vk_inf, dvk_inf, vk_l2) = np.empty(K, dtype=int), np.empty((3, K))
     nb = -(-K // 8)
     for i in range(nb):
         c = slice(i * K // nb, (i + 1) * K // nb)
         zeros[c] = np.count_nonzero(_sign_flips(upath[1:, c]), axis=0)
-        vk_inf[c] = np.abs(upath[:, c]).max(axis=0)
-        dvk_inf[c] = np.abs(dupath[:, c]).max(axis=0)
-        vk_l2[c] = np.sqrt(np.trapezoid(upath[:, c] ** 2, tgrid, axis=0))
+        vk_inf[c], dvk_inf[c] = _row_sups(upath[:, c].T), _row_sups(dupath[:, c].T)
+        u2 = upath[:, c] ** 2   # np.trapezoid(u2, tgrid, axis=0)'s arithmetic, in place
+        s = u2[1:] + u2[:-1]
+        s *= dt
+        s /= 2.0
+        vk_l2[c] = np.sqrt(s.sum(axis=0))
     if not np.array_equal(zeros, np.arange(K)):
         raise EigenSolverError("oscillation counts %s inconsistent with indices 1..%d"
                                % (zeros.tolist(), K))
@@ -384,11 +388,17 @@ def save_eigensystem(eig: EigenSystem, spec: CoefficientPair, cache_dir: str) ->
     path = _cache_path(key, cache_dir)
     os.makedirs(cache_dir, exist_ok=True)
     tmp = "%s.%d.tmp" % (path, os.getpid())   # moved into place once whole; a failure leaves none
+    arrays = {"key": np.frombuffer(key, dtype=np.uint8),
+              **{f.name: np.asarray(getattr(eig, f.name)) for f in fields(EigenSystem)}}
     try:
-        # an open handle: given a name, np.savez would append ".npz" to it
-        with open(tmp, "wb") as fh:
-            np.savez(fh, key=np.frombuffer(key, dtype=np.uint8),
-                     **{f.name: getattr(eig, f.name) for f in fields(EigenSystem)})
+        # np.savez's archive, each member written from the array's own memory (savez copies it
+        # whole): a column-major array's bytes are those of its C-contiguous transpose
+        with ZipFile(tmp, "w") as zf:
+            for name, a in arrays.items():
+                header = np.lib.format.header_data_from_array_1_0(a)
+                with zf.open(name + ".npy", "w", force_zip64=True) as fh:
+                    np.lib.format.write_array_header_1_0(fh, header)
+                    fh.write(memoryview(a.T if header["fortran_order"] else a))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -15,8 +15,9 @@ Both work in the whitened frame z = L^T (theta - theta_hat), D_G^2 = L L^T,
 where the Laplace Gaussian is N(0, I), and take both log densities at all
 their points (the quadrature grid, or all M draws) from one `log_densities`
 call, so from one call of the kernel `posterior.f_values`; the bootstrap
-evaluates its statistic a block of 2^17 resample indices at a time, in the
-block's own memory; both sum rows by einsum (`model._rowsum`).  The kernel's
+holds 2^17 resample indices at a time over all its workers, each evaluating its
+statistic on its own block in the block's memory; both sum rows by einsum
+(`model._rowsum`).  The kernel's
 row blocks (each row cut into column tiles of at most 4096) and the
 bootstrap's blocks run on `workers` threads (default: the usable cores), at
 most one per block, at any size of work; no estimate depends on the count.

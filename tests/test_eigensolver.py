@@ -182,15 +182,24 @@ def test_leading_keeps_every_eigenvalue(volterra_eig):
 def test_cache_roundtrip(tmp_path, monkeypatch):
     spec = CoefficientPair((1.0, 0.5), (0.1,))
     eig = cached_solve(spec, 1024, 5, None)
-    path = save_eigensystem(eig, spec, str(tmp_path))
-    # one .npz per entry, moved into place: no temporaries are left behind
-    assert os.listdir(tmp_path) == [os.path.basename(path)] and path.endswith(".npz")
-    back = load_eigensystem(spec, 1024, 5, str(tmp_path))
-    assert back is not None
-    for name in ("lambdas", "psi", "dpsi", "x", "psi_sup", "dpsi_sup", "vk_inf", "vk_l2"):
-        assert np.array_equal(getattr(back, name), getattr(eig, name)), name
-    assert back.psi.flags.f_contiguous     # the layout the artifacts are pinned to
-    assert (back.T, back.Q_sup) == (eig.T, eig.Q_sup)
+    # every field comes back with its dtype, shape, bits and layout: the solver's column-major
+    # psi and dpsi (the layout the artifacts are pinned to), and the oracle's row-major ones
+    # beside its NaN v_k norms
+    for system in (svd_oracle(spec, 1024, 5), eig):
+        path = save_eigensystem(system, spec, str(tmp_path))
+        # one .npz per entry, moved into place: no temporaries are left behind
+        assert os.listdir(tmp_path) == [os.path.basename(path)] and path.endswith(".npz")
+        back = load_eigensystem(spec, 1024, 5, str(tmp_path))
+        assert back is not None
+        for f in fields(EigenSystem):
+            a, b = getattr(system, f.name), getattr(back, f.name)
+            if f.name in ("T", "Q_sup"):
+                assert type(b) is float and b == a, f.name
+                continue
+            assert (b.dtype, b.shape, b.tobytes()) == (a.dtype, a.shape, a.tobytes()), f.name
+            assert (b.flags.c_contiguous, b.flags.f_contiguous) == (
+                a.flags.c_contiguous, a.flags.f_contiguous), f.name
+    assert eig.psi.flags.f_contiguous and not eig.psi.flags.c_contiguous
     # key depends on the coefficients
     assert load_eigensystem(VOLTERRA, 1024, 5, str(tmp_path)) is None
     # the entry holds its key, which holds the solver's code and numpy's version: an
@@ -280,13 +289,15 @@ def test_failed_save_leaves_nothing(tmp_path, monkeypatch):
     """A save that fails part-way leaves neither the cache entry nor its
     temporary file, so the next cached_solve solves again."""
     spec = CoefficientPair((1.0, 0.5), (0.1,))
+    write_header = np.lib.format.write_array_header_1_0
 
-    def disk_full(fh, **arrays):
-        fh.write(b"partial")
-        raise OSError("disk full")
+    def disk_full(fh, header):   # psi's member: its header goes out, then the disk is full
+        write_header(fh, header)
+        if len(header["shape"]) == 2:
+            raise OSError("disk full")
 
     with monkeypatch.context() as m:
-        m.setattr(eigensolver.np, "savez", disk_full)
+        m.setattr(np.lib.format, "write_array_header_1_0", disk_full)
         with pytest.raises(OSError, match="disk full"):
             cached_solve(spec, 1024, 3, str(tmp_path))
     assert os.listdir(tmp_path) == []
@@ -300,6 +311,22 @@ def test_failed_save_leaves_nothing(tmp_path, monkeypatch):
     cached_solve(spec, 1024, 3, str(tmp_path))
     assert len(solves) == 1
     assert [f.endswith(".npz") for f in os.listdir(tmp_path)] == [True]
+
+
+def test_save_writes_from_the_arrays_memory(tmp_path):
+    """Saving an N = 4096, K = 50 eigensystem allocates less than one psi array (tracemalloc):
+    each member is written from the array's own memory, where np.savez copied it whole."""
+    spec = CoefficientPair((1.0, 0.5), (0.5,))
+    eig = cached_solve(spec, 4096, 50, None)
+    tracemalloc.start()
+    try:
+        save_eigensystem(eig, spec, str(tmp_path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert eig.psi.nbytes == 4097 * 50 * 8
+    assert peak < eig.psi.nbytes, peak
+    assert load_eigensystem(spec, 4096, 50, str(tmp_path)) is not None
 
 
 def _rk4_stage_form(Qh, T, mu):
