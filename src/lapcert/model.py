@@ -1,21 +1,23 @@
 """Exponential-family observation model and synthetic data generation.
 
-Observations follow rho(dy|s) = exp(s y - h(s)) mu(dy) with natural
-parameter s_j = (R q*)(j/n).  Observation j (0-based) is drawn from its own
-stream, numpy's ``Philox(key=[seed, j])``, so datasets are reproducible
-regardless of execution order or threading.  Pinned independent of numpy
-internals: block c = 1, 2, ... of the stream is Philox4x64-10 of counter
-[c, 0, 0, 0] under key (seed, j), each of its four words w giving the uniform
-(w >> 11) 2^-53.  Bernoulli takes y = 1 iff u_1 < 1/(1 + e^-s), a threshold
-of exactly 0 where e^-s overflows.  Poisson at rate e^s < 30 inverts u_1
-sequentially (the smallest k with u_1 <= the pmf summed term by term to k),
-and at rate >= 30 runs PTRS (Hormann 1993) on pairs (u, v) from the
-stream's start.  Those two draw u_1 of all j in one vectorized Philox pass; PTRS
-and the Gaussian (s plus numpy's ziggurat normal) build each j's generator.
+Observations follow rho(dy|s) = exp(s y - h(s)) mu(dy) with natural parameter
+s_j = (R q*)(j/n).  Observation j (0-based) is drawn from its own stream, numpy's
+``Philox(key=[seed, j])``, so datasets are reproducible regardless of execution order or
+threading.  Pinned independent of numpy internals: block c = 1, 2, ... of the stream is
+Philox4x64-10 of counter [c, 0, 0, 0] under key (seed, j), each of its four words w giving the
+uniform (w >> 11) 2^-53.  Bernoulli takes y = 1 iff u_1 < 1/(1 + e^-s), a threshold of exactly 0
+where e^-s overflows.  Poisson at rate e^s < 30 inverts u_1 sequentially (the smallest k with
+u_1 <= the pmf summed term by term to k), and at rate >= 30 runs PTRS (Hormann 1993) on pairs
+(u, v) from the stream's start.  Those two draw u_1 of all j in vectorized Philox passes; PTRS
+and the Gaussian (s plus numpy's ziggurat normal) build each j's generator.  The first generator
+`_substream` builds in a process (here or for the IS draws) imports numpy.random, without OpenSSL.
 """
 from __future__ import annotations
 
 import math
+import random
+import sys
+import types
 from dataclasses import dataclass
 from typing import Callable
 
@@ -68,15 +70,18 @@ def _mulhilo(a: int, b: np.ndarray):
 
 def _philox_uniforms(seed: int, j) -> np.ndarray:
     """The first random() draw of each stream _substream(seed, j): word 0 of its first block."""
-    j = np.asarray(j, dtype=np.uint64)
-    c = [np.ones_like(j)] + [np.zeros_like(j)] * 3
-    for r in range(10):   # ten rounds; round r uses the key (seed, j) + r * W
-        k0 = np.uint64((seed + r * _PHILOX_W[0]) % 2 ** 64)
-        k1 = j + np.uint64(r * _PHILOX_W[1] % 2 ** 64)
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c[0])
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c[2])
-        c = [hi1 ^ c[1] ^ k0, lo1, hi0 ^ c[3] ^ k1, lo0]
-    return (c[0] >> np.uint64(11)) * 2.0 ** -53
+    j, u = np.asarray(j, dtype=np.uint64), np.empty(np.shape(j))
+    for b in range(0, j.size, 2 ** 14):   # 2^14 streams at a time: a round holds ~14 temporaries
+        jb = j[b:b + 2 ** 14]
+        c = [np.ones_like(jb)] + [np.zeros_like(jb)] * 3
+        for r in range(10):   # ten rounds; round r uses the key (seed, j) + r * W
+            k0 = np.uint64((seed + r * _PHILOX_W[0]) % 2 ** 64)
+            k1 = jb + np.uint64(r * _PHILOX_W[1] % 2 ** 64)
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], c[0])
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], c[2])
+            c = [hi1 ^ c[1] ^ k0, lo1, hi0 ^ c[3] ^ k1, lo0]
+        u[b:b + 2 ** 14] = (c[0] >> np.uint64(11)) * 2.0 ** -53
+    return u
 
 
 def _poisson_ptrs(lam: float, rng) -> int:
@@ -229,7 +234,21 @@ class Dataset:
         return self.y.size
 
 
+def _import_numpy_random() -> None:
+    # numpy.random takes randbits from secrets, whose hmac loads OpenSSL (~3.5 MB of RSS, unused
+    # here): its first import sees a stand-in with the same function; a caller's secrets stays
+    if "secrets" in sys.modules or "numpy.random" in sys.modules:
+        return
+    stand_in = sys.modules["secrets"] = types.ModuleType("secrets")
+    stand_in.randbits = random.SystemRandom().getrandbits
+    try:
+        import numpy.random  # noqa: F401
+    finally:
+        del sys.modules["secrets"]
+
+
 def _substream(seed: int, j: int) -> np.random.Generator:
+    _import_numpy_random()
     return np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
 
 

@@ -828,11 +828,15 @@ def test_cold_eigen_run_loads_neither_openssl_nor_numpy_polynomial(tmp_path):
     assert [name.startswith("eig_") for name in os.listdir(cache)] == [True]   # it solved
 
 
-def test_warm_all_run_loads_neither_numpy_ma_nor_concurrent_futures(tmp_path, eig_cache,
-                                                                    volterra_eig_small):
+def test_warm_all_run_loads_no_numpy_ma_concurrent_futures_or_openssl(tmp_path, eig_cache,
+                                                                      volterra_eig_small):
     """A warm `all` run with importance and quadrature TV on two workers loads neither
     `numpy.ma` (which `np.percentile` imports) nor `concurrent.futures`: the bootstrap
-    takes its percentiles from the sorted values, and the pool runs on plain threads."""
+    takes its percentiles from the sorted values, and the pool runs on plain threads.
+    Nor does it load OpenSSL, which `numpy.random` reaches through `secrets` and `hmac`:
+    the first draw imports `numpy.random` with a stand-in `secrets`.  After the run,
+    `import secrets` gives the real module, and an unseeded SeedSequence still draws
+    fresh OS entropy."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"family": "bernoulli", "n": 500, "p": 2,
                                "validation": {"method": "both", "M": 10000},
@@ -843,10 +847,14 @@ def test_warm_all_run_loads_neither_numpy_ma_nor_concurrent_futures(tmp_path, ei
             "rc = lapcert.cli.main(['all', '--config', sys.argv[1], '--out', sys.argv[2],\n"
             "                       '--threads', '2'])\n"
             "print(rc, [m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']\n"
-            "           or m.split('.')[0] == 'concurrent'])\n")
+            "           or m.split('.')[0] in ('concurrent', 'secrets', 'hmac', 'hashlib',\n"
+            "                                  '_hashlib')])\n"
+            "import secrets, numpy as np\n"
+            "print(hasattr(secrets, 'token_hex'),\n"
+            "      np.random.SeedSequence().entropy != np.random.SeedSequence().entropy)\n")
     out = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "out")], env=env,
                          check=True, capture_output=True, text=True, timeout=120).stdout
-    assert out.splitlines()[-1] == "0 []"
+    assert out.splitlines()[-2:] == ["0 []", "True True"]
     with open(tmp_path / "out" / "tv_estimates.csv") as fh:
         assert [row["method"] for row in csv.DictReader(fh)] == ["importance", "quadrature"]
 

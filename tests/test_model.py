@@ -1,6 +1,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from lapcert.cli import main
 from lapcert.model import (ModelError, TruthSpec, exp_family, generate,
                            sample_poisson, signal_sup_norm, _bernoulli_h3_envelope,
                            _philox_uniforms, _poisson_ptrs, _substream)
+from lapcert.validation import laplace_draws
 
 from conftest import make_problem
 from probes import ALLOCATING_H, ALLOCATING_HSUM
@@ -60,6 +66,50 @@ def test_philox_block_matches_numpy():
         ref = [np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
                .random() for j in js]
         assert np.array_equal(_philox_uniforms(seed, np.array(js, dtype=np.uint64)), ref)
+
+
+def test_philox_passes_hold_blocks_not_whole_temporaries():
+    """At n = 2e5 the vectorized Philox pass allocates under four result arrays (tracemalloc),
+    working 2^14 streams at a time; a whole-length pass held ~14 n-long uint64 temporaries.
+    sample_poisson, whose inversion keeps a few n-long arrays of its own, stays under 12."""
+    n = 200_000
+    j = np.arange(n, dtype=np.uint64)
+    s = np.full(n, math.log(2.0))
+    out = []
+    for call, arrays in ((lambda: _philox_uniforms(0, j), 4), (lambda: sample_poisson(s, 0), 12)):
+        tracemalloc.start()
+        try:
+            out.append(call())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < arrays * 8 * n, (arrays, peak)
+    edges = [0, 2 ** 14 - 1, 2 ** 14, 2 ** 17 + 5, n - 1]   # across the blocks' seams
+    assert np.array_equal(out[0][edges], [_substream(0, k).random() for k in edges])
+    assert np.array_equal(out[1][edges],
+                          [_REFERENCE["poisson"](s[k], _substream(0, k)) for k in edges])
+
+
+def test_first_draw_keeps_a_callers_secrets_and_the_bits():
+    """A process that imports `secrets` before lapcert keeps that module object through the
+    first draw (which imports numpy.random), and one that did not is left without a `secrets`:
+    the stand-in is gone.  Both draw the same importance Z as this process does."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, types\n"
+            "if sys.argv[1] == 'first':\n"
+            "    import secrets\n"
+            "import numpy as np\n"
+            "from lapcert.validation import laplace_draws\n"
+            "before = sys.modules.get('secrets')\n"
+            "_, Z = laplace_draws(types.SimpleNamespace(theta_hat=np.zeros(3)), 7, 5, 13)\n"
+            "print(sys.modules.get('secrets') is before, before is None, Z.tobytes().hex())\n")
+    Z = laplace_draws(SimpleNamespace(theta_hat=np.zeros(3)), 7, 5, 13)[1]
+    for order, absent in (("first", "False"), ("never", "True")):
+        out = subprocess.run([sys.executable, "-c", code, order], env=env, check=True,
+                             capture_output=True, text=True, timeout=60).stdout.split()
+        assert out == ["True", absent, Z.tobytes().hex()], order
 
 
 def test_generate_matches_per_observation_reference(volterra_eig_small):
