@@ -55,15 +55,15 @@ def _git_hash() -> str:
 
 def _write_csv(path: str, columns: list, rows) -> None:
     """One line per row, in `columns` order: row dicts (a missing key is an empty
-    cell) or one dict of equal-length numpy columns, by a repr template per row.
-    csv writes a float by its repr, so numpy floats go as plain floats."""
+    cell) or one dict of equal-length numpy columns, each cell by its repr.  csv
+    writes a float by its repr, so numpy floats go as plain floats."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(columns)
-        if isinstance(rows, dict):   # 4096 rows at a time, so no n-long lists are held
-            line, cols = ",".join(["%r"] * len(columns)) + "\r\n", [rows[k] for k in columns]
-            for a in range(0, len(cols[0]), 4096):
-                fh.writelines(line % r for r in zip(*(c[a:a + 4096].tolist() for c in cols)))
+        if isinstance(rows, dict):   # 1024 rows at a time: the heap that a chunk's floats and
+            for a in range(0, len(rows[columns[0]]), 1024):   # strings take stays with the process
+                cells = zip(*(map(repr, rows[k][a:a + 1024].tolist()) for k in columns))
+                fh.write("\r\n".join(map(",".join, cells)) + "\r\n")
         else:
             w.writerows([float(v) if isinstance(v, float) else v
                          for v in map(row.get, columns)] for row in rows)

@@ -103,12 +103,34 @@ def _row_sups(f: np.ndarray) -> np.ndarray:   # np.abs(f).max(axis=1) to the bit
     return np.maximum(f.max(axis=1), -f.min(axis=1))
 
 
-def _rk4_shoot(Qh: np.ndarray, T: float, mu: np.ndarray, keep_path: bool = False):
+def _shoot_table(Qh: np.ndarray, T: float) -> np.ndarray:
+    N = (Qh.size - 1) // 2
+    h = T / N
+    h2, h3, h4 = h * h, h ** 3, h ** 4
+    q0, qm, q1 = Qh[0:-1:2], Qh[1::2], Qh[2::2]
+    g = math.isqrt(N - 1) + 1   # ceil(sqrt(N)) steps per group, in G = ceil(N / g) groups
+    # With w = Q - mu at the step's start (w0), midpoint (wm) and end (w1):
+    #   A = 1 + h^2/6 (w0 + 2 wm) + h^4/24 wm w0     B = h + h^3/6 wm
+    #   C = h/6 (w0 + 4 wm + w1) + h^3/12 wm (w0 + w1)
+    #   D = 1 + h^2/6 (2 wm + w1) + h^4/24 wm w1
+    coef = np.zeros((3, 2, 2, -(-N // g) * g))   # coef[p, i, j, k, s]: the mu^p coefficients
+    coef[..., :N] = np.reshape(np.broadcast_arrays(   # of entry (i, j), step s of group k
+        1.0 + h2 / 6.0 * (q0 + 2.0 * qm) + h4 / 24.0 * qm * q0, h + h3 / 6.0 * qm,   # a0, b0
+        h / 6.0 * (q0 + 4.0 * qm + q1) + h3 / 12.0 * qm * (q0 + q1),                  # c0
+        1.0 + h2 / 6.0 * (2.0 * qm + q1) + h4 / 24.0 * qm * q1,                       # d0
+        -0.5 * h2 - h4 / 24.0 * (q0 + qm), -h3 / 6.0,                                 # a1, b1
+        -h - h3 / 12.0 * (q0 + 2.0 * qm + q1), -0.5 * h2 - h4 / 24.0 * (qm + q1),     # c1, d1
+        h4 / 24.0, 0.0, h3 / 6.0, h4 / 24.0), (3, 2, 2, N))                           # a2 .. d2
+    coef[0, 0, 0, N:] = coef[0, 1, 1, N:] = 1.0   # a pad step is the identity
+    return coef.reshape(3, 2, 2, -1, g)   # A = (a2 mu + a1) mu + a0, and so on
+
+
+def _rk4_shoot(Qh: np.ndarray, T: float, mu: np.ndarray, keep_path: bool = False, *, table=None):
     """Integrate u'' = (Q - mu) u, u(0)=0, u'(0)=1 on the uniform t grid.
 
     Qh holds Q on the half-step grid (2N+1 points).  Vectorized over the mu
     axis.  Returns (u_T, up_T); with keep_path, (path, dpath) instead, whose
-    last rows are u_T and up_T.
+    last rows are u_T and up_T.  table is _shoot_table(Qh, T), built if None.
 
     A classical RK4 step of this linear system is the 2x2 transfer matrix
     [[A, B], [C, D]] acting on (u, u'), whose entries are polynomials in mu of
@@ -118,33 +140,18 @@ def _rk4_shoot(Qh: np.ndarray, T: float, mu: np.ndarray, keep_path: bool = False
     every group's product of its g matrices; (2) the groups applied in turn to
     (0, 1), which ends at (u_T, up_T); (3) with keep_path only, every group
     stepped from its start state at once, into the path.  _SHOOT_COLUMNS
-    columns at a time bound the memory.
+    columns at a time bound the memory.  A step forms its matrix in one buffer, E =
+    (c2 mu + c1) mu + c0, whose c2 mu, the mu^2 row (h^4/24, 0, h^3/6, h^4/24) times mu,
+    is taken once per block, and again with the last group's 0 for its pad steps, j >= N - (G-1) g.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    N = (Qh.size - 1) // 2
-    h = T / N
-    h2, h3, h4 = h * h, h ** 3, h ** 4
-    q0, qm, q1 = Qh[0:-1:2], Qh[1::2], Qh[2::2]
-    g = math.isqrt(N - 1) + 1   # ceil(sqrt(N)) steps per group
-    G = -(-N // g)
-    # With w = Q - mu at the step's start (w0), midpoint (wm) and end (w1):
-    #   A = 1 + h^2/6 (w0 + 2 wm) + h^4/24 wm w0     B = h + h^3/6 wm
-    #   C = h/6 (w0 + 4 wm + w1) + h^3/12 wm (w0 + w1)
-    #   D = 1 + h^2/6 (2 wm + w1) + h^4/24 wm w1
-    coef = np.zeros((3, 2, 2, G * g))   # coef[p, i, j]: the mu^p coefficients of entry (i, j),
-    coef[..., :N] = np.reshape(np.broadcast_arrays(   # step by step: A = (a2 mu + a1) mu + a0
-        1.0 + h2 / 6.0 * (q0 + 2.0 * qm) + h4 / 24.0 * qm * q0, h + h3 / 6.0 * qm,   # a0, b0
-        h / 6.0 * (q0 + 4.0 * qm + q1) + h3 / 12.0 * qm * (q0 + q1),                  # c0
-        1.0 + h2 / 6.0 * (2.0 * qm + q1) + h4 / 24.0 * qm * q1,                       # d0
-        -0.5 * h2 - h4 / 24.0 * (q0 + qm), -h3 / 6.0,                                 # a1, b1
-        -h - h3 / 12.0 * (q0 + 2.0 * qm + q1), -0.5 * h2 - h4 / 24.0 * (qm + q1),     # c1, d1
-        h4 / 24.0, 0.0, h3 / 6.0, h4 / 24.0), (3, 2, 2, N))                           # a2 .. d2
-    coef[0, 0, 0, N:] = coef[0, 1, 1, N:] = 1.0   # a pad step is the identity
-    coef = coef.reshape(3, 2, 2, G, g)
+    coef = _shoot_table(Qh, T) if table is None else table
+    N, (G, g) = (Qh.size - 1) // 2, coef.shape[3:]
 
-    def step(j, m, X):   # step j of each group, at mu = m, on X of shape (2, 1 or 2, G, m.size)
-        c = coef[..., j, None]
-        E = (c[2] * m + c[1]) * m + c[0]
+    def step(j, m, c2m, E, X):   # step j of each group at mu = m on X: (2, 1 or 2, G, m.size)
+        np.add(c2m[j >= N - (G - 1) * g], coef[1, ..., j, None], out=E)   # c2m: (real, pad)
+        E *= m
+        E += coef[0, ..., j, None]
         return E[:, :1] * X[0] + E[:, 1:] * X[1]
 
     # a path's row 1 + k g + j: the state after step j of group k; pad steps copy row N exactly
@@ -152,9 +159,10 @@ def _rk4_shoot(Qh: np.ndarray, T: float, mu: np.ndarray, keep_path: bool = False
     out[:, 0] = ((0.0,), (1.0,))
     for lo in range(0, mu.size, _SHOOT_COLUMNS):
         m = mu[lo:lo + _SHOOT_COLUMNS]
-        P = np.eye(2)[:, :, None, None]   # broadcast over groups and columns by the first step
+        c2m = coef[2, ..., :1, 0, None] * m, coef[2, ..., -1, None] * m if G * g > N else None
+        E, P = np.empty((2, 2, G, m.size)), np.eye(2)[:, :, None, None]   # P broadcasts at step 0
         for j in range(g):
-            P = step(j, m, P)
+            P = step(j, m, c2m, E, P)
         S = np.empty((2, G + 1, m.size))   # the state at each group's start, and at T
         S[:, 0] = ((0.0,), (1.0,))
         for k in range(G):
@@ -163,7 +171,7 @@ def _rk4_shoot(Qh: np.ndarray, T: float, mu: np.ndarray, keep_path: bool = False
         if keep_path:
             X = S[:, None, :G]
             for j in range(g):
-                X = step(j, m, X)
+                X = step(j, m, c2m, E, X)
                 out[:, 1 + j::g, lo:lo + m.size] = X[:, 0]
     return out[:, :N + 1] if keep_path else out[:, -1]
 
@@ -206,10 +214,11 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int) -> EigenSyste
         raise ValueError("N in [%d, %d] required for eigen work" % (MIN_N, MAX_N))
 
     def boundary(mu):
-        u, up = _rk4_shoot(Qh, T, mu)
+        u, up = _rk4_shoot(Qh, T, mu, table=table)
         return up + c2 * u
 
     mu_hi = mu_scan_top(form, K)   # refuses first, so the float arithmetic below cannot raise
+    table = _shoot_table(Qh, T)   # every shoot of this solve steps by one table
     unit = (np.pi / T) ** 2
     q = mu_hi - (K + 2) ** 2 * unit   # max(0, max Q), as mu_scan_top added it
     # mu |u|^2 = |u'|^2 + c2 u(T)^2 + int Q u^2 and u(T)^2 <= e |u'|^2 + |u|^2 / e, e = 1 / |c2|,
@@ -255,17 +264,17 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int) -> EigenSyste
                                % _MAX_ILLINOIS)
     mu = 0.5 * (lo + hi)
 
-    upath, dupath = _rk4_shoot(Qh, T, mu, keep_path=True)
-    # v_k = u_k / u_k'(0) is the raw trajectory (u'(0) = 1).  The path is read once, ~8 columns
-    # at a time, with no (N+1, K) temporary; never 1 column (trapezoid sums it pairwise: other bits)
+    upath, dupath = _rk4_shoot(Qh, T, mu, keep_path=True, table=table)
+    del table   # 12 N floats, not held through the back-transform
+    # v_k = u_k / u_k'(0) is the raw trajectory (u'(0) = 1).  The path is read ~8 columns at a
+    # time, with no (N+1, K) temporary; never 1 column (trapezoid sums it pairwise: other bits)
     tgrid = np.linspace(0.0, T, N + 1)
     dt = np.diff(tgrid)[:, None]
-    zeros, (vk_inf, dvk_inf, vk_l2) = np.empty(K, dtype=int), np.empty((3, K))
-    nb = -(-K // 8)
+    vk_inf, dvk_inf = _row_sups(upath.T), _row_sups(dupath.T)   # whole: a reduction copies nothing
+    zeros, vk_l2, nb = np.empty(K, dtype=int), np.empty(K), -(-K // 8)
     for i in range(nb):
         c = slice(i * K // nb, (i + 1) * K // nb)
         zeros[c] = np.count_nonzero(_sign_flips(upath[1:, c]), axis=0)
-        vk_inf[c], dvk_inf[c] = _row_sups(upath[:, c].T), _row_sups(dupath[:, c].T)
         u2 = upath[:, c] ** 2   # np.trapezoid(u2, tgrid, axis=0)'s arithmetic, in place
         s = u2[1:] + u2[:-1]
         s *= dt
@@ -277,7 +286,7 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int) -> EigenSyste
 
     # back-transform psi_k(x) = u_k(t(x)) a(x)^{-1/2}; chain rule for psi'
     x = grid(N)
-    a, a1 = spec.a(x), spec.a1(x)
+    ra, ha1, a_15 = np.sqrt(spec.a(x)), 0.5 * spec.a1(x), spec.a(x) ** -1.5
     # Column-major, so the K values at each grid point are adjacent.  Products
     # over k (e.g. theta @ psi[:p]) round differently in the other layout, and
     # every artifact is pinned to this one; the .npz cache keeps it.  The path's
@@ -286,8 +295,8 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int) -> EigenSyste
     for k in range(K):
         uk = np.interp(form.t_of_x, tgrid, upath[:, k])
         duk = np.interp(form.t_of_x, tgrid, dupath[:, k])
-        psi[k] = uk / np.sqrt(a)
-        dpsi[k] = (duk - 0.5 * a1 * uk) * a ** -1.5
+        psi[k] = uk / ra
+        dpsi[k] = (duk - ha1 * uk) * a_15
         nrm = np.sqrt(np.trapezoid(psi[k] ** 2, dx=1.0 / N))
         psi[k], dpsi[k] = psi[k] / nrm, dpsi[k] / nrm
     psi[:, 0] = 0.0

@@ -106,26 +106,27 @@ def _poisson_ptrs(lam: float, rng) -> int:
 
 
 def sample_poisson(s: np.ndarray, seed: int) -> np.ndarray:
-    """Y_j ~ Poisson(e^s_j), each drawn from the stream keyed (seed, j)."""
-    lam = _exp(s)
-    if not np.all(lam <= 1e15):   # also rejects nan
-        raise ModelError("poisson rate overflow (e^s too large); reduce the truth amplitude A")
-    y = np.zeros(lam.size)
-    for j in np.flatnonzero(lam >= 30.0):
-        y[j] = _poisson_ptrs(float(lam[j]), _substream(seed, int(j)))
-    # below rate 30, sequential inversion: one k step at a time over the draws still searching
-    low = np.flatnonzero(lam < 30.0)
-    u, lam = _philox_uniforms(seed, low), lam[low]
-    p = _exp(-lam)
-    F, act, k = p.copy(), np.flatnonzero(u > p), 0
-    while act.size:
-        k += 1
-        p[act] *= lam[act] / k
-        F[act] += p[act]
-        y[low[act]] = k
-        act = act[u[act] > F[act]]
-        if k > 10_000_000:  # pragma: no cover
-            raise ModelError("poisson inversion runaway at rate %g" % lam[act].max())
+    """Y_j ~ Poisson(e^s_j), each drawn from the stream keyed (seed, j), 2^15 draws at a time."""
+    y = np.zeros(s.size)
+    for b in range(0, s.size, 2 ** 15):
+        yb, lam = y[b:b + 2 ** 15], _exp(s[b:b + 2 ** 15])
+        if not np.all(lam <= 1e15):   # also rejects nan
+            raise ModelError("poisson rate overflow (e^s too large); reduce the truth amplitude A")
+        for j in np.flatnonzero(lam >= 30.0):
+            yb[j] = _poisson_ptrs(float(lam[j]), _substream(seed, b + int(j)))
+        # below rate 30, sequential inversion: one k step at a time over the draws still searching
+        low = np.flatnonzero(lam < 30.0)
+        u, lam = _philox_uniforms(seed, b + low), lam[low]
+        p = _exp(-lam)
+        F, act, k = p.copy(), np.flatnonzero(u > p), 0
+        while act.size:
+            k += 1
+            p[act] *= lam[act] / k
+            F[act] += p[act]
+            yb[low[act]] = k
+            act = act[u[act] > F[act]]
+            if k > 10_000_000:  # pragma: no cover
+                raise ModelError("poisson inversion runaway at rate %g" % lam[act].max())
     return y
 
 

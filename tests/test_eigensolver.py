@@ -388,6 +388,57 @@ def test_grouped_shoot_ends_where_its_path_does():
     assert np.array_equal(np.count_nonzero(eigensolver._sign_flips(path[1:]), axis=0), ref_zeros)
 
 
+def _plain_shoot(Qh, T, mu, keep_path=False):
+    """The grouped shoot with each step's matrix formed whole from its table column,
+    E = (c2 mu + c1) mu + c0: the reference _rk4_shoot's in-place steps are pinned to."""
+    N, coef = (Qh.size - 1) // 2, eigensolver._shoot_table(Qh, T)
+    G, g = coef.shape[3:]
+
+    def step(j, m, X):
+        c = coef[..., j, None]
+        E = (c[2] * m + c[1]) * m + c[0]
+        return E[:, :1] * X[0] + E[:, 1:] * X[1]
+
+    out = np.empty((2, G * g + 1 if keep_path else 1, mu.size))
+    out[:, 0] = ((0.0,), (1.0,))
+    for lo in range(0, mu.size, eigensolver._SHOOT_COLUMNS):
+        m = mu[lo:lo + eigensolver._SHOOT_COLUMNS]
+        P = np.eye(2)[:, :, None, None]
+        for j in range(g):
+            P = step(j, m, P)
+        S = np.empty((2, G + 1, m.size))
+        S[:, 0] = ((0.0,), (1.0,))
+        for k in range(G):
+            S[:, k + 1] = P[:, 0, k] * S[0, k] + P[:, 1, k] * S[1, k]
+        out[:, -1, lo:lo + m.size] = S[:, G]
+        if keep_path:
+            X = S[:, None, :G]
+            for j in range(g):
+                X = step(j, m, X)
+                out[:, 1 + j::g, lo:lo + m.size] = X[:, 0]
+    return out[:, :N + 1] if keep_path else out[:, -1]
+
+
+@pytest.mark.parametrize("N", [1531, 4096])
+def test_in_place_steps_are_the_plain_steps(N):
+    """_rk4_shoot's steps (the mu^2 row times mu taken once per column block, the matrix
+    formed in one buffer) equal the plain step bit for bit, pathless and with the path,
+    with the solve's table passed in or built.  N = 1531 pads its last group with 29
+    identity steps, whose mu^2 row is 0 (the real steps' row there moves the pathless
+    end); N = 4096 has no pad.  Two column blocks, the last ragged; mu < 0, -0.0 and 0
+    too, where the pad's 0 * mu is a signed zero."""
+    form = liouville_transform(CoefficientPair((1.0, 0.0, 0.25), (0.2, 0.1)), N)
+    mu = np.concatenate([[-30.0, -0.0, 0.0],
+                         np.geomspace(1e-3, 5e3, eigensolver._SHOOT_COLUMNS + 6)])
+    table = eigensolver._shoot_table(form.Qh, form.T)
+    for keep_path in (False, True):
+        want = _plain_shoot(form.Qh, form.T, mu, keep_path)
+        for got in (_rk4_shoot(form.Qh, form.T, mu, keep_path),
+                    _rk4_shoot(form.Qh, form.T, mu, keep_path, table=table)):
+            assert (got.shape, got.strides, got.dtype) == (want.shape, want.strides, want.dtype)
+            assert got.tobytes() == want.tobytes(), (N, keep_path)
+
+
 def test_sign_rule():
     """Two values differ in sign iff their sign bits do: +0.0 is positive and -0.0
     negative, so a path that touches +0.0 from above and turns back has no sign
@@ -478,9 +529,9 @@ def test_shoot_budget(monkeypatch):
     term that floor would pass it, and the oscillation count would refuse."""
     columns = []
 
-    def counted(Qh, T, mu, keep_path=False):
+    def counted(Qh, T, mu, keep_path=False, **table):
         columns.append(np.atleast_1d(mu).size)
-        return _rk4_shoot(Qh, T, mu, keep_path)
+        return _rk4_shoot(Qh, T, mu, keep_path, **table)
 
     monkeypatch.setattr(eigensolver, "_rk4_shoot", counted)
     for spec in SPEC_CORPUS + tuple(CoefficientPair((1.0,), (b,))
