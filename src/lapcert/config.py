@@ -12,7 +12,9 @@ from dataclasses import dataclass, field, is_dataclass, replace
 
 from .eigensolver import MAX_K, MAX_N, MIN_N, liouville_transform, mu_scan_top
 from .operators import CoefficientPair, OperatorSpecError
-from .validation import MAX_QUADRATURE_P, MIN_PER_AXIS, MIN_SAMPLES
+from .validation import MAX_QUADRATURE_P, MIN_PER_AXIS
+
+MIN_SAMPLES = 10000   # fewest importance draws a run takes (validation.M)
 
 
 class ConfigError(ValueError):

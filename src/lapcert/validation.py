@@ -7,7 +7,8 @@ Two estimators:
   interval from coarse/fine grids.
 * `tv_importance`: the identity TV = (1/2) E_phi |w / E_phi w - 1| with
   w = pi_unnorm / phi_unnorm, estimated by self-normalized Monte Carlo
-  under the Laplace Gaussian, at any p.  Its effective sample size is the
+  under the Laplace Gaussian, at any p, from at least 1,000 draws (a run's
+  floor, 10,000, is `config.MIN_SAMPLES`).  Its effective sample size is the
   one degeneracy signal (`low_ess`: ESS < 100); ESS cannot see posterior
   mass where the Gaussian draws never land.
 
@@ -41,7 +42,6 @@ from .posterior import (LaplaceFit, Problem, f_values, pool_map, tri_solve, usab
 
 
 _Z95 = 1.96   # normal quantile of the 95% intervals: Wilson's and the outside masses'
-MIN_SAMPLES = 10000    # fewest importance draws (`tv_importance`)
 MIN_PER_AXIS = 64      # coarsest quadrature grid per axis (`tv_quadrature`)
 MAX_QUADRATURE_P = 3   # largest p the quadrature grid covers (`tv_quadrature`)
 
@@ -97,6 +97,7 @@ def log_densities(fit: LaplaceFit, prob: Problem, Z: np.ndarray,
     return fit.f_hat - f_values(prob, Z, workers), lq
 
 
+_N_BOOT = 500   # bootstrap resamples of the importance TV (`tv_importance`)
 # resample indices held at a time, over all workers: 2^17 int64 (1 MiB, plus float
 # gathers as large) instead of the whole (n_boot, n_samples) array
 _BOOT_BLOCK_ENTRIES = 1 << 17
@@ -152,15 +153,14 @@ def tv_quadrature(fit: LaplaceFit, prob: Problem, per_axis: int = MIN_PER_AXIS,
                       n_points=(2 * per_axis) ** p)
 
 
-def _importance_pass(fit: LaplaceFit, prob: Problem, n_samples: int, seed: int,
-                     regions, n_boot: int = 500, stream: int = 13,
-                     workers: int | None = None) -> TVEstimate:
-    """TV estimate with the posterior mass outside each (D0_sq, r) region, one draw.
-
-    A region's fraction f = sum w 1_out / sum w has the delta-method half-width
-    1.96 sd(psi) / sqrt(M), psi_i = w_i (1_out,i - f) / mean(w), so f = 0 gives
-    exactly (0, Wilson's upper end).
-    """
+def tv_importance(fit: LaplaceFit, prob: Problem, n_samples: int = 20000, seed: int = 0,
+                  regions=(), workers: int | None = None, stream: int = 13) -> TVEstimate:
+    """TV = (1/2) E_phi |w / mean(w) - 1| by Monte Carlo under the Gaussian on Philox stream
+    (seed, stream); `outside` holds the `OutsideMass` of each (D0_sq, r) in regions.  Its
+    fraction f = sum w 1_out / sum w has the delta-method half-width 1.96 sd(psi) / sqrt(M),
+    psi_i = w_i (1_out,i - f) / mean(w), so f = 0 gives exactly (0, Wilson's upper end)."""
+    if n_samples < 1000:
+        raise ValueError("n_samples >= 1000 required")
     workers = usable_cores() if workers is None else workers
     rng, Z = laplace_draws(fit, n_samples, seed, stream)
     # ||D0 u||^2 = z^T W z with W = whiten(L, D0^2), as u = theta - theta_hat = L^{-T} z
@@ -179,7 +179,7 @@ def _importance_pass(fit: LaplaceFit, prob: Problem, n_samples: int, seed: int,
     tv = float(tv_of(w.copy()))
     total = np.sum(w)
     ess = float(total ** 2 / np.sum(w ** 2))
-    lo, hi = bootstrap_ci(rng, n_samples, n_boot, lambda idx: tv_of(w[idx]), workers)
+    lo, hi = bootstrap_ci(rng, n_samples, _N_BOOT, lambda idx: tv_of(w[idx]), workers)
     masses = []
     for out in outside:
         wo = np.where(out, w, 0.0)
@@ -192,15 +192,3 @@ def _importance_pass(fit: LaplaceFit, prob: Problem, n_samples: int, seed: int,
                       ci_low=max(0.0, min(lo, tv)), ci_high=min(1.0, max(hi, tv)),
                       n_points=n_samples, ess=ess, low_ess=ess < 100.0,
                       outside=tuple(masses))
-
-
-def tv_importance(fit: LaplaceFit, prob: Problem, n_samples: int = 20000,
-                  seed: int = 0, n_boot: int = 500, regions=(),
-                  workers: int | None = None) -> TVEstimate:
-    """TV = (1/2) E_phi |w / mean(w) - 1| by Monte Carlo under the Gaussian.
-
-    `outside` holds the `OutsideMass` of each (D0_sq, r) in regions.
-    """
-    if n_samples < MIN_SAMPLES:
-        raise ValueError("n_samples >= %d required" % MIN_SAMPLES)
-    return _importance_pass(fit, prob, n_samples, seed, regions, n_boot, workers=workers)

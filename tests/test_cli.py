@@ -155,15 +155,15 @@ def test_bad_sweep_point_writes_nothing(tmp_path, write_cfg, capsys):
 
 
 def test_validation_sizes_rejected(tmp_path, write_cfg, capsys):
-    """validation.M below the estimator's 10,000 floor and per_axis below 64
-    fail at load time with the key path (exit 2), not at validate time."""
-    for overrides, key in (({"M": 5000}, "validation.M"),
+    """validation.M below the run's 10,000 floor and per_axis below 64 fail at
+    load time with the key path (exit 2, no output directory), not at validate time."""
+    for overrides, key in (({"M": 5000}, "validation.M"), ({"M": 9999}, "validation.M"),
                            ({"per_axis": 32}, "validation.per_axis")):
         with pytest.raises(ConfigError, match=key):
             config_from_dict({**BASE, "validation": {**BASE["validation"], **overrides}})
-        path = write_cfg({"validation": overrides})
-        assert main(["validate", "--config", path, "--out", str(tmp_path)]) == 2
-        assert key in capsys.readouterr().err
+        path, out = write_cfg({"validation": overrides}), tmp_path / "out"
+        assert main(["all", "--config", path, "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err and not out.exists()
 
 
 def test_config_rejects_what_the_run_cannot_do(tmp_path, write_cfg, capsys):
@@ -859,15 +859,28 @@ def test_warm_all_run_loads_no_numpy_ma_concurrent_futures_or_openssl(tmp_path, 
         assert [row["method"] for row in csv.DictReader(fh)] == ["importance", "quadrature"]
 
 
-def test_overflowing_newton_trial_step_warns_nothing(tmp_path, eig_cache, volterra_eig):
+def test_overflowing_newton_trial_step_warns_nothing(tmp_path, eig_cache, volterra_eig,
+                                                    monkeypatch):
     """At Poisson amplitude 8 a trial step of the Newton line search overflows exp in
-    the cumulant sum: the kernel refuses it and the step is halved, with no numpy
-    warning, so `python -W error::RuntimeWarning -m lapcert all` exits 0 and prints
-    nothing to stderr."""
+    the cumulant sum: the kernel refuses it (the fit refuses at least one) and the step
+    is halved, with no numpy warning, so `python -W error::RuntimeWarning -m lapcert all`
+    exits 0 and prints nothing to stderr.  The run's TV is importance alone; CI's smoke
+    step runs this config with quadrature too."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"family": "poisson", "n": 1000, "p": 3,
-                               "truth": {"amplitude": 8.0}, "validation": {"method": "both"},
+                               "truth": {"amplitude": 8.0}, "validation": {"method": "importance"},
                                "eigensolver": {"cache_dir": eig_cache}}))   # warm N=4096, K=50
+    refused, f_value = [], lapcert.posterior.f_value
+
+    def recording(prob, theta):
+        try:
+            return f_value(prob, theta)
+        except lapcert.posterior.EvaluationError:
+            refused.append(theta)
+            raise
+
+    monkeypatch.setattr(lapcert.posterior, "f_value", recording)
+    assert lapcert.cli.Run(load_config(str(cfg)), workers=1).fit.newton_iters > 1 and refused
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "lapcert", "all",

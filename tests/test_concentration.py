@@ -10,7 +10,7 @@ import pytest
 from lapcert import certification as C
 from lapcert.concentration import empirical_outside_mass
 from lapcert.posterior import tri_solve
-from lapcert.validation import laplace_draws, wilson_interval
+from lapcert.validation import laplace_draws, tv_importance, wilson_interval
 
 from probes import weighting_claims
 
@@ -114,3 +114,15 @@ def test_min_samples_enforced(poisson_fit):
     prob, fit = poisson_fit
     with pytest.raises(ValueError):
         empirical_outside_mass(fit, prob, fit.DG2, r=1.0, n_samples=10)
+
+
+def test_probe_is_one_call_of_tv_importance(poisson_fit):
+    """The probe is `tv_importance` on stream 11 with U(D0, r) as its one region, field
+    for field; `tv_importance` refuses 999 draws and accepts 1,000."""
+    prob, fit = poisson_fit
+    D0_sq, r = np.diag(np.arange(1.0, prob.p + 1)), 2.0
+    assert (empirical_outside_mass(fit, prob, D0_sq, r, 2000, 5)
+            == tv_importance(fit, prob, 2000, 5, [(D0_sq, r)], stream=11))
+    with pytest.raises(ValueError, match="1000"):
+        tv_importance(fit, prob, 999)
+    assert tv_importance(fit, prob, 1000).n_points == 1000

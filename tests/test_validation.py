@@ -240,7 +240,8 @@ def test_importance_weights_match_per_point_reference(poisson_fit, monkeypatch):
         return out
 
     monkeypatch.setattr(val, "log_densities", recording)
-    est = val.tv_importance(fit, prob, n_samples=10000, seed=5, n_boot=10)
+    monkeypatch.setattr(val, "_N_BOOT", 10)
+    est = val.tv_importance(fit, prob, n_samples=10000, seed=5)
     [(Z, lp, lq)] = seen
     assert np.array_equal(Z, val.laplace_draws(fit, 10000, 5, stream=13)[1])
     U = solve_triangular(fit.L, Z.T, lower=True, trans="T").T
@@ -272,8 +273,9 @@ def test_estimates_do_not_depend_on_workers(volterra_eig, poisson_fit, monkeypat
         for workers in (2, 3):
             assert np.array_equal(f_values(prob, fit.theta_hat + U, workers), ref)
     regions = [(fit.DG2, 1.5 * np.sqrt(p)), (np.eye(p), 0.5)]
-    imp = [val.tv_importance(fit, prob, n_samples=10000, seed=2, n_boot=100,
-                             regions=regions, workers=w) for w in (1, 2, 3)]
+    monkeypatch.setattr(val, "_N_BOOT", 100)
+    imp = [val.tv_importance(fit, prob, n_samples=10000, seed=2, regions=regions, workers=w)
+           for w in (1, 2, 3)]
     assert imp[0] == imp[1] == imp[2] and len(imp[0].outside) == 2
     if p <= 3:
         quad = [val.tv_quadrature(fit, prob, workers=w) for w in (1, 2, 3)]
@@ -365,18 +367,20 @@ def test_bootstrap_block_size_moves_no_bit(poisson_fit, monkeypatch):
     prob, fit = poisson_fit
     n_samples, regions = 10000, [(fit.DG2, float(np.sqrt(prob.p))), (fit.DG2, 50.0)]
     runs = []
+    monkeypatch.setattr(val, "_N_BOOT", 100)
     for entries in (1 << 20, 1 << 18, n_samples):
         monkeypatch.setattr(val, "_BOOT_BLOCK_ENTRIES", entries)
-        runs += [val.tv_importance(fit, prob, n_samples=n_samples, seed=3, n_boot=100,
+        runs += [val.tv_importance(fit, prob, n_samples=n_samples, seed=3,
                                    regions=regions, workers=w) for w in (1, 2, 3)]
     assert all(r == runs[0] for r in runs)
     some, empty = runs[0].outside
     assert 0.0 < some.posterior_ci_low < some.posterior_ci_high and empty.posterior_frac == 0.0
 
 
-def test_importance_ci_matches_per_resample_reference(poisson_fit):
+def test_importance_ci_matches_per_resample_reference(poisson_fit, monkeypatch):
     prob, fit = poisson_fit
-    est = val.tv_importance(fit, prob, n_samples=10000, seed=5, n_boot=200)
+    monkeypatch.setattr(val, "_N_BOOT", 200)
+    est = val.tv_importance(fit, prob, n_samples=10000, seed=5)
     rng, Z = val.laplace_draws(fit, 10000, 5, stream=13)
     lp, lq = val.log_densities(fit, prob, Z)
     logw = lp - lq
@@ -396,9 +400,9 @@ def test_tail_statistics_share_the_importance_pass(poisson_fit, monkeypatch):
     # radii where a fair share of the draws lies outside, and one beyond all
     regions = [(fit.DG2, float(np.sqrt(p))), (np.diag(np.arange(1.0, p + 1)), 2.0),
                (fit.DG2, 50.0)]
-    est = val.tv_importance(fit, prob, n_samples=10000, seed=5, n_boot=200, regions=regions)
-    assert replace(est, outside=()) == val.tv_importance(fit, prob, n_samples=10000,
-                                                         seed=5, n_boot=200)
+    monkeypatch.setattr(val, "_N_BOOT", 200)
+    est = val.tv_importance(fit, prob, n_samples=10000, seed=5, regions=regions)
+    assert replace(est, outside=()) == val.tv_importance(fit, prob, n_samples=10000, seed=5)
     assert len(est.outside) == len(regions)
     for (D0_sq, r), got in zip(regions, est.outside):
         want = outside_mass_reference(fit, prob, D0_sq, r, 10000, 5, stream=13)
@@ -419,13 +423,13 @@ def test_tail_statistics_share_the_importance_pass(poisson_fit, monkeypatch):
                                rtol=1e-12, atol=1e-15)
     # ... and reports the pass's own low-ESS flag, here at an ESS of 75
     def low(*args, **kwargs):
-        return replace(val._importance_pass(*args, **kwargs), ess=75.0, low_ess=True)
-    monkeypatch.setattr(concentration, "_importance_pass", low)
+        return replace(val.tv_importance(*args, **kwargs), ess=75.0, low_ess=True)
+    monkeypatch.setattr(concentration, "tv_importance", low)
     rep = empirical_outside_mass(fit, prob, D0_sq, r, n_samples=2000, seed=5)
     assert (rep.ess, rep.low_ess) == (75.0, True) and not est.low_ess
 
 
-def test_outside_masses_match_the_theta_space_formula(poisson_fit):
+def test_outside_masses_match_the_theta_space_formula(poisson_fit, monkeypatch):
     """With draws outside every region, each outside fraction and its interval, taken as
     z^T W z on the whitened draws, equal the reference's ||D0 u|| on u = theta - theta_hat,
     on 1 and on 2 workers."""
@@ -436,9 +440,10 @@ def test_outside_masses_match_the_theta_space_formula(poisson_fit):
     want = [outside_mass_reference(fit, prob, D0_sq, r, 10000, 2, stream=13)
             for D0_sq, r in regions]
     assert all(0.0 < frac < 1.0 for frac, _, _ in want)
+    monkeypatch.setattr(val, "_N_BOOT", 100)
     for workers in (1, 2):
-        est = val.tv_importance(fit, prob, n_samples=10000, seed=2, n_boot=100,
-                                regions=regions, workers=workers)
+        est = val.tv_importance(fit, prob, n_samples=10000, seed=2, regions=regions,
+                                workers=workers)
         for got, ref in zip(est.outside, want):
             np.testing.assert_allclose(astuple(got), ref, rtol=1e-12, atol=1e-15)
 
