@@ -40,6 +40,7 @@ import numpy as np
 from .posterior import LaplaceFit, Problem, tri_solve, whiten
 
 N_RADII = 60   # geometric grid of radii from r_lo to r_hi that certify tries
+GAMMA0_LABEL = "gamma0=%g"   # the label of an extra gamma0 row of compare_choices
 
 
 @dataclass(frozen=True)
@@ -237,12 +238,14 @@ def gamma0_star(n: int, beta: float, gamma: float) -> tuple:
     return g0, m, m0s
 
 
-def compare_choices(fit: LaplaceFit, prob: Problem, beta: float = 1.0) -> dict:
-    """Certificates for D_G, I/alpha(I) and D(gamma0*), by label."""
+def compare_choices(fit: LaplaceFit, prob: Problem, beta: float = 1.0, gamma0s=()) -> dict:
+    """Certificates for D_G, I/alpha(I) and D(gamma0*), then D(g0) for each g0 of
+    `gamma0s` under the label GAMMA0_LABEL % g0, in that order, by label."""
     g0s = gamma0_star(prob.design.n, beta, prob.gamma)[0]
-    return {"DG": certify(fit, prob, choice_DG(fit), beta=beta),
-            "identity": certify(fit, prob, choice_identity(fit), beta=beta),
-            "gamma0_star": certify(fit, prob, choice_gamma0(fit, g0s, prob.gamma), beta=beta)}
+    choices = {"DG": choice_DG(fit), "identity": choice_identity(fit),
+               "gamma0_star": choice_gamma0(fit, g0s, prob.gamma),
+               **{GAMMA0_LABEL % g0: choice_gamma0(fit, g0, prob.gamma) for g0 in gamma0s}}
+    return {label: certify(fit, prob, choice, beta=beta) for label, choice in choices.items()}
 
 
 def sweep_synthetic(n: float, p_values, beta: float, gamma: float) -> list:

@@ -26,7 +26,7 @@ from . import validation as val
 from .__main__ import BLAS_VARS
 from .config import ConfigError, ExperimentConfig, load_config, sweep_points
 from .eigensolver import cached_solve, eig_diagnostics
-from .model import TruthSpec, exp_family, generate
+from .model import exp_family, generate
 from .operators import CoefficientPair, assemble_design
 from .posterior import Problem, f_rounding, map_solve, usable_cores
 
@@ -49,7 +49,7 @@ def _git_hash() -> str:
         out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
                              timeout=10, cwd=os.path.dirname(os.path.abspath(__file__)))
         return out.stdout.strip() if out.returncode == 0 else "unknown"
-    except OSError:
+    except (OSError, subprocess.SubprocessError):   # no git, or it timed out
         return "unknown"
 
 
@@ -78,10 +78,11 @@ def _write_json(path: str, doc: dict) -> None:
 class Run:
     """One pass of the pipeline for a config.
 
-    Each stage (eig, truth, data, prob, fit, certs, usable, tvs) is
-    computed on first use and kept, so every subcommand of `all` reads the
-    same objects.  eig keeps every eigenvalue but only the eigenfunctions a stage
-    samples: p, p_star, and the p of each of `points`, a sweep's point configs.
+    Each stage (eig, data, prob, fit, certs, usable, tvs) is computed on first
+    use and kept, so every subcommand of `all` reads the same objects.  data is
+    drawn from the config's truth, and certs is one `compare_choices` call.  eig
+    keeps every eigenvalue but only the eigenfunctions a stage samples: p, the
+    truth's p_star, and the p of each of `points`, a sweep's point configs.
     `at(point)` is a point's run, which shares this run's eig, and its data when
     the point's n is the config's.  Up to `workers` threads run the TV
     estimates' likelihood kernel and bootstrap.
@@ -108,19 +109,12 @@ class Run:
         spec = CoefficientPair(tuple(cfg.operator.a), tuple(cfg.operator.b))
         cache = cfg.eigensolver.cache_dir or os.path.join(cfg.out_dir, "eigcache")
         return cached_solve(spec, cfg.eigensolver.N, cfg.eigensolver.K, cache).leading(
-            max(cfg.p, self.truth.p_star, *(point.p for point in self.points)))
-
-    @cached_property
-    def truth(self) -> TruthSpec:
-        t = self.cfg.truth
-        if t.theta is None:
-            return TruthSpec(p_star=t.p_star, amplitude=t.amplitude, decay=t.decay)
-        return TruthSpec(p_star=len(t.theta), explicit=tuple(t.theta))
+            max(cfg.p, cfg.truth.p_star, *(point.p for point in self.points)))
 
     @cached_property
     def data(self):
         cfg = self.cfg
-        return generate(self.eig, exp_family(cfg.family), self.truth, n=cfg.n, seed=cfg.seed)
+        return generate(self.eig, exp_family(cfg.family), cfg.truth, n=cfg.n, seed=cfg.seed)
 
     @cached_property
     def prob(self):
@@ -134,14 +128,8 @@ class Run:
 
     @cached_property
     def certs(self) -> dict:
-        """compare_choices' certificates, then one `gamma0=<v>` per configured value."""
-        cfg, fit = self.cfg, self.fit
-        beta = cfg.certification.beta
-        certs = cert.compare_choices(fit, self.prob, beta=beta)
-        for label, g0 in cfg.certification.gamma0_rows.items():
-            certs[label] = cert.certify(
-                fit, self.prob, cert.choice_gamma0(fit, g0, cfg.gamma), beta=beta)
-        return certs
+        c = self.cfg.certification
+        return cert.compare_choices(self.fit, self.prob, beta=c.beta, gamma0s=c.gamma0 or ())
 
     @cached_property
     def usable(self) -> list:
@@ -190,9 +178,10 @@ def cmd_simulate(run):
     ds = run.data
     _write_csv(run.path("dataset.csv"), ["j", "s_true", "y"],
                {"j": np.arange(1, ds.n + 1), "s_true": ds.s_true, "y": ds.y})
-    _write_json(run.path("dataset.json"), {"seed": ds.seed, "family": ds.kind, "n": ds.n,
-                                           "truth": asdict(run.truth)})
-    print("simulate: n=%d, family=%s, seed=%d" % (ds.n, run.cfg.family, run.cfg.seed))
+    cfg = run.cfg
+    _write_json(run.path("dataset.json"), {"seed": cfg.seed, "family": cfg.family, "n": ds.n,
+                                           "truth": asdict(cfg.truth)})
+    print("simulate: n=%d, family=%s, seed=%d" % (ds.n, cfg.family, cfg.seed))
     return 0
 
 
@@ -338,13 +327,13 @@ def main(argv=None) -> int:
             t0 = time.time()
             rc = max(rc, COMMANDS[name](run))
             wall_times_s[name] = time.time() - t0
+        wall_times_s["total"] = time.time() - start
+        threads = {"requested": args.threads, "kernel_workers": run.workers, "blas_env": BLAS_ENV}
+        _write_json(run.path("manifest.json"), {"config": asdict(cfg), "git_hash": _git_hash(),
+                                                "wall_times_s": wall_times_s, "threads": threads})
     except Exception as exc:  # surfaced module errors keep their class name
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 3
-    wall_times_s["total"] = time.time() - start
-    threads = {"requested": args.threads, "kernel_workers": run.workers, "blas_env": BLAS_ENV}
-    _write_json(run.path("manifest.json"), {"config": asdict(cfg), "git_hash": _git_hash(),
-                                            "wall_times_s": wall_times_s, "threads": threads})
     return rc
 
 

@@ -10,7 +10,9 @@ import json
 import math
 from dataclasses import dataclass, field, is_dataclass, replace
 
+from .certification import GAMMA0_LABEL
 from .eigensolver import MAX_K, MAX_N, MIN_N, liouville_transform, mu_scan_top
+from .model import TruthSpec
 from .operators import CoefficientPair, OperatorSpecError
 from .validation import MAX_QUADRATURE_P, MIN_PER_AXIS
 
@@ -28,14 +30,6 @@ class OperatorCfg:
 
 
 @dataclass
-class TruthCfg:
-    p_star: int = 8
-    amplitude: float = 0.5
-    decay: float = 2.0
-    theta: list | None = None
-
-
-@dataclass
 class EigenCfg:
     K: int = 50
     N: int = 4096
@@ -46,11 +40,6 @@ class EigenCfg:
 class CertCfg:
     gamma0: list | None = None     # extra gamma0 rows besides the auto gamma0*
     beta: float = 1.0
-
-    @property
-    def gamma0_rows(self) -> dict:
-        """The extra certificate rows: label -> gamma0."""
-        return {"gamma0=%g" % g0: g0 for g0 in self.gamma0 or []}
 
 
 @dataclass
@@ -74,7 +63,7 @@ class ExperimentConfig:
     n: int = 2000
     p: int = 6
     gamma: float = 2.0
-    truth: TruthCfg = field(default_factory=TruthCfg)
+    truth: TruthSpec = field(default_factory=TruthSpec)
     eigensolver: EigenCfg = field(default_factory=EigenCfg)
     certification: CertCfg = field(default_factory=CertCfg)
     validation: ValidationCfg = field(default_factory=ValidationCfg)
@@ -116,11 +105,11 @@ def _build(cls, data: dict, path: str):
 
 def load_config(path: str, **overrides) -> ExperimentConfig:
     """The config at `path`, each non-None override replacing its top-level key."""
-    with open(path) as fh:
-        try:
+    try:   # JSON text is UTF-8 (RFC 8259), whatever the locale
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("%s: invalid JSON: %s" % (path, exc)) from exc
+    except ValueError as exc:   # UnicodeDecodeError or JSONDecodeError
+        raise ConfigError("%s: invalid JSON: %s" % (path, exc)) from exc
     if isinstance(raw, dict):
         raw.update((key, val) for key, val in overrides.items() if val is not None)
     return config_from_dict(raw, path)
@@ -158,10 +147,9 @@ def _validate(cfg: ExperimentConfig, where: str) -> None:
         raise ConfigError("%s: n and p must be >= 1" % where)
     if cfg.p > cfg.eigensolver.K:
         raise ConfigError("%s: p exceeds eigensolver.K" % where)
-    t = cfg.truth
-    if (t.p_star if t.theta is None else len(t.theta)) > cfg.eigensolver.K:
+    if cfg.truth.p_star > cfg.eigensolver.K:
         raise ConfigError("%s.truth.%s: more modes than eigensolver.K"
-                          % (where, "p_star" if t.theta is None else "theta"))
+                          % (where, "p_star" if cfg.truth.theta is None else "theta"))
     if not 0 <= cfg.seed < 2 ** 64:
         raise ConfigError("%s.seed: must be in [0, 2**64)" % where)
     if cfg.gamma <= 0:
@@ -195,6 +183,6 @@ def _validate(cfg: ExperimentConfig, where: str) -> None:
     gamma0 = cfg.certification.gamma0 or []
     if any(g0 > cfg.gamma for g0 in gamma0):
         raise ConfigError("%s.certification.gamma0: entries must be <= gamma" % where)
-    if len(cfg.certification.gamma0_rows) < len(gamma0):
+    if len({GAMMA0_LABEL % g0 for g0 in gamma0}) < len(gamma0):
         raise ConfigError("%s.certification.gamma0: two entries share a row label "
-                          "(gamma0=%%g, 6 significant digits)" % where)
+                          "(%s, 6 significant digits)" % (where, GAMMA0_LABEL))

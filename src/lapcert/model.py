@@ -206,18 +206,23 @@ def exp_family(kind: str) -> ExpFamily:
 
 @dataclass(frozen=True)
 class TruthSpec:
-    """Ground-truth coefficients theta*_k = A (-1)^{k+1} k^{-s}."""
+    """Ground-truth coefficients theta*_k = A (-1)^{k+1} k^{-s}, k <= p_star, or the given
+    `theta` (then p_star = len(theta)).  The config's `truth` section."""
 
-    p_star: int
+    p_star: int = 8
     amplitude: float = 0.5
     decay: float = 2.0
-    explicit: tuple | None = None
+    theta: list | None = None
 
-    def theta(self) -> np.ndarray:
-        if self.explicit is not None:
-            th = np.asarray(self.explicit, dtype=float)
-            if th.size != self.p_star or not np.all(np.isfinite(th)):
-                raise ModelError("explicit truth has wrong length or non-finite entries")
+    def __post_init__(self):
+        if self.theta is not None:
+            object.__setattr__(self, "p_star", len(self.theta))
+
+    def coefficients(self) -> np.ndarray:
+        if self.theta is not None:
+            th = np.asarray(self.theta, dtype=float)
+            if not np.all(np.isfinite(th)):
+                raise ModelError("truth theta has non-finite entries")
             return th
         k = np.arange(1, self.p_star + 1)
         return self.amplitude * (-1.0) ** (k + 1) * k ** (-self.decay)
@@ -227,8 +232,6 @@ class TruthSpec:
 class Dataset:
     y: np.ndarray
     s_true: np.ndarray
-    seed: int
-    kind: str
 
     @property
     def n(self) -> int:
@@ -279,10 +282,10 @@ def sample_basis(eig, n: int, p: int) -> np.ndarray:
 
 def generate(eig, fam: ExpFamily, truth: TruthSpec, n: int, seed: int) -> Dataset:
     """Draw Y_j ~ rho(.|s_j) with s_j = sum_k theta*_k sqrt(lambda_k) psi_k(j/n)."""
-    theta = truth.theta()
+    theta = truth.coefficients()
     P = sample_basis(eig, n, theta.size)
     s_true = np.zeros(n)
     for k in range(theta.size):   # one mode at a time: pins the summation order
         s_true += theta[k] * np.sqrt(eig.lambdas[k]) * P[:, k]
-    return Dataset(y=fam.sampler(s_true, seed), s_true=s_true, seed=seed, kind=fam.kind)
+    return Dataset(y=fam.sampler(s_true, seed), s_true=s_true)
 

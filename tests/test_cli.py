@@ -154,6 +154,17 @@ def test_bad_sweep_point_writes_nothing(tmp_path, write_cfg, capsys):
     assert "Traceback" not in err and not out.exists()
 
 
+def test_config_not_utf8_is_a_config_error(tmp_path, capsys):
+    """A config file that is not UTF-8, JSON's encoding (RFC 8259), exits 2 naming
+    its path, whatever the locale, with no traceback and no output directory."""
+    path, out = tmp_path / "latin1.json", tmp_path / "out"
+    path.write_bytes(b'{"family": "\xff"}\n')
+    assert main(["all", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: %s: invalid JSON" % path) and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_validation_sizes_rejected(tmp_path, write_cfg, capsys):
     """validation.M below the run's 10,000 floor and per_axis below 64 fail at
     load time with the key path (exit 2, no output directory), not at validate time."""
@@ -504,8 +515,9 @@ def test_quadrature_only_checks_the_gaussian_tail(tmp_path, write_cfg):
 
 
 def test_csv_outputs_deterministic(tmp_path, write_cfg):
-    cfg = write_cfg({"family": "poisson", "n": 2000, "certification": {"gamma0": [1.0, 1.5]},
-                     "sweep": {"values": [2]}})
+    theta = [0.5, -0.125, 0.05]
+    cfg = write_cfg({"family": "poisson", "n": 2000, "truth": {"theta": theta},
+                     "certification": {"gamma0": [1.0, 1.5]}, "sweep": {"values": [2]}})
     out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
     assert main(["certify", "--config", cfg, "--out", out1]) == 0
     assert main(["certify", "--config", cfg, "--out", out2]) == 0
@@ -516,6 +528,14 @@ def test_csv_outputs_deterministic(tmp_path, write_cfg):
     rows = _read_checks(os.path.join(out1, "certificates.csv"))
     assert [(r["label"], r["kind"], r["gamma0"]) for r in rows[3:]] == [
         ("gamma0=1", "gamma0_family", "1.0"), ("gamma0=1.5", "gamma0_family", "1.5")]
+    # each is compare_choices' certificate of D(g0), drawn from the given theta
+    run = lapcert.cli.Run(load_config(cfg), 1)
+    for row, g0 in zip(rows[3:], (1.0, 1.5)):
+        c = lapcert.certification.certify(
+            run.fit, run.prob, lapcert.certification.choice_gamma0(run.fit, g0, run.cfg.gamma))
+        assert float(row["tv_bound"]) == c.tv_bound
+    assert main(["simulate", "--config", cfg, "--out", out1]) == 0
+    assert json.load(open(os.path.join(out1, "dataset.json")))["truth"]["p_star"] == len(theta)
     # each usable one is checked by validate and by a real-mode sweep, like the three
     extra = [r["label"] for r in rows[3:] if r["feasible"] == "1" and float(r["tv_bound"]) < 1]
     assert extra == ["gamma0=1", "gamma0=1.5"]
@@ -557,7 +577,7 @@ def test_seed_override(tmp_path, write_cfg):
     assert json.load(open(os.path.join(out1, "manifest.json")))["config"]["seed"] == 9
     sidecar = json.load(open(os.path.join(out1, "dataset.json")))
     assert sidecar == {"seed": 9, "family": "poisson", "n": 200, "truth": {
-        "p_star": 5, "amplitude": 0.5, "decay": 2.0, "explicit": None}}
+        "p_star": 5, "amplitude": 0.5, "decay": 2.0, "theta": None}}
 
 
 def test_manifest_git_hash_from_source_tree(tmp_path, monkeypatch, write_cfg):
@@ -573,6 +593,21 @@ def test_manifest_git_hash_from_source_tree(tmp_path, monkeypatch, write_cfg):
     monkeypatch.chdir(tmp_path)
     assert main(["eigen", "--config", write_cfg(), "--out", "o"]) == 0
     assert json.load(open(tmp_path / "o" / "manifest.json"))["git_hash"] == head.stdout.strip()
+
+
+def test_manifest_git_hash_unknown_when_git_hangs(tmp_path, monkeypatch, write_cfg, capsys):
+    """A `git rev-parse` that times out leaves the run's exit code and its manifest,
+    whose git_hash is "unknown"; a manifest that cannot be written exits 3."""
+    def hang(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+    monkeypatch.setattr(lapcert.cli.subprocess, "run", hang)
+    out = tmp_path / "o"
+    assert main(["eigen", "--config", write_cfg(), "--out", str(out)]) == 0
+    assert json.load(open(out / "manifest.json"))["git_hash"] == "unknown"
+    os.remove(out / "manifest.json")
+    os.mkdir(out / "manifest.json")
+    assert main(["eigen", "--config", write_cfg(), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("IsADirectoryError:")
 
 
 def test_sweep_synthetic(tmp_path, write_cfg):

@@ -119,10 +119,10 @@ def test_generate_matches_per_observation_reference(volterra_eig_small):
     # Poisson: s in [-66, 26], so rates below and above 30 and s <= -40 in one
     # dataset; Bernoulli: |s| up to 40
     truths = {"poisson": (-30.0, 130.0), "bernoulli": (0.0, 133.0), "gaussian": (-30.0, 130.0)}
-    for kind, explicit in truths.items():
+    for kind, theta in truths.items():
         for seed in (0, 1, 2 ** 64 - 1):
             ds = generate(volterra_eig_small, exp_family(kind),
-                          TruthSpec(p_star=2, explicit=explicit), n=1000, seed=seed)
+                          TruthSpec(theta=theta), n=1000, seed=seed)
             assert np.array_equal(ds.y, _reference_y(kind, ds.s_true, seed)), (kind, seed)
         if kind == "poisson":
             assert ds.s_true.min() < -40.0 and np.sum(ds.s_true >= math.log(30.0)) > 100
@@ -150,7 +150,7 @@ def test_generate_rejects_rate_overflow_before_drawing(volterra_eig_small, monke
     monkeypatch.setattr(lapcert.model, "_substream", no_draw)
     fam = exp_family("poisson")
     # rates up to e^45 > 1e15; s past 709.78, where math.exp overflows; nan
-    for truth in (TruthSpec(p_star=2, explicit=(0.0, 150.0)), TruthSpec(p_star=2, amplitude=1e4),
+    for truth in (TruthSpec(theta=(0.0, 150.0)), TruthSpec(p_star=2, amplitude=1e4),
                   TruthSpec(p_star=2, amplitude=float("nan"))):
         with pytest.raises(ModelError, match="poisson rate overflow"):
             generate(volterra_eig_small, fam, truth, n=200, seed=0)
@@ -217,12 +217,14 @@ def test_d3_envelopes():
 
 
 def test_truth_theta():
-    t = TruthSpec(p_star=4, amplitude=0.5, decay=2.0).theta()
+    t = TruthSpec(p_star=4, amplitude=0.5, decay=2.0).coefficients()
     assert np.allclose(t, [0.5, -0.125, 0.5 / 9, -0.03125])
-    e = TruthSpec(p_star=2, explicit=(0.3, -0.1)).theta()
-    assert np.allclose(e, [0.3, -0.1])
+    # a given theta sets p_star, whatever p_star was passed
+    e = TruthSpec(p_star=3, theta=(0.3, -0.1))
+    assert e.p_star == 2
+    assert np.allclose(e.coefficients(), [0.3, -0.1])
     with pytest.raises(ModelError):
-        TruthSpec(p_star=3, explicit=(1.0,)).theta()
+        TruthSpec(theta=(0.3, math.inf)).coefficients()
 
 
 def test_generate_deterministic(volterra_eig_small):
@@ -248,7 +250,7 @@ def test_gaussian_generate_moments(volterra_eig_small):
 
 
 def test_signal_sup_norm(volterra_eig_small):
-    theta = TruthSpec(p_star=6).theta()
+    theta = TruthSpec(p_star=6).coefficients()
     sup = signal_sup_norm(volterra_eig_small, theta)
     field = sum(theta[k] * np.sqrt(volterra_eig_small.lambdas[k]) * volterra_eig_small.psi[k]
                 for k in range(6))
