@@ -27,7 +27,7 @@ from .__main__ import BLAS_VARS
 from .config import ConfigError, ExperimentConfig, load_config, sweep_points
 from .eigensolver import cached_solve, eig_diagnostics
 from .model import exp_family, generate
-from .operators import CoefficientPair, assemble_design
+from .operators import assemble_design
 from .posterior import Problem, f_rounding, map_solve, usable_cores
 
 CERT_COLUMNS = ["label", "kind", "gamma0", "alpha", "effdim", "radius",
@@ -106,9 +106,8 @@ class Run:
     @cached_property
     def eig(self):
         cfg = self.cfg
-        spec = CoefficientPair(tuple(cfg.operator.a), tuple(cfg.operator.b))
         cache = cfg.eigensolver.cache_dir or os.path.join(cfg.out_dir, "eigcache")
-        return cached_solve(spec, cfg.eigensolver.N, cfg.eigensolver.K, cache).leading(
+        return cached_solve(cfg.operator, cfg.eigensolver.N, cfg.eigensolver.K, cache).leading(
             max(cfg.p, cfg.truth.p_star, *(point.p for point in self.points)))
 
     @cached_property

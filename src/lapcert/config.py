@@ -1,8 +1,10 @@
 """Experiment configuration: strict JSON schema with materialized defaults.
 
 Unknown keys anywhere in the document are rejected with the offending path
-so typos never silently fall back to defaults.  `sweep_points` gives a
-real-mode sweep's points, each validated like the config it came from.
+so typos never silently fall back to defaults.  The `truth` and `operator`
+sections are `model.TruthSpec` and `operators.CoefficientPair`; a section's own
+refusal is a config error on its path.  `sweep_points` gives a real-mode
+sweep's points, each validated like the config it came from.
 """
 from __future__ import annotations
 
@@ -21,12 +23,6 @@ MIN_SAMPLES = 10000   # fewest importance draws a run takes (validation.M)
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class OperatorCfg:
-    a: list = field(default_factory=lambda: [1.0])
-    b: list = field(default_factory=lambda: [0.0])
 
 
 @dataclass
@@ -58,7 +54,7 @@ class SweepCfg:
 
 @dataclass
 class ExperimentConfig:
-    operator: OperatorCfg = field(default_factory=OperatorCfg)
+    operator: CoefficientPair = field(default_factory=CoefficientPair)
     family: str = "poisson"
     n: int = 2000
     p: int = 6
@@ -81,12 +77,13 @@ def _number(v) -> bool:   # never a bool, and finite: json reads NaN and Infinit
 _TYPES = {"int": lambda v: _number(v) and isinstance(v, int), "float": _number,
           "str": lambda v: isinstance(v, str), "bool": lambda v: isinstance(v, bool),
           "list": lambda v: isinstance(v, list) and all(map(_number, v))}
+_TYPES["tuple"] = _TYPES["list"]
 
 
 def _build(cls, data: dict, path: str):
     """cls(**data) with its sections, the fields whose default_factory is a
-    dataclass, built in turn; unknown keys and values of the wrong type are
-    rejected."""
+    dataclass, built in turn; unknown keys, values of the wrong type and the
+    section's own refusal (a ValueError of cls) are rejected."""
     if not isinstance(data, dict):
         raise ConfigError("%s: expected an object" % path)
     fields = cls.__dataclass_fields__
@@ -98,9 +95,13 @@ def _build(cls, data: dict, path: str):
         accepts = _TYPES.get(typ.removesuffix(" | None"))
         if accepts and not (accepts(val) or val is None and typ.endswith(" | None")):
             raise ConfigError("%s.%s: expected %s, got %r" % (path, key, typ, val))
-    return cls(**{key: (_build(fields[key].default_factory, val, path + "." + key)
-                        if is_dataclass(fields[key].default_factory) else val)
-                  for key, val in data.items()})
+    kwargs = {key: (_build(fields[key].default_factory, val, path + "." + key)
+                    if is_dataclass(fields[key].default_factory) else val)
+              for key, val in data.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:   # e.g. CoefficientPair's OperatorSpecError
+        raise ConfigError("%s: %s" % (path, exc)) from exc
 
 
 def load_config(path: str, **overrides) -> ExperimentConfig:
@@ -137,8 +138,7 @@ def _validate(cfg: ExperimentConfig, where: str) -> None:
     if not 1 <= cfg.eigensolver.K <= MAX_K:
         raise ConfigError("%s.eigensolver.K: must be in [1, %d]" % (where, MAX_K))
     try:   # the eigensolver's own refusal of the operator
-        spec = CoefficientPair(tuple(cfg.operator.a), tuple(cfg.operator.b))
-        mu_scan_top(liouville_transform(spec, cfg.eigensolver.N), cfg.eigensolver.K)
+        mu_scan_top(liouville_transform(cfg.operator, cfg.eigensolver.N), cfg.eigensolver.K)
     except OperatorSpecError as exc:
         raise ConfigError("%s.operator: %s" % (where, exc)) from exc
     if cfg.family not in ("poisson", "gaussian", "bernoulli"):
@@ -147,8 +147,8 @@ def _validate(cfg: ExperimentConfig, where: str) -> None:
         raise ConfigError("%s: n and p must be >= 1" % where)
     if cfg.p > cfg.eigensolver.K:
         raise ConfigError("%s: p exceeds eigensolver.K" % where)
-    if cfg.truth.p_star > cfg.eigensolver.K:
-        raise ConfigError("%s.truth.%s: more modes than eigensolver.K"
+    if not 0 <= cfg.truth.p_star <= cfg.eigensolver.K:
+        raise ConfigError("%s.truth.%s: the mode count must be in [0, eigensolver.K]"
                           % (where, "p_star" if cfg.truth.theta is None else "theta"))
     if not 0 <= cfg.seed < 2 ** 64:
         raise ConfigError("%s.seed: must be in [0, 2**64)" % where)
@@ -174,12 +174,12 @@ def _validate(cfg: ExperimentConfig, where: str) -> None:
         raise ConfigError("%s.sweep.axis: must be 'p' or 'n'" % where)
     if not cfg.sweep.values:
         raise ConfigError("%s.sweep.values: must not be empty" % where)
-    # p is a mode count; a real-mode n is a sample size (the p <= K bound of a
-    # real-mode point is checked by `sweep_points`)
-    if cfg.sweep.axis == "p" or not cfg.sweep.synthetic:
-        if not all(type(v) is int and v >= 1 for v in cfg.sweep.values):
-            raise ConfigError("%s.sweep.values: %s values must be integers >= 1"
-                              % (where, cfg.sweep.axis))
+    # p is a mode count and n a sample size: >= 1, and integers but on a synthetic n grid
+    # (the p <= K bound of a real-mode point is checked by `sweep_points`)
+    ints = cfg.sweep.axis == "p" or not cfg.sweep.synthetic
+    if not all(v >= 1 and (type(v) is int or not ints) for v in cfg.sweep.values):
+        raise ConfigError("%s.sweep.values: %s values must be %s >= 1"
+                          % (where, cfg.sweep.axis, "integers" if ints else "numbers"))
     gamma0 = cfg.certification.gamma0 or []
     if any(g0 > cfg.gamma for g0 in gamma0):
         raise ConfigError("%s.certification.gamma0: entries must be <= gamma" % where)

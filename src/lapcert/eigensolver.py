@@ -30,7 +30,7 @@ from zlib import crc32
 import numpy as np
 
 from .operators import (CoefficientPair, OperatorSpecError, _apply_R_transpose, apply_R,
-                        cumulative_trapezoid, grid, trapezoid_weights)
+                        cumulative_trapezoid, grid, poly, trapezoid_weights)
 
 
 class EigenSolverError(RuntimeError):
@@ -52,8 +52,8 @@ class LiouvilleForm:
 
 def _q_potential(spec: CoefficientPair, x: np.ndarray) -> np.ndarray:
     # Q = b^2 - (ab)' + (a')^2/4 + a a''/2, evaluated with exact poly derivatives
-    a, b = spec.a(x), spec.b(x)
-    a1, a2, b1 = spec.a1(x), spec.a2(x), spec.b1(x)
+    a, a1, a2 = (poly(spec.a, x, d) for d in range(3))
+    b, b1 = poly(spec.b, x), poly(spec.b, x, 1)
     return b * b - (a1 * b + a * b1) + 0.25 * a1 * a1 + 0.5 * a * a2
 
 
@@ -61,12 +61,12 @@ def liouville_transform(spec: CoefficientPair, N: int) -> LiouvilleForm:
     """Liouville form on N steps; OperatorSpecError if T = int 1/a, Q or c2 is not finite."""
     x = grid(N)
     with np.errstate(all="ignore"):   # a non-finite form is refused below, by name
-        t_of_x = cumulative_trapezoid(1.0 / spec.a(x), 1.0 / N)
+        t_of_x = cumulative_trapezoid(1.0 / poly(spec.a, x), 1.0 / N)
         T = float(t_of_x[-1])
         # linspace(0, T, 2N+1)[::2] equals linspace(0, T, N+1) exactly
         Qh = _q_potential(spec, np.interp(np.linspace(0.0, T, 2 * N + 1), t_of_x, x))
         # right boundary of u from a(1) psi'(1) + b(1) psi(1) = 0 with psi = a^{-1/2} u(t(x))
-        c2 = float(spec.b(1.0) - 0.5 * spec.a1(1.0))
+        c2 = float(poly(spec.b, 1.0) - 0.5 * poly(spec.a, 1.0, 1))
     for name, value in (("T = int 1/a", T), ("max |Q|", np.abs(Qh).max()), ("c2", c2)):
         if not np.isfinite(value):
             raise OperatorSpecError("Liouville form not finite: %s = %g" % (name, value))
@@ -286,7 +286,7 @@ def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int) -> EigenSyste
 
     # back-transform psi_k(x) = u_k(t(x)) a(x)^{-1/2}; chain rule for psi'
     x = grid(N)
-    ra, ha1, a_15 = np.sqrt(spec.a(x)), 0.5 * spec.a1(x), spec.a(x) ** -1.5
+    ra, ha1, a_15 = np.sqrt(poly(spec.a, x)), 0.5 * poly(spec.a, x, 1), poly(spec.a, x) ** -1.5
     # Column-major, so the K values at each grid point are adjacent.  Products
     # over k (e.g. theta @ psi[:p]) round differently in the other layout, and
     # every artifact is pinned to this one; the .npz cache keeps it.  The path's
@@ -381,7 +381,7 @@ def _solver_source() -> bytes:
 
 def _cache_key(spec: CoefficientPair, N: int, K: int) -> bytes:
     # another operator, solver code or numpy gives another key, which the entry stores
-    payload = {"spec": {"a": list(spec.a_coeffs), "b": list(spec.b_coeffs)}, "N": N, "K": K,
+    payload = {"spec": {"a": list(spec.a), "b": list(spec.b)}, "N": N, "K": K,
                "numpy": np.__version__}
     return json.dumps(payload, sort_keys=True).encode() + _solver_source()
 

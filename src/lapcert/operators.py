@@ -1,10 +1,10 @@
 """Smoothing operator R defined by a g' + b g = f, g(0)=0, on [0,1].
 
-Coefficients a, b are polynomials, evaluated by numpy's polyval with exact
-symbolic derivatives by polyder; all quadrature is composite trapezoid on the
-uniform grid x_i = i/N.  R and its discrete transpose are applied
-matrix-free, each in O(N) as one running sum; no dense matrix of R is ever
-formed.
+Coefficients a, b are polynomials, a `CoefficientPair` (the config's `operator`
+section); `poly`, the one evaluator, takes each and its exact derivatives by
+numpy's polyval and polyder.  All quadrature is composite trapezoid on the
+uniform grid x_i = i/N.  R and its discrete transpose are applied matrix-free,
+each in O(N) as one running sum; no dense matrix of R is ever formed.
 """
 from __future__ import annotations
 
@@ -23,39 +23,29 @@ class OperatorSpecError(ValueError):
 
 @dataclass(frozen=True)
 class CoefficientPair:
-    """Polynomial coefficients (ascending degree) for a(x), b(x) on [0,1]."""
+    """Polynomial coefficients (ascending degree) of a(x), b(x) on [0,1]; the config's
+    `operator` section, whose default is the Volterra operator."""
 
-    a_coeffs: tuple
-    b_coeffs: tuple
+    a: tuple = (1.0,)
+    b: tuple = (0.0,)
 
     def __post_init__(self):
-        object.__setattr__(self, "a_coeffs", tuple(float(c) for c in self.a_coeffs))
-        object.__setattr__(self, "b_coeffs", tuple(float(c) for c in self.b_coeffs))
-        if not (self.a_coeffs and self.b_coeffs):
+        object.__setattr__(self, "a", tuple(float(c) for c in self.a))
+        object.__setattr__(self, "b", tuple(float(c) for c in self.b))
+        if not (self.a and self.b):
             raise OperatorSpecError("a and b need at least one coefficient")
-        if len(self.a_coeffs) - 1 > MAX_POLY_DEGREE or len(self.b_coeffs) - 1 > MAX_POLY_DEGREE:
+        if len(self.a) - 1 > MAX_POLY_DEGREE or len(self.b) - 1 > MAX_POLY_DEGREE:
             raise OperatorSpecError("polynomial degree > %d" % MAX_POLY_DEGREE)
-        xs = np.linspace(0.0, 1.0, 2049)
         with np.errstate(all="ignore"):   # an overflow is refused below
-            avals = self.a(xs)
+            avals = poly(self.a, np.linspace(0.0, 1.0, 2049))
         if not np.all(np.isfinite(avals)) or avals.min() <= 0.0:
             raise OperatorSpecError("a(x) must be strictly positive on [0,1]")
 
-    # numpy takes the top coefficient first; a derivative past the degree is 0
-    def a(self, x):
-        return np.polyval(self.a_coeffs[::-1], x)
 
-    def b(self, x):
-        return np.polyval(self.b_coeffs[::-1], x)
-
-    def a1(self, x):
-        return np.polyval(np.polyder(self.a_coeffs[::-1], 1), x)
-
-    def a2(self, x):
-        return np.polyval(np.polyder(self.a_coeffs[::-1], 2), x)
-
-    def b1(self, x):
-        return np.polyval(np.polyder(self.b_coeffs[::-1], 1), x)
+def poly(coeffs: tuple, x, d: int = 0):
+    """The d-th derivative at x of the polynomial with ascending coefficients `coeffs`."""
+    # numpy takes the top coefficient first; polyder(p, 0) is p, and past the degree 0
+    return np.polyval(np.polyder(coeffs[::-1], d), x)
 
 
 VOLTERRA = CoefficientPair((1.0,), (0.0,))
@@ -85,7 +75,7 @@ def cumulative_antiderivative(spec: CoefficientPair, N: int) -> np.ndarray:
     if N < 64:
         raise ValueError("N >= 64 required")
     x = grid(N)
-    return cumulative_trapezoid(spec.b(x) / spec.a(x), 1.0 / N)
+    return cumulative_trapezoid(poly(spec.b, x) / poly(spec.a, x), 1.0 / N)
 
 
 def apply_R(spec: CoefficientPair, f: np.ndarray) -> np.ndarray:
@@ -94,7 +84,7 @@ def apply_R(spec: CoefficientPair, f: np.ndarray) -> np.ndarray:
     N = f.size - 1
     x = grid(N)
     C = cumulative_antiderivative(spec, N)
-    inner = cumulative_trapezoid(np.exp(C) * f / spec.a(x), 1.0 / N)
+    inner = cumulative_trapezoid(np.exp(C) * f / poly(spec.a, x), 1.0 / N)
     return np.exp(-C) * inner
 
 
@@ -113,7 +103,7 @@ def _apply_R_transpose(spec: CoefficientPair, v: np.ndarray) -> np.ndarray:
     after = np.concatenate((np.cumsum(u[:0:-1])[::-1], [0.0]))   # sum_{i>j} u_i
     s = dx * after + 0.5 * dx * u
     s[0] = 0.5 * dx * after[0]
-    return np.exp(C) / spec.a(grid(N)) * s
+    return np.exp(C) / poly(spec.a, grid(N)) * s
 
 
 def trapezoid_weights(N: int) -> np.ndarray:

@@ -26,6 +26,7 @@ import lapcert.posterior
 import lapcert.validation
 from lapcert.cli import main
 from lapcert.config import ConfigError, config_from_dict, load_config
+from lapcert.operators import CoefficientPair
 from lapcert.posterior import usable_cores
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -96,6 +97,26 @@ def test_defaults_materialized():
     assert d["sweep"]["axis"] == "p"
 
 
+def test_operator_section_is_the_coefficient_pair(write_cfg, monkeypatch):
+    """The config's operator section is the CoefficientPair that the run solves: its
+    coefficients load as floats, perfbench's tracer rebuilds an equal pair from it, and
+    Run.eig hands it itself to cached_solve.  The section refuses before _validate, so a
+    bad operator is named ahead of a bad N."""
+    cfg = config_from_dict({**BASE, "operator": {"a": [1, 0.5], "b": [0.5]}})
+    assert cfg.operator == CoefficientPair((1.0, 0.5), (0.5,))
+    assert CoefficientPair(tuple(cfg.operator.a), tuple(cfg.operator.b)) == cfg.operator
+    assert json.dumps(asdict(cfg)["operator"]) == '{"a": [1.0, 0.5], "b": [0.5]}'
+    with pytest.raises(ConfigError, match=r"\.operator: a\(x\) must be strictly positive"):
+        config_from_dict({**BASE, "operator": {"a": [-1.0]}, "eigensolver": {"N": 5}})
+    solved = []
+    real = lapcert.cli.cached_solve
+    monkeypatch.setattr(lapcert.cli, "cached_solve",
+                        lambda spec, *args: solved.append(spec) or real(spec, *args))
+    cfg = load_config(write_cfg())
+    assert lapcert.cli.Run(cfg, 1).eig.lambdas.size == 30
+    assert len(solved) == 1 and solved[0] is cfg.operator
+
+
 def test_invalid_values_rejected(tmp_path, write_cfg, capsys):
     with pytest.raises(ConfigError, match="family"):
         config_from_dict({**BASE, "family": "cauchy"})
@@ -110,6 +131,12 @@ def test_invalid_values_rejected(tmp_path, write_cfg, capsys):
                            ({"validation": {"M": 1e5}}, ".validation.M:"),
                            ({"sweep": {"values": [2, 2.5]}}, ".sweep.values:"),
                            ({"sweep": {"axis": "n", "values": [300.5]}}, ".sweep.values:"),
+                           # every grid value is a mode count or a sample size, >= 1
+                           ({"sweep": {"axis": "n", "values": [0], "synthetic": True}},
+                            ".sweep.values:"),
+                           ({"sweep": {"axis": "n", "values": [-5.0], "synthetic": True}},
+                            ".sweep.values:"),
+                           ({"truth": {"p_star": -3}}, ".truth.p_star:"),
                            # lists hold numbers (never a bool); str | None, bool
                            ({"certification": {"gamma0": 1.5}}, ".certification.gamma0:"),
                            ({"certification": {"gamma0": ["x"]}}, ".certification.gamma0:"),

@@ -13,7 +13,7 @@ from lapcert.eigensolver import (EigenSystem, _q_potential, _rk4_shoot, cached_s
                                  eig_diagnostics, liouville_transform,
                                  load_eigensystem, save_eigensystem,
                                  solve_eigs, svd_oracle)
-from lapcert.operators import VOLTERRA, CoefficientPair, OperatorSpecError, grid
+from lapcert.operators import VOLTERRA, CoefficientPair, OperatorSpecError, grid, poly
 
 from conftest import SPEC_CORPUS
 from probes import l2_inner
@@ -67,7 +67,7 @@ def test_boundary_conditions(corpus_eigs):
 def test_robin_condition_at_one(corpus_eigs):
     """a(1) psi'(1) + b(1) psi(1) = 0 for each eigenfunction."""
     for spec, eig in zip(SPEC_CORPUS, corpus_eigs):
-        a1, b1 = float(spec.a(1.0)), float(spec.b(1.0))
+        a1, b1 = float(poly(spec.a, 1.0)), float(poly(spec.b, 1.0))
         for k in (0, 4, 14):
             resid = a1 * eig.dpsi[k, -1] + b1 * eig.psi[k, -1]
             scale = max(abs(eig.dpsi[k, -1]), abs(eig.psi[k, -1]), 1.0)
@@ -86,7 +86,7 @@ def test_liouville_transform_fields():
     x = 2 * (np.exp(np.linspace(0, form.T, 2 * N + 1) / 2) - 1)
     a, b = 1 + 0.5 * x, 0.1 + 0.3 * x
     assert np.max(np.abs(form.Qh - (b * b - (0.5 * b + 0.3 * a) + 0.0625))) < 1e-7
-    assert form.c2 == pytest.approx(float(spec.b(1.0) - 0.5 * spec.a1(1.0)))
+    assert form.c2 == pytest.approx(float(poly(spec.b, 1.0) - 0.5 * poly(spec.a, 1.0, 1)))
 
 
 def test_half_step_potential_holds_the_grid_potential():
@@ -105,8 +105,9 @@ def test_sturm_liouville_residual(eig_cache):
     spec = CoefficientPair((1.0, 0.0, 0.25), (0.2, 0.1))
     eig = cached_solve(spec, 4096, 20, eig_cache)
     x = eig.x
-    a2 = spec.a(x) ** 2
-    q = spec.b(x) ** 2 - (spec.a1(x) * spec.b(x) + spec.a(x) * spec.b1(x))
+    a, a1, b, b1 = poly(spec.a, x), poly(spec.a, x, 1), poly(spec.b, x), poly(spec.b, x, 1)
+    a2 = a ** 2
+    q = b ** 2 - (a1 * b + a * b1)
     for k in (2, 9):
         h = eig.psi[k]
         # one numerical derivative only: the stored dpsi is analytic

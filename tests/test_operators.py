@@ -10,7 +10,7 @@ from lapcert.model import ModelError, TruthSpec, exp_family, generate
 from lapcert.operators import (VOLTERRA, CoefficientPair,
                                OperatorSpecError, _apply_R_transpose, apply_R,
                                assemble_design, cumulative_antiderivative, grid,
-                               trapezoid_weights)
+                               poly, trapezoid_weights)
 
 from conftest import SPEC_CORPUS
 from probes import l2_inner
@@ -36,7 +36,7 @@ def discretize_R(spec, N):
     W[:, 0] = 0.5 * dx
     W[idx, idx] = 0.5 * dx
     W[0, :] = 0.0
-    return np.exp(-C)[:, None] * W * (np.exp(C) / spec.a(x))[None, :]
+    return np.exp(-C)[:, None] * W * (np.exp(C) / poly(spec.a, x))[None, :]
 
 
 def test_volterra_is_running_integral():
@@ -53,7 +53,8 @@ def test_apply_R_solves_ode():
     x = grid(N)
     f = np.sin(2 * x) + 1.0
     g = apply_R(spec, f)
-    resid = spec.a(x[1:-1]) * np.gradient(g, x)[1:-1] + spec.b(x[1:-1]) * g[1:-1] - f[1:-1]
+    a, b = poly(spec.a, x[1:-1]), poly(spec.b, x[1:-1])
+    resid = a * np.gradient(g, x)[1:-1] + b * g[1:-1] - f[1:-1]
     assert g[0] == 0.0
     assert np.max(np.abs(resid)) < 1e-3
 
@@ -105,7 +106,7 @@ def test_antiderivative_linear_case():
     C = cumulative_antiderivative(spec, N)
     assert np.max(np.abs(C - 0.2 * np.log1p(0.5 * x))) < 1e-8
     # the numpy running trapezoid is scipy's expression, bit for bit
-    ref = cumulative_trapezoid_ref(spec.b(x) / spec.a(x), dx=1.0 / N, initial=0.0)
+    ref = cumulative_trapezoid_ref(poly(spec.b, x) / poly(spec.a, x), dx=1.0 / N, initial=0.0)
     assert np.array_equal(C, ref)
 
 
@@ -117,20 +118,21 @@ def test_trapezoid_weights_sum_to_one():
 
 @pytest.mark.parametrize("degree", range(17))
 def test_coefficients_evaluate_as_numpy_polynomial(degree):
-    """a, b, a', a'' and b' equal numpy.polynomial's polyval of the coefficients and of
-    their polyder bit for bit, at every degree the specs allow, on the 2049-point
-    positivity grid, on grid(4096) and at x = 1, a constant's zero derivatives included."""
+    """poly of a or b and of their first and second derivatives equals numpy.polynomial's
+    polyval of the coefficients and of their polyder bit for bit, at every degree the
+    specs allow, on the 2049-point positivity grid, on grid(4096) and at x = 1, a
+    constant's zero derivatives included."""
     rng = np.random.default_rng(degree)
     # a >= 2 - 0.5 > 0 on [0, 1]; b spans six decades
     a = (2.0 + abs(rng.standard_normal()),) + tuple(rng.uniform(-1, 1, degree) / (2 * degree or 1))
     b = tuple(rng.standard_normal(degree + 1) * 10.0 ** rng.integers(-3, 4, degree + 1))
     spec = CoefficientPair(a, b)
     for x in (np.linspace(0.0, 1.0, 2049), grid(4096), 1.0):
-        for got, c, m in ((spec.a, a, 0), (spec.b, b, 0), (spec.a1, a, 1), (spec.a2, a, 2),
-                          (spec.b1, b, 1)):
-            want = npoly.polyval(x, npoly.polyder(c, m) if m else c)
-            assert np.array_equal(np.float64(got(x)).view(np.uint64),
-                                  np.float64(want).view(np.uint64)), (got.__name__, x)
+        for coeffs, c in ((spec.a, a), (spec.b, b)):
+            for m in range(3):
+                want = npoly.polyval(x, npoly.polyder(c, m) if m else c)
+                assert np.array_equal(np.float64(poly(coeffs, x, m)).view(np.uint64),
+                                      np.float64(want).view(np.uint64)), (c, m, x)
 
 
 def test_nonpositive_a_rejected():
