@@ -233,7 +233,7 @@ def gamma0_star(n: int, beta: float, gamma: float) -> tuple:
     g0 = gamma - 0.5 - 0.5 / m
     if n <= (beta + gamma - 1) ** (-2 * beta - 2 * gamma):
         warnings.warn("n below the bracket threshold (beta+gamma-1)^{-2b-2g}; "
-                      "S-sum brackets are not guaranteed", stacklevel=2)
+                      "S-sum brackets are not guaranteed")   # one location: once a run
     m0s = n ** (1.0 / (2 * beta + 2 * g0))
     return g0, m, m0s
 

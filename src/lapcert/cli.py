@@ -16,7 +16,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import asdict, astuple
+from dataclasses import asdict
 from functools import cached_property
 
 import numpy as np
@@ -232,7 +232,7 @@ def _checks(run) -> list:
         rows += [_check(label, "tv_" + tv.method, c.tv_bound, (tv.value, tv.ci_low, tv.ci_high),
                         tv.ci_high > max(c.tv_bound, tv_floor)) for tv in run.tvs]
         draws = run.tvs[0].method == "importance"
-        m = astuple(run.tvs[0].outside[run.usable.index(label)]) if draws else (None,) * 3
+        m = run.tvs[0].outside[run.usable.index(label)] if draws else (None,) * 3
         lo, hi, refuted = c.gaussian_mass()
         rows += [_check(label, "tail_posterior", c.posterior_tail, m,
                         draws and m[1] > max(c.posterior_tail, CHECK_FLOOR),

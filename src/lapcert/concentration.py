@@ -15,5 +15,5 @@ from .validation import TVEstimate, tv_importance
 def empirical_outside_mass(fit: LaplaceFit, prob: Problem, D0_sq: np.ndarray,
                            r: float, n_samples: int = 2000, seed: int = 0) -> TVEstimate:
     """`tv_importance` over its own draw (stream 11) with U(D0, r) as its one
-    region: `.outside[0]` is the `validation.OutsideMass` of U(D0, r)."""
+    region: `.outside[0]` is U(D0, r)'s (fraction, ci_low, ci_high)."""
     return tv_importance(fit, prob, n_samples, seed, [(D0_sq, r)], stream=11)

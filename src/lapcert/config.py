@@ -137,14 +137,16 @@ def _validate(cfg: ExperimentConfig, where: str) -> None:
         raise ConfigError("%s.eigensolver.N: must be in [%d, %d]" % (where, MIN_N, MAX_N))
     if not 1 <= cfg.eigensolver.K <= MAX_K:
         raise ConfigError("%s.eigensolver.K: must be in [1, %d]" % (where, MAX_K))
-    try:   # the eigensolver's own refusal of the operator
+    try:   # the eigensolver's own refusal of the operator, then of N for this K
         mu_scan_top(liouville_transform(cfg.operator, cfg.eigensolver.N), cfg.eigensolver.K)
     except OperatorSpecError as exc:
         raise ConfigError("%s.operator: %s" % (where, exc)) from exc
+    except ValueError as exc:
+        raise ConfigError("%s.eigensolver.N: %s" % (where, exc)) from exc
     if cfg.family not in ("poisson", "gaussian", "bernoulli"):
         raise ConfigError("%s.family: unknown family %r" % (where, cfg.family))
     if cfg.n < 1 or cfg.p < 1:
-        raise ConfigError("%s: n and p must be >= 1" % where)
+        raise ConfigError("%s.%s: must be >= 1" % (where, "n" if cfg.n < 1 else "p"))
     if cfg.p > cfg.eigensolver.K:
         raise ConfigError("%s: p exceeds eigensolver.K" % where)
     if not 0 <= cfg.truth.p_star <= cfg.eigensolver.K:
@@ -159,8 +161,8 @@ def _validate(cfg: ExperimentConfig, where: str) -> None:
     except OverflowError:
         raise ConfigError("%s.gamma: p^(2*gamma) overflows a float (p = %d, gamma = %r)"
                           % (where, cfg.p, cfg.gamma)) from None
-    if not 2 * cfg.certification.beta + 2 * cfg.gamma > 2:
-        raise ConfigError("%s.certification.beta: 2*beta + 2*gamma must be > 2" % where)
+    if not 2 < 2 * cfg.certification.beta + 2 * cfg.gamma < math.inf:
+        raise ConfigError("%s.certification.beta: 2*beta + 2*gamma must be > 2 and finite" % where)
     if cfg.validation.method not in ("importance", "quadrature", "both"):
         raise ConfigError("%s.validation.method: unknown method" % where)
     if cfg.validation.method != "importance" and cfg.p > MAX_QUADRATURE_P:

@@ -43,7 +43,6 @@ class LiouvilleForm:
     t_of_x: np.ndarray   # on the uniform x grid
     Qh: np.ndarray       # on the half-step t grid (2N+1 points); Qh[::2] is the t grid
     c2: float
-    N: int
 
     @property
     def Q_sup(self) -> float:
@@ -70,7 +69,7 @@ def liouville_transform(spec: CoefficientPair, N: int) -> LiouvilleForm:
     for name, value in (("T = int 1/a", T), ("max |Q|", np.abs(Qh).max()), ("c2", c2)):
         if not np.isfinite(value):
             raise OperatorSpecError("Liouville form not finite: %s = %g" % (name, value))
-    return LiouvilleForm(T=T, t_of_x=t_of_x, Qh=Qh, c2=c2, N=N)
+    return LiouvilleForm(T=T, t_of_x=t_of_x, Qh=Qh, c2=c2)
 
 
 @dataclass(frozen=True)
@@ -185,6 +184,7 @@ _MAX_ILLINOIS = 200   # cap on Illinois iterations; reaching it raises EigenSolv
 _MAX_SCAN = 1 << 20   # cap on a mu-uniform scan, which bounds ours; K = 50 on Volterra scans 232
 _REL_TOL = 1e-10      # relative width at which an eigenvalue's bracket is converged
 _SHOOT_COLUMNS = 64   # mu columns a shoot steps at a time: it bounds the (2, 2, G, 64) temporaries
+_MAX_TURN = 0.8       # radians a step may turn the scan's top mode; lambda_K errs ~ turn^4 / 70
 # the sizes N and K for eigen work: path and dpath (then psi and dpsi) hold (N+1) K floats, and
 # K = 722 is the largest whose mu-uniform scan at Q = 0 fits in _MAX_SCAN
 MIN_N, MAX_N, MAX_K = 1024, 1 << 16, 722
@@ -193,25 +193,30 @@ MIN_N, MAX_N, MAX_K = 1024, 1 << 16, 722
 def mu_scan_top(form: LiouvilleForm, K: int) -> float:
     """Top of the mu scan bracketing the first K <= MAX_K eigenvalues, (K + 2)^2 unit + max Q,
     unit = (pi / T)^2.  OperatorSpecError naming T or max |Q| if a mu-uniform scan up to it at
-    unit / 2, which is at least as long as ours, is not finite or exceeds _MAX_SCAN points."""
+    unit / 2, which is at least as long as ours, is not finite or exceeds _MAX_SCAN points, and
+    ValueError naming the least N if (T / N) sqrt(mu_top - min Q) exceeds _MAX_TURN radians."""
     with np.errstate(all="ignore"):
         unit = (np.pi / np.float64(form.T)) ** 2
         t_fits = np.finfo(float).tiny <= unit and (K + 2) ** 2 * unit < np.inf   # else T's fault
         mu_hi = (K + 2) ** 2 * unit + np.maximum(0.0, form.Qh[::2].max())   # a NaN Q stays NaN
         fits = (mu_hi / unit - 0.25) / 0.5 <= _MAX_SCAN   # False on inf and NaN too
+        steps = form.T * np.sqrt(mu_hi - form.Qh.min()) / _MAX_TURN   # the least N
     if not (t_fits and fits):
         raise OperatorSpecError("mu scan for K = %d is not finite or exceeds %d points (%s)" % (
             K, _MAX_SCAN, "max |Q| = %g" % form.Q_sup if t_fits else "T = %g" % form.T))
+    if steps > form.t_of_x.size - 1:
+        raise ValueError("K = %d needs N >= %.0f" % (K, np.ceil(steps)))
     return float(mu_hi)
 
 
-def solve_eigs(form: LiouvilleForm, spec: CoefficientPair, K: int) -> EigenSystem:
+def solve_eigs(spec: CoefficientPair, N: int, K: int) -> EigenSystem:
     """First K eigenpairs by boundary shooting: mu scan brackets, Illinois refinement."""
     if not 1 <= K <= MAX_K:
         raise ValueError("K in [1, %d] required" % MAX_K)
-    N, Qh, T, c2 = form.N, form.Qh, form.T, form.c2
     if not MIN_N <= N <= MAX_N:
         raise ValueError("N in [%d, %d] required for eigen work" % (MIN_N, MAX_N))
+    form = liouville_transform(spec, N)
+    Qh, T, c2 = form.Qh, form.T, form.c2
 
     def boundary(mu):
         u, up = _rk4_shoot(Qh, T, mu, table=table)
@@ -436,7 +441,7 @@ def cached_solve(spec: CoefficientPair, N: int, K: int, cache_dir: str | None = 
         eig = load_eigensystem(spec, N, K, cache_dir)
         if eig is not None:
             return eig
-    eig = solve_eigs(liouville_transform(spec, N), spec, K)
+    eig = solve_eigs(spec, N, K)
     if cache_dir is not None:
         save_eigensystem(eig, spec, cache_dir)
     return eig

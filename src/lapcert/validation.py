@@ -23,9 +23,9 @@ row blocks (each row cut into column tiles of at most 4096) and the
 bootstrap's blocks run on `workers` threads (default: the usable cores), at
 most one per block, at any size of work; no estimate depends on the count.
 The importance draws also give the posterior mass outside ellipsoids
-{||D0 u|| <= r} (`OutsideMass`), so tail claims need no second likelihood
-pass; each fraction's interval is closed form (delta method) widened by the
-Wilson interval at the ESS, and the bootstrap resamples the TV alone.
+{||D0 u|| <= r}, each a (fraction, ci_low, ci_high) triple, so tail claims need no
+second likelihood pass; each fraction's interval is closed form (delta method) widened
+by the Wilson interval at the ESS, and the bootstrap resamples the TV alone.
 Each draw's ||D0 u||^2 is z^T W z, W = `whiten(L, D0^2)`, on the whitened
 draws, so no array of thetas or of u = theta - theta_hat outlives the kernel.
 """
@@ -47,16 +47,6 @@ MAX_QUADRATURE_P = 3   # largest p the quadrature grid covers (`tv_quadrature`)
 
 
 @dataclass(frozen=True)
-class OutsideMass:
-    """Posterior mass of the draws outside {||D0 u|| <= r}: the self-normalized
-    fraction, its delta-method interval widened by the Wilson interval at the ESS,
-    so an exactly-zero estimate still carries finite uncertainty."""
-    posterior_frac: float
-    posterior_ci_low: float
-    posterior_ci_high: float
-
-
-@dataclass(frozen=True)
 class TVEstimate:
     method: str
     value: float
@@ -65,7 +55,7 @@ class TVEstimate:
     n_points: int
     ess: float | None = None
     low_ess: bool = False
-    outside: tuple = ()     # one OutsideMass per region given to tv_importance
+    outside: tuple = ()     # (fraction, ci_low, ci_high) per region given to tv_importance
 
 
 def wilson_interval(successes: float, trials: float) -> tuple:
@@ -156,7 +146,7 @@ def tv_quadrature(fit: LaplaceFit, prob: Problem, per_axis: int = MIN_PER_AXIS,
 def tv_importance(fit: LaplaceFit, prob: Problem, n_samples: int = 20000, seed: int = 0,
                   regions=(), workers: int | None = None, stream: int = 13) -> TVEstimate:
     """TV = (1/2) E_phi |w / mean(w) - 1| by Monte Carlo under the Gaussian on Philox stream
-    (seed, stream); `outside` holds the `OutsideMass` of each (D0_sq, r) in regions.  Its
+    (seed, stream); `outside` holds the (f, ci_low, ci_high) of each (D0_sq, r) in regions.  Its
     fraction f = sum w 1_out / sum w has the delta-method half-width 1.96 sd(psi) / sqrt(M),
     psi_i = w_i (1_out,i - f) / mean(w), so f = 0 gives exactly (0, Wilson's upper end)."""
     if n_samples < 1000:
@@ -186,8 +176,7 @@ def tv_importance(fit: LaplaceFit, prob: Problem, n_samples: int = 20000, seed: 
         frac = float(np.sum(wo) / total)
         hw = _Z95 * math.sqrt(n_samples) * float(np.std(wo - frac * w) / total)
         e_lo, e_hi = wilson_interval(frac * ess, ess)
-        masses.append(OutsideMass(frac, max(0.0, min(frac - hw, e_lo)),
-                                  min(1.0, max(frac + hw, e_hi))))
+        masses.append((frac, max(0.0, min(frac - hw, e_lo)), min(1.0, max(frac + hw, e_hi))))
     return TVEstimate(method="importance", value=tv,
                       ci_low=max(0.0, min(lo, tv)), ci_high=min(1.0, max(hi, tv)),
                       n_points=n_samples, ess=ess, low_ess=ess < 100.0,

@@ -157,7 +157,13 @@ def test_invalid_values_rejected(tmp_path, write_cfg, capsys):
                            ({"gamma": 199.0, "p": 6}, ".gamma:"),
                            ({"certification": {"gamma0": [math.nan]}},
                             ".certification.gamma0:"),
-                           ({"operator": {"b": [math.nan]}}, ".operator.b:")):
+                           ({"operator": {"b": [math.nan]}}, ".operator.b:"),
+                           # each refusal names its key
+                           ({"n": 0}, ".n:"), ({"p": 0}, ".p:"),
+                           ({"validation": {"method": "x"}}, ".validation.method:"),
+                           ({"sweep": {"axis": "q"}}, ".sweep.axis:"),
+                           ({"certification": {"gamma0": [3.0]}}, ".certification.gamma0:"),
+                           ({"truth": 5}, ".truth: expected an object")):
         with pytest.raises(ConfigError, match=key):
             config_from_dict({**BASE, **overrides})
         assert main(["fit", "--config", write_cfg(overrides), "--out", str(tmp_path)]) == 2
@@ -206,15 +212,21 @@ def test_validation_sizes_rejected(tmp_path, write_cfg, capsys):
 
 def test_config_rejects_what_the_run_cannot_do(tmp_path, write_cfg, capsys):
     """eigensolver.N outside the solver's [1024, 65536] (10^21 too, which no
-    grid could hold), a quadrature TV at p > 3, a truth
-    with more modes than eigensolver.K, 2 beta + 2 gamma <= 2 and gamma0
+    grid could hold) or too coarse for K (a step turns the scan's top mode by
+    more than 0.8 rad: the solve found too few brackets, or at N = 1024, K = 722
+    a lambda_K 9.5% off), a quadrature TV at p > 3, a truth
+    with more modes than eigensolver.K, 2 beta + 2 gamma <= 2 or overflowing
+    (S-sums of NaN) and gamma0
     entries whose certificate rows would share a `gamma0=%g` label fail at
     load time with the key path (exit 2, no artifact), not when the stage
-    runs (exit 3) or by dropping a row."""
+    runs (exit 3), by dropping a row or by a run on a wrong eigensystem."""
     for overrides, key in (({"eigensolver": {"N": 512}}, ".eigensolver.N:"),
                            ({"eigensolver": {"N": lapcert.eigensolver.MAX_N + 1}},
                             ".eigensolver.N:"),
                            ({"eigensolver": {"N": 10 ** 21}}, ".eigensolver.N:"),
+                           *(({"eigensolver": {"N": N, "K": K}}, ".eigensolver.N:")
+                             for N, K in ((1024, 375), (1531, 475), (1800, 550), (2048, 600),
+                                          (2600, 700), (1024, 722))),
                            ({"p": 4, "validation": {"method": "both"}}, ".validation.method:"),
                            ({"p": 5, "validation": {"method": "quadrature"}},
                             ".validation.method:"),
@@ -223,6 +235,8 @@ def test_config_rejects_what_the_run_cannot_do(tmp_path, write_cfg, capsys):
                            ({"truth": {"theta": [0.1] * 31}}, ".truth.theta:"),
                            ({"gamma": 0.4, "certification": {"beta": 0.5}},
                             ".certification.beta:"),
+                           ({"p": 1, "gamma": 1e308}, ".certification.beta:"),
+                           ({"p": 2, "certification": {"beta": 1e308}}, ".certification.beta:"),
                            ({"certification": {"gamma0": [1.0000001, 1.0000002, 1.5, 1.5]}},
                             ".certification.gamma0:"),
                            ({"certification": {"gamma0": [1.5, 1.5]}},
@@ -234,6 +248,8 @@ def test_config_rejects_what_the_run_cannot_do(tmp_path, write_cfg, capsys):
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
         assert not out.exists()
+    with pytest.raises(ConfigError, match=r"\.eigensolver\.N: K = 375 needs N >= 1481$"):
+        config_from_dict({**BASE, "eigensolver": {"N": 1024, "K": 375}})
     # the bundled quadrature config asks for both estimators; its default
     # sweep grid reaches p = 4, which is rejected before any point runs
     config = os.path.join(ROOT, "configs", "gaussian_exactness.json")
@@ -241,6 +257,18 @@ def test_config_rejects_what_the_run_cannot_do(tmp_path, write_cfg, capsys):
     assert main(["sweep", "--config", config, "--out", str(out)]) == 2
     assert "sweep.values (p = 4).validation.method:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bracket_warning_prints_once(tmp_path, write_cfg):
+    """A run below the S-sums' bracket threshold (n = 3, gamma = 0.6), where both
+    compare_choices and certify take gamma0*, prints its UserWarning once."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "lapcert", "all", "--config",
+                           write_cfg({"n": 3, "p": 1, "gamma": 0.6}), "--out",
+                           str(tmp_path / "out")], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0 and proc.stderr.count("UserWarning") == 1, proc.stderr
 
 
 def test_simulate_bernoulli_far_from_zero(tmp_path, write_cfg):

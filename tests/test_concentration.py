@@ -72,11 +72,11 @@ def test_outside_mass_extremes(poisson_fit):
     prob, fit = poisson_fit
     at0 = empirical_outside_mass(fit, prob, fit.DG2, r=0.0, n_samples=1000, seed=0).outside[0]
     assert C._gaussian_tail_bracket(prob.design.p, 0.0) == (1.0, 1.0)
-    assert at0.posterior_frac == pytest.approx(1.0)
-    far = empirical_outside_mass(fit, prob, fit.DG2, r=100.0, n_samples=1000, seed=0).outside[0]
+    assert at0[0] == pytest.approx(1.0)
+    frac, _, ci_high = empirical_outside_mass(fit, prob, fit.DG2, r=100.0, n_samples=1000,
+                                              seed=0).outside[0]
     assert C._gaussian_tail_bracket(prob.design.p, 100.0) == (0.0, 0.0)
-    assert far.posterior_frac == 0.0
-    assert far.posterior_ci_high < 0.02
+    assert frac == 0.0 and ci_high < 0.02
 
 
 def test_gaussian_family_weights_unit(gaussian_fit):
@@ -85,13 +85,13 @@ def test_gaussian_family_weights_unit(gaussian_fit):
     # and its interval holds the exact Gaussian mass, the chi^2_p tail at D_G
     prob, fit = gaussian_fit
     rep = empirical_outside_mass(fit, prob, fit.DG2, r=1.5, n_samples=2000, seed=3)
-    m = rep.outside[0]
+    frac, ci_low, ci_high = rep.outside[0]
     _, Z = laplace_draws(fit, 2000, 3, stream=11)
     U = tri_solve(fit.L, Z.T, trans=True).T   # u = L^{-T} z
     plain = np.mean(np.sqrt(np.sum(U * (U @ fit.DG2), axis=1)) > 1.5)
-    assert m.posterior_frac == pytest.approx(plain, abs=1e-10)
+    assert frac == pytest.approx(plain, abs=1e-10)
     exact = C._gaussian_tail_bracket(prob.design.p, 1.5)[1]
-    assert m.posterior_ci_low <= exact <= m.posterior_ci_high
+    assert ci_low <= exact <= ci_high
     assert rep.ess == pytest.approx(2000, rel=1e-6)
 
 
@@ -100,14 +100,14 @@ def test_bounds_dominate_empirical(poisson_fit):
     p = prob.design.p
     dim = weighting_claims(fit.DG2, fit.DG2)[1]
     for r in np.linspace(math.sqrt(p), 3 + 3 * math.sqrt(p) + 2, 6):
-        m = empirical_outside_mass(fit, prob, fit.DG2, r=float(r),
-                                   n_samples=2000, seed=5).outside[0]
+        _, ci_low, _ = empirical_outside_mass(fit, prob, fit.DG2, r=float(r),
+                                              n_samples=2000, seed=5).outside[0]
         c = _claims(dim, float(r), p)
         # at D_G the upper end of the bracket is the exact Gaussian mass
         lo, hi, refuted = c.gaussian_mass()
         assert (lo, hi) == C._gaussian_tail_bracket(p, float(r))
         assert lo <= hi <= c.gaussian_tail and not refuted
-        assert m.posterior_ci_low <= c.posterior_tail
+        assert ci_low <= c.posterior_tail
 
 
 def test_min_samples_enforced(poisson_fit):

@@ -132,7 +132,7 @@ def test_oracle_diagnostics_judge_its_own_operator():
     (Q = 900), where the Volterra regime would flag all ten."""
     spec = CoefficientPair((1.0,), (30.0,))
     form = liouville_transform(spec, 2048)
-    sv, eig = svd_oracle(spec, 2048, 10), solve_eigs(form, spec, 10)
+    sv, eig = svd_oracle(spec, 2048, 10), solve_eigs(spec, 2048, 10)
     assert (sv.T, sv.Q_sup) == (eig.T, eig.Q_sup) == (form.T, form.Q_sup)
     active = eig_diagnostics(eig)["active"]
     assert not active.any()
@@ -160,7 +160,7 @@ def test_stored_sup_norms_are_the_grid_maxima(volterra_eig):
     eigen_cold's operator (a = 1 + 0.5x, b = 0.5), Volterra and b = -4 at
     N = 4096, K = 50, and for the SVD oracle."""
     eigs = [volterra_eig, svd_oracle(VOLTERRA, 2048, 10)] + [
-        solve_eigs(liouville_transform(spec, 4096), spec, 50)
+        solve_eigs(spec, 4096, 50)
         for spec in (CoefficientPair((1.0, 0.5), (0.5,)), CoefficientPair((1.0,), (-4.0,)))]
     for eig in eigs:
         for sup, f in ((eig.psi_sup, eig.psi), (eig.dpsi_sup, eig.dpsi)):
@@ -475,7 +475,7 @@ def test_unreachable_tolerance_raises(monkeypatch):
     monkeypatch.setattr(eigensolver, "_MAX_ILLINOIS", 5)
     spec = CoefficientPair((1.0, 0.5), (0.1,))
     with pytest.raises(eigensolver.EigenSolverError, match="did not converge"):
-        solve_eigs(liouville_transform(spec, 1024), spec, 2)
+        solve_eigs(spec, 1024, 2)
 
 
 def test_oversized_scan_refused(monkeypatch):
@@ -497,7 +497,7 @@ def test_oversized_scan_refused(monkeypatch):
         spec = CoefficientPair(a, b)
         with warnings.catch_warnings(), pytest.raises(OperatorSpecError, match=culprit):
             warnings.simplefilter("error")
-            solve_eigs(liouville_transform(spec, 1024), spec, 10)
+            solve_eigs(spec, 1024, 10)
 
 
 def test_cold_solve_memory():
@@ -505,10 +505,9 @@ def test_cold_solve_memory():
     (tracemalloc): the path is read once in column blocks, with no (N+1) x K temporary
     beside it (the sign and index arrays of a whole-path zero count added ~1.5 MiB)."""
     spec = CoefficientPair((1.0, 0.5), (0.5,))
-    form = liouville_transform(spec, 4096)
     tracemalloc.start()
     try:
-        eig = solve_eigs(form, spec, 50)
+        eig = solve_eigs(spec, 4096, 50)
         live, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -538,9 +537,9 @@ def test_shoot_budget(monkeypatch):
     for spec in SPEC_CORPUS + tuple(CoefficientPair((1.0,), (b,))
                                     for b in (30.0, 100.0, 300.0, -4.0)):
         columns.clear()
-        eig = solve_eigs(liouville_transform(spec, 2048), spec, 50)   # oscillation counts checked
+        eig = solve_eigs(spec, 2048, 50)   # oscillation counts checked
         assert eig.lambdas.size == 50
         assert len(columns) <= 14 and sum(columns) <= 800, (spec, columns)
     assert 1.0 / eig.lambdas[0] == pytest.approx(0.0216, rel=0.01)   # b = -4
     with pytest.raises(ValueError, match="K in"):
-        solve_eigs(liouville_transform(VOLTERRA, 1024), VOLTERRA, eigensolver.MAX_K + 1)
+        solve_eigs(VOLTERRA, 1024, eigensolver.MAX_K + 1)

@@ -2,7 +2,7 @@ import itertools
 import math
 import time
 import warnings
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -373,8 +373,8 @@ def test_bootstrap_block_size_moves_no_bit(poisson_fit, monkeypatch):
         runs += [val.tv_importance(fit, prob, n_samples=n_samples, seed=3,
                                    regions=regions, workers=w) for w in (1, 2, 3)]
     assert all(r == runs[0] for r in runs)
-    some, empty = runs[0].outside
-    assert 0.0 < some.posterior_ci_low < some.posterior_ci_high and empty.posterior_frac == 0.0
+    (_, some_lo, some_hi), (empty_frac, _, _) = runs[0].outside
+    assert 0.0 < some_lo < some_hi and empty_frac == 0.0
 
 
 def test_importance_ci_matches_per_resample_reference(poisson_fit, monkeypatch):
@@ -406,8 +406,8 @@ def test_tail_statistics_share_the_importance_pass(poisson_fit, monkeypatch):
     assert len(est.outside) == len(regions)
     for (D0_sq, r), got in zip(regions, est.outside):
         want = outside_mass_reference(fit, prob, D0_sq, r, 10000, 5, stream=13)
-        np.testing.assert_allclose(astuple(got), want, rtol=1e-12, atol=1e-15)
-    assert 0.2 < est.outside[0].posterior_frac < 0.8 and est.outside[2].posterior_frac == 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    assert 0.2 < est.outside[0][0] < 0.8 and est.outside[2][0] == 0.0
     # the Laplace Gaussian's side is exact, with no draws: at D_G the chi^2_p
     # tail, which the certificate's claim bounds
     claim = C.Certificate(choice=C.choice_DG(fit), effdim=float(p), tau3_sup=0.0,
@@ -418,7 +418,7 @@ def test_tail_statistics_share_the_importance_pass(poisson_fit, monkeypatch):
     # empirical_outside_mass is its own draw plus the same statistic
     D0_sq, r = regions[1]
     rep = empirical_outside_mass(fit, prob, D0_sq, r, n_samples=2000, seed=5)
-    np.testing.assert_allclose(astuple(rep.outside[0]),
+    np.testing.assert_allclose(rep.outside[0],
                                outside_mass_reference(fit, prob, D0_sq, r, 2000, 5, stream=11),
                                rtol=1e-12, atol=1e-15)
     # ... and reports the pass's own low-ESS flag, here at an ESS of 75
@@ -445,7 +445,7 @@ def test_outside_masses_match_the_theta_space_formula(poisson_fit, monkeypatch):
         est = val.tv_importance(fit, prob, n_samples=10000, seed=2, regions=regions,
                                 workers=workers)
         for got, ref in zip(est.outside, want):
-            np.testing.assert_allclose(astuple(got), ref, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-15)
 
 
 def test_outside_interval_is_closed_form(poisson_fit):
@@ -456,14 +456,13 @@ def test_outside_interval_is_closed_form(poisson_fit):
     r = 1.5 * math.sqrt(prob.p)
     est = val.tv_importance(fit, prob, n_samples=10000, seed=5, regions=[(fit.DG2, r),
                                                                         (fit.DG2, 50.0)])
-    some, none = est.outside
+    (frac, ci_low, ci_high), none = est.outside
     lo, hi = outside_mass_bootstrap(fit, prob, fit.DG2, r, 10000, 5, 500, stream=13)
-    assert 0.03 < some.posterior_frac < 0.1 and lo < some.posterior_frac < hi
-    half = (some.posterior_ci_high - some.posterior_ci_low) / 2
-    assert half == pytest.approx((hi - lo) / 2, rel=0.1)
-    assert some.posterior_frac - some.posterior_ci_low == pytest.approx((hi - lo) / 2, rel=0.1)
-    assert some.posterior_ci_low < val.wilson_interval(some.posterior_frac * est.ess, est.ess)[0]
-    assert astuple(none) == (0.0, 0.0, val.wilson_interval(0.0, est.ess)[1])
+    assert 0.03 < frac < 0.1 and lo < frac < hi
+    assert (ci_high - ci_low) / 2 == pytest.approx((hi - lo) / 2, rel=0.1)
+    assert frac - ci_low == pytest.approx((hi - lo) / 2, rel=0.1)
+    assert ci_low < val.wilson_interval(frac * est.ess, est.ess)[0]
+    assert none == (0.0, 0.0, val.wilson_interval(0.0, est.ess)[1])
 
 
 def test_gaussian_tail_bracket_matches_scipy():
