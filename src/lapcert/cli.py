@@ -207,7 +207,7 @@ def _check(label, check, bound, est=(None,) * 3, violated=False, reason="") -> d
     status = "skipped" if reason else "violated" if violated else "checked"
     return {"label": label, "check": check, "status": status, "reason": reason,
             "bound": bound, "estimate": est[0], "ci_low": est[1], "ci_high": est[2],
-            "ratio": bound / est[0] if est[0] else None}
+            "ratio": bound / est[0] if est[0] and not reason else None}
 
 
 def _checks(run) -> list:
@@ -215,22 +215,23 @@ def _checks(run) -> list:
 
     Each usable certificate is checked against every TV estimate (violated iff
     ci_high > bound; both above CHECK_FLOOR and f's rounding at the fit, which
-    every log-weight f_hat - f(theta) carries) and on its tail claims at its radius
-    and scaled weighting: the importance draws' posterior mass outside against
-    `posterior_tail` (violated iff ci_low > bound; both above CHECK_FLOOR),
-    and the certificate's own `gaussian_mass`, the Gaussian's exact bracket
-    against `gaussian_tail`.  Other certificates get one skipped row, and
-    the TV estimates are made only if some certificate is usable.
+    every log-weight f_hat - f(theta) carries; skipped if that floor is >= 1) and on
+    its tail claims at its radius and scaled weighting: the importance draws'
+    posterior mass outside against `posterior_tail` (violated iff ci_low > bound;
+    both above CHECK_FLOOR), and the certificate's own `gaussian_mass`, the
+    Gaussian's exact bracket against `gaussian_tail`.  Other certificates get one
+    skipped row, and the TV estimates are made only if some certificate is usable.
     """
     rows = []
     tv_floor = max(CHECK_FLOOR, f_rounding(run.prob, run.fit.theta_hat, run.fit.f_hat))
+    tv_skip = "f rounding >= 1" if tv_floor >= 1 else ""
     for label, c in run.certs.items():
         if label not in run.usable:
             rows.append(_check(label, "all", c.tv_bound,
                                reason="infeasible" if not c.feasible else "bound >= 1"))
             continue
         rows += [_check(label, "tv_" + tv.method, c.tv_bound, (tv.value, tv.ci_low, tv.ci_high),
-                        tv.ci_high > max(c.tv_bound, tv_floor)) for tv in run.tvs]
+                        tv.ci_high > max(c.tv_bound, tv_floor), tv_skip) for tv in run.tvs]
         draws = run.tvs[0].method == "importance"
         m = run.tvs[0].outside[run.usable.index(label)] if draws else (None,) * 3
         lo, hi, refuted = c.gaussian_mass()
@@ -251,7 +252,8 @@ def cmd_validate(run):
     for tv in tvs:
         mine = [r for r in checks if r["check"] == "tv_" + tv.method]
         bad = [r["label"] for r in mine if r["status"] == "violated"]
-        dom = ("SKIPPED (no usable certificate)" if not mine else
+        reason = mine[0]["reason"] if mine else "no usable certificate"
+        dom = ("SKIPPED (%s)" % reason if reason else
                "VIOLATED (%s)" % ", ".join(bad) if bad else
                "OK (bound %.4g)" % min(r["bound"] for r in mine))
         print("validate: %s TV=%.4g ci=[%.4g, %.4g] dominance=%s"
@@ -301,11 +303,10 @@ def main(argv=None) -> int:
                          "the `lapcert` command whatever N" % MAX_THREADS)
     args = ap.parse_args(argv)
 
-    if args.threads is not None and not 1 <= args.threads <= MAX_THREADS:
-        print("config error: --threads must be >= 1 and <= %d, got %d"
-              % (MAX_THREADS, args.threads), file=sys.stderr)
-        return 2
     try:
+        if args.threads is not None and not 1 <= args.threads <= MAX_THREADS:
+            raise ConfigError("--threads must be >= 1 and <= %d, got %d"
+                              % (MAX_THREADS, args.threads))
         cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
         points = sweep_points(cfg) if args.command == "sweep" else ()
         try:   # before --out, so that a cache_dir naming a file leaves nothing behind

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, is_dataclass, replace
 
 from .certification import GAMMA0_LABEL
@@ -68,9 +69,8 @@ class ExperimentConfig:
     out_dir: str = "out"
 
 
-def _number(v) -> bool:   # never a bool, and finite: json reads NaN and Infinity
-    return (isinstance(v, int) and not isinstance(v, bool)
-            or isinstance(v, float) and math.isfinite(v))
+def _number(v) -> bool:   # never a bool, and a finite float: json reads NaN, Infinity and 10**400
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
 # the JSON values a field of each annotation accepts; a "T | None" field also takes null
@@ -156,13 +156,6 @@ def _validate(cfg: ExperimentConfig, where: str) -> None:
         raise ConfigError("%s.seed: must be in [0, 2**64)" % where)
     if cfg.gamma <= 0:
         raise ConfigError("%s.gamma: must be > 0" % where)
-    try:   # the largest prior precision p^(2 gamma) must be a float
-        float(cfg.p) ** (2 * cfg.gamma)
-    except OverflowError:
-        raise ConfigError("%s.gamma: p^(2*gamma) overflows a float (p = %d, gamma = %r)"
-                          % (where, cfg.p, cfg.gamma)) from None
-    if not 2 < 2 * cfg.certification.beta + 2 * cfg.gamma < math.inf:
-        raise ConfigError("%s.certification.beta: 2*beta + 2*gamma must be > 2 and finite" % where)
     if cfg.validation.method not in ("importance", "quadrature", "both"):
         raise ConfigError("%s.validation.method: unknown method" % where)
     if cfg.validation.method != "importance" and cfg.p > MAX_QUADRATURE_P:
@@ -182,7 +175,20 @@ def _validate(cfg: ExperimentConfig, where: str) -> None:
     if not all(v >= 1 and (type(v) is int or not ints) for v in cfg.sweep.values):
         raise ConfigError("%s.sweep.values: %s values must be %s >= 1"
                           % (where, cfg.sweep.axis, "integers" if ints else "numbers"))
+    # each k <= P (p, or a synthetic p grid's top) is raised to 2 gamma and 2 beta + 2 gamma(0)
+    P = max(cfg.sweep.values) if cfg.sweep.synthetic and cfg.sweep.axis == "p" else cfg.p
+    log_p, beta, gamma = math.log(P), float(cfg.certification.beta), float(cfg.gamma)
     gamma0 = cfg.certification.gamma0 or []
+    try:
+        float(P) ** (2 * gamma)   # the largest prior precision
+    except OverflowError:
+        raise ConfigError("%s.gamma: p^(2*gamma) overflows a float (p = %d, gamma = %r)"
+                          % (where, P, cfg.gamma)) from None
+    if not (2 < 2 * beta + 2 * gamma and math.isfinite((2 * beta + 2 * gamma) * log_p)):
+        raise ConfigError("%s.certification.beta: 2*beta + 2*gamma must be > 2 and, times "
+                          "log %d, finite" % (where, P))
+    if not all(math.isfinite((2 * beta + 2 * float(g0)) * log_p) for g0 in gamma0):
+        raise ConfigError("%s.certification.gamma0: (2*beta + 2*g0) log %d not finite" % (where, P))
     if any(g0 > cfg.gamma for g0 in gamma0):
         raise ConfigError("%s.certification.gamma0: entries must be <= gamma" % where)
     if len({GAMMA0_LABEL % g0 for g0 in gamma0}) < len(gamma0):

@@ -353,7 +353,7 @@ def eig_diagnostics(eig: EigenSystem) -> dict:
 
     Flags are evaluated for indices past k*, the first k with
     rho_k = lambda_k^{-1/2} > 2 T ||Q||_inf (the asymptotic regime), whose v_k
-    quantities are finite (`vk_checked` of them: the SVD oracle stores NaN).
+    quantities are finite (the SVD oracle stores NaN).
     """
     ks = np.arange(1, eig.lambdas.size + 1)
     rho = eig.lambdas ** -0.5
@@ -369,7 +369,6 @@ def eig_diagnostics(eig: EigenSystem) -> dict:
         "dvk_inf": eig.dvk_inf,
         "vk_l2": eig.vk_l2,
         "active": active,
-        "vk_checked": int(checked.sum()),
         "vk_inf_violations": int(np.sum(checked & (eig.vk_inf > 2.0 * root_lam))),
         "dvk_inf_violations": int(np.sum(checked & (eig.dvk_inf > 2.0))),
         "vk_l2_c_estimate": float(c_est),

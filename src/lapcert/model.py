@@ -214,7 +214,9 @@ class TruthSpec:
     decay: float = 2.0
     theta: list | None = None
 
-    def __post_init__(self):
+    def __post_init__(self):   # a float decay: an int64 k ** -s refuses, and k ** s wraps
+        object.__setattr__(self, "amplitude", float(self.amplitude))
+        object.__setattr__(self, "decay", float(self.decay))
         if self.theta is not None:
             object.__setattr__(self, "p_star", len(self.theta))
 

@@ -225,6 +225,10 @@ def test_truth_theta():
     assert np.allclose(e.coefficients(), [0.3, -0.1])
     with pytest.raises(ModelError):
         TruthSpec(theta=(0.3, math.inf)).coefficients()
+    # an int decay is the float one: an int64 k ** -2 refuses, and 8 ** 22 wraps to 0
+    for decay in (2, -22):
+        assert (TruthSpec(decay=decay).coefficients().tobytes()
+                == TruthSpec(decay=float(decay)).coefficients().tobytes())
 
 
 def test_generate_deterministic(volterra_eig_small):
