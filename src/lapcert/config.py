@@ -175,12 +175,12 @@ def _validate(cfg: ExperimentConfig, where: str) -> None:
     if not all(v >= 1 and (type(v) is int or not ints) for v in cfg.sweep.values):
         raise ConfigError("%s.sweep.values: %s values must be %s >= 1"
                           % (where, cfg.sweep.axis, "integers" if ints else "numbers"))
-    # each k <= P (p, or a synthetic p grid's top) is raised to 2 gamma and 2 beta + 2 gamma(0)
-    P = max(cfg.sweep.values) if cfg.sweep.synthetic and cfg.sweep.axis == "p" else cfg.p
+    # each k <= P (p, and a synthetic p grid's top) is raised to 2 gamma and 2 beta + 2 gamma(0)
+    P = max(cfg.p, *cfg.sweep.values) if cfg.sweep.synthetic and cfg.sweep.axis == "p" else cfg.p
     log_p, beta, gamma = math.log(P), float(cfg.certification.beta), float(cfg.gamma)
     gamma0 = cfg.certification.gamma0 or []
     try:
-        float(P) ** (2 * gamma)   # the largest prior precision
+        float(P) ** (2 * gamma)   # the prior precision's top, as posterior computes it
     except OverflowError:
         raise ConfigError("%s.gamma: p^(2*gamma) overflows a float (p = %d, gamma = %r)"
                           % (where, P, cfg.gamma)) from None

@@ -129,19 +129,19 @@ LOAD_REFUSALS = {
     "p_star_past_K": ({"eigensolver": {"K": 10}, "truth": {"p_star": 12}}, ".truth.p_star:"),
     "p_star_8_K_6": ({"eigensolver": {"K": 6}}, ".truth.p_star:"),
     "theta_past_K": ({"truth": {"theta": [0.1] * 31}}, ".truth.theta:"),
-    # each power of k <= p (a synthetic p grid's top) is a float, or its log is finite: the
-    # prior precision p^(2 gamma), and the S-sums' k^(2 beta + 2 gamma) and k^(2 beta + 2 gamma0)
+    # each power of k <= P (the larger of p and a synthetic p grid's top) is a float, or its log
+    # is finite: the prior precision P^(2 gamma), the S-sums' k^(2 beta + 2 gamma) and ^(2 gamma0)
     "gamma_199_p_6": ({"gamma": 199.0, "p": 6}, ".gamma: p^(2*gamma) overflows"),
-    "synthetic_gamma_100": ({"gamma": 100, "sweep": {"synthetic": True, "values": [2, 512]}},
-                            ".gamma: p^(2*gamma) overflows a float (p = 512"),
     "beta_gamma_0_9": ({"gamma": 0.4, "certification": {"beta": 0.5}}, ".certification.beta:"),
     "gamma_1e308_p_1": ({"p": 1, "gamma": 1e308}, ".certification.beta:"),
     "beta_1e308": ({"certification": {"beta": 1e308}}, ".certification.beta:"),
     "beta_10_308": ({"certification": {"beta": 10 ** 308}}, ".certification.beta:"),
     "beta_5e307_p_30": ({"p": 30, "certification": {"beta": 5e307}}, ".certification.beta:"),
-    "synthetic_beta_5e307": ({"certification": {"beta": 5e307},
-                              "sweep": {"synthetic": True, "values": [2, 512]}},
-                             ".certification.beta:"),
+    **{"synthetic_%s_p_%d_grid_%d" % (key, p, grid[-1]): (
+        {"p": p, **over, "sweep": {"synthetic": True, "values": grid}}, text.format(max(p, *grid)))
+       for p, grid, gamma in ((2, [2, 512], 100), (30, [2], 150)) for key, over, text in (
+           ("gamma", {"gamma": gamma}, ".gamma: p^(2*gamma) overflows a float (p = {},"),
+           ("beta", {"certification": {"beta": 5e307}}, ".certification.beta:"))},
     "gamma0_-1e308": ({"p": 3, "certification": {"gamma0": [-1e308]}}, ".certification.gamma0:"),
     "gamma0_past_gamma": ({"certification": {"gamma0": [3.0]}}, ".certification.gamma0:"),
     "gamma0_twice": ({"certification": {"gamma0": [1.5, 1.5]}}, ".certification.gamma0:"),
@@ -173,7 +173,8 @@ RUN_REFUSALS = {
     # a real-mode sweep point the config cannot run, named by its grid value
     "sweep_point_p_60": ({"sweep": {"values": [2, 60]}},
                          "config error: sweep.values (p = 60): p exceeds eigensolver.K"),
-    "sweep_point_quadrature": ({"validation": {"method": "both"}},
+    # the bundled quadrature config asks for both estimators; its default grid reaches p = 4
+    "sweep_point_quadrature": (os.path.join(ROOT, "configs", "gaussian_exactness.json"),
                                "config error: sweep.values (p = 4).validation.method:"),
     # a file not UTF-8 (JSON's encoding, whatever the locale) or not JSON
     "not_utf8": (b'{"family": "\xff"}\n', ": invalid JSON: 'utf-8' codec can't decode"),
@@ -186,7 +187,6 @@ RUN_REFUSALS = {
     **{"cache_dir_%s_a_file" % at: ({"eigensolver": {"cache_dir": d}}, ".eigensolver.cache_dir: ")
        for at, d in (("at", "taken"), ("below", "taken/sub"))},
 }
-CONSOLE_ROW = "b_1e300"
 
 
 @pytest.mark.parametrize("row", [*LOAD_REFUSALS, *RUN_REFUSALS])
@@ -194,14 +194,15 @@ def test_config_refused(row, tmp_path, write_cfg, capsys, monkeypatch):
     """`lapcert sweep` (its point checks add to every subcommand's) exits 2 before any stage,
     with `config error: `, the row's text and no traceback or warning on stderr, no --out
     directory, thread or environment variable made, and "taken" as it was.  A LOAD_REFUSALS
-    row prints config_from_dict's ConfigError; CONSOLE_ROW does too in `python -m lapcert`."""
+    row prints config_from_dict's ConfigError; row b_1e300 does too in `python -m lapcert`."""
     config, text, *argv = {**LOAD_REFUSALS, **RUN_REFUSALS}[row]
     monkeypatch.chdir(tmp_path)
     (tmp_path / "taken").write_text("kept")
-    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path = config if isinstance(config, str) else tmp_path / "cfg.json"   # str: a bundled file
+    out = tmp_path / "out"
     if isinstance(config, bytes):
         path.write_bytes(config)
-    else:
+    elif isinstance(config, dict):
         write_cfg(config)
     args = ["sweep", "--config", str(path), "--out", str(out), *argv]
     threads, environ = threading.active_count(), dict(os.environ)
@@ -216,7 +217,7 @@ def test_config_refused(row, tmp_path, write_cfg, capsys, monkeypatch):
     assert err.startswith("config error: ") and text in err and "Traceback" not in err, err
     assert not out.exists() and (tmp_path / "taken").read_text() == "kept"
     assert threading.active_count() == threads and dict(os.environ) == environ
-    if row == CONSOLE_ROW:
+    if row == "b_1e300":
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run([sys.executable, "-m", "lapcert", *args], env=env,
