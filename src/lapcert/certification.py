@@ -26,8 +26,7 @@ where the convex norm peaks; the knot-to-continuum gap estimate
 0.5 * h * sup_x ||D^{-1} r'(x)|| is attached to every certificate.
 
 The diagonal sums S_dim and S_tau of D(gamma0*) (`s_sums`) enter no bound:
-they are diagnostics, propose one candidate radius 1/sqrt(S_tau), and give
-the diagonal-surrogate bounds of `sweep_synthetic`.
+they are diagnostics, and give the diagonal-surrogate bounds of `sweep_synthetic`.
 """
 from __future__ import annotations
 
@@ -190,17 +189,14 @@ def certify(fit: LaplaceFit, prob: Problem, choice: WeightChoice, beta: float = 
 
     r_lo = _r_lo(dim)
     r_hi = max(50.0 * math.sqrt(dim), 2.0 * r_lo)
-    radii = list(np.geomspace(r_lo, r_hi, N_RADII))
     if choice.kind == "gamma0_family":
         s_dim, s_tau = s_sums(prob.design.n, prob.p, beta, prob.gamma, choice.gamma0)
         _, m, m0s = gamma0_star(prob.design.n, beta, prob.gamma)
         diag.update(S_dim=s_dim, S_tau=s_tau, m=m, m0star=m0s)
-        if s_tau > 0 and 1.0 / math.sqrt(s_tau) >= r_lo:
-            radii.append(1.0 / math.sqrt(s_tau))  # canonical r from the theorem
 
     cands = [Certificate(choice=scaled, effdim=dim, radius=r,
                          tau3_sup=tau3_certified(fit, prob, scaled, r, diag), diagnostics=diag)
-             for r in sorted(radii)]
+             for r in np.geomspace(r_lo, r_hi, N_RADII)]
     feasible = [c for c in cands if c.feasible]
     return (min(feasible, key=lambda c: c.tv_bound) if feasible
             else min(cands, key=lambda c: c.radius * c.tau3_sup))
@@ -267,7 +263,11 @@ def sweep_synthetic(n: float, p_values, beta: float, gamma: float) -> list:
         d = n * k ** (-2 * beta) + k ** (2 * gamma)
         alpha_I2 = float(np.max(1.0 / d))
         dim_I = float(np.sum(1.0 / d) / np.max(1.0 / d))
-        tau_I = alpha_I2 ** 1.5 * n * float(np.sum(k ** (-2 * beta))) ** 1.5
+        # alpha_I2^1.5 n underflows in its first factor past n ~ 1e205: raise alpha_I2 / 4^j,
+        # near 1, and multiply by 2^(3j) after the product with n (both scalings exact)
+        j = math.frexp(alpha_I2)[1] // 2
+        tau_I = math.ldexp(math.ldexp(alpha_I2, -2 * j) ** 1.5 * n
+                           * float(np.sum(k ** (-2 * beta))) ** 1.5, 3 * j)
         rows.append({
             "n": n, "p": p, "beta": beta, "gamma": gamma, "gamma0_star": g0s,
             "m": m, "m0_star": m0s,

@@ -181,10 +181,13 @@ def _sign_flips(v: np.ndarray) -> np.ndarray:
 
 
 _MAX_ILLINOIS = 200   # cap on Illinois iterations; reaching it raises EigenSolverError
-_MAX_SCAN = 1 << 20   # cap on a mu-uniform scan, which bounds ours; K = 50 on Volterra scans 232
+_MAX_SCAN = 1 << 20   # cap on a mu-uniform scan, which bounds ours; K = 50 on Volterra scans 233
 _REL_TOL = 1e-10      # relative width at which an eigenvalue's bracket is converged
 _SHOOT_COLUMNS = 64   # mu columns a shoot steps at a time: it bounds the (2, 2, G, 64) temporaries
 _MAX_TURN = 0.8       # radians a step may turn the scan's top mode; lambda_K errs ~ turn^4 / 70
+# for c2 < 0 a mode may sit in a boundary layer at T, mu ~ 4 c2^2 e^(2 c2 T), where B(mu) cancels
+# terms ~ e^(-c2 T): its mu carries a relative error ~ eps e^(-2 c2 T), at most sqrt(eps) here
+_MAX_C2T = math.log(1.0 / np.finfo(float).eps) / 4.0   # 9.01
 # the sizes N and K for eigen work: path and dpath (then psi and dpsi) hold (N+1) K floats, and
 # K = 722 is the largest whose mu-uniform scan at Q = 0 fits in _MAX_SCAN
 MIN_N, MAX_N, MAX_K = 1024, 1 << 16, 722
@@ -193,8 +196,9 @@ MIN_N, MAX_N, MAX_K = 1024, 1 << 16, 722
 def mu_scan_top(form: LiouvilleForm, K: int) -> float:
     """Top of the mu scan bracketing the first K <= MAX_K eigenvalues, (K + 2)^2 unit + max Q,
     unit = (pi / T)^2.  OperatorSpecError naming T or max |Q| if a mu-uniform scan up to it at
-    unit / 2, which is at least as long as ours, is not finite or exceeds _MAX_SCAN points, and
-    ValueError naming the least N if (T / N) sqrt(mu_top - min Q) exceeds _MAX_TURN radians."""
+    unit / 2, which is at least as long as ours, is not finite or exceeds _MAX_SCAN points, or
+    naming c2 T if -c2 T exceeds _MAX_C2T, and ValueError naming the least N if
+    (T / N) sqrt(mu_top - min Q) exceeds _MAX_TURN radians."""
     with np.errstate(all="ignore"):
         unit = (np.pi / np.float64(form.T)) ** 2
         t_fits = np.finfo(float).tiny <= unit and (K + 2) ** 2 * unit < np.inf   # else T's fault
@@ -204,6 +208,9 @@ def mu_scan_top(form: LiouvilleForm, K: int) -> float:
     if not (t_fits and fits):
         raise OperatorSpecError("mu scan for K = %d is not finite or exceeds %d points (%s)" % (
             K, _MAX_SCAN, "max |Q| = %g" % form.Q_sup if t_fits else "T = %g" % form.T))
+    if -form.c2 * form.T > _MAX_C2T:
+        raise OperatorSpecError("a boundary mode at T is below the shoot's precision: "
+                                "c2 T = %g < -%.2f" % (form.c2 * form.T, _MAX_C2T))
     if steps > form.t_of_x.size - 1:
         raise ValueError("K = %d needs N >= %.0f" % (K, np.ceil(steps)))
     return float(mu_hi)
@@ -227,13 +234,14 @@ def solve_eigs(spec: CoefficientPair, N: int, K: int) -> EigenSystem:
     unit = (np.pi / T) ** 2
     q = mu_hi - (K + 2) ** 2 * unit   # max(0, max Q), as mu_scan_top added it
     # mu |u|^2 = |u'|^2 + c2 u(T)^2 + int Q u^2 and u(T)^2 <= e |u'|^2 + |u|^2 / e, e = 1 / |c2|,
-    # so mu_1 >= min Q - max(0, -c2)^2; one unit less covers RK4 error and Q between grid points
+    # so mu_1 >= min Q - max(0, -c2)^2; one unit less covers RK4 error and Q between grid points.
+    # The scan starts at the floor itself: a boundary mode at T (c2 < 0) lies just above it
     floor = max(0.0, float(Qh.min()) - max(0.0, -c2) ** 2 - unit)
     # from it to the knee q + 4 unit, where Q can crowd the eigenvalues: a geometric seed, then
     # mu-uniform at unit / 2.  Above it, s = sqrt(mu - q) at sqrt(unit) / 4: mu - Q >= s^2, so
     # the phase int sqrt(mu - Q) grows by <= T per unit of s, and the s_k are >= sqrt(unit) apart
     scan = np.concatenate([
-        floor + unit * np.geomspace(1e-6, 0.25, 24),
+        [floor], floor + unit * np.geomspace(1e-6, 0.25, 24),
         np.arange(floor + 0.25 * unit, q + 4.0 * unit, 0.5 * unit),
         q + np.arange(2.0 * np.sqrt(unit), np.sqrt(mu_hi - q), 0.25 * np.sqrt(unit)) ** 2,
     ])
@@ -285,9 +293,10 @@ def solve_eigs(spec: CoefficientPair, N: int, K: int) -> EigenSystem:
         s *= dt
         s /= 2.0
         vk_l2[c] = np.sqrt(s.sum(axis=0))
-    if not np.array_equal(zeros, np.arange(K)):
-        raise EigenSolverError("oscillation counts %s inconsistent with indices 1..%d"
-                               % (zeros.tolist(), K))
+    wrong = np.flatnonzero(zeros != np.arange(K))
+    if wrong.size:
+        raise EigenSolverError("mode %d changes sign %d times on (0, T], not %d"
+                               % (wrong[0] + 1, zeros[wrong[0]], wrong[0]))
 
     # back-transform psi_k(x) = u_k(t(x)) a(x)^{-1/2}; chain rule for psi'
     x = grid(N)
@@ -426,7 +435,7 @@ def load_eigensystem(spec: CoefficientPair, N: int, K: int, cache_dir: str) -> E
     if not os.path.exists(path):
         return None
     try:
-        with np.load(path, allow_pickle=False) as npz:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             if "key" not in npz or npz["key"].tobytes() != key:
                 return None
             arrays = {f.name: npz[f.name] for f in fields(EigenSystem)}

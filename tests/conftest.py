@@ -19,6 +19,16 @@ from lapcert.posterior import Problem, map_solve
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def python_env(**extra) -> dict:
+    """The environment of a test's `python` subprocess: this process's, updated by extra,
+    with src first on PYTHONPATH, so the child imports the lapcert under test."""
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+
+
 # the three coefficient pairs exercised throughout the suite
 SPEC_CORPUS = (
     VOLTERRA,

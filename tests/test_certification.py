@@ -169,11 +169,8 @@ def test_certify_choice_rule(fixture, outcomes, request):
     for label, cert in C.compare_choices(fit, prob, beta=1.0).items():
         dim, parts = cert.effdim, C.tau3_parts(prob, cert.choice)
         r_lo = 3 * math.sqrt(dim) + 3
-        radii = list(np.geomspace(r_lo, max(50 * math.sqrt(dim), 2 * r_lo), C.N_RADII))
-        if label == "gamma0_star" and 1 / math.sqrt(cert.diagnostics["S_tau"]) >= r_lo:
-            radii.append(1 / math.sqrt(cert.diagnostics["S_tau"]))   # the theorem's radius
         cands = []
-        for r in sorted(radii):
+        for r in np.geomspace(r_lo, max(50 * math.sqrt(dim), 2 * r_lo), C.N_RADII):
             tau = C.tau3_certified(fit, prob, cert.choice, r, parts)
             cands.append((r, tau, theorem_claims(dim, r, tau)))
         feasible = [c for c in cands if c[2]["feasible"]]
@@ -383,6 +380,13 @@ def test_sweep_synthetic_regimes():
     if len(small) >= 2:
         slope = (small[-1][1] - small[0][1]) / (small[-1][0] - small[0][0])
         assert 2.7 <= slope <= 3.3
+
+
+def test_sweep_synthetic_identity_bound_at_n_1e250():
+    """At n = 1e250, p = 2 (beta = 1, gamma = 2) alpha_I^3 = 8e-375 is below the floats, yet
+    the identity bound is its closed form dim_I tau_I = 1.25 (4/n)^1.5 n 1.25^1.5 (it read 0)."""
+    (row,) = C.sweep_synthetic(1e250, [2], beta=1.0, gamma=2.0)
+    assert row["bound_identity"] == pytest.approx(10 * 1.25 ** 1.5 / 1e125, rel=1e-12, abs=0)
 
 
 def test_ortho_constant_riemann_p1(volterra_eig):

@@ -9,8 +9,8 @@ import os
 import subprocess
 import sys
 import threading
-import warnings
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +28,8 @@ from lapcert.cli import main
 from lapcert.config import ConfigError, config_from_dict, load_config
 from lapcert.operators import CoefficientPair
 from lapcert.posterior import usable_cores
+
+from conftest import python_env
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASE = {
@@ -151,8 +153,9 @@ LOAD_REFUSALS = {
     # > 0.8 rad (the solve finds too few brackets, or at K = 722 a lambda_K 9.5% off)
     **{"N_%g" % N: ({"eigensolver": {"N": N}}, ".eigensolver.N: must be in [1024, 65536]")
        for N in (512, 65537, 10 ** 21)},
-    "N_1024_K_375": ({"eigensolver": {"N": 1024, "K": 375}},
-                     ".eigensolver.N: K = 375 needs N >= 1481\n"),
+    **{"N_%d_K_%d" % NK: ({"eigensolver": dict(zip("NK", NK))},
+                          ".eigensolver.N: K = %d needs N >= %d\n" % (NK[1], least))
+       for NK, least in (((1024, 375), 1481), ((2843, 722), 2844))},
     **{"N_%d_K_%d" % NK: ({"eigensolver": dict(zip("NK", NK))}, ".eigensolver.N:")
        for NK in ((1531, 475), (1800, 550), (2048, 600), (2600, 700), (1024, 722))},
     **{"K_%g" % K: ({"eigensolver": {"K": K}}, ".eigensolver.K: must be in [1, 722]")
@@ -166,6 +169,13 @@ LOAD_REFUSALS = {
         "b_1e300": {"b": [1e300]}, "Q_inf_minus_inf": {"a": [1.0, 1e200], "b": [0.0, 1e200]},
         "a_1e-320": {"a": [1e-320]}, "a_1e160": {"a": [1e160]}, "a_1e-160": {"a": [1e-160]},
     }.items()},
+    # c2 T < -9.01 (c2 T is b at a = 1, b / 2 at a = 2 and (b - 1/2) log 2 at a = 1 + x): a mode
+    # in a boundary layer at T whose mu the shoot resolves to worse than sqrt(eps)
+    **{"boundary_mode_" + name: ({"operator": op, "eigensolver": NK}, ".operator: a boundary")
+       for name, op, NK in (("b_-9.02", {"b": [-9.02]}, {}),
+                            ("b_-10_N_1024_K_20", {"b": [-10]}, {"N": 1024, "K": 20}),
+                            ("a_2_b_-18.1", {"a": [2.0], "b": [-18.1]}, {}),
+                            ("a_1_x_b_-13.5", {"a": [1.0, 1.0], "b": [-13.5]}, {}))},
     "synthetic_operator": ({"operator": {"a": [-1.0]}, "sweep": {"synthetic": True}},
                            ".operator: a(x) must be strictly positive"),
 }
@@ -206,28 +216,27 @@ def test_config_refused(row, tmp_path, write_cfg, capsys, monkeypatch):
         write_cfg(config)
     args = ["sweep", "--config", str(path), "--out", str(out), *argv]
     threads, environ = threading.active_count(), dict(os.environ)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        if row in LOAD_REFUSALS:
-            with pytest.raises(ConfigError) as exc:
-                config_from_dict(json.loads(path.read_text()), str(path))
-            assert err == "config error: %s\n" % exc.value
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    if row in LOAD_REFUSALS:
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(json.loads(path.read_text()), str(path))
+        assert err == "config error: %s\n" % exc.value
     assert err.startswith("config error: ") and text in err and "Traceback" not in err, err
     assert not out.exists() and (tmp_path / "taken").read_text() == "kept"
     assert threading.active_count() == threads and dict(os.environ) == environ
     if row == "b_1e300":
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-m", "lapcert", *args], env=env,
+        proc = subprocess.run([sys.executable, "-m", "lapcert", *args], env=python_env(),
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (2, err) and not out.exists()
 
 
 def test_config_loads_at_its_bounds():
-    """The largest K, 722, loads, and a synthetic n grid takes real sample sizes."""
-    assert config_from_dict({**BASE, "eigensolver": {"K": 722}}).eigensolver.K == 722
+    """The largest K, 722, loads at its least N, 2844; an operator loads at c2 T = -9; and
+    a synthetic n grid takes real sample sizes."""
+    assert config_from_dict({**BASE, "eigensolver": {"K": 722, "N": 2844}}).eigensolver.K == 722
+    for a, b in ((1.0, -9.0), (2.0, -18.0)):
+        config_from_dict({**BASE, "operator": {"a": [a], "b": [b]}})
     config_from_dict({**BASE, "sweep": {"axis": "n", "values": [1e5], "synthetic": True}})
 
 
@@ -263,12 +272,10 @@ def test_operator_section_is_the_coefficient_pair(write_cfg, monkeypatch):
 def test_bracket_warning_prints_once(tmp_path, write_cfg):
     """A run below the S-sums' bracket threshold (n = 3, gamma = 0.6), where both
     compare_choices and certify take gamma0*, prints its UserWarning once."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "lapcert", "all", "--config",
                            write_cfg({"n": 3, "p": 1, "gamma": 0.6}), "--out",
-                           str(tmp_path / "out")], env=env, capture_output=True, text=True,
-                          timeout=120)
+                           str(tmp_path / "out")], env=python_env(), capture_output=True,
+                          text=True, timeout=120)
     assert proc.returncode == 0 and proc.stderr.count("UserWarning") == 1, proc.stderr
 
 
@@ -297,9 +304,9 @@ def test_all_pipeline_gaussian(tmp_path, capsys, write_cfg):
     assert ("eigen: K=30 active=30 vk_inf_violations=0 dvk_inf_violations=0 "
             "vk_l2_c_estimate=0.7071\n") in text
     # exact-fit family: TV row is numerically zero
-    rows = open(os.path.join(out, "tv_estimates.csv")).read().splitlines()
+    rows = Path(out, "tv_estimates.csv").read_text().splitlines()
     assert float(rows[1].split(",")[1]) < 1e-8
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = json.loads(Path(out, "manifest.json").read_text())
     assert manifest["config"]["seed"] == 3
     assert "total" in manifest["wall_times_s"]
 
@@ -541,9 +548,8 @@ def test_csv_outputs_deterministic(tmp_path, write_cfg):
     out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
     assert main(["certify", "--config", cfg, "--out", out1]) == 0
     assert main(["certify", "--config", cfg, "--out", out2]) == 0
-    a = open(os.path.join(out1, "certificates.csv"), "rb").read()
-    b = open(os.path.join(out2, "certificates.csv"), "rb").read()
-    assert a == b
+    assert Path(out1, "certificates.csv").read_bytes() == \
+        Path(out2, "certificates.csv").read_bytes()
     # certification.gamma0 adds one row per value after the three choices
     rows = _read_checks(os.path.join(out1, "certificates.csv"))
     assert [(r["label"], r["kind"], r["gamma0"]) for r in rows[3:]] == [
@@ -555,7 +561,7 @@ def test_csv_outputs_deterministic(tmp_path, write_cfg):
             run.fit, run.prob, lapcert.certification.choice_gamma0(run.fit, g0, run.cfg.gamma))
         assert float(row["tv_bound"]) == c.tv_bound
     assert main(["simulate", "--config", cfg, "--out", out1]) == 0
-    assert json.load(open(os.path.join(out1, "dataset.json")))["truth"]["p_star"] == len(theta)
+    assert json.loads(Path(out1, "dataset.json").read_text())["truth"]["p_star"] == len(theta)
     # each usable one is checked by validate and by a real-mode sweep, like the three
     extra = [r["label"] for r in rows[3:] if r["feasible"] == "1" and float(r["tv_bound"]) < 1]
     assert extra == ["gamma0=1", "gamma0=1.5"]
@@ -583,7 +589,7 @@ def test_column_csv_is_csv_writers(tmp_path):
         w = csv.writer(fh)
         w.writerow(["j", "s", "y"])
         w.writerows(zip(*(cols[k].tolist() for k in ("j", "s", "y"))))
-    assert open(path, "rb").read() == open(str(tmp_path / "want.csv"), "rb").read()
+    assert Path(path).read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_seed_override(tmp_path, write_cfg):
@@ -591,11 +597,9 @@ def test_seed_override(tmp_path, write_cfg):
     out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")
     assert main(["simulate", "--config", cfg, "--out", out1, "--seed", "9"]) == 0
     assert main(["simulate", "--config", cfg, "--out", out2]) == 0
-    y1 = open(os.path.join(out1, "dataset.csv")).read()
-    y2 = open(os.path.join(out2, "dataset.csv")).read()
-    assert y1 != y2
-    assert json.load(open(os.path.join(out1, "manifest.json")))["config"]["seed"] == 9
-    sidecar = json.load(open(os.path.join(out1, "dataset.json")))
+    assert Path(out1, "dataset.csv").read_text() != Path(out2, "dataset.csv").read_text()
+    assert json.loads(Path(out1, "manifest.json").read_text())["config"]["seed"] == 9
+    sidecar = json.loads(Path(out1, "dataset.json").read_text())
     assert sidecar == {"seed": 9, "family": "poisson", "n": 200, "truth": {
         "p_star": 5, "amplitude": 0.5, "decay": 2.0, "theta": None}}
 
@@ -612,7 +616,8 @@ def test_manifest_git_hash_from_source_tree(tmp_path, monkeypatch, write_cfg):
         pytest.skip("the source tree is not a git checkout")
     monkeypatch.chdir(tmp_path)
     assert main(["eigen", "--config", write_cfg(), "--out", "o"]) == 0
-    assert json.load(open(tmp_path / "o" / "manifest.json"))["git_hash"] == head.stdout.strip()
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["git_hash"] == head.stdout.strip()
 
 
 def test_manifest_git_hash_unknown_when_git_hangs(tmp_path, monkeypatch, write_cfg, capsys):
@@ -623,7 +628,7 @@ def test_manifest_git_hash_unknown_when_git_hangs(tmp_path, monkeypatch, write_c
     monkeypatch.setattr(lapcert.cli.subprocess, "run", hang)
     out = tmp_path / "o"
     assert main(["eigen", "--config", write_cfg(), "--out", str(out)]) == 0
-    assert json.load(open(out / "manifest.json"))["git_hash"] == "unknown"
+    assert json.loads((out / "manifest.json").read_text())["git_hash"] == "unknown"
     os.remove(out / "manifest.json")
     os.mkdir(out / "manifest.json")
     assert main(["eigen", "--config", write_cfg(), "--out", str(out)]) == 3
@@ -636,7 +641,7 @@ def test_sweep_synthetic(tmp_path, write_cfg):
         "sweep": {"axis": "p", "values": [2, 8, 32, 128], "synthetic": True}})
     out = str(tmp_path / "sw")
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
-    rows = open(os.path.join(out, "sweep.csv")).read().splitlines()
+    rows = Path(out, "sweep.csv").read_text().splitlines()
     assert rows[0].startswith("n,p,beta,gamma,gamma0_star,m,m0_star,bound_")
     assert len(rows) == 5
     # over p: every row at the config's n
@@ -658,7 +663,7 @@ def test_sweep_real_mode(tmp_path, monkeypatch, write_cfg):
                                         (lapcert.cli, "generate"),
                                         (lapcert.validation, "tv_importance")])
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
-    rows = open(os.path.join(out, "sweep.csv")).read().splitlines()
+    rows = Path(out, "sweep.csv").read_text().splitlines()
     assert len(rows) == 1 + 2 * 3  # three weighting choices per p value
     # one eigensystem and one dataset for the whole grid; no certificate is
     # usable at either point, so no importance draw is made
@@ -721,7 +726,7 @@ def test_run_holds_the_modes_it_samples(tmp_path, monkeypatch, eig_cache, volter
 def test_sweep_default_grid(tmp_path, write_cfg):
     """A config without a sweep section runs the default real-mode p grid."""
     cfg = write_cfg({"family": "poisson"})
-    assert "sweep" not in json.load(open(cfg))
+    assert "sweep" not in json.loads(Path(cfg).read_text())
     out = str(tmp_path / "default")
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
     rows = _read_checks(os.path.join(out, "sweep.csv"))
@@ -756,15 +761,10 @@ def test_threads_change_no_artifact(tmp_path, eig_cache, volterra_eig_small):
 
 
 def test_console_entry_sets_blas_before_numpy(monkeypatch):
-    """The `lapcert` command imports nothing that loads numpy before it has
-    set the BLAS variables to 1, whatever the environment and --threads say;
-    an out-of-range count reaches the CLI, which rejects it."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, lapcert.__main__; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == "False"
+    """The `lapcert` command sets the BLAS variables to 1 before the CLI loads numpy,
+    whatever the environment and --threads say; an out-of-range count reaches the CLI,
+    which rejects it.  test_console_run_loads_only_what_it_uses checks that importing
+    the entry loads no numpy."""
     seen = []
 
     def cli_main(argv):   # records the BLAS variables the CLI would load numpy with
@@ -792,8 +792,7 @@ def test_console_certificates_ignore_blas_env(tmp_path, eig_cache, volterra_eig)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 10000, "p": 32,
                                "eigensolver": {"cache_dir": eig_cache}}))   # warm N=4096, K=50
-    env = dict(os.environ, **dict.fromkeys(entry.BLAS_VARS, "2"), PYTHONPATH=os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
+    env = python_env(**dict.fromkeys(entry.BLAS_VARS, "2"))
     csvs = []
     for extra in ([], ["--threads", "1"]):
         out = tmp_path / ("out%d" % len(csvs))
@@ -808,9 +807,8 @@ def test_cli_module_run_is_refused(tmp_path):
     """`python -m lapcert.cli`, which would load numpy before any code of its own
     could pin BLAS, exits 2 with the BLAS variables at 2, names the two commands
     that run BLAS on one thread, and writes nothing."""
-    env = dict(os.environ, **dict.fromkeys(entry.BLAS_VARS, "2"), PYTHONPATH=os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
     out = tmp_path / "out"
+    env = python_env(**dict.fromkeys(entry.BLAS_VARS, "2"))
     proc = subprocess.run([sys.executable, "-m", "lapcert.cli", "all", "--config",
                            os.path.join(ROOT, "configs", "gaussian_exactness.json"),
                            "--out", str(out)], env=env, capture_output=True, text=True,
@@ -820,84 +818,73 @@ def test_cli_module_run_is_refused(tmp_path):
     assert proc.stdout == "" and not out.exists() and os.listdir(tmp_path) == []
 
 
-def test_cli_import_skips_unused_dependencies():
-    """`import lapcert.cli` loads neither mpmath nor any scipy module: the
-    pipeline is numpy alone (only the SVD oracle imports scipy.sparse.linalg,
-    lazily), and scipy.linalg was most of the import's time.  Nor
-    does it load lapcert.concentration, which only the benchmark probe reads."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, lapcert.cli; "
-            "print(' '.join(m for m in sys.modules if m in ('mpmath', 'lapcert.concentration') "
-            "or m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == ""
+# Run by test_console_run_loads_only_what_it_uses under `python -W error`: the console entry,
+# a cold `eigen`, a warm `all` on two workers with both TV estimators, and the cold `eigen`
+# again; it prints what was loaded and what the cache entry's stat read before and after
+HYGIENE = """
+import json, os, sys
+from lapcert.__main__ import main
+numpy_at_import = "numpy" in sys.modules
+cfg, out, cache = sys.argv[1:]
+rcs = [main(["eigen", "--config", cfg, "--out", os.path.join(out, "cold")])]
+(entry,) = (os.path.join(cache, name) for name in os.listdir(cache))
+before = os.stat(entry)
+rcs.append(main(["all", "--config", cfg, "--out", os.path.join(out, "all"), "--threads", "2"]))
+rcs.append(main(["eigen", "--config", cfg, "--out", os.path.join(out, "rerun")]))
+after = os.stat(entry)
+loaded = [m for m in sys.modules if m == "lapcert.concentration"
+          or m.split(".")[0] in ("scipy", "mpmath", "hashlib", "_hashlib", "concurrent",
+                                 "secrets", "hmac")
+          or m.split(".")[:2] in (["numpy", "polynomial"], ["numpy", "ma"])]
+import secrets, numpy as np
+print(json.dumps({"numpy_at_import": numpy_at_import, "rcs": rcs, "loaded": loaded,
+                  "entries": os.listdir(cache), "same_entry": [(s.st_ino, s.st_mtime_ns)
+                                                               for s in (before, after)],
+                  "fresh_entropy": hasattr(secrets, "token_hex") and
+                  np.random.SeedSequence().entropy != np.random.SeedSequence().entropy}))
+"""
 
 
-def test_cold_eigen_run_loads_neither_openssl_nor_numpy_polynomial(tmp_path):
-    """Neither `import lapcert.cli` nor a cold `eigen` run after it loads `hashlib`
-    (whose `_hashlib` maps OpenSSL) or `numpy.polynomial`: the eigen cache names its
-    entries by zlib's crc32, and numpy's `polyval` and `polyder`, which `numpy.lib` holds,
-    evaluate the coefficients."""
+def test_console_run_loads_only_what_it_uses(tmp_path):
+    """Importing the console entry loads no numpy, so it can pin BLAS first.  A cold `eigen`,
+    a warm `all` on two workers with importance and quadrature TV, and the cold `eigen` rerun,
+    in one interpreter under `-W error`, exit 0 and load none of: scipy or mpmath (the
+    pipeline is numpy alone; only the SVD oracle imports scipy, lazily),
+    lapcert.concentration (only the benchmark's probe reads it), hashlib (the cache names
+    entries by zlib's crc32), numpy.polynomial (numpy.lib's polyval and polyder evaluate the
+    coefficients), numpy.ma (which np.percentile imports: the bootstrap takes percentiles
+    from the sorted values), concurrent (the pool runs on plain threads), secrets or hmac
+    (OpenSSL: numpy.random is first imported with a stand-in secrets).  The rerun loads the
+    one cache entry, keeping its inode and mtime, and writes the cold run's eigen.csv; after
+    it all, `import secrets` gives the real module, and an unseeded SeedSequence draws fresh
+    OS entropy."""
     cache = tmp_path / "cache"
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"operator": {"a": [1.0, 0.5], "b": [0.5]},
-                               "p": 2, "truth": {"p_star": 2},
-                               "eigensolver": {"K": 5, "N": 1024, "cache_dir": str(cache)}}))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, lapcert.cli\n"
-            "def loaded():\n"
-            "    return [m for m in sys.modules if m.lstrip('_') == 'hashlib'\n"
-            "            or m.startswith('numpy.polynomial')]\n"
-            "before = loaded()\n"
-            "rc = lapcert.cli.main(['eigen', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-            "print(rc, before, loaded())\n")
-    out = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "out")], env=env,
-                         check=True, capture_output=True, text=True, timeout=120).stdout
-    assert out.splitlines()[-1] == "0 [] []"
-    assert [name.startswith("eig_") for name in os.listdir(cache)] == [True]   # it solved
-
-
-def test_warm_all_run_loads_no_numpy_ma_concurrent_futures_or_openssl(tmp_path, eig_cache,
-                                                                      volterra_eig_small):
-    """A warm `all` run with importance and quadrature TV on two workers loads neither
-    `numpy.ma` (which `np.percentile` imports) nor `concurrent.futures`: the bootstrap
-    takes its percentiles from the sorted values, and the pool runs on plain threads.
-    Nor does it load OpenSSL, which `numpy.random` reaches through `secrets` and `hmac`:
-    the first draw imports `numpy.random` with a stand-in `secrets`.  After the run,
-    `import secrets` gives the real module, and an unseeded SeedSequence still draws
-    fresh OS entropy."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"family": "bernoulli", "n": 500, "p": 2,
+    cfg.write_text(json.dumps({"operator": {"a": [1.0, 0.5], "b": [0.5]}, "family": "bernoulli",
+                               "n": 500, "p": 2, "truth": {"p_star": 2},
                                "validation": {"method": "both", "M": 10000},
-                               "eigensolver": {"K": 30, "N": 2048, "cache_dir": eig_cache}}))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, lapcert.cli\n"
-            "rc = lapcert.cli.main(['all', '--config', sys.argv[1], '--out', sys.argv[2],\n"
-            "                       '--threads', '2'])\n"
-            "print(rc, [m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']\n"
-            "           or m.split('.')[0] in ('concurrent', 'secrets', 'hmac', 'hashlib',\n"
-            "                                  '_hashlib')])\n"
-            "import secrets, numpy as np\n"
-            "print(hasattr(secrets, 'token_hex'),\n"
-            "      np.random.SeedSequence().entropy != np.random.SeedSequence().entropy)\n")
-    out = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "out")], env=env,
-                         check=True, capture_output=True, text=True, timeout=120).stdout
-    assert out.splitlines()[-2:] == ["0 []", "True True"]
-    with open(tmp_path / "out" / "tv_estimates.csv") as fh:
-        assert [row["method"] for row in csv.DictReader(fh)] == ["importance", "quadrature"]
+                               "eigensolver": {"K": 5, "N": 1024, "cache_dir": str(cache)}}))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", HYGIENE, str(cfg), str(tmp_path),
+                           str(cache)], env=python_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    before, after = got.pop("same_entry")
+    assert before == after and [name.startswith("eig_") for name in got.pop("entries")] == [True]
+    assert got == {"numpy_at_import": False, "rcs": [0, 0, 0], "loaded": [],
+                   "fresh_entropy": True}
+    assert (tmp_path / "cold" / "eigen.csv").read_bytes() == \
+        (tmp_path / "rerun" / "eigen.csv").read_bytes()
+    assert [row["method"] for row in _read_checks(tmp_path / "all" / "tv_estimates.csv")] == [
+        "importance", "quadrature"]
 
 
-def test_overflowing_newton_trial_step_warns_nothing(tmp_path, eig_cache, volterra_eig,
+def test_overflowing_newton_trial_step_warns_nothing(tmp_path, capsys, eig_cache, volterra_eig,
                                                     monkeypatch):
     """At Poisson amplitude 8 a trial step of the Newton line search overflows exp in
     the cumulant sum: the kernel refuses it (the fit refuses at least one) and the step
-    is halved, with no numpy warning, so `python -W error::RuntimeWarning -m lapcert all`
-    exits 0 and prints nothing to stderr.  The run's TV is importance alone; CI's smoke
-    step runs this config with quadrature too."""
+    is halved, with no numpy warning (which the suite raises), so `all` exits 0 and
+    prints nothing to stderr."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"family": "poisson", "n": 1000, "p": 3,
                                "truth": {"amplitude": 8.0}, "validation": {"method": "importance"},
@@ -912,13 +899,8 @@ def test_overflowing_newton_trial_step_warns_nothing(tmp_path, eig_cache, volter
             raise
 
     monkeypatch.setattr(lapcert.posterior, "f_value", recording)
-    assert lapcert.cli.Run(load_config(str(cfg)), workers=1).fit.newton_iters > 1 and refused
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "lapcert", "all",
-                           "--config", str(cfg), "--out", str(tmp_path / "out")], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert (proc.returncode, proc.stderr) == (0, "")
+    assert main(["all", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert refused and capsys.readouterr().err == ""
 
 
 def test_perfbench_imports_resolve():

@@ -1,9 +1,15 @@
 """Behaviour contract: the bundled configs reproduce the stored artifacts byte for byte.
 
-Each case runs the CLI in a subprocess, with BLAS pinned to one thread
-through its environment and the eigen cache pointed at the test session's
-cache, and compares every artifact under tests/golden/<config>/ with the
-fresh output.  The exceptions are in gaussian_exactness: its posterior is
+Each case runs `python -W error -m lapcert` in a subprocess, which runs BLAS
+on one thread, with the eigen cache pointed at the test session's cache; the
+run exits 0 with nothing on stderr (no warning), and every artifact under
+tests/golden/<config>/ is compared with the fresh output.  Two cases
+(`THREADS_1`) run at `--threads 1`, the rest at the default kernel pool; the
+committed goldens came from default-pool runs, so the two also pin that the
+thread count moves no bit: two column tiles a row with both TV estimators
+(bernoulli_quadrature), and the p = 32 and 48 rows of a real-mode sweep.
+
+The exceptions to byte equality are in gaussian_exactness: its posterior is
 Gaussian, so the true TV is 0 and the TV estimates (~5e-15) are rounding
 noise that any last-bit change moves, as is the Newton fit's final gradient
 norm (~4e-14, `grad_norm` in fit.json); those cells (`NOISE_CELLS`) compare
@@ -22,6 +28,7 @@ import tempfile
 
 import pytest
 
+from conftest import python_env
 from probes import gaussian_mass_bracket, theorem_claims
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -35,7 +42,7 @@ CASES = {  # config name -> (subcommand, artifacts compared)
     "poisson_sweep": ("sweep", ("sweep.csv",)),
     "poisson_plateau": ("sweep", ("sweep.csv", "checks.csv")),
 }
-LAPCERT = "import sys; from lapcert.cli import main; sys.exit(main())"
+THREADS_1 = {"bernoulli_quadrature", "poisson_plateau"}   # cases run at --threads 1
 # (case, artifact) -> columns (keys of a JSON) compared at NOISE_ATOL, in checks.csv
 # on the tv_* rows only
 NOISE_CELLS = {("gaussian_exactness", "tv_estimates.csv"): ("value", "ci_low", "ci_high"),
@@ -78,8 +85,8 @@ def same_artifact(got: bytes, want: bytes, noise: tuple = ()) -> bool:
     return True
 
 
-def run_config(name: str, out_dir: str, cache_dir: str) -> None:
-    """Run the config's subcommand into out_dir with the given eigen cache."""
+def run_config(name: str, out_dir: str, cache_dir: str) -> subprocess.CompletedProcess:
+    """Run the config's subcommand into out_dir with the given eigen cache, warnings as errors."""
     with open(os.path.join(ROOT, "configs", name + ".json")) as fh:
         doc = json.load(fh)
     doc.setdefault("eigensolver", {})["cache_dir"] = cache_dir
@@ -87,17 +94,17 @@ def run_config(name: str, out_dir: str, cache_dir: str) -> None:
     cfg = os.path.join(out_dir, "config.json")
     with open(cfg, "w") as fh:
         json.dump(doc, fh)
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-                   p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
-    subprocess.run([sys.executable, "-c", LAPCERT, CASES[name][0], "--config", cfg,
-                    "--out", out_dir], env=env, check=True, timeout=600)
+    threads = ["--threads", "1"] if name in THREADS_1 else []
+    return subprocess.run([sys.executable, "-W", "error", "-m", "lapcert", CASES[name][0],
+                           "--config", cfg, "--out", out_dir, *threads], env=python_env(),
+                          capture_output=True, text=True, timeout=600)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_artifacts(name, tmp_path, eig_cache, volterra_eig, volterra_eig_small):
     out = str(tmp_path / name)
-    run_config(name, out, eig_cache)
+    proc = run_config(name, out, eig_cache)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
     for artifact in CASES[name][1]:
         with open(os.path.join(GOLDEN, name, artifact), "rb") as fh:
             want = fh.read()
@@ -234,7 +241,8 @@ def test_plateau_shows_the_headline():
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
-            run_config(case, os.path.join(tmp, case), os.path.join(tmp, "eigcache"))
+            proc = run_config(case, os.path.join(tmp, case), os.path.join(tmp, "eigcache"))
+            proc.check_returncode()
             os.makedirs(os.path.join(GOLDEN, case), exist_ok=True)
             for artifact in CASES[case][1]:
                 os.replace(os.path.join(tmp, case, artifact),

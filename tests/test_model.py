@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -20,7 +19,7 @@ from lapcert.model import (ModelError, TruthSpec, exp_family, generate,
                            _philox_uniforms, _poisson_ptrs, _substream)
 from lapcert.validation import laplace_draws
 
-from conftest import make_problem
+from conftest import make_problem, python_env
 from probes import ALLOCATING_H, ALLOCATING_HSUM
 
 
@@ -97,9 +96,6 @@ def test_first_draw_keeps_a_callers_secrets_and_the_bits():
     """A process that imports `secrets` before lapcert keeps that module object through the
     first draw (which imports numpy.random), and one that did not is left without a `secrets`:
     the stand-in is gone.  Both draw the same importance Z as this process does."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, types\n"
             "if sys.argv[1] == 'first':\n"
             "    import secrets\n"
@@ -110,7 +106,7 @@ def test_first_draw_keeps_a_callers_secrets_and_the_bits():
             "print(sys.modules.get('secrets') is before, before is None, Z.tobytes().hex())\n")
     Z = laplace_draws(SimpleNamespace(theta_hat=np.zeros(3)), 7, 5, 13)[1]
     for order, absent in (("first", "False"), ("never", "True")):
-        out = subprocess.run([sys.executable, "-c", code, order], env=env, check=True,
+        out = subprocess.run([sys.executable, "-c", code, order], env=python_env(), check=True,
                              capture_output=True, text=True, timeout=60).stdout.split()
         assert out == ["True", absent, Z.tobytes().hex()], order
 
