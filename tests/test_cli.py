@@ -763,7 +763,7 @@ def test_threads_change_no_artifact(tmp_path, eig_cache, volterra_eig_small):
 def test_console_entry_sets_blas_before_numpy(monkeypatch):
     """The `lapcert` command sets the BLAS variables to 1 before the CLI loads numpy,
     whatever the environment and --threads say; an out-of-range count reaches the CLI,
-    which rejects it.  test_console_run_loads_only_what_it_uses checks that importing
+    which rejects it.  test_cli_import_skips_unused_dependencies checks that importing
     the entry loads no numpy."""
     seen = []
 
@@ -818,9 +818,9 @@ def test_cli_module_run_is_refused(tmp_path):
     assert proc.stdout == "" and not out.exists() and os.listdir(tmp_path) == []
 
 
-# Run by test_console_run_loads_only_what_it_uses under `python -W error`: the console entry,
-# a cold `eigen`, a warm `all` on two workers with both TV estimators, and the cold `eigen`
-# again; it prints what was loaded and what the cache entry's stat read before and after
+# Run once by the console_run fixture under `python -W error`: the console entry, a cold
+# `eigen`, a warm `all` on two workers with both TV estimators, and the cold `eigen` again;
+# it prints what was loaded and what the cache entry's stat read before and after
 HYGIENE = """
 import json, os, sys
 from lapcert.__main__ import main
@@ -845,37 +845,64 @@ print(json.dumps({"numpy_at_import": numpy_at_import, "rcs": rcs, "loaded": load
 """
 
 
-def test_console_run_loads_only_what_it_uses(tmp_path):
-    """Importing the console entry loads no numpy, so it can pin BLAS first.  A cold `eigen`,
-    a warm `all` on two workers with importance and quadrature TV, and the cold `eigen` rerun,
-    in one interpreter under `-W error`, exit 0 and load none of: scipy or mpmath (the
-    pipeline is numpy alone; only the SVD oracle imports scipy, lazily),
-    lapcert.concentration (only the benchmark's probe reads it), hashlib (the cache names
-    entries by zlib's crc32), numpy.polynomial (numpy.lib's polyval and polyder evaluate the
-    coefficients), numpy.ma (which np.percentile imports: the bootstrap takes percentiles
-    from the sorted values), concurrent (the pool runs on plain threads), secrets or hmac
-    (OpenSSL: numpy.random is first imported with a stand-in secrets).  The rerun loads the
-    one cache entry, keeping its inode and mtime, and writes the cold run's eigen.csv; after
-    it all, `import secrets` gives the real module, and an unseeded SeedSequence draws fresh
-    OS entropy."""
-    cache = tmp_path / "cache"
-    cfg = tmp_path / "cfg.json"
+@pytest.fixture(scope="module")
+def console_run(tmp_path_factory):
+    """One `python -W error` interpreter runs HYGIENE (a cold `eigen`, a warm two-worker `all`
+    with importance and quadrature TV, the `eigen` rerun); every run exits 0 with an empty
+    stderr.  Returns the output directory and what the script printed."""
+    out = tmp_path_factory.mktemp("console_run")
+    cache = out / "cache"
+    cfg = out / "cfg.json"
     cfg.write_text(json.dumps({"operator": {"a": [1.0, 0.5], "b": [0.5]}, "family": "bernoulli",
                                "n": 500, "p": 2, "truth": {"p_star": 2},
                                "validation": {"method": "both", "M": 10000},
                                "eigensolver": {"K": 5, "N": 1024, "cache_dir": str(cache)}}))
-    proc = subprocess.run([sys.executable, "-W", "error", "-c", HYGIENE, str(cfg), str(tmp_path),
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", HYGIENE, str(cfg), str(out),
                            str(cache)], env=python_env(), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
-    before, after = got.pop("same_entry")
-    assert before == after and [name.startswith("eig_") for name in got.pop("entries")] == [True]
-    assert got == {"numpy_at_import": False, "rcs": [0, 0, 0], "loaded": [],
-                   "fresh_entropy": True}
-    assert (tmp_path / "cold" / "eigen.csv").read_bytes() == \
-        (tmp_path / "rerun" / "eigen.csv").read_bytes()
-    assert [row["method"] for row in _read_checks(tmp_path / "all" / "tv_estimates.csv")] == [
+    assert got["rcs"] == [0, 0, 0]
+    return out, got
+
+
+def test_cli_import_skips_unused_dependencies(console_run):
+    """Importing the console entry loads no numpy, so it can pin BLAS first, and the runs
+    after it load neither mpmath nor any scipy module: the pipeline is numpy alone (only the
+    SVD oracle imports scipy, lazily).  Nor do they load lapcert.concentration, which only
+    the benchmark's probe reads."""
+    _, got = console_run
+    assert got["numpy_at_import"] is False
+    assert [m for m in got["loaded"] if m == "lapcert.concentration"
+            or m.split(".")[0] in ("scipy", "mpmath")] == []
+
+
+def test_cold_eigen_run_loads_neither_openssl_nor_numpy_polynomial(console_run):
+    """A cold `eigen` run, and the runs after it, load neither `hashlib` (whose `_hashlib`
+    maps OpenSSL) nor `numpy.polynomial`: the eigen cache names its entries by zlib's crc32,
+    and numpy.lib's `polyval` and `polyder` evaluate the coefficients.  The cold run solves
+    one cache entry; its rerun loads that entry, keeping its inode and mtime, and writes the
+    cold run's eigen.csv."""
+    out, got = console_run
+    assert [m for m in got["loaded"] if m.lstrip("_") == "hashlib"
+            or m.split(".")[:2] == ["numpy", "polynomial"]] == []
+    before, after = got["same_entry"]
+    assert before == after and [name.startswith("eig_") for name in got["entries"]] == [True]
+    assert (out / "cold" / "eigen.csv").read_bytes() == (out / "rerun" / "eigen.csv").read_bytes()
+
+
+def test_warm_all_run_loads_no_numpy_ma_concurrent_futures_or_openssl(console_run):
+    """A warm `all` run with importance and quadrature TV on two workers loads neither
+    `numpy.ma` (which `np.percentile` imports) nor `concurrent`: the bootstrap takes its
+    percentiles from the sorted values, and the pool runs on plain threads.  Nor does it
+    load OpenSSL, which `numpy.random` reaches through `secrets` and `hmac`: the first draw
+    imports `numpy.random` with a stand-in `secrets`.  After the runs, `import secrets` gives
+    the real module, and an unseeded SeedSequence still draws fresh OS entropy."""
+    out, got = console_run
+    assert [m for m in got["loaded"] if m.split(".")[:2] == ["numpy", "ma"]
+            or m.split(".")[0] in ("concurrent", "secrets", "hmac")] == []
+    assert got["fresh_entropy"] is True
+    assert [row["method"] for row in _read_checks(out / "all" / "tv_estimates.csv")] == [
         "importance", "quadrature"]
 
 
