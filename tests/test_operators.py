@@ -1,3 +1,6 @@
+"""The smoothing operator R: its O(N) matrix-free apply, its exact discrete transpose,
+design matrices and coefficient checks.  At small N the dense matrix of R is the
+reference for the apply, the transpose and the SVD oracle."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
