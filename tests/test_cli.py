@@ -541,6 +541,53 @@ def test_quadrature_only_checks_the_gaussian_tail(tmp_path, write_cfg):
         assert 0 < float(gauss["ci_low"]) <= float(gauss["ci_high"]) < float(gauss["bound"])
 
 
+def test_check_thresholds(poisson_fit, monkeypatch):
+    """Each checks.csv rule, on both sides of its threshold, for one usable certificate
+    whose estimates are set by hand: a TV row is violated iff ci_high (not the point
+    estimate) exceeds max(bound, floor), the floor max(1e-12, 16 eps (1 + |f_hat| +
+    2 |theta_hat . R^T y|)) (2.7e-12 on this fit); a tail_posterior row iff ci_low exceeds
+    max(bound, 1e-12); a tail_gaussian row iff the log of the Gaussian bracket's lower end
+    exceeds the log of the claim, with no floor, also where both underflow (radius 40)."""
+    prob, fit = poisson_fit
+    Rty = prob.design.rows.T @ prob.data.y
+    floor = 16 * np.finfo(float).eps * (1 + abs(fit.f_hat) + 2 * abs(fit.theta_hat @ Rty))
+    assert 1e-12 < floor < 1e-11
+    above, below = 1 + 1e-9, 1 - 1e-9
+
+    def cert(radius, tau3):   # effdim 1, so r_lo = 6, and every radius here is feasible
+        return lapcert.certification.Certificate(
+            choice=lapcert.certification.WeightChoice("DG", np.eye(prob.p)), effdim=1.0,
+            tau3_sup=tau3, radius=radius)
+
+    def status(c, check, est=(0.0, 0.0, 0.0)):
+        """The status of the row `check` when est is the TV estimate and the outside mass."""
+        run = lapcert.cli.Run(None, 1)
+        run.prob, run.fit, run.certs = prob, fit, {"DG": c}
+        run.tvs = [lapcert.validation.TVEstimate("importance", *est, 10000, outside=(est,))]
+        (row,) = [r for r in lapcert.cli._checks(run) if r["check"] == check]
+        return row["status"]
+
+    bounded, zero = cert(10.0, 0.01), cert(100.0, 0.0)   # tv_bound ~0.01, and 0 (underflow)
+    assert zero.tv_bound == zero.posterior_tail == 0.0
+    b, t = bounded.tv_bound, bounded.posterior_tail
+    assert status(bounded, "tv_importance", (b / 2, b / 2, b * above)) == "violated"
+    assert status(bounded, "tv_importance", (b * below,) * 3) == "checked"
+    assert status(zero, "tv_importance", (0.0, 0.0, floor * above)) == "violated"
+    assert status(zero, "tv_importance", (0.0, 0.0, floor * below)) == "checked"
+    assert status(bounded, "tail_posterior", (t, t * above, 1.0)) == "violated"
+    assert status(bounded, "tail_posterior", (t, t * below, 1.0)) == "checked"
+    assert status(zero, "tail_posterior", (0.0, 1e-12 * above, 1.0)) == "violated"
+    assert status(zero, "tail_posterior", (0.0, 1e-12 * below, 1.0)) == "checked"
+    # log erfc(r / sqrt 2), and past erfc's underflow Abramowitz-Stegun 7.1.13's lower bound
+    x = 40.0 / math.sqrt(2.0)
+    for r, log_low in ((10.0, math.log(math.erfc(10.0 / math.sqrt(2.0)))),
+                       (40.0, math.log(2 / math.sqrt(math.pi)) - x * x
+                        - math.log(x + math.sqrt(x * x + 2.0)))):
+        for claim, want in ((log_low - 1e-6, "violated"), (log_low + 1e-6, "checked")):
+            monkeypatch.setattr(lapcert.certification.Certificate, "log_gaussian_tail", claim)
+            assert status(cert(r, 0.0), "tail_gaussian") == want, (r, want)
+
+
 def test_csv_outputs_deterministic(tmp_path, write_cfg):
     theta = [0.5, -0.125, 0.05]
     cfg = write_cfg({"family": "poisson", "n": 2000, "truth": {"theta": theta},

@@ -534,7 +534,7 @@ def test_boundary_mode_at_T(monkeypatch):
 def test_largest_K_at_its_least_N():
     """K = MAX_K = 722 solves at N = 2844, the least N that the 0.8-rad rule admits
     (N = 2843 is refused), oscillation counts checked: its Volterra lambda_K is within
-    0.54% of ((K - 1/2) pi)^-2 (0.531% measured), as docs/formats.md states."""
+    0.54% of ((K - 1/2) pi)^-2 (0.531% measured)."""
     K = eigensolver.MAX_K
     with pytest.raises(ValueError, match="^K = 722 needs N >= 2844$"):
         eigensolver.mu_scan_top(liouville_transform(VOLTERRA, 2843), K)

@@ -18,8 +18,9 @@ alters numerics on purpose regenerates them:
 
     PYTHONPATH=src python tests/test_golden.py
 
-and then `pytest tests/test_readme.py` names each README results cell that the new
-goldens moved, with the text the README should show.
+and then `pytest tests/test_readme.py tests/test_formats.py` names each README results
+cell that the new goldens moved, with the text the README should show, and each
+docs/formats.md table whose columns they changed, with the columns to add or remove.
 """
 import csv
 import json

@@ -145,11 +145,14 @@ def test_generate_rejects_rate_overflow_before_drawing(volterra_eig_small, monke
     monkeypatch.setattr(lapcert.model, "_philox_uniforms", no_draw)
     monkeypatch.setattr(lapcert.model, "_substream", no_draw)
     fam = exp_family("poisson")
-    # rates up to e^45 > 1e15; s past 709.78, where math.exp overflows; nan
-    for truth in (TruthSpec(theta=(0.0, 150.0)), TruthSpec(p_star=2, amplitude=1e4),
-                  TruthSpec(p_star=2, amplitude=float("nan"))):
+    # rates up to e^45 > 1e15; s past 709.78, where math.exp overflows; nan; and at n = 40,000
+    # rates past 1e15 only at x > 0.88, all in the second block of 2^15 draws
+    for truth, n in ((TruthSpec(theta=(0.0, 150.0)), 200),
+                     (TruthSpec(p_star=2, amplitude=1e4), 200),
+                     (TruthSpec(p_star=2, amplitude=float("nan")), 200),
+                     (TruthSpec(theta=(39.0,)), 40000)):
         with pytest.raises(ModelError, match="poisson rate overflow"):
-            generate(volterra_eig_small, fam, truth, n=200, seed=0)
+            generate(volterra_eig_small, fam, truth, n=n, seed=0)
 
 
 def test_poisson_sampler_matches_pmf():
